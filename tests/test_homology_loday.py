@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from leibhom.homology import (
     DifferentialSquareNonzero,
+    ce_chain,
+    ce_cochain,
+    classical_ce,
+    classical_ce_cochain,
     lie_coefficients,
     loday_cochain_complex,
     loday_complex,
@@ -15,9 +19,11 @@ from leibhom.homology import (
 )
 from leibhom.leibcore import (
     LieModule,
+    Representation,
     adjoint_representation,
     lie_module_lift,
     lie_quotient,
+    tensor3,
 )
 
 from conftest import (
@@ -133,12 +139,72 @@ def test_degree_one_duality_on_corpus():
         assert chain.betti()[1] == cochain.betti()[1], name
 
 
-def test_cochain_is_transpose_for_trivial_coefficients():
-    g = CORPUS["A2"]
-    chain = loday_complex(g, trivial_coefficients(), 4)
-    cochain = loday_cochain_complex(g, trivial_coefficients(), 4)
-    for k in range(len(cochain.diffs)):
-        assert cochain.diffs[k].entries == chain.diffs[k].transpose().entries
+# --- duality: every cochain complex is the transposed chain complex of the
+# --- dual coefficients, built by hand here from the public API
+
+def contragredient(mod):
+    """M* with x.f = -f o x: entry [a][u][u2] = -action[a][u2][u]."""
+    n, d = len(mod.action), mod.dim
+    return LieModule(d, tensor3(n, d, d, {
+        (a, u, u2): -mod.action[a][u2][u]
+        for a in range(n) for u in range(d) for u2 in range(d)}))
+
+
+def dual_representation(rep):
+    """Two-sided dual under the corrected rules: left' = -L^T and
+    right' = R^T + L^T, transposing the two module slots."""
+    d = rep.dim
+    n = len(rep.left_action)
+    left = tensor3(n, d, d, {
+        (x, u, u2): -rep.left_action[x][u2][u]
+        for x in range(n) for u in range(d) for u2 in range(d)})
+    right = tensor3(d, n, d, {
+        (u, x, u2): rep.right_action[u2][x][u] + rep.left_action[x][u2][u]
+        for x in range(n) for u in range(d) for u2 in range(d)})
+    return Representation(d, rep.basis_names, left, right)
+
+
+def dual_pairs(g, n):
+    """(label, cochain complex, chain complex with the dual coefficients)."""
+    qdata = lie_quotient(g)
+    h = qdata.quotient
+    for dim in (1, 2):
+        triv = trivial_coefficients(dim)
+        yield (f"loday trivial{dim}", loday_cochain_complex(g, triv, n),
+               loday_complex(g, triv, n + 1))
+        yield (f"ce trivial{dim}", ce_cochain(g, triv, n), ce_chain(g, triv, n + 1))
+        yield (f"classical trivial{dim}", classical_ce_cochain(h, None, n, dim),
+               classical_ce(h, None, n + 1, dim))
+    for maker in (quotient_adjoint_module, character_module):
+        mod = maker(qdata)
+        if mod is None:
+            continue
+        dual = contragredient(mod)
+        label = maker.__name__
+        yield (f"loday {label}", loday_cochain_complex(g, lie_coefficients(mod), n),
+               loday_complex(g, lie_coefficients(dual), n + 1))
+        yield (f"ce {label}", ce_cochain(g, lie_coefficients(mod), n),
+               ce_chain(g, lie_coefficients(dual), n + 1))
+        yield (f"classical {label}", classical_ce_cochain(h, mod, n),
+               classical_ce(h, dual, n + 1))
+    for rname, rep in representations_for(g).items():
+        co, dual = rep_coefficients(rep), rep_coefficients(dual_representation(rep))
+        yield (f"loday rep {rname} corrected", loday_cochain_complex(g, co, n),
+               loday_complex(g, dual, n + 1))
+        yield (f"loday rep {rname} plain",
+               loday_cochain_complex(g, co, n, _rep_rule="plain"),
+               loday_complex(g, dual, n + 1, _rep_rule="left"))
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_cochain_is_transpose_of_dual_chain(name):
+    # the cochain differential out of degree k is the transposed chain
+    # boundary into degree k, so the chain side is built one degree higher
+    for label, cochain, chain in dual_pairs(CORPUS[name], 4):
+        assert cochain.dims == chain.dims[:-1], label
+        assert len(cochain.diffs) == 4, label
+        for k, d in enumerate(cochain.diffs):
+            assert d.entries == chain.diffs[k].transpose().entries, (label, k)
 
 
 def test_a2_cochain_betti():
