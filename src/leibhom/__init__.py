@@ -69,7 +69,6 @@ from .freealg import (
     WeightOverflow,
     free_graded_lie_component,
     free_leibniz,
-    free_leibniz_bracket,
     graded_commutator,
     witt_dim,
 )

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -82,6 +82,16 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return not any(v)
 
 
+def add_into(acc: dict, key, value: Fraction) -> None:
+    """acc[key] += value in a sparse {key: coefficient} map, dropping the
+    key when the sum cancels, so stored coefficients are never zero."""
+    cur = acc.get(key, ZERO) + value
+    if cur:
+        acc[key] = cur
+    else:
+        acc.pop(key, None)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense rows x cols matrix of Fractions, stored row-major."""
@@ -96,10 +106,6 @@ class Matrix:
         for r in self.entries:
             if len(r) != self.cols:
                 raise ShapeMismatch(f"ragged row: expected {self.cols} columns")
-
-    @staticmethod
-    def build(rows: int, cols: int, fn: Callable[[int, int], Fraction]) -> "Matrix":
-        return Matrix(rows, cols, tuple(tuple(Fraction(fn(i, j)) for j in range(cols)) for i in range(rows)))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "Matrix":
@@ -168,21 +174,6 @@ class Matrix:
         return Matrix(self.rows, other.cols, tuple(tuple(r) for r in out))
 
     __matmul__ = mul
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix addition shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
-
-    def neg(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
@@ -327,9 +318,6 @@ class Subspace:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coords(v) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.column(j)) for j in range(other.dim))
 
 
 def quotient_projection(sub: Subspace) -> Matrix:

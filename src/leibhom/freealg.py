@@ -19,21 +19,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import ONE, Subspace, ZERO
+from .exactla import ONE, Subspace, ZERO, add_into
 
 Element = dict[tuple, Fraction]
 
 
 class WeightOverflow(Exception):
     """A bracket left the weight truncation."""
-
-
-def _add_into(acc: Element, word: tuple, coeff: Fraction) -> None:
-    c = acc.get(word, ZERO) + coeff
-    if c:
-        acc[word] = c
-    else:
-        acc.pop(word, None)
 
 
 def scale_element(elem: Element, c: Fraction) -> Element:
@@ -45,7 +37,7 @@ def scale_element(elem: Element, c: Fraction) -> Element:
 def add_elements(u: Element, v: Element) -> Element:
     out = dict(u)
     for w, c in v.items():
-        _add_into(out, w, c)
+        add_into(out, w, c)
     return out
 
 
@@ -67,8 +59,8 @@ def graded_commutator(u: Element, v: Element) -> Element:
         for wv, cv in v.items():
             if len(wv) != q:
                 raise ValueError("right argument is not homogeneous")
-            _add_into(out, wu + wv, cu * cv)
-            _add_into(out, wv + wu, -sign * cu * cv)
+            add_into(out, wu + wv, cu * cv)
+            add_into(out, wv + wu, -sign * cu * cv)
     return out
 
 
@@ -204,7 +196,7 @@ class FreeLeibnizTruncation:
         for wu, cu in u.items():
             for wv, cv in v.items():
                 for w, c in self.bracket_words(wu, wv).items():
-                    _add_into(out, w, cu * cv * c)
+                    add_into(out, w, cu * cv * c)
         return out
 
     def bracket_left(self, u: Element, v: Element) -> Element:
@@ -232,11 +224,3 @@ class FreeLeibnizTruncation:
 def free_leibniz(num_generators: int, max_weight: int) -> FreeLeibnizTruncation:
     return FreeLeibnizTruncation(num_generators, max_weight)
 
-
-def free_leibniz_bracket(fl: FreeLeibnizTruncation, u: Element, v: Element,
-                         convention: str = "right") -> Element:
-    if convention == "right":
-        return fl.bracket(u, v)
-    if convention == "left":
-        return fl.bracket_left(u, v)
-    raise ValueError(f"unknown convention {convention!r}")

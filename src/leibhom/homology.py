@@ -24,8 +24,14 @@ with d o d = 0 put the module's own right action in the first slot:
 a_1(m) = -([m,x1] + [x1,m]) and a_j(m) = -[xj,m] for j >= 2.  Taking
 the right action in every slot breaks d o d = 0; see REP_CHAIN_RULE
 below and scripts/pin_chain_rule.py for the gate that pinned this.
-The cochain differential mirrors the same shape with the action on the
-value side; its j = 1 term is -[f(...),x1] in the two-sided case.
+Cochain complexes are not built separately.  Hom(C_n, m) is the dual of
+the chain complex with coefficients in the dual module m*, so every
+cochain complex is the transposed chain complex of m*: one boundary
+builder per family, called with the contragredient action a.f = -f o a
+(Loday-Pirashvili 1993, Math. Ann. 296).  For two-sided coefficients the
+pinned cochain rule acts on the value f(...) and is read backwards into
+the chain action of m*; under the corrected rules m* has left' = -L^T and
+right' = R^T + L^T.
 """
 
 from __future__ import annotations
@@ -37,9 +43,11 @@ from fractions import Fraction
 from .dgla import DGLieAlgebra, minimal_envelope
 from .exactla import (
     Matrix,
+    ShapeMismatch,
     Subspace,
     Vec,
     ZERO,
+    add_into,
     add_vectors,
     column_span,
     kernel_basis,
@@ -110,12 +118,13 @@ class ChainComplex:
 
     def __post_init__(self):
         if len(self.diffs) != max(len(self.dims) - 1, 0):
-            raise ValueError("expected one differential per adjacent pair of degrees")
+            raise ShapeMismatch("expected one differential per adjacent pair of degrees")
         for i, d in enumerate(self.diffs):
             lo, hi = self.dims[i], self.dims[i + 1]
             want = (hi, lo) if self.raising else (lo, hi)
             if (d.rows, d.cols) != want:
-                raise ValueError(f"differential {i} has shape {(d.rows, d.cols)}, expected {want}")
+                raise ShapeMismatch(
+                    f"differential {i} has shape {(d.rows, d.cols)}, expected {want}")
         for i in range(len(self.diffs) - 1):
             if self.raising:
                 comp = self.diffs[i + 1] @ self.diffs[i]
@@ -169,6 +178,45 @@ class ChainComplex:
         if in_map is None:
             return Subspace.zero(self.dims[i])
         return column_span(in_map)
+
+
+def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
+    """ChainComplex in degrees 0..len(dims)-1 from the sparse entries of
+    each boundary C_n -> C_{n-1}, n = 1, 2, ...
+
+    raising=True gives the dual cochain complex: the keys of every entry
+    map are swapped, which transposes C_n -> C_{n-1} into the coboundary
+    C^{n-1} -> C^n before anything is densified.
+    """
+    diffs = []
+    for n, entries in enumerate(boundaries, start=1):
+        rows, cols = dims[n - 1], dims[n]
+        if raising:
+            rows, cols = cols, rows
+            entries = {(c, r): v for (r, c), v in entries.items()}
+        diffs.append(Matrix.from_entries(rows, cols, entries))
+    return ChainComplex(0, tuple(dims), tuple(diffs), raising=raising)
+
+
+def _contragredient(action: Tensor3 | None) -> Tensor3 | None:
+    """The dual module's action a.f = -f o a: entry [a][u][u2] =
+    -action[a][u2][u]."""
+    if action is None:
+        return None
+    return tuple(tuple(tuple(-c for c in column) for column in zip(*plane))
+                 for plane in action)
+
+
+def _require_left(g: LeibnizAlgebra) -> None:
+    if g.convention != "left":
+        raise ValueError("chain complexes expect the left convention; use opposite() first")
+
+
+def _check_over_quotient(mod: LieModule, qdata: QuotientData) -> None:
+    if len(mod.action) != qdata.quotient.dim:
+        raise ValueError(
+            f"module is over a {len(mod.action)}-dim Lie algebra, but the "
+            f"maximal Lie quotient has dimension {qdata.quotient.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +275,7 @@ class _ActionTables:
         elif isinstance(coefficients, LieModuleCoefficients):
             mod = coefficients.module
             qdata = lie_quotient(g)
-            if len(mod.action) != qdata.quotient.dim:
-                raise ValueError(
-                    f"module is over a {len(mod.action)}-dim Lie algebra, but the "
-                    f"maximal Lie quotient has dimension {qdata.quotient.dim}")
+            _check_over_quotient(mod, qdata)
             self.m_dim = mod.dim
             units = [tuple(Fraction(1) if t == u else ZERO for t in range(mod.dim))
                      for u in range(mod.dim)]
@@ -278,22 +323,14 @@ def _chain_action(tables: _ActionTables, rule: str):
     return first, later
 
 
-def _loday_boundary_matrix(g: LeibnizAlgebra, m_dim: int, first, later, n: int) -> Matrix:
+def _loday_boundary(g: LeibnizAlgebra, m_dim: int, first, later, n: int
+                    ) -> dict[tuple[int, int], Fraction]:
+    """Entries of d: m (x) g^{(x)n} -> m (x) g^{(x)n-1}; first/later are the
+    chain actions (u, x) -> Vec of the j = 1 and j >= 2 slots, or None."""
     base = g.dim
     rows_w = base ** (n - 1)
     cols_w = base ** n
     entries: dict[tuple[int, int], Fraction] = {}
-
-    def put(r: int, c: int, v: Fraction) -> None:
-        if not v:
-            return
-        key = (r, c)
-        cur = entries.get(key, ZERO) + v
-        if cur:
-            entries[key] = cur
-        else:
-            entries.pop(key, None)
-
     for widx, word in enumerate(itertools.product(range(base), repeat=n)):
         for j in range(1, n + 1):
             sj = Fraction(-1) ** j
@@ -305,7 +342,7 @@ def _loday_boundary_matrix(g: LeibnizAlgebra, m_dim: int, first, later, n: int) 
                         continue
                     r = tensor_word_index(head + (k,) + tail, base)
                     for u in range(m_dim):
-                        put(u * rows_w + r, u * cols_w + widx, sj * c)
+                        add_into(entries, (u * rows_w + r, u * cols_w + widx), sj * c)
             if first is not None:
                 sa = Fraction(-1) ** (j + 1)
                 r = tensor_word_index(word[:j - 1] + word[j:], base)
@@ -313,9 +350,16 @@ def _loday_boundary_matrix(g: LeibnizAlgebra, m_dim: int, first, later, n: int) 
                 for u in range(m_dim):
                     vec = first(u, x) if j == 1 else later(u, x)
                     for u2, c in enumerate(vec):
-                        put(u2 * rows_w + r, u * cols_w + widx, sa * c)
+                        if c:
+                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sa * c)
+    return entries
 
-    return Matrix.from_entries(m_dim * rows_w, m_dim * cols_w, entries)
+
+def _loday(g: LeibnizAlgebra, m_dim: int, first, later, n_max: int,
+           raising: bool) -> ChainComplex:
+    dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
+    boundaries = (_loday_boundary(g, m_dim, first, later, n) for n in range(1, n_max + 1))
+    return _complex(dims, boundaries, raising)
 
 
 def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
@@ -325,61 +369,12 @@ def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
     Homology at the top stored degree is not meaningful (the next
     boundary map is not built); ask one degree higher than you need.
     """
-    if g.convention != "left":
-        raise ValueError("chain complexes expect the left convention; use opposite() first")
+    _require_left(g)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     tables = _ActionTables(g, coefficients)
     first, later = _chain_action(tables, _rep_rule or REP_CHAIN_RULE)
-    dims = tuple(tables.m_dim * g.dim ** n for n in range(n_max + 1))
-    diffs = tuple(
-        _loday_boundary_matrix(g, tables.m_dim, first, later, n)
-        for n in range(1, n_max + 1)
-    )
-    return ChainComplex(0, dims, diffs, raising=False)
-
-
-def _loday_coboundary_matrix(g: LeibnizAlgebra, m_dim: int, first, later, n: int) -> Matrix:
-    """d: Hom(g^{(x)n}, m) -> Hom(g^{(x)n+1}, m)."""
-    base = g.dim
-    rows_w = base ** (n + 1)
-    cols_w = base ** n
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def put(r: int, c: int, v: Fraction) -> None:
-        if not v:
-            return
-        key = (r, c)
-        cur = entries.get(key, ZERO) + v
-        if cur:
-            entries[key] = cur
-        else:
-            entries.pop(key, None)
-
-    for yidx, yword in enumerate(itertools.product(range(base), repeat=n + 1)):
-        m = n + 1
-        for j in range(1, m + 1):
-            sj = Fraction(-1) ** j
-            for i in range(1, j):
-                br = g.bracket_basis(yword[j - 1], yword[i - 1])
-                for k, c in enumerate(br):
-                    if not c:
-                        continue
-                    w = yword[:i - 1] + (k,) + yword[i:j - 1] + yword[j:]
-                    cidx = tensor_word_index(w, base)
-                    for u in range(m_dim):
-                        put(u * rows_w + yidx, u * cols_w + cidx, sj * c)
-            if first is not None:
-                sa = Fraction(-1) ** (j + 1)
-                w = yword[:j - 1] + yword[j:]
-                cidx = tensor_word_index(w, base)
-                x = yword[j - 1]
-                for u in range(m_dim):
-                    vec = first(x, u) if j == 1 else later(x, u)
-                    for u2, c in enumerate(vec):
-                        put(u2 * rows_w + yidx, u * cols_w + cidx, sa * c)
-
-    return Matrix.from_entries(m_dim * rows_w, m_dim * cols_w, entries)
+    return _loday(g, tables.m_dim, first, later, n_max, raising=False)
 
 
 def _cochain_action(tables: _ActionTables, rule: str):
@@ -398,19 +393,26 @@ def _cochain_action(tables: _ActionTables, rule: str):
     return first, later
 
 
+def _dual_chain_action(act, g_dim: int, m_dim: int):
+    """A value-side action (x, u) -> Vec read as the chain action
+    (u, x) -> Vec of the dual module: entry [u][x][u2] = act(x, u2)[u]."""
+    if act is None:
+        return None
+    values = [[act(x, u2) for u2 in range(m_dim)] for x in range(g_dim)]
+    table = [[tuple(values[x][u2][u] for u2 in range(m_dim)) for x in range(g_dim)]
+             for u in range(m_dim)]
+    return lambda u, x: table[u][x]
+
+
 def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
                           _rep_rule: str | None = None) -> ChainComplex:
-    """Cochain complex Hom(g^{(x)n}, m) in degrees 0..n_max."""
-    if g.convention != "left":
-        raise ValueError("chain complexes expect the left convention; use opposite() first")
+    """Cochain complex Hom(g^{(x)n}, m) in degrees 0..n_max: the transposed
+    chain complex of the dual module."""
+    _require_left(g)
     tables = _ActionTables(g, coefficients)
-    first, later = _cochain_action(tables, _rep_rule or REP_COCHAIN_RULE)
-    dims = tuple(tables.m_dim * g.dim ** n for n in range(n_max + 1))
-    diffs = tuple(
-        _loday_coboundary_matrix(g, tables.m_dim, first, later, n)
-        for n in range(0, n_max)
-    )
-    return ChainComplex(0, dims, diffs, raising=True)
+    first, later = (_dual_chain_action(a, g.dim, tables.m_dim)
+                    for a in _cochain_action(tables, _rep_rule or REP_COCHAIN_RULE))
+    return _loday(g, tables.m_dim, first, later, n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +430,7 @@ class CEData:
 
 
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
-    if g.convention != "left":
-        raise ValueError("chain complexes expect the left convention; use opposite() first")
+    _require_left(g)
     if isinstance(coefficients, RepresentationCoefficients):
         raise ValueError(
             "enveloping-algebra complexes take trivial or Lie-module coefficients")
@@ -439,10 +440,7 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
         m_dim, action = coefficients.dim, None
     else:
         mod = coefficients.module
-        if len(mod.action) != qdata.quotient.dim:
-            raise ValueError(
-                f"module is over a {len(mod.action)}-dim Lie algebra, but the "
-                f"maximal Lie quotient has dimension {qdata.quotient.dim}")
+        _check_over_quotient(mod, qdata)
         m_dim, action = mod.dim, mod.action
     return CEData(g, qdata, envelope, PBWAlgebra(envelope), m_dim, action)
 
@@ -474,15 +472,43 @@ def _derive_word(envelope: DGLieAlgebra, word: Word) -> Poly:
         for letter, c in images:
             if not c:
                 continue
-            w2 = word[:t] + (letter,) + word[t + 1:]
-            cur = out.get(w2, ZERO) + sign * c
-            if cur:
-                out[w2] = cur
-            else:
-                out.pop(w2, None)
+            add_into(out, word[:t] + (letter,) + word[t + 1:], sign * c)
         if deg % 2:
             sign = -sign
     return out
+
+
+def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
+                raising: bool) -> ChainComplex:
+    """m (x) (normal monomials of degree n) in degrees 0..n_max; action is
+    the degree-0 letters acting on m, None for the zero action."""
+    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
+    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
+    m = data.m_dim
+
+    def boundary(n: int) -> dict[tuple[int, int], Fraction]:
+        rows_w, cols_w = len(mons[n - 1]), len(mons[n])
+        entries: dict[tuple[int, int], Fraction] = {}
+        for widx, w in enumerate(mons[n]):
+            nf = data.pbw.normal_form(_derive_word(data.envelope, w))
+            for w2, c in nf.items():
+                if w2 and w2[0][0] == 0:
+                    if action is None:
+                        continue
+                    plane = action[w2[0][1]]
+                    r = index[n - 1][w2[1:]]
+                    for u in range(m):
+                        for u2, cc in enumerate(plane[u]):
+                            if cc:
+                                add_into(entries, (u2 * rows_w + r, u * cols_w + widx), -c * cc)
+                else:
+                    r = index[n - 1][w2]
+                    for u in range(m):
+                        add_into(entries, (u * rows_w + r, u * cols_w + widx), c)
+        return entries
+
+    dims = [m * len(ws) for ws in mons]
+    return _complex(dims, map(boundary, range(1, n_max + 1)), raising)
 
 
 def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
@@ -493,84 +519,14 @@ def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Chain
     as m.xi = -xi.m (dropped entirely for trivial coefficients).
     """
     data = _ce_setup(g, coefficients)
-    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    m = data.m_dim
-    diffs = []
-    for n in range(1, n_max + 1):
-        rows_w, cols_w = len(mons[n - 1]), len(mons[n])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for widx, w in enumerate(mons[n]):
-            nf = data.pbw.normal_form(_derive_word(data.envelope, w))
-            for w2, c in nf.items():
-                if w2 and w2[0][0] == 0:
-                    if data.action is None:
-                        continue
-                    a = w2[0][1]
-                    r = index[n - 1][w2[1:]]
-                    for u in range(m):
-                        for u2, cc in enumerate(data.action[a][u]):
-                            if cc:
-                                key = (u2 * rows_w + r, u * cols_w + widx)
-                                cur = entries.get(key, ZERO) - c * cc
-                                if cur:
-                                    entries[key] = cur
-                                else:
-                                    entries.pop(key, None)
-                else:
-                    r = index[n - 1][w2]
-                    for u in range(m):
-                        key = (u * rows_w + r, u * cols_w + widx)
-                        cur = entries.get(key, ZERO) + c
-                        if cur:
-                            entries[key] = cur
-                        else:
-                            entries.pop(key, None)
-        diffs.append(Matrix.from_entries(m * rows_w, m * cols_w, entries))
-    dims = tuple(m * len(mons[n]) for n in range(n_max + 1))
-    return ChainComplex(0, dims, tuple(diffs), raising=False)
+    return _ce_complex(data, data.action, n_max, raising=False)
 
 
 def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
-    """Cochain complex Hom(normal monomials, m); a leading degree-0 letter
-    acts on the value with a plus sign."""
+    """Cochain complex Hom(normal monomials, m): the transposed chain
+    complex of the contragredient module."""
     data = _ce_setup(g, coefficients)
-    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    m = data.m_dim
-    diffs = []
-    for n in range(0, n_max):
-        rows_w, cols_w = len(mons[n + 1]), len(mons[n])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for yidx, y in enumerate(mons[n + 1]):
-            nf = data.pbw.normal_form(_derive_word(data.envelope, y))
-            for w2, c in nf.items():
-                if w2 and w2[0][0] == 0:
-                    if data.action is None:
-                        continue
-                    a = w2[0][1]
-                    cidx = index[n][w2[1:]]
-                    for u in range(m):
-                        for u2, cc in enumerate(data.action[a][u]):
-                            if cc:
-                                key = (u2 * rows_w + yidx, u * cols_w + cidx)
-                                cur = entries.get(key, ZERO) + c * cc
-                                if cur:
-                                    entries[key] = cur
-                                else:
-                                    entries.pop(key, None)
-                else:
-                    cidx = index[n][w2]
-                    for u in range(m):
-                        key = (u * rows_w + yidx, u * cols_w + cidx)
-                        cur = entries.get(key, ZERO) + c
-                        if cur:
-                            entries[key] = cur
-                        else:
-                            entries.pop(key, None)
-        diffs.append(Matrix.from_entries(m * rows_w, m * cols_w, entries))
-    dims = tuple(m * len(mons[n]) for n in range(n_max + 1))
-    return ChainComplex(0, dims, tuple(diffs), raising=True)
+    return _ce_complex(data, _contragredient(data.action), n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,42 +540,24 @@ def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[Fraction, tuple[int, .
     return Fraction(-1) ** pos, rest[:pos] + (k,) + rest[pos:]
 
 
-def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
-                 m_dim: int | None = None) -> ChainComplex:
-    """Exterior-power chain complex of a Lie algebra; module=None means
-    trivial coefficients of dimension m_dim (default 1)."""
-    m = module.dim if module is not None else (m_dim or 1)
+def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int,
+                       raising: bool) -> ChainComplex:
     mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    units = [tuple(Fraction(1) if t == u else ZERO for t in range(m)) for u in range(m)]
-    diffs = []
-    for n in range(1, n_max + 1):
+
+    def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
-
-        def put(r, c, v):
-            if not v:
-                return
-            key = (r, c)
-            cur = entries.get(key, ZERO) + v
-            if cur:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
-
         for widx, xs in enumerate(mons[n]):
-            if module is not None:
+            if action is not None:
                 for t in range(1, n + 1):
                     sign = Fraction(-1) ** t
-                    rest = xs[:t - 1] + xs[t:]
-                    r = index[n - 1][rest]
-                    x = xs[t - 1]
+                    r = index[n - 1][xs[:t - 1] + xs[t:]]
+                    plane = action[xs[t - 1]]
                     for u in range(m):
-                        vec = module.act(
-                            tuple(Fraction(1) if i == x else ZERO for i in range(h.dim)),
-                            units[u])
-                        for u2, c in enumerate(vec):
-                            put(u2 * rows_w + r, u * cols_w + widx, sign * c)
+                        for u2, c in enumerate(plane[u]):
+                            if c:
+                                add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sign * c)
             for s in range(1, n + 1):
                 for t in range(s + 1, n + 1):
                     sign = Fraction(-1) ** (s + t)
@@ -634,64 +572,31 @@ def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
                         wsign, word = ins
                         r = index[n - 1][word]
                         for u in range(m):
-                            put(u * rows_w + r, u * cols_w + widx, sign * c * wsign)
-        diffs.append(Matrix.from_entries(m * rows_w, m * cols_w, entries))
-    dims = tuple(m * len(mons[n]) for n in range(n_max + 1))
-    return ChainComplex(0, dims, tuple(diffs), raising=False)
+                            add_into(entries, (u * rows_w + r, u * cols_w + widx),
+                                     sign * c * wsign)
+        return entries
+
+    dims = [m * len(ws) for ws in mons]
+    return _complex(dims, map(boundary, range(1, n_max + 1)), raising)
+
+
+def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
+                 m_dim: int | None = None) -> ChainComplex:
+    """Exterior-power chain complex of a Lie algebra; module=None means
+    trivial coefficients of dimension m_dim (default 1)."""
+    if module is None:
+        return _classical_complex(h, None, m_dim or 1, n_max, raising=False)
+    return _classical_complex(h, module.action, module.dim, n_max, raising=False)
 
 
 def classical_ce_cochain(h: LieAlgebra, module: LieModule | None, n_max: int,
                          m_dim: int | None = None) -> ChainComplex:
-    m = module.dim if module is not None else (m_dim or 1)
-    mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    units = [tuple(Fraction(1) if t == u else ZERO for t in range(m)) for u in range(m)]
-    diffs = []
-    for n in range(0, n_max):
-        rows_w, cols_w = len(mons[n + 1]), len(mons[n])
-        entries: dict[tuple[int, int], Fraction] = {}
-
-        def put(r, c, v):
-            if not v:
-                return
-            key = (r, c)
-            cur = entries.get(key, ZERO) + v
-            if cur:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
-
-        for yidx, xs in enumerate(mons[n + 1]):
-            if module is not None:
-                for t in range(1, n + 2):
-                    sign = Fraction(-1) ** (t + 1)
-                    rest = xs[:t - 1] + xs[t:]
-                    cidx = index[n][rest]
-                    x = xs[t - 1]
-                    for u in range(m):
-                        vec = module.act(
-                            tuple(Fraction(1) if i == x else ZERO for i in range(h.dim)),
-                            units[u])
-                        for u2, c in enumerate(vec):
-                            put(u2 * rows_w + yidx, u * cols_w + cidx, sign * c)
-            for s in range(1, n + 2):
-                for t in range(s + 1, n + 2):
-                    sign = Fraction(-1) ** (s + t)
-                    br = h.bracket_basis(xs[s - 1], xs[t - 1])
-                    rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
-                    for k, c in enumerate(br):
-                        if not c:
-                            continue
-                        ins = _wedge_insert(k, rest)
-                        if ins is None:
-                            continue
-                        wsign, word = ins
-                        cidx = index[n][word]
-                        for u in range(m):
-                            put(u * rows_w + yidx, u * cols_w + cidx, sign * c * wsign)
-        diffs.append(Matrix.from_entries(m * rows_w, m * cols_w, entries))
-    dims = tuple(m * len(mons[n]) for n in range(n_max + 1))
-    return ChainComplex(0, dims, tuple(diffs), raising=True)
+    """Exterior-power cochain complex: the transposed chain complex of the
+    contragredient module."""
+    if module is None:
+        return _classical_complex(h, None, m_dim or 1, n_max, raising=True)
+    return _classical_complex(h, _contragredient(module.action), module.dim, n_max,
+                              raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +615,7 @@ def _projection_blocks(data: CEData, n_max: int) -> list[Matrix]:
         for widx, word in enumerate(itertools.product(range(base), repeat=n)):
             poly = {tuple((1, i) for i in word): Fraction(1)}
             for w2, c in data.pbw.normal_form(poly).items():
-                r = index[n][w2]
-                key = (r, widx)
-                cur = entries.get(key, ZERO) + c
-                if cur:
-                    entries[key] = cur
-                else:
-                    entries.pop(key, None)
+                add_into(entries, (index[n][w2], widx), c)
         out.append(Matrix.from_entries(len(mons[n]), base ** n, entries))
     return out
 
@@ -836,8 +735,7 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     Raises NotInvariant (from the restriction) if a boundary were to leave
     the span, which does not happen for genuine Leibniz brackets.
     """
-    if g.convention != "left":
-        raise ValueError("chain complexes expect the left convention; use opposite() first")
+    _require_left(g)
     base = g.dim
     spans = [Subspace.full(1), Subspace.full(base)]
     for n in range(2, n_max + 1):
@@ -846,7 +744,8 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     dims = tuple(spans[n].dim for n in range(n_max + 1))
     diffs = []
     for n in range(1, n_max + 1):
-        ambient = _loday_boundary_matrix(g, 1, None, None, n)
+        ambient = Matrix.from_entries(base ** (n - 1), base ** n,
+                                      _loday_boundary(g, 1, None, None, n))
         diffs.append(restrict_map(ambient, spans[n], spans[n - 1]))
     return ChainComplex(0, dims, tuple(diffs), raising=False)
 
@@ -925,12 +824,7 @@ class _FGBlocks:
                     combo = self.fl.bracket_words(tup[i - 1], tup[j - 1])
                     for z, c in combo.items():
                         new = tup[:i - 1] + (z,) + tup[i:j - 1] + tup[j:]
-                        key = (dst_index[new], col)
-                        cur = entries.get(key, ZERO) + sj * c
-                        if cur:
-                            entries[key] = cur
-                        else:
-                            entries.pop(key, None)
+                        add_into(entries, (dst_index[new], col), sj * c)
         return Matrix.from_entries(len(dst), len(src), entries)
 
 

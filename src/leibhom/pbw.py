@@ -19,21 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgla import DGLieAlgebra
-from .exactla import ZERO
+from .exactla import add_into
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 Poly = dict[Word, Fraction]
 
 HALF = Fraction(1, 2)
-
-
-def _merge(acc: Poly, word: Word, coeff: Fraction) -> None:
-    c = acc.get(word, ZERO) + coeff
-    if c:
-        acc[word] = c
-    else:
-        acc.pop(word, None)
 
 
 @dataclass
@@ -77,24 +69,24 @@ class PBWAlgebra:
             raise ValueError(f"unknown strategy {strategy!r}")
         pending: Poly = {}
         for w, c in poly.items():
-            _merge(pending, w, c)
+            add_into(pending, w, c)
         done: Poly = {}
         while pending:
             word, coeff = pending.popitem()
             pos = self._violation(word, strategy)
             if pos is None:
-                _merge(done, word, coeff)
+                add_into(done, word, coeff)
                 continue
             a, b = word[pos], word[pos + 1]
             prefix, suffix = word[:pos], word[pos + 2:]
             if a == b:
                 for l, c in self.bracket_letters(a, a).items():
-                    _merge(pending, prefix + (l,) + suffix, coeff * c * HALF)
+                    add_into(pending, prefix + (l,) + suffix, coeff * c * HALF)
             else:
                 sign = Fraction(-1) if (self.parity(a) and self.parity(b)) else Fraction(1)
-                _merge(pending, prefix + (b, a) + suffix, coeff * sign)
+                add_into(pending, prefix + (b, a) + suffix, coeff * sign)
                 for l, c in self.bracket_letters(a, b).items():
-                    _merge(pending, prefix + (l,) + suffix, coeff * c)
+                    add_into(pending, prefix + (l,) + suffix, coeff * c)
         return done
 
     def is_normal(self, word: Word) -> bool:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from leibhom import cli
-from leibhom.homology import DifferentialSquareNonzero
+from leibhom.exactla import Matrix
+from leibhom.homology import ChainComplex, DifferentialSquareNonzero
 
 
 def write_json(path, doc):
@@ -339,3 +340,13 @@ def test_invariant_violation_maps_to_exit_one(a2_path, capsys, monkeypatch):
     assert cli.entrypoint(["check", a2_path]) == 1
     err = capsys.readouterr().err
     assert "invariant violation (DifferentialSquareNonzero)" in err
+
+
+def test_mis_shaped_complex_maps_to_exit_one(a2_path, capsys, monkeypatch):
+    # a builder that hands back a differential of the wrong shape is an
+    # internal fault, not bad input
+    def misshaped(g, coefficients, n_max):
+        return ChainComplex(0, (1, 2), (Matrix.zeros(2, 1),))
+    monkeypatch.setattr(cli, "loday_complex", misshaped)
+    assert cli.entrypoint(["homology", a2_path, "--max-degree", "1"]) == 1
+    assert "invariant violation (ShapeMismatch)" in capsys.readouterr().err

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibhom.exactla import Matrix, ShapeMismatch
 from leibhom.homology import (
+    ChainComplex,
     DifferentialSquareNonzero,
     ce_chain,
     ce_cochain,
@@ -205,6 +207,15 @@ def test_cochain_is_transpose_of_dual_chain(name):
         assert len(cochain.diffs) == 4, label
         for k, d in enumerate(cochain.diffs):
             assert d.entries == chain.diffs[k].transpose().entries, (label, k)
+
+
+def test_mis_shaped_complex_raises_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        ChainComplex(0, (1, 2), (Matrix.zeros(2, 1),))
+    with pytest.raises(ShapeMismatch):
+        ChainComplex(0, (1, 2, 1), (Matrix.zeros(1, 2),))
+    with pytest.raises(ShapeMismatch):
+        ChainComplex(0, (2, 1), (Matrix.zeros(2, 1),), raising=True)
 
 
 def test_a2_cochain_betti():

@@ -1,0 +1,35 @@
+"""The experiment scripts run end to end and reach their verdict lines.
+
+pin_chain_rule.py is the only place that sweeps every candidate action
+rule over the randomized corpus, so it doubles as a regression check of
+the rule landscape.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("pin_chain_rule.py",), "verdict: rules pinned"),
+    (("run_comparison_suite.py",), "all comparison verdicts hold"),
+    (("run_free_conjecture.py", "1", "4"), "verdict: PASS"),
+], ids=["pin_chain_rule", "comparison_suite", "free_conjecture"])
+def test_script_reaches_its_verdict(argv, verdict):
+    proc = run_script(*argv)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert verdict in proc.stdout.splitlines()[-1]
