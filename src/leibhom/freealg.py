@@ -223,4 +223,3 @@ class FreeLeibnizTruncation:
 
 def free_leibniz(num_generators: int, max_weight: int) -> FreeLeibnizTruncation:
     return FreeLeibnizTruncation(num_generators, max_weight)
-

@@ -24,6 +24,7 @@ with d o d = 0 put the module's own right action in the first slot:
 a_1(m) = -([m,x1] + [x1,m]) and a_j(m) = -[xj,m] for j >= 2.  Taking
 the right action in every slot breaks d o d = 0; see REP_CHAIN_RULE
 below and scripts/pin_chain_rule.py for the gate that pinned this.
+
 Cochain complexes are not built separately.  Hom(C_n, m) is the dual of
 the chain complex with coefficients in the dual module m*, so every
 cochain complex is the transposed chain complex of m*: one boundary
@@ -542,6 +543,8 @@ def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[Fraction, tuple[int, .
 
 def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int,
                        raising: bool) -> ChainComplex:
+    """m (x) Lambda^n h in degrees 0..n_max; action is h acting on m, None
+    for the zero action."""
     mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
 
