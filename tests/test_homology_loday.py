@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibhom.exactla import Matrix, ShapeMismatch
+from leibhom.exactla import Matrix, ShapeMismatch, Subspace, restrict_map
 from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
@@ -13,6 +13,7 @@ from leibhom.homology import (
     ce_cochain,
     classical_ce,
     classical_ce_cochain,
+    fg_subcomplex,
     lie_coefficients,
     loday_cochain_complex,
     loday_complex,
@@ -97,6 +98,39 @@ def oracle_betti(g, n_max):
     ranks = [0] + [oracle_rank(oracle_boundary(g.structure, n))
                    for n in range(1, n_max + 2)]
     return tuple(g.dim ** n - ranks[n] - ranks[n + 1] for n in range(n_max + 1))
+
+
+def oracle_commutator_span(dim, n):
+    """Span of the left-normed graded commutators of n letters, each of
+    degree 1, as vectors over oracle_words(dim, n):
+    [u, x] = u(x)x - (-1)^{deg u} x(x)u."""
+    elems = [{(i,): Fraction(1)} for i in range(dim)]
+    for length in range(1, n):
+        sign = (-1) ** length
+        grown = []
+        for u in elems:
+            for x in range(dim):
+                out = {}
+                for w, c in u.items():
+                    out[w + (x,)] = out.get(w + (x,), 0) + c
+                    out[(x,) + w] = out.get((x,) + w, 0) - sign * c
+                grown.append(out)
+        elems = grown
+    words = oracle_words(dim, n)
+    return Subspace.from_spanning_columns(
+        len(words), [[e.get(w, 0) for w in words] for e in elems])
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_fg_subcomplex_is_restricted_oracle_boundary(name):
+    g = CORPUS[name]
+    cx = fg_subcomplex(g, 4)
+    spans = [Subspace.full(1)] + [oracle_commutator_span(g.dim, n) for n in range(1, 5)]
+    assert cx.dims == tuple(s.dim for s in spans)
+    for n in range(1, 5):
+        ambient = Matrix.from_rows(oracle_boundary(g.structure, n))
+        want = restrict_map(ambient, spans[n], spans[n - 1])
+        assert cx.diffs[n - 1].entries == want.entries, n
 
 
 def test_oracle_agrees_with_builder_on_a2():
