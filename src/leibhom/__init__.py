@@ -65,7 +65,6 @@ from .dgla import (
 )
 from .freealg import (
     FreeLeibnizTruncation,
-    GradedLieComponent,
     WeightOverflow,
     free_graded_lie_component,
     free_leibniz,

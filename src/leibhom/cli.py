@@ -47,6 +47,7 @@ from .homology import (
 from .leibcore import (
     IllDefinedQuotient,
     LeibnizAlgebra,
+    LieAlgebra,
     LieModule,
     Representation,
     check_leibniz,
@@ -162,6 +163,12 @@ def _sparse_table(entries, left_index, right_index, value_index, where: str) -> 
     return table
 
 
+def _first_few(items) -> str:
+    """The first eight items, then how many more there are."""
+    more = "" if len(items) <= 8 else f" and {len(items) - 8} more"
+    return ", ".join(str(v) for v in items[:8]) + more
+
+
 def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
     """Load an algebra file, verify its axioms, normalise to the left
     convention.  Returns the algebra, report notices, and whether the
@@ -177,10 +184,9 @@ def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
     g = LeibnizAlgebra.from_brackets(names, table, convention=convention)
     bad = check_leibniz(g)
     if bad:
-        listed = ", ".join(f"({names[i]}, {names[j]}, {names[k]})" for i, j, k in bad[:8])
-        more = "" if len(bad) <= 8 else f" and {len(bad) - 8} more"
+        listed = [f"({names[i]}, {names[j]}, {names[k]})" for i, j, k in bad]
         raise AxiomError(
-            f"{path}: {convention} Leibniz identity fails at {listed}{more}", bad)
+            f"{path}: {convention} Leibniz identity fails at {_first_few(listed)}", bad)
     notices = []
     if convention == "right":
         g = opposite(g)
@@ -189,7 +195,7 @@ def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
     return g, notices, convention == "right"
 
 
-def algebra_echo(g: LeibnizAlgebra) -> dict:
+def algebra_echo(g: LeibnizAlgebra | LieAlgebra) -> dict:
     """Re-emit an algebra as an input document (always left convention)."""
     brackets = []
     for i in range(g.dim):
@@ -227,9 +233,7 @@ def parse_representation(path: str, g: LeibnizAlgebra,
         rep = opposite_representation(g, rep)
     bad = check_representation(g, rep)
     if bad:
-        listed = ", ".join(str(v) for v in bad[:8])
-        more = "" if len(bad) <= 8 else f" and {len(bad) - 8} more"
-        raise AxiomError(f"{path}: representation identities fail at {listed}{more}", bad)
+        raise AxiomError(f"{path}: representation identities fail at {_first_few(bad)}", bad)
     return rep
 
 
@@ -249,9 +253,7 @@ def parse_lie_module(path: str, g: LeibnizAlgebra) -> LieModule:
     mod = LieModule(d, action)
     bad = check_lie_module(qdata.quotient, mod)
     if bad:
-        listed = ", ".join(str(v) for v in bad[:8])
-        more = "" if len(bad) <= 8 else f" and {len(bad) - 8} more"
-        raise AxiomError(f"{path}: Lie-module identity fails at {listed}{more}", bad)
+        raise AxiomError(f"{path}: Lie-module identity fails at {_first_few(bad)}", bad)
     return mod
 
 
@@ -337,14 +339,7 @@ def _cmd_quotient(args, report):
     g, was_right = _load_main_algebra(args, report)
     qdata = lie_quotient(g)
     q = qdata.quotient
-    brackets = []
-    for i in range(q.dim):
-        for j in range(q.dim):
-            vec = q.bracket_basis(i, j)
-            value = {q.basis_names[k]: format_scalar(c) for k, c in enumerate(vec) if c}
-            if value:
-                brackets.append({"left": q.basis_names[i], "right": q.basis_names[j],
-                                 "value": value})
+    brackets = algebra_echo(q)["brackets"]
     report["tables"]["quotient"] = {"basis": list(q.basis_names), "brackets": brackets}
     report["tables"]["ann"] = {
         "dim": qdata.ann.dim,

@@ -1,6 +1,12 @@
 """Free Leibniz algebras as truncated tensor modules, plus the graded-Lie
 spans inside tensor powers and the necklace dimension count.
 
+CommutatorSpans spans block (n, w), the tensor words of n letters of
+total weight w, by the graded commutators [c, y] of the basis of block
+(n - 1, w - v) with the letters y of weight v.  Its letters are the basis
+of g, all of weight 1, for the commutator subcomplex of an algebra, and
+the words of a truncated free algebra for the weight blocks.
+
 A word (i1, ..., iw) stands for the left-normed bracket
 [[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra;
 bracketing by a single generator on the right appends a letter, and the
@@ -16,7 +22,6 @@ so [u, v] on the left is bracket(v, u) here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactla import ONE, Subspace, ZERO, add_into
@@ -92,58 +97,68 @@ def witt_dim(d: int, w: int) -> int:
     return total // w
 
 
-@dataclass(frozen=True)
-class GradedLieComponent:
-    num_letters: int
-    degree: int
-    subspace: Subspace
+class CommutatorSpans:
+    """Memoized spans of left-normed graded commutators, by block (n, w).
 
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
+    letters(v) lists the letters of weight v, each of tensor degree 1.
+    words(n, w) orders a block by the weight of its first letter, then by
+    letters(v), then recursively: itertools.product order when every
+    letter has weight 1.
+    """
+
+    def __init__(self, letters):
+        self.letters = letters
+        self._words: dict[tuple[int, int], list[tuple]] = {}
+        self._spans: dict[tuple[int, int], tuple[Subspace, list[Element]]] = {}
+
+    def words(self, n: int, w: int) -> list[tuple]:
+        key = (n, w)
+        if key not in self._words:
+            if n == 0:
+                out = [()] if w == 0 else []
+            else:
+                out = [(y,) + rest for v in range(1, w - n + 2) for y in self.letters(v)
+                       for rest in self.words(n - 1, w - v)]
+            self._words[key] = out
+        return self._words[key]
+
+    def span(self, n: int, w: int) -> Subspace:
+        """The commutator span inside k^len(words(n, w))."""
+        return self._span(n, w)[0]
+
+    def _span(self, n: int, w: int) -> tuple[Subspace, list[Element]]:
+        """The span of block (n, w) and its basis as elements."""
+        key = (n, w)
+        if key in self._spans:
+            return self._spans[key]
+        words = self.words(n, w)
+        if n <= 1:
+            sub = Subspace.full(len(words))
+        else:
+            index = {t: i for i, t in enumerate(words)}
+            spanning = []
+            for v in range(1, w - n + 2):
+                for c in self._span(n - 1, w - v)[1]:
+                    for y in self.letters(v):
+                        br = graded_commutator(c, {(y,): ONE})
+                        if br:
+                            vec = [ZERO] * len(words)
+                            for t, x in br.items():
+                                vec[index[t]] = x
+                            spanning.append(vec)
+            sub = Subspace.from_spanning_columns(len(words), spanning)
+        elems = [{words[i]: x for i, x in enumerate(sub.basis.column(t)) if x}
+                 for t in range(sub.dim)]
+        self._spans[key] = (sub, elems)
+        return self._spans[key]
 
 
-def tensor_word_index(word: tuple[int, ...], base: int) -> int:
-    idx = 0
-    for i in word:
-        idx = idx * base + i
-    return idx
-
-
-def _element_to_vector(elem: Element, base: int, degree: int) -> tuple[Fraction, ...]:
-    out = [ZERO] * (base ** degree)
-    for w, c in elem.items():
-        out[tensor_word_index(w, base)] = c
-    return tuple(out)
-
-
-def _vector_to_element(vec, base: int, degree: int) -> Element:
-    words = list(itertools.product(range(base), repeat=degree))
-    return {w: c for w, c in zip(words, vec) if c}
-
-
-def free_graded_lie_component(d: int, n: int) -> GradedLieComponent:
+def free_graded_lie_component(d: int, n: int) -> Subspace:
     """Span of left-normed degree-n commutators of d degree-1 letters,
     inside the n-th tensor power."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    letters = [{(i,): ONE} for i in range(d)]
-    current = letters
-    for length in range(2, n + 1):
-        spanning = []
-        for c in current:
-            for x in letters:
-                w = graded_commutator(c, x)
-                if w:
-                    spanning.append(_element_to_vector(w, d, length))
-        span = Subspace.from_spanning_columns(d ** length, spanning)
-        current = [
-            _vector_to_element(span.basis.column(t), d, length)
-            for t in range(span.dim)
-        ]
-    if n == 1:
-        span = Subspace.full(d)
-    return GradedLieComponent(d, n, span)
+    return CommutatorSpans(lambda v: range(d) if v == 1 else ()).span(n, n)
 
 
 class FreeLeibnizTruncation:

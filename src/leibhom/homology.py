@@ -13,6 +13,13 @@ Four families live here:
 All boundary maps are exact integer/rational matrices and every complex
 is gated on d o d = 0 at construction.
 
+The first and the fourth family share one tensor boundary,
+_tensor_boundary, which runs over a list of tensor words and takes the
+bracket of two letters as a callable: the structure constants of g for
+the tensor-module complex and for fg_subcomplex, the free-algebra
+bracket for the weight blocks.  The commutator subcomplexes restrict
+that boundary to the spans of freealg.CommutatorSpans.
+
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
 
     d = sum_{1<=i<j<=n} (-1)^j  m (x) x1 ... [xj,xi]@i ... ^xj ... xn
@@ -56,14 +63,7 @@ from .exactla import (
     quotient_section,
     restrict_map,
 )
-from .freealg import (
-    Element,
-    FreeLeibnizTruncation,
-    free_graded_lie_component,
-    graded_commutator,
-    tensor_word_index,
-    witt_dim,
-)
+from .freealg import CommutatorSpans, FreeLeibnizTruncation, witt_dim
 from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
@@ -324,29 +324,26 @@ def _chain_action(tables: _ActionTables, rule: str):
     return first, later
 
 
-def _loday_boundary(g: LeibnizAlgebra, m_dim: int, first, later, n: int
-                    ) -> dict[tuple[int, int], Fraction]:
-    """Entries of d: m (x) g^{(x)n} -> m (x) g^{(x)n-1}; first/later are the
-    chain actions (u, x) -> Vec of the j = 1 and j >= 2 slots, or None."""
-    base = g.dim
-    rows_w = base ** (n - 1)
-    cols_w = base ** n
+def _tensor_boundary(words: list[tuple], index: dict[tuple, int], bracket, m_dim: int = 1,
+                     first=None, later=None) -> dict[tuple[int, int], Fraction]:
+    """Entries of d: m (x) T^n -> m (x) T^{n-1} on the source words of T^n,
+    all of length n; index numbers the target words.  bracket(a, b) lists
+    the (letter, c) terms of [b, a]; first/later are the chain actions
+    (u, x) -> Vec of the j = 1 and j >= 2 slots, or None."""
+    rows_w, cols_w = len(index), len(words)
     entries: dict[tuple[int, int], Fraction] = {}
-    for widx, word in enumerate(itertools.product(range(base), repeat=n)):
-        for j in range(1, n + 1):
+    for widx, word in enumerate(words):
+        for j in range(1, len(word) + 1):
             sj = Fraction(-1) ** j
             for i in range(1, j):
-                br = g.bracket_basis(word[j - 1], word[i - 1])
                 head, tail = word[:i - 1], word[i:j - 1] + word[j:]
-                for k, c in enumerate(br):
-                    if not c:
-                        continue
-                    r = tensor_word_index(head + (k,) + tail, base)
+                for k, c in bracket(word[i - 1], word[j - 1]):
+                    r = index[head + (k,) + tail]
                     for u in range(m_dim):
                         add_into(entries, (u * rows_w + r, u * cols_w + widx), sj * c)
             if first is not None:
                 sa = Fraction(-1) ** (j + 1)
-                r = tensor_word_index(word[:j - 1] + word[j:], base)
+                r = index[word[:j - 1] + word[j:]]
                 x = word[j - 1]
                 for u in range(m_dim):
                     vec = first(u, x) if j == 1 else later(u, x)
@@ -356,10 +353,21 @@ def _loday_boundary(g: LeibnizAlgebra, m_dim: int, first, later, n: int
     return entries
 
 
+def _structure_bracket(g: LeibnizAlgebra):
+    """bracket(a, b) for _tensor_boundary: the nonzero (k, c) of [e_b, e_a]."""
+    table = {(a, b): [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c]
+             for a in range(g.dim) for b in range(g.dim)}
+    return lambda a, b: table[a, b]
+
+
 def _loday(g: LeibnizAlgebra, m_dim: int, first, later, n_max: int,
            raising: bool) -> ChainComplex:
-    dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
-    boundaries = (_loday_boundary(g, m_dim, first, later, n) for n in range(1, n_max + 1))
+    words = [list(itertools.product(range(g.dim), repeat=n)) for n in range(n_max + 1)]
+    bracket = _structure_bracket(g)
+    dims = [m_dim * len(ws) for ws in words]
+    boundaries = (_tensor_boundary(words[n], {t: i for i, t in enumerate(words[n - 1])},
+                                   bracket, m_dim, first, later)
+                  for n in range(1, n_max + 1))
     return _complex(dims, boundaries, raising)
 
 
@@ -674,9 +682,9 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     """
     data = _ce_setup(g, coefficients)
     lod = loday_complex(g, coefficients, n_max)
-    ce = ce_chain(g, coefficients, n_max)
+    ce = _ce_complex(data, data.action, n_max, raising=False)
     lodco = loday_cochain_complex(g, coefficients, n_max)
-    ceco = ce_cochain(g, coefficients, n_max)
+    ceco = _ce_complex(data, _contragredient(data.action), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim
     P = [_tensor_with_identity(b, m) for b in blocks]
@@ -731,6 +739,21 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
+def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], bracket,
+                        offset: int) -> ChainComplex:
+    """Trivial-coefficient tensor boundary restricted to the commutator
+    spans of the blocks (n, w), one block per degree from offset up."""
+    subs = [spans.span(n, w) for n, w in blocks]
+    diffs = []
+    for (n, w), below, src, dst in zip(blocks[1:], blocks, subs[1:], subs):
+        words, targets = spans.words(n, w), spans.words(*below)
+        ambient = Matrix.from_entries(
+            len(targets), len(words),
+            _tensor_boundary(words, {t: i for i, t in enumerate(targets)}, bracket))
+        diffs.append(restrict_map(ambient, src, dst))
+    return ChainComplex(offset, tuple(s.dim for s in subs), tuple(diffs), raising=False)
+
+
 def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     """Restriction of the trivial-coefficient boundary to the spans of
     left-normed graded commutators inside each tensor power.
@@ -739,118 +762,23 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     the span, which does not happen for genuine Leibniz brackets.
     """
     _require_left(g)
-    base = g.dim
-    spans = [Subspace.full(1), Subspace.full(base)]
-    for n in range(2, n_max + 1):
-        comp = free_graded_lie_component(base, n)
-        spans.append(comp.subspace)
-    dims = tuple(spans[n].dim for n in range(n_max + 1))
-    diffs = []
-    for n in range(1, n_max + 1):
-        ambient = Matrix.from_entries(base ** (n - 1), base ** n,
-                                      _loday_boundary(g, 1, None, None, n))
-        diffs.append(restrict_map(ambient, spans[n], spans[n - 1]))
-    return ChainComplex(0, dims, tuple(diffs), raising=False)
-
-
-def _weight_tuples(fl: FreeLeibnizTruncation, n: int, w: int) -> list[tuple]:
-    if n == 0:
-        return [()] if w == 0 else []
-    out = []
-    for v in range(1, w - n + 2):
-        for word in fl.words(v):
-            for rest in _weight_tuples(fl, n - 1, w - v):
-                out.append((word,) + rest)
-    return out
-
-
-class _FGBlocks:
-    """Triangle of graded-commutator spans inside the weight-graded tensor
-    powers of a truncated free algebra.  blocks[(n, w)] is (index map,
-    ambient basis list, span Subspace, span basis as dict elements)."""
-
-    def __init__(self, fl: FreeLeibnizTruncation):
-        self.fl = fl
-        self._ambient: dict[tuple[int, int], tuple[list, dict]] = {}
-        self._span: dict[tuple[int, int], tuple[Subspace, list[Element]]] = {}
-
-    def ambient(self, n: int, w: int) -> tuple[list, dict]:
-        key = (n, w)
-        if key not in self._ambient:
-            basis = _weight_tuples(self.fl, n, w)
-            self._ambient[key] = (basis, {t: i for i, t in enumerate(basis)})
-        return self._ambient[key]
-
-    def _to_vector(self, elem: Element, n: int, w: int) -> Vec:
-        basis, index = self.ambient(n, w)
-        out = [ZERO] * len(basis)
-        for t, c in elem.items():
-            out[index[t]] = c
-        return tuple(out)
-
-    def _to_element(self, vec: Vec, n: int, w: int) -> Element:
-        basis, _ = self.ambient(n, w)
-        return {basis[i]: c for i, c in enumerate(vec) if c}
-
-    def span(self, n: int, w: int) -> tuple[Subspace, list[Element]]:
-        key = (n, w)
-        if key in self._span:
-            return self._span[key]
-        basis, _ = self.ambient(n, w)
-        if n == 1:
-            sub = Subspace.full(len(basis))
-            elems = [{t: Fraction(1)} for t in basis]
-        else:
-            spanning = []
-            for v in range(1, w - n + 2):
-                prev_sub, prev_elems = self.span(n - 1, w - v)
-                for c in prev_elems:
-                    for letter in self.fl.words(v):
-                        br = graded_commutator(c, {(letter,): Fraction(1)})
-                        if br:
-                            spanning.append(self._to_vector(br, n, w))
-            sub = Subspace.from_spanning_columns(len(basis), spanning)
-            elems = [self._to_element(sub.basis.column(t), n, w) for t in range(sub.dim)]
-        self._span[key] = (sub, elems)
-        return self._span[key]
-
-    def boundary(self, n: int, w: int) -> Matrix:
-        """Trivial-coefficient boundary on the full weight-w block."""
-        src, _ = self.ambient(n, w)
-        dst, dst_index = self.ambient(n - 1, w)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, tup in enumerate(src):
-            for j in range(1, n + 1):
-                sj = Fraction(-1) ** j
-                for i in range(1, j):
-                    # left-convention bracket of slots j and i
-                    combo = self.fl.bracket_words(tup[i - 1], tup[j - 1])
-                    for z, c in combo.items():
-                        new = tup[:i - 1] + (z,) + tup[i:j - 1] + tup[j:]
-                        add_into(entries, (dst_index[new], col), sj * c)
-        return Matrix.from_entries(len(dst), len(src), entries)
+    spans = CommutatorSpans(lambda v: range(g.dim) if v == 1 else ())
+    return _commutator_complex(spans, [(n, n) for n in range(n_max + 1)],
+                               _structure_bracket(g), 0)
 
 
 def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
-                      blocks: _FGBlocks | None = None) -> ChainComplex:
+                      spans: CommutatorSpans | None = None) -> ChainComplex:
     """Weight-w block of the graded-commutator subcomplex over the free
     algebra, in degrees 1..w.  The block is finite: no tensor degree
-    above w carries weight w."""
+    above w carries weight w.  spans, built on fl.words, may be shared
+    between weights."""
     if w < 1 or w > fl.max_weight:
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
-    if blocks is None:
-        blocks = _FGBlocks(fl)
-    dims = []
-    subs = []
-    for n in range(1, w + 1):
-        sub, _ = blocks.span(n, w)
-        subs.append(sub)
-        dims.append(sub.dim)
-    diffs = []
-    for n in range(2, w + 1):
-        ambient_d = blocks.boundary(n, w)
-        diffs.append(restrict_map(ambient_d, subs[n - 1], subs[n - 2]))
-    return ChainComplex(1, tuple(dims), tuple(diffs), raising=False)
+    if spans is None:
+        spans = CommutatorSpans(fl.words)
+    return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)],
+                               lambda a, b: fl.bracket_words(a, b).items(), 1)
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 6, 2: 5}
@@ -893,10 +821,10 @@ def conjecture_check(num_generators: int, max_weight: int | None = None) -> Conj
     if max_weight is None:
         max_weight = DEFAULT_WEIGHT_BUDGET.get(num_generators, FALLBACK_WEIGHT_BUDGET)
     fl = FreeLeibnizTruncation(num_generators, max_weight)
-    blocks = _FGBlocks(fl)
+    spans = CommutatorSpans(fl.words)
     verdicts = []
     for w in range(1, max_weight + 1):
-        cplx = fg_weight_complex(fl, w, blocks)
+        cplx = fg_weight_complex(fl, w, spans)
         betti = cplx.betti()
         verdicts.append(WeightVerdict(
             weight=w,

@@ -96,6 +96,18 @@ def test_check_rejects_axiom_violation(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_axiom_error_lists_eight_failures_then_a_count(tmp_path, capsys):
+    doc = {"convention": "left", "basis": ["a", "b", "c"],
+           "brackets": [{"left": x, "right": y, "value": {x: "1", "c": "1"}}
+                        for x in "abc" for y in "abc"]}
+    path = write_json(tmp_path / "bad.json", doc)
+    assert cli.entrypoint(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: left Leibniz identity fails at (a, a, a), (a, a, b), "
+        "(a, a, c), (a, b, a), (a, b, b), (a, b, c), (a, c, a), (a, c, b) "
+        "and 19 more\n")
+
+
 def test_unknown_name_rejected(tmp_path, capsys):
     doc = dict(A2_DOC, brackets=[
         {"left": "x", "right": "z", "value": {"y": "1"}}])

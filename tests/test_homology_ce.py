@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibhom.dgla import minimal_envelope
 from leibhom.homology import (
     ce_chain,
     ce_cochain,
@@ -134,3 +135,18 @@ def test_projection_shallow_run_leaves_degree_two_verdicts_open():
     assert rep.h0_iso is not None and rep.h1_iso is not None
     assert rep.hl2_to_h2_surjective is None
     assert rep.h2_to_hl2_injective is None
+
+
+def test_projection_builds_the_envelope_once(monkeypatch):
+    g = CORPUS["heis3"]
+    coeffs = lie_coefficients(quotient_adjoint_module(lie_quotient(g)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimal_envelope(*args, **kwargs)
+
+    monkeypatch.setattr("leibhom.homology.minimal_envelope", counting)
+    for _ in range(2):
+        ce_projection(g, coeffs, 3)
+    assert len(calls) == 2
