@@ -20,6 +20,10 @@ from leibhom.exactla import (
     restrict_map,
     solve,
 )
+from leibhom.homology import loday_complex, trivial_coefficients
+
+from conftest import CORPUS
+from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank
 
 
 def test_parse_scalar_accepts_rationals():
@@ -157,3 +161,111 @@ def test_solve_consistency(m):
         x = solve(m, b)
         assert x is not None
         assert m.apply(x) == b
+
+
+# --- differential tests: library rank, mul and apply against the dense
+# --- Bareiss oracle and naive loops over every cell
+
+big_fracs = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20))
+cells = st.one_of(st.just(Fraction(0)), small_fracs, big_fracs)
+
+
+def matrix_of(rows, cols, data):
+    """Matrix with any shape, 0 rows or 0 columns included."""
+    return Matrix(rows, cols, tuple(tuple(Fraction(x) for x in r) for r in data))
+
+
+@st.composite
+def rational_matrices(draw, max_n=7, rows=None):
+    if rows is None:
+        rows = draw(st.integers(0, max_n))
+    cols = draw(st.integers(0, max_n))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    data = [[draw(cells) if draw(st.floats(0, 1)) >= zero_share else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # one row a nonzero rational multiple of another
+        src, dst = draw(st.permutations(range(rows)))[:2]
+        c = draw(st.one_of(small_fracs, big_fracs).filter(bool))
+        data[dst] = [c * x for x in data[src]]
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=2)) if rows else []:
+        data[i] = [Fraction(0)] * cols
+    for j in draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=2)) if cols else []:
+        for r in data:
+            r[j] = Fraction(0)
+    return matrix_of(rows, cols, data)
+
+
+@st.composite
+def block_matrices(draw):
+    """Two random blocks placed diagonally, then rows and columns permuted;
+    returns (matrix, block1, block2)."""
+    a = draw(rational_matrices(max_n=4))
+    b = draw(rational_matrices(max_n=4))
+    rows, cols = a.rows + b.rows, a.cols + b.cols
+    data = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, r in enumerate(a.entries):
+        data[i][:a.cols] = r
+    for i, r in enumerate(b.entries):
+        data[a.rows + i][a.cols:] = r
+    rperm = draw(st.permutations(range(rows)))
+    cperm = draw(st.permutations(range(cols)))
+    data = [[data[i][j] for j in cperm] for i in rperm]
+    return matrix_of(rows, cols, data), a, b
+
+
+def naive_mul(a, b):
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+                       for j in range(b.cols)) for i in range(a.rows))
+
+
+def naive_apply(m, v):
+    return tuple(sum((m.entries[i][j] * v[j] for j in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rank_matches_dense_oracle(m):
+    want = dense_rank_oracle(m)
+    assert rank(m) == want
+    assert m.rank() == want
+    assert rank(m.transpose()) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_matrices())
+def test_rank_of_permuted_blocks_is_additive(case):
+    m, a, b = case
+    assert rank(m) == dense_rank_oracle(m) == dense_rank_oracle(a) + dense_rank_oracle(b)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+def test_rank_and_products_of_empty_shapes(rows, cols):
+    m = matrix_of(rows, cols, [[]] * rows)
+    assert rank(m) == m.rank() == 0
+    assert m.apply((Fraction(1),) * cols) == (Fraction(0),) * rows
+    other = matrix_of(cols, 2, [[1, 2]] * cols)
+    assert (m @ other).entries == naive_mul(m, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_mul_and_apply_match_naive_loops(a, data):
+    b = data.draw(rational_matrices(rows=a.cols))
+    assert (a @ b).entries == naive_mul(a, b)
+    assert a.mul(b) == Matrix(a.rows, b.cols, naive_mul(a, b))
+    v = data.draw(st.lists(cells, min_size=a.cols, max_size=a.cols))
+    assert a.apply(v) == naive_apply(a, v)
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+    got = a.apply(ints)
+    assert got == naive_apply(a, ints)
+    assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_rank_of_heis3_degree6_boundary_matches_oracle():
+    g = CORPUS["heis3"]
+    d6 = loday_complex(g, trivial_coefficients(), 6).diffs[5]
+    want = oracle_rank(oracle_boundary(g.structure, 6))
+    assert (d6.rows, d6.cols) == (243, 729)
+    assert rank(d6) == want == dense_rank_oracle(d6)

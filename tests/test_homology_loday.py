@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,49 @@ def oracle_rank(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def dense_rank_oracle(m):
+    """Rank of a Matrix by fraction-free Bareiss elimination over every
+    cell of its denominator-cleared rows: the dense algorithm the sparse
+    library rank is checked against."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    a = []
+    for row in m.entries:
+        den = 1
+        for x in row:
+            den = lcm(den, x.denominator)
+        a.append([int(x * den) for x in row])
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        pval = prow[c]
+        for i in range(r + 1, nrows):
+            arow = a[i]
+            t = arow[c]
+            if t:
+                for j in range(c + 1, ncols):
+                    arow[j] = (pval * arow[j] - t * prow[j]) // prev
+                arow[c] = 0
+            elif pval != prev:
+                for j in range(c + 1, ncols):
+                    arow[j] = (pval * arow[j]) // prev
+        prev = pval
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def oracle_words(dim, n):
