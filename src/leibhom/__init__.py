@@ -65,6 +65,7 @@ from .dgla import (
 )
 from .freealg import (
     FreeLeibnizTruncation,
+    NecklaceCountError,
     WeightOverflow,
     free_graded_lie_component,
     free_leibniz,

@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with `fractions.Fraction` entries.  Ranks are computed by
-fraction-free (Bareiss) elimination after clearing denominators row by
-row; kernels, solving, subspace bases and membership tests use reduced
+Matrices keep dense rows of `fractions.Fraction` entries, and each one
+builds, once and on first use, a sparse view with the nonzero
+(column, value) pairs of every row.  Products, matrix-vector products
+and zero tests run over those pairs only.  Ranks come from sparse
+fraction-free elimination: every row is cleared of denominators and
+divided by its content, and pivots follow the Markowitz rule of
+structured Gaussian elimination (LaMacchia-Odlyzko 1990), the column
+with the fewest entries and then its shortest row.  A matrix remembers
+its rank, so a differential shared by two homology degrees is reduced
+once.  Kernels, solving, subspace bases and membership tests use reduced
 echelon forms in exact rational arithmetic.  Nothing here rounds, so a
 homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
-everything safe to share between threads.
+everything safe to share between threads.  The cached views are pure
+functions of the entries: they take no part in equality or hashing, and
+building one twice gives the same value.
 """
 
 from __future__ import annotations
@@ -15,10 +24,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+SparseRow = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,7 +106,8 @@ def add_into(acc: dict, key, value: Fraction) -> None:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rows x cols matrix of Fractions, stored row-major."""
+    """Dense rows x cols matrix of Fractions, stored row-major, with a
+    cached sparse view of its rows."""
 
     rows: int
     cols: int
@@ -107,13 +120,56 @@ class Matrix:
             if len(r) != self.cols:
                 raise ShapeMismatch(f"ragged row: expected {self.cols} columns")
 
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """The nonzero (col, value) pairs of every row, in column order."""
+        # most zeros are the shared ZERO, skipped without a Fraction call
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x is not ZERO and x)
+                     for row in self.entries)
+
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Every row as (den, ((col, num), ...)): the row is the integer
+        pairs over the common denominator den of its entries."""
+        out = []
+        for srow in self.sparse_rows:
+            den = lcm(*(x.denominator for _, x in srow))
+            out.append((den, tuple((j, x.numerator * (den // x.denominator)) for j, x in srow)))
+        return tuple(out)
+
+    @cached_property
+    def _rank(self) -> int:
+        return rank(self)
+
+    @staticmethod
+    def _from_sparse_rows(cols: int, sparse: tuple[SparseRow, ...]) -> "Matrix":
+        """Densify rows of nonzero (col, value) pairs in column order,
+        keeping them as the sparse view."""
+        zero_row = (ZERO,) * cols
+        dense = []
+        for srow in sparse:
+            if srow:
+                row = list(zero_row)
+                for j, x in srow:
+                    row[j] = x
+                dense.append(tuple(row))
+            else:
+                dense.append(zero_row)
+        m = Matrix(len(sparse), cols, tuple(dense))
+        m.__dict__["sparse_rows"] = sparse
+        return m
+
     @staticmethod
     def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "Matrix":
         """Build from a sparse {(i, j): value} mapping; absent entries are 0."""
-        data = [[ZERO] * cols for _ in range(rows)]
+        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
         for (i, j), v in entries.items():
-            data[i][j] = Fraction(v)
-        return Matrix(rows, cols, tuple(tuple(r) for r in data))
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            v = Fraction(v)
+            if v:
+                sparse[i].append((j, v))
+        return Matrix._from_sparse_rows(cols, tuple(tuple(sorted(r)) for r in sparse))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -150,28 +206,34 @@ class Matrix:
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        out = [ZERO] * self.rows
-        for i, row in enumerate(self.entries):
-            acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc += a * b
-            out[i] = acc
+        dv = lcm(*(b.denominator for b in v))
+        w = [b.numerator * (dv // b.denominator) for b in v]
+        out = []
+        for den, row in self._integer_rows:
+            acc = 0
+            for j, a in row:
+                acc += a * w[j]
+            out.append(Fraction(acc, den * dv) if acc else ZERO)
         return tuple(out)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    orow = other.entries[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-        return Matrix(self.rows, other.cols, tuple(tuple(r) for r in out))
+        # row i of the product is sum_k a_ik/da * (row k of other)/db_k:
+        # scale every term to the lcm of the db_k and add integers
+        orows = other._integer_rows
+        out = []
+        for da, row in self._integer_rows:
+            den = lcm(*(orows[k][0] for k, _ in row))
+            acc: dict[int, int] = {}
+            for k, a in row:
+                db, orow = orows[k]
+                a *= den // db
+                for j, b in orow:
+                    acc[j] = acc.get(j, 0) + a * b
+            den *= da
+            out.append(tuple(sorted((j, Fraction(x, den)) for j, x in acc.items() if x)))
+        return Matrix._from_sparse_rows(other.cols, tuple(out))
 
     __matmul__ = mul
 
@@ -180,56 +242,91 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, srow in enumerate(self.sparse_rows):
+            for j, x in srow:
+                sparse[j].append((i, x))
+        return Matrix._from_sparse_rows(self.rows, tuple(map(tuple, sparse)))
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.entries for a in r)
+        return not any(self.sparse_rows)
 
     def entries_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {(i, j): a for i, row in enumerate(self.entries) for j, a in enumerate(row) if a}
+        return {(i, j): a for i, srow in enumerate(self.sparse_rows) for j, a in srow}
 
     def rank(self) -> int:
-        return rank(self)
+        """rank(self), computed once per matrix."""
+        return self._rank
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
 def rank(m: Matrix) -> int:
-    """Rank by fraction-free Bareiss elimination on denominator-cleared rows."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[int]] = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        a.append([int(x * den) for x in row])
-    nrows, ncols = m.rows, m.cols
+    """Rank by sparse fraction-free elimination.
+
+    Rows are integer {col: value} maps, cleared of denominators and kept
+    primitive.  Each step pivots on the remaining column with the fewest
+    entries (a min-heap with stale entries skipped on pop) and, inside
+    it, the row with the fewest nonzeros; the other rows of that column
+    become a*row - b*pivot_row with a/b in lowest terms.
+    """
+    rows = {i: _primitive(dict(row)) for i, (_, row) in enumerate(m._integer_rows) if row}
+    col_rows: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    heap = [(len(holders), j) for j, holders in col_rows.items()]
+    heapify(heap)
     r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
+    while heap:
+        count, c = heappop(heap)
+        holders = col_rows.get(c)
+        if holders is None or len(holders) != count:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        pval = prow[c]
-        for i in range(r + 1, nrows):
-            arow = a[i]
-            t = arow[c]
-            if t:
-                for j in range(c + 1, ncols):
-                    arow[j] = (pval * arow[j] - t * prow[j]) // prev
-                arow[c] = 0
-            elif pval != prev:
-                for j in range(c + 1, ncols):
-                    arow[j] = (pval * arow[j]) // prev
-        prev = pval
+        del col_rows[c]
+        if not holders:
+            continue
+        p = min(holders, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(p)
+        a = prow.pop(c)
+        for j in prow:
+            col = col_rows[j]
+            col.discard(p)
+            heappush(heap, (len(col), j))
+        for i in holders:
+            if i == p:
+                continue
+            row = rows[i]
+            b = row.pop(c)
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            if fa != 1:
+                for j in row:
+                    row[j] *= fa
+            for j, x in prow.items():
+                y = row.get(j, 0) - fb * x
+                col = col_rows[j]
+                if y:
+                    row[j] = y
+                    if i not in col:
+                        col.add(i)
+                        heappush(heap, (len(col), j))
+                else:
+                    del row[j]
+                    col.discard(i)
+                    heappush(heap, (len(col), j))
+            if row:
+                _primitive(row)
+            else:
+                del rows[i]
         r += 1
-        if r == nrows:
-            break
     return r
 
 
@@ -393,7 +490,7 @@ def homology_dimension(d_out: Matrix, d_in: Matrix) -> int:
         raise ShapeMismatch(f"middle dimensions disagree: {d_out.cols} vs {d_in.rows}")
     if not d_out.mul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in is not zero")
-    return (d_out.cols - rank(d_out)) - rank(d_in)
+    return (d_out.cols - d_out.rank()) - d_in.rank()
 
 
 def restrict_map(f: Matrix, source: Subspace, target: Subspace) -> Matrix:

@@ -33,6 +33,11 @@ class WeightOverflow(Exception):
     """A bracket left the weight truncation."""
 
 
+class NecklaceCountError(ArithmeticError):
+    """The Moebius sum of witt_dim is not divisible by the weight: an
+    internal fault, never a property of the input."""
+
+
 def scale_element(elem: Element, c: Fraction) -> Element:
     if not c:
         return {}
@@ -93,7 +98,8 @@ def witt_dim(d: int, w: int) -> int:
     """Dimension of the weight-w component of the free Lie algebra on d
     generators: (1/w) * sum over e | w of mobius(e) d^(w/e)."""
     total = sum(_mobius(e) * d ** (w // e) for e in _divisors(w))
-    assert total % w == 0
+    if total % w:
+        raise NecklaceCountError(f"necklace sum {total} for d={d} is not divisible by w={w}")
     return total // w
 
 

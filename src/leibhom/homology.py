@@ -264,10 +264,12 @@ class _ActionTables:
 
     right(u, x)  = the m-vector [f_u, e_x]
     left(x, u)   = the m-vector [e_x, f_u]
-    None tables mean the action is identically zero.
+    None tables mean the action is identically zero.  qdata is the
+    maximal Lie quotient of g when the caller has built it already.
     """
 
-    def __init__(self, g: LeibnizAlgebra, coefficients: Coefficients):
+    def __init__(self, g: LeibnizAlgebra, coefficients: Coefficients,
+                 qdata: QuotientData | None = None):
         self.is_rep = False
         if isinstance(coefficients, TrivialCoefficients):
             self.m_dim = coefficients.dim
@@ -275,7 +277,8 @@ class _ActionTables:
             self.left = None
         elif isinstance(coefficients, LieModuleCoefficients):
             mod = coefficients.module
-            qdata = lie_quotient(g)
+            if qdata is None:
+                qdata = lie_quotient(g)
             _check_over_quotient(mod, qdata)
             self.m_dim = mod.dim
             units = [tuple(Fraction(1) if t == u else ZERO for t in range(mod.dim))
@@ -360,8 +363,19 @@ def _structure_bracket(g: LeibnizAlgebra):
     return lambda a, b: table[a, b]
 
 
-def _loday(g: LeibnizAlgebra, m_dim: int, first, later, n_max: int,
-           raising: bool) -> ChainComplex:
+def _loday(g: LeibnizAlgebra, tables: _ActionTables, n_max: int, raising: bool,
+           rule: str | None = None) -> ChainComplex:
+    """The tensor-module chain complex with the actions of tables, or for
+    raising=True the transposed chain complex of the dual module; rule
+    replaces the pinned two-sided chain or cochain rule."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if raising:
+        first, later = (_dual_chain_action(a, g.dim, tables.m_dim)
+                        for a in _cochain_action(tables, rule or REP_COCHAIN_RULE))
+    else:
+        first, later = _chain_action(tables, rule or REP_CHAIN_RULE)
+    m_dim = tables.m_dim
     words = [list(itertools.product(range(g.dim), repeat=n)) for n in range(n_max + 1)]
     bracket = _structure_bracket(g)
     dims = [m_dim * len(ws) for ws in words]
@@ -379,11 +393,7 @@ def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
     boundary map is not built); ask one degree higher than you need.
     """
     _require_left(g)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    tables = _ActionTables(g, coefficients)
-    first, later = _chain_action(tables, _rep_rule or REP_CHAIN_RULE)
-    return _loday(g, tables.m_dim, first, later, n_max, raising=False)
+    return _loday(g, _ActionTables(g, coefficients), n_max, False, _rep_rule)
 
 
 def _cochain_action(tables: _ActionTables, rule: str):
@@ -418,10 +428,7 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
     """Cochain complex Hom(g^{(x)n}, m) in degrees 0..n_max: the transposed
     chain complex of the dual module."""
     _require_left(g)
-    tables = _ActionTables(g, coefficients)
-    first, later = (_dual_chain_action(a, g.dim, tables.m_dim)
-                    for a in _cochain_action(tables, _rep_rule or REP_COCHAIN_RULE))
-    return _loday(g, tables.m_dim, first, later, n_max, raising=True)
+    return _loday(g, _ActionTables(g, coefficients), n_max, True, _rep_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +688,10 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     differentials.
     """
     data = _ce_setup(g, coefficients)
-    lod = loday_complex(g, coefficients, n_max)
+    tables = _ActionTables(g, coefficients, data.qdata)
+    lod = _loday(g, tables, n_max, raising=False)
     ce = _ce_complex(data, data.action, n_max, raising=False)
-    lodco = loday_cochain_complex(g, coefficients, n_max)
+    lodco = _loday(g, tables, n_max, raising=True)
     ceco = _ce_complex(data, _contragredient(data.action), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim

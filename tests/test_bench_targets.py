@@ -7,9 +7,12 @@ traced benchmark run installs the tracer.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from leibhom.exactla import Matrix
 
 
 def _load_targets():
@@ -31,3 +34,18 @@ def test_bench_target_resolves(module, path):
         owner = vars(owner)[part]
     raw = vars(owner)[attr]
     assert callable(raw.__func__ if isinstance(raw, staticmethod) else raw)
+
+
+def test_cached_views_keep_the_traced_matrix_contract():
+    data = [[1, 0, Fraction(1, 2)], [0, 0, 0], [2, 0, 1]]
+    m, twin = Matrix.from_rows(data), Matrix.from_rows(data)
+    assert m.sparse_rows == (((0, 1), (2, Fraction(1, 2))), (), ((0, 2), (2, 1)))
+    assert m.rank() == 1
+    # the tracer reads entries row by row and sizes matrices by rows x cols
+    assert isinstance(m.entries, tuple) and len(m.entries) == m.rows
+    assert all(isinstance(r, tuple) and len(r) == m.cols for r in m.entries)
+    # equality and hashing see the entries only, never the caches
+    assert m == twin and hash(m) == hash(twin)
+    assert "sparse_rows" in vars(m) and "sparse_rows" not in vars(twin)
+    for module, path in TARGETS:
+        test_bench_target_resolves(module, path)

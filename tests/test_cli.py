@@ -362,3 +362,26 @@ def test_mis_shaped_complex_maps_to_exit_one(a2_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "loday_complex", misshaped)
     assert cli.entrypoint(["homology", a2_path, "--max-degree", "1"]) == 1
     assert "invariant violation (ShapeMismatch)" in capsys.readouterr().err
+
+
+HEIS3_DOC = {
+    "name": "heis3",
+    "convention": "left",
+    "basis": ["p", "q", "z"],
+    "brackets": [
+        {"left": "p", "right": "q", "value": {"z": "1"}},
+        {"left": "q", "right": "p", "value": {"z": "-1"}},
+    ],
+}
+
+
+def test_heis3_homology_to_degree_six(tmp_path):
+    # the table of the dense-rank implementation, which took about 33 s
+    path = write_json(tmp_path / "heis3.json", HEIS3_DOC)
+    out_path = tmp_path / "report.json"
+    code = cli.entrypoint(["homology", path, "--max-degree", "6", "--quiet",
+                           "--json", str(out_path)])
+    assert code == 0
+    tables = json.loads(out_path.read_text())["tables"]
+    assert tables["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10, "4": 22, "5": 47, "6": 101}
+    assert tables["dims"] == {str(n): 3 ** n for n in range(7)}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from leibhom.freealg import (
     FreeLeibnizTruncation,
+    NecklaceCountError,
     WeightOverflow,
     add_elements,
     free_graded_lie_component,
@@ -60,6 +61,14 @@ def test_witt_dim_counts_lyndon_words(d, w):
 
 def test_witt_dim_two_generators_table():
     assert [witt_dim(2, w) for w in range(1, 6)] == [2, 1, 2, 3, 6]
+
+
+def test_witt_dim_raises_on_non_divisible_sum(monkeypatch):
+    # with every Moebius value 1 the sum for d = 2, w = 3 is 8 + 2 = 10;
+    # the check is a raise, not an assert, so python -O keeps it
+    monkeypatch.setattr("leibhom.freealg._mobius", lambda n: 1)
+    with pytest.raises(NecklaceCountError, match="not divisible by w=3"):
+        witt_dim(2, 3)
 
 
 def test_witt_dim_one_generator():

@@ -150,3 +150,19 @@ def test_projection_builds_the_envelope_once(monkeypatch):
     for _ in range(2):
         ce_projection(g, coeffs, 3)
     assert len(calls) == 2
+
+
+def test_projection_builds_the_lie_quotient_once(monkeypatch):
+    g = CORPUS["heis3"]
+    coeffs = lie_coefficients(quotient_adjoint_module(lie_quotient(g)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lie_quotient(*args, **kwargs)
+
+    monkeypatch.setattr("leibhom.homology.lie_quotient", counting)
+    monkeypatch.setattr("leibhom.dgla.lie_quotient", counting)
+    for _ in range(2):
+        ce_projection(g, coeffs, 3)
+    assert len(calls) == 2

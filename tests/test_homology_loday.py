@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibhom import exactla
 from leibhom.exactla import Matrix, ShapeMismatch, Subspace, restrict_map
 from leibhom.homology import (
     ChainComplex,
@@ -396,3 +397,18 @@ def test_builders_never_raise_on_valid_input(seed):
     g = conjugate(base, p, pinv)
     loday_complex(g, rep_coefficients(adjoint_representation(g)), 3)
     loday_cochain_complex(g, rep_coefficients(adjoint_representation(g)), 3)
+
+
+def test_betti_ranks_each_differential_once(monkeypatch):
+    real = exactla.rank
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exactla, "rank", counting)
+    cx = loday_complex(CORPUS["heis3"], trivial_coefficients(), 5)
+    assert cx.betti() == cx.betti()
+    assert len(calls) == len(cx.diffs)
+    assert {id(m) for m in calls} == {id(d) for d in cx.diffs}
