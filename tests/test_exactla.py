@@ -10,6 +10,7 @@ from leibhom.exactla import (
     NotInvariant,
     ShapeMismatch,
     Subspace,
+    column_span,
     format_scalar,
     homology_dimension,
     kernel_basis,
@@ -23,7 +24,7 @@ from leibhom.exactla import (
 from leibhom.homology import loday_complex, trivial_coefficients
 
 from conftest import CORPUS
-from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank
+from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank, oracle_rref
 
 
 def test_parse_scalar_accepts_rationals():
@@ -269,3 +270,71 @@ def test_rank_of_heis3_degree6_boundary_matches_oracle():
     want = oracle_rank(oracle_boundary(g.structure, 6))
     assert (d6.rows, d6.cols) == (243, 729)
     assert rank(d6) == want == dense_rank_oracle(d6)
+
+
+# --- kernels, solutions and spans against the dense reduced echelon
+# --- oracle: each answer is canonical, so they must agree exactly
+
+
+def oracle_subspace(ambient, vectors):
+    """The canonical Subspace spanned by vectors: the oracle's reduced
+    rows become the basis columns, its pivots the pivots."""
+    red, pivots = oracle_rref(vectors)
+    k = len(pivots)
+    basis = matrix_of(ambient, k, [[red[j][i] for j in range(k)] for i in range(ambient)])
+    return Subspace(ambient, basis, tuple(pivots))
+
+
+def oracle_kernel(m):
+    red, pivots = oracle_rref(m.entries)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -red[k][f]
+        vectors.append(v)
+    return oracle_subspace(m.cols, vectors)
+
+
+def oracle_solve(a, b):
+    red, pivots = oracle_rref([list(r) + [Fraction(x)] for r, x in zip(a.entries, b)])
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for k, p in enumerate(pivots):
+        x[p] = red[k][a.cols]
+    return tuple(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_kernel_basis_matches_dense_oracle(m):
+    ker = kernel_basis(m)
+    assert ker == oracle_kernel(m)
+    assert ker.dim == m.cols - dense_rank_oracle(m)
+    for col in ker.basis.columns():
+        assert not any(m.apply(col))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_matches_dense_oracle(a, data):
+    b = data.draw(st.lists(cells, min_size=a.rows, max_size=a.rows))
+    assert solve(a, b) == oracle_solve(a, b)
+    x = data.draw(st.lists(cells, min_size=a.cols, max_size=a.cols))
+    reachable = a.apply(x)
+    got = solve(a, reachable)
+    assert got == oracle_solve(a, reachable)
+    assert a.apply(got) == reachable
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_spans_match_dense_oracle(m):
+    want = oracle_subspace(m.rows, m.columns())
+    assert Subspace.from_spanning_columns(m.rows, m.columns()) == want
+    assert column_span(m) == want
+    # the rows as spanning vectors given as plain lists
+    assert Subspace.from_spanning_columns(m.cols, [list(r) for r in m.entries]) \
+        == oracle_subspace(m.cols, m.entries)

@@ -44,11 +44,14 @@ from conftest import (
 # --- an oracle that shares nothing with the library: its own word order,
 # --- its own boundary formula, its own elimination over plain Fractions
 
-def oracle_rank(rows):
-    m = [list(r) for r in rows]
+def oracle_rref(rows):
+    """Reduced row echelon form of a list of rows over plain Fractions:
+    (reduced rows, pivot columns), the first len(pivots) rows being the
+    nonzero ones."""
+    m = [[Fraction(x) for x in r] for r in rows]
     rank = 0
+    pivots = []
     ncols = len(m[0]) if m else 0
-    col = 0
     for col in range(ncols):
         piv = None
         for r in range(rank, len(m)):
@@ -64,8 +67,13 @@ def oracle_rank(rows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return m, pivots
+
+
+def oracle_rank(rows):
+    return len(oracle_rref(rows)[1])
 
 
 def dense_rank_oracle(m):
