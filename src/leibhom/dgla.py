@@ -296,7 +296,7 @@ def check_dgla_morphism(f: DGLAMorphism, max_degree: int | None = None) -> tuple
             continue
         lhs = f.component(p - 1) @ src.differential(p)
         rhs = tgt.differential(p) @ f.component(p)
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             bad.append(("chain_map", p))
 
     for p in degs:

@@ -3,14 +3,14 @@
 Matrices keep dense rows of `fractions.Fraction` entries, and each one
 builds, once and on first use, a sparse view with the nonzero
 (column, value) pairs of every row.  Products, matrix-vector products
-and zero tests run over those pairs only.  Ranks come from sparse
-fraction-free elimination: every row is cleared of denominators and
-divided by its content, and pivots follow the Markowitz rule of
-structured Gaussian elimination (LaMacchia-Odlyzko 1990), the column
-with the fewest entries and then its shortest row.  A matrix remembers
-its rank, so a differential shared by two homology degrees is reduced
-once.  Kernels, solving, subspace bases and membership tests use reduced
-echelon forms in exact rational arithmetic.  Nothing here rounds, so a
+and zero tests run over those pairs only.  Rank, kernels, solving and
+subspace bases all come from one sparse fraction-free elimination
+(structured Gaussian elimination, LaMacchia-Odlyzko 1990): rows are
+integer maps cleared of denominators and divided by their content,
+pivots go in column order with the shortest row first, and an optional
+back-substitution gives the reduced echelon form that canonical bases
+are read from.  A matrix remembers its rank, so a differential shared by
+two homology degrees is reduced once.  Nothing here rounds, so a
 homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -129,13 +128,8 @@ class Matrix:
 
     @cached_property
     def _integer_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Every row as (den, ((col, num), ...)): the row is the integer
-        pairs over the common denominator den of its entries."""
-        out = []
-        for srow in self.sparse_rows:
-            den = lcm(*(x.denominator for _, x in srow))
-            out.append((den, tuple((j, x.numerator * (den // x.denominator)) for j, x in srow)))
-        return tuple(out)
+        """Every row as (den, ((col, num), ...)), see _clear."""
+        return tuple(map(_clear, self.sparse_rows))
 
     @cached_property
     def _rank(self) -> int:
@@ -206,8 +200,8 @@ class Matrix:
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        dv = lcm(*(b.denominator for b in v))
-        w = [b.numerator * (dv // b.denominator) for b in v]
+        dv, pairs = _clear(list(enumerate(v)))
+        w = [x for _, x in pairs]
         out = []
         for den, row in self._integer_rows:
             acc = 0
@@ -259,8 +253,20 @@ class Matrix:
         return self._rank
 
 
+def _clear(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(den, ((col, num), ...)) with every value == num / den, den the lcm
+    of the denominators (ints count as denominator 1)."""
+    den = lcm(*(x.denominator for _, x in pairs))
+    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in pairs)
+
+
+def _row(pairs: Sequence[tuple[int, Fraction]]) -> dict[int, int]:
+    """The (col, value) pairs as a primitive integer row without zeros."""
+    return _primitive({j: x for j, x in _clear(pairs)[1] if x})
+
+
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    """Divide an integer row by the gcd of its entries, in place."""
     g = gcd(*row.values())
     if g != 1:
         for j in row:
@@ -268,96 +274,62 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank(m: Matrix) -> int:
-    """Rank by sparse fraction-free elimination.
-
-    Rows are integer {col: value} maps, cleared of denominators and kept
-    primitive.  Each step pivots on the remaining column with the fewest
-    entries (a min-heap with stale entries skipped on pop) and, inside
-    it, the row with the fewest nonzeros; the other rows of that column
-    become a*row - b*pivot_row with a/b in lowest terms.
-    """
-    rows = {i: _primitive(dict(row)) for i, (_, row) in enumerate(m._integer_rows) if row}
-    col_rows: dict[int, set[int]] = {}
-    for i, row in rows.items():
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
+    """row <- a*row - b*prow with a/b = prow[c]/row[c] in lowest terms,
+    which clears column c; the rest is made primitive, in place."""
+    g = gcd(prow[c], row[c])
+    fa, fb = prow[c] // g, row[c] // g
+    if fa != 1:
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    heap = [(len(holders), j) for j, holders in col_rows.items()]
-    heapify(heap)
-    r = 0
-    while heap:
-        count, c = heappop(heap)
-        holders = col_rows.get(c)
-        if holders is None or len(holders) != count:
-            continue
-        del col_rows[c]
-        if not holders:
-            continue
-        p = min(holders, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(p)
-        a = prow.pop(c)
-        for j in prow:
-            col = col_rows[j]
-            col.discard(p)
-            heappush(heap, (len(col), j))
-        for i in holders:
-            if i == p:
-                continue
-            row = rows[i]
-            b = row.pop(c)
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            if fa != 1:
-                for j in row:
-                    row[j] *= fa
-            for j, x in prow.items():
-                y = row.get(j, 0) - fb * x
-                col = col_rows[j]
-                if y:
-                    row[j] = y
-                    if i not in col:
-                        col.add(i)
-                        heappush(heap, (len(col), j))
-                else:
-                    del row[j]
-                    col.discard(i)
-                    heappush(heap, (len(col), j))
-            if row:
-                _primitive(row)
-            else:
-                del rows[i]
-        r += 1
-    return r
+            row[j] *= fa
+    for j, x in prow.items():
+        y = row.get(j, 0) - fb * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    _primitive(row)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+def _echelon(rows: Iterable[dict[int, int]], ncols: int, last: bool = False,
+             reduce: bool = False) -> dict[int, dict[int, int]]:
+    """Sparse fraction-free echelon form of primitive integer rows.
+
+    Each row pivots at its first column (its last one for last=True),
+    columns are taken in that order, and of the rows sharing a pivot
+    column the shortest is kept while the others are cleared there by it
+    and move on to their next pivot.  Returns {pivot column: row} in the
+    order the pivots were found; reduce=True also clears every pivot
+    column from the other pivot rows.  The rows are reused, not copied.
+    """
+    lead = max if last else min
+    pending: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            pending.setdefault(lead(row), []).append(row)
+    pivots: dict[int, dict[int, int]] = {}
+    for c in reversed(range(ncols)) if last else range(ncols):
+        group = pending.pop(c, None)
+        if group is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != ONE:
-            rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        prow = pivots[c] = min(group, key=len)
+        for row in group:
+            if row is not prow:
+                _eliminate(row, prow, c)
+                if row:
+                    pending.setdefault(lead(row), []).append(row)
+    if reduce:
+        # later pivot rows are already reduced, so clearing their pivots
+        # brings in no other pivot column
+        for c, row in reversed(pivots.items()):
+            for p in [p for p in row if p != c and p in pivots]:
+                _eliminate(row, pivots[p], p)
+    return pivots
+
+
+def rank(m: Matrix) -> int:
+    """Rank by sparse fraction-free elimination (_echelon), forward only."""
+    return len(_echelon([_primitive(dict(row)) for _, row in m._integer_rows], m.cols))
 
 
 @dataclass(frozen=True)
@@ -392,16 +364,19 @@ class Subspace:
 
     @staticmethod
     def from_spanning_columns(ambient_dim: int, columns: Iterable[Sequence]) -> "Subspace":
-        rows = [list(Fraction(x) for x in c) for c in columns]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ShapeMismatch(f"vector of length {len(row)} in ambient dimension {ambient_dim}")
-        if not rows:
-            return Subspace.zero(ambient_dim)
-        red, pivots = _rref(rows)
-        k = len(pivots)
-        basis = Matrix(ambient_dim, k, tuple(tuple(red[j][i] for j in range(k)) for i in range(ambient_dim)))
-        return Subspace(ambient_dim, basis, tuple(pivots))
+        rows = []
+        for c in columns:
+            if len(c) != ambient_dim:
+                raise ShapeMismatch(f"vector of length {len(c)} in ambient dimension {ambient_dim}")
+            rows.append(_row([(i, Fraction(x)) for i, x in enumerate(c) if x]))
+        # the reduced rows, scaled to 1 at their pivots, are the basis columns
+        red = _echelon(rows, ambient_dim, reduce=True)
+        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(ambient_dim)]
+        for k, (p, row) in enumerate(red.items()):
+            for i, x in row.items():
+                sparse[i].append((k, Fraction(x, row[p])))
+        basis = Matrix._from_sparse_rows(len(red), tuple(map(tuple, sparse)))
+        return Subspace(ambient_dim, basis, tuple(red))
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
@@ -423,19 +398,10 @@ def quotient_projection(sub: Subspace) -> Matrix:
     Coordinates on the quotient are the ambient coordinates complementary
     to the pivot rows of the echelon basis.
     """
-    comp = sub.complement
-    piv_index = {p: i for i, p in enumerate(sub.pivots)}
-    n = sub.ambient_dim
-    rows = []
-    for c in comp:
-        row = [ZERO] * n
-        row[c] = ONE
-        for p, i in piv_index.items():
-            val = sub.basis.entries[c][i]
-            if val:
-                row[p] = -val
-        rows.append(tuple(row))
-    return Matrix(len(comp), n, tuple(rows))
+    basis_rows = sub.basis.sparse_rows
+    rows = tuple(tuple(sorted([(c, ONE)] + [(sub.pivots[i], -x) for i, x in basis_rows[c]]))
+                 for c in sub.complement)
+    return Matrix._from_sparse_rows(sub.ambient_dim, rows)
 
 
 def quotient_section(sub: Subspace) -> Matrix:
@@ -446,32 +412,34 @@ def quotient_section(sub: Subspace) -> Matrix:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Null space of m as a canonical Subspace of k^cols."""
-    red, pivots = _rref([list(r) for r in m.entries])
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    cols = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for prow, pcol in enumerate(pivots):
-            if red[prow][f]:
-                v[pcol] = -red[prow][f]
-        cols.append(tuple(v))
-    return Subspace.from_spanning_columns(m.cols, cols)
+    """Null space of m as a canonical Subspace of k^cols.
+
+    Rows pivot at their last column, so a reduced row a*e_p + sum b_f*e_f
+    has p above its free columns f, and e_f - sum (b_f / a) e_p, the kernel
+    vector of f, starts at f and is 0 at the other free columns: these
+    vectors are already the canonical basis."""
+    red = _echelon([_primitive(dict(row)) for _, row in m._integer_rows], m.cols,
+                   last=True, reduce=True)
+    free = [c for c in range(m.cols) if c not in red]
+    index = {f: i for i, f in enumerate(free)}
+    sparse = [((index[c], ONE),) if c in index else
+              tuple(sorted((index[f], Fraction(-x, red[c][c]))
+                           for f, x in red[c].items() if f != c))
+              for c in range(m.cols)]
+    return Subspace(m.cols, Matrix._from_sparse_rows(len(free), tuple(sparse)), tuple(free))
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One solution of a x = b (free variables set to 0), or None."""
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
-    aug = [list(r) + [Fraction(b[i])] for i, r in enumerate(a.entries)]
-    red, pivots = _rref(aug)
-    if a.cols in pivots:
+    aug = [_row(srow + ((a.cols, Fraction(x)),)) for srow, x in zip(a.sparse_rows, b)]
+    red = _echelon(aug, a.cols + 1, reduce=True)
+    if a.cols in red:
         return None
     x = [ZERO] * a.cols
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = red[prow][a.cols]
+    for c, row in red.items():
+        x[c] = Fraction(row.get(a.cols, 0), row[c])
     return tuple(x)
 
 

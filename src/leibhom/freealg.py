@@ -61,7 +61,7 @@ def graded_commutator(u: Element, v: Element) -> Element:
         return {}
     p = len(next(iter(u)))
     q = len(next(iter(v)))
-    sign = Fraction(-1) ** (p * q)
+    sign = -1 if p * q % 2 else 1
     out: Element = {}
     for wu, cu in u.items():
         if len(wu) != p:

@@ -337,7 +337,7 @@ def _tensor_boundary(words: list[tuple], index: dict[tuple, int], bracket, m_dim
     entries: dict[tuple[int, int], Fraction] = {}
     for widx, word in enumerate(words):
         for j in range(1, len(word) + 1):
-            sj = Fraction(-1) ** j
+            sj = -1 if j % 2 else 1
             for i in range(1, j):
                 head, tail = word[:i - 1], word[i:j - 1] + word[j:]
                 for k, c in bracket(word[i - 1], word[j - 1]):
@@ -345,7 +345,7 @@ def _tensor_boundary(words: list[tuple], index: dict[tuple, int], bracket, m_dim
                     for u in range(m_dim):
                         add_into(entries, (u * rows_w + r, u * cols_w + widx), sj * c)
             if first is not None:
-                sa = Fraction(-1) ** (j + 1)
+                sa = -sj
                 r = index[word[:j - 1] + word[j:]]
                 x = word[j - 1]
                 for u in range(m_dim):
@@ -474,20 +474,24 @@ def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
     return out
 
 
-def _derive_word(envelope: DGLieAlgebra, word: Word) -> Poly:
-    """Graded-derivation image of a normal word, before normalization."""
-    d1 = envelope.differential(1)
-    d2 = envelope.differential(2)
+_LetterImages = dict[int, list[list[tuple[tuple, Fraction]]]]
+
+
+def _letter_images(envelope: DGLieAlgebra) -> _LetterImages:
+    """images[deg][idx]: the nonzero (letter, c) terms of the differential
+    of the letter (deg, idx), deg 1 or 2, read off the sparse columns."""
+    return {deg: [[((deg - 1, a), c) for a, c in col]
+                  for col in envelope.differential(deg).transpose().sparse_rows]
+            for deg in (1, 2)}
+
+
+def _derive_word(images: _LetterImages, word: Word) -> Poly:
+    """Graded-derivation image of a normal word, before normalization;
+    images comes from _letter_images."""
     out: Poly = {}
     sign = Fraction(1)
     for t, (deg, idx) in enumerate(word):
-        if deg == 1:
-            images = [((0, a), d1.entries[a][idx]) for a in range(d1.rows)]
-        else:
-            images = [((1, b), d2.entries[b][idx]) for b in range(d2.rows)]
-        for letter, c in images:
-            if not c:
-                continue
+        for letter, c in images[deg][idx]:
             add_into(out, word[:t] + (letter,) + word[t + 1:], sign * c)
         if deg % 2:
             sign = -sign
@@ -501,12 +505,13 @@ def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
     mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     m = data.m_dim
+    images = _letter_images(data.envelope)
 
     def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
         for widx, w in enumerate(mons[n]):
-            nf = data.pbw.normal_form(_derive_word(data.envelope, w))
+            nf = data.pbw.normal_form(_derive_word(images, w))
             for w2, c in nf.items():
                 if w2 and w2[0][0] == 0:
                     if action is None:
@@ -549,11 +554,11 @@ def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Cha
 # classical exterior-power complexes of a Lie algebra (oracle + target)
 
 
-def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]] | None:
+def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     if k in rest:
         return None
     pos = sum(1 for t in rest if t < k)
-    return Fraction(-1) ** pos, rest[:pos] + (k,) + rest[pos:]
+    return -1 if pos % 2 else 1, rest[:pos] + (k,) + rest[pos:]
 
 
 def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int,
@@ -569,7 +574,7 @@ def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int
         for widx, xs in enumerate(mons[n]):
             if action is not None:
                 for t in range(1, n + 1):
-                    sign = Fraction(-1) ** t
+                    sign = -1 if t % 2 else 1
                     r = index[n - 1][xs[:t - 1] + xs[t:]]
                     plane = action[xs[t - 1]]
                     for u in range(m):
@@ -578,7 +583,7 @@ def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int
                                 add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sign * c)
             for s in range(1, n + 1):
                 for t in range(s + 1, n + 1):
-                    sign = Fraction(-1) ** (s + t)
+                    sign = -1 if (s + t) % 2 else 1
                     br = h.bracket_basis(xs[s - 1], xs[t - 1])
                     rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
                     for k, c in enumerate(br):
@@ -701,12 +706,12 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     for n in range(1, n_max + 1):
         lhs = P[n - 1] @ lod.diffs[n - 1]
         rhs = ce.diffs[n - 1] @ P[n]
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             raise NotAChainMap(f"projection fails to commute with the boundary at degree {n}")
     for n in range(0, n_max):
         lhs = lodco.diffs[n] @ Q[n]
         rhs = Q[n + 1] @ ceco.diffs[n]
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             raise NotAChainMap(f"pullback fails to commute with the coboundary at degree {n}")
 
     degrees = tuple(range(n_max))
