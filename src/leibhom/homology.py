@@ -474,20 +474,10 @@ def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
     return out
 
 
-_LetterImages = dict[int, list[list[tuple[tuple, Fraction]]]]
-
-
-def _letter_images(envelope: DGLieAlgebra) -> _LetterImages:
-    """images[deg][idx]: the nonzero (letter, c) terms of the differential
-    of the letter (deg, idx), deg 1 or 2, read off the sparse columns."""
-    return {deg: [[((deg - 1, a), c) for a, c in col]
-                  for col in envelope.differential(deg).transpose().sparse_rows]
-            for deg in (1, 2)}
-
-
-def _derive_word(images: _LetterImages, word: Word) -> Poly:
+def _derive_word(images: dict[int, list], word: Word) -> Poly:
     """Graded-derivation image of a normal word, before normalization;
-    images comes from _letter_images."""
+    images[deg][idx] lists the nonzero (letter, c) terms of the
+    differential of the letter (deg, idx)."""
     out: Poly = {}
     sign = Fraction(1)
     for t, (deg, idx) in enumerate(word):
@@ -505,7 +495,9 @@ def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
     mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     m = data.m_dim
-    images = _letter_images(data.envelope)
+    images = {deg: [[((deg - 1, a), c) for a, c in col]
+                    for col in data.envelope.differential(deg).transpose().sparse_rows]
+              for deg in (1, 2)}
 
     def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
