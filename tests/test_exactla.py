@@ -20,10 +20,22 @@ from leibhom.exactla import (
     rank,
     restrict_map,
     solve,
+    sub_vectors,
 )
-from leibhom.homology import loday_complex, trivial_coefficients
+from leibhom import homology
+from leibhom.leibcore import lie_quotient
+from leibhom.homology import (
+    ChainComplex,
+    _induced_map,
+    ce_projection,
+    conjecture_check,
+    fg_subcomplex,
+    loday_complex,
+    lie_coefficients,
+    trivial_coefficients,
+)
 
-from conftest import CORPUS
+from conftest import CORPUS, quotient_adjoint_module, unimodular
 from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank, oracle_rref
 
 
@@ -338,3 +350,184 @@ def test_spans_match_dense_oracle(m):
     # the rows as spanning vectors given as plain lists
     assert Subspace.from_spanning_columns(m.cols, [list(r) for r in m.entries]) \
         == oracle_subspace(m.cols, m.entries)
+
+
+# --- subspace maps against the per-vector code they replaced: one apply
+# --- and one reconstruct-and-compare membership test per basis vector
+
+def basis_columns(sub):
+    return [tuple(r[t] for r in sub.basis.entries) for t in range(sub.dim)]
+
+
+def oracle_coords(sub, v):
+    """The entries of v at the pivots, if the basis rebuilds v from them."""
+    a = tuple(Fraction(v[p]) for p in sub.pivots)
+    if all(x == Fraction(y) for x, y in zip(naive_apply(sub.basis, a), v)):
+        return a
+    return None
+
+
+def oracle_restrict_map(f, source, target):
+    cols = []
+    for i, col in enumerate(basis_columns(source)):
+        c = oracle_coords(target, naive_apply(f, col))
+        if c is None:
+            raise NotInvariant(f"image of source basis vector {i}")
+        cols.append(c)
+    return matrix_of(target.dim, source.dim, [[c[r] for c in cols] for r in range(target.dim)])
+
+
+def oracle_quotient_coords(sub, v):
+    """v minus its pivot part, read off the pivots: the class of v."""
+    w = sub_vectors(v, naive_apply(sub.basis, [v[p] for p in sub.pivots]))
+    return tuple(w[c] for c in sub.complement)
+
+
+def oracle_induced_map(src, dst, f_k, k):
+    K, I = src.cycle_space(k), src.boundary_space(k)
+    K2, I2 = dst.cycle_space(k), dst.boundary_space(k)
+    IK = oracle_subspace(K.dim, [oracle_coords(K, c) for c in basis_columns(I)])
+    IK2 = oracle_subspace(K2.dim, [oracle_coords(K2, c) for c in basis_columns(I2)])
+    cols = []
+    for c in IK.complement:
+        unit = [Fraction(int(i == c)) for i in range(K.dim)]
+        w = naive_apply(f_k, naive_apply(K.basis, unit))
+        cols.append(oracle_quotient_coords(IK2, oracle_coords(K2, w)))
+    rows = K2.dim - IK2.dim
+    return matrix_of(rows, len(cols), [[c[r] for c in cols] for r in range(rows)])
+
+
+def draw_vectors(draw, ambient, max_count, min_count=0):
+    return draw(st.lists(st.lists(st.one_of(st.just(Fraction(0)), small_fracs),
+                                  min_size=ambient, max_size=ambient),
+                         min_size=min_count, max_size=max_count))
+
+
+@st.composite
+def subspaces(draw, ambient=None):
+    if ambient is None:
+        ambient = draw(st.integers(0, 6))
+    return oracle_subspace(ambient, draw_vectors(draw, ambient, ambient + 1))
+
+
+@st.composite
+def subspace_maps(draw):
+    """(f, source, target) with the target spanned by the images of the
+    source basis plus random vectors (invariant), or by random vectors
+    only, or by all images but one (invariant only by chance)."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    f = matrix_of(m, n, draw_vectors(draw, n, m, min_count=m))
+    source = oracle_subspace(n, draw_vectors(draw, n, n + 1, min_count=1))
+    extra = draw_vectors(draw, f.rows, 2)
+    images = [naive_apply(f, col) for col in basis_columns(source)]
+    kind = draw(st.sampled_from(["invariant", "random", "one short"]))
+    if kind == "invariant":
+        extra += images
+    elif kind == "one short" and images:
+        extra += images[:-1]
+    return f, source, oracle_subspace(f.rows, extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_maps())
+def test_restrict_map_matches_per_vector_oracle(case):
+    f, source, target = case
+    try:
+        want = oracle_restrict_map(f, source, target)
+    except NotInvariant:
+        with pytest.raises(NotInvariant):
+            restrict_map(f, source, target)
+    else:
+        assert restrict_map(f, source, target) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspaces(), st.data())
+def test_coords_and_contains_match_reconstruct_and_compare(sub, data):
+    n = sub.ambient_dim
+    member = naive_apply(sub.basis, data.draw(st.lists(small_fracs, min_size=sub.dim,
+                                                       max_size=sub.dim)))
+    for v in [member, *draw_vectors(data.draw, n, 3),
+              [x + int(i == 0) for i, x in enumerate(member)]]:
+        want = oracle_coords(sub, v)
+        assert sub.coords(v) == want
+        assert sub.contains(v) == (want is not None)
+        assert sub.contains([int(x) if x.denominator == 1 else x for x in v]) \
+            == (want is not None)
+    with pytest.raises(ShapeMismatch):
+        sub.coords((Fraction(0),) * (n + 1))
+
+
+@st.composite
+def chain_maps(draw):
+    """(src, dst, f) around degree 1 of complexes in degrees 0..2.
+
+    src: C2 -d_in-> C1 -d_out-> C0 with d_in = V1 R1 and d_out = R2 W2,
+    where V is unimodular, V1 its first s columns and W2 the rows of
+    V^-1 from s on, so d_out d_in = 0.  f = F on C1 is injective with a
+    left inverse L (F, L cut from another unimodular pair) and the
+    identity on C2 and C0, which is a chain map into dst: C2 -F d_in-> C1'
+    -(d_out L + M (1 - F L))-> C0."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n))
+    m, p, extra = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    v, vinv = unimodular(rng, n)
+    u, uinv = unimodular(rng, n + extra)
+    fracs = st.one_of(st.just(Fraction(0)), small_fracs)
+
+    def rand(rows, cols):
+        return matrix_of(rows, cols, draw(st.lists(st.lists(fracs, min_size=cols, max_size=cols),
+                                                   min_size=rows, max_size=rows)))
+
+    v1 = matrix_of(n, s, [r[:s] for r in v])
+    w2 = matrix_of(n - s, n, vinv[s:])
+    d_in = v1 @ rand(s, m)
+    d_out = rand(p, n - s) @ w2
+    f = matrix_of(n + extra, n, [r[:n] for r in u])
+    left = matrix_of(n, n + extra, uinv[:n])
+    # d_out L + M (1 - F L), summed cell by cell
+    fl = (f @ left).entries
+    lower = (d_out @ left).entries
+    rest = (rand(p, n + extra) @ matrix_of(n + extra, n + extra, [
+        [int(i == j) - x for j, x in enumerate(r)] for i, r in enumerate(fl)])).entries
+    d_out2 = matrix_of(p, n + extra, [[a + b for a, b in zip(r1, r2)]
+                                      for r1, r2 in zip(lower, rest)])
+    src = ChainComplex(0, (p, n, m), (d_out, d_in))
+    dst = ChainComplex(0, (p, n + extra, m), (d_out2, f @ d_in))
+    return src, dst, f
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_maps())
+def test_induced_map_matches_per_vector_oracle(case):
+    src, dst, f = case
+    assert _induced_map(src, dst, f, 1) == oracle_induced_map(src, dst, f, 1)
+
+
+def test_library_subspace_maps_match_oracles(monkeypatch):
+    """Every restriction in fg_subcomplex and conjecture_check and every
+    induced map in ce_projection, on the corpus, against the oracles."""
+    calls = {"restrict": 0, "induced": 0}
+
+    def restrict(f, source, target):
+        calls["restrict"] += 1
+        got = restrict_map(f, source, target)
+        assert got == oracle_restrict_map(f, source, target)
+        return got
+
+    def induced(src, dst, f_k, k):
+        calls["induced"] += 1
+        got = _induced_map(src, dst, f_k, k)
+        assert got == oracle_induced_map(src, dst, f_k, k)
+        return got
+
+    monkeypatch.setattr(homology, "restrict_map", restrict)
+    monkeypatch.setattr(homology, "_induced_map", induced)
+    for g in CORPUS.values():
+        fg_subcomplex(g, 4)
+        ce_projection(g, trivial_coefficients(), 4)
+    heis3 = CORPUS["heis3"]
+    ce_projection(heis3, lie_coefficients(quotient_adjoint_module(lie_quotient(heis3))), 3)
+    conjecture_check(2, 4)
+    assert calls["restrict"] > 0 and calls["induced"] > 0
