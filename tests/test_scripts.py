@@ -6,6 +6,7 @@ the rule landscape.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,9 @@ def test_script_reaches_its_verdict(argv, verdict):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert verdict in proc.stdout.splitlines()[-1]
+
+
+def test_result_digest_prints_one_sha256():
+    proc = run_script("result_digest.py", "--max-degree", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
