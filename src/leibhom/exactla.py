@@ -1,22 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices keep dense rows of `fractions.Fraction` entries, and each one
-builds, once and on first use, a sparse view with the nonzero
-(column, value) pairs of every row.  Products, matrix-vector products
-and zero tests run over those pairs only.  Rank, kernels, solving and
-subspace bases all come from one sparse fraction-free elimination
-(structured Gaussian elimination, LaMacchia-Odlyzko 1990): rows are
-integer maps cleared of denominators and divided by their content,
-pivots go in column order with the shortest row first, and an optional
-back-substitution gives the reduced echelon form that canonical bases
-are read from.  A matrix remembers its rank, so a differential shared by
-two homology degrees is reduced once.  Nothing here rounds, so a
-homology dimension of 0 means 0, not "small".
+A matrix is stored as its sparse rows: the nonzero (column, Fraction)
+pairs of every row in column order.  That form is canonical, so equality
+and hashing compare it directly; a dense view of the entries is built
+only when a table or a test asks for it.  Products, matrix-vector
+products and zero tests run over the stored pairs only, and subspace
+coordinates and restrictions are sparse products.  Rank, kernels,
+solving and subspace bases all come from one sparse fraction-free
+elimination (structured Gaussian elimination, LaMacchia-Odlyzko 1990):
+rows are integer maps cleared of denominators and divided by their
+content, pivots go in column order with the shortest row first, and an
+optional back-substitution gives the reduced echelon form that canonical
+bases are read from.  A matrix remembers its rank, so a differential
+shared by two homology degrees is reduced once.  Nothing here rounds, so
+a homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
 everything safe to share between threads.  The cached views are pure
-functions of the entries: they take no part in equality or hashing, and
-building one twice gives the same value.
+functions of the sparse rows: they take no part in equality or hashing,
+and building one twice gives the same value.
 """
 
 from __future__ import annotations
@@ -105,26 +107,35 @@ def add_into(acc: dict, key, value: Fraction) -> None:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rows x cols matrix of Fractions, stored row-major, with a
-    cached sparse view of its rows."""
+    """rows x cols matrix of Fractions stored as sparse rows.
+
+    sparse_rows[i] holds the nonzero (col, value) pairs of row i, sorted
+    by column, every value a Fraction; the constructors below build that
+    canonical form, which equality and hashing compare.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Vec, ...]
+    sparse_rows: tuple[SparseRow, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ShapeMismatch(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ShapeMismatch(f"ragged row: expected {self.cols} columns")
+        if len(self.sparse_rows) != self.rows:
+            raise ShapeMismatch(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
+        for srow in self.sparse_rows:
+            if srow and not (0 <= srow[0][0] and srow[-1][0] < self.cols):
+                raise ShapeMismatch(f"column outside a {self.rows}x{self.cols} matrix")
 
     @cached_property
-    def sparse_rows(self) -> tuple[SparseRow, ...]:
-        """The nonzero (col, value) pairs of every row, in column order."""
-        # most zeros are the shared ZERO, skipped without a Fraction call
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x is not ZERO and x)
-                     for row in self.entries)
+    def entries(self) -> tuple[Vec, ...]:
+        """Dense rows of Fractions, built on first use."""
+        zero_row = (ZERO,) * self.cols
+        dense = []
+        for srow in self.sparse_rows:
+            row = list(zero_row)
+            for j, x in srow:
+                row[j] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
     @cached_property
     def _integer_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
@@ -136,24 +147,6 @@ class Matrix:
         return rank(self)
 
     @staticmethod
-    def _from_sparse_rows(cols: int, sparse: tuple[SparseRow, ...]) -> "Matrix":
-        """Densify rows of nonzero (col, value) pairs in column order,
-        keeping them as the sparse view."""
-        zero_row = (ZERO,) * cols
-        dense = []
-        for srow in sparse:
-            if srow:
-                row = list(zero_row)
-                for j, x in srow:
-                    row[j] = x
-                dense.append(tuple(row))
-            else:
-                dense.append(zero_row)
-        m = Matrix(len(sparse), cols, tuple(dense))
-        m.__dict__["sparse_rows"] = sparse
-        return m
-
-    @staticmethod
     def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "Matrix":
         """Build from a sparse {(i, j): value} mapping; absent entries are 0."""
         sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
@@ -163,39 +156,35 @@ class Matrix:
             v = Fraction(v)
             if v:
                 sparse[i].append((j, v))
-        return Matrix._from_sparse_rows(cols, tuple(tuple(sorted(r)) for r in sparse))
+        return Matrix(rows, cols, tuple(tuple(sorted(r)) for r in sparse))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return Matrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Matrix(n, n, tuple(((i, ONE),) for i in range(n)))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        nrows = len(data)
+        data = [tuple(map(Fraction, row)) for row in rows]
         ncols = len(data[0]) if data else 0
-        return Matrix(nrows, ncols, data)
+        for row in data:
+            if len(row) != ncols:
+                raise ShapeMismatch(f"ragged row: expected {ncols} columns, got {len(row)}")
+        return Matrix(len(data), ncols, tuple(_nonzero(row) for row in data))
 
     @staticmethod
     def from_columns(nrows: int, columns: Iterable[Sequence]) -> "Matrix":
-        cols = [tuple(Fraction(x) for x in c) for c in columns]
+        cols = [tuple(map(Fraction, c)) for c in columns]
         for c in cols:
             if len(c) != nrows:
                 raise ShapeMismatch(f"column of length {len(c)}, expected {nrows}")
-        return Matrix(nrows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(nrows)))
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
+        return Matrix(len(cols), nrows, tuple(map(_nonzero, cols))).transpose()
 
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self.cols)]
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
@@ -227,20 +216,16 @@ class Matrix:
                     acc[j] = acc.get(j, 0) + a * b
             den *= da
             out.append(tuple(sorted((j, Fraction(x, den)) for j, x in acc.items() if x)))
-        return Matrix._from_sparse_rows(other.cols, tuple(out))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     __matmul__ = mul
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
 
     def transpose(self) -> "Matrix":
         sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
         for i, srow in enumerate(self.sparse_rows):
             for j, x in srow:
                 sparse[j].append((i, x))
-        return Matrix._from_sparse_rows(self.rows, tuple(map(tuple, sparse)))
+        return Matrix(self.cols, self.rows, tuple(map(tuple, sparse)))
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
@@ -251,6 +236,11 @@ class Matrix:
     def rank(self) -> int:
         """rank(self), computed once per matrix."""
         return self._rank
+
+
+def _nonzero(values: Sequence[Fraction]) -> SparseRow:
+    """The nonzero (index, value) pairs of a dense vector."""
+    return tuple((j, x) for j, x in enumerate(values) if x)
 
 
 def _clear(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -364,29 +354,46 @@ class Subspace:
 
     @staticmethod
     def from_spanning_columns(ambient_dim: int, columns: Iterable[Sequence]) -> "Subspace":
-        rows = []
+        vectors = []
         for c in columns:
             if len(c) != ambient_dim:
                 raise ShapeMismatch(f"vector of length {len(c)} in ambient dimension {ambient_dim}")
-            rows.append(_row([(i, Fraction(x)) for i, x in enumerate(c) if x]))
+            vectors.append(_nonzero(tuple(map(Fraction, c))))
+        return Subspace.from_sparse_columns(ambient_dim, vectors)
+
+    @staticmethod
+    def from_sparse_columns(ambient_dim: int,
+                            columns: Iterable[Sequence[tuple[int, Fraction]]]) -> "Subspace":
+        """The span of vectors given by their nonzero (index, value) pairs."""
+        rows = []
+        for c in columns:
+            if c and not all(0 <= i < ambient_dim for i, _ in c):
+                raise ShapeMismatch(f"vector index outside ambient dimension {ambient_dim}")
+            rows.append(_row(c))
         # the reduced rows, scaled to 1 at their pivots, are the basis columns
         red = _echelon(rows, ambient_dim, reduce=True)
         sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(ambient_dim)]
         for k, (p, row) in enumerate(red.items()):
             for i, x in row.items():
                 sparse[i].append((k, Fraction(x, row[p])))
-        basis = Matrix._from_sparse_rows(len(red), tuple(map(tuple, sparse)))
+        basis = Matrix(ambient_dim, len(red), tuple(map(tuple, sparse)))
         return Subspace(ambient_dim, basis, tuple(red))
+
+    def column_coords(self, m: Matrix) -> Matrix | None:
+        """Coordinates of the columns of m in the echelon basis, or None if
+        some column lies outside: the rows of m at the pivots, kept only
+        if the basis times them gives m back."""
+        if m.rows != self.ambient_dim:
+            raise ShapeMismatch(f"{m.rows}x{m.cols} matrix in ambient dimension {self.ambient_dim}")
+        c = Matrix(self.dim, m.cols, tuple(m.sparse_rows[p] for p in self.pivots))
+        return c if self.basis @ c == m else None
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise ShapeMismatch(f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
-        a = tuple(Fraction(v[p]) for p in self.pivots)
-        recon = self.basis.apply(a)
-        if all(x == Fraction(y) for x, y in zip(recon, v)):
-            return a
-        return None
+        c = self.column_coords(Matrix.from_columns(self.ambient_dim, [v]))
+        return None if c is None else c.column(0)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coords(v) is not None
@@ -401,14 +408,16 @@ def quotient_projection(sub: Subspace) -> Matrix:
     basis_rows = sub.basis.sparse_rows
     rows = tuple(tuple(sorted([(c, ONE)] + [(sub.pivots[i], -x) for i, x in basis_rows[c]]))
                  for c in sub.complement)
-    return Matrix._from_sparse_rows(sub.ambient_dim, rows)
+    return Matrix(len(rows), sub.ambient_dim, rows)
 
 
 def quotient_section(sub: Subspace) -> Matrix:
     """Right inverse of quotient_projection picking complementary coordinates."""
     comp = sub.complement
-    n = sub.ambient_dim
-    return Matrix.from_columns(n, [tuple(ONE if i == c else ZERO for i in range(n)) for c in comp])
+    rows: list[SparseRow] = [()] * sub.ambient_dim
+    for j, c in enumerate(comp):
+        rows[c] = ((j, ONE),)
+    return Matrix(sub.ambient_dim, len(comp), tuple(rows))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -426,7 +435,7 @@ def kernel_basis(m: Matrix) -> Subspace:
               tuple(sorted((index[f], Fraction(-x, red[c][c]))
                            for f, x in red[c].items() if f != c))
               for c in range(m.cols)]
-    return Subspace(m.cols, Matrix._from_sparse_rows(len(free), tuple(sparse)), tuple(free))
+    return Subspace(m.cols, Matrix(m.cols, len(free), tuple(sparse)), tuple(free))
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
@@ -444,7 +453,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 
 
 def column_span(m: Matrix) -> Subspace:
-    return Subspace.from_spanning_columns(m.rows, m.columns())
+    return Subspace.from_sparse_columns(m.rows, m.transpose().sparse_rows)
 
 
 def homology_dimension(d_out: Matrix, d_in: Matrix) -> int:
@@ -467,11 +476,7 @@ def restrict_map(f: Matrix, source: Subspace, target: Subspace) -> Matrix:
         raise ShapeMismatch(
             f"map {f.rows}x{f.cols} between ambient dims {source.ambient_dim} -> {target.ambient_dim}"
         )
-    cols = []
-    for i in range(source.dim):
-        w = f.apply(source.basis.column(i))
-        c = target.coords(w)
-        if c is None:
-            raise NotInvariant(f"image of source basis vector {i} is not in the target subspace")
-        cols.append(c)
-    return Matrix.from_columns(target.dim, cols)
+    coords = target.column_coords(f @ source.basis)
+    if coords is None:
+        raise NotInvariant("f maps the source subspace outside the target subspace")
+    return coords

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactla import ONE, Subspace, ZERO, add_into
+from .exactla import ONE, Subspace, add_into
 
 Element = dict[tuple, Fraction]
 
@@ -148,13 +148,9 @@ class CommutatorSpans:
                     for y in self.letters(v):
                         br = graded_commutator(c, {(y,): ONE})
                         if br:
-                            vec = [ZERO] * len(words)
-                            for t, x in br.items():
-                                vec[index[t]] = x
-                            spanning.append(vec)
-            sub = Subspace.from_spanning_columns(len(words), spanning)
-        elems = [{words[i]: x for i, x in enumerate(sub.basis.column(t)) if x}
-                 for t in range(sub.dim)]
+                            spanning.append([(index[t], x) for t, x in br.items()])
+            sub = Subspace.from_sparse_columns(len(words), spanning)
+        elems = [{words[i]: x for i, x in col} for col in sub.basis.transpose().sparse_rows]
         self._spans[key] = (sub, elems)
         return self._spans[key]
 

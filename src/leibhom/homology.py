@@ -647,18 +647,10 @@ def _induced_map(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> M
     """Map on homology at degree k induced by a chain map component f_k."""
     K, I = src.cycle_space(k), src.boundary_space(k)
     K2, I2 = dst.cycle_space(k), dst.boundary_space(k)
-    IK = Subspace.from_spanning_columns(
-        K.dim, [K.coords(I.basis.column(t)) for t in range(I.dim)])
-    IK2 = Subspace.from_spanning_columns(
-        K2.dim, [K2.coords(I2.basis.column(t)) for t in range(I2.dim)])
-    pi2 = quotient_projection(IK2)
-    sec = quotient_section(IK)
-    cols = []
-    for c in range(K.dim - IK.dim):
-        v = K.basis.apply(sec.column(c))
-        w = f_k.apply(v)
-        cols.append(pi2.apply(K2.coords(w)))
-    return Matrix.from_columns(K2.dim - IK2.dim, cols)
+    # boundaries are cycles (the d o d gate), so these coordinates exist
+    IK = column_span(K.column_coords(I.basis))
+    IK2 = column_span(K2.column_coords(I2.basis))
+    return quotient_projection(IK2) @ restrict_map(f_k, K, K2) @ quotient_section(IK)
 
 
 @dataclass(frozen=True)
@@ -786,8 +778,8 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
                                lambda a, b: fl.bracket_words(a, b).items(), 1)
 
 
-DEFAULT_WEIGHT_BUDGET = {1: 6, 2: 5}
-FALLBACK_WEIGHT_BUDGET = 3
+DEFAULT_WEIGHT_BUDGET = {1: 12, 2: 7}
+FALLBACK_WEIGHT_BUDGET = 5
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,10 @@ def test_cached_views_keep_the_traced_matrix_contract():
     # the tracer reads entries row by row and sizes matrices by rows x cols
     assert isinstance(m.entries, tuple) and len(m.entries) == m.rows
     assert all(isinstance(r, tuple) and len(r) == m.cols for r in m.entries)
-    # equality and hashing see the entries only, never the caches
+    assert m.entries == tuple(tuple(map(Fraction, r)) for r in data)
+    assert sum(1 for row in m.entries for x in row if x) == 4
+    # equality and hashing see the sparse rows only; entries is a cache
     assert m == twin and hash(m) == hash(twin)
-    assert "sparse_rows" in vars(m) and "sparse_rows" not in vars(twin)
+    assert "entries" in vars(m) and "entries" not in vars(twin)
     for module, path in TARGETS:
         test_bench_target_resolves(module, path)

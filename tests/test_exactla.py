@@ -39,6 +39,10 @@ from conftest import CORPUS, quotient_adjoint_module, unimodular
 from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank, oracle_rref
 
 
+def columns(m):
+    return [tuple(r[j] for r in m.entries) for j in range(m.cols)]
+
+
 def test_parse_scalar_accepts_rationals():
     assert parse_scalar("3") == 3
     assert parse_scalar("-7/2") == Fraction(-7, 2)
@@ -92,7 +96,7 @@ def test_kernel_and_solve():
     m = Matrix.from_rows([[1, 2, 3], [0, 1, 1]])
     ker = kernel_basis(m)
     assert ker.dim == 1
-    for col in ker.basis.columns():
+    for col in columns(ker.basis):
         assert m.apply(col) == (0, 0)
     assert solve(m, (1, 0)) is not None
     assert solve(Matrix.zeros(2, 2), (1, 0)) is None
@@ -114,7 +118,7 @@ def test_quotient_projection_section_identity():
     comp = proj @ sect
     assert comp.entries == Matrix.identity(2).entries
     # the section followed by projection fixes classes, and proj kills sub
-    for col in sub.basis.columns():
+    for col in columns(sub.basis):
         assert all(c == 0 for c in proj.apply(col))
 
 
@@ -126,6 +130,47 @@ def test_restrict_map_happy_and_sad():
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(NotInvariant):
         restrict_map(swap, line, line)
+
+
+def test_every_constructor_stores_canonical_sparse_rows():
+    want = ((Fraction(1), Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(3), Fraction(0)))
+    built = [
+        Matrix.from_rows([[1, 0, Fraction(-1, 2)], [0, 3, 0]]),
+        Matrix.from_entries(2, 3, {(0, 2): Fraction(-1, 2), (1, 1): 3, (0, 0): 1, (1, 0): 0}),
+        Matrix.from_columns(2, [(1, 0), (0, 3), (Fraction(-1, 2), 0)]),
+        Matrix.from_rows(want).transpose().transpose(),
+        Matrix.identity(2) @ Matrix.from_rows(want) @ Matrix.identity(3),
+        # the product cancels to an explicit zero at (0, 1)
+        Matrix.from_rows([[1, 2], [0, 1]]) @ Matrix.from_rows([[1, -6, Fraction(-1, 2)], [0, 3, 0]]),
+    ]
+    for m in built:
+        assert m.sparse_rows == (((0, 1), (2, Fraction(-1, 2))), ((1, 3),))
+        assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert m.entries == want
+    for rows, cols in [(2, 3), (0, 3), (3, 0)]:
+        zeros = Matrix.zeros(rows, cols)
+        assert zeros.sparse_rows == ((),) * rows
+        assert zeros == Matrix.from_entries(rows, cols, {(0, 0): 0} if rows and cols else {})
+    eye = Matrix.identity(3)
+    assert eye.sparse_rows == tuple(((i, Fraction(1)),) for i in range(3))
+    assert eye == Matrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])
+    assert hash(eye) == hash(Matrix.from_columns(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert eye != Matrix.zeros(3, 3) and Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(2, 3, ((),)),
+    lambda: Matrix(1, 3, (((3, Fraction(1)),),)),
+    lambda: Matrix(1, 3, (((-1, Fraction(1)),),)),
+    lambda: Matrix.from_entries(2, 2, {(0, 2): 1}),
+    lambda: Matrix.from_rows([[1, 2], [3]]),
+    lambda: Matrix.from_columns(2, [(1, 2), (3,)]),
+], ids=["row count", "column past the end", "negative column", "from_entries",
+        "ragged from_rows", "short from_columns"])
+def test_wrong_shape_raises(build):
+    with pytest.raises(ShapeMismatch):
+        build()
 
 
 small_fracs = st.fractions(
@@ -185,7 +230,8 @@ cells = st.one_of(st.just(Fraction(0)), small_fracs, big_fracs)
 
 def matrix_of(rows, cols, data):
     """Matrix with any shape, 0 rows or 0 columns included."""
-    return Matrix(rows, cols, tuple(tuple(Fraction(x) for x in r) for r in data))
+    return Matrix.from_entries(rows, cols, {(i, j): x for i, r in enumerate(data)
+                                            for j, x in enumerate(r)})
 
 
 @st.composite
@@ -267,7 +313,7 @@ def test_rank_and_products_of_empty_shapes(rows, cols):
 def test_mul_and_apply_match_naive_loops(a, data):
     b = data.draw(rational_matrices(rows=a.cols))
     assert (a @ b).entries == naive_mul(a, b)
-    assert a.mul(b) == Matrix(a.rows, b.cols, naive_mul(a, b))
+    assert a.mul(b) == matrix_of(a.rows, b.cols, naive_mul(a, b))
     v = data.draw(st.lists(cells, min_size=a.cols, max_size=a.cols))
     assert a.apply(v) == naive_apply(a, v)
     ints = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
@@ -325,7 +371,7 @@ def test_kernel_basis_matches_dense_oracle(m):
     ker = kernel_basis(m)
     assert ker == oracle_kernel(m)
     assert ker.dim == m.cols - dense_rank_oracle(m)
-    for col in ker.basis.columns():
+    for col in columns(ker.basis):
         assert not any(m.apply(col))
 
 
@@ -344,8 +390,8 @@ def test_solve_matches_dense_oracle(a, data):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_spans_match_dense_oracle(m):
-    want = oracle_subspace(m.rows, m.columns())
-    assert Subspace.from_spanning_columns(m.rows, m.columns()) == want
+    want = oracle_subspace(m.rows, columns(m))
+    assert Subspace.from_spanning_columns(m.rows, columns(m)) == want
     assert column_span(m) == want
     # the rows as spanning vectors given as plain lists
     assert Subspace.from_spanning_columns(m.cols, [list(r) for r in m.entries]) \
@@ -354,10 +400,6 @@ def test_spans_match_dense_oracle(m):
 
 # --- subspace maps against the per-vector code they replaced: one apply
 # --- and one reconstruct-and-compare membership test per basis vector
-
-def basis_columns(sub):
-    return [tuple(r[t] for r in sub.basis.entries) for t in range(sub.dim)]
-
 
 def oracle_coords(sub, v):
     """The entries of v at the pivots, if the basis rebuilds v from them."""
@@ -369,7 +411,7 @@ def oracle_coords(sub, v):
 
 def oracle_restrict_map(f, source, target):
     cols = []
-    for i, col in enumerate(basis_columns(source)):
+    for i, col in enumerate(columns(source.basis)):
         c = oracle_coords(target, naive_apply(f, col))
         if c is None:
             raise NotInvariant(f"image of source basis vector {i}")
@@ -386,8 +428,8 @@ def oracle_quotient_coords(sub, v):
 def oracle_induced_map(src, dst, f_k, k):
     K, I = src.cycle_space(k), src.boundary_space(k)
     K2, I2 = dst.cycle_space(k), dst.boundary_space(k)
-    IK = oracle_subspace(K.dim, [oracle_coords(K, c) for c in basis_columns(I)])
-    IK2 = oracle_subspace(K2.dim, [oracle_coords(K2, c) for c in basis_columns(I2)])
+    IK = oracle_subspace(K.dim, [oracle_coords(K, c) for c in columns(I.basis)])
+    IK2 = oracle_subspace(K2.dim, [oracle_coords(K2, c) for c in columns(I2.basis)])
     cols = []
     for c in IK.complement:
         unit = [Fraction(int(i == c)) for i in range(K.dim)]
@@ -419,7 +461,7 @@ def subspace_maps(draw):
     f = matrix_of(m, n, draw_vectors(draw, n, m, min_count=m))
     source = oracle_subspace(n, draw_vectors(draw, n, n + 1, min_count=1))
     extra = draw_vectors(draw, f.rows, 2)
-    images = [naive_apply(f, col) for col in basis_columns(source)]
+    images = [naive_apply(f, col) for col in columns(source.basis)]
     kind = draw(st.sampled_from(["invariant", "random", "one short"]))
     if kind == "invariant":
         extra += images

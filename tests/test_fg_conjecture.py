@@ -34,24 +34,24 @@ def test_subcomplex_on_a2_kills_top_of_degree_one():
 
 
 def test_default_budgets():
-    assert DEFAULT_WEIGHT_BUDGET == {1: 6, 2: 5}
-    assert FALLBACK_WEIGHT_BUDGET == 3
+    assert DEFAULT_WEIGHT_BUDGET == {1: 12, 2: 7}
+    assert FALLBACK_WEIGHT_BUDGET == 5
 
 
 def test_conjecture_one_generator():
     rep = conjecture_check(1)
-    assert rep.max_weight == 6
+    assert rep.max_weight == 12
     assert rep.verdict == "PASS"
-    assert [v.h1 for v in rep.weights] == [1, 0, 0, 0, 0, 0]
+    assert [v.h1 for v in rep.weights] == [1] + [0] * 11
     assert all(h == 0 for v in rep.weights for h in v.higher)
-    assert [v.expected_h1 for v in rep.weights] == [witt_dim(1, w) for w in range(1, 7)]
+    assert [v.expected_h1 for v in rep.weights] == [witt_dim(1, w) for w in range(1, 13)]
 
 
 def test_conjecture_two_generators():
     rep = conjecture_check(2)
-    assert rep.max_weight == 5
+    assert rep.max_weight == 7
     assert rep.verdict == "PASS"
-    assert [v.h1 for v in rep.weights] == [2, 1, 2, 3, 6]
+    assert [v.h1 for v in rep.weights] == [2, 1, 2, 3, 6, 9, 18]
     assert all(h == 0 for v in rep.weights for h in v.higher)
 
 
@@ -59,7 +59,7 @@ def test_conjecture_three_generators_fallback_budget():
     rep = conjecture_check(3)
     assert rep.max_weight == FALLBACK_WEIGHT_BUDGET
     assert rep.verdict == "PASS"
-    assert [v.h1 for v in rep.weights] == [witt_dim(3, w) for w in (1, 2, 3)]
+    assert [v.h1 for v in rep.weights] == [witt_dim(3, w) for w in range(1, 6)]
 
 
 def test_weight_blocks_are_complexes():
