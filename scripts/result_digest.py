@@ -10,8 +10,8 @@ Only values are hashed: matrix entries as a dense table, Betti numbers,
 pivots and the fields of every report.  How a matrix is stored never
 enters, so two trees that compute the same numbers print the same digest.
 
-Run:  python3 scripts/result_digest.py [--max-degree N]
-(with src/ and tests/ importable, e.g. PYTHONPATH=src)
+Run:  PYTHONPATH=src python3 scripts/result_digest.py [--max-degree N]
+The corpus comes from tests/conftest.py, which imports pytest.
 """
 
 import argparse
@@ -22,19 +22,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-from conftest import (  # noqa: E402
-    CORPUS,
-    LIE_CORPUS,
-    character_module,
-    quotient_adjoint_module,
-    random_algebra,
-    representations_for,
-)
-from leibhom.dgla import minimal_envelope, minimal_module  # noqa: E402
-from leibhom.exactla import Matrix, Subspace  # noqa: E402
-from leibhom.homology import (  # noqa: E402
+from leibhom.dgla import minimal_envelope, minimal_module
+from leibhom.exactla import Matrix, Subspace
+from leibhom.homology import (
     ChainComplex,
     RepresentationCoefficients,
     ce_chain,
@@ -50,7 +40,18 @@ from leibhom.homology import (  # noqa: E402
     rep_coefficients,
     trivial_coefficients,
 )
-from leibhom.leibcore import adjoint_lie_module, lie_quotient, symmetrization  # noqa: E402
+from leibhom.leibcore import adjoint_lie_module, lie_quotient, symmetrization
+
+# the corpus and coefficient helpers are the test suite's
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import (  # noqa: E402
+    CORPUS,
+    LIE_CORPUS,
+    character_module,
+    quotient_adjoint_module,
+    random_algebra,
+    representations_for,
+)
 
 RANDOM_SEEDS = range(6)
 

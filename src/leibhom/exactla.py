@@ -358,7 +358,7 @@ class Subspace:
         for c in columns:
             if len(c) != ambient_dim:
                 raise ShapeMismatch(f"vector of length {len(c)} in ambient dimension {ambient_dim}")
-            vectors.append(_nonzero(tuple(map(Fraction, c))))
+            vectors.append(_nonzero(c))
         return Subspace.from_sparse_columns(ambient_dim, vectors)
 
     @staticmethod
@@ -390,8 +390,6 @@ class Subspace:
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise ShapeMismatch(f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
         c = self.column_coords(Matrix.from_columns(self.ambient_dim, [v]))
         return None if c is None else c.column(0)
 
