@@ -96,6 +96,21 @@ def conjugate(g: LeibnizAlgebra, p: list[list[int]], pinv: list[list[int]],
         names or [f"f{i}" for i in range(n)], brackets)
 
 
+def rescale(g: LeibnizAlgebra, scales) -> LeibnizAlgebra:
+    """The same algebra in the basis f_i = scales[i] e_i."""
+    n = g.dim
+    p = [[Fraction(scales[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    pinv = [[1 / Fraction(scales[i]) if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)]
+    return conjugate(g, p, pinv)
+
+
+def rescaled_heis3() -> LeibnizAlgebra:
+    """heis3 in the basis (2p, q/3, z): [f0,f1] = 2/3 f2, so its structure
+    constants, adjoint and quotient modules all carry denominators."""
+    return rescale(CORPUS["heis3"], (2, Fraction(1, 3), 1))
+
+
 def random_algebra(rng: random.Random) -> LeibnizAlgebra:
     g = rng.choice([v for v in CORPUS.values() if v.dim <= 3])
     p, pinv = unimodular(rng, g.dim)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibhom import exactla
-from leibhom.exactla import Matrix, ShapeMismatch, Subspace, restrict_map
+from leibhom import exactla, homology
+from leibhom.exactla import Matrix, ShapeMismatch, Subspace, add_into, restrict_map
 from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
@@ -36,7 +37,9 @@ from conftest import (
     character_module,
     conjugate,
     quotient_adjoint_module,
+    random_algebra,
     representations_for,
+    rescaled_heis3,
     unimodular,
 )
 
@@ -420,3 +423,165 @@ def test_betti_ranks_each_differential_once(monkeypatch):
     assert cx.betti() == cx.betti()
     assert len(calls) == len(cx.diffs)
     assert {id(m) for m in calls} == {id(d) for d in cx.diffs}
+
+
+# --- the tensor-module boundary entry for entry: the per-word builder of
+# --- every slot and module action, with the coefficient actions read off
+# --- the public tables rule by rule, against the entry maps _loday hands
+# --- to _complex before the d o d gate
+
+def oracle_tensor_boundary(words, index, bracket, m_dim=1, first=None, later=None):
+    """Entries of d: m (x) T^n -> m (x) T^{n-1} on the source words of T^n,
+    all of length n; index numbers the target words.  bracket(a, b) lists
+    the (letter, c) terms of [b, a]; first/later are the chain actions
+    (u, x) -> Vec of the j = 1 and j >= 2 slots, or None."""
+    rows_w, cols_w = len(index), len(words)
+    entries = {}
+    for widx, word in enumerate(words):
+        for j in range(1, len(word) + 1):
+            sj = -1 if j % 2 else 1
+            for i in range(1, j):
+                head, tail = word[:i - 1], word[i:j - 1] + word[j:]
+                for k, c in bracket(word[i - 1], word[j - 1]):
+                    r = index[head + (k,) + tail]
+                    for u in range(m_dim):
+                        add_into(entries, (u * rows_w + r, u * cols_w + widx), sj * c)
+            if first is not None:
+                sa = -sj
+                r = index[word[:j - 1] + word[j:]]
+                x = word[j - 1]
+                for u in range(m_dim):
+                    vec = first(u, x) if j == 1 else later(u, x)
+                    for u2, c in enumerate(vec):
+                        if c:
+                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sa * c)
+    return entries
+
+
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vneg(a):
+    return tuple(-x for x in a)
+
+
+# (first, later) chain actions (L, R, u, x) -> Vec with L[x][u] = [e_x, f_u]
+# and R[u][x] = [f_u, e_x]
+ORACLE_CHAIN_RULES = {
+    "corrected": (lambda L, R, u, x: _vneg(_vadd(R[u][x], L[x][u])),
+                  lambda L, R, u, x: _vneg(L[x][u])),
+    "left": (lambda L, R, u, x: _vneg(L[x][u]), lambda L, R, u, x: _vneg(L[x][u])),
+    "right": (lambda L, R, u, x: R[u][x], lambda L, R, u, x: R[u][x]),
+    "naive": (lambda L, R, u, x: _vadd(R[u][x], L[x][u]), lambda L, R, u, x: R[u][x]),
+}
+
+# (first, later) actions (L, R, x, u) -> Vec on the value of a cochain
+ORACLE_COCHAIN_RULES = {
+    "corrected": (lambda L, R, x, u: _vneg(R[u][x]), lambda L, R, x, u: L[x][u]),
+    "plain": (lambda L, R, x, u: L[x][u], lambda L, R, x, u: L[x][u]),
+    "naive": (lambda L, R, x, u: _vadd(L[x][u], R[u][x]), lambda L, R, x, u: L[x][u]),
+}
+
+
+def oracle_coefficient_cases(g):
+    """(label, coefficients, m_dim, L, R, two_sided) for every coefficient
+    kind over g; L and R are None for trivial coefficients."""
+    for dim in (1, 2):
+        yield f"trivial{dim}", trivial_coefficients(dim), dim, None, None, False
+    qdata = lie_quotient(g)
+    for maker in (quotient_adjoint_module, character_module):
+        mod = maker(qdata)
+        if mod is None:
+            continue
+        units = [tuple(Fraction(int(t == u)) for t in range(mod.dim)) for u in range(mod.dim)]
+        L = [[mod.act(qdata.projection.column(x), units[u]) for u in range(mod.dim)]
+             for x in range(g.dim)]
+        R = [[_vneg(L[x][u]) for x in range(g.dim)] for u in range(mod.dim)]
+        yield f"lie:{maker.__name__}", lie_coefficients(mod), mod.dim, L, R, False
+    for rname, rep in representations_for(g).items():
+        L = [[rep.left_action[x][u] for u in range(rep.dim)] for x in range(g.dim)]
+        R = [[rep.right_action[u][x] for x in range(g.dim)] for u in range(rep.dim)]
+        yield f"rep:{rname}", rep_coefficients(rep), rep.dim, L, R, True
+
+
+def oracle_chain_actions(L, R, rule, two_sided):
+    if L is None:
+        return None, None
+    if not two_sided:
+        first = later = lambda u, x: R[u][x]
+        return first, later
+    f, l = ORACLE_CHAIN_RULES[rule]
+    return (lambda u, x: f(L, R, u, x)), (lambda u, x: l(L, R, u, x))
+
+
+def oracle_dual_chain_actions(L, R, rule, m_dim, two_sided):
+    """The value-side cochain actions read as chain actions of the dual
+    module: entry [u][x][u2] = act(x, u2)[u]."""
+    if L is None:
+        return None, None
+    if not two_sided:
+        f = l = lambda L, R, x, u: L[x][u]
+    else:
+        f, l = ORACLE_COCHAIN_RULES[rule]
+    return tuple((lambda u, x, act=act: tuple(act(L, R, x, u2)[u] for u2 in range(m_dim)))
+                 for act in (f, l))
+
+
+def oracle_loday_boundaries(g, m_dim, first, later, n_max):
+    def bracket(a, b):
+        return [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c]
+
+    words = [list(itertools.product(range(g.dim), repeat=n)) for n in range(n_max + 1)]
+    return [oracle_tensor_boundary(words[n], {t: i for i, t in enumerate(words[n - 1])},
+                                   bracket, m_dim, first, later)
+            for n in range(1, n_max + 1)]
+
+
+def recorded_boundaries(monkeypatch, build, *args, **kwargs):
+    """The entry maps a builder hands to _complex, before any gate."""
+    seen = []
+
+    def record(dims, boundaries, raising):
+        seen.append([dict(e) for e in boundaries])
+
+    monkeypatch.setattr(homology, "_complex", record)
+    build(*args, **kwargs)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+BOUNDARY_ALGEBRAS = dict(CORPUS)
+BOUNDARY_ALGEBRAS.update({f"random{s}": random_algebra(random.Random(s)) for s in range(4)})
+BOUNDARY_ALGEBRAS["heis3 rescaled"] = rescaled_heis3()
+
+
+def test_rescaled_algebra_has_denominators():
+    g = BOUNDARY_ALGEBRAS["heis3 rescaled"]
+    assert any(c.denominator > 1 for plane in g.structure for row in plane for c in row)
+
+
+@pytest.mark.parametrize("name", list(BOUNDARY_ALGEBRAS))
+def test_loday_boundaries_match_oracle_entry_for_entry(name, monkeypatch):
+    g = BOUNDARY_ALGEBRAS[name]
+    n_max = 4
+    for label, coeffs, m_dim, L, R, two_sided in oracle_coefficient_cases(g):
+        for rule in (ORACLE_CHAIN_RULES if two_sided else [None]):
+            got = recorded_boundaries(monkeypatch, loday_complex, g, coeffs, n_max,
+                                      _rep_rule=rule)
+            first, later = oracle_chain_actions(L, R, rule or "corrected", two_sided)
+            want = oracle_loday_boundaries(g, m_dim, first, later, n_max)
+            assert got == want, (label, rule)
+        for rule in (ORACLE_COCHAIN_RULES if two_sided else [None]):
+            got = recorded_boundaries(monkeypatch, loday_cochain_complex, g, coeffs, n_max,
+                                      _rep_rule=rule)
+            first, later = oracle_dual_chain_actions(L, R, rule or "corrected", m_dim, two_sided)
+            want = oracle_loday_boundaries(g, m_dim, first, later, n_max)
+            assert got == want, (label, rule)
+
+
+def test_heis3_d6_matches_oracle_boundary():
+    g = CORPUS["heis3"]
+    cx = loday_complex(g, trivial_coefficients(), 6)
+    assert cx.diffs[5] == Matrix.from_rows(oracle_boundary(g.structure, 6))
