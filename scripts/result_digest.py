@@ -1,7 +1,8 @@
 """One sha256 over the values the library computes, for comparing two trees.
 
-Covers the corpus of tests/conftest.py plus seeded random algebras, each
-with every coefficient kind: the Loday chain and cochain complexes (with
+Covers the corpus of tests/conftest.py, seeded random algebras and heis3
+rescaled to structure constants with denominators, each with every
+coefficient kind: the Loday chain and cochain complexes (with
 their cycle and boundary spaces in every degree), the enveloping-algebra
 complexes and projections, the maximal Lie quotient, the minimal
 envelope and modules, the commutator subcomplex, the classical
@@ -51,6 +52,7 @@ from conftest import (  # noqa: E402
     quotient_adjoint_module,
     random_algebra,
     representations_for,
+    rescaled_heis3,
 )
 
 RANDOM_SEEDS = range(6)
@@ -100,6 +102,7 @@ def results(n: int):
     """(label, value) for every hashed result, in a fixed order."""
     algebras = list(CORPUS.items()) + [
         (f"random{s}", random_algebra(random.Random(s))) for s in RANDOM_SEEDS]
+    algebras.append(("heis3 rescaled", rescaled_heis3()))
     for gname, g in algebras:
         qdata = lie_quotient(g)
         yield gname, g

@@ -153,7 +153,8 @@ class Matrix:
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v:
                 sparse[i].append((j, v))
         return Matrix(rows, cols, tuple(tuple(sorted(r)) for r in sparse))

@@ -13,12 +13,19 @@ Four families live here:
 All boundary maps are exact integer/rational matrices and every complex
 is gated on d o d = 0 at construction.
 
-The first and the fourth family share one tensor boundary,
-_tensor_boundary, which runs over a list of tensor words and takes the
-bracket of two letters as a callable: the structure constants of g for
-the tensor-module complex and for fg_subcomplex, the free-algebra
-bracket for the weight blocks.  The commutator subcomplexes restrict
-that boundary to the spans of freealg.CommutatorSpans.
+The tensor-module complex and fg_subcomplex share one boundary builder,
+_product_boundaries.  In itertools.product order a word's index is its
+base-d number, so d_n is built from d_{n-1}: the terms of the slots
+j < n are d_{n-1} (x) id, re-keyed as (R, C) -> (R d + x, C d + x) for
+each last letter x, and only the terms of the last slot are new.  Those
+take a source to its prefix (index // d), with [x_n, x_i] written into
+slot i by an index shift or the action a_n on the coefficient.  The sums
+run over ints scaled by the lcm of the denominators of the structure
+constants and the actions; each distinct sum becomes one Fraction.
+The free-algebra weight blocks order their words by weight, not by
+product order, and keep the per-word _tensor_boundary with the
+free-algebra bracket.  The commutator subcomplexes restrict these
+boundaries to the spans of freealg.CommutatorSpans.
 
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
 
@@ -47,6 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dgla import DGLieAlgebra, minimal_envelope
 from .exactla import (
@@ -327,40 +335,58 @@ def _chain_action(tables: _ActionTables, rule: str):
     return first, later
 
 
-def _tensor_boundary(words: list[tuple], index: dict[tuple, int], bracket, m_dim: int = 1,
-                     first=None, later=None) -> dict[tuple[int, int], Fraction]:
-    """Entries of d: m (x) T^n -> m (x) T^{n-1} on the source words of T^n,
-    all of length n; index numbers the target words.  bracket(a, b) lists
-    the (letter, c) terms of [b, a]; first/later are the chain actions
-    (u, x) -> Vec of the j = 1 and j >= 2 slots, or None."""
-    rows_w, cols_w = len(index), len(words)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for widx, word in enumerate(words):
-        for j in range(1, len(word) + 1):
-            sj = -1 if j % 2 else 1
-            for i in range(1, j):
-                head, tail = word[:i - 1], word[i:j - 1] + word[j:]
-                for k, c in bracket(word[i - 1], word[j - 1]):
-                    r = index[head + (k,) + tail]
-                    for u in range(m_dim):
-                        add_into(entries, (u * rows_w + r, u * cols_w + widx), sj * c)
-            if first is not None:
-                sa = -sj
-                r = index[word[:j - 1] + word[j:]]
-                x = word[j - 1]
+def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, first=None,
+                        later=None):
+    """Entries of d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for n = 1..n_max,
+    on words in itertools.product order with module block u at u d^n, by
+    the last-letter recursion of the module docstring.  first/later are
+    the chain actions (u, x) -> Vec of the j = 1 and j >= 2 slots, or
+    None."""
+    d = g.dim
+    brackets = [(a, b, terms) for a in range(d) for b in range(d)
+                if (terms := [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c])]
+    actions = [] if first is None else [
+        [(x, u, [(u2, c) for u2, c in enumerate(act(u, x)) if c])
+         for x in range(d) for u in range(m_dim)] for act in (first, later)]
+    den = lcm(*(c.denominator for _, _, terms in brackets for _, c in terms),
+              *(c.denominator for table in actions for _, _, vec in table for _, c in vec))
+
+    def scaled(terms):
+        return [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+
+    brackets = [(a, b, scaled(terms)) for a, b, terms in brackets]
+    actions = [[(x, u, scaled(vec)) for x, u, vec in table if vec] for table in actions]
+    prev: dict[tuple[int, int], int] = {}
+    for n in range(1, n_max + 1):
+        rows, cols = d ** (n - 1), d ** n
+        sign = -1 if n % 2 else 1
+        # the slots j < n: d_{n-1} (x) id, one copy per last letter x
+        acc = {(r * d + x, c * d + x): v for (r, c), v in prev.items() for x in range(d)}
+        # slot j = n: [x_n, x_i] into slot i of the prefix, then a_n(m)
+        for i in range(1, n):
+            place = d ** (n - 1 - i)
+            for a, b, terms in brackets:
+                shifted = [((k - a) * place, sign * c) for k, c in terms]
                 for u in range(m_dim):
-                    vec = first(u, x) if j == 1 else later(u, x)
-                    for u2, c in enumerate(vec):
-                        if c:
-                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sa * c)
-    return entries
-
-
-def _structure_bracket(g: LeibnizAlgebra):
-    """bracket(a, b) for _tensor_boundary: the nonzero (k, c) of [e_b, e_a]."""
-    table = {(a, b): [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c]
-             for a in range(g.dim) for b in range(g.dim)}
-    return lambda a, b: table[a, b]
+                    r0, c0 = u * rows, u * cols + b
+                    # the prefixes with letter a in slot i
+                    for start in range(a * place, rows, place * d):
+                        for p in range(start, start + place):
+                            col = c0 + p * d
+                            for delta, v in shifted:
+                                key = (r0 + p + delta, col)
+                                acc[key] = acc.get(key, 0) + v
+        if actions:
+            for x, u, vec in actions[n > 1]:
+                c0 = u * cols + x
+                for u2, c in vec:
+                    r0, v = u2 * rows, -sign * c
+                    for p in range(rows):
+                        key = (r0 + p, c0 + p * d)
+                        acc[key] = acc.get(key, 0) + v
+        prev = {key: v for key, v in acc.items() if v}
+        value = {v: Fraction(v, den) for v in set(prev.values())}
+        yield {key: value[v] for key, v in prev.items()}
 
 
 def _loday(g: LeibnizAlgebra, tables: _ActionTables, n_max: int, raising: bool,
@@ -375,14 +401,8 @@ def _loday(g: LeibnizAlgebra, tables: _ActionTables, n_max: int, raising: bool,
                         for a in _cochain_action(tables, rule or REP_COCHAIN_RULE))
     else:
         first, later = _chain_action(tables, rule or REP_CHAIN_RULE)
-    m_dim = tables.m_dim
-    words = [list(itertools.product(range(g.dim), repeat=n)) for n in range(n_max + 1)]
-    bracket = _structure_bracket(g)
-    dims = [m_dim * len(ws) for ws in words]
-    boundaries = (_tensor_boundary(words[n], {t: i for i, t in enumerate(words[n - 1])},
-                                   bracket, m_dim, first, later)
-                  for n in range(1, n_max + 1))
-    return _complex(dims, boundaries, raising)
+    dims = [tables.m_dim * g.dim ** n for n in range(n_max + 1)]
+    return _complex(dims, _product_boundaries(g, n_max, tables.m_dim, first, later), raising)
 
 
 def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
@@ -736,17 +756,31 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
-def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], bracket,
+def _tensor_boundary(words: list[tuple], index: dict[tuple, int],
+                     bracket) -> dict[tuple[int, int], Fraction]:
+    """Entries of the trivial-coefficient d: T^n -> T^{n-1} on the source
+    words of T^n, all of length n; index numbers the target words and
+    bracket(a, b) lists the (letter, c) terms of [b, a]."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for widx, word in enumerate(words):
+        for j in range(2, len(word) + 1):
+            sj = -1 if j % 2 else 1
+            for i in range(1, j):
+                head, tail = word[:i - 1], word[i:j - 1] + word[j:]
+                for k, c in bracket(word[i - 1], word[j - 1]):
+                    add_into(entries, (index[head + (k,) + tail], widx), sj * c)
+    return entries
+
+
+def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], boundaries,
                         offset: int) -> ChainComplex:
-    """Trivial-coefficient tensor boundary restricted to the commutator
-    spans of the blocks (n, w), one block per degree from offset up."""
+    """The ambient boundaries, one entry map per adjacent pair of blocks
+    (n, w) on the words of spans, restricted to the commutator spans of
+    the blocks, one block per degree from offset up."""
     subs = [spans.span(n, w) for n, w in blocks]
     diffs = []
-    for (n, w), below, src, dst in zip(blocks[1:], blocks, subs[1:], subs):
-        words, targets = spans.words(n, w), spans.words(*below)
-        ambient = Matrix.from_entries(
-            len(targets), len(words),
-            _tensor_boundary(words, {t: i for i, t in enumerate(targets)}, bracket))
+    for (n, w), below, src, dst, entries in zip(blocks[1:], blocks, subs[1:], subs, boundaries):
+        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, w)), entries)
         diffs.append(restrict_map(ambient, src, dst))
     return ChainComplex(offset, tuple(s.dim for s in subs), tuple(diffs), raising=False)
 
@@ -759,9 +793,10 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     the span, which does not happen for genuine Leibniz brackets.
     """
     _require_left(g)
+    # with every letter of weight 1 the blocks (n, n) are in product order
     spans = CommutatorSpans(lambda v: range(g.dim) if v == 1 else ())
     return _commutator_complex(spans, [(n, n) for n in range(n_max + 1)],
-                               _structure_bracket(g), 0)
+                               _product_boundaries(g, n_max), 0)
 
 
 def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
@@ -774,8 +809,11 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
     if spans is None:
         spans = CommutatorSpans(fl.words)
-    return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)],
-                               lambda a, b: fl.bracket_words(a, b).items(), 1)
+    bracket = lambda a, b: fl.bracket_words(a, b).items()
+    boundaries = (_tensor_boundary(spans.words(n, w),
+                                   {t: i for i, t in enumerate(spans.words(n - 1, w))}, bracket)
+                  for n in range(2, w + 1))
+    return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)], boundaries, 1)
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 12, 2: 7}
