@@ -756,11 +756,12 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
-def _tensor_boundary(words: list[tuple], index: dict[tuple, int],
+def _tensor_boundary(words: list[tuple], targets: list[tuple],
                      bracket) -> dict[tuple[int, int], Fraction]:
-    """Entries of the trivial-coefficient d: T^n -> T^{n-1} on the source
-    words of T^n, all of length n; index numbers the target words and
+    """Entries of the trivial-coefficient d: T^n -> T^{n-1} from the source
+    words of T^n, all of length n, to the target words of T^{n-1};
     bracket(a, b) lists the (letter, c) terms of [b, a]."""
+    index = {t: i for i, t in enumerate(targets)}
     entries: dict[tuple[int, int], Fraction] = {}
     for widx, word in enumerate(words):
         for j in range(2, len(word) + 1):
@@ -774,9 +775,9 @@ def _tensor_boundary(words: list[tuple], index: dict[tuple, int],
 
 def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], boundaries,
                         offset: int) -> ChainComplex:
-    """The ambient boundaries, one entry map per adjacent pair of blocks
-    (n, w) on the words of spans, restricted to the commutator spans of
-    the blocks, one block per degree from offset up."""
+    """Restriction of the ambient boundaries, one entry map per adjacent
+    pair of blocks on the words of spans, to the commutator spans of the
+    blocks (n, w), one block per degree from offset up."""
     subs = [spans.span(n, w) for n, w in blocks]
     diffs = []
     for (n, w), below, src, dst, entries in zip(blocks[1:], blocks, subs[1:], subs, boundaries):
@@ -810,8 +811,7 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
     if spans is None:
         spans = CommutatorSpans(fl.words)
     bracket = lambda a, b: fl.bracket_words(a, b).items()
-    boundaries = (_tensor_boundary(spans.words(n, w),
-                                   {t: i for i, t in enumerate(spans.words(n - 1, w))}, bracket)
+    boundaries = (_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), bracket)
                   for n in range(2, w + 1))
     return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)], boundaries, 1)
 
