@@ -66,6 +66,7 @@ from .dgla import (
 from .freealg import (
     FreeLeibnizTruncation,
     NecklaceCountError,
+    RightIdentityError,
     WeightOverflow,
     free_graded_lie_component,
     free_leibniz,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
 from .exactla import CompositionNotZero, NotInvariant, ShapeMismatch, format_scalar, parse_scalar
-from .freealg import NecklaceCountError, WeightOverflow
+from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
@@ -68,7 +68,8 @@ COMMANDS = ("check", "quotient", "homology", "cohomology", "ce-homology",
 # than "the user's file is bad".  They exit 1, like a failed verdict.
 INVARIANT_ERRORS = (DifferentialSquareNonzero, NotAChainMap, NotInvariant,
                     CompositionNotZero, ShapeMismatch, IllDefinedQuotient,
-                    IllDefinedAction, NotInCategory, NecklaceCountError)
+                    IllDefinedAction, NotInCategory, NecklaceCountError,
+                    RightIdentityError)
 
 
 class ParseError(Exception):

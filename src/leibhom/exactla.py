@@ -1,23 +1,25 @@
 """Exact linear algebra over the rationals.
 
-A matrix is stored as its sparse rows: the nonzero (column, Fraction)
-pairs of every row in column order.  That form is canonical, so equality
-and hashing compare it directly; a dense view of the entries is built
-only when a table or a test asks for it.  Products, matrix-vector
-products and zero tests run over the stored pairs only, and subspace
-coordinates and restrictions are sparse products.  Rank, kernels,
-solving and subspace bases all come from one sparse fraction-free
-elimination (structured Gaussian elimination, LaMacchia-Odlyzko 1990):
-rows are integer maps cleared of denominators and divided by their
-content, pivots go in column order with the shortest row first, and an
-optional back-substitution gives the reduced echelon form that canonical
-bases are read from.  A matrix remembers its rank, so a differential
+A matrix is stored as integer rows: row i is (den, ((col, num), ...)),
+the nonzero entries num/den in column order over one positive
+denominator that shares no factor with all the nums.  That form is
+canonical, so equality and hashing compare it directly, and products,
+transposes and zero tests run on ints over the stored pairs only; the
+(column, Fraction) pairs and a dense table of the entries are views
+built only when a table, the vector code or a test asks for them.
+Subspace coordinates and restrictions are sparse products.  Rank,
+kernels, solving and subspace bases all come from one sparse
+fraction-free elimination (structured Gaussian elimination,
+LaMacchia-Odlyzko 1990): rows are integer maps divided by their content,
+pivots go in column order with the shortest row first, and an optional
+back-substitution gives the reduced echelon form that canonical bases
+are read from.  A matrix remembers its rank, so a differential
 shared by two homology degrees is reduced once.  Nothing here rounds, so
 a homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
 everything safe to share between threads.  The cached views are pure
-functions of the sparse rows: they take no part in equality or hashing,
+functions of the integer rows: they take no part in equality or hashing,
 and building one twice gives the same value.
 """
 
@@ -32,6 +34,7 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 SparseRow = tuple[tuple[int, Fraction], ...]
+IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -95,81 +98,101 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return not any(v)
 
 
-def add_into(acc: dict, key, value: Fraction) -> None:
-    """acc[key] += value in a sparse {key: coefficient} map, dropping the
-    key when the sum cancels, so stored coefficients are never zero."""
-    cur = acc.get(key, ZERO) + value
+def add_into(acc: dict, key, value) -> None:
+    """acc[key] += value in a sparse {key: coefficient} map of ints or
+    Fractions, dropping the key when the sum cancels, so stored
+    coefficients are never zero."""
+    cur = acc.get(key, 0) + value
     if cur:
         acc[key] = cur
     else:
         acc.pop(key, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """rows x cols matrix of Fractions stored as sparse rows.
+    """rows x cols rational matrix stored as canonical integer rows.
 
-    sparse_rows[i] holds the nonzero (col, value) pairs of row i, sorted
-    by column, every value a Fraction; the constructors below build that
-    canonical form, which equality and hashing compare.
+    int_rows[i] = (den, ((col, num), ...)) lists the nonzero entries
+    num/den of row i sorted by column, with den > 0 and gcd(den, nums) = 1;
+    every constructor builds that form, which equality and hashing
+    compare.  Matrix(rows, cols, sparse_rows) takes the nonzero (col,
+    value) pairs of every row, values any rationals.
     """
 
     rows: int
     cols: int
-    sparse_rows: tuple[SparseRow, ...]
+    int_rows: tuple[IntRow, ...]
 
-    def __post_init__(self):
-        if len(self.sparse_rows) != self.rows:
-            raise ShapeMismatch(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
-        for srow in self.sparse_rows:
-            if srow and not (0 <= srow[0][0] and srow[-1][0] < self.cols):
-                raise ShapeMismatch(f"column outside a {self.rows}x{self.cols} matrix")
+    def __init__(self, rows: int, cols: int,
+                 sparse_rows: Sequence[Sequence[tuple[int, object]]]):
+        if len(sparse_rows) != rows:
+            raise ShapeMismatch(f"expected {rows} rows, got {len(sparse_rows)}")
+        out = []
+        for srow in sparse_rows:
+            if not all(0 <= j < cols for j, _ in srow):
+                raise ShapeMismatch(f"column outside a {rows}x{cols} matrix")
+            pairs = [(j, x) for j, x in ((j, _rational(x)) for j, x in srow) if x]
+            pairs.sort()
+            out.append(_int_row(pairs))
+        self.__dict__.update(rows=rows, cols=cols, int_rows=tuple(out))
+
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """The nonzero (col, Fraction) pairs of every row, built on first use."""
+        return tuple(tuple((j, Fraction(x, den)) for j, x in row) for den, row in self.int_rows)
 
     @cached_property
     def entries(self) -> tuple[Vec, ...]:
         """Dense rows of Fractions, built on first use."""
         zero_row = (ZERO,) * self.cols
         dense = []
-        for srow in self.sparse_rows:
-            row = list(zero_row)
-            for j, x in srow:
-                row[j] = x
-            dense.append(tuple(row))
+        for den, row in self.int_rows:
+            out = list(zero_row)
+            for j, x in row:
+                out[j] = Fraction(x, den)
+            dense.append(tuple(out))
         return tuple(dense)
-
-    @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Every row as (den, ((col, num), ...)), see _clear."""
-        return tuple(map(_clear, self.sparse_rows))
 
     @cached_property
     def _rank(self) -> int:
         return rank(self)
 
     @staticmethod
-    def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "Matrix":
-        """Build from a sparse {(i, j): value} mapping; absent entries are 0."""
-        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
+    def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], object],
+                     den: int = 1) -> "Matrix":
+        """Build from a sparse {(i, j): value} mapping, every value divided
+        by den; absent entries are 0.  Int values with a common den build
+        the integer rows without any Fraction."""
+        if not den:
+            raise ZeroDivisionError("from_entries with den=0")
+        sparse: list[list[tuple[int, object]]] = [[] for _ in range(rows)]
+        rational = False
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if type(v) is not Fraction:
-                v = Fraction(v)
+            if type(v) is not int:
+                v = _rational(v)
+                rational = True
             if v:
                 sparse[i].append((j, v))
-        return Matrix(rows, cols, tuple(tuple(sorted(r)) for r in sparse))
+        for row in sparse:
+            row.sort()
+        if rational:
+            return _matrix(rows, cols, tuple(_int_row(row, den) for row in sparse))
+        return _matrix(rows, cols, tuple(_canon(den, row) for row in sparse))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, ((),) * rows)
+        return _matrix(rows, cols, ((1, ()),) * rows)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(((i, ONE),) for i in range(n)))
+        return _matrix(n, n, tuple((1, ((i, 1),)) for i in range(n)))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        data = [tuple(map(Fraction, row)) for row in rows]
+        data = [tuple(map(_rational, row)) for row in rows]
         ncols = len(data[0]) if data else 0
         for row in data:
             if len(row) != ncols:
@@ -178,7 +201,7 @@ class Matrix:
 
     @staticmethod
     def from_columns(nrows: int, columns: Iterable[Sequence]) -> "Matrix":
-        cols = [tuple(map(Fraction, c)) for c in columns]
+        cols = [tuple(map(_rational, c)) for c in columns]
         for c in cols:
             if len(c) != nrows:
                 raise ShapeMismatch(f"column of length {len(c)}, expected {nrows}")
@@ -190,10 +213,11 @@ class Matrix:
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        dv, pairs = _clear(list(enumerate(v)))
-        w = [x for _, x in pairs]
+        v = [_rational(x) for x in v]
+        dv = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (dv // x.denominator) for x in v]
         out = []
-        for den, row in self._integer_rows:
+        for den, row in self.int_rows:
             acc = 0
             for j, a in row:
                 acc += a * w[j]
@@ -205,31 +229,44 @@ class Matrix:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         # row i of the product is sum_k a_ik/da * (row k of other)/db_k:
         # scale every term to the lcm of the db_k and add integers
-        orows = other._integer_rows
+        orows = other.int_rows
+        dens = None if all(db == 1 for db, _ in orows) else [db for db, _ in orows]
         out = []
-        for da, row in self._integer_rows:
-            den = lcm(*(orows[k][0] for k, _ in row))
+        for da, row in self.int_rows:
+            den = 1 if dens is None else lcm(*[dens[k] for k, _ in row])
             acc: dict[int, int] = {}
+            get = acc.get
             for k, a in row:
                 db, orow = orows[k]
-                a *= den // db
+                if db != den:
+                    a *= den // db
                 for j, b in orow:
-                    acc[j] = acc.get(j, 0) + a * b
-            den *= da
-            out.append(tuple(sorted((j, Fraction(x, den)) for j, x in acc.items() if x)))
-        return Matrix(self.rows, other.cols, tuple(out))
+                    acc[j] = get(j, 0) + a * b
+            pairs = [item for item in acc.items() if item[1]]
+            pairs.sort()
+            out.append(_canon(da * den, pairs))
+        return _matrix(self.rows, other.cols, tuple(out))
 
     __matmul__ = mul
 
     def transpose(self) -> "Matrix":
-        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
-        for i, srow in enumerate(self.sparse_rows):
-            for j, x in srow:
-                sparse[j].append((i, x))
-        return Matrix(self.cols, self.rows, tuple(map(tuple, sparse)))
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, (_, row) in enumerate(self.int_rows):
+            for j, x in row:
+                columns[j].append((i, x))
+        # column j holds x_ij/d_i: bring it to the lcm of those d_i
+        dens = [den for den, _ in self.int_rows]
+        out = []
+        for col in columns:
+            den = lcm(*(dens[i] for i, _ in col))
+            if den == 1:
+                out.append((1, tuple(col)))
+            else:
+                out.append(_canon(den, [(i, x * (den // dens[i])) for i, x in col]))
+        return _matrix(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(row for _, row in self.int_rows)
 
     def entries_dict(self) -> dict[tuple[int, int], Fraction]:
         return {(i, j): a for i, srow in enumerate(self.sparse_rows) for j, a in srow}
@@ -239,21 +276,49 @@ class Matrix:
         return self._rank
 
 
+def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
+    """A Matrix of rows already in the canonical integer form."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(rows=rows, cols=cols, int_rows=int_rows)
+    return m
+
+
+def _rational(x) -> int | Fraction:
+    """x itself if it is an int or a Fraction, else Fraction(x)."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 def _nonzero(values: Sequence[Fraction]) -> SparseRow:
     """The nonzero (index, value) pairs of a dense vector."""
     return tuple((j, x) for j, x in enumerate(values) if x)
 
 
-def _clear(pairs: Sequence[tuple[int, Fraction]]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(den, ((col, num), ...)) with every value == num / den, den the lcm
-    of the denominators (ints count as denominator 1)."""
-    den = lcm(*(x.denominator for _, x in pairs))
-    return den, tuple((j, x.numerator * (den // x.denominator)) for j, x in pairs)
+def _canon(den: int, pairs: Sequence[tuple[int, int]]) -> IntRow:
+    """The canonical row of the values num/den, from column-sorted pairs
+    of nonzero int nums: divided by gcd(den, nums) with the sign in the
+    nums."""
+    if den == 1:
+        return 1, tuple(pairs)
+    g = gcd(den, *[x for _, x in pairs])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, tuple(pairs)
+    return den // g, tuple((j, x // g) for j, x in pairs)
 
 
-def _row(pairs: Sequence[tuple[int, Fraction]]) -> dict[int, int]:
+def _int_row(pairs: Sequence[tuple[int, int | Fraction]], den: int = 1) -> IntRow:
+    """The canonical row of the values x/den, from column-sorted pairs of
+    nonzero ints or Fractions x."""
+    d = lcm(*(x.denominator for _, x in pairs))
+    return _canon(den * d, [(j, x.numerator * (d // x.denominator)) for j, x in pairs])
+
+
+def _row(pairs: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
     """The (col, value) pairs as a primitive integer row without zeros."""
-    return _primitive({j: x for j, x in _clear(pairs)[1] if x})
+    pairs = [(j, x) for j, x in pairs if x]
+    d = lcm(*(x.denominator for _, x in pairs))
+    return _primitive({j: x.numerator * (d // x.denominator) for j, x in pairs})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -320,7 +385,7 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int, last: bool = False,
 
 def rank(m: Matrix) -> int:
     """Rank by sparse fraction-free elimination (_echelon), forward only."""
-    return len(_echelon([_primitive(dict(row)) for _, row in m._integer_rows], m.cols))
+    return len(_echelon([_primitive(dict(row)) for _, row in m.int_rows], m.cols))
 
 
 @dataclass(frozen=True)
@@ -371,14 +436,7 @@ class Subspace:
             if c and not all(0 <= i < ambient_dim for i, _ in c):
                 raise ShapeMismatch(f"vector index outside ambient dimension {ambient_dim}")
             rows.append(_row(c))
-        # the reduced rows, scaled to 1 at their pivots, are the basis columns
-        red = _echelon(rows, ambient_dim, reduce=True)
-        sparse: list[list[tuple[int, Fraction]]] = [[] for _ in range(ambient_dim)]
-        for k, (p, row) in enumerate(red.items()):
-            for i, x in row.items():
-                sparse[i].append((k, Fraction(x, row[p])))
-        basis = Matrix(ambient_dim, len(red), tuple(map(tuple, sparse)))
-        return Subspace(ambient_dim, basis, tuple(red))
+        return _span(ambient_dim, rows)
 
     def column_coords(self, m: Matrix) -> Matrix | None:
         """Coordinates of the columns of m in the echelon basis, or None if
@@ -386,7 +444,7 @@ class Subspace:
         if the basis times them gives m back."""
         if m.rows != self.ambient_dim:
             raise ShapeMismatch(f"{m.rows}x{m.cols} matrix in ambient dimension {self.ambient_dim}")
-        c = Matrix(self.dim, m.cols, tuple(m.sparse_rows[p] for p in self.pivots))
+        c = _matrix(self.dim, m.cols, tuple(m.int_rows[p] for p in self.pivots))
         return c if self.basis @ c == m else None
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
@@ -398,25 +456,37 @@ class Subspace:
         return self.coords(v) is not None
 
 
+def _span(ambient_dim: int, rows: Iterable[dict[int, int]]) -> Subspace:
+    """The span of primitive integer rows, as a canonical Subspace."""
+    red = _echelon(rows, ambient_dim, reduce=True)
+    # the reduced rows over their pivot values are the basis columns
+    columns = tuple(_canon(row[p], sorted(row.items())) for p, row in red.items())
+    return Subspace(ambient_dim, _matrix(len(red), ambient_dim, columns).transpose(),
+                    tuple(red))
+
+
 def quotient_projection(sub: Subspace) -> Matrix:
     """Canonical projection k^n -> k^(n-dim) with kernel exactly `sub`.
 
     Coordinates on the quotient are the ambient coordinates complementary
     to the pivot rows of the echelon basis.
     """
-    basis_rows = sub.basis.sparse_rows
-    rows = tuple(tuple(sorted([(c, ONE)] + [(sub.pivots[i], -x) for i, x in basis_rows[c]]))
-                 for c in sub.complement)
-    return Matrix(len(rows), sub.ambient_dim, rows)
+    rows = []
+    for c in sub.complement:
+        # e_c minus row c of the basis read at the pivots; den is also
+        # the num at c, so the row stays canonical
+        den, row = sub.basis.int_rows[c]
+        rows.append((den, tuple(sorted([(c, den)] + [(sub.pivots[i], -x) for i, x in row]))))
+    return _matrix(len(rows), sub.ambient_dim, tuple(rows))
 
 
 def quotient_section(sub: Subspace) -> Matrix:
     """Right inverse of quotient_projection picking complementary coordinates."""
     comp = sub.complement
-    rows: list[SparseRow] = [()] * sub.ambient_dim
+    rows: list[IntRow] = [(1, ())] * sub.ambient_dim
     for j, c in enumerate(comp):
-        rows[c] = ((j, ONE),)
-    return Matrix(sub.ambient_dim, len(comp), tuple(rows))
+        rows[c] = (1, ((j, 1),))
+    return _matrix(sub.ambient_dim, len(comp), tuple(rows))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -426,22 +496,28 @@ def kernel_basis(m: Matrix) -> Subspace:
     has p above its free columns f, and e_f - sum (b_f / a) e_p, the kernel
     vector of f, starts at f and is 0 at the other free columns: these
     vectors are already the canonical basis."""
-    red = _echelon([_primitive(dict(row)) for _, row in m._integer_rows], m.cols,
+    red = _echelon([_primitive(dict(row)) for _, row in m.int_rows], m.cols,
                    last=True, reduce=True)
     free = [c for c in range(m.cols) if c not in red]
     index = {f: i for i, f in enumerate(free)}
-    sparse = [((index[c], ONE),) if c in index else
-              tuple(sorted((index[f], Fraction(-x, red[c][c]))
-                           for f, x in red[c].items() if f != c))
-              for c in range(m.cols)]
-    return Subspace(m.cols, Matrix(m.cols, len(free), tuple(sparse)), tuple(free))
+    rows = tuple((1, ((index[c], 1),)) if c in index else
+                 _canon(red[c][c], sorted((index[f], -x) for f, x in red[c].items() if f != c))
+                 for c in range(m.cols))
+    return Subspace(m.cols, _matrix(m.cols, len(free), rows), tuple(free))
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One solution of a x = b (free variables set to 0), or None."""
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
-    aug = [_row(srow + ((a.cols, Fraction(x)),)) for srow, x in zip(a.sparse_rows, b)]
+    aug = []
+    for (den, row), x in zip(a.int_rows, b):
+        # row . y / den = p/q  <=>  q row . y = den p
+        x = _rational(x)
+        r = {j: v * x.denominator for j, v in row}
+        if x:
+            r[a.cols] = den * x.numerator
+        aug.append(_primitive(r))
     red = _echelon(aug, a.cols + 1, reduce=True)
     if a.cols in red:
         return None
@@ -452,7 +528,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 
 
 def column_span(m: Matrix) -> Subspace:
-    return Subspace.from_sparse_columns(m.rows, m.transpose().sparse_rows)
+    return _span(m.rows, [_primitive(dict(row)) for _, row in m.transpose().int_rows])
 
 
 def homology_dimension(d_out: Matrix, d_in: Matrix) -> int:

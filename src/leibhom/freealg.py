@@ -16,7 +16,8 @@ general case unfolds through the right identity
 
 Everything is truncated at a maximum weight; brackets that would exceed
 it raise WeightOverflow.  The free left Leibniz algebra is the opposite,
-so [u, v] on the left is bracket(v, u) here.
+so [u, v] on the left is bracket(v, u) here.  Its structure constants
+are integers, so elements and spans are computed over ints.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactla import ONE, Subspace, add_into
+from .exactla import Subspace, add_into
 
-Element = dict[tuple, Fraction]
+# word -> coefficient, an int for everything built here
+Element = dict[tuple, int | Fraction]
 
 
 class WeightOverflow(Exception):
@@ -38,7 +40,13 @@ class NecklaceCountError(ArithmeticError):
     internal fault, never a property of the input."""
 
 
-def scale_element(elem: Element, c: Fraction) -> Element:
+class RightIdentityError(ArithmeticError):
+    """The free bracket breaks the right Leibniz identity on generators:
+    an internal fault in the unfolding recursion, never a property of the
+    input."""
+
+
+def scale_element(elem: Element, c: int | Fraction) -> Element:
     if not c:
         return {}
     return {w: c * v for w, v in elem.items()}
@@ -133,7 +141,8 @@ class CommutatorSpans:
         return self._span(n, w)[0]
 
     def _span(self, n: int, w: int) -> tuple[Subspace, list[Element]]:
-        """The span of block (n, w) and its basis as elements."""
+        """The span of block (n, w) and primitive integer vectors spanning
+        it, as elements: the basis columns times their denominators."""
         key = (n, w)
         if key in self._spans:
             return self._spans[key]
@@ -146,11 +155,11 @@ class CommutatorSpans:
             for v in range(1, w - n + 2):
                 for c in self._span(n - 1, w - v)[1]:
                     for y in self.letters(v):
-                        br = graded_commutator(c, {(y,): ONE})
+                        br = graded_commutator(c, {(y,): 1})
                         if br:
                             spanning.append([(index[t], x) for t, x in br.items()])
             sub = Subspace.from_sparse_columns(len(words), spanning)
-        elems = [{words[i]: x for i, x in col} for col in sub.basis.transpose().sparse_rows]
+        elems = [{words[i]: x for i, x in col} for _, col in sub.basis.transpose().int_rows]
         self._spans[key] = (sub, elems)
         return self._spans[key]
 
@@ -195,16 +204,16 @@ class FreeLeibnizTruncation:
             raise WeightOverflow(
                 f"weight {len(a)} + {len(b)} exceeds the truncation {self.max_weight}")
         if len(b) == 1:
-            return {a + b: ONE}
+            return {a + b: 1}
         key = (a, b)
         got = self._memo.get(key)
         if got is not None:
             return got
         head, last = b[:-1], b[-1:]
         # [a, [head, v]] = [[a, head], v] - [[a, v], head]
-        t1 = self.bracket(self.bracket_words(a, head), {last: ONE})
-        t2 = self.bracket(self.bracket_words(a, last), {head: ONE})
-        out = add_elements(t1, scale_element(t2, Fraction(-1)))
+        t1 = self.bracket(self.bracket_words(a, head), {last: 1})
+        t2 = self.bracket(self.bracket_words(a, last), {head: 1})
+        out = add_elements(t1, scale_element(t2, -1))
         self._memo[key] = out
         return out
 
@@ -224,18 +233,19 @@ class FreeLeibnizTruncation:
         # right identity on all generator triples; cheap and catches any
         # slip in the unfolding recursion before it contaminates a run
         for i in range(self.num_generators):
-            a = {(i,): ONE}
+            a = {(i,): 1}
             for j in range(self.num_generators):
-                b = {(j,): ONE}
+                b = {(j,): 1}
                 for k in range(self.num_generators):
-                    c = {(k,): ONE}
+                    c = {(k,): 1}
                     lhs = self.bracket(a, self.bracket(b, c))
                     rhs = add_elements(
                         self.bracket(self.bracket(a, b), c),
-                        scale_element(self.bracket(self.bracket(a, c), b), Fraction(-1)),
+                        scale_element(self.bracket(self.bracket(a, c), b), -1),
                     )
                     if lhs != rhs:
-                        raise AssertionError(f"right identity fails on generators {i},{j},{k}")
+                        raise RightIdentityError(
+                            f"right identity fails on generators {i},{j},{k}")
 
 
 def free_leibniz(num_generators: int, max_weight: int) -> FreeLeibnizTruncation:

@@ -20,11 +20,11 @@ j < n are d_{n-1} (x) id, re-keyed as (R, C) -> (R d + x, C d + x) for
 each last letter x, and only the terms of the last slot are new.  Those
 take a source to its prefix (index // d), with [x_n, x_i] written into
 slot i by an index shift or the action a_n on the coefficient.  The sums
-run over ints scaled by the lcm of the denominators of the structure
-constants and the actions; each distinct sum becomes one Fraction.
+run over ints scaled by D, the lcm of the denominators of the structure
+constants and the actions, and reach the matrix as ints over D.
 The free-algebra weight blocks order their words by weight, not by
 product order, and keep the per-word _tensor_boundary with the
-free-algebra bracket.  The commutator subcomplexes restrict these
+free-algebra bracket, whose constants are ints.  The commutator subcomplexes restrict these
 boundaries to the spans of freealg.CommutatorSpans.
 
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
@@ -190,20 +190,20 @@ class ChainComplex:
 
 
 def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
-    """ChainComplex in degrees 0..len(dims)-1 from the sparse entries of
-    each boundary C_n -> C_{n-1}, n = 1, 2, ...
+    """ChainComplex in degrees 0..len(dims)-1 from (entries, den) for each
+    boundary C_n -> C_{n-1}, n = 1, 2, ...: its sparse entries times den.
 
     raising=True gives the dual cochain complex: the keys of every entry
     map are swapped, which transposes C_n -> C_{n-1} into the coboundary
     C^{n-1} -> C^n before anything is densified.
     """
     diffs = []
-    for n, entries in enumerate(boundaries, start=1):
+    for n, (entries, den) in enumerate(boundaries, start=1):
         rows, cols = dims[n - 1], dims[n]
         if raising:
             rows, cols = cols, rows
             entries = {(c, r): v for (r, c), v in entries.items()}
-        diffs.append(Matrix.from_entries(rows, cols, entries))
+        diffs.append(Matrix.from_entries(rows, cols, entries, den=den))
     return ChainComplex(0, tuple(dims), tuple(diffs), raising=raising)
 
 
@@ -337,11 +337,11 @@ def _chain_action(tables: _ActionTables, rule: str):
 
 def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, first=None,
                         later=None):
-    """Entries of d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for n = 1..n_max,
-    on words in itertools.product order with module block u at u d^n, by
-    the last-letter recursion of the module docstring.  first/later are
-    the chain actions (u, x) -> Vec of the j = 1 and j >= 2 slots, or
-    None."""
+    """(int entries, D) of d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for
+    n = 1..n_max, the entries over D, on words in itertools.product order
+    with module block u at u d^n, by the last-letter recursion of the
+    module docstring.  first/later are the chain actions (u, x) -> Vec of
+    the j = 1 and j >= 2 slots, or None."""
     d = g.dim
     brackets = [(a, b, terms) for a in range(d) for b in range(d)
                 if (terms := [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c])]
@@ -385,8 +385,7 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, first=Non
                         key = (r0 + p, c0 + p * d)
                         acc[key] = acc.get(key, 0) + v
         prev = {key: v for key, v in acc.items() if v}
-        value = {v: Fraction(v, den) for v in set(prev.values())}
-        yield {key: value[v] for key, v in prev.items()}
+        yield prev, den
 
 
 def _loday(g: LeibnizAlgebra, tables: _ActionTables, n_max: int, raising: bool,
@@ -541,7 +540,7 @@ def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
         return entries
 
     dims = [m * len(ws) for ws in mons]
-    return _complex(dims, map(boundary, range(1, n_max + 1)), raising)
+    return _complex(dims, ((boundary(n), 1) for n in range(1, n_max + 1)), raising)
 
 
 def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
@@ -612,7 +611,7 @@ def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int
         return entries
 
     dims = [m * len(ws) for ws in mons]
-    return _complex(dims, map(boundary, range(1, n_max + 1)), raising)
+    return _complex(dims, ((boundary(n), 1) for n in range(1, n_max + 1)), raising)
 
 
 def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
@@ -757,31 +756,35 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 
 
 def _tensor_boundary(words: list[tuple], targets: list[tuple],
-                     bracket) -> dict[tuple[int, int], Fraction]:
+                     bracket) -> dict[tuple[int, int], int]:
     """Entries of the trivial-coefficient d: T^n -> T^{n-1} from the source
     words of T^n, all of length n, to the target words of T^{n-1};
-    bracket(a, b) lists the (letter, c) terms of [b, a]."""
+    bracket(a, b) maps each letter k to the int c_k of [b, a]."""
     index = {t: i for i, t in enumerate(targets)}
-    entries: dict[tuple[int, int], Fraction] = {}
+    acc: dict[tuple[int, int], int] = {}
     for widx, word in enumerate(words):
         for j in range(2, len(word) + 1):
             sj = -1 if j % 2 else 1
+            b, rest = word[j - 1], word[j:]
             for i in range(1, j):
-                head, tail = word[:i - 1], word[i:j - 1] + word[j:]
-                for k, c in bracket(word[i - 1], word[j - 1]):
-                    add_into(entries, (index[head + (k,) + tail], widx), sj * c)
-    return entries
+                head, tail = word[:i - 1], word[i:j - 1] + rest
+                for k, c in bracket(word[i - 1], b).items():
+                    key = (index[head + (k,) + tail], widx)
+                    acc[key] = acc.get(key, 0) + sj * c
+    return {key: v for key, v in acc.items() if v}
 
 
 def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], boundaries,
                         offset: int) -> ChainComplex:
-    """Restriction of the ambient boundaries, one entry map per adjacent
-    pair of blocks on the words of spans, to the commutator spans of the
-    blocks (n, w), one block per degree from offset up."""
+    """Restriction of the ambient boundaries, one (entries, den) per
+    adjacent pair of blocks on the words of spans, to the commutator spans
+    of the blocks (n, w), one block per degree from offset up."""
     subs = [spans.span(n, w) for n, w in blocks]
     diffs = []
-    for (n, w), below, src, dst, entries in zip(blocks[1:], blocks, subs[1:], subs, boundaries):
-        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, w)), entries)
+    for (n, w), below, src, dst, (entries, den) in zip(blocks[1:], blocks, subs[1:], subs,
+                                                      boundaries):
+        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, w)), entries,
+                                      den=den)
         diffs.append(restrict_map(ambient, src, dst))
     return ChainComplex(offset, tuple(s.dim for s in subs), tuple(diffs), raising=False)
 
@@ -810,8 +813,7 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
     if spans is None:
         spans = CommutatorSpans(fl.words)
-    bracket = lambda a, b: fl.bracket_words(a, b).items()
-    boundaries = (_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), bracket)
+    boundaries = ((_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), fl.bracket_words), 1)
                   for n in range(2, w + 1))
     return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)], boundaries, 1)
 

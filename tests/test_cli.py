@@ -4,6 +4,7 @@ import pytest
 
 from leibhom import cli
 from leibhom.exactla import Matrix
+from leibhom.freealg import FreeLeibnizTruncation
 from leibhom.homology import ChainComplex, DifferentialSquareNonzero
 
 
@@ -362,6 +363,19 @@ def test_mis_shaped_complex_maps_to_exit_one(a2_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "loday_complex", misshaped)
     assert cli.entrypoint(["homology", a2_path, "--max-degree", "1"]) == 1
     assert "invariant violation (ShapeMismatch)" in capsys.readouterr().err
+
+
+def test_broken_free_bracket_maps_to_exit_one(capsys, monkeypatch):
+    # a free bracket that drops every term of the unfolding breaks the
+    # right identity, which the truncation checks before any weight runs
+    real = FreeLeibnizTruncation.bracket_words
+
+    def broken(self, a, b):
+        return real(self, a, b) if len(b) == 1 else {}
+
+    monkeypatch.setattr(FreeLeibnizTruncation, "bracket_words", broken)
+    assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
+    assert "invariant violation (RightIdentityError)" in capsys.readouterr().err
 
 
 HEIS3_DOC = {

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -132,22 +133,56 @@ def test_restrict_map_happy_and_sad():
         restrict_map(swap, line, line)
 
 
+def assert_canonical(m):
+    """Every row (den, ((col, num), ...)) has an int den > 0 sharing no
+    factor with all of its nonzero int nums, in strictly rising columns."""
+    assert len(m.int_rows) == m.rows
+    for den, row in m.int_rows:
+        assert type(den) is int and den > 0
+        assert all(type(x) is int and x for _, x in row)
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+        assert all(0 <= j < m.cols for j, _ in row)
+        assert gcd(den, *(x for _, x in row)) == 1
+
+
 def test_every_constructor_stores_canonical_sparse_rows():
     want = ((Fraction(1), Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(3), Fraction(0)))
     built = [
         Matrix.from_rows([[1, 0, Fraction(-1, 2)], [0, 3, 0]]),
         Matrix.from_entries(2, 3, {(0, 2): Fraction(-1, 2), (1, 1): 3, (0, 0): 1, (1, 0): 0}),
+        # ints over a common denominator, positive or negative
+        Matrix.from_entries(2, 3, {(0, 0): 6, (0, 2): -3, (1, 1): 18, (1, 2): 0}, den=6),
+        Matrix.from_entries(2, 3, {(0, 0): -6, (0, 2): 3, (1, 1): -18}, den=-6),
         Matrix.from_columns(2, [(1, 0), (0, 3), (Fraction(-1, 2), 0)]),
         Matrix.from_rows(want).transpose().transpose(),
         Matrix.identity(2) @ Matrix.from_rows(want) @ Matrix.identity(3),
         # the product cancels to an explicit zero at (0, 1)
         Matrix.from_rows([[1, 2], [0, 1]]) @ Matrix.from_rows([[1, -6, Fraction(-1, 2)], [0, 3, 0]]),
+        # row 0 sums to 6/6 at column 0 and -3/6 at column 2: its content 3
+        # cancels against the denominator 6, and column 1 cancels to 0
+        Matrix.from_rows([[Fraction(1, 3), Fraction(2, 3)], [0, 1]])
+        @ Matrix.from_rows([[3, -6, Fraction(-3, 2)], [0, 3, 0]]),
     ]
     for m in built:
+        assert m.int_rows == ((2, ((0, 2), (2, -1))), (1, ((1, 3),)))
         assert m.sparse_rows == (((0, 1), (2, Fraction(-1, 2))), ((1, 3),))
         assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
         assert m == built[0] and hash(m) == hash(built[0])
         assert m.entries == want
+    # rows over different denominators share a column's lcm once transposed
+    mixed = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(4, 9), 6]])
+    assert mixed.transpose().int_rows == ((18, ((0, 9), (1, 8))), (3, ((0, -2), (1, 18))))
+    assert mixed.transpose().transpose() == mixed
+    assert hash(mixed.transpose().transpose()) == hash(mixed)
+    # pivot values -2 and -3 in the reduced rows: each basis column is
+    # stored over a positive denominator, in its rows and in the transpose
+    sub = Subspace.from_sparse_columns(3, [[(2, 1), (0, -2)], [(1, Fraction(-3, 2))]])
+    assert sub.pivots == (0, 1)
+    assert sub.basis.int_rows == ((1, ((0, 1),)), (1, ((1, 1),)), (2, ((0, -1),)))
+    assert sub.basis.transpose().int_rows == ((2, ((0, 2), (2, -1))), (1, ((1, 1),)))
+    assert sub.basis == Matrix.from_rows([[1, 0], [0, 1], [Fraction(-1, 2), 0]])
+    for m in built + [mixed, mixed.transpose(), sub.basis, sub.basis.transpose()]:
+        assert_canonical(m)
     for rows, cols in [(2, 3), (0, 3), (3, 0)]:
         zeros = Matrix.zeros(rows, cols)
         assert zeros.sparse_rows == ((),) * rows
@@ -320,6 +355,28 @@ def test_mul_and_apply_match_naive_loops(a, data):
     got = a.apply(ints)
     assert got == naive_apply(a, ints)
     assert all(isinstance(x, Fraction) for x in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.integers(-5, 5).filter(bool))
+def test_one_matrix_from_every_constructor_is_one_value(m, scale):
+    """The same rational matrix by from_rows, from_entries with and
+    without den, and identity @ m: equal values, equal hashes, canonical."""
+    dense = m.entries
+    values = {(i, j): x for i, r in enumerate(dense) for j, x in enumerate(r)}
+    den = scale * lcm(*(x.denominator for x in values.values()))
+    built = [
+        Matrix.from_entries(m.rows, m.cols, values),
+        Matrix.from_entries(m.rows, m.cols, {k: int(x * den) for k, x in values.items()}, den=den),
+        Matrix.identity(m.rows) @ m,
+        m @ Matrix.identity(m.cols),
+    ]
+    if m.rows:
+        built.append(Matrix.from_rows(dense))
+    for b in built:
+        assert_canonical(b)
+        assert b == m and hash(b) == hash(m)
+        assert b.entries == dense
 
 
 def test_rank_of_heis3_degree6_boundary_matches_oracle():

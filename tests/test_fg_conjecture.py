@@ -1,5 +1,10 @@
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
+from leibhom import homology
 from leibhom.freealg import FreeLeibnizTruncation, witt_dim
 from leibhom.homology import (
     DEFAULT_WEIGHT_BUDGET,
@@ -79,3 +84,75 @@ def test_report_failures_empty_on_pass():
     rep = conjecture_check(1, 4)
     assert rep.failures == ()
     assert all(v.ok for v in rep.weights)
+
+
+# --- the weight blocks' ambient boundaries entry for entry against the
+# --- per-word builder in Fraction arithmetic, with its own free bracket
+
+
+@lru_cache(maxsize=None)
+def oracle_free_bracket(a, b):
+    """[a, b] of the free right Leibniz algebra on left-normed words, as
+    ((word, Fraction), ...): bracketing by a letter appends it, and
+    [a, [h, v]] = [[a, h], v] - [[a, v], h] unfolds the rest."""
+    if len(b) == 1:
+        return ((a + b, Fraction(1)),)
+    head, last = b[:-1], b[-1:]
+    out = {}
+    for w, c in oracle_free_bracket(a, head):
+        out[w + last] = out.get(w + last, Fraction(0)) + c
+    for w, c in oracle_free_bracket(a + last, head):
+        out[w] = out.get(w, Fraction(0)) - c
+    return tuple((w, c) for w, c in out.items() if c)
+
+
+def oracle_weight_boundary(words, targets):
+    """The per-word tensor boundary T^n -> T^{n-1} over Fractions: the sum
+    over i < j of (-1)^j with [x_j, x_i] written into slot i and slot j
+    removed, [x_j, x_i] being the free right bracket of x_i with x_j."""
+    index = {t: i for i, t in enumerate(targets)}
+    entries = {}
+    for widx, word in enumerate(words):
+        for j in range(2, len(word) + 1):
+            sj = Fraction(-1 if j % 2 else 1)
+            for i in range(1, j):
+                head, tail = word[:i - 1], word[i:j - 1] + word[j:]
+                for k, c in oracle_free_bracket(word[i - 1], word[j - 1]):
+                    key = (index[head + (k,) + tail], widx)
+                    entries[key] = entries.get(key, Fraction(0)) + sj * c
+    return {key: v for key, v in entries.items() if v}
+
+
+def oracle_block_words(d, n, w):
+    """Words of n letters of total weight w, each letter a word on d
+    generators: by the first letter's weight, then its product order."""
+    if n == 0:
+        return [()] if w == 0 else []
+    return [(y,) + rest for v in range(1, w - n + 2)
+            for y in itertools.product(range(d), repeat=v)
+            for rest in oracle_block_words(d, n - 1, w - v)]
+
+
+@pytest.mark.parametrize("d, top", [(1, 6), (2, 5), (3, 4)])
+def test_weight_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
+    seen = []
+    real = homology._commutator_complex
+
+    def record(spans, blocks, boundaries, offset):
+        boundaries = list(boundaries)
+        seen.append((spans, blocks, boundaries))
+        return real(spans, blocks, boundaries, offset)
+
+    monkeypatch.setattr(homology, "_commutator_complex", record)
+    fl = FreeLeibnizTruncation(d, top)
+    for w in range(1, top + 1):
+        fg_weight_complex(fl, w)
+    assert len(seen) == top
+    for w, (spans, blocks, boundaries) in enumerate(seen, start=1):
+        assert blocks == [(n, w) for n in range(1, w + 1)]
+        for n in range(w + 1):
+            assert spans.words(n, w) == oracle_block_words(d, n, w), (w, n)
+        assert len(boundaries) == w - 1
+        for n, (entries, den) in enumerate(boundaries, start=2):
+            got = {key: Fraction(v, den) for key, v in entries.items()}
+            assert got == oracle_weight_boundary(spans.words(n, w), spans.words(n - 1, w)), (w, n)

@@ -539,11 +539,12 @@ def oracle_loday_boundaries(g, m_dim, first, later, n_max):
 
 
 def recorded_boundaries(monkeypatch, build, *args, **kwargs):
-    """The entry maps a builder hands to _complex, before any gate."""
+    """The entry maps a builder hands to _complex, before any gate, as
+    Fractions: each int entry over its boundary's denominator."""
     seen = []
 
     def record(dims, boundaries, raising):
-        seen.append([dict(e) for e in boundaries])
+        seen.append([{key: Fraction(v, den) for key, v in e.items()} for e, den in boundaries])
 
     monkeypatch.setattr(homology, "_complex", record)
     build(*args, **kwargs)
