@@ -130,9 +130,13 @@ class Matrix:
             raise ShapeMismatch(f"expected {rows} rows, got {len(sparse_rows)}")
         out = []
         for srow in sparse_rows:
-            if not all(0 <= j < cols for j, _ in srow):
-                raise ShapeMismatch(f"column outside a {rows}x{cols} matrix")
-            pairs = [(j, x) for j, x in ((j, _rational(x)) for j, x in srow) if x]
+            pairs = []
+            for j, x in srow:
+                if not 0 <= j < cols:
+                    raise ShapeMismatch(f"column outside a {rows}x{cols} matrix")
+                x = _rational(x)
+                if x:
+                    pairs.append((j, x))
             pairs.sort()
             out.append(_int_row(pairs))
         self.__dict__.update(rows=rows, cols=cols, int_rows=tuple(out))
@@ -256,9 +260,10 @@ class Matrix:
                 columns[j].append((i, x))
         # column j holds x_ij/d_i: bring it to the lcm of those d_i
         dens = [den for den, _ in self.int_rows]
+        integral = all(den == 1 for den in dens)
         out = []
         for col in columns:
-            den = lcm(*(dens[i] for i, _ in col))
+            den = 1 if integral else lcm(*[dens[i] for i, _ in col])
             if den == 1:
                 out.append((1, tuple(col)))
             else:

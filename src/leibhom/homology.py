@@ -24,8 +24,9 @@ run over ints scaled by D, the lcm of the denominators of the structure
 constants and the actions, and reach the matrix as ints over D.
 The free-algebra weight blocks order their words by weight, not by
 product order, and keep the per-word _tensor_boundary with the
-free-algebra bracket, whose constants are ints.  The commutator subcomplexes restrict these
-boundaries to the spans of freealg.CommutatorSpans.
+free-algebra bracket, whose constants are ints.  The commutator
+subcomplexes restrict these boundaries to the spans of
+freealg.CommutatorSpans.
 
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
 
@@ -191,7 +192,8 @@ class ChainComplex:
 
 def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
     """ChainComplex in degrees 0..len(dims)-1 from (entries, den) for each
-    boundary C_n -> C_{n-1}, n = 1, 2, ...: its sparse entries times den.
+    boundary C_n -> C_{n-1}, n = 1, 2, ...: its sparse entries, each
+    divided by den.
 
     raising=True gives the dual cochain complex: the keys of every entry
     map are swapped, which transposes C_n -> C_{n-1} into the coboundary
@@ -818,8 +820,8 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
     return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)], boundaries, 1)
 
 
-DEFAULT_WEIGHT_BUDGET = {1: 12, 2: 7}
-FALLBACK_WEIGHT_BUDGET = 5
+DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}
+FALLBACK_WEIGHT_BUDGET = 6
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ rule over the randomized corpus, so it doubles as a regression check of
 the rule landscape.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -40,3 +41,15 @@ def test_result_digest_prints_one_sha256():
     proc = run_script("result_digest.py", "--max-degree", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
+
+
+def test_ladder_writes_one_rung(tmp_path):
+    proc = run_script("ladder.py", "--label", "smoke", "--rung", "heis3 <= 6",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["label"] == "smoke"
+    [rung] = doc["rungs"]
+    assert rung["name"] == "heis3 <= 6"
+    assert rung["result"] == [1, 2, 5, 10, 22, 47, 101]
+    assert rung["wall_s"] >= 0 and rung["peak_rss_mb"] > 0
