@@ -22,20 +22,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# name -> the call, as Python source evaluated in the child
+# name -> (function of the child, its int arguments)
 RUNGS = {
-    "heis3 <= 6": "heis3_betti(6)",
-    "heis3 <= 7": "heis3_betti(7)",
-    "heis3 <= 8": "heis3_betti(8)",
-    "heis3 <= 9": "heis3_betti(9)",
-    "conjecture_check(1, 12)": "conjecture(1, 12)",
-    "conjecture_check(1, 14)": "conjecture(1, 14)",
-    "conjecture_check(2, 6)": "conjecture(2, 6)",
-    "conjecture_check(2, 7)": "conjecture(2, 7)",
-    "conjecture_check(2, 8)": "conjecture(2, 8)",
-    "conjecture_check(3, 4)": "conjecture(3, 4)",
-    "conjecture_check(3, 5)": "conjecture(3, 5)",
-    "conjecture_check(3, 6)": "conjecture(3, 6)",
+    "heis3 <= 6": ("heis3_betti", 6),
+    "heis3 <= 7": ("heis3_betti", 7),
+    "heis3 <= 8": ("heis3_betti", 8),
+    "heis3 <= 9": ("heis3_betti", 9),
+    "conjecture_check(1, 12)": ("conjecture", 1, 12),
+    "conjecture_check(1, 14)": ("conjecture", 1, 14),
+    "conjecture_check(2, 6)": ("conjecture", 2, 6),
+    "conjecture_check(2, 7)": ("conjecture", 2, 7),
+    "conjecture_check(2, 8)": ("conjecture", 2, 8),
+    "conjecture_check(3, 4)": ("conjecture", 3, 4),
+    "conjecture_check(3, 5)": ("conjecture", 3, 5),
+    "conjecture_check(3, 6)": ("conjecture", 3, 6),
 }
 
 CHILD = """
@@ -53,8 +53,10 @@ def conjecture(d, w):
     return {"verdict": rep.verdict, "h1": [v.h1 for v in rep.weights],
             "higher": [list(v.higher) for v in rep.weights]}
 
+call = {"heis3_betti": heis3_betti, "conjecture": conjecture}[sys.argv[1]]
+args = [int(a) for a in sys.argv[2:]]
 t0 = time.perf_counter()
-result = eval(sys.argv[1])
+result = call(*args)
 wall = time.perf_counter() - t0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"wall_s": round(wall, 3), "peak_rss_mb": round(rss_mb, 1),
@@ -62,10 +64,10 @@ print(json.dumps({"wall_s": round(wall, 3), "peak_rss_mb": round(rss_mb, 1),
 """
 
 
-def run_rung(call: str) -> dict:
+def run_rung(func: str, *args: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, "-c", CHILD, call], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", CHILD, func, *map(str, args)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -79,7 +81,7 @@ def main() -> int:
     names = [n for n in RUNGS if args.rung is None or n in args.rung]
     rungs = []
     for name in names:
-        got = run_rung(RUNGS[name])
+        got = run_rung(*RUNGS[name])
         print(f"{name:<26} {got['wall_s']:8.3f} s {got['peak_rss_mb']:8.1f} MB", flush=True)
         rungs.append({"name": name, **got})
     meta = {"label": args.label, "python": platform.python_version(),

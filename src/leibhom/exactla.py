@@ -234,7 +234,7 @@ class Matrix:
         # row i of the product is sum_k a_ik/da * (row k of other)/db_k:
         # scale every term to the lcm of the db_k and add integers
         orows = other.int_rows
-        dens = None if all(db == 1 for db, _ in orows) else [db for db, _ in orows]
+        dens = _denominators(orows)
         out = []
         for da, row in self.int_rows:
             den = 1 if dens is None else lcm(*[dens[k] for k, _ in row])
@@ -259,14 +259,13 @@ class Matrix:
             for j, x in row:
                 columns[j].append((i, x))
         # column j holds x_ij/d_i: bring it to the lcm of those d_i
-        dens = [den for den, _ in self.int_rows]
-        integral = all(den == 1 for den in dens)
+        dens = _denominators(self.int_rows)
         out = []
         for col in columns:
-            den = 1 if integral else lcm(*[dens[i] for i, _ in col])
-            if den == 1:
+            if dens is None:
                 out.append((1, tuple(col)))
             else:
+                den = lcm(*[dens[i] for i, _ in col])
                 out.append(_canon(den, [(i, x * (den // dens[i])) for i, x in col]))
         return _matrix(self.cols, self.rows, tuple(out))
 
@@ -286,6 +285,13 @@ def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
     m = object.__new__(Matrix)
     m.__dict__.update(rows=rows, cols=cols, int_rows=int_rows)
     return m
+
+
+def _denominators(int_rows: Sequence[IntRow]) -> list[int] | None:
+    """The denominators of the rows, or None if every one is 1."""
+    if all(den == 1 for den, _ in int_rows):
+        return None
+    return [den for den, _ in int_rows]
 
 
 def _rational(x) -> int | Fraction:
@@ -314,16 +320,14 @@ def _canon(den: int, pairs: Sequence[tuple[int, int]]) -> IntRow:
 
 def _int_row(pairs: Sequence[tuple[int, int | Fraction]], den: int = 1) -> IntRow:
     """The canonical row of the values x/den, from column-sorted pairs of
-    nonzero ints or Fractions x."""
+    nonzero ints or Fractions x (unsorted pairs give the right nums)."""
     d = lcm(*(x.denominator for _, x in pairs))
     return _canon(den * d, [(j, x.numerator * (d // x.denominator)) for j, x in pairs])
 
 
 def _row(pairs: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
     """The (col, value) pairs as a primitive integer row without zeros."""
-    pairs = [(j, x) for j, x in pairs if x]
-    d = lcm(*(x.denominator for _, x in pairs))
-    return _primitive({j: x.numerator * (d // x.denominator) for j, x in pairs})
+    return _primitive(dict(_int_row([(j, x) for j, x in pairs if x])[1]))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -515,14 +519,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One solution of a x = b (free variables set to 0), or None."""
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
-    aug = []
-    for (den, row), x in zip(a.int_rows, b):
-        # row . y / den = p/q  <=>  q row . y = den p
-        x = _rational(x)
-        r = {j: v * x.denominator for j, v in row}
-        if x:
-            r[a.cols] = den * x.numerator
-        aug.append(_primitive(r))
+    aug = [_row(srow + ((a.cols, Fraction(x)),)) for srow, x in zip(a.sparse_rows, b)]
     red = _echelon(aug, a.cols + 1, reduce=True)
     if a.cols in red:
         return None
