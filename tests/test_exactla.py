@@ -361,7 +361,8 @@ def test_mul_and_apply_match_naive_loops(a, data):
 @given(rational_matrices(), st.integers(-5, 5).filter(bool))
 def test_one_matrix_from_every_constructor_is_one_value(m, scale):
     """The same rational matrix by from_rows, from_entries with and
-    without den, and identity @ m: equal values, equal hashes, canonical."""
+    without den, identity @ m and m @ identity: equal values, equal
+    hashes, canonical."""
     dense = m.entries
     values = {(i, j): x for i, r in enumerate(dense) for j, x in enumerate(r)}
     den = scale * lcm(*(x.denominator for x in values.values()))
