@@ -379,6 +379,29 @@ def test_lifted_cochain_collapses_to_one_sided_branch():
                 assert a.entries == b.entries, name
 
 
+LIFT_ALGEBRAS = dict(CORPUS)
+LIFT_ALGEBRAS.update({f"random{s}": random_algebra(random.Random(s)) for s in range(4)})
+
+
+@pytest.mark.parametrize("name", list(LIFT_ALGEBRAS))
+def test_lie_module_is_its_lift_under_right_and_plain_rules(name):
+    # a Lie module acts as its lift: the right-action chain rule and the
+    # plain cochain rule give the one-sided complexes matrix for matrix
+    g = LIFT_ALGEBRAS[name]
+    qdata = lie_quotient(g)
+    for maker in (quotient_adjoint_module, character_module):
+        mod = maker(qdata)
+        if mod is None:
+            continue
+        lift = rep_coefficients(lie_module_lift(g, qdata, mod))
+        one = loday_complex(g, lie_coefficients(mod), 4)
+        two = loday_complex(g, lift, 4, _rep_rule="right")
+        assert one.diffs == two.diffs, (name, maker.__name__)
+        one = loday_cochain_complex(g, lie_coefficients(mod), 4)
+        two = loday_cochain_complex(g, lift, 4, _rep_rule="plain")
+        assert one.diffs == two.diffs, (name, maker.__name__)
+
+
 def test_rep_complexes_build_for_corpus_representations():
     for name, g in CORPUS.items():
         for rname, rep in representations_for(g).items():
