@@ -2,10 +2,12 @@
 
 Scans every candidate rule for the tensor-module boundary and coboundary
 over a corpus of algebras and modules, recording where the composite of
-adjacent differentials fails to vanish.  Also checks that the two-sided
+adjacent differentials fails to vanish.  The rules are the builder's own
+tables, CHAIN_RULES and COCHAIN_RULES.  Also checks that the two-sided
 branch with lifted (anti-symmetric) coefficients reproduces the one-sided
-branch matrix-for-matrix, which is what justifies treating the one-sided
-code path as a special case.
+branch matrix-for-matrix, the chain side under the "right" rule and the
+cochain side under the pinned one, which is what justifies treating the
+one-sided code path as a special case.
 
 Run:  python3 scripts/pin_chain_rule.py [N_max]
 
@@ -17,6 +19,8 @@ import sys
 from fractions import Fraction
 
 from leibhom.homology import (
+    CHAIN_RULES,
+    COCHAIN_RULES,
     DifferentialSquareNonzero,
     REP_CHAIN_RULE,
     REP_COCHAIN_RULE,
@@ -36,10 +40,6 @@ from leibhom.leibcore import (
     tensor3,
     trivial_representation,
 )
-
-CHAIN_RULES = ("corrected", "left", "right", "naive")
-COCHAIN_RULES = ("corrected", "plain", "naive")
-
 
 def algebras():
     yield "abelian2", LeibnizAlgebra.from_brackets(["a", "b"], {})
@@ -130,11 +130,13 @@ def main():
             mod = LieModule(r, act)
             if check_lie_module(qdata.quotient, mod):
                 continue
-            lift = lie_module_lift(g, qdata, mod)
-            one = loday_cochain_complex(g, lie_coefficients(mod), n_max)
-            two = loday_cochain_complex(g, rep_coefficients(lift), n_max)
-            if one.diffs != two.diffs:
-                lift_mismatch.append(gname)
+            lift = rep_coefficients(lie_module_lift(g, qdata, mod))
+            for side, build, rule in (("chain", loday_complex, "right"),
+                                      ("cochain", loday_cochain_complex, REP_COCHAIN_RULE)):
+                one = build(g, lie_coefficients(mod), n_max)
+                two = build(g, lift, n_max, _rep_rule=rule)
+                if one.diffs != two.diffs:
+                    lift_mismatch.append(f"{gname} ({side})")
 
     print(f"tensor-module boundary, N_max = {n_max}")
     for rule in CHAIN_RULES:
@@ -146,10 +148,10 @@ def main():
         mark = "pass everywhere" if not bad else f"FAILS on {', '.join(bad)}"
         print(f"  cochain {rule:10s} {mark}")
     if lift_mismatch:
-        print(f"  lifted-coefficient mismatch (cochain): {lift_mismatch}")
+        print(f"  lifted-coefficient mismatch: {lift_mismatch}")
     else:
-        print("  lifted coefficients: two-sided cochain == one-sided cochain, "
-              "matrix for matrix")
+        print("  lifted coefficients: two-sided chain (right) and cochain "
+              f"({REP_COCHAIN_RULE}) == one-sided, matrix for matrix")
 
     ok = True
     if chain_fail[REP_CHAIN_RULE] or cochain_fail[REP_COCHAIN_RULE]:

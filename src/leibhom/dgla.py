@@ -24,7 +24,6 @@ from .exactla import (
     Matrix,
     Subspace,
     Vec,
-    ZERO,
     add_vectors,
     is_zero_vector,
     kernel_basis,
@@ -40,6 +39,7 @@ from .leibcore import (
     QuotientData,
     Representation,
     Tensor3,
+    _unit,
     bilinear,
     check_representation,
     lie_quotient,
@@ -96,10 +96,6 @@ class DGLieAlgebra:
         return f"e[{p}][{i}]"
 
 
-def _units(n: int):
-    return [tuple(Fraction(1) if t == i else ZERO for t in range(n)) for i in range(n)]
-
-
 def _coords_in(sub: Subspace, v, exc: type[Exception], msg: str) -> Vec:
     c = sub.coords(v)
     if c is None:
@@ -119,10 +115,10 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
                 continue
             sign = Fraction(-1) ** (p * q + 1)
             for i in range(tp):
-                up = _units(tp)[i]
+                up = _unit(tp, i)
                 for j in range(tq):
-                    lhs = L.bracket_vec(p, q, up, _units(tq)[j])
-                    rhs = scale_vector(sign, L.bracket_vec(q, p, _units(tq)[j], up))
+                    lhs = L.bracket_vec(p, q, up, _unit(tq, j))
+                    rhs = scale_vector(sign, L.bracket_vec(q, p, _unit(tq, j), up))
                     if lhs != rhs:
                         bad.append(("antisymmetry", p, q, i, j))
 
@@ -133,11 +129,11 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
                 if L.dim(p + q + r) == 0:
                     continue
                 for i in range(tp):
-                    x = _units(tp)[i]
+                    x = _unit(tp, i)
                     for j in range(tq):
-                        y = _units(tq)[j]
+                        y = _unit(tq, j)
                         for k in range(tr):
-                            z = _units(tr)[k]
+                            z = _unit(tr, k)
                             s = scale_vector(Fraction(-1) ** (p * r),
                                              L.bracket_vec(p, q + r, x, L.bracket_vec(q, r, y, z)))
                             s = add_vectors(s, scale_vector(Fraction(-1) ** (q * p),
@@ -154,10 +150,10 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
                 continue
             d_pq = L.differential(p + q)
             for i in range(tp):
-                x = _units(tp)[i]
+                x = _unit(tp, i)
                 dx = L.differential(p).column(i) if L.dim(p - 1) else zero_vector(0)
                 for j in range(tq):
-                    y = _units(tq)[j]
+                    y = _unit(tq, j)
                     dy = L.differential(q).column(j) if L.dim(q - 1) else zero_vector(0)
                     lhs = d_pq.apply(L.bracket_vec(p, q, x, y))
                     rhs = L.bracket_vec(p - 1, q, dx, y) if L.dim(p - 1) else zero_vector(L.dim(p + q - 1))
@@ -205,7 +201,7 @@ def leib(L: DGLieAlgebra) -> tuple[LeibnizAlgebra, CategoryReport]:
     n = L.dim(1)
     d1 = L.differential(1)
     structure = tensor3_from_vectors(
-        n, n, n, lambda i, j: L.bracket_vec(0, 1, d1.column(i), _units(n)[j])
+        n, n, n, lambda i, j: L.bracket_vec(0, 1, d1.column(i), _unit(n, j))
     )
     names = L.labels.get(1) or tuple(f"x{i}" for i in range(n))
     g = LeibnizAlgebra(n, tuple(names), structure, "left")
@@ -214,10 +210,9 @@ def leib(L: DGLieAlgebra) -> tuple[LeibnizAlgebra, CategoryReport]:
     ker = kernel_basis(d1)
     d2 = L.differential(2)
     spanning = []
-    units = _units(n)
     for i in range(n):
         for j in range(i, n):
-            w = L.bracket_vec(1, 1, units[i], units[j])
+            w = L.bracket_vec(1, 1, _unit(n, i), _unit(n, j))
             if len(w) and not is_zero_vector(w):
                 spanning.append(d2.apply(w))
     image = Subspace.from_spanning_columns(n, spanning)
@@ -240,7 +235,6 @@ def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
     r = qdata.quotient.dim
     ann = qdata.ann
     s = ann.dim
-    units_n = _units(n)
 
     b00 = qdata.quotient.structure
     b01 = qdata.action_on_g
@@ -254,7 +248,7 @@ def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
     b02 = tensor3_from_vectors(
         r, s, s,
         lambda a, j: _coords_in(
-            ann, bilinear(qdata.action_on_g, _units(r)[a], ann.basis.column(j)),
+            ann, bilinear(qdata.action_on_g, _unit(r, a), ann.basis.column(j)),
             IllDefinedAction, f"degree-0 action of basis vector {a} left the square span"),
     )
     b20 = tensor3_from_vectors(s, r, s, lambda j, a: tuple(-x for x in b02[a][j]))
@@ -309,7 +303,7 @@ def check_dgla_morphism(f: DGLAMorphism, max_degree: int | None = None) -> tuple
             fp, fq, fpq = f.component(p), f.component(q), f.component(p + q)
             for i in range(np_):
                 for j in range(nq):
-                    lhs = fpq.apply(src.bracket_vec(p, q, _units(np_)[i], _units(nq)[j]))
+                    lhs = fpq.apply(src.bracket_vec(p, q, _unit(np_, i), _unit(nq, j)))
                     rhs = tgt.bracket_vec(p, q, fp.column(i), fq.column(j))
                     if lhs != rhs:
                         bad.append(("bracket", p, q, i, j))
@@ -335,7 +329,7 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
     m0 = L.dim(0)
     cols0 = []
     for a in range(m0):
-        pre = solve(d1, _units(m0)[a])
+        pre = solve(d1, _unit(m0, a))
         if pre is None:
             raise NotInCategory(f"degree-0 basis vector {a} has no d1 preimage")
         cols0.append(qdata.projection.apply(pre))
@@ -401,11 +395,11 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
                     continue
                 np_, nq, ns = L.dim(p), L.dim(q), mod.dim(s)
                 for i in range(np_):
-                    x = _units(np_)[i]
+                    x = _unit(np_, i)
                     for j in range(nq):
-                        y = _units(nq)[j]
+                        y = _unit(nq, j)
                         for a in range(ns):
-                            m = _units(ns)[a]
+                            m = _unit(ns, a)
                             lhs = mod.action_vec(p + q, s, L.bracket_vec(p, q, x, y), m)
                             rhs = mod.action_vec(p, q + s, x, mod.action_vec(q, s, y, m))
                             rhs = sub_vectors(rhs, scale_vector(
@@ -421,10 +415,10 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
             np_, ns = L.dim(p), mod.dim(s)
             d_out = mod.differential(p + s)
             for i in range(np_):
-                x = _units(np_)[i]
+                x = _unit(np_, i)
                 dx = L.differential(p).column(i) if L.dim(p - 1) else zero_vector(0)
                 for a in range(ns):
-                    m = _units(ns)[a]
+                    m = _unit(ns, a)
                     dm = mod.differential(s).column(a) if mod.dim(s - 1) else zero_vector(0)
                     lhs = d_out.apply(mod.action_vec(p, s, x, m))
                     rhs = mod.action_vec(p - 1, s, dx, m) if L.dim(p - 1) else zero_vector(mod.dim(p + s - 1))
@@ -468,7 +462,6 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
     anti, u_dim, qmat = symmetrization(rep)
     t = anti.dim
     lift = quotient_section(anti)
-    units = _units
 
     def lift_left(a_idx: int, mvec: Vec) -> Vec:
         # action of a degree-0 basis vector through the coordinate section
@@ -480,20 +473,17 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
             if not anti.contains(v):
                 raise IllDefinedAction(f"left action of degree-0 vector {a} leaves the symmetrized span")
 
-    a00 = tensor3_from_vectors(r, d, d, lambda a, j: lift_left(a, units(d)[j]))
+    a00 = tensor3_from_vectors(r, d, d, lambda a, j: lift_left(a, _unit(d, j)))
     a01 = tensor3_from_vectors(r, t, t, lambda a, i: anti.coords(lift_left(a, anti.basis.column(i))))
     a0m1 = tensor3_from_vectors(r, u_dim, u_dim,
                                 lambda a, c: qmat.apply(lift_left(a, lift.column(c))))
 
-    def right_defect(mvec: Vec, xvec: Vec) -> Vec:
-        return rep.right(mvec, xvec)
-
     # [x, m~] for m~ in the quotient: minus the right action of a lift
     a1m1 = tensor3_from_vectors(
-        n, u_dim, d, lambda i, c: tuple(-x for x in right_defect(lift.column(c), units(n)[i])))
+        n, u_dim, d, lambda i, c: tuple(-x for x in rep.right(lift.column(c), _unit(n, i))))
     for i in range(n):
         for j in range(t):
-            if not is_zero_vector(right_defect(anti.basis.column(j), units(n)[i])):
+            if not is_zero_vector(rep.right(anti.basis.column(j), _unit(n, i))):
                 raise IllDefinedAction(
                     f"right action of e_{i} does not kill the symmetrized span")
 
@@ -501,7 +491,7 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
         n, d, t,
         lambda i, j: _coords_in(
             anti,
-            add_vectors(rep.left(units(n)[i], units(d)[j]), rep.right(units(d)[j], units(n)[i])),
+            add_vectors(rep.left(_unit(n, i), _unit(d, j)), rep.right(_unit(d, j), _unit(n, i))),
             IllDefinedAction, "symmetrized action vector left its own span"))
 
     s = qdata.ann.dim
@@ -509,7 +499,7 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
         s, u_dim, t,
         lambda j, c: _coords_in(
             anti,
-            tuple(-x for x in right_defect(lift.column(c), qdata.ann.basis.column(j))),
+            tuple(-x for x in rep.right(lift.column(c), qdata.ann.basis.column(j))),
             IllDefinedAction,
             f"right action of square-span vector {j} does not land in the symmetrized span"))
 

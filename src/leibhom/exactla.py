@@ -414,6 +414,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
+    @cached_property
+    def columns(self) -> tuple[IntRow, ...]:
+        """The basis columns as canonical integer rows; _span fills it in."""
+        return self.basis.transpose().int_rows
+
     @property
     def complement(self) -> tuple[int, ...]:
         pivset = set(self.pivots)
@@ -470,8 +475,9 @@ def _span(ambient_dim: int, rows: Iterable[dict[int, int]]) -> Subspace:
     red = _echelon(rows, ambient_dim, reduce=True)
     # the reduced rows over their pivot values are the basis columns
     columns = tuple(_canon(row[p], sorted(row.items())) for p, row in red.items())
-    return Subspace(ambient_dim, _matrix(len(red), ambient_dim, columns).transpose(),
-                    tuple(red))
+    sub = Subspace(ambient_dim, _matrix(len(red), ambient_dim, columns).transpose(), tuple(red))
+    sub.__dict__["columns"] = columns
+    return sub
 
 
 def quotient_projection(sub: Subspace) -> Matrix:

@@ -149,6 +149,7 @@ class CommutatorSpans:
         words = self.words(n, w)
         if n <= 1:
             sub = Subspace.full(len(words))
+            elems = [{t: 1} for t in words]
         else:
             index = {t: i for i, t in enumerate(words)}
             spanning = []
@@ -159,7 +160,7 @@ class CommutatorSpans:
                         if br:
                             spanning.append([(index[t], x) for t, x in br.items()])
             sub = Subspace.from_sparse_columns(len(words), spanning)
-        elems = [{words[i]: x for i, x in col} for _, col in sub.basis.transpose().int_rows]
+            elems = [{words[i]: x for i, x in col} for _, col in sub.columns]
         self._spans[key] = (sub, elems)
         return self._spans[key]
 

@@ -62,10 +62,7 @@ from .exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
-    Vec,
-    ZERO,
     add_into,
-    add_vectors,
     column_span,
     kernel_basis,
     quotient_projection,
@@ -80,6 +77,7 @@ from .leibcore import (
     QuotientData,
     Representation,
     Tensor3,
+    lie_module_lift,
     lie_quotient,
 )
 from .pbw import PBWAlgebra, Poly, Word
@@ -94,7 +92,9 @@ class NotAChainMap(Exception):
 
 
 # Action rules for two-sided module coefficients, pinned by the gate in
-# scripts/pin_chain_rule.py.  Chain rules ("first" is the j = 1 slot):
+# scripts/pin_chain_rule.py.  Each rule is a (p, q) pair for the first
+# slot and one for the later slots; the action in a slot is
+# p [x,m] + q [m,x].  Chain rules ("first" is the j = 1 slot):
 #   corrected  first = -([m,x] + [x,m]),  later = -[x,m]   (canonical)
 #   left       first = later = -[x,m]
 #   right      first = later = [m,x]
@@ -103,6 +103,12 @@ class NotAChainMap(Exception):
 # the 2-dim algebra [e1,e2] = e2; "corrected" and "left" pass on the
 # whole randomized corpus, and "corrected" is the one whose first slot
 # degenerates to zero exactly on anti-symmetric (lifted) coefficients.
+CHAIN_RULES = {
+    "corrected": ((-1, -1), (-1, 0)),
+    "left": ((-1, 0), (-1, 0)),
+    "right": ((0, 1), (0, 1)),
+    "naive": ((1, 1), (0, 1)),
+}
 REP_CHAIN_RULE = "corrected"
 
 # Cochain rules, acting on the value f(...):
@@ -112,6 +118,11 @@ REP_CHAIN_RULE = "corrected"
 # "naive" fails d o d = 0 on the same adjoint witness; "corrected" and
 # "plain" agree on lifted coefficients (there -[f,x] = [x,f]), which is
 # what makes the two-sided branch collapse onto the one-sided one.
+COCHAIN_RULES = {
+    "corrected": ((0, -1), (1, 0)),
+    "plain": ((1, 0), (1, 0)),
+    "naive": ((1, 1), (1, 0)),
+}
 REP_COCHAIN_RULE = "corrected"
 
 
@@ -269,87 +280,55 @@ def rep_coefficients(rep: Representation) -> RepresentationCoefficients:
     return RepresentationCoefficients(rep)
 
 
-class _ActionTables:
-    """Per-coefficient-system action vectors for the boundary builders.
-
-    right(u, x)  = the m-vector [f_u, e_x]
-    left(x, u)   = the m-vector [e_x, f_u]
-    None tables mean the action is identically zero.  qdata is the
-    maximal Lie quotient of g when the caller has built it already.
-    """
-
-    def __init__(self, g: LeibnizAlgebra, coefficients: Coefficients,
-                 qdata: QuotientData | None = None):
-        self.is_rep = False
-        if isinstance(coefficients, TrivialCoefficients):
-            self.m_dim = coefficients.dim
-            self.right = None
-            self.left = None
-        elif isinstance(coefficients, LieModuleCoefficients):
-            mod = coefficients.module
-            if qdata is None:
-                qdata = lie_quotient(g)
-            _check_over_quotient(mod, qdata)
-            self.m_dim = mod.dim
-            units = [tuple(Fraction(1) if t == u else ZERO for t in range(mod.dim))
-                     for u in range(mod.dim)]
-            left = [[mod.act(qdata.projection.column(x), units[u])
-                     for u in range(mod.dim)] for x in range(g.dim)]
-            self.left = left
-            self.right = [[tuple(-c for c in left[x][u]) for x in range(g.dim)]
-                          for u in range(mod.dim)]
-        elif isinstance(coefficients, RepresentationCoefficients):
-            rep = coefficients.rep
-            if len(rep.left_action) != g.dim or len(rep.right_action) != rep.dim:
-                raise ValueError("representation tensors do not match the algebra dimension")
-            self.is_rep = True
-            self.m_dim = rep.dim
-            self.left = [[rep.left_action[x][u] for u in range(rep.dim)] for x in range(g.dim)]
-            self.right = [[rep.right_action[u][x] for x in range(g.dim)] for u in range(rep.dim)]
-        else:
-            raise TypeError(f"unknown coefficient system {coefficients!r}")
-
-
-def _neg(v: Vec) -> Vec:
-    return tuple(-c for c in v)
-
-
-def _chain_action(tables: _ActionTables, rule: str):
-    """(first_term, later_term) callables u, x -> Vec, or (None, None)."""
-    if tables.right is None:
-        return None, None
-    if not tables.is_rep:
-        # the right table already holds [m,x] = -x.m
-        first = later = lambda u, x: tables.right[u][x]
-        return first, later
-    if rule == "corrected":
-        later = lambda u, x: _neg(tables.left[x][u])
-        first = lambda u, x: _neg(add_vectors(tables.right[u][x], tables.left[x][u]))
-    elif rule == "left":
-        first = later = lambda u, x: _neg(tables.left[x][u])
-    elif rule == "right":
-        first = later = lambda u, x: tables.right[u][x]
-    elif rule == "naive":
-        later = lambda u, x: tables.right[u][x]
-        first = lambda u, x: add_vectors(tables.right[u][x], tables.left[x][u])
+def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
+                  rule: str | None = None, qdata: QuotientData | None = None):
+    """(m_dim, [first, later]) for the boundary builder, the chain actions
+    of the j = 1 and j >= 2 slots as sparse lists (x, u, [(u2, c)]) of
+    the m-vector sum c f_u2 that acts on f_u by e_x; no lists for trivial
+    coefficients.  A Lie module acts as its lift under the "right" chain
+    and "plain" cochain rules; rule replaces the pinned two-sided one.
+    For raising=True the cochain rule's action on the value is transposed
+    in (u, u2) into the chain action of the dual module.  qdata is the
+    maximal Lie quotient of g when the caller has built it already."""
+    if isinstance(coefficients, TrivialCoefficients):
+        return coefficients.dim, []
+    if isinstance(coefficients, LieModuleCoefficients):
+        if qdata is None:
+            qdata = lie_quotient(g)
+        _check_over_quotient(coefficients.module, qdata)
+        rep = lie_module_lift(g, qdata, coefficients.module)
+        rule = "plain" if raising else "right"
+    elif isinstance(coefficients, RepresentationCoefficients):
+        rep = coefficients.rep
+        if len(rep.left_action) != g.dim or len(rep.right_action) != rep.dim:
+            raise ValueError("representation tensors do not match the algebra dimension")
+        rule = rule or (REP_COCHAIN_RULE if raising else REP_CHAIN_RULE)
     else:
-        raise ValueError(f"unknown chain rule {rule!r}")
-    return first, later
+        raise TypeError(f"unknown coefficient system {coefficients!r}")
+    left, right = rep.left_action, rep.right_action
+    tables = []
+    for p, q in (COCHAIN_RULES if raising else CHAIN_RULES)[rule]:
+        table = []
+        for x in range(g.dim):
+            block = [[p * a + q * b for a, b in zip(left[x][u], right[u][x])]
+                     for u in range(rep.dim)]
+            if raising:
+                block = zip(*block)
+            table += [(x, u, [(u2, c) for u2, c in enumerate(vec) if c])
+                      for u, vec in enumerate(block)]
+        tables.append(table)
+    return rep.dim, tables
 
 
-def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, first=None,
-                        later=None):
+def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=()):
     """(int entries, D) of d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for
     n = 1..n_max, the entries over D, on words in itertools.product order
     with module block u at u d^n, by the last-letter recursion of the
-    module docstring.  first/later are the chain actions (u, x) -> Vec of
-    the j = 1 and j >= 2 slots, or None."""
+    module docstring.  actions is [first, later] from _slot_actions, or
+    empty."""
     d = g.dim
     brackets = [(a, b, terms) for a in range(d) for b in range(d)
                 if (terms := [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c])]
-    actions = [] if first is None else [
-        [(x, u, [(u2, c) for u2, c in enumerate(act(u, x)) if c])
-         for x in range(d) for u in range(m_dim)] for act in (first, later)]
     den = lcm(*(c.denominator for _, _, terms in brackets for _, c in terms),
               *(c.denominator for table in actions for _, _, vec in table for _, c in vec))
 
@@ -390,20 +369,16 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, first=Non
         yield prev, den
 
 
-def _loday(g: LeibnizAlgebra, tables: _ActionTables, n_max: int, raising: bool,
-           rule: str | None = None) -> ChainComplex:
-    """The tensor-module chain complex with the actions of tables, or for
-    raising=True the transposed chain complex of the dual module; rule
-    replaces the pinned two-sided chain or cochain rule."""
+def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: bool,
+           rule: str | None = None, qdata: QuotientData | None = None) -> ChainComplex:
+    """The tensor-module chain complex, or for raising=True the transposed
+    chain complex of the dual module; rule replaces the pinned two-sided
+    chain or cochain rule."""
+    m_dim, actions = _slot_actions(g, coefficients, raising, rule, qdata)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if raising:
-        first, later = (_dual_chain_action(a, g.dim, tables.m_dim)
-                        for a in _cochain_action(tables, rule or REP_COCHAIN_RULE))
-    else:
-        first, later = _chain_action(tables, rule or REP_CHAIN_RULE)
-    dims = [tables.m_dim * g.dim ** n for n in range(n_max + 1)]
-    return _complex(dims, _product_boundaries(g, n_max, tables.m_dim, first, later), raising)
+    dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
+    return _complex(dims, _product_boundaries(g, n_max, m_dim, actions), raising)
 
 
 def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
@@ -414,34 +389,7 @@ def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
     boundary map is not built); ask one degree higher than you need.
     """
     _require_left(g)
-    return _loday(g, _ActionTables(g, coefficients), n_max, False, _rep_rule)
-
-
-def _cochain_action(tables: _ActionTables, rule: str):
-    """(first_term, later_term) callables x, u -> Vec acting on the value."""
-    if tables.left is None:
-        return None, None
-    later = lambda x, u: tables.left[x][u]
-    if not tables.is_rep or rule == "plain":
-        first = later
-    elif rule == "corrected":
-        first = lambda x, u: _neg(tables.right[u][x])
-    elif rule == "naive":
-        first = lambda x, u: add_vectors(tables.left[x][u], tables.right[u][x])
-    else:
-        raise ValueError(f"unknown cochain rule {rule!r}")
-    return first, later
-
-
-def _dual_chain_action(act, g_dim: int, m_dim: int):
-    """A value-side action (x, u) -> Vec read as the chain action
-    (u, x) -> Vec of the dual module: entry [u][x][u2] = act(x, u2)[u]."""
-    if act is None:
-        return None
-    values = [[act(x, u2) for u2 in range(m_dim)] for x in range(g_dim)]
-    table = [[tuple(values[x][u2][u] for u2 in range(m_dim)) for x in range(g_dim)]
-             for u in range(m_dim)]
-    return lambda u, x: table[u][x]
+    return _loday(g, coefficients, n_max, False, _rep_rule)
 
 
 def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
@@ -449,7 +397,7 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
     """Cochain complex Hom(g^{(x)n}, m) in degrees 0..n_max: the transposed
     chain complex of the dual module."""
     _require_left(g)
-    return _loday(g, _ActionTables(g, coefficients), n_max, True, _rep_rule)
+    return _loday(g, coefficients, n_max, True, _rep_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +646,9 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     differentials.
     """
     data = _ce_setup(g, coefficients)
-    tables = _ActionTables(g, coefficients, data.qdata)
-    lod = _loday(g, tables, n_max, raising=False)
+    lod = _loday(g, coefficients, n_max, False, qdata=data.qdata)
     ce = _ce_complex(data, data.action, n_max, raising=False)
-    lodco = _loday(g, tables, n_max, raising=True)
+    lodco = _loday(g, coefficients, n_max, True, qdata=data.qdata)
     ceco = _ce_complex(data, _contragredient(data.action), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim

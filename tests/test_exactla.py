@@ -180,6 +180,7 @@ def test_every_constructor_stores_canonical_sparse_rows():
     assert sub.pivots == (0, 1)
     assert sub.basis.int_rows == ((1, ((0, 1),)), (1, ((1, 1),)), (2, ((0, -1),)))
     assert sub.basis.transpose().int_rows == ((2, ((0, 2), (2, -1))), (1, ((1, 1),)))
+    assert sub.columns == sub.basis.transpose().int_rows
     assert sub.basis == Matrix.from_rows([[1, 0], [0, 1], [Fraction(-1, 2), 0]])
     for m in built + [mixed, mixed.transpose(), sub.basis, sub.basis.transpose()]:
         assert_canonical(m)
@@ -450,7 +451,10 @@ def test_solve_matches_dense_oracle(a, data):
 def test_spans_match_dense_oracle(m):
     want = oracle_subspace(m.rows, columns(m))
     assert Subspace.from_spanning_columns(m.rows, columns(m)) == want
-    assert column_span(m) == want
+    span = column_span(m)
+    assert span == want
+    # the columns the span filled in are the transposed basis
+    assert span.columns == span.basis.transpose().int_rows == want.columns
     # the rows as spanning vectors given as plain lists
     assert Subspace.from_spanning_columns(m.cols, [list(r) for r in m.entries]) \
         == oracle_subspace(m.cols, m.entries)

@@ -364,6 +364,14 @@ def test_naive_cochain_rule_fails():
         loday_cochain_complex(g, rep_coefficients(rep), 4, _rep_rule="naive")
 
 
+@pytest.mark.parametrize("build", [loday_complex, loday_cochain_complex])
+def test_unknown_rule_is_an_internal_fault(build):
+    # a KeyError, not the ValueError the CLI reports as bad input
+    g, rep = HEMI_ADJ
+    with pytest.raises(KeyError):
+        build(g, rep_coefficients(rep), 4, _rep_rule="bogus")
+
+
 def test_lifted_cochain_collapses_to_one_sided_branch():
     for name, g in CORPUS.items():
         qdata = lie_quotient(g)
