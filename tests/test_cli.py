@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +402,38 @@ def test_heis3_homology_to_degree_six(tmp_path):
     tables = json.loads(out_path.read_text())["tables"]
     assert tables["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10, "4": 22, "5": 47, "6": 101}
     assert tables["dims"] == {str(n): 3 ** n for n in range(7)}
+
+
+# Help, version and argument errors, pinned byte for byte: stdout, stderr
+# and exit code of each argument vector, as captured in cli_pins.json.
+# No input file is read, so the paths need not exist.  To re-pin after a
+# deliberate change, write {name: _capture(argv)} for every entry of
+# PINNED_ARGV to that file (with COLUMNS=80).
+PINNED_ARGV = {
+    "help": ["--help"],
+    "version": ["--version"],
+    **{f"{cmd} --help": [cmd, "--help"] for cmd in cli.COMMANDS},
+    "no command": [],
+    "-h homology": ["-h", "homology"],
+    "unknown command": ["frobnicate", "g.json"],
+    "unknown option": ["check", "g.json", "--bogus"],
+    "missing algebra": ["homology"],
+    "non-integer max-degree": ["homology", "g.json", "--max-degree", "x"],
+}
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+
+
+def _capture(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.entrypoint(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ARGV))
+def test_help_and_argument_errors_are_pinned(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _capture(PINNED_ARGV[name]) == PINS[name]

@@ -10,6 +10,7 @@ from leibhom.leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
     LieModule,
+    Representation,
     adjoint_lie_module,
     adjoint_representation,
     check_leibniz,
@@ -26,7 +27,7 @@ from leibhom.leibcore import (
     trivial_representation,
 )
 
-from conftest import CORPUS, conjugate, random_algebra, representations_for, unimodular
+from conftest import CORPUS, LIE_CORPUS, conjugate, random_algebra, representations_for, unimodular
 
 
 def test_corpus_satisfies_left_identity(corpus):
@@ -214,3 +215,176 @@ def test_ill_defined_quotient_raised_for_invalid_input():
     assert check_leibniz(bad) != ()
     with pytest.raises(IllDefinedQuotient):
         lie_quotient(bad)
+
+
+# ---------------------------------------------------------------------------
+# the dense Fraction checkers, kept as oracles for the library's sparse
+# integer ones: same identities, one unit vector and one bilinear
+# evaluation at a time
+
+
+def _unit(n, i):
+    return tuple(Fraction(int(t == i)) for t in range(n))
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def oracle_check_leibniz(g):
+    bad = []
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            bij = g.bracket_basis(i, j)
+            for k in range(n):
+                if g.convention == "left":
+                    defect = _sub(g.bracket(bij, _unit(n, k)), g.bracket(_unit(n, i), g.bracket_basis(j, k)))
+                    defect = _add(defect, g.bracket(_unit(n, j), g.bracket_basis(i, k)))
+                else:
+                    defect = _sub(g.bracket(_unit(n, i), g.bracket_basis(j, k)), g.bracket(bij, _unit(n, k)))
+                    defect = _add(defect, g.bracket(g.bracket_basis(i, k), _unit(n, j)))
+                if any(defect):
+                    bad.append((i, j, k))
+    return tuple(bad)
+
+
+def oracle_check_lie(h):
+    bad = []
+    n = h.dim
+    for i in range(n):
+        for j in range(n):
+            if any(_add(h.bracket_basis(i, j), h.bracket_basis(j, i))):
+                bad.append(("antisymmetry", i, j))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = h.bracket(_unit(n, i), h.bracket_basis(j, k))
+                s = _add(s, h.bracket(_unit(n, j), h.bracket_basis(k, i)))
+                s = _add(s, h.bracket(_unit(n, k), h.bracket_basis(i, j)))
+                if any(s):
+                    bad.append(("jacobi", i, j, k))
+    return tuple(bad)
+
+
+def oracle_check_representation(g, m):
+    bad = []
+    n, d = g.dim, m.dim
+    gu = lambda i: _unit(n, i)
+    mu = lambda a: _unit(d, a)
+    for a in range(d):
+        for i in range(n):
+            for j in range(n):
+                lhs = m.right(m.right(mu(a), gu(i)), gu(j))
+                rhs = _sub(m.right(mu(a), g.bracket_basis(i, j)), m.left(gu(i), m.right(mu(a), gu(j))))
+                if lhs != rhs:
+                    bad.append(("mxy", a, i, j))
+                lhs = m.right(m.left(gu(i), mu(a)), gu(j))
+                rhs = _sub(m.left(gu(i), m.right(mu(a), gu(j))), m.right(mu(a), g.bracket_basis(i, j)))
+                if lhs != rhs:
+                    bad.append(("xmy", a, i, j))
+                lhs = m.left(g.bracket_basis(i, j), mu(a))
+                rhs = _sub(m.left(gu(i), m.left(gu(j), mu(a))), m.left(gu(j), m.left(gu(i), mu(a))))
+                if lhs != rhs:
+                    bad.append(("xym", i, j, a))
+    return tuple(bad)
+
+
+def oracle_check_lie_module(h, mod):
+    bad = []
+    n, d = h.dim, mod.dim
+    for i in range(n):
+        for j in range(n):
+            for a in range(d):
+                lhs = mod.act(h.bracket_basis(i, j), _unit(d, a))
+                rhs = _sub(mod.act(_unit(n, i), mod.act(_unit(n, j), _unit(d, a))),
+                           mod.act(_unit(n, j), mod.act(_unit(n, i), _unit(d, a))))
+                if lhs != rhs:
+                    bad.append((i, j, a))
+    return tuple(bad)
+
+
+SCALARS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+# valid structures to perturb, so that some draws hold and others fail at
+# a few triples only
+VALID_REPS = [(g, rep) for g in CORPUS.values() for rep in representations_for(g).values()]
+VALID_LIE_MODULES = [(h, adjoint_lie_module(h)) for h in LIE_CORPUS.values()]
+
+
+@st.composite
+def tensors(draw, a, b, c, base=None):
+    """A random a x b x c tensor with denominators, or base with up to two
+    entries redrawn."""
+    keys = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1), st.integers(0, c - 1))
+    entries = {} if base is None else {
+        (i, j, k): x for i, plane in enumerate(base) for j, vec in enumerate(plane)
+        for k, x in enumerate(vec) if x}
+    entries.update(draw(st.dictionaries(keys, SCALARS, max_size=a * b * c if base is None else 2)))
+    return tensor3(a, b, c, entries)
+
+
+def _names(n):
+    return tuple(f"e{i}" for i in range(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["left", "right"]))
+def test_check_leibniz_matches_dense_oracle(data, convention):
+    g0 = data.draw(st.sampled_from([None, *CORPUS.values()]))
+    if g0 is None:
+        n = data.draw(st.integers(1, 3))
+        t = data.draw(tensors(n, n, n))
+    else:
+        n = g0.dim
+        base = g0 if convention == "left" else opposite(g0)
+        t = data.draw(tensors(n, n, n, base.structure))
+    g = LeibnizAlgebra(n, _names(n), t, convention)
+    assert check_leibniz(g) == oracle_check_leibniz(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_lie_matches_dense_oracle(data):
+    h0 = data.draw(st.sampled_from([None, *LIE_CORPUS.values()]))
+    n = data.draw(st.integers(1, 3)) if h0 is None else h0.dim
+    t = data.draw(tensors(n, n, n, None if h0 is None else h0.structure))
+    h = LieAlgebra(n, _names(n), t)
+    assert check_lie(h) == oracle_check_lie(h)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_check_representation_matches_dense_oracle(data):
+    pair = data.draw(st.sampled_from([None, *VALID_REPS]))
+    if pair is None:
+        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        g = LeibnizAlgebra(n, _names(n), data.draw(tensors(n, n, n)))
+        left, right = data.draw(tensors(n, d, d)), data.draw(tensors(d, n, d))
+    else:
+        g, rep0 = pair
+        n, d = g.dim, rep0.dim
+        left = data.draw(tensors(n, d, d, rep0.left_action))
+        right = data.draw(tensors(d, n, d, rep0.right_action))
+    rep = Representation(d, _names(d), left, right)
+    assert check_representation(g, rep) == oracle_check_representation(g, rep)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_check_lie_module_matches_dense_oracle(data):
+    pair = data.draw(st.sampled_from([None, *VALID_LIE_MODULES]))
+    if pair is None:
+        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        h = LieAlgebra(n, _names(n), data.draw(tensors(n, n, n)))
+        action = data.draw(tensors(n, d, d))
+    else:
+        h, mod0 = pair
+        n, d = h.dim, mod0.dim
+        action = data.draw(tensors(n, d, d, mod0.action))
+    mod = LieModule(d, action)
+    assert check_lie_module(h, mod) == oracle_check_lie_module(h, mod)
