@@ -61,8 +61,17 @@ from .leibcore import (
 
 FORMAT_VERSION = 1
 
-COMMANDS = ("check", "quotient", "homology", "cohomology", "ce-homology",
-            "ce-cohomology", "compare", "fg", "free-conjecture")
+COMMANDS = {
+    "check": "validate axioms, report dimensions",
+    "quotient": "maximal Lie quotient and kernel ideal",
+    "homology": "tensor-module homology (Betti table)",
+    "cohomology": "tensor-module cohomology",
+    "ce-homology": "homology of the enveloping-algebra complex",
+    "ce-cohomology": "cohomology of the enveloping-algebra complex",
+    "compare": "compare the two complexes and their induced maps",
+    "fg": "graded-commutator subcomplex of the tensor complex",
+    "free-conjecture": "vanishing check over a truncated free algebra",
+}
 
 # Exceptions that mean "the tool's own mathematics is inconsistent" rather
 # than "the user's file is bad".  They exit 1, like a failed verdict.
@@ -221,6 +230,8 @@ def parse_representation(path: str, g: LeibnizAlgebra,
     names = list(doc["basis"])
     gindex = {s: i for i, s in enumerate(g.basis_names)}
     d = len(names)
+    if "left_action" not in doc and "right_action" not in doc:
+        raise ParseError(f"{path}: module file has neither \"left_action\" nor \"right_action\"")
     left_tab = _sparse_table(doc.get("left_action"), gindex, index, index,
                              f"{path} left_action")
     right_tab = _sparse_table(doc.get("right_action"), index, gindex, index,
@@ -247,7 +258,9 @@ def parse_lie_module(path: str, g: LeibnizAlgebra) -> LieModule:
     qdata = lie_quotient(g)
     qindex = {s: a for a, s in enumerate(qdata.quotient.basis_names)}
     d = len(names)
-    table = _sparse_table(doc.get("action"), qindex, index, index, f"{path} action")
+    if "action" not in doc:
+        raise ParseError(f"{path}: module file has no \"action\"")
+    table = _sparse_table(doc["action"], qindex, index, index, f"{path} action")
     action = tensor3(qdata.quotient.dim, d, d,
                      {(a, j, k): c for (a, j), val in table.items()
                       for k, c in val.items()})
@@ -463,16 +476,20 @@ def _cmd_free_conjecture(args, report):
 # dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with command named, only that subparser is
+    built, since building all nine is a fixed cost of every invocation."""
     parser = argparse.ArgumentParser(
         prog="leibhom",
         description="Homology of Leibniz algebras from JSON structure constants.")
     parser.add_argument("--version", action="version",
                         version=f"leibhom {__version__} (format {FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(p, algebra=True):
-        if algebra:
+    for name, help_text in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if name != "free-conjecture":
             p.add_argument("algebra", help="algebra file (JSON structure constants)")
         p.add_argument("--json", dest="json_path", metavar="OUT",
                        help="write the canonical JSON report to this path")
@@ -481,31 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="accepted for compatibility; evaluation is sequential "
                             "and deterministic")
-
-    p = sub.add_parser("check", help="validate axioms, report dimensions")
-    common(p)
-    p = sub.add_parser("quotient", help="maximal Lie quotient and kernel ideal")
-    common(p)
-    for name, help_text in (
-            ("homology", "tensor-module homology (Betti table)"),
-            ("cohomology", "tensor-module cohomology"),
-            ("ce-homology", "homology of the enveloping-algebra complex"),
-            ("ce-cohomology", "cohomology of the enveloping-algebra complex"),
-            ("compare", "compare the two complexes and their induced maps"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--max-degree", type=int, default=3, metavar="N")
-        p.add_argument("--coefficients", default="trivial", metavar="C",
-                       help="trivial | lie:<file> | rep:<file>")
-    p = sub.add_parser("fg", help="graded-commutator subcomplex of the tensor complex")
-    common(p)
-    p.add_argument("--max-degree", type=int, default=3, metavar="N")
-    p = sub.add_parser("free-conjecture",
-                       help="vanishing check over a truncated free algebra")
-    common(p, algebra=False)
-    p.add_argument("--generators", type=int, metavar="D")
-    p.add_argument("--max-weight", type=int, default=None, metavar="W")
+        if name not in ("check", "quotient", "free-conjecture"):
+            p.add_argument("--max-degree", type=int, default=3, metavar="N")
+        if name not in ("check", "quotient", "fg", "free-conjecture"):
+            p.add_argument("--coefficients", default="trivial", metavar="C",
+                           help="trivial | lie:<file> | rep:<file>")
+        if name == "free-conjecture":
+            p.add_argument("--generators", type=int, metavar="D")
+            p.add_argument("--max-weight", type=int, default=None, metavar="W")
     return parser
 
 
@@ -540,7 +540,10 @@ def run(args) -> int:
 
 
 def entrypoint(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level options are only -h and --version, so a first argument
+    # that is a command name is the command
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

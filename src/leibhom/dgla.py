@@ -45,7 +45,6 @@ from .leibcore import (
     lie_quotient,
     symmetrization,
     tensor3_from_vectors,
-    zero_tensor3,
 )
 
 
@@ -70,12 +69,6 @@ class DGLieAlgebra:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(p for p, d in self.degree_dims.items() if d > 0))
-
-    def bracket_tensor(self, p: int, q: int) -> Tensor3:
-        t = self.brackets.get((p, q))
-        if t is None:
-            t = zero_tensor3(self.dim(p), self.dim(q), self.dim(p + q))
-        return t
 
     def bracket_vec(self, p: int, q: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         t = self.brackets.get((p, q))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from .exactla import (
     Matrix,
@@ -23,12 +24,11 @@ from .exactla import (
     Subspace,
     Vec,
     ZERO,
+    add_into,
     add_vectors,
     is_zero_vector,
     quotient_projection,
     quotient_section,
-    sub_vectors,
-    zero_vector,
 )
 
 Tensor3 = tuple[tuple[Vec, ...], ...]
@@ -36,10 +36,6 @@ Tensor3 = tuple[tuple[Vec, ...], ...]
 
 class IllDefinedQuotient(Exception):
     """The bracket does not descend to the requested quotient."""
-
-
-def zero_tensor3(a: int, b: int, c: int) -> Tensor3:
-    return tuple(tuple((ZERO,) * c for _ in range(b)) for _ in range(a))
 
 
 def tensor3(a: int, b: int, c: int, entries: Mapping[tuple[int, int, int], object]) -> Tensor3:
@@ -122,50 +118,68 @@ class LieAlgebra:
 
     @staticmethod
     def from_brackets(names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> "LieAlgebra":
-        n = len(names)
-        entries = {}
-        for (i, j), val in brackets.items():
-            for k, c in val.items():
-                entries[(i, j, k)] = c
-        return LieAlgebra(n, tuple(names), tensor3(n, n, n, entries))
+        g = LeibnizAlgebra.from_brackets(names, brackets)
+        return LieAlgebra(g.dim, g.basis_names, g.structure)
+
+
+def _int_tables(*tensors: Tensor3) -> list:
+    """Each tensor as nested lists t[i][j] = [(k, c), ...] of its nonzero
+    entries times D, the lcm of the denominators of all the tensors.  The
+    axioms are homogeneous of degree 2 in the tensors, so every defect is
+    scaled by D**2 and a zero stays exactly zero."""
+    den = lcm(*(c.denominator for t in tensors for plane in t for vec in plane for c in vec))
+    return [[[[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(vec) if c]
+              for vec in plane] for plane in t] for t in tensors]
+
+
+def _transposed(t: list) -> list:
+    return [list(col) for col in zip(*t)]
+
+
+def _defect(*terms) -> dict:
+    """The sparse sum of sign * c * row[l] over the (sign, pairs, row) terms
+    and the (l, c) in pairs: one side of an identity minus the other."""
+    acc: dict[int, int] = {}
+    for sign, pairs, row in terms:
+        for l, c in pairs:
+            for k, c2 in row[l]:
+                add_into(acc, k, sign * c * c2)
+    return acc
 
 
 def check_leibniz(g: LeibnizAlgebra) -> tuple[tuple[int, int, int], ...]:
     """All basis triples (i, j, k) violating the Leibniz identity of g's convention."""
+    [t] = _int_tables(g.structure)
+    tt = _transposed(t)
     bad = []
     n = g.dim
     for i in range(n):
         for j in range(n):
-            bij = g.bracket_basis(i, j)
             for k in range(n):
                 if g.convention == "left":
                     # [[i,j],k] - [i,[j,k]] + [j,[i,k]]
-                    defect = sub_vectors(g.bracket(bij, _unit(n, k)), g.bracket(_unit(n, i), g.bracket_basis(j, k)))
-                    defect = add_vectors(defect, g.bracket(_unit(n, j), g.bracket_basis(i, k)))
+                    defect = _defect((1, t[i][j], tt[k]), (-1, t[j][k], t[i]), (1, t[i][k], t[j]))
                 else:
                     # [i,[j,k]] - [[i,j],k] + [[i,k],j]
-                    defect = sub_vectors(g.bracket(_unit(n, i), g.bracket_basis(j, k)), g.bracket(bij, _unit(n, k)))
-                    defect = add_vectors(defect, g.bracket(g.bracket_basis(i, k), _unit(n, j)))
-                if not is_zero_vector(defect):
+                    defect = _defect((1, t[j][k], t[i]), (-1, t[i][j], tt[k]), (1, t[i][k], tt[j]))
+                if defect:
                     bad.append((i, j, k))
     return tuple(bad)
 
 
 def check_lie(h: LieAlgebra) -> tuple[tuple, ...]:
     """Antisymmetry and Jacobi violations, tagged per family."""
+    [t] = _int_tables(h.structure)
     bad = []
     n = h.dim
     for i in range(n):
         for j in range(n):
-            if not is_zero_vector(add_vectors(h.bracket_basis(i, j), h.bracket_basis(j, i))):
+            if _defect((1, [(j, 1)], t[i]), (1, [(i, 1)], t[j])):  # [i,j] + [j,i]
                 bad.append(("antisymmetry", i, j))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                s = h.bracket(_unit(n, i), h.bracket_basis(j, k))
-                s = add_vectors(s, h.bracket(_unit(n, j), h.bracket_basis(k, i)))
-                s = add_vectors(s, h.bracket(_unit(n, k), h.bracket_basis(i, j)))
-                if not is_zero_vector(s):
+                if _defect((1, t[j][k], t[i]), (1, t[k][i], t[j]), (1, t[i][j], t[k])):
                     bad.append(("jacobi", i, j, k))
     return tuple(bad)
 
@@ -264,7 +278,7 @@ class Representation:
 def trivial_representation(g: LeibnizAlgebra, dim: int = 1, names: Sequence[str] | None = None) -> Representation:
     if names is None:
         names = tuple(f"m{i}" for i in range(dim))
-    return Representation(dim, tuple(names), zero_tensor3(g.dim, dim, dim), zero_tensor3(dim, g.dim, dim))
+    return Representation(dim, tuple(names), tensor3(g.dim, dim, dim, {}), tensor3(dim, g.dim, dim, {}))
 
 
 def adjoint_representation(g: LeibnizAlgebra) -> Representation:
@@ -273,27 +287,20 @@ def adjoint_representation(g: LeibnizAlgebra) -> Representation:
 
 def check_representation(g: LeibnizAlgebra, m: Representation) -> tuple[tuple, ...]:
     """Violations of the three compatibility identities, tagged mxy/xmy/xym."""
+    s, left, right = _int_tables(g.structure, m.left_action, m.right_action)
+    left_t, right_t = _transposed(left), _transposed(right)
     bad = []
-    n, d = g.dim, m.dim
-    gu = lambda i: _unit(n, i)
-    mu = lambda a: _unit(d, a)
-    for a in range(d):
-        for i in range(n):
-            for j in range(n):
+    for a in range(m.dim):
+        for i in range(g.dim):
+            for j in range(g.dim):
                 # [[m,x],y] = [m,[x,y]] - [x,[m,y]]
-                lhs = m.right(m.right(mu(a), gu(i)), gu(j))
-                rhs = sub_vectors(m.right(mu(a), g.bracket_basis(i, j)), m.left(gu(i), m.right(mu(a), gu(j))))
-                if lhs != rhs:
+                if _defect((1, right[a][i], right_t[j]), (-1, s[i][j], right[a]), (1, right[a][j], left[i])):
                     bad.append(("mxy", a, i, j))
                 # [[x,m],y] = [x,[m,y]] - [m,[x,y]]
-                lhs = m.right(m.left(gu(i), mu(a)), gu(j))
-                rhs = sub_vectors(m.left(gu(i), m.right(mu(a), gu(j))), m.right(mu(a), g.bracket_basis(i, j)))
-                if lhs != rhs:
+                if _defect((1, left[i][a], right_t[j]), (-1, right[a][j], left[i]), (1, s[i][j], right[a])):
                     bad.append(("xmy", a, i, j))
                 # [[x,y],m] = [x,[y,m]] - [y,[x,m]]
-                lhs = m.left(g.bracket_basis(i, j), mu(a))
-                rhs = sub_vectors(m.left(gu(i), m.left(gu(j), mu(a))), m.left(gu(j), m.left(gu(i), mu(a))))
-                if lhs != rhs:
+                if _defect((1, s[i][j], left_t[a]), (-1, left[j][a], left[i]), (1, left[i][a], left[j])):
                     bad.append(("xym", i, j, a))
     return tuple(bad)
 
@@ -331,17 +338,14 @@ class LieModule:
 
 
 def check_lie_module(h: LieAlgebra, mod: LieModule) -> tuple[tuple, ...]:
+    """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails."""
+    s, act = _int_tables(h.structure, mod.action)
+    act_t = _transposed(act)
     bad = []
-    n, d = h.dim, mod.dim
-    for i in range(n):
-        for j in range(n):
-            for a in range(d):
-                lhs = mod.act(h.bracket_basis(i, j), _unit(d, a))
-                rhs = sub_vectors(
-                    mod.act(_unit(n, i), mod.act(_unit(n, j), _unit(d, a))),
-                    mod.act(_unit(n, j), mod.act(_unit(n, i), _unit(d, a))),
-                )
-                if lhs != rhs:
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for a in range(mod.dim):
+                if _defect((1, s[i][j], act_t[a]), (-1, act[j][a], act[i]), (1, act[i][a], act[j])):
                     bad.append((i, j, a))
     return tuple(bad)
 

@@ -272,6 +272,28 @@ def test_lie_coefficients_reject_wrong_names(r2_path, tmp_path, capsys):
     assert "unknown name 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, doc, missing", [
+    ("rep", R2_CHAR_DOC, 'neither "left_action" nor "right_action"'),
+    ("lie", R2_ADJ_DOC, 'no "action"'),
+], ids=["lie-file-as-rep", "rep-file-as-lie"])
+def test_module_file_without_its_action_table_rejected(r2_path, tmp_path, capsys,
+                                                        kind, doc, missing):
+    # a missing table once read as an empty one: the zero module
+    mod = write_json(tmp_path / "mod.json", doc)
+    assert cli.entrypoint(["homology", r2_path, "--coefficients", f"{kind}:{mod}"]) == 2
+    assert capsys.readouterr().err == f"error: {mod}: module file has {missing}\n"
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("rep", {"basis": ["m"], "left_action": [], "right_action": []}),
+    ("lie", {"basis": ["m"], "action": []}),
+])
+def test_empty_action_tables_give_the_zero_module(r2_path, tmp_path, kind, doc):
+    mod = write_json(tmp_path / "mod.json", doc)
+    assert cli.entrypoint(["homology", r2_path, "--coefficients", f"{kind}:{mod}",
+                           "--quiet"]) == 0
+
+
 def test_rep_coefficients(r2_path, tmp_path):
     mod = write_json(tmp_path / "adj.json", R2_ADJ_DOC)
     out_path = tmp_path / "r.json"

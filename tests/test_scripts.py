@@ -53,3 +53,15 @@ def test_ladder_writes_one_rung(tmp_path):
     assert rung["name"] == "heis3 <= 6"
     assert rung["result"] == [1, 2, 5, 10, 22, 47, 101]
     assert rung["wall_s"] >= 0 and rung["peak_rss_mb"] > 0
+
+
+def test_ladder_runs_a_cli_rung(tmp_path):
+    name = "leibhom homology --max-degree 3 heis3"
+    proc = run_script("ladder.py", "--label", "smoke", "--rung", name, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    [rung] = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert rung["name"] == name
+    assert rung["result"]["exit"] == 0
+    assert rung["result"]["tables"]["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10}
+    assert rung["result"]["verdicts"] == {}
+    assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
