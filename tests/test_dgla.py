@@ -220,3 +220,403 @@ def test_minimal_module_rejects_fake_representation():
     fake = Representation(1, ("m",), left, right)
     with pytest.raises(IllDefinedAction):
         minimal_module(g, fake)
+
+
+# ---------------------------------------------------------------------------
+# the per-vector DGLA code that the library's table identities replaced,
+# kept as oracles: one unit vector and one bilinear evaluation at a time
+
+import random
+
+from leibhom.dgla import DGLAMorphism, DGModule
+from leibhom.exactla import quotient_section
+from leibhom.leibcore import Representation, check_representation, symmetrization
+
+from conftest import random_algebra, rescaled_heis3
+
+ZERO = Fraction(0)
+
+
+def _unit(n, i):
+    return tuple(Fraction(int(t == i)) for t in range(n))
+
+
+def _zeros(n):
+    return (ZERO,) * n
+
+
+def _add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def _scale(c, v):
+    return tuple(c * a for a in v)
+
+
+def _column(m, j):
+    return tuple(r[j] for r in m.entries)
+
+
+def _bilinear(t, u, v):
+    """The bilinear map with dense structure tensor t at (u, v)."""
+    if not t:
+        return ()
+    c = len(t[0][0]) if t[0] else 0
+    out = [ZERO] * c
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    for k, wk in enumerate(t[i][j]):
+                        if wk:
+                            out[k] += ui * vj * wk
+    return tuple(out)
+
+
+def _from_vectors(a, b, c, fn):
+    return tuple(tuple(tuple(Fraction(x) for x in fn(i, j)) for j in range(b)) for i in range(a))
+
+
+def _bracket(L, p, q, u, v):
+    t = L.brackets.get((p, q))
+    return _zeros(L.dim(p + q)) if t is None else _bilinear(t, u, v)
+
+
+def _act(mod, p, q, x, m):
+    t = mod.actions.get((p, q))
+    return _zeros(mod.dim(p + q)) if t is None else _bilinear(t, x, m)
+
+
+def _left(rep, x, m):
+    return _bilinear(rep.left_action, x, m)
+
+
+def _right(rep, m, x):
+    return _bilinear(rep.right_action, m, x)
+
+
+def oracle_check_dgla(L):
+    bad = []
+    degs = L.degrees()
+    for p in degs:
+        for q in degs:
+            tp, tq = L.dim(p), L.dim(q)
+            if L.dim(p + q) == 0 and (p, q) not in L.brackets and (q, p) not in L.brackets:
+                continue
+            sign = Fraction(-1) ** (p * q + 1)
+            for i in range(tp):
+                for j in range(tq):
+                    lhs = _bracket(L, p, q, _unit(tp, i), _unit(tq, j))
+                    rhs = _scale(sign, _bracket(L, q, p, _unit(tq, j), _unit(tp, i)))
+                    if lhs != rhs:
+                        bad.append(("antisymmetry", p, q, i, j))
+    for p in degs:
+        for q in degs:
+            for r in degs:
+                tp, tq, tr = L.dim(p), L.dim(q), L.dim(r)
+                if L.dim(p + q + r) == 0:
+                    continue
+                for i in range(tp):
+                    x = _unit(tp, i)
+                    for j in range(tq):
+                        y = _unit(tq, j)
+                        for k in range(tr):
+                            z = _unit(tr, k)
+                            s = _scale(Fraction(-1) ** (p * r),
+                                       _bracket(L, p, q + r, x, _bracket(L, q, r, y, z)))
+                            s = _add(s, _scale(Fraction(-1) ** (q * p),
+                                               _bracket(L, q, r + p, y, _bracket(L, r, p, z, x))))
+                            s = _add(s, _scale(Fraction(-1) ** (r * q),
+                                               _bracket(L, r, p + q, z, _bracket(L, p, q, x, y))))
+                            if any(s):
+                                bad.append(("jacobi", p, q, r, i, j, k))
+    for p in degs:
+        for q in degs:
+            tp, tq = L.dim(p), L.dim(q)
+            if L.dim(p + q) == 0 or L.dim(p + q - 1) == 0:
+                continue
+            d_pq = L.differential(p + q)
+            for i in range(tp):
+                x = _unit(tp, i)
+                dx = _column(L.differential(p), i) if L.dim(p - 1) else ()
+                for j in range(tq):
+                    y = _unit(tq, j)
+                    dy = _column(L.differential(q), j) if L.dim(q - 1) else ()
+                    lhs = d_pq.apply(_bracket(L, p, q, x, y))
+                    rhs = _bracket(L, p - 1, q, dx, y) if L.dim(p - 1) else _zeros(L.dim(p + q - 1))
+                    term = _bracket(L, p, q - 1, x, dy) if L.dim(q - 1) else _zeros(L.dim(p + q - 1))
+                    rhs = _add(rhs, _scale(Fraction(-1) ** p, term))
+                    if lhs != rhs:
+                        bad.append(("leibniz_rule", p, q, i, j))
+    for p in degs:
+        if L.dim(p - 1) and L.dim(p - 2):
+            if not (L.differential(p - 1) @ L.differential(p)).is_zero():
+                bad.append(("d_squared", p))
+    return tuple(bad)
+
+
+def oracle_check_dgla_morphism(f, max_degree=None):
+    bad = []
+    src, tgt = f.source, f.target
+    degs = sorted(set(src.degrees()) | set(tgt.degrees()))
+    if max_degree is not None:
+        degs = [p for p in degs if p <= max_degree]
+    for p in degs:
+        if src.dim(p) == 0:
+            continue
+        if f.component(p - 1) @ src.differential(p) != tgt.differential(p) @ f.component(p):
+            bad.append(("chain_map", p))
+    for p in degs:
+        for q in degs:
+            if max_degree is not None and p + q > max_degree:
+                continue
+            np_, nq = src.dim(p), src.dim(q)
+            if np_ == 0 or nq == 0:
+                continue
+            fp, fq, fpq = f.component(p), f.component(q), f.component(p + q)
+            for i in range(np_):
+                for j in range(nq):
+                    lhs = fpq.apply(_bracket(src, p, q, _unit(np_, i), _unit(nq, j)))
+                    rhs = _bracket(tgt, p, q, _column(fp, i), _column(fq, j))
+                    if lhs != rhs:
+                        bad.append(("bracket", p, q, i, j))
+    return tuple(bad)
+
+
+def oracle_check_dg_module(mod):
+    bad = []
+    L = mod.algebra
+    adegs, mdegs = L.degrees(), mod.degrees()
+    for p in adegs:
+        for q in adegs:
+            for s in mdegs:
+                if mod.dim(p + q + s) == 0:
+                    continue
+                np_, nq, ns = L.dim(p), L.dim(q), mod.dim(s)
+                for i in range(np_):
+                    x = _unit(np_, i)
+                    for j in range(nq):
+                        y = _unit(nq, j)
+                        for a in range(ns):
+                            m = _unit(ns, a)
+                            lhs = _act(mod, p + q, s, _bracket(L, p, q, x, y), m)
+                            rhs = _act(mod, p, q + s, x, _act(mod, q, s, y, m))
+                            rhs = _sub(rhs, _scale(Fraction(-1) ** (p * q),
+                                                   _act(mod, q, p + s, y, _act(mod, p, s, x, m))))
+                            if lhs != rhs:
+                                bad.append(("module_jacobi", p, q, s, i, j, a))
+    for p in adegs:
+        for s in mdegs:
+            if mod.dim(p + s) == 0 or mod.dim(p + s - 1) == 0:
+                continue
+            np_, ns = L.dim(p), mod.dim(s)
+            d_out = mod.differential(p + s)
+            for i in range(np_):
+                x = _unit(np_, i)
+                dx = _column(L.differential(p), i) if L.dim(p - 1) else ()
+                for a in range(ns):
+                    m = _unit(ns, a)
+                    dm = _column(mod.differential(s), a) if mod.dim(s - 1) else ()
+                    lhs = d_out.apply(_act(mod, p, s, x, m))
+                    rhs = _act(mod, p - 1, s, dx, m) if L.dim(p - 1) else _zeros(mod.dim(p + s - 1))
+                    term = _act(mod, p, s - 1, x, dm) if mod.dim(s - 1) else _zeros(mod.dim(p + s - 1))
+                    rhs = _add(rhs, _scale(Fraction(-1) ** p, term))
+                    if lhs != rhs:
+                        bad.append(("module_leibniz", p, s, i, a))
+    for q in mdegs:
+        if mod.dim(q - 1) and mod.dim(q - 2):
+            if not (mod.differential(q - 1) @ mod.differential(q)).is_zero():
+                bad.append(("d_squared", q))
+    return tuple(bad)
+
+
+def _coords_in(sub, v, msg):
+    c = sub.coords(v)
+    if c is None:
+        raise IllDefinedAction(msg)
+    return c
+
+
+def oracle_minimal_module_actions(g, rep):
+    """The action tensors of minimal_module(g, rep), or the IllDefinedAction
+    it raises, by the per-vector construction."""
+    bad = check_representation(g, rep)
+    if bad:
+        raise IllDefinedAction(f"not a two-sided module: {bad[:3]}")
+    qdata = lie_quotient(g)
+    n, d = g.dim, rep.dim
+    r = qdata.quotient.dim
+    anti, u_dim, qmat = symmetrization(rep)
+    t = anti.dim
+    lift = quotient_section(anti)
+
+    def lift_left(a, mvec):
+        return _left(rep, _column(qdata.section, a), mvec)
+
+    for a in range(r):
+        for i in range(t):
+            if not anti.contains(lift_left(a, _column(anti.basis, i))):
+                raise IllDefinedAction(f"left action of degree-0 vector {a} leaves the symmetrized span")
+    a00 = _from_vectors(r, d, d, lambda a, j: lift_left(a, _unit(d, j)))
+    a01 = _from_vectors(r, t, t, lambda a, i: anti.coords(lift_left(a, _column(anti.basis, i))))
+    a0m1 = _from_vectors(r, u_dim, u_dim, lambda a, c: qmat.apply(lift_left(a, _column(lift, c))))
+    a1m1 = _from_vectors(n, u_dim, d, lambda i, c: _scale(-1, _right(rep, _column(lift, c), _unit(n, i))))
+    for i in range(n):
+        for j in range(t):
+            if any(_right(rep, _column(anti.basis, j), _unit(n, i))):
+                raise IllDefinedAction(f"right action of e_{i} does not kill the symmetrized span")
+    a10 = _from_vectors(n, d, t, lambda i, j: _coords_in(
+        anti, _add(_left(rep, _unit(n, i), _unit(d, j)), _right(rep, _unit(d, j), _unit(n, i))),
+        "symmetrized action vector left its own span"))
+    s = qdata.ann.dim
+    a2m1 = _from_vectors(s, u_dim, t, lambda j, c: _coords_in(
+        anti, _scale(-1, _right(rep, _column(lift, c), _column(qdata.ann.basis, j))),
+        f"right action of square-span vector {j} does not land in the symmetrized span"))
+    return {(0, 0): a00, (0, 1): a01, (0, -1): a0m1, (1, -1): a1m1, (1, 0): a10, (2, -1): a2m1}
+
+
+ORACLE_ALGEBRAS = dict(CORPUS)
+ORACLE_ALGEBRAS.update({f"random{s}": random_algebra(random.Random(s)) for s in range(3)})
+ORACLE_ALGEBRAS["heis3 rescaled"] = rescaled_heis3()
+
+
+def _replace(L, brackets=None, differentials=None):
+    return DGLieAlgebra(L.name, L.degree_dims, L.brackets if brackets is None else brackets,
+                        L.differentials if differentials is None else differentials, L.labels)
+
+
+def dgla_mutants():
+    """(label, mutant, the DGLA it was made from): the graded mutants of
+    the suite."""
+    c = cone(LIE_CORPUS["r2"])
+    no_comp = dict(c.brackets)
+    del no_comp[(1, 0)]
+    yield "cone without its (1,0) block", _replace(c, brackets=no_comp), c
+    scaled = dict(c.differentials)
+    scaled[1] = Matrix.from_rows([[1, 0], [0, 2]])
+    yield "cone with rescaled differential", _replace(c, differentials=scaled), c
+    env = minimal_envelope(CORPUS["A2"])
+    broken = dict(env.differentials)
+    broken[2] = Matrix.from_rows([[1], [0]])
+    yield "envelope with non-chain d2", _replace(env, differentials=broken), env
+    ch = cone(LIE_CORPUS["heis3"])
+    bad00 = dict(ch.brackets)
+    bad00[(0, 0)] = tensor3(3, 3, 3, {(0, 1, 2): Fraction(1), (1, 0, 2): Fraction(-1),
+                                      (0, 0, 1): Fraction(1)})
+    yield "cone with a symmetric square", _replace(ch, brackets=bad00), ch
+    denv = minimal_envelope(rescaled_heis3())
+    halved = dict(denv.brackets)
+    halved[(0, 1)] = tensor3(3, 3, 3, {(0, 1, 2): Fraction(1, 3)})
+    yield "envelope with a halved action", _replace(denv, brackets=halved), denv
+
+
+def dglas():
+    for name, g in ORACLE_ALGEBRAS.items():
+        yield f"envelope {name}", minimal_envelope(g)
+    for name, h in LIE_CORPUS.items():
+        yield f"cone {name}", cone(h)
+    for label, mutant, _ in dgla_mutants():
+        yield label, mutant
+
+
+DGLAS = dict(dglas())
+
+
+@pytest.mark.parametrize("label", list(DGLAS))
+def test_check_dgla_matches_dense_oracle(label):
+    assert check_dgla(DGLAS[label]) == oracle_check_dgla(DGLAS[label])
+
+
+def morphisms():
+    for name, g in ORACLE_ALGEBRAS.items():
+        f, _ = minimal_counit(minimal_envelope(g))
+        yield f"counit {name}", f
+        doubled = dict(f.components)
+        doubled[1] = Matrix.from_entries(f.source.dim(1), f.source.dim(1),
+                                         {(i, i): 2 for i in range(f.source.dim(1))})
+        yield f"counit {name} with doubled degree 1", DGLAMorphism(f.source, f.target, doubled)
+    for label, mutant, base in dgla_mutants():
+        ident = {p: Matrix.identity(base.dim(p)) for p in base.degrees()}
+        yield f"identity {label} -> original", DGLAMorphism(mutant, base, ident)
+        yield f"identity original -> {label}", DGLAMorphism(base, mutant, ident)
+
+
+MORPHISMS = dict(morphisms())
+
+
+@pytest.mark.parametrize("label", list(MORPHISMS))
+def test_check_dgla_morphism_matches_dense_oracle(label):
+    f = MORPHISMS[label]
+    for max_degree in (None, 1, 2):
+        assert check_dgla_morphism(f, max_degree) == oracle_check_dgla_morphism(f, max_degree)
+
+
+def dg_modules():
+    for name, g in ORACLE_ALGEBRAS.items():
+        env = minimal_envelope(g)
+        yield f"as_module {name}", as_module(env)
+        for rname, rep in representations_for(g).items():
+            yield f"minimal_module {name} {rname}", minimal_module(g, rep)
+    mod = minimal_module(CORPUS["A2"], adjoint_representation(CORPUS["A2"]))
+    mdiffs = dict(mod.differentials)
+    d0 = mdiffs[0]
+    mdiffs[0] = Matrix.from_entries(d0.rows, d0.cols, {k: 2 * v for k, v in d0.entries_dict().items()})
+    yield "rescaled differential", DGModule(mod.algebra, mod.degree_dims, mod.actions, mdiffs,
+                                            mod.labels)
+    macts = dict(mod.actions)
+    macts[(0, 0)] = tensor3(2, 2, 2, {})
+    yield "erased degree-(0,0) action", DGModule(mod.algebra, mod.degree_dims, macts,
+                                                 mod.differentials, mod.labels)
+    for label, mutant, _ in dgla_mutants():
+        yield f"as_module {label}", as_module(mutant)
+
+
+DG_MODULES = dict(dg_modules())
+
+
+@pytest.mark.parametrize("label", list(DG_MODULES))
+def test_check_dg_module_matches_dense_oracle(label):
+    assert check_dg_module(DG_MODULES[label]) == oracle_check_dg_module(DG_MODULES[label])
+
+
+def representation_cases():
+    """(g, rep) pairs: the valid corpus modules and the rep mutants of
+    the suite, plus one redrawn entry per valid module."""
+    for g in ORACLE_ALGEBRAS.values():
+        for rep in representations_for(g).values():
+            yield g, rep
+            n, d = g.dim, rep.dim
+            left = {(i, j, k): x for i, plane in enumerate(rep.left_action)
+                    for j, vec in enumerate(plane) for k, x in enumerate(vec) if x}
+            left[(n - 1, 0, d - 1)] = Fraction(1, 2)
+            yield g, Representation(d, rep.basis_names, tensor3(n, d, d, left), rep.right_action)
+    a2, r2 = CORPUS["A2"], CORPUS["r2"]
+    yield a2, Representation(1, ("m",), tensor3(2, 1, 1, {(0, 0, 0): 1, (1, 0, 0): 1}),
+                             tensor3(1, 2, 1, {}))
+    yield r2, Representation(1, ("m",), tensor3(2, 1, 1, {(0, 0, 0): 1, (1, 0, 0): 1}),
+                             tensor3(1, 2, 1, {}))
+    yield r2, Representation(1, ("m",), tensor3(2, 1, 1, {}), tensor3(1, 2, 1, {(0, 0, 0): 1}))
+    adj = adjoint_representation(r2)
+    yield r2, Representation(adj.dim, adj.basis_names, adj.left_action,
+                             tensor3(2, 2, 2, {(1, 0, 1): 1, (0, 1, 1): 1}))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except IllDefinedAction as exc:
+        return str(exc)
+
+
+def test_minimal_module_matches_dense_oracle_and_its_failures():
+    raised = 0
+    for g, rep in representation_cases():
+        want = _outcome(lambda: oracle_minimal_module_actions(g, rep))
+        got = _outcome(lambda: minimal_module(g, rep).actions)
+        assert got == want, (g.basis_names, rep.basis_names)
+        raised += isinstance(want, str)
+    assert raised >= 4

@@ -37,10 +37,20 @@ def test_script_reaches_its_verdict(argv, verdict):
     assert verdict in proc.stdout.splitlines()[-1]
 
 
-def test_result_digest_prints_one_sha256():
-    proc = run_script("result_digest.py", "--max-degree", "2")
+# the digests recorded before the structure tables became sparse integer
+# matrices: a change of storage must leave every computed value as it was
+PINNED_DIGESTS = {
+    2: "4d3db45160b4d44de15a4bd28ea82098b1b3a6b12d05c40c793c05bd3fd14603",
+    3: "6892a9f1f1131c2a85e64a2fd289b3a308ac9dd40df6090f7ead58a5754b157a",
+}
+
+
+@pytest.mark.parametrize("max_degree", list(PINNED_DIGESTS))
+def test_result_digest_is_pinned(max_degree):
+    proc = run_script("result_digest.py", "--max-degree", str(max_degree))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
+    assert proc.stdout.strip() == PINNED_DIGESTS[max_degree]
 
 
 def test_ladder_writes_one_rung(tmp_path):
