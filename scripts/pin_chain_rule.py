@@ -62,7 +62,7 @@ def algebras():
             out = [Fraction(0)] * 2
             for a in range(2):
                 for b in range(2):
-                    vec = base.bracket_basis(a, b)
+                    vec = [row[a * 2 + b] for row in base.structure.entries]
                     coeff = Fraction(p[a][i] * p[b][j])
                     for k in range(2):
                         for l in range(2):
@@ -80,10 +80,7 @@ def modules(name, g):
     r = qdata.quotient.dim
     # lifted one-sided modules: the quotient acting on itself
     if r:
-        act = tensor3(r, r, r, {(a, b, k): qdata.quotient.structure[a][b][k]
-                                for a in range(r) for b in range(r)
-                                for k in range(r)})
-        mod = LieModule(r, act)
+        mod = LieModule(r, qdata.quotient.structure)
         if not check_lie_module(qdata.quotient, mod):
             yield "lift-adq", lie_module_lift(g, qdata, mod)
     if name == "r2":
@@ -124,10 +121,7 @@ def main():
         # lifted coefficients: two-sided branch vs one-sided branch
         r = qdata.quotient.dim
         if r:
-            act = tensor3(r, r, r, {(a, b, k): qdata.quotient.structure[a][b][k]
-                                    for a in range(r) for b in range(r)
-                                    for k in range(r)})
-            mod = LieModule(r, act)
+            mod = LieModule(r, qdata.quotient.structure)
             if check_lie_module(qdata.quotient, mod):
                 continue
             lift = rep_coefficients(lie_module_lift(g, qdata, mod))

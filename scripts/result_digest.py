@@ -8,8 +8,10 @@ complexes and projections, the maximal Lie quotient, the minimal
 envelope and modules, the commutator subcomplex, the classical
 complexes of the Lie corpus, and conjecture_check at (1,6), (2,5), (3,3).
 Only values are hashed: matrix entries as a dense table, Betti numbers,
-pivots and the fields of every report.  How a matrix is stored never
-enters, so two trees that compute the same numbers print the same digest.
+pivots and the fields of every report.  A bracket or action table is
+hashed as the dense tensor t[i][j][k] of its structure constants.  How a
+matrix or a tensor is stored never enters, so two trees that compute the
+same numbers print the same digest.
 
 Run:  PYTHONPATH=src python3 scripts/result_digest.py [--max-degree N]
 The corpus comes from tests/conftest.py, which imports pytest.
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from leibhom.dgla import minimal_envelope, minimal_module
+from leibhom.dgla import DGLieAlgebra, DGModule, minimal_envelope, minimal_module
 from leibhom.exactla import Matrix, Subspace
 from leibhom.homology import (
     ChainComplex,
@@ -41,7 +43,16 @@ from leibhom.homology import (
     rep_coefficients,
     trivial_coefficients,
 )
-from leibhom.leibcore import adjoint_lie_module, lie_quotient, symmetrization
+from leibhom.leibcore import (
+    LeibnizAlgebra,
+    LieAlgebra,
+    LieModule,
+    QuotientData,
+    Representation,
+    adjoint_lie_module,
+    lie_quotient,
+    symmetrization,
+)
 
 # the corpus and coefficient helpers are the test suite's
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -49,6 +60,7 @@ from conftest import (  # noqa: E402
     CORPUS,
     LIE_CORPUS,
     character_module,
+    dense,
     quotient_adjoint_module,
     random_algebra,
     representations_for,
@@ -56,6 +68,28 @@ from conftest import (  # noqa: E402
 )
 
 RANDOM_SEEDS = range(6)
+
+
+def dense_tables(obj) -> dict:
+    """The structure tables among the fields of obj, by field name, each
+    as its dense tensor."""
+    if isinstance(obj, (LeibnizAlgebra, LieAlgebra)):
+        return {"structure": dense(obj.structure, obj.dim, obj.dim)}
+    if isinstance(obj, Representation):
+        n = obj.left_action.cols // obj.dim
+        return {"left_action": dense(obj.left_action, n, obj.dim),
+                "right_action": dense(obj.right_action, obj.dim, n)}
+    if isinstance(obj, LieModule):
+        return {"action": dense(obj.action, obj.action.cols // obj.dim, obj.dim)}
+    if isinstance(obj, QuotientData):
+        return {"action_on_g": dense(obj.action_on_g, obj.quotient.dim, obj.projection.cols)}
+    if isinstance(obj, DGLieAlgebra):
+        return {"brackets": {(p, q): dense(t, obj.dim(p), obj.dim(q))
+                             for (p, q), t in obj.brackets.items()}}
+    if isinstance(obj, DGModule):
+        return {"actions": {(p, q): dense(t, obj.algebra.dim(p), obj.dim(q))
+                            for (p, q), t in obj.actions.items()}}
+    return {}
 
 
 def feed(h, obj) -> None:
@@ -69,8 +103,10 @@ def feed(h, obj) -> None:
         feed(h, ("ChainComplex", obj.offset, obj.dims, obj.raising, obj.diffs, obj.betti(),
                  [obj.cycle_space(k) for k in degrees], [obj.boundary_space(k) for k in degrees]))
     elif dataclasses.is_dataclass(obj):
+        tables = dense_tables(obj)
         feed(h, (type(obj).__name__,
-                 [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]))
+                 [(f.name, tables[f.name] if f.name in tables else getattr(obj, f.name))
+                  for f in dataclasses.fields(obj)]))
     elif isinstance(obj, dict):
         feed(h, ("dict", sorted(obj.items(), key=lambda kv: repr(kv[0]))))
     elif isinstance(obj, (tuple, list)):

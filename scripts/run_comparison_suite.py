@@ -35,10 +35,7 @@ def coefficient_systems(g):
     qdata = lie_quotient(g)
     r = qdata.quotient.dim
     if r:
-        act = tensor3(r, r, r, {(a, b, k): qdata.quotient.structure[a][b][k]
-                                for a in range(r) for b in range(r)
-                                for k in range(r)})
-        mod = LieModule(r, act)
+        mod = LieModule(r, qdata.quotient.structure)
         if not check_lie_module(qdata.quotient, mod):
             yield "ad(g_Lie)", lie_coefficients(mod)
     # a rank-1 character when the quotient has one: first generator acts as 1

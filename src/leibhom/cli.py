@@ -207,17 +207,11 @@ def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
 
 def algebra_echo(g: LeibnizAlgebra | LieAlgebra) -> dict:
     """Re-emit an algebra as an input document (always left convention)."""
-    brackets = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            vec = g.bracket_basis(i, j)
-            value = {g.basis_names[k]: format_scalar(c)
-                     for k, c in enumerate(vec) if c}
-            if value:
-                brackets.append({"left": g.basis_names[i],
-                                 "right": g.basis_names[j],
-                                 "value": value})
-    return {"basis": list(g.basis_names), "convention": "left", "brackets": brackets}
+    names = g.basis_names
+    brackets = [{"left": names[c // g.dim], "right": names[c % g.dim],
+                 "value": {names[k]: format_scalar(x) for k, x in col}}
+                for c, col in enumerate(g.structure.transpose().sparse_rows) if col]
+    return {"basis": list(names), "convention": "left", "brackets": brackets}
 
 
 def parse_representation(path: str, g: LeibnizAlgebra,
@@ -357,8 +351,7 @@ def _cmd_quotient(args, report):
     report["tables"]["quotient"] = {"basis": list(q.basis_names), "brackets": brackets}
     report["tables"]["ann"] = {
         "dim": qdata.ann.dim,
-        "basis": [[format_scalar(c) for c in qdata.ann.basis.column(t)]
-                  for t in range(qdata.ann.dim)],
+        "basis": [[format_scalar(c) for c in col] for col in qdata.ann.basis.transpose().entries],
     }
     report["tables"]["projection"] = [
         [format_scalar(c) for c in row] for row in qdata.projection.entries]

@@ -12,39 +12,37 @@ Leibniz algebra (`leib`).  `cone` and `minimal_envelope` build the two
 standard objects that realize a given Lie or Leibniz algebra this way,
 and `minimal_counit` maps any suitable DGLA onto the minimal model of
 its own degree-1 part.
+
+Brackets and module actions are tables (see leibcore): brackets[(p, q)]
+is the Matrix of L_p x L_q -> L_{p+q}, column i*dim(q) + j holding
+[e_i, e_j], so every axiom below is a matrix identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .exactla import (
     Matrix,
     Subspace,
-    Vec,
-    add_vectors,
-    is_zero_vector,
+    _kron,
+    _lincomb,
+    _matrix,
+    _swap,
     kernel_basis,
     quotient_section,
-    scale_vector,
     solve,
-    sub_vectors,
-    zero_vector,
 )
 from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
     QuotientData,
     Representation,
-    Tensor3,
-    _unit,
-    bilinear,
+    _polarized,
+    _violations,
     check_representation,
     lie_quotient,
     symmetrization,
-    tensor3_from_vectors,
 )
 
 
@@ -60,7 +58,7 @@ class IllDefinedAction(Exception):
 class DGLieAlgebra:
     name: str
     degree_dims: dict[int, int]
-    brackets: dict[tuple[int, int], Tensor3]
+    brackets: dict[tuple[int, int], Matrix]  # (p, q): the table of L_p x L_q -> L_{p+q}
     differentials: dict[int, Matrix]
     labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
@@ -70,11 +68,10 @@ class DGLieAlgebra:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(p for p, d in self.degree_dims.items() if d > 0))
 
-    def bracket_vec(self, p: int, q: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+    def bracket(self, p: int, q: int) -> Matrix:
+        """The table of L_p x L_q -> L_{p+q}, zero where none is stored."""
         t = self.brackets.get((p, q))
-        if t is None:
-            return zero_vector(self.dim(p + q))
-        return bilinear(t, u, v)
+        return Matrix.zeros(self.dim(p + q), self.dim(p) * self.dim(q)) if t is None else t
 
     def differential(self, p: int) -> Matrix:
         m = self.differentials.get(p)
@@ -89,11 +86,15 @@ class DGLieAlgebra:
         return f"e[{p}][{i}]"
 
 
-def _coords_in(sub: Subspace, v, exc: type[Exception], msg: str) -> Vec:
-    c = sub.coords(v)
-    if c is None:
-        raise exc(msg)
-    return c
+def _coords_in(sub: Subspace, m: Matrix, exc: type[Exception], msg) -> Matrix:
+    """Coordinates in sub of the columns of m; raises exc(msg(c)) for the
+    first column c outside sub."""
+    coords = sub.column_coords(m)
+    if coords is None:
+        cols = m.transpose().int_rows
+        raise exc(msg(next(c for c, col in enumerate(cols)
+                           if sub.column_coords(_matrix(1, m.rows, (col,)).transpose()) is None)))
+    return coords
 
 
 def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
@@ -103,57 +104,37 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
 
     for p in degs:
         for q in degs:
-            tp, tq = L.dim(p), L.dim(q)
             if L.dim(p + q) == 0 and (p, q) not in L.brackets and (q, p) not in L.brackets:
                 continue
-            sign = Fraction(-1) ** (p * q + 1)
-            for i in range(tp):
-                up = _unit(tp, i)
-                for j in range(tq):
-                    lhs = L.bracket_vec(p, q, up, _unit(tq, j))
-                    rhs = scale_vector(sign, L.bracket_vec(q, p, _unit(tq, j), up))
-                    if lhs != rhs:
-                        bad.append(("antisymmetry", p, q, i, j))
+            tp, tq = L.dim(p), L.dim(q)
+            # [x,y] - (-1)^{pq+1} [y,x]
+            defect = _lincomb((1, L.bracket(p, q)), ((-1) ** (p * q), L.bracket(q, p) @ _swap(tp, tq)))
+            bad += [("antisymmetry", p, q, i, j) for i, j in _violations(defect, tp, tq)]
 
     for p in degs:
         for q in degs:
             for r in degs:
-                tp, tq, tr = L.dim(p), L.dim(q), L.dim(r)
                 if L.dim(p + q + r) == 0:
                     continue
-                for i in range(tp):
-                    x = _unit(tp, i)
-                    for j in range(tq):
-                        y = _unit(tq, j)
-                        for k in range(tr):
-                            z = _unit(tr, k)
-                            s = scale_vector(Fraction(-1) ** (p * r),
-                                             L.bracket_vec(p, q + r, x, L.bracket_vec(q, r, y, z)))
-                            s = add_vectors(s, scale_vector(Fraction(-1) ** (q * p),
-                                            L.bracket_vec(q, r + p, y, L.bracket_vec(r, p, z, x))))
-                            s = add_vectors(s, scale_vector(Fraction(-1) ** (r * q),
-                                            L.bracket_vec(r, p + q, z, L.bracket_vec(p, q, x, y))))
-                            if not is_zero_vector(s):
-                                bad.append(("jacobi", p, q, r, i, j, k))
+                tp, tq, tr = L.dim(p), L.dim(q), L.dim(r)
+                # [x,[y,z]], [y,[z,x]] and [z,[x,y]] on L_p (x) L_q (x) L_r
+                xyz = L.bracket(p, q + r) @ _kron(Matrix.identity(tp), L.bracket(q, r))
+                yzx = L.bracket(q, r + p) @ _kron(Matrix.identity(tq), L.bracket(r, p)) @ _swap(tp, tq * tr)
+                zxy = L.bracket(r, p + q) @ _kron(Matrix.identity(tr), L.bracket(p, q)) @ _swap(tp * tq, tr)
+                defect = _lincomb(((-1) ** (p * r), xyz), ((-1) ** (q * p), yzx), ((-1) ** (r * q), zxy))
+                bad += [("jacobi", p, q, r, i, j, k) for i, j, k in _violations(defect, tp, tq, tr)]
 
     for p in degs:
         for q in degs:
-            tp, tq = L.dim(p), L.dim(q)
             if L.dim(p + q) == 0 or L.dim(p + q - 1) == 0:
                 continue
-            d_pq = L.differential(p + q)
-            for i in range(tp):
-                x = _unit(tp, i)
-                dx = L.differential(p).column(i) if L.dim(p - 1) else zero_vector(0)
-                for j in range(tq):
-                    y = _unit(tq, j)
-                    dy = L.differential(q).column(j) if L.dim(q - 1) else zero_vector(0)
-                    lhs = d_pq.apply(L.bracket_vec(p, q, x, y))
-                    rhs = L.bracket_vec(p - 1, q, dx, y) if L.dim(p - 1) else zero_vector(L.dim(p + q - 1))
-                    term = L.bracket_vec(p, q - 1, x, dy) if L.dim(q - 1) else zero_vector(L.dim(p + q - 1))
-                    rhs = add_vectors(rhs, scale_vector(Fraction(-1) ** p, term))
-                    if lhs != rhs:
-                        bad.append(("leibniz_rule", p, q, i, j))
+            tp, tq = L.dim(p), L.dim(q)
+            # d[x,y] - [dx,y] - (-1)^p [x,dy]
+            defect = _lincomb(
+                (1, L.differential(p + q) @ L.bracket(p, q)),
+                (-1, L.bracket(p - 1, q) @ _kron(L.differential(p), Matrix.identity(tq))),
+                (-((-1) ** p), L.bracket(p, q - 1) @ _kron(Matrix.identity(tp), L.differential(q))))
+            bad += [("leibniz_rule", p, q, i, j) for i, j in _violations(defect, tp, tq)]
 
     for p in degs:
         if L.dim(p - 1) and L.dim(p - 2):
@@ -166,13 +147,11 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
 
 def cone(h: LieAlgebra, name: str | None = None) -> DGLieAlgebra:
     """Two-step DGLA id: h -> h whose derived bracket recovers h itself."""
-    n = h.dim
-    b01 = h.structure
-    b10 = tensor3_from_vectors(n, n, n, lambda i, j: tuple(-x for x in h.structure[j][i]))
+    n, t = h.dim, h.structure
     return DGLieAlgebra(
         name=name or "cone",
         degree_dims={0: n, 1: n},
-        brackets={(0, 0): h.structure, (0, 1): b01, (1, 0): b10},
+        brackets={(0, 0): t, (0, 1): t, (1, 0): _lincomb((-1, t @ _swap(n, n)))},
         differentials={1: Matrix.identity(n)},
         labels={0: h.basis_names, 1: tuple(f"{s}^" for s in h.basis_names)},
     )
@@ -193,24 +172,15 @@ def leib(L: DGLieAlgebra) -> tuple[LeibnizAlgebra, CategoryReport]:
     membership report (d1 surjective, ker d1 spanned by d2 of degree-1 squares)."""
     n = L.dim(1)
     d1 = L.differential(1)
-    structure = tensor3_from_vectors(
-        n, n, n, lambda i, j: L.bracket_vec(0, 1, d1.column(i), _unit(n, j))
-    )
     names = L.labels.get(1) or tuple(f"x{i}" for i in range(n))
-    g = LeibnizAlgebra(n, tuple(names), structure, "left")
+    g = LeibnizAlgebra(n, tuple(names), L.bracket(0, 1) @ _kron(d1, Matrix.identity(n)), "left")
 
     surjective = kernel_basis(d1.transpose()).dim == 0
-    ker = kernel_basis(d1)
-    d2 = L.differential(2)
-    spanning = []
-    for i in range(n):
-        for j in range(i, n):
-            w = L.bracket_vec(1, 1, _unit(n, i), _unit(n, j))
-            if len(w) and not is_zero_vector(w):
-                spanning.append(d2.apply(w))
-    image = Subspace.from_spanning_columns(n, spanning)
-    kernel_matches = image == ker
-    return g, CategoryReport(surjective, kernel_matches)
+    # d2 [e_i, e_j] for i <= j
+    squares = (L.differential(2) @ L.bracket(1, 1)).transpose().int_rows
+    image = Subspace.from_sparse_columns(n, [col for c, (_, col) in enumerate(squares)
+                                             if c // n <= c % n])
+    return g, CategoryReport(surjective, image == kernel_basis(d1))
 
 
 def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
@@ -224,34 +194,22 @@ def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
     """
     if qdata is None:
         qdata = lie_quotient(g)
-    n = g.dim
-    r = qdata.quotient.dim
+    n, r = g.dim, qdata.quotient.dim
     ann = qdata.ann
     s = ann.dim
-
-    b00 = qdata.quotient.structure
     b01 = qdata.action_on_g
-    b10 = tensor3_from_vectors(n, r, n, lambda i, a: tuple(-x for x in b01[a][i]))
-    b11 = tensor3_from_vectors(
-        n, n, s,
-        lambda i, j: _coords_in(
-            ann, add_vectors(g.bracket_basis(i, j), g.bracket_basis(j, i)),
-            IllDefinedAction, f"symmetrized bracket of e_{i}, e_{j} left the square span"),
-    )
-    b02 = tensor3_from_vectors(
-        r, s, s,
-        lambda a, j: _coords_in(
-            ann, bilinear(qdata.action_on_g, _unit(r, a), ann.basis.column(j)),
-            IllDefinedAction, f"degree-0 action of basis vector {a} left the square span"),
-    )
-    b20 = tensor3_from_vectors(s, r, s, lambda j, a: tuple(-x for x in b02[a][j]))
+    b11 = _coords_in(ann, _polarized(g), IllDefinedAction,
+                     lambda c: f"symmetrized bracket of e_{c // n}, e_{c % n} left the square span")
+    b02 = _coords_in(ann, b01 @ _kron(Matrix.identity(r), ann.basis), IllDefinedAction,
+                     lambda c: f"degree-0 action of basis vector {c // s} left the square span")
 
     hat_names = tuple(f"{g.basis_names[p]}^" for p in ann.pivots)
     return DGLieAlgebra(
         name=name or "envelope",
         degree_dims={0: r, 1: n, 2: s},
-        brackets={(0, 0): b00, (0, 1): b01, (1, 0): b10,
-                  (1, 1): b11, (0, 2): b02, (2, 0): b20},
+        brackets={(0, 0): qdata.quotient.structure, (0, 1): b01,
+                  (1, 0): _lincomb((-1, b01 @ _swap(n, r))), (1, 1): b11,
+                  (0, 2): b02, (2, 0): _lincomb((-1, b02 @ _swap(s, r)))},
         differentials={1: qdata.projection, 2: ann.basis},
         labels={0: qdata.quotient.basis_names, 1: g.basis_names, 2: hat_names},
     )
@@ -293,13 +251,10 @@ def check_dgla_morphism(f: DGLAMorphism, max_degree: int | None = None) -> tuple
             np_, nq = src.dim(p), src.dim(q)
             if np_ == 0 or nq == 0:
                 continue
-            fp, fq, fpq = f.component(p), f.component(q), f.component(p + q)
-            for i in range(np_):
-                for j in range(nq):
-                    lhs = fpq.apply(src.bracket_vec(p, q, _unit(np_, i), _unit(nq, j)))
-                    rhs = tgt.bracket_vec(p, q, fp.column(i), fq.column(j))
-                    if lhs != rhs:
-                        bad.append(("bracket", p, q, i, j))
+            # f[x,y] - [fx,fy]
+            defect = _lincomb((1, f.component(p + q) @ src.bracket(p, q)),
+                              (-1, tgt.bracket(p, q) @ _kron(f.component(p), f.component(q))))
+            bad += [("bracket", p, q, i, j) for i, j in _violations(defect, np_, nq)]
     return tuple(bad)
 
 
@@ -316,26 +271,18 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
             f"surjective={report.surjective} kernel_matches={report.kernel_matches}")
     qdata = lie_quotient(g)
     M = minimal_envelope(g, qdata)
-    n = L.dim(1)
+    n, m0 = L.dim(1), L.dim(0)
 
     d1 = L.differential(1)
-    m0 = L.dim(0)
-    cols0 = []
+    preimages = []
     for a in range(m0):
-        pre = solve(d1, _unit(m0, a))
+        pre = solve(d1, [int(t == a) for t in range(m0)])
         if pre is None:
             raise NotInCategory(f"degree-0 basis vector {a} has no d1 preimage")
-        cols0.append(qdata.projection.apply(pre))
-    f0 = Matrix.from_columns(qdata.quotient.dim, cols0)
-
-    m2 = L.dim(2)
-    d2 = L.differential(2)
-    cols2 = [
-        _coords_in(qdata.ann, d2.column(j), NotInCategory,
-                   f"d2 of degree-2 basis vector {j} is not in the square span")
-        for j in range(m2)
-    ]
-    f2 = Matrix.from_columns(qdata.ann.dim, cols2)
+        preimages.append([(j, x) for j, x in enumerate(pre) if x])
+    f0 = qdata.projection @ Matrix(m0, n, preimages).transpose()
+    f2 = _coords_in(qdata.ann, L.differential(2), NotInCategory,
+                    lambda j: f"d2 of degree-2 basis vector {j} is not in the square span")
 
     f = DGLAMorphism(L, M, {0: f0, 1: Matrix.identity(n), 2: f2})
     bad = check_dgla_morphism(f, max_degree=2)
@@ -347,11 +294,11 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
 @dataclass
 class DGModule:
     """Graded module over a DGLA, differential of degree -1, possibly in
-    negative degrees.  actions[(p, q)] maps L_p (x) M_q -> M_{p+q}."""
+    negative degrees.  actions[(p, q)] is the table of L_p x M_q -> M_{p+q}."""
 
     algebra: DGLieAlgebra
     degree_dims: dict[int, int]
-    actions: dict[tuple[int, int], Tensor3]
+    actions: dict[tuple[int, int], Matrix]
     differentials: dict[int, Matrix]
     labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
@@ -361,11 +308,10 @@ class DGModule:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(q for q, d in self.degree_dims.items() if d > 0))
 
-    def action_vec(self, p: int, q: int, x: Sequence[Fraction], m: Sequence[Fraction]) -> Vec:
+    def action(self, p: int, q: int) -> Matrix:
+        """The table of L_p x M_q -> M_{p+q}, zero where none is stored."""
         t = self.actions.get((p, q))
-        if t is None:
-            return zero_vector(self.dim(p + q))
-        return bilinear(t, x, m)
+        return Matrix.zeros(self.dim(p + q), self.algebra.dim(p) * self.dim(q)) if t is None else t
 
     def differential(self, q: int) -> Matrix:
         m = self.differentials.get(q)
@@ -387,38 +333,26 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
                 if mod.dim(p + q + s) == 0:
                     continue
                 np_, nq, ns = L.dim(p), L.dim(q), mod.dim(s)
-                for i in range(np_):
-                    x = _unit(np_, i)
-                    for j in range(nq):
-                        y = _unit(nq, j)
-                        for a in range(ns):
-                            m = _unit(ns, a)
-                            lhs = mod.action_vec(p + q, s, L.bracket_vec(p, q, x, y), m)
-                            rhs = mod.action_vec(p, q + s, x, mod.action_vec(q, s, y, m))
-                            rhs = sub_vectors(rhs, scale_vector(
-                                Fraction(-1) ** (p * q),
-                                mod.action_vec(q, p + s, y, mod.action_vec(p, s, x, m))))
-                            if lhs != rhs:
-                                bad.append(("module_jacobi", p, q, s, i, j, a))
+                # [x,y].m - x.(y.m) + (-1)^{pq} y.(x.m) on L_p (x) L_q (x) M_s
+                y_xm = mod.action(q, p + s) @ _kron(Matrix.identity(nq), mod.action(p, s))
+                defect = _lincomb(
+                    (1, mod.action(p + q, s) @ _kron(L.bracket(p, q), Matrix.identity(ns))),
+                    (-1, mod.action(p, q + s) @ _kron(Matrix.identity(np_), mod.action(q, s))),
+                    ((-1) ** (p * q), y_xm @ _kron(_swap(np_, nq), Matrix.identity(ns))))
+                bad += [("module_jacobi", p, q, s, i, j, a)
+                        for i, j, a in _violations(defect, np_, nq, ns)]
 
     for p in adegs:
         for s in mdegs:
             if mod.dim(p + s) == 0 or mod.dim(p + s - 1) == 0:
                 continue
             np_, ns = L.dim(p), mod.dim(s)
-            d_out = mod.differential(p + s)
-            for i in range(np_):
-                x = _unit(np_, i)
-                dx = L.differential(p).column(i) if L.dim(p - 1) else zero_vector(0)
-                for a in range(ns):
-                    m = _unit(ns, a)
-                    dm = mod.differential(s).column(a) if mod.dim(s - 1) else zero_vector(0)
-                    lhs = d_out.apply(mod.action_vec(p, s, x, m))
-                    rhs = mod.action_vec(p - 1, s, dx, m) if L.dim(p - 1) else zero_vector(mod.dim(p + s - 1))
-                    term = mod.action_vec(p, s - 1, x, dm) if mod.dim(s - 1) else zero_vector(mod.dim(p + s - 1))
-                    rhs = add_vectors(rhs, scale_vector(Fraction(-1) ** p, term))
-                    if lhs != rhs:
-                        bad.append(("module_leibniz", p, s, i, a))
+            # d(x.m) - (dx).m - (-1)^p x.(dm)
+            defect = _lincomb(
+                (1, mod.differential(p + s) @ mod.action(p, s)),
+                (-1, mod.action(p - 1, s) @ _kron(L.differential(p), Matrix.identity(ns))),
+                (-((-1) ** p), mod.action(p, s - 1) @ _kron(Matrix.identity(np_), mod.differential(s))))
+            bad += [("module_leibniz", p, s, i, a) for i, a in _violations(defect, np_, ns)]
 
     for q in mdegs:
         if mod.dim(q - 1) and mod.dim(q - 2):
@@ -451,50 +385,31 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
     if envelope is None:
         envelope = minimal_envelope(g, qdata)
     n, d = g.dim, rep.dim
-    r = qdata.quotient.dim
+    r, s = qdata.quotient.dim, qdata.ann.dim
     anti, u_dim, qmat = symmetrization(rep)
     t = anti.dim
     lift = quotient_section(anti)
+    right = rep.right_action
 
-    def lift_left(a_idx: int, mvec: Vec) -> Vec:
-        # action of a degree-0 basis vector through the coordinate section
-        return rep.left(qdata.section.column(a_idx), mvec)
-
-    for a in range(r):
-        for i in range(t):
-            v = lift_left(a, anti.basis.column(i))
-            if not anti.contains(v):
-                raise IllDefinedAction(f"left action of degree-0 vector {a} leaves the symmetrized span")
-
-    a00 = tensor3_from_vectors(r, d, d, lambda a, j: lift_left(a, _unit(d, j)))
-    a01 = tensor3_from_vectors(r, t, t, lambda a, i: anti.coords(lift_left(a, anti.basis.column(i))))
-    a0m1 = tensor3_from_vectors(r, u_dim, u_dim,
-                                lambda a, c: qmat.apply(lift_left(a, lift.column(c))))
+    # the degree-0 letters act through the coordinate section
+    a00 = rep.left_action @ _kron(qdata.section, Matrix.identity(d))
+    a01 = _coords_in(anti, a00 @ _kron(Matrix.identity(r), anti.basis), IllDefinedAction,
+                     lambda c: f"left action of degree-0 vector {c // t} leaves the symmetrized span")
+    a0m1 = qmat @ a00 @ _kron(Matrix.identity(r), lift)
 
     # [x, m~] for m~ in the quotient: minus the right action of a lift
-    a1m1 = tensor3_from_vectors(
-        n, u_dim, d, lambda i, c: tuple(-x for x in rep.right(lift.column(c), _unit(n, i))))
-    for i in range(n):
-        for j in range(t):
-            if not is_zero_vector(rep.right(anti.basis.column(j), _unit(n, i))):
-                raise IllDefinedAction(
-                    f"right action of e_{i} does not kill the symmetrized span")
+    a1m1 = _lincomb((-1, right @ _kron(lift, Matrix.identity(n)) @ _swap(n, u_dim)))
+    kills = _violations(right @ _kron(anti.basis, Matrix.identity(n)), t, n)
+    if kills:
+        raise IllDefinedAction(
+            f"right action of e_{min(i for _, i in kills)} does not kill the symmetrized span")
 
-    a10 = tensor3_from_vectors(
-        n, d, t,
-        lambda i, j: _coords_in(
-            anti,
-            add_vectors(rep.left(_unit(n, i), _unit(d, j)), rep.right(_unit(d, j), _unit(n, i))),
-            IllDefinedAction, "symmetrized action vector left its own span"))
-
-    s = qdata.ann.dim
-    a2m1 = tensor3_from_vectors(
-        s, u_dim, t,
-        lambda j, c: _coords_in(
-            anti,
-            tuple(-x for x in rep.right(lift.column(c), qdata.ann.basis.column(j))),
-            IllDefinedAction,
-            f"right action of square-span vector {j} does not land in the symmetrized span"))
+    a10 = _coords_in(anti, _lincomb((1, rep.left_action), (1, right @ _swap(n, d))),
+                     IllDefinedAction, lambda c: "symmetrized action vector left its own span")
+    a2m1 = _coords_in(
+        anti, _lincomb((-1, right @ _kron(lift, qdata.ann.basis) @ _swap(s, u_dim))),
+        IllDefinedAction,
+        lambda c: f"right action of square-span vector {c // u_dim} does not land in the symmetrized span")
 
     anti_names = tuple(f"{rep.basis_names[p]}^" for p in anti.pivots)
     symm_names = tuple(f"{rep.basis_names[c]}~" for c in anti.complement)

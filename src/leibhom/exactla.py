@@ -6,7 +6,9 @@ denominator that shares no factor with all the nums.  That form is
 canonical, so equality and hashing compare it directly, and products,
 transposes and zero tests run on ints over the stored pairs only; the
 (column, Fraction) pairs and a dense table of the entries are views
-built only when a table, the vector code or a test asks for them.
+built on first use.  Bilinear maps are
+stored as matrices too (see leibcore), and the private _kron, _swap and
+_lincomb build the products and sums their identities are made of.
 Subspace coordinates and restrictions are sparse products.  Rank,
 kernels, solving and subspace bases all come from one sparse
 fraction-free elimination (structured Gaussian elimination,
@@ -37,7 +39,6 @@ SparseRow = tuple[tuple[int, Fraction], ...]
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -72,30 +73,6 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(value: Fraction) -> str:
     """Inverse of parse_scalar; Fraction keeps denominators positive already."""
     return str(value)
-
-
-def vector(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
-def zero_vector(n: int) -> Vec:
-    return (ZERO,) * n
-
-
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def scale_vector(c: Fraction, v: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return not any(v)
 
 
 def add_into(acc: dict, key, value) -> None:
@@ -203,17 +180,6 @@ class Matrix:
                 raise ShapeMismatch(f"ragged row: expected {ncols} columns, got {len(row)}")
         return Matrix(len(data), ncols, tuple(_nonzero(row) for row in data))
 
-    @staticmethod
-    def from_columns(nrows: int, columns: Iterable[Sequence]) -> "Matrix":
-        cols = [tuple(map(_rational, c)) for c in columns]
-        for c in cols:
-            if len(c) != nrows:
-                raise ShapeMismatch(f"column of length {len(c)}, expected {nrows}")
-        return Matrix(len(cols), nrows, tuple(map(_nonzero, cols))).transpose()
-
-    def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
@@ -285,6 +251,36 @@ def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
     m = object.__new__(Matrix)
     m.__dict__.update(rows=rows, cols=cols, int_rows=int_rows)
     return m
+
+
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product a (x) b: row i*b.rows + k and column
+    j*b.cols + l hold a_ij * b_kl."""
+    rows = [_canon(da * db, [(j * b.cols + l, x * y) for j, x in ra for l, y in rb])
+            for da, ra in a.int_rows for db, rb in b.int_rows]
+    return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
+
+
+def _swap(a: int, b: int) -> Matrix:
+    """The permutation k^a (x) k^b -> k^b (x) k^a, e_i (x) e_j -> e_j (x) e_i."""
+    return _matrix(b * a, a * b, tuple((1, ((i * b + j, 1),)) for j in range(b) for i in range(a)))
+
+
+def _lincomb(*terms: tuple[int, Matrix]) -> Matrix:
+    """The sum of c * m over the (int c, Matrix m) terms, all of one shape."""
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+        raise ShapeMismatch("a linear combination of matrices of different shapes")
+    out = []
+    for i in range(rows):
+        den = lcm(*[m.int_rows[i][0] for _, m in terms])
+        acc: dict[int, int] = {}
+        for c, m in terms:
+            d, row = m.int_rows[i]
+            for j, x in row:
+                add_into(acc, j, c * x * (den // d))
+        out.append(_canon(den, sorted(acc.items())))
+    return _matrix(rows, cols, tuple(out))
 
 
 def _denominators(int_rows: Sequence[IntRow]) -> list[int] | None:
@@ -463,8 +459,10 @@ class Subspace:
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
-        c = self.column_coords(Matrix.from_columns(self.ambient_dim, [v]))
-        return None if c is None else c.column(0)
+        if len(v) != self.ambient_dim:
+            raise ShapeMismatch(f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
+        c = self.column_coords(Matrix(1, self.ambient_dim, [_nonzero(v)]).transpose())
+        return None if c is None else tuple(row[0] for row in c.entries)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coords(v) is not None

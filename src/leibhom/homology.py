@@ -62,6 +62,8 @@ from .exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
+    _lincomb,
+    _swap,
     add_into,
     column_span,
     kernel_basis,
@@ -76,7 +78,6 @@ from .leibcore import (
     LieModule,
     QuotientData,
     Representation,
-    Tensor3,
     lie_module_lift,
     lie_quotient,
 )
@@ -220,13 +221,21 @@ def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
     return ChainComplex(0, tuple(dims), tuple(diffs), raising=raising)
 
 
-def _contragredient(action: Tensor3 | None) -> Tensor3 | None:
-    """The dual module's action a.f = -f o a: entry [a][u][u2] =
-    -action[a][u2][u]."""
-    if action is None:
-        return None
-    return tuple(tuple(tuple(-c for c in column) for column in zip(*plane))
-                 for plane in action)
+def _block_transpose(t: Matrix, m: int, sign: int = 1) -> Matrix:
+    """sign times the action table t of g x m -> m with each block
+    transposed: column a*m + u of the result holds row u of the columns
+    a*m + u2 of t."""
+    entries = {}
+    for c, col in enumerate(t.transpose().sparse_rows):
+        a, u2 = divmod(c, m)
+        for u, x in col:
+            entries[(u2, a * m + u)] = sign * x
+    return Matrix.from_entries(m, t.cols, entries)
+
+
+def _contragredient(action: Matrix | None, m: int) -> Matrix | None:
+    """The dual module's action a.f = -f o a, a block transpose."""
+    return None if action is None else _block_transpose(action, m, -1)
 
 
 def _require_left(g: LeibnizAlgebra) -> None:
@@ -235,9 +244,9 @@ def _require_left(g: LeibnizAlgebra) -> None:
 
 
 def _check_over_quotient(mod: LieModule, qdata: QuotientData) -> None:
-    if len(mod.action) != qdata.quotient.dim:
+    if mod.action.cols != qdata.quotient.dim * mod.dim:
         raise ValueError(
-            f"module is over a {len(mod.action)}-dim Lie algebra, but the "
+            f"module is over a {mod.action.cols // mod.dim}-dim Lie algebra, but the "
             f"maximal Lie quotient has dimension {qdata.quotient.dim}")
 
 
@@ -282,13 +291,12 @@ def rep_coefficients(rep: Representation) -> RepresentationCoefficients:
 
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
                   rule: str | None = None, qdata: QuotientData | None = None):
-    """(m_dim, [first, later]) for the boundary builder, the chain actions
-    of the j = 1 and j >= 2 slots as sparse lists (x, u, [(u2, c)]) of
-    the m-vector sum c f_u2 that acts on f_u by e_x; no lists for trivial
-    coefficients.  A Lie module acts as its lift under the "right" chain
+    """(m_dim, [first, later]) for the boundary builder, the tables of the
+    chain actions g x m -> m of the j = 1 and j >= 2 slots; no tables for
+    trivial coefficients.  A Lie module acts as its lift under the "right" chain
     and "plain" cochain rules; rule replaces the pinned two-sided one.
-    For raising=True the cochain rule's action on the value is transposed
-    in (u, u2) into the chain action of the dual module.  qdata is the
+    For raising=True the cochain rule's action on the value is block
+    transposed into the chain action of the dual module.  qdata is the
     maximal Lie quotient of g when the caller has built it already."""
     if isinstance(coefficients, TrivialCoefficients):
         return coefficients.dim, []
@@ -300,24 +308,16 @@ def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
         rule = "plain" if raising else "right"
     elif isinstance(coefficients, RepresentationCoefficients):
         rep = coefficients.rep
-        if len(rep.left_action) != g.dim or len(rep.right_action) != rep.dim:
-            raise ValueError("representation tensors do not match the algebra dimension")
+        if rep.left_action.cols != g.dim * rep.dim or rep.right_action.cols != rep.dim * g.dim:
+            raise ValueError("representation tables do not match the algebra dimension")
         rule = rule or (REP_COCHAIN_RULE if raising else REP_CHAIN_RULE)
     else:
         raise TypeError(f"unknown coefficient system {coefficients!r}")
-    left, right = rep.left_action, rep.right_action
-    tables = []
-    for p, q in (COCHAIN_RULES if raising else CHAIN_RULES)[rule]:
-        table = []
-        for x in range(g.dim):
-            block = [[p * a + q * b for a, b in zip(left[x][u], right[u][x])]
-                     for u in range(rep.dim)]
-            if raising:
-                block = zip(*block)
-            table += [(x, u, [(u2, c) for u2, c in enumerate(vec) if c])
-                      for u, vec in enumerate(block)]
-        tables.append(table)
-    return rep.dim, tables
+    # p [x,m] + q [m,x] at column x*m_dim + u
+    right = rep.right_action @ _swap(g.dim, rep.dim)
+    tables = [_lincomb((p, rep.left_action), (q, right))
+              for p, q in (COCHAIN_RULES if raising else CHAIN_RULES)[rule]]
+    return rep.dim, [_block_transpose(t, rep.dim) for t in tables] if raising else tables
 
 
 def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=()):
@@ -327,16 +327,18 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=(
     module docstring.  actions is [first, later] from _slot_actions, or
     empty."""
     d = g.dim
-    brackets = [(a, b, terms) for a in range(d) for b in range(d)
-                if (terms := [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c])]
-    den = lcm(*(c.denominator for _, _, terms in brackets for _, c in terms),
-              *(c.denominator for table in actions for _, _, vec in table for _, c in vec))
+    columns = [t.transpose().int_rows for t in (g.structure, *actions)]
+    den = lcm(*(cd for cols in columns for cd, _ in cols))
 
-    def scaled(terms):
-        return [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+    def scaled(cols, w):
+        """(c // w, c % w, the terms over den) for each nonzero column c."""
+        return [(c // w, c % w, [(k, x * (den // cd)) for k, x in col])
+                for c, (cd, col) in enumerate(cols) if col]
 
-    brackets = [(a, b, scaled(terms)) for a, b, terms in brackets]
-    actions = [[(x, u, scaled(vec)) for x, u, vec in table if vec] for table in actions]
+    # column b*d + a holds [e_b, e_a], and the action of e_x on f_u is
+    # column x*m_dim + u
+    brackets = [(a, b, terms) for b, a, terms in scaled(columns[0], d)]
+    actions = [scaled(cols, m_dim) for cols in columns[1:]]
     prev: dict[tuple[int, int], int] = {}
     for n in range(1, n_max + 1):
         rows, cols = d ** (n - 1), d ** n
@@ -411,7 +413,7 @@ class CEData:
     envelope: DGLieAlgebra
     pbw: PBWAlgebra
     m_dim: int
-    action: Tensor3 | None  # degree-0 letters acting on m; None = zero action
+    action: Matrix | None  # table of the degree-0 letters acting on m; None = zero action
 
 
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
@@ -457,13 +459,15 @@ def _derive_word(images: dict[int, list], word: Word) -> Poly:
     return out
 
 
-def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
+def _ce_complex(data: CEData, action: Matrix | None, n_max: int,
                 raising: bool) -> ChainComplex:
     """m (x) (normal monomials of degree n) in degrees 0..n_max; action is
-    the degree-0 letters acting on m, None for the zero action."""
+    the table of the degree-0 letters acting on m, None for the zero
+    action."""
     mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     m = data.m_dim
+    acts = None if action is None else action.transpose().sparse_rows
     images = {deg: [[((deg - 1, a), c) for a, c in col]
                     for col in data.envelope.differential(deg).transpose().sparse_rows]
               for deg in (1, 2)}
@@ -475,14 +479,12 @@ def _ce_complex(data: CEData, action: Tensor3 | None, n_max: int,
             nf = data.pbw.normal_form(_derive_word(images, w))
             for w2, c in nf.items():
                 if w2 and w2[0][0] == 0:
-                    if action is None:
+                    if acts is None:
                         continue
-                    plane = action[w2[0][1]]
                     r = index[n - 1][w2[1:]]
                     for u in range(m):
-                        for u2, cc in enumerate(plane[u]):
-                            if cc:
-                                add_into(entries, (u2 * rows_w + r, u * cols_w + widx), -c * cc)
+                        for u2, cc in acts[w2[0][1] * m + u]:
+                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), -c * cc)
                 else:
                     r = index[n - 1][w2]
                     for u in range(m):
@@ -508,7 +510,7 @@ def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Cha
     """Cochain complex Hom(normal monomials, m): the transposed chain
     complex of the contragredient module."""
     data = _ce_setup(g, coefficients)
-    return _ce_complex(data, _contragredient(data.action), n_max, raising=True)
+    return _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -522,34 +524,31 @@ def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[int, tuple[int, ...]] 
     return -1 if pos % 2 else 1, rest[:pos] + (k,) + rest[pos:]
 
 
-def _classical_complex(h: LieAlgebra, action: Tensor3 | None, m: int, n_max: int,
+def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                        raising: bool) -> ChainComplex:
-    """m (x) Lambda^n h in degrees 0..n_max; action is h acting on m, None
-    for the zero action."""
+    """m (x) Lambda^n h in degrees 0..n_max; action is the table of h
+    acting on m, None for the zero action."""
     mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
+    brackets = h.structure.transpose().sparse_rows
+    acts = None if action is None else action.transpose().sparse_rows
 
     def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
         for widx, xs in enumerate(mons[n]):
-            if action is not None:
+            if acts is not None:
                 for t in range(1, n + 1):
                     sign = -1 if t % 2 else 1
                     r = index[n - 1][xs[:t - 1] + xs[t:]]
-                    plane = action[xs[t - 1]]
                     for u in range(m):
-                        for u2, c in enumerate(plane[u]):
-                            if c:
-                                add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sign * c)
+                        for u2, c in acts[xs[t - 1] * m + u]:
+                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sign * c)
             for s in range(1, n + 1):
                 for t in range(s + 1, n + 1):
                     sign = -1 if (s + t) % 2 else 1
-                    br = h.bracket_basis(xs[s - 1], xs[t - 1])
                     rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
-                    for k, c in enumerate(br):
-                        if not c:
-                            continue
+                    for k, c in brackets[xs[s - 1] * h.dim + xs[t - 1]]:
                         ins = _wedge_insert(k, rest)
                         if ins is None:
                             continue
@@ -579,7 +578,7 @@ def classical_ce_cochain(h: LieAlgebra, module: LieModule | None, n_max: int,
     contragredient module."""
     if module is None:
         return _classical_complex(h, None, m_dim or 1, n_max, raising=True)
-    return _classical_complex(h, _contragredient(module.action), module.dim, n_max,
+    return _classical_complex(h, _contragredient(module.action, module.dim), module.dim, n_max,
                               raising=True)
 
 
@@ -649,7 +648,7 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     lod = _loday(g, coefficients, n_max, False, qdata=data.qdata)
     ce = _ce_complex(data, data.action, n_max, raising=False)
     lodco = _loday(g, coefficients, n_max, True, qdata=data.qdata)
-    ceco = _ce_complex(data, _contragredient(data.action), n_max, raising=True)
+    ceco = _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim
     P = [_tensor_with_identity(b, m) for b in blocks]

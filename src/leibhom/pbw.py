@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dgla import DGLieAlgebra
 from .exactla import add_into
@@ -41,16 +42,18 @@ class PBWAlgebra:
     def parity(self, letter: Letter) -> int:
         return letter[0] % 2
 
+    @cached_property
+    def _bracket_columns(self) -> dict:
+        """The nonzero (k, c) terms of every column of every bracket table."""
+        return {key: t.transpose().sparse_rows for key, t in self.algebra.brackets.items()}
+
     def bracket_letters(self, a: Letter, b: Letter) -> dict[Letter, Fraction]:
         p, i = a
         q, j = b
-        n = self.algebra.dim(p + q)
-        if n == 0:
+        columns = self._bracket_columns.get((p, q))
+        if columns is None or self.algebra.dim(p + q) == 0:
             return {}
-        t = self.algebra.brackets.get((p, q))
-        if t is None:
-            return {}
-        return {(p + q, k): c for k, c in enumerate(t[i][j]) if c}
+        return {(p + q, k): c for k, c in columns[i * self.algebra.dim(q) + j]}
 
     def _violation(self, word: Word, strategy: str) -> int | None:
         positions = range(len(word) - 1)

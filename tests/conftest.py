@@ -22,6 +22,30 @@ from leibhom.leibcore import (
 )
 
 
+def dense(t, a, b):
+    """The table t of a bilinear map k^a x k^b -> k^c as the dense tensor
+    t[i][j][k] of Fractions: column i*b + j holds [e_i, e_j]."""
+    cols = t.transpose().entries
+    return tuple(tuple(cols[i * b + j] for j in range(b)) for i in range(a))
+
+
+def bilinear(t, u, v):
+    """The bilinear map with dense tensor t at the vectors (u, v), the
+    way the library evaluated one before its tensors became tables."""
+    if not t:
+        return ()
+    c = len(t[0][0]) if t[0] else 0
+    out = [Fraction(0)] * c
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    for k, wk in enumerate(t[i][j]):
+                        if wk:
+                            out[k] += ui * vj * wk
+    return tuple(out)
+
+
 def make_corpus() -> dict[str, LeibnizAlgebra]:
     return {
         "abelian1": LeibnizAlgebra.from_brackets(["a"], {}),
@@ -73,6 +97,7 @@ def conjugate(g: LeibnizAlgebra, p: list[list[int]], pinv: list[list[int]],
               names: list[str] | None = None) -> LeibnizAlgebra:
     """The same algebra in the basis f_i = sum_a p[a][i] e_a."""
     n = g.dim
+    table = dense(g.structure, n, n)
     brackets = {}
     for i in range(n):
         for j in range(n):
@@ -84,7 +109,7 @@ def conjugate(g: LeibnizAlgebra, p: list[list[int]], pinv: list[list[int]],
                     if not p[b][j]:
                         continue
                     coeff = Fraction(p[a][i] * p[b][j])
-                    vec = g.bracket_basis(a, b)
+                    vec = table[a][b]
                     for k in range(n):
                         if vec[k]:
                             for l in range(n):
@@ -127,9 +152,10 @@ def character_module(qdata) -> LieModule | None:
     if r == 0:
         return None
     derived = set()
+    table = dense(h.structure, r, r)
     for i in range(r):
         for j in range(r):
-            vec = h.bracket_basis(i, j)
+            vec = table[i][j]
             for k in range(r):
                 if vec[k]:
                     derived.add(k)

@@ -170,7 +170,7 @@ def test_criterion_1_axiom_suites_and_mutants():
                         mod.algebra, mod.degree_dims, mod.actions, mdiffs,
                         mod.labels))))
     macts = dict(mod.actions)
-    macts[(0, 0)] = tensor3(2, 2, 2, {})
+    macts[(0, 0)] = tensor3(1, 2, 2, {})
     mutants.append(("dg module: erased degree-(0,0) action",
                     lambda: check_dg_module(DGModule(
                         mod.algebra, mod.degree_dims, macts,

@@ -16,7 +16,7 @@ from leibhom.dgla import (
     minimal_envelope,
     minimal_module,
 )
-from leibhom.exactla import Matrix, homology_dimension
+from leibhom.exactla import Matrix, ShapeMismatch, homology_dimension
 from leibhom.leibcore import (
     LieAlgebra,
     adjoint_representation,
@@ -25,7 +25,7 @@ from leibhom.leibcore import (
     trivial_representation,
 )
 
-from conftest import CORPUS, LIE_CORPUS, representations_for
+from conftest import CORPUS, LIE_CORPUS, bilinear, dense, representations_for
 
 
 def envelope_and_report(g):
@@ -63,7 +63,7 @@ def test_envelope_degrees_for_a2():
     assert env.degrees() == (0, 1, 2)
     assert (env.dim(0), env.dim(1), env.dim(2)) == (1, 2, 1)
     # the square of x doubles in square-span coordinates
-    assert env.bracket_vec(1, 1, (1, 0), (1, 0)) == (Fraction(2),)
+    assert dense(env.bracket(1, 1), 2, 2)[0][0] == (Fraction(2),)
     assert env.labels[2] == ("y^",)
 
 
@@ -261,42 +261,27 @@ def _column(m, j):
     return tuple(r[j] for r in m.entries)
 
 
-def _bilinear(t, u, v):
-    """The bilinear map with dense structure tensor t at (u, v)."""
-    if not t:
-        return ()
-    c = len(t[0][0]) if t[0] else 0
-    out = [ZERO] * c
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    for k, wk in enumerate(t[i][j]):
-                        if wk:
-                            out[k] += ui * vj * wk
-    return tuple(out)
-
-
 def _from_vectors(a, b, c, fn):
     return tuple(tuple(tuple(Fraction(x) for x in fn(i, j)) for j in range(b)) for i in range(a))
 
 
 def _bracket(L, p, q, u, v):
     t = L.brackets.get((p, q))
-    return _zeros(L.dim(p + q)) if t is None else _bilinear(t, u, v)
+    return _zeros(L.dim(p + q)) if t is None else bilinear(dense(t, L.dim(p), L.dim(q)), u, v)
 
 
 def _act(mod, p, q, x, m):
     t = mod.actions.get((p, q))
-    return _zeros(mod.dim(p + q)) if t is None else _bilinear(t, x, m)
+    return (_zeros(mod.dim(p + q)) if t is None
+            else bilinear(dense(t, mod.algebra.dim(p), mod.dim(q)), x, m))
 
 
 def _left(rep, x, m):
-    return _bilinear(rep.left_action, x, m)
+    return bilinear(dense(rep.left_action, len(x), rep.dim), x, m)
 
 
 def _right(rep, m, x):
-    return _bilinear(rep.right_action, m, x)
+    return bilinear(dense(rep.right_action, rep.dim, len(x)), m, x)
 
 
 def oracle_check_dgla(L):
@@ -568,7 +553,7 @@ def dg_modules():
     yield "rescaled differential", DGModule(mod.algebra, mod.degree_dims, mod.actions, mdiffs,
                                             mod.labels)
     macts = dict(mod.actions)
-    macts[(0, 0)] = tensor3(2, 2, 2, {})
+    macts[(0, 0)] = tensor3(1, 2, 2, {})
     yield "erased degree-(0,0) action", DGModule(mod.algebra, mod.degree_dims, macts,
                                                  mod.differentials, mod.labels)
     for label, mutant, _ in dgla_mutants():
@@ -590,7 +575,7 @@ def representation_cases():
         for rep in representations_for(g).values():
             yield g, rep
             n, d = g.dim, rep.dim
-            left = {(i, j, k): x for i, plane in enumerate(rep.left_action)
+            left = {(i, j, k): x for i, plane in enumerate(dense(rep.left_action, n, d))
                     for j, vec in enumerate(plane) for k, x in enumerate(vec) if x}
             left[(n - 1, 0, d - 1)] = Fraction(1, 2)
             yield g, Representation(d, rep.basis_names, tensor3(n, d, d, left), rep.right_action)
@@ -605,6 +590,10 @@ def representation_cases():
                              tensor3(2, 2, 2, {(1, 0, 1): 1, (0, 1, 1): 1}))
 
 
+def dense_actions(mod):
+    return {(p, q): dense(t, mod.algebra.dim(p), mod.dim(q)) for (p, q), t in mod.actions.items()}
+
+
 def _outcome(build):
     try:
         return build()
@@ -616,7 +605,18 @@ def test_minimal_module_matches_dense_oracle_and_its_failures():
     raised = 0
     for g, rep in representation_cases():
         want = _outcome(lambda: oracle_minimal_module_actions(g, rep))
-        got = _outcome(lambda: minimal_module(g, rep).actions)
+        got = _outcome(lambda: dense_actions(minimal_module(g, rep)))
         assert got == want, (g.basis_names, rep.basis_names)
         raised += isinstance(want, str)
     assert raised >= 4
+
+
+def test_check_dg_module_refuses_a_table_of_the_wrong_shape():
+    # L_0 x M_0 -> M_0 is 1 x 2 -> 2 for the adjoint module of A2; a table
+    # for a 2-dim L_0 is refused, not read in part
+    mod = minimal_module(CORPUS["A2"], adjoint_representation(CORPUS["A2"]))
+    actions = dict(mod.actions)
+    actions[(0, 0)] = tensor3(2, 2, 2, {})
+    with pytest.raises(ShapeMismatch):
+        check_dg_module(DGModule(mod.algebra, mod.degree_dims, actions, mod.differentials,
+                                 mod.labels))

@@ -34,8 +34,10 @@ from leibhom.leibcore import (
 
 from conftest import (
     CORPUS,
+    bilinear,
     character_module,
     conjugate,
+    dense,
     quotient_adjoint_module,
     random_algebra,
     representations_for,
@@ -151,7 +153,7 @@ def oracle_boundary(structure, n):
 
 
 def oracle_betti(g, n_max):
-    ranks = [0] + [oracle_rank(oracle_boundary(g.structure, n))
+    ranks = [0] + [oracle_rank(oracle_boundary(dense(g.structure, g.dim, g.dim), n))
                    for n in range(1, n_max + 2)]
     return tuple(g.dim ** n - ranks[n] - ranks[n + 1] for n in range(n_max + 1))
 
@@ -184,7 +186,7 @@ def test_fg_subcomplex_is_restricted_oracle_boundary(name):
     spans = [Subspace.full(1)] + [oracle_commutator_span(g.dim, n) for n in range(1, 5)]
     assert cx.dims == tuple(s.dim for s in spans)
     for n in range(1, 5):
-        ambient = Matrix.from_rows(oracle_boundary(g.structure, n))
+        ambient = Matrix.from_rows(oracle_boundary(dense(g.structure, g.dim, g.dim), n))
         want = restrict_map(ambient, spans[n], spans[n - 1])
         assert cx.diffs[n - 1].entries == want.entries, n
 
@@ -236,9 +238,11 @@ def test_degree_one_duality_on_corpus():
 
 def contragredient(mod):
     """M* with x.f = -f o x: entry [a][u][u2] = -action[a][u2][u]."""
-    n, d = len(mod.action), mod.dim
+    d = mod.dim
+    n = mod.action.cols // d
+    action = dense(mod.action, n, d)
     return LieModule(d, tensor3(n, d, d, {
-        (a, u, u2): -mod.action[a][u2][u]
+        (a, u, u2): -action[a][u2][u]
         for a in range(n) for u in range(d) for u2 in range(d)}))
 
 
@@ -246,12 +250,13 @@ def dual_representation(rep):
     """Two-sided dual under the corrected rules: left' = -L^T and
     right' = R^T + L^T, transposing the two module slots."""
     d = rep.dim
-    n = len(rep.left_action)
+    n = rep.left_action.cols // d
+    L, R = dense(rep.left_action, n, d), dense(rep.right_action, d, n)
     left = tensor3(n, d, d, {
-        (x, u, u2): -rep.left_action[x][u2][u]
+        (x, u, u2): -L[x][u2][u]
         for x in range(n) for u in range(d) for u2 in range(d)})
     right = tensor3(d, n, d, {
-        (u, x, u2): rep.right_action[u2][x][u] + rep.left_action[x][u2][u]
+        (u, x, u2): R[u2][x][u] + L[x][u2][u]
         for x in range(n) for u in range(d) for u2 in range(d)})
     return Representation(d, rep.basis_names, left, right)
 
@@ -526,13 +531,15 @@ def oracle_coefficient_cases(g):
         if mod is None:
             continue
         units = [tuple(Fraction(int(t == u)) for t in range(mod.dim)) for u in range(mod.dim)]
-        L = [[mod.act(qdata.projection.column(x), units[u]) for u in range(mod.dim)]
+        action = dense(mod.action, qdata.quotient.dim, mod.dim)
+        projection = qdata.projection.transpose().entries
+        L = [[bilinear(action, projection[x], units[u]) for u in range(mod.dim)]
              for x in range(g.dim)]
         R = [[_vneg(L[x][u]) for x in range(g.dim)] for u in range(mod.dim)]
         yield f"lie:{maker.__name__}", lie_coefficients(mod), mod.dim, L, R, False
     for rname, rep in representations_for(g).items():
-        L = [[rep.left_action[x][u] for u in range(rep.dim)] for x in range(g.dim)]
-        R = [[rep.right_action[u][x] for x in range(g.dim)] for u in range(rep.dim)]
+        L = dense(rep.left_action, g.dim, rep.dim)
+        R = dense(rep.right_action, rep.dim, g.dim)
         yield f"rep:{rname}", rep_coefficients(rep), rep.dim, L, R, True
 
 
@@ -560,8 +567,10 @@ def oracle_dual_chain_actions(L, R, rule, m_dim, two_sided):
 
 
 def oracle_loday_boundaries(g, m_dim, first, later, n_max):
+    table = dense(g.structure, g.dim, g.dim)
+
     def bracket(a, b):
-        return [(k, c) for k, c in enumerate(g.bracket_basis(b, a)) if c]
+        return [(k, c) for k, c in enumerate(table[b][a]) if c]
 
     words = [list(itertools.product(range(g.dim), repeat=n)) for n in range(n_max + 1)]
     return [oracle_tensor_boundary(words[n], {t: i for i, t in enumerate(words[n - 1])},
@@ -591,7 +600,7 @@ BOUNDARY_ALGEBRAS["heis3 rescaled"] = rescaled_heis3()
 
 def test_rescaled_algebra_has_denominators():
     g = BOUNDARY_ALGEBRAS["heis3 rescaled"]
-    assert any(c.denominator > 1 for plane in g.structure for row in plane for c in row)
+    assert any(c.denominator > 1 for row in g.structure.entries for c in row)
 
 
 @pytest.mark.parametrize("name", list(BOUNDARY_ALGEBRAS))
@@ -616,4 +625,4 @@ def test_loday_boundaries_match_oracle_entry_for_entry(name, monkeypatch):
 def test_heis3_d6_matches_oracle_boundary():
     g = CORPUS["heis3"]
     cx = loday_complex(g, trivial_coefficients(), 6)
-    assert cx.diffs[5] == Matrix.from_rows(oracle_boundary(g.structure, 6))
+    assert cx.diffs[5] == Matrix.from_rows(oracle_boundary(dense(g.structure, 3, 3), 6))

@@ -27,7 +27,16 @@ from leibhom.leibcore import (
     trivial_representation,
 )
 
-from conftest import CORPUS, LIE_CORPUS, conjugate, random_algebra, representations_for, unimodular
+from conftest import (
+    CORPUS,
+    LIE_CORPUS,
+    bilinear,
+    conjugate,
+    dense,
+    random_algebra,
+    representations_for,
+    unimodular,
+)
 
 
 def test_corpus_satisfies_left_identity(corpus):
@@ -57,8 +66,9 @@ def test_opposite_of_one_sided_algebra_satisfies_right_identity():
     g = CORPUS["hemi2"]
     gop = opposite(g)
     # [y, x]_op = [x, y], so the op structure moves the bracket to (1, 0)
-    assert gop.bracket_basis(1, 0) == (Fraction(0), Fraction(1))
-    assert gop.bracket_basis(0, 1) == (Fraction(0), Fraction(0))
+    table = dense(gop.structure, 2, 2)
+    assert table[1][0] == (Fraction(0), Fraction(1))
+    assert table[0][1] == (Fraction(0), Fraction(0))
 
 
 def test_kernel_ideal_of_a2():
@@ -165,10 +175,12 @@ def test_lift_actions_are_opposite():
     q = lie_quotient(g)
     mod = adjoint_lie_module(q.quotient)
     rep = lie_module_lift(g, q, mod)
+    left = dense(rep.left_action, g.dim, rep.dim)
+    right = dense(rep.right_action, rep.dim, g.dim)
     for i in range(g.dim):
         for j in range(rep.dim):
-            lv = rep.left_action[i][j]
-            rv = rep.right_action[j][i]
+            lv = left[i][j]
+            rv = right[j][i]
             assert tuple(-c for c in lv) == rv
 
 
@@ -182,9 +194,8 @@ def test_check_lie_module_detects_wrong_action():
 def test_quotient_action_descends():
     # the Lie quotient acts on g itself through the projection:
     # for A2 the class of x sends x to [x,x] = y
-    from leibhom.leibcore import bilinear
     q = lie_quotient(CORPUS["A2"])
-    vec = bilinear(q.action_on_g, (1,), (1, 0))
+    vec = bilinear(dense(q.action_on_g, 1, 2), (1,), (1, 0))
     assert vec == (Fraction(0), Fraction(1))
 
 
@@ -238,16 +249,17 @@ def _add(u, v):
 def oracle_check_leibniz(g):
     bad = []
     n = g.dim
+    t = dense(g.structure, n, n)
     for i in range(n):
         for j in range(n):
-            bij = g.bracket_basis(i, j)
+            bij = t[i][j]
             for k in range(n):
                 if g.convention == "left":
-                    defect = _sub(g.bracket(bij, _unit(n, k)), g.bracket(_unit(n, i), g.bracket_basis(j, k)))
-                    defect = _add(defect, g.bracket(_unit(n, j), g.bracket_basis(i, k)))
+                    defect = _sub(bilinear(t, bij, _unit(n, k)), bilinear(t, _unit(n, i), t[j][k]))
+                    defect = _add(defect, bilinear(t, _unit(n, j), t[i][k]))
                 else:
-                    defect = _sub(g.bracket(_unit(n, i), g.bracket_basis(j, k)), g.bracket(bij, _unit(n, k)))
-                    defect = _add(defect, g.bracket(g.bracket_basis(i, k), _unit(n, j)))
+                    defect = _sub(bilinear(t, _unit(n, i), t[j][k]), bilinear(t, bij, _unit(n, k)))
+                    defect = _add(defect, bilinear(t, t[i][k], _unit(n, j)))
                 if any(defect):
                     bad.append((i, j, k))
     return tuple(bad)
@@ -256,16 +268,17 @@ def oracle_check_leibniz(g):
 def oracle_check_lie(h):
     bad = []
     n = h.dim
+    t = dense(h.structure, n, n)
     for i in range(n):
         for j in range(n):
-            if any(_add(h.bracket_basis(i, j), h.bracket_basis(j, i))):
+            if any(_add(t[i][j], t[j][i])):
                 bad.append(("antisymmetry", i, j))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                s = h.bracket(_unit(n, i), h.bracket_basis(j, k))
-                s = _add(s, h.bracket(_unit(n, j), h.bracket_basis(k, i)))
-                s = _add(s, h.bracket(_unit(n, k), h.bracket_basis(i, j)))
+                s = bilinear(t, _unit(n, i), t[j][k])
+                s = _add(s, bilinear(t, _unit(n, j), t[k][i]))
+                s = _add(s, bilinear(t, _unit(n, k), t[i][j]))
                 if any(s):
                     bad.append(("jacobi", i, j, k))
     return tuple(bad)
@@ -274,21 +287,26 @@ def oracle_check_lie(h):
 def oracle_check_representation(g, m):
     bad = []
     n, d = g.dim, m.dim
+    t = dense(g.structure, n, n)
+    left, right = dense(m.left_action, n, d), dense(m.right_action, d, n)
     gu = lambda i: _unit(n, i)
     mu = lambda a: _unit(d, a)
     for a in range(d):
         for i in range(n):
             for j in range(n):
-                lhs = m.right(m.right(mu(a), gu(i)), gu(j))
-                rhs = _sub(m.right(mu(a), g.bracket_basis(i, j)), m.left(gu(i), m.right(mu(a), gu(j))))
+                lhs = bilinear(right, bilinear(right, mu(a), gu(i)), gu(j))
+                rhs = _sub(bilinear(right, mu(a), t[i][j]),
+                           bilinear(left, gu(i), bilinear(right, mu(a), gu(j))))
                 if lhs != rhs:
                     bad.append(("mxy", a, i, j))
-                lhs = m.right(m.left(gu(i), mu(a)), gu(j))
-                rhs = _sub(m.left(gu(i), m.right(mu(a), gu(j))), m.right(mu(a), g.bracket_basis(i, j)))
+                lhs = bilinear(right, bilinear(left, gu(i), mu(a)), gu(j))
+                rhs = _sub(bilinear(left, gu(i), bilinear(right, mu(a), gu(j))),
+                           bilinear(right, mu(a), t[i][j]))
                 if lhs != rhs:
                     bad.append(("xmy", a, i, j))
-                lhs = m.left(g.bracket_basis(i, j), mu(a))
-                rhs = _sub(m.left(gu(i), m.left(gu(j), mu(a))), m.left(gu(j), m.left(gu(i), mu(a))))
+                lhs = bilinear(left, t[i][j], mu(a))
+                rhs = _sub(bilinear(left, gu(i), bilinear(left, gu(j), mu(a))),
+                           bilinear(left, gu(j), bilinear(left, gu(i), mu(a))))
                 if lhs != rhs:
                     bad.append(("xym", i, j, a))
     return tuple(bad)
@@ -297,12 +315,13 @@ def oracle_check_representation(g, m):
 def oracle_check_lie_module(h, mod):
     bad = []
     n, d = h.dim, mod.dim
+    t, act = dense(h.structure, n, n), dense(mod.action, n, d)
     for i in range(n):
         for j in range(n):
             for a in range(d):
-                lhs = mod.act(h.bracket_basis(i, j), _unit(d, a))
-                rhs = _sub(mod.act(_unit(n, i), mod.act(_unit(n, j), _unit(d, a))),
-                           mod.act(_unit(n, j), mod.act(_unit(n, i), _unit(d, a))))
+                lhs = bilinear(act, t[i][j], _unit(d, a))
+                rhs = _sub(bilinear(act, _unit(n, i), bilinear(act, _unit(n, j), _unit(d, a))),
+                           bilinear(act, _unit(n, j), bilinear(act, _unit(n, i), _unit(d, a))))
                 if lhs != rhs:
                     bad.append((i, j, a))
     return tuple(bad)
@@ -318,11 +337,11 @@ VALID_LIE_MODULES = [(h, adjoint_lie_module(h)) for h in LIE_CORPUS.values()]
 
 @st.composite
 def tensors(draw, a, b, c, base=None):
-    """A random a x b x c tensor with denominators, or base with up to two
-    entries redrawn."""
+    """A random a x b x c table with denominators, or the table base with
+    up to two entries redrawn."""
     keys = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1), st.integers(0, c - 1))
     entries = {} if base is None else {
-        (i, j, k): x for i, plane in enumerate(base) for j, vec in enumerate(plane)
+        (i, j, k): x for i, plane in enumerate(dense(base, a, b)) for j, vec in enumerate(plane)
         for k, x in enumerate(vec) if x}
     entries.update(draw(st.dictionaries(keys, SCALARS, max_size=a * b * c if base is None else 2)))
     return tensor3(a, b, c, entries)
