@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -173,6 +172,15 @@ def _sparse_table(entries, left_index, right_index, value_index, where: str) -> 
     return table
 
 
+def _check_keys(doc: dict, path: str, kind: str, allowed: tuple[str, ...]) -> None:
+    """Reject a top-level key that the file format does not have, so a
+    misspelt table is not read as a missing, empty one."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ParseError(f"{path}: unknown key {json.dumps(unknown[0])}; {kind} file has only "
+                         + ", ".join(map(json.dumps, allowed)))
+
+
 def _first_few(items) -> str:
     """The first eight items, then how many more there are."""
     more = "" if len(items) <= 8 else f" and {len(items) - 8} more"
@@ -190,7 +198,10 @@ def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
     convention = doc.get("convention")
     if convention not in ("left", "right"):
         raise ParseError(f"{path}: \"convention\" must be \"left\" or \"right\"")
-    table = _sparse_table(doc.get("brackets"), index, index, index, f"{path} brackets")
+    if "brackets" not in doc:
+        raise ParseError(f"{path}: algebra file has no \"brackets\"")
+    _check_keys(doc, path, "an algebra", ("name", "convention", "basis", "brackets"))
+    table = _sparse_table(doc["brackets"], index, index, index, f"{path} brackets")
     g = LeibnizAlgebra.from_brackets(names, table, convention=convention)
     bad = check_leibniz(g)
     if bad:
@@ -226,6 +237,7 @@ def parse_representation(path: str, g: LeibnizAlgebra,
     d = len(names)
     if "left_action" not in doc and "right_action" not in doc:
         raise ParseError(f"{path}: module file has neither \"left_action\" nor \"right_action\"")
+    _check_keys(doc, path, "a two-sided module", ("basis", "left_action", "right_action"))
     left_tab = _sparse_table(doc.get("left_action"), gindex, index, index,
                              f"{path} left_action")
     right_tab = _sparse_table(doc.get("right_action"), index, gindex, index,
@@ -254,6 +266,7 @@ def parse_lie_module(path: str, g: LeibnizAlgebra) -> LieModule:
     d = len(names)
     if "action" not in doc:
         raise ParseError(f"{path}: module file has no \"action\"")
+    _check_keys(doc, path, "a Lie-module", ("basis", "action"))
     table = _sparse_table(doc["action"], qindex, index, index, f"{path} action")
     action = tensor3(qdata.quotient.dim, d, d,
                      {(a, j, k): c for (a, j), val in table.items()
@@ -488,9 +501,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="write the canonical JSON report to this path")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable table")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="accepted for compatibility; evaluation is sequential "
-                            "and deterministic")
         if name not in ("check", "quotient", "free-conjecture"):
             p.add_argument("--max-degree", type=int, default=3, metavar="N")
         if name not in ("check", "quotient", "fg", "free-conjecture"):

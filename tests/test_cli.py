@@ -215,9 +215,13 @@ def test_quiet_suppresses_stdout(a2_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_threads_flag_accepted(a2_path, capsys):
-    assert cli.entrypoint(["homology", a2_path, "--threads", "4",
-                           "--quiet"]) == 0
+def test_threads_flag_rejected(a2_path, capsys):
+    # --threads did nothing and is gone: argparse refuses it like any
+    # unknown option
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint(["homology", a2_path, "--threads", "4", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_cohomology_betti(a2_path, tmp_path):
@@ -282,6 +286,39 @@ def test_module_file_without_its_action_table_rejected(r2_path, tmp_path, capsys
     mod = write_json(tmp_path / "mod.json", doc)
     assert cli.entrypoint(["homology", r2_path, "--coefficients", f"{kind}:{mod}"]) == 2
     assert capsys.readouterr().err == f"error: {mod}: module file has {missing}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"convention": "left", "basis": ["x"],
+      "bracket": [{"left": "x", "right": "x", "value": {"x": "1"}}]},
+     'algebra file has no "brackets"'),
+    (dict(A2_DOC, comment="the smallest non-Lie algebra"),
+     'unknown key "comment"; an algebra file has only "name", "convention", "basis", "brackets"'),
+], ids=["misspelt brackets", "unknown key"])
+def test_algebra_file_keys_checked(tmp_path, capsys, doc, message):
+    # a misspelt "bracket" once read as the abelian algebra, with exit 0
+    path = write_json(tmp_path / "g.json", doc)
+    assert cli.entrypoint(["check", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_algebra_file_with_empty_brackets_is_abelian(tmp_path, capsys):
+    path = write_json(tmp_path / "g.json", dict(A2_DOC, brackets=[]))
+    assert cli.entrypoint(["check", path]) == 0
+    assert "dim 2, g_ann 0, g_Lie 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("rep", dict(R2_ADJ_DOC, rigth_action=[]),
+     'unknown key "rigth_action"; a two-sided module file has only "basis", '
+     '"left_action", "right_action"'),
+    ("lie", dict(R2_CHAR_DOC, actions=[]),
+     'unknown key "actions"; a Lie-module file has only "basis", "action"'),
+], ids=["rep", "lie"])
+def test_module_file_keys_checked(r2_path, tmp_path, capsys, kind, doc, message):
+    mod = write_json(tmp_path / "mod.json", doc)
+    assert cli.entrypoint(["homology", r2_path, "--coefficients", f"{kind}:{mod}"]) == 2
+    assert capsys.readouterr().err == f"error: {mod}: {message}\n"
 
 
 @pytest.mark.parametrize("kind, doc", [
