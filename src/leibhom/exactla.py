@@ -6,9 +6,9 @@ denominator that shares no factor with all the nums.  That form is
 canonical, so equality and hashing compare it directly, and products,
 transposes and zero tests run on ints over the stored pairs only; the
 (column, Fraction) pairs and a dense table of the entries are views
-built on first use.  Bilinear maps are
-stored as matrices too (see leibcore), and the private _kron, _swap and
-_lincomb build the products and sums their identities are made of.
+built on first use.  Bilinear maps are stored as matrices too (see
+leibcore): the private _kron, _swap and _lincomb build the products and
+sums their identities are made of.
 Subspace coordinates and restrictions are sparse products.  Rank,
 kernels, solving and subspace bases all come from one sparse
 fraction-free elimination (structured Gaussian elimination,

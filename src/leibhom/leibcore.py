@@ -232,7 +232,7 @@ def opposite_representation(g: LeibnizAlgebra, m: Representation) -> Representat
 
 def symmetrization(m: Representation) -> tuple[Subspace, int, Matrix]:
     """(span of [x,m]+[m,x], dim of the quotient, projection matrix)."""
-    n = m.left_action.cols // m.dim
+    n = m.left_action.cols // m.dim if m.dim else 0  # the zero module has no columns
     anti = column_span(_lincomb((1, m.left_action), (1, m.right_action @ _swap(n, m.dim))))
     return anti, m.dim - anti.dim, quotient_projection(anti)
 

@@ -216,8 +216,6 @@ def test_quiet_suppresses_stdout(a2_path, capsys):
 
 
 def test_threads_flag_rejected(a2_path, capsys):
-    # --threads did nothing and is gone: argparse refuses it like any
-    # unknown option
     with pytest.raises(SystemExit) as exc:
         cli.entrypoint(["homology", a2_path, "--threads", "4", "--quiet"])
     assert exc.value.code == 2

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from leibhom.dgla import (
+    DGLAMorphism,
     DGLieAlgebra,
+    DGModule,
     IllDefinedAction,
     NotInCategory,
     as_module,
@@ -16,16 +19,27 @@ from leibhom.dgla import (
     minimal_envelope,
     minimal_module,
 )
-from leibhom.exactla import Matrix, ShapeMismatch, homology_dimension
+from leibhom.exactla import Matrix, ShapeMismatch, homology_dimension, quotient_section
 from leibhom.leibcore import (
     LieAlgebra,
+    Representation,
     adjoint_representation,
+    check_representation,
     lie_quotient,
+    symmetrization,
     tensor3,
     trivial_representation,
 )
 
-from conftest import CORPUS, LIE_CORPUS, bilinear, dense, representations_for
+from conftest import (
+    CORPUS,
+    LIE_CORPUS,
+    bilinear,
+    dense,
+    random_algebra,
+    representations_for,
+    rescaled_heis3,
+)
 
 
 def envelope_and_report(g):
@@ -204,6 +218,13 @@ def test_minimal_module_degrees_for_adjoint_a2():
     assert mod.dim(-1) == 1
 
 
+def test_minimal_module_of_the_zero_module_is_zero(corpus):
+    for g in corpus.values():
+        mod = minimal_module(g, trivial_representation(g, 0))
+        assert mod.degree_dims == {1: 0, 0: 0, -1: 0}
+        assert check_dg_module(mod) == ()
+
+
 def test_minimal_module_trivial_rep_has_empty_ends(corpus):
     for g in corpus.values():
         mod = minimal_module(g, trivial_representation(g, 2))
@@ -216,7 +237,6 @@ def test_minimal_module_rejects_fake_representation():
     g = CORPUS["r2"]
     left = tensor3(2, 1, 1, {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(1)})
     right = tensor3(1, 2, 1, {})
-    from leibhom.leibcore import Representation
     fake = Representation(1, ("m",), left, right)
     with pytest.raises(IllDefinedAction):
         minimal_module(g, fake)
@@ -225,15 +245,6 @@ def test_minimal_module_rejects_fake_representation():
 # ---------------------------------------------------------------------------
 # the per-vector DGLA code that the library's table identities replaced,
 # kept as oracles: one unit vector and one bilinear evaluation at a time
-
-import random
-
-from leibhom.dgla import DGLAMorphism, DGModule
-from leibhom.exactla import quotient_section
-from leibhom.leibcore import Representation, check_representation, symmetrization
-
-from conftest import random_algebra, rescaled_heis3
-
 ZERO = Fraction(0)
 
 
