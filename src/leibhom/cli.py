@@ -16,12 +16,12 @@ Exit codes: 0 success, 1 verdict failure or internal invariant violation,
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
@@ -48,6 +48,7 @@ from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
     LieModule,
+    QuotientData,
     Representation,
     check_leibniz,
     check_lie_module,
@@ -60,16 +61,37 @@ from .leibcore import (
 
 FORMAT_VERSION = 1
 
+# One option table, read by build_parser (argparse, for help, --version and
+# errors) and by _plain_args (everything else).  An option is (flag, dest,
+# type, default, metavar, help); type bool is a flag that takes no value.
+JSON_OPTION = ("--json", "json_path", str, None, "OUT",
+               "write the canonical JSON report to this path")
+QUIET_OPTION = ("--quiet", "quiet", bool, False, None, "suppress the human-readable table")
+DEGREE_OPTION = ("--max-degree", "max_degree", int, 3, "N", None)
+COEFFICIENTS_OPTION = ("--coefficients", "coefficients", str, "trivial", "C",
+                       "trivial | lie:<file> | rep:<file>")
+ALGEBRA = ("algebra", "algebra file (JSON structure constants)")
+
+REPORT_OPTIONS = (JSON_OPTION, QUIET_OPTION)
+COMPLEX_OPTIONS = (*REPORT_OPTIONS, DEGREE_OPTION, COEFFICIENTS_OPTION)
+
+# command: (help, positional (name, help) or None, options)
 COMMANDS = {
-    "check": "validate axioms, report dimensions",
-    "quotient": "maximal Lie quotient and kernel ideal",
-    "homology": "tensor-module homology (Betti table)",
-    "cohomology": "tensor-module cohomology",
-    "ce-homology": "homology of the enveloping-algebra complex",
-    "ce-cohomology": "cohomology of the enveloping-algebra complex",
-    "compare": "compare the two complexes and their induced maps",
-    "fg": "graded-commutator subcomplex of the tensor complex",
-    "free-conjecture": "vanishing check over a truncated free algebra",
+    "check": ("validate axioms, report dimensions", ALGEBRA, REPORT_OPTIONS),
+    "quotient": ("maximal Lie quotient and kernel ideal", ALGEBRA, REPORT_OPTIONS),
+    "homology": ("tensor-module homology (Betti table)", ALGEBRA, COMPLEX_OPTIONS),
+    "cohomology": ("tensor-module cohomology", ALGEBRA, COMPLEX_OPTIONS),
+    "ce-homology": ("homology of the enveloping-algebra complex", ALGEBRA, COMPLEX_OPTIONS),
+    "ce-cohomology": ("cohomology of the enveloping-algebra complex", ALGEBRA,
+                      COMPLEX_OPTIONS),
+    "compare": ("compare the two complexes and their induced maps", ALGEBRA,
+                COMPLEX_OPTIONS),
+    "fg": ("graded-commutator subcomplex of the tensor complex", ALGEBRA,
+           (*REPORT_OPTIONS, DEGREE_OPTION)),
+    "free-conjecture": ("vanishing check over a truncated free algebra", None,
+                        (*REPORT_OPTIONS,
+                         ("--generators", "generators", int, None, "D", None),
+                         ("--max-weight", "max_weight", int, None, "W", None))),
 }
 
 # Exceptions that mean "the tool's own mathematics is inconsistent" rather
@@ -96,22 +118,23 @@ class AxiomError(Exception):
 # parsing
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, inputs: dict | None, key: str) -> dict:
+    """The JSON object in path, read once; when inputs is given,
+    inputs[key] records the path and the sha256 of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
+    if inputs is not None:
+        inputs[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     return doc
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _scalar(raw, where: str) -> Fraction:
@@ -187,12 +210,14 @@ def _first_few(items) -> str:
     return ", ".join(str(v) for v in items[:8]) + more
 
 
-def parse_algebra(path: str) -> tuple[LeibnizAlgebra, list[str], bool]:
+def parse_algebra(path: str, inputs: dict | None = None
+                  ) -> tuple[LeibnizAlgebra, list[str], bool]:
     """Load an algebra file, verify its axioms, normalise to the left
     convention.  Returns the algebra, report notices, and whether the
     input was right-convention (companion module files are then read in
-    that convention as well)."""
-    doc = _load_json(path)
+    that convention as well).  inputs["algebra"] records the file's hash
+    when inputs is given."""
+    doc = _load_json(path, inputs, "algebra")
     index = _name_index(doc.get("basis"), path)
     names = list(doc["basis"])
     convention = doc.get("convention")
@@ -225,12 +250,13 @@ def algebra_echo(g: LeibnizAlgebra | LieAlgebra) -> dict:
     return {"basis": list(names), "convention": "left", "brackets": brackets}
 
 
-def parse_representation(path: str, g: LeibnizAlgebra,
-                         was_right: bool = False) -> Representation:
+def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
+                         inputs: dict | None = None) -> Representation:
     """Module file over g.  When the algebra file was right-convention the
     module actions are read in that convention too, so the two action
-    tables trade places on conversion."""
-    doc = _load_json(path)
+    tables trade places on conversion.  inputs["module"] records the
+    file's hash when inputs is given."""
+    doc = _load_json(path, inputs, "module")
     index = _name_index(doc.get("basis"), path)
     names = list(doc["basis"])
     gindex = {s: i for i, s in enumerate(g.basis_names)}
@@ -255,13 +281,17 @@ def parse_representation(path: str, g: LeibnizAlgebra,
     return rep
 
 
-def parse_lie_module(path: str, g: LeibnizAlgebra) -> LieModule:
-    """Module file over the maximal Lie quotient; actors are named by the
-    quotient basis (the `quotient` command prints those names)."""
-    doc = _load_json(path)
+def parse_lie_module(path: str, g: LeibnizAlgebra, qdata: QuotientData | None = None,
+                     inputs: dict | None = None) -> LieModule:
+    """Module file over the maximal Lie quotient, qdata when the caller has
+    built it already; actors are named by the quotient basis (the
+    `quotient` command prints those names).  inputs["module"] records the
+    file's hash when inputs is given."""
+    doc = _load_json(path, inputs, "module")
     index = _name_index(doc.get("basis"), path)
     names = list(doc["basis"])
-    qdata = lie_quotient(g)
+    if qdata is None:
+        qdata = lie_quotient(g)
     qindex = {s: a for a, s in enumerate(qdata.quotient.basis_names)}
     d = len(names)
     if "action" not in doc:
@@ -284,15 +314,10 @@ def _coefficients(selector: str, g: LeibnizAlgebra, inputs: dict,
     if selector == "trivial":
         return trivial_coefficients()
     if selector.startswith("lie:"):
-        path = selector[4:]
-        mod = parse_lie_module(path, g)
-        inputs["module"] = {"path": path, "sha256": _sha256(path)}
-        return lie_coefficients(mod)
+        qdata = lie_quotient(g)
+        return lie_coefficients(parse_lie_module(selector[4:], g, qdata, inputs), qdata)
     if selector.startswith("rep:"):
-        path = selector[4:]
-        rep = parse_representation(path, g, was_right)
-        inputs["module"] = {"path": path, "sha256": _sha256(path)}
-        return rep_coefficients(rep)
+        return rep_coefficients(parse_representation(selector[4:], g, was_right, inputs))
     raise ParseError(f"--coefficients must be trivial, lie:<file> or rep:<file>, "
                      f"got {selector!r}")
 
@@ -334,8 +359,7 @@ def _betti_lines(label: str, betti: list[int]) -> list[str]:
 
 
 def _load_main_algebra(args, report: dict) -> tuple[LeibnizAlgebra, bool]:
-    g, notices, was_right = parse_algebra(args.algebra)
-    report["inputs"]["algebra"] = {"path": args.algebra, "sha256": _sha256(args.algebra)}
+    g, notices, was_right = parse_algebra(args.algebra, report["inputs"])
     report["notices"].extend(notices)
     report["algebra_echo"] = algebra_echo(g)
     return g, was_right
@@ -482,34 +506,69 @@ def _cmd_free_conjecture(args, report):
 # dispatch
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with command named, only that subparser is
+def build_parser(command: str | None = None):
+    """The argparse parser; with command named, only that subparser is
     built, since building all nine is a fixed cost of every invocation."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="leibhom",
         description="Homology of Leibniz algebras from JSON structure constants.")
     parser.add_argument("--version", action="version",
                         version=f"leibhom {__version__} (format {FORMAT_VERSION})")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, help_text in COMMANDS.items():
+    for name, (help_text, positional, options) in COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
-        if name != "free-conjecture":
-            p.add_argument("algebra", help="algebra file (JSON structure constants)")
-        p.add_argument("--json", dest="json_path", metavar="OUT",
-                       help="write the canonical JSON report to this path")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the human-readable table")
-        if name not in ("check", "quotient", "free-conjecture"):
-            p.add_argument("--max-degree", type=int, default=3, metavar="N")
-        if name not in ("check", "quotient", "fg", "free-conjecture"):
-            p.add_argument("--coefficients", default="trivial", metavar="C",
-                           help="trivial | lie:<file> | rep:<file>")
-        if name == "free-conjecture":
-            p.add_argument("--generators", type=int, metavar="D")
-            p.add_argument("--max-weight", type=int, default=None, metavar="W")
+        if positional is not None:
+            p.add_argument(positional[0], help=positional[1])
+        for flag, dest, kind, default, metavar, option_help in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=option_help)
+            else:
+                p.add_argument(flag, dest=dest, type=kind, default=default,
+                               metavar=metavar, help=option_help)
     return parser
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser's parser gives a plain argv, read from
+    COMMANDS without argparse; None for any other argv, which argparse
+    then parses, so its help, usage and error texts stay its own.  A
+    plain argv is a command name, then that command's positional and its
+    exact flags, each at most once and each but --quiet with one value
+    that does not start with "-" and that the flag's type accepts."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positional, options = COMMANDS[argv[0]]
+    unused = {option[0]: option for option in options}
+    values = {dest: default for _, dest, _, default, _, _ in options}
+    free = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            free.append(arg)
+            continue
+        option = unused.pop(arg, None)
+        if option is None:
+            return None
+        _, dest, kind, _, _, _ = option
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(rest, "-")  # a flag that ends argv has no value
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    if len(free) != (positional is not None):
+        return None
+    if positional is not None:
+        values[positional[0]] = free[0]
+    return SimpleNamespace(command=argv[0], **values)
 
 
 HANDLERS = {
@@ -544,13 +603,15 @@ def run(args) -> int:
 
 def entrypoint(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level options are only -h and --version, so a first argument
-    # that is a command name is the command
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
+    args = _plain_args(argv)
+    if args is None:
+        # the top-level options are only -h and --version, so a first
+        # argument that is a command name is the command
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
     try:
         return run(args)
     except (ParseError, AxiomError, WeightOverflow, ValueError, OSError) as exc:

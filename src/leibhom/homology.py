@@ -262,9 +262,12 @@ class TrivialCoefficients:
 @dataclass(frozen=True)
 class LieModuleCoefficients:
     """Module over the maximal Lie quotient, acting through the projection:
-    [x,m] = pr(x).m and [m,x] = -pr(x).m."""
+    [x,m] = pr(x).m and [m,x] = -pr(x).m.  quotient is lie_quotient(g) of
+    the algebra g the complexes are built over, when the caller has built
+    it already."""
 
     module: LieModule
+    quotient: QuotientData | None = None
 
 
 @dataclass(frozen=True)
@@ -281,28 +284,35 @@ def trivial_coefficients(dim: int = 1) -> TrivialCoefficients:
     return TrivialCoefficients(dim)
 
 
-def lie_coefficients(module: LieModule) -> LieModuleCoefficients:
-    return LieModuleCoefficients(module)
+def lie_coefficients(module: LieModule, quotient: QuotientData | None = None
+                     ) -> LieModuleCoefficients:
+    return LieModuleCoefficients(module, quotient)
 
 
 def rep_coefficients(rep: Representation) -> RepresentationCoefficients:
     return RepresentationCoefficients(rep)
 
 
+def _quotient(g: LeibnizAlgebra, coefficients: Coefficients) -> QuotientData:
+    """The maximal Lie quotient of g: the one Lie-module coefficients carry,
+    else built."""
+    if isinstance(coefficients, LieModuleCoefficients) and coefficients.quotient is not None:
+        return coefficients.quotient
+    return lie_quotient(g)
+
+
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
-                  rule: str | None = None, qdata: QuotientData | None = None):
+                  rule: str | None = None):
     """(m_dim, [first, later]) for the boundary builder, the tables of the
     chain actions g x m -> m of the j = 1 and j >= 2 slots; no tables for
     trivial coefficients.  A Lie module acts as its lift under the "right" chain
     and "plain" cochain rules; rule replaces the pinned two-sided one.
     For raising=True the cochain rule's action on the value is block
-    transposed into the chain action of the dual module.  qdata is the
-    maximal Lie quotient of g when the caller has built it already."""
+    transposed into the chain action of the dual module."""
     if isinstance(coefficients, TrivialCoefficients):
         return coefficients.dim, []
     if isinstance(coefficients, LieModuleCoefficients):
-        if qdata is None:
-            qdata = lie_quotient(g)
+        qdata = _quotient(g, coefficients)
         _check_over_quotient(coefficients.module, qdata)
         rep = lie_module_lift(g, qdata, coefficients.module)
         rule = "plain" if raising else "right"
@@ -372,11 +382,11 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=(
 
 
 def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: bool,
-           rule: str | None = None, qdata: QuotientData | None = None) -> ChainComplex:
+           rule: str | None = None) -> ChainComplex:
     """The tensor-module chain complex, or for raising=True the transposed
     chain complex of the dual module; rule replaces the pinned two-sided
     chain or cochain rule."""
-    m_dim, actions = _slot_actions(g, coefficients, raising, rule, qdata)
+    m_dim, actions = _slot_actions(g, coefficients, raising, rule)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
@@ -421,7 +431,7 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
     if isinstance(coefficients, RepresentationCoefficients):
         raise ValueError(
             "enveloping-algebra complexes take trivial or Lie-module coefficients")
-    qdata = lie_quotient(g)
+    qdata = _quotient(g, coefficients)
     envelope = minimal_envelope(g, qdata)
     if isinstance(coefficients, TrivialCoefficients):
         m_dim, action = coefficients.dim, None
@@ -645,9 +655,11 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     differentials.
     """
     data = _ce_setup(g, coefficients)
-    lod = _loday(g, coefficients, n_max, False, qdata=data.qdata)
+    if isinstance(coefficients, LieModuleCoefficients):
+        coefficients = lie_coefficients(coefficients.module, data.qdata)
+    lod = _loday(g, coefficients, n_max, False)
     ce = _ce_complex(data, data.action, n_max, raising=False)
-    lodco = _loday(g, coefficients, n_max, True, qdata=data.qdata)
+    lodco = _loday(g, coefficients, n_max, True)
     ceco = _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim

@@ -1,11 +1,17 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leibhom import cli
+from leibhom import cli, leibcore
 from leibhom.exactla import Matrix
 from leibhom.freealg import FreeLeibnizTruncation
 from leibhom.homology import ChainComplex, DifferentialSquareNonzero
@@ -177,9 +183,63 @@ def test_homology_json_report(a2_path, tmp_path, capsys):
     assert report["parameters"]["max_degree"] == 3
     assert report["tables"]["betti"] == {"0": 1, "1": 1, "2": 1, "3": 1}
     assert len(report["inputs"]["algebra"]["sha256"]) == 64
+    assert report["inputs"]["algebra"]["sha256"] == _file_sha256(a2_path)
     # human table mirrors the report
     out = capsys.readouterr().out
     assert "degree 0: 1" in out
+    # A2's Lie quotient is spanned by x~, so the character file is a module over it
+    mod = write_json(tmp_path / "char.json", R2_CHAR_DOC)
+    assert cli.entrypoint(["homology", a2_path, "--coefficients", f"lie:{mod}",
+                           "--json", str(out_path), "--quiet"]) == 0
+    inputs = json.loads(out_path.read_text())["inputs"]
+    assert inputs["algebra"]["sha256"] == _file_sha256(a2_path)
+    assert inputs["module"] == {"path": mod, "sha256": _file_sha256(mod)}
+
+
+def _file_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"\xef\xbb\xbf" + json.dumps(A2_DOC).encode(),
+     "{path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (b'{"basis": [', "{path} is not valid JSON: Expecting value: line 1 column 12 (char 11)"),
+    (b"[]", "{path}: top level must be a JSON object"),
+], ids=["not utf-8", "bom", "invalid json", "not an object"])
+@pytest.mark.parametrize("role", ["algebra", "module"])
+def test_undecodable_input_file_exits_two(r2_path, tmp_path, capsys, data, message, role):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    argv = (["check", str(path)] if role == "algebra" else
+            ["homology", r2_path, "--coefficients", f"lie:{path}"])
+    assert cli.entrypoint(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("command", ["homology", "compare"])
+def test_lie_job_reads_each_file_once_and_builds_the_quotient_once(
+        r2_path, tmp_path, monkeypatch, command):
+    mod = write_json(tmp_path / "char.json", R2_CHAR_DOC)
+    real_quotient, quotients = leibcore.lie_quotient, []
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("leibhom")
+                and getattr(module, "lie_quotient", None) is real_quotient):
+            monkeypatch.setattr(module, "lie_quotient",
+                                lambda g: quotients.append(g) or real_quotient(g))
+    reads = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert cli.entrypoint([command, r2_path, "--coefficients", f"lie:{mod}",
+                           "--max-degree", "2", "--quiet"]) == 0
+    assert len(quotients) == 1
+    assert sorted(reads) == sorted([r2_path, mod])
 
 
 def test_json_report_is_deterministic(a2_path, tmp_path):
@@ -494,3 +554,103 @@ def _capture(argv):
 def test_help_and_argument_errors_are_pinned(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _capture(PINNED_ARGV[name]) == PINS[name]
+
+
+# The plain parser against argparse.  An argv is a command name or any
+# other token, then in any order: some of the command's flags, each with a
+# value of its type or not, zero to two positionals, and up to one more
+# token of any kind.  The tokens are every flag, the nine command names and
+# the spellings argparse reads differently from a plain argv:
+# abbreviations, --x=y, help, --version, "--", values and paths that start
+# with "-", and values int() reads or rejects.
+KINDS = {option[0]: option[2] for _, _, options in cli.COMMANDS.values() for option in options}
+VALUES = {int: ["2", " 3", "3_0", "-1", "x", ""],
+          str: ["g.json", "", "lie:m.json", "trivial", "-", "-g.json", "--g.json", "check"]}
+ARGV_ALPHABET = [*cli.COMMANDS, *KINDS, *VALUES[int], *VALUES[str], "--max", "--q",
+                 "--json=r.json", "--max-degree=2", "-h", "--help", "--version", "--"]
+
+
+@st.composite
+def argvs(draw):
+    first = draw(st.one_of(st.sampled_from(list(cli.COMMANDS)), st.sampled_from(ARGV_ALPHABET)))
+    flags = [option[0] for option in cli.COMMANDS[first][2]] if first in cli.COMMANDS else KINDS
+    pieces = [(flag,) if KINDS[flag] is bool else (flag, draw(st.sampled_from(VALUES[KINDS[flag]])))
+              for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4))]
+    pieces += [(draw(st.sampled_from(VALUES[str])),)
+               for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))]
+    pieces += draw(st.lists(st.tuples(st.sampled_from(ARGV_ALPHABET)), max_size=1))
+    return [first, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def _argparse_vars(argv):
+    """vars() of the full argparse parser's namespace for argv, or None
+    when argparse exits (help, --version, or an argument error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_plain_agrees(argv):
+    plain = cli._plain_args(argv)
+    expected = _argparse_vars(argv)
+    if expected is None:
+        assert plain is None
+    elif plain is not None:
+        assert vars(plain) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_plain_parser_agrees_with_argparse(argv):
+    _assert_plain_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "g.json"],
+    ["free-conjecture", "--max-weight", "3_0", "--generators", " 2", "--json", ""],
+    ["compare", "--quiet", "--coefficients", "lie:m.json", "g.json", "--max-degree", "4"],
+    ["check", "--json", "check", "x"],
+])
+def test_plain_argv_is_parsed_without_argparse(argv):
+    assert cli._plain_args(argv) is not None
+    _assert_plain_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["-h", "check"], ["check", "-h"], ["check", "g.json", "--help"],
+    ["check", "g.json", "--json=r.json"], ["homology", "g.json", "--max", "2"],
+    ["homology", "g.json", "--quiet", "--quiet"], ["check", "g.json", "--json", "a", "--json", "b"],
+    ["homology", "g.json", "--max-degree", "-1"], ["homology", "g.json", "--max-degree", "x"],
+    ["check", "--", "g.json"], ["check", "-g.json"], ["check"], ["check", "g.json", "h.json"],
+    ["check", "g.json", "--json"], ["free-conjecture", "g.json"], ["frobnicate", "g.json"],
+    ["check", "g.json", "--max-degree", "2"],
+])
+def test_other_argv_goes_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+    _assert_plain_agrees(argv)
+
+
+def _run_entrypoint(argv, tmp_path):
+    """Run entrypoint(argv) in a fresh interpreter; its last stdout line
+    lists which of argparse, gettext and locale it imported."""
+    code = ("import sys\nfrom leibhom.cli import entrypoint\n"
+            "code = entrypoint(sys.argv[1:])\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+            "sys.exit(code)\n")
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_plain_job_never_imports_argparse(a2_path, tmp_path):
+    done = _run_entrypoint(["homology", a2_path, "--max-degree", "3", "--quiet",
+                            "--json", str(tmp_path / "r.json")], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert json.loads((tmp_path / "r.json").read_text())["tables"]["betti"] == {
+        "0": 1, "1": 1, "2": 1, "3": 1}
+    done = _run_entrypoint(["--help"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, PINS["help"]["out"], "")
