@@ -7,6 +7,8 @@ excluded), its own peak RSS (ru_maxrss, import included) and the result:
 the Betti numbers of a heis3 rung, the per-weight verdict of a
 conjecture rung, the exit code, tables and verdicts of a CLI rung.  Two
 trees that compute the same numbers write the same "result" fields.
+The metadata also records "src_lines", the line count of
+src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 --quiet and --json, on a heis3 algebra file the script writes to a
@@ -111,7 +113,9 @@ def main() -> int:
             print(f"{name:<38} {got['wall_s']:8.4f} s {got['peak_rss_mb']:8.1f} MB", flush=True)
             rungs.append({"name": name, **got})
     meta = {"label": args.label, "python": platform.python_version(),
-            "machine": platform.machine(), "cpus": os.cpu_count()}
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "src_lines": sum(p.read_bytes().count(b"\n")
+                             for p in (ROOT / "src" / "leibhom").glob("*.py"))}
     # one rung per line, so two ladder files diff line by line
     body = ",\n".join("  " + json.dumps(r) for r in rungs)
     path = args.out / f"BENCH_{args.label}.json"

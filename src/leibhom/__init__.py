@@ -13,14 +13,12 @@ All arithmetic is exact; a reported dimension of zero is zero.
 """
 
 from .exactla import (
-    CompositionNotZero,
     ExactLAError,
     Matrix,
     NotInvariant,
     ShapeMismatch,
     Subspace,
     format_scalar,
-    homology_dimension,
     kernel_basis,
     parse_scalar,
     rank,
@@ -69,11 +67,10 @@ from .freealg import (
     RightIdentityError,
     WeightOverflow,
     free_graded_lie_component,
-    free_leibniz,
     graded_commutator,
     witt_dim,
 )
-from .pbw import PBWAlgebra, pbw_normal_form
+from .pbw import PBWAlgebra
 from .homology import (
     ChainComplex,
     ComparisonReport,
@@ -83,6 +80,7 @@ from .homology import (
     NotAChainMap,
     RepresentationCoefficients,
     TrivialCoefficients,
+    UnsupportedCoefficients,
     ce_chain,
     ce_cochain,
     ce_projection,

@@ -10,8 +10,8 @@ indexed by basis names; omitted pairs are zero.  Reports are emitted as
 canonical JSON (sorted keys) with the wall-clock timing kept outside the
 verdict section, so verdicts are byte-identical across reruns.
 
-Exit codes: 0 success, 1 verdict failure or internal invariant violation,
-2 malformed input.
+Exit codes: 0 success, 1 verdict failure, internal invariant violation or
+any other fault (which ends in a traceback), 2 malformed input.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from types import SimpleNamespace
 
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
-from .exactla import CompositionNotZero, NotInvariant, ShapeMismatch, format_scalar, parse_scalar
+from .exactla import NotInvariant, ShapeMismatch, format_scalar, parse_scalar
 from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
     DifferentialSquareNonzero,
     NotAChainMap,
+    UnsupportedCoefficients,
     ce_chain,
     ce_cochain,
     ce_projection,
@@ -97,9 +98,9 @@ COMMANDS = {
 # Exceptions that mean "the tool's own mathematics is inconsistent" rather
 # than "the user's file is bad".  They exit 1, like a failed verdict.
 INVARIANT_ERRORS = (DifferentialSquareNonzero, NotAChainMap, NotInvariant,
-                    CompositionNotZero, ShapeMismatch, IllDefinedQuotient,
-                    IllDefinedAction, NotInCategory, NecklaceCountError,
-                    RightIdentityError)
+                    ShapeMismatch, IllDefinedQuotient, IllDefinedAction,
+                    NotInCategory, NecklaceCountError, RightIdentityError,
+                    WeightOverflow)
 
 
 class ParseError(Exception):
@@ -130,6 +131,8 @@ def _load_json(path: str, inputs: dict | None, key: str) -> dict:
         doc = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer of too many digits
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if inputs is not None:
@@ -614,7 +617,7 @@ def entrypoint(argv=None) -> int:
             return 2
     try:
         return run(args)
-    except (ParseError, AxiomError, WeightOverflow, ValueError, OSError) as exc:
+    except (ParseError, AxiomError, UnsupportedCoefficients, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except INVARIANT_ERRORS as exc:

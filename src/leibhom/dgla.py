@@ -79,12 +79,6 @@ class DGLieAlgebra:
             m = Matrix.zeros(self.dim(p - 1), self.dim(p))
         return m
 
-    def label(self, p: int, i: int) -> str:
-        names = self.labels.get(p)
-        if names is not None:
-            return names[i]
-        return f"e[{p}][{i}]"
-
 
 def _coords_in(sub: Subspace, m: Matrix, exc: type[Exception], msg) -> Matrix:
     """Coordinates in sub of the columns of m; raises exc(msg(c)) for the
@@ -145,11 +139,11 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
     return tuple(bad)
 
 
-def cone(h: LieAlgebra, name: str | None = None) -> DGLieAlgebra:
+def cone(h: LieAlgebra) -> DGLieAlgebra:
     """Two-step DGLA id: h -> h whose derived bracket recovers h itself."""
     n, t = h.dim, h.structure
     return DGLieAlgebra(
-        name=name or "cone",
+        name="cone",
         degree_dims={0: n, 1: n},
         brackets={(0, 0): t, (0, 1): t, (1, 0): _lincomb((-1, t @ _swap(n, n)))},
         differentials={1: Matrix.identity(n)},
@@ -183,8 +177,7 @@ def leib(L: DGLieAlgebra) -> tuple[LeibnizAlgebra, CategoryReport]:
     return g, CategoryReport(surjective, image == kernel_basis(d1))
 
 
-def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
-                     name: str | None = None) -> DGLieAlgebra:
+def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None) -> DGLieAlgebra:
     """Three-step DGLA  ann -> g -> g_Lie  with derived bracket equal to g's.
 
     Degree 0 is the maximal Lie quotient, degree 2 the span of squares,
@@ -205,7 +198,7 @@ def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None,
 
     hat_names = tuple(f"{g.basis_names[p]}^" for p in ann.pivots)
     return DGLieAlgebra(
-        name=name or "envelope",
+        name="envelope",
         degree_dims={0: r, 1: n, 2: s},
         brackets={(0, 0): qdata.quotient.structure, (0, 1): b01,
                   (1, 0): _lincomb((-1, b01 @ _swap(n, r))), (1, 1): b11,

@@ -51,10 +51,6 @@ class ShapeMismatch(ExactLAError):
     pass
 
 
-class CompositionNotZero(ExactLAError):
-    """Two maps claimed to be consecutive differentials do not compose to zero."""
-
-
 class NotInvariant(ExactLAError):
     """A linear map does not preserve the claimed subspace."""
 
@@ -183,16 +179,8 @@ class Matrix:
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        v = [_rational(x) for x in v]
-        dv = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (dv // x.denominator) for x in v]
-        out = []
-        for den, row in self.int_rows:
-            acc = 0
-            for j, a in row:
-                acc += a * w[j]
-            out.append(Fraction(acc, den * dv) if acc else ZERO)
-        return tuple(out)
+        column = Matrix.from_entries(self.cols, 1, {(j, 0): x for j, x in enumerate(v)})
+        return tuple(row[0] for row in (self @ column).entries)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -464,9 +452,6 @@ class Subspace:
         c = self.column_coords(Matrix(1, self.ambient_dim, [_nonzero(v)]).transpose())
         return None if c is None else tuple(row[0] for row in c.entries)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.coords(v) is not None
-
 
 def _span(ambient_dim: int, rows: Iterable[dict[int, int]]) -> Subspace:
     """The span of primitive integer rows, as a canonical Subspace."""
@@ -535,20 +520,6 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
 
 def column_span(m: Matrix) -> Subspace:
     return _span(m.rows, [_primitive(dict(row)) for _, row in m.transpose().int_rows])
-
-
-def homology_dimension(d_out: Matrix, d_in: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for consecutive differentials.
-
-    d_out: C_n -> C_{n-1} and d_in: C_{n+1} -> C_n.  Raises
-    CompositionNotZero unless d_out . d_in == 0, which keeps sign bugs
-    from turning into silently wrong Betti numbers.
-    """
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch(f"middle dimensions disagree: {d_out.cols} vs {d_in.rows}")
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNotZero("d_out . d_in is not zero")
-    return (d_out.cols - d_out.rank()) - d_in.rank()
 
 
 def restrict_map(f: Matrix, source: Subspace, target: Subspace) -> Matrix:

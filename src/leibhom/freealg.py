@@ -191,15 +191,6 @@ class FreeLeibnizTruncation:
             return []
         return list(itertools.product(range(self.num_generators), repeat=weight))
 
-    def all_words(self) -> list[tuple[int, ...]]:
-        out = []
-        for w in range(1, self.max_weight + 1):
-            out.extend(self.words(w))
-        return out
-
-    def dim(self, weight: int) -> int:
-        return self.num_generators ** weight
-
     def bracket_words(self, a: tuple[int, ...], b: tuple[int, ...]) -> Element:
         if len(a) + len(b) > self.max_weight:
             raise WeightOverflow(
@@ -247,7 +238,3 @@ class FreeLeibnizTruncation:
                     if lhs != rhs:
                         raise RightIdentityError(
                             f"right identity fails on generators {i},{j},{k}")
-
-
-def free_leibniz(num_generators: int, max_weight: int) -> FreeLeibnizTruncation:
-    return FreeLeibnizTruncation(num_generators, max_weight)

@@ -62,6 +62,7 @@ from .exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
+    _kron,
     _lincomb,
     _swap,
     add_into,
@@ -90,6 +91,10 @@ class DifferentialSquareNonzero(Exception):
 
 class NotAChainMap(Exception):
     """A comparison map fails to commute with the differentials."""
+
+
+class UnsupportedCoefficients(ValueError):
+    """A complex family does not take the given kind of coefficients."""
 
 
 # Action rules for two-sided module coefficients, pinned by the gate in
@@ -429,7 +434,7 @@ class CEData:
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
     _require_left(g)
     if isinstance(coefficients, RepresentationCoefficients):
-        raise ValueError(
+        raise UnsupportedCoefficients(
             "enveloping-algebra complexes take trivial or Lie-module coefficients")
     qdata = _quotient(g, coefficients)
     envelope = minimal_envelope(g, qdata)
@@ -613,14 +618,6 @@ def _projection_blocks(data: CEData, n_max: int) -> list[Matrix]:
     return out
 
 
-def _tensor_with_identity(block: Matrix, m: int) -> Matrix:
-    entries = {}
-    for (r, c), v in block.entries_dict().items():
-        for u in range(m):
-            entries[(u * block.rows + r, u * block.cols + c)] = v
-    return Matrix.from_entries(m * block.rows, m * block.cols, entries)
-
-
 def _induced_map(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> Matrix:
     """Map on homology at degree k induced by a chain map component f_k."""
     K, I = src.cycle_space(k), src.boundary_space(k)
@@ -663,8 +660,8 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     ceco = _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
     blocks = _projection_blocks(data, n_max)
     m = data.m_dim
-    P = [_tensor_with_identity(b, m) for b in blocks]
-    Q = [_tensor_with_identity(b.transpose(), m) for b in blocks]
+    P = [_kron(Matrix.identity(m), b) for b in blocks]
+    Q = [p.transpose() for p in P]
 
     for n in range(1, n_max + 1):
         lhs = P[n - 1] @ lod.diffs[n - 1]

@@ -94,7 +94,3 @@ class PBWAlgebra:
 
     def is_normal(self, word: Word) -> bool:
         return self._violation(word, "leftmost") is None
-
-
-def pbw_normal_form(algebra: DGLieAlgebra, poly: Poly, strategy: str = "leftmost") -> Poly:
-    return PBWAlgebra(algebra).normal_form(poly, strategy)

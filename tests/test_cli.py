@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from leibhom import cli, leibcore
 from leibhom.exactla import Matrix
-from leibhom.freealg import FreeLeibnizTruncation
+from leibhom.freealg import FreeLeibnizTruncation, WeightOverflow
 from leibhom.homology import ChainComplex, DifferentialSquareNonzero
 
 
@@ -218,6 +218,17 @@ def test_undecodable_input_file_exits_two(r2_path, tmp_path, capsys, data, messa
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
+def test_integer_too_long_to_convert_exits_two(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of more digits
+    # than int() converts, anywhere in the file
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(A2_DOC)[:-1] + ', "name": ' + "1" * 5000 + "}")
+    assert cli.entrypoint(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion: value has "
+        "5000 digits; use sys.set_int_max_str_digits() to increase the limit\n")
+
+
 @pytest.mark.parametrize("command", ["homology", "compare"])
 def test_lie_job_reads_each_file_once_and_builds_the_quotient_once(
         r2_path, tmp_path, monkeypatch, command):
@@ -416,6 +427,18 @@ def test_rep_file_follows_algebra_convention(tmp_path):
     assert b1 == b2
 
 
+@pytest.mark.parametrize("command", ["compare", "ce-homology", "ce-cohomology"])
+@pytest.mark.parametrize("doc, message", [
+    (R2_ADJ_DOC, "enveloping-algebra complexes take trivial or Lie-module coefficients"),
+    (R2_CHAR_DOC, '{mod}: module file has neither "left_action" nor "right_action"'),
+], ids=["two-sided module", "malformed module file"])
+def test_envelope_commands_reject_rep_coefficients(r2_path, tmp_path, capsys, command,
+                                                   doc, message):
+    mod = write_json(tmp_path / "mod.json", doc)
+    assert cli.entrypoint([command, r2_path, "--coefficients", f"rep:{mod}"]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(mod=mod)}\n"
+
+
 def test_compare_command(a2_path, tmp_path, capsys):
     out_path = tmp_path / "r.json"
     code = cli.entrypoint(["compare", a2_path, "--max-degree", "2",
@@ -496,6 +519,25 @@ def test_broken_free_bracket_maps_to_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(FreeLeibnizTruncation, "bracket_words", broken)
     assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
     assert "invariant violation (RightIdentityError)" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_command_propagates(a2_path, monkeypatch):
+    # only the input errors exit 2; any other ValueError is a fault in the
+    # tool and ends in a traceback
+    def broken(g, coefficients, n_max):
+        raise ValueError("forced")
+    monkeypatch.setattr(cli, "loday_complex", broken)
+    with pytest.raises(ValueError, match="forced"):
+        cli.entrypoint(["homology", a2_path])
+
+
+def test_weight_overflow_inside_conjecture_check_maps_to_exit_one(capsys, monkeypatch):
+    # the CLI validates the weight before building, so an overflow is internal
+    def overflow(self, a, b):
+        raise WeightOverflow("forced")
+    monkeypatch.setattr(FreeLeibnizTruncation, "bracket_words", overflow)
+    assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
+    assert capsys.readouterr().err == "invariant violation (WeightOverflow): forced\n"
 
 
 HEIS3_DOC = {

@@ -19,7 +19,8 @@ from leibhom.dgla import (
     minimal_envelope,
     minimal_module,
 )
-from leibhom.exactla import Matrix, ShapeMismatch, homology_dimension, quotient_section
+from leibhom.exactla import Matrix, ShapeMismatch, quotient_section
+from leibhom.homology import ChainComplex
 from leibhom.leibcore import (
     LieAlgebra,
     Representation,
@@ -84,11 +85,9 @@ def test_envelope_degrees_for_a2():
 def test_envelope_is_acyclic(corpus):
     for name, g in corpus.items():
         env = minimal_envelope(g)
+        dims = (env.dim(0), env.dim(1), env.dim(2))
         d1, d2 = env.differential(1), env.differential(2)
-        h0 = homology_dimension(Matrix.zeros(0, env.dim(0)), d1)
-        h1 = homology_dimension(d1, d2)
-        h2 = homology_dimension(d2, Matrix.zeros(env.dim(2), 0))
-        assert (h0, h1, h2) == (0, 0, 0), name
+        assert ChainComplex(0, dims, (d1, d2)).betti() == (0, 0, 0), name
 
 
 def test_counit_on_envelope_is_identity(corpus):
@@ -455,7 +454,7 @@ def oracle_minimal_module_actions(g, rep):
 
     for a in range(r):
         for i in range(t):
-            if not anti.contains(lift_left(a, _column(anti.basis, i))):
+            if anti.coords(lift_left(a, _column(anti.basis, i))) is None:
                 raise IllDefinedAction(f"left action of degree-0 vector {a} leaves the symmetrized span")
     a00 = _from_vectors(r, d, d, lambda a, j: lift_left(a, _unit(d, j)))
     a01 = _from_vectors(r, t, t, lambda a, i: anti.coords(lift_left(a, _column(anti.basis, i))))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibhom.dgla import cone, minimal_envelope
-from leibhom.pbw import PBWAlgebra, pbw_normal_form
+from leibhom.pbw import PBWAlgebra
 
 from conftest import CORPUS, LIE_CORPUS
 
@@ -77,12 +77,6 @@ def test_normal_form_idempotent(data):
                  for _ in range(data.draw(st.integers(0, 4))))
     nf = alg.normal_form({word: Fraction(1)})
     assert alg.normal_form(nf) == nf
-
-
-def test_module_level_helper_matches_method():
-    env = minimal_envelope(CORPUS["A2"])
-    poly = {((1, 1), (1, 0)): Fraction(3)}
-    assert pbw_normal_form(env, poly) == PBWAlgebra(env).normal_form(poly)
 
 
 def test_product_linearity():

@@ -59,6 +59,8 @@ def test_ladder_writes_one_rung(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert doc["label"] == "smoke"
+    sources = (ROOT / "src" / "leibhom").glob("*.py")
+    assert doc["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources)
     [rung] = doc["rungs"]
     assert rung["name"] == "heis3 <= 6"
     assert rung["result"] == [1, 2, 5, 10, 22, 47, 101]
