@@ -75,12 +75,18 @@ def test_matrix_shape_gate():
         Matrix.identity(2) @ Matrix.identity(3)
 
 
-def test_chain_complex_middle_homology_and_square_gate():
+def test_homology_dimension_exact_pair():
     # Q^2 --id--> Q^2 --0--> Q^2 has no homology in the middle
     exact = ChainComplex(0, (2, 2, 2), (Matrix.zeros(2, 2), Matrix.identity(2)))
     assert exact.homology(1) == 0
+
+
+def test_homology_dimension_zero_maps():
     zero_maps = ChainComplex(0, (1, 3, 2), (Matrix.zeros(1, 3), Matrix.zeros(3, 2)))
     assert zero_maps.homology(1) == 3
+
+
+def test_homology_dimension_rejects_nonzero_composite():
     with pytest.raises(DifferentialSquareNonzero):
         ChainComplex(0, (2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
 
