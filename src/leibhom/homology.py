@@ -474,40 +474,50 @@ def _derive_word(images: dict[int, list], word: Word) -> Poly:
     return out
 
 
-def _ce_complex(data: CEData, action: Matrix | None, n_max: int,
-                raising: bool) -> ChainComplex:
-    """m (x) (normal monomials of degree n) in degrees 0..n_max; action is
-    the table of the degree-0 letters acting on m, None for the zero
-    action."""
-    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
+def _monomial_complex(mons: list[list], terms, action: Matrix | None, m: int,
+                      raising: bool) -> ChainComplex:
+    """m (x) span(mons[n]) in degrees 0..len(mons)-1.  terms(w) lists the
+    boundary of the monomial w as (letter, target, c) terms: c target when
+    letter is None, else c target with the letter acting on the coefficient
+    through the table action (None for the zero action, which drops them)."""
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    m = data.m_dim
     acts = None if action is None else action.transpose().sparse_rows
-    images = {deg: [[((deg - 1, a), c) for a, c in col]
-                    for col in data.envelope.differential(deg).transpose().sparse_rows]
-              for deg in (1, 2)}
 
     def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
         for widx, w in enumerate(mons[n]):
-            nf = data.pbw.normal_form(_derive_word(images, w))
-            for w2, c in nf.items():
-                if w2 and w2[0][0] == 0:
-                    if acts is None:
-                        continue
-                    r = index[n - 1][w2[1:]]
-                    for u in range(m):
-                        for u2, cc in acts[w2[0][1] * m + u]:
-                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), -c * cc)
-                else:
-                    r = index[n - 1][w2]
+            for letter, target, c in terms(w):
+                r = index[n - 1][target]
+                if letter is None:
                     for u in range(m):
                         add_into(entries, (u * rows_w + r, u * cols_w + widx), c)
+                elif acts is not None:
+                    for u in range(m):
+                        for u2, cc in acts[letter * m + u]:
+                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), c * cc)
         return entries
 
     dims = [m * len(ws) for ws in mons]
-    return _complex(dims, ((boundary(n), 1) for n in range(1, n_max + 1)), raising)
+    return _complex(dims, ((boundary(n), 1) for n in range(1, len(mons))), raising)
+
+
+def _ce_complex(data: CEData, action: Matrix | None, n_max: int,
+                raising: bool) -> ChainComplex:
+    """m (x) (normal monomials of degree n) in degrees 0..n_max; action is
+    the table of the degree-0 letters acting on m, None for the zero
+    action."""
+    pbw = data.pbw
+    images = {deg: [[((deg - 1, a), c) for a, c in col]
+                    for col in data.envelope.differential(deg).transpose().sparse_rows]
+              for deg in (1, 2)}
+
+    def terms(w: Word) -> list:
+        return [(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
+                for w2, c in pbw.normal_form(_derive_word(images, w)).items()]
+
+    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
+    return _monomial_complex(mons, terms, action, data.m_dim, raising)
 
 
 def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
@@ -543,39 +553,24 @@ def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                        raising: bool) -> ChainComplex:
     """m (x) Lambda^n h in degrees 0..n_max; action is the table of h
     acting on m, None for the zero action."""
-    mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     brackets = h.structure.transpose().sparse_rows
-    acts = None if action is None else action.transpose().sparse_rows
 
-    def boundary(n: int) -> dict[tuple[int, int], Fraction]:
-        rows_w, cols_w = len(mons[n - 1]), len(mons[n])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for widx, xs in enumerate(mons[n]):
-            if acts is not None:
-                for t in range(1, n + 1):
-                    sign = -1 if t % 2 else 1
-                    r = index[n - 1][xs[:t - 1] + xs[t:]]
-                    for u in range(m):
-                        for u2, c in acts[xs[t - 1] * m + u]:
-                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), sign * c)
-            for s in range(1, n + 1):
-                for t in range(s + 1, n + 1):
-                    sign = -1 if (s + t) % 2 else 1
-                    rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
-                    for k, c in brackets[xs[s - 1] * h.dim + xs[t - 1]]:
-                        ins = _wedge_insert(k, rest)
-                        if ins is None:
-                            continue
+    def terms(xs: tuple[int, ...]):
+        n = len(xs)
+        for t in range(1, n + 1):
+            yield xs[t - 1], xs[:t - 1] + xs[t:], -1 if t % 2 else 1
+        for s in range(1, n + 1):
+            for t in range(s + 1, n + 1):
+                sign = -1 if (s + t) % 2 else 1
+                rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
+                for k, c in brackets[xs[s - 1] * h.dim + xs[t - 1]]:
+                    ins = _wedge_insert(k, rest)
+                    if ins is not None:
                         wsign, word = ins
-                        r = index[n - 1][word]
-                        for u in range(m):
-                            add_into(entries, (u * rows_w + r, u * cols_w + widx),
-                                     sign * c * wsign)
-        return entries
+                        yield None, word, sign * c * wsign
 
-    dims = [m * len(ws) for ws in mons]
-    return _complex(dims, ((boundary(n), 1) for n in range(1, n_max + 1)), raising)
+    mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
+    return _monomial_complex(mons, terms, action, m, raising)
 
 
 def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
