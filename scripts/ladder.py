@@ -62,7 +62,7 @@ def heis3_betti(n):
     # what `leibhom homology --max-degree n` runs
     n = int(n)
     g = LeibnizAlgebra.from_brackets(["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}})
-    return list(loday_complex(g, trivial_coefficients(), n + 1).betti()[:n + 1])
+    return list(loday_complex(g, trivial_coefficients(), n + 1).betti())
 
 def conjecture(d, w):
     rep = conjecture_check(int(d), int(w))

@@ -3,7 +3,7 @@
 Covers the corpus of tests/conftest.py, seeded random algebras and heis3
 rescaled to structure constants with denominators, each with every
 coefficient kind: the Loday chain and cochain complexes (with
-their cycle and boundary spaces in every degree), the enveloping-algebra
+their cycle and boundary spaces in every degree they report), the enveloping-algebra
 complexes and projections, the maximal Lie quotient, the minimal
 envelope and modules, the commutator subcomplex, the classical
 complexes of the Lie corpus, and conjecture_check at (1,6), (2,5), (3,3).

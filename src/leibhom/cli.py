@@ -133,6 +133,8 @@ def _load_json(path: str, inputs: dict | None, key: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, an integer of too many digits
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if inputs is not None:
@@ -168,9 +170,9 @@ def _entry_triple(entry, left_index, right_index, value_index, where: str):
         if key not in entry:
             raise ParseError(f"{where}: entry missing {key!r}")
     ln, rn, val = entry["left"], entry["right"], entry["value"]
-    if ln not in left_index:
+    if not isinstance(ln, str) or ln not in left_index:
         raise ParseError(f"{where}: unknown name {ln!r}")
-    if rn not in right_index:
+    if not isinstance(rn, str) or rn not in right_index:
         raise ParseError(f"{where}: unknown name {rn!r}")
     if not isinstance(val, dict):
         raise ParseError(f"{where}: \"value\" must be an object")
@@ -185,8 +187,6 @@ def _entry_triple(entry, left_index, right_index, value_index, where: str):
 
 
 def _sparse_table(entries, left_index, right_index, value_index, where: str) -> dict:
-    if entries is None:
-        return {}
     if not isinstance(entries, list):
         raise ParseError(f"{where}: must be a list of entries")
     table = {}
@@ -226,6 +226,8 @@ def parse_algebra(path: str, inputs: dict | None = None
     convention = doc.get("convention")
     if convention not in ("left", "right"):
         raise ParseError(f"{path}: \"convention\" must be \"left\" or \"right\"")
+    if not isinstance(doc.get("name", ""), str):
+        raise ParseError(f"{path}: \"name\" must be a string")
     if "brackets" not in doc:
         raise ParseError(f"{path}: algebra file has no \"brackets\"")
     _check_keys(doc, path, "an algebra", ("name", "convention", "basis", "brackets"))
@@ -267,9 +269,9 @@ def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
     if "left_action" not in doc and "right_action" not in doc:
         raise ParseError(f"{path}: module file has neither \"left_action\" nor \"right_action\"")
     _check_keys(doc, path, "a two-sided module", ("basis", "left_action", "right_action"))
-    left_tab = _sparse_table(doc.get("left_action"), gindex, index, index,
+    left_tab = _sparse_table(doc.get("left_action", []), gindex, index, index,
                              f"{path} left_action")
-    right_tab = _sparse_table(doc.get("right_action"), index, gindex, index,
+    right_tab = _sparse_table(doc.get("right_action", []), index, gindex, index,
                               f"{path} right_action")
     left = tensor3(g.dim, d, d, {(i, j, k): c for (i, j), val in left_tab.items()
                                  for k, c in val.items()})
@@ -354,11 +356,13 @@ def emit_report(report: dict, json_path: str | None, quiet: bool,
             print(line)
 
 
-def _betti_lines(label: str, betti: list[int]) -> list[str]:
-    lines = [label]
-    for n, b in enumerate(betti):
-        lines.append(f"  degree {n}: {b}")
-    return lines
+def _complex_tables(report: dict, cplx) -> list[tuple[int, int, int]]:
+    """(degree, dim, betti) for each degree cplx reports, recorded as the
+    report's dims and betti tables."""
+    rows = list(zip(cplx.degree_range(), cplx.dims, cplx.betti()))
+    report["tables"]["dims"] = {str(k): d for k, d, _ in rows}
+    report["tables"]["betti"] = {str(k): b for k, _, b in rows}
+    return rows
 
 
 def _load_main_algebra(args, report: dict) -> tuple[LeibnizAlgebra, bool]:
@@ -409,17 +413,11 @@ def _cmd_quotient(args, report):
 def _betti_command(args, report, builder, label):
     g, was_right = _load_main_algebra(args, report)
     coeffs = _coefficients(args.coefficients, g, report["inputs"], was_right)
-    n = args.max_degree
-    # one degree above the report range, so the top reported homology is
-    # computed with both adjacent boundary maps present
-    cplx = builder(g, coeffs, n + 1)
-    betti = list(cplx.betti())[: n + 1]
-    dims = list(cplx.dims)[: n + 1]
+    rows = _complex_tables(report, builder(g, coeffs, args.max_degree + 1))
     report["parameters"]["coefficients"] = args.coefficients
-    report["parameters"]["max_degree"] = n
-    report["tables"]["dims"] = {str(k): d for k, d in enumerate(dims)}
-    report["tables"]["betti"] = {str(k): b for k, b in enumerate(betti)}
-    return _betti_lines(f"{label}, coefficients {args.coefficients}:", betti), 0
+    lines = [f"{label}, coefficients {args.coefficients}:"]
+    lines += [f"  degree {k}: {b}" for k, _, b in rows]
+    return lines, 0
 
 
 def _cmd_compare(args, report):
@@ -457,17 +455,10 @@ def _cmd_compare(args, report):
 
 def _cmd_fg(args, report):
     g, was_right = _load_main_algebra(args, report)
-    n = args.max_degree
-    cplx = fg_subcomplex(g, n + 1)
-    betti = list(cplx.betti())[: n + 1]
-    dims = list(cplx.dims)[: n + 1]
-    report["parameters"]["max_degree"] = n
-    report["tables"]["dims"] = {str(k): d for k, d in enumerate(dims)}
-    report["tables"]["betti"] = {str(k): b for k, b in enumerate(betti)}
+    rows = _complex_tables(report, fg_subcomplex(g, args.max_degree + 1))
     report["verdicts"]["closed_under_boundary"] = True
     lines = ["graded-commutator subcomplex:"]
-    for k in range(n + 1):
-        lines.append(f"  degree {k}: dim {dims[k]}, homology {betti[k]}")
+    lines += [f"  degree {k}: dim {d}, homology {b}" for k, d, b in rows]
     return lines, 0
 
 

@@ -136,7 +136,11 @@ REP_COCHAIN_RULE = "corrected"
 class ChainComplex:
     """dims[i] is the dimension in degree offset+i.  For raising=False
     diffs[i] maps degree offset+i+1 to offset+i; for raising=True it maps
-    offset+i to offset+i+1."""
+    offset+i to offset+i+1.
+
+    Homology is reported only in the degrees that have both adjacent maps
+    stored: stored up to degree N, the complex reports degrees
+    offset..N-1, and asking for any other degree raises ValueError."""
 
     offset: int
     dims: tuple[int, ...]
@@ -162,24 +166,23 @@ class ChainComplex:
                     f"composition through degree {self.offset + i + 1} is nonzero")
 
     def degree_range(self) -> tuple[int, ...]:
-        return tuple(self.offset + i for i in range(len(self.dims)))
+        """The degrees with both adjacent maps stored."""
+        return tuple(range(self.offset, self.offset + len(self.diffs)))
 
-    def _adjacent(self, k: int) -> tuple[Matrix | None, Matrix | None]:
+    def _adjacent(self, k: int) -> tuple[Matrix | None, Matrix]:
+        """(the map between degrees k-1 and k, None at the lowest degree;
+        the map between k and k+1)."""
         i = k - self.offset
-        below = self.diffs[i - 1] if i - 1 >= 0 else None
-        above = self.diffs[i] if i < len(self.diffs) else None
-        return below, above
+        if not 0 <= i < len(self.diffs):
+            raise ValueError(f"degree {k} lacks an adjacent map; the complex reports only "
+                             f"degrees {self.degree_range()}")
+        return (self.diffs[i - 1] if i else None), self.diffs[i]
 
     def homology(self, k: int) -> int:
-        i = k - self.offset
-        if i < 0 or i >= len(self.dims):
-            return 0
         below, above = self._adjacent(k)
-        h = self.dims[i]
+        h = self.dims[k - self.offset] - above.rank()
         if below is not None:
             h -= below.rank()
-        if above is not None:
-            h -= above.rank()
         return h
 
     def betti(self) -> tuple[int, ...]:
@@ -193,17 +196,15 @@ class ChainComplex:
         return below, above
 
     def cycle_space(self, k: int) -> Subspace:
-        i = k - self.offset
         out_map, _ = self.boundary_pair(k)
         if out_map is None:
-            return Subspace.full(self.dims[i])
+            return Subspace.full(self.dims[k - self.offset])
         return kernel_basis(out_map)
 
     def boundary_space(self, k: int) -> Subspace:
-        i = k - self.offset
         _, in_map = self.boundary_pair(k)
         if in_map is None:
-            return Subspace.zero(self.dims[i])
+            return Subspace.zero(self.dims[k - self.offset])
         return column_span(in_map)
 
 
@@ -214,7 +215,7 @@ def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
 
     raising=True gives the dual cochain complex: the keys of every entry
     map are swapped, which transposes C_n -> C_{n-1} into the coboundary
-    C^{n-1} -> C^n before anything is densified.
+    C^{n-1} -> C^n.
     """
     diffs = []
     for n, (entries, den) in enumerate(boundaries, start=1):
@@ -400,11 +401,8 @@ def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: b
 
 def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
                   _rep_rule: str | None = None) -> ChainComplex:
-    """Tensor-module chain complex m (x) g^{(x)n} in degrees 0..n_max.
-
-    Homology at the top stored degree is not meaningful (the next
-    boundary map is not built); ask one degree higher than you need.
-    """
+    """Tensor-module chain complex m (x) g^{(x)n} in degrees 0..n_max; like
+    every ChainComplex it reports homology in degrees 0..n_max-1."""
     _require_left(g)
     return _loday(g, coefficients, n_max, False, _rep_rule)
 
@@ -669,11 +667,8 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
         if lhs != rhs:
             raise NotAChainMap(f"pullback fails to commute with the coboundary at degree {n}")
 
-    degrees = tuple(range(n_max))
-    lod_b = tuple(lod.homology(k) for k in degrees)
-    ce_b = tuple(ce.homology(k) for k in degrees)
-    lodco_b = tuple(lodco.homology(k) for k in degrees)
-    ceco_b = tuple(ceco.homology(k) for k in degrees)
+    degrees = lod.degree_range()
+    lod_b, ce_b, lodco_b, ceco_b = lod.betti(), ce.betti(), lodco.betti(), ceco.betti()
     chain_ranks = tuple(_induced_map(lod, ce, P[k], k).rank() for k in degrees)
     cochain_ranks = tuple(_induced_map(ceco, lodco, Q[k], k).rank() for k in degrees)
 
@@ -758,16 +753,17 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
 def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
                       spans: CommutatorSpans | None = None) -> ChainComplex:
     """Weight-w block of the graded-commutator subcomplex over the free
-    algebra, in degrees 1..w.  The block is finite: no tensor degree
-    above w carries weight w.  spans, built on fl.words, may be shared
-    between weights."""
+    algebra, reporting degrees 1..w.  The block is finite: no tensor
+    degree above w carries weight w, so it stores the zero block (w+1, w)
+    as its top degree.  spans, built on fl.words, may be shared between
+    weights."""
     if w < 1 or w > fl.max_weight:
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
     if spans is None:
         spans = CommutatorSpans(fl.words)
     boundaries = ((_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), fl.bracket_words), 1)
-                  for n in range(2, w + 1))
-    return _commutator_complex(spans, [(n, w) for n in range(1, w + 1)], boundaries, 1)
+                  for n in range(2, w + 2))
+    return _commutator_complex(spans, [(n, w) for n in range(1, w + 2)], boundaries, 1)
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}

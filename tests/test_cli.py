@@ -1,10 +1,13 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -229,6 +232,20 @@ def test_integer_too_long_to_convert_exits_two(tmp_path, capsys):
         "5000 digits; use sys.set_int_max_str_digits() to increase the limit\n")
 
 
+@pytest.mark.parametrize("role", ["algebra", "module"])
+def test_deeply_nested_input_file_exits_two(r2_path, tmp_path, capsys, role):
+    # json.loads raises RecursionError, which is not a ValueError, for
+    # nesting deeper than the interpreter's recursion limit
+    path = tmp_path / "deep.json"
+    doc = R2_DOC if role == "algebra" else R2_CHAR_DOC
+    path.write_text(json.dumps(dict(doc, basis="DEEP")).replace(
+        '"DEEP"', "[" * 100000 + "]" * 100000))
+    argv = (["check", str(path)] if role == "algebra" else
+            ["homology", r2_path, "--coefficients", f"lie:{path}"])
+    assert cli.entrypoint(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} is nested too deeply to parse\n"
+
+
 @pytest.mark.parametrize("command", ["homology", "compare"])
 def test_lie_job_reads_each_file_once_and_builds_the_quotient_once(
         r2_path, tmp_path, monkeypatch, command):
@@ -388,6 +405,109 @@ def test_module_file_keys_checked(r2_path, tmp_path, capsys, kind, doc, message)
     mod = write_json(tmp_path / "mod.json", doc)
     assert cli.entrypoint(["homology", r2_path, "--coefficients", f"{kind}:{mod}"]) == 2
     assert capsys.readouterr().err == f"error: {mod}: {message}\n"
+
+
+# Malformed documents: each is a valid r2 document of one kind (algebra,
+# rep: or lie: file) with one defect drawn from the families below, and
+# each must exit 2 with an "error:" line, never a traceback.
+DOCS = {"algebra": R2_DOC, "rep": R2_ADJ_DOC, "lie": R2_CHAR_DOC}
+TABLES = {"algebra": ["brackets"], "rep": ["left_action", "right_action"], "lie": ["action"]}
+NAMES = {"x", "y", "x~", "y~", "u", "v", "m"}  # every name the r2 documents use
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+UNKNOWN_NAMES = st.text(max_size=3).filter(lambda s: s not in NAMES)
+
+
+def _is_basis(v):
+    return (isinstance(v, list) and bool(v) and all(isinstance(s, str) for s in v)
+            and len(set(v)) == len(v))
+
+
+# a value of the wrong JSON type for each top-level key
+WRONG_TOP = {
+    "name": JSON_VALUES.filter(lambda v: not isinstance(v, str)),
+    "convention": JSON_VALUES.filter(lambda v: v not in ("left", "right")),
+    "basis": JSON_VALUES.filter(lambda v: not _is_basis(v)),
+    **{table: JSON_VALUES.filter(lambda v: not isinstance(v, list))
+       for tables in TABLES.values() for table in tables},
+}
+MALFORMED_RATIONALS = st.one_of(
+    JSON_VALUES.filter(lambda v: not isinstance(v, str)),
+    st.text(max_size=6).filter(lambda s: not re.fullmatch(r"[+-]?\d+(/\d+)?", s.strip())),
+    st.sampled_from(["1.5", "1e3", "0x10", "1/2/3", "/2", "1/", "1/-2", "nan", "1_000"]),
+    st.integers().map(lambda p: f"{p}/0"),
+    st.just("1" * 5000))
+
+
+@st.composite
+def malformed_documents(draw):
+    """(kind, document text)."""
+    kind = draw(st.sampled_from(list(DOCS)))
+    doc = copy.deepcopy(DOCS[kind])
+    table = draw(st.sampled_from(TABLES[kind]))
+    entry = draw(st.sampled_from(doc[table]))
+    family = draw(st.sampled_from(["top-level type", "entry", "field", "rational",
+                                   "unknown name", "duplicate", "empty", "nested"]))
+    if family == "top-level type":
+        key = draw(st.sampled_from(list(doc)))
+        doc[key] = draw(WRONG_TOP[key])
+    elif family == "entry":
+        doc[table][doc[table].index(entry)] = draw(JSON_VALUES.filter(
+            lambda v: not isinstance(v, dict)))
+    elif family == "field":
+        field = draw(st.sampled_from(["left", "right", "value"]))
+        if draw(st.booleans()):
+            del entry[field]
+        elif field == "value":
+            entry[field] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        else:
+            entry[field] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, str))
+                                | UNKNOWN_NAMES)
+    elif family == "rational":
+        entry["value"][draw(st.sampled_from(sorted(entry["value"])))] = draw(MALFORMED_RATIONALS)
+    elif family == "unknown name":
+        entry["value"][draw(UNKNOWN_NAMES)] = "1"
+    elif family == "duplicate":
+        if draw(st.booleans()):
+            doc["basis"].append(draw(st.sampled_from(doc["basis"])))
+        else:
+            doc[table].append(copy.deepcopy(entry))
+    elif family == "empty":
+        empty = draw(st.sampled_from(["document", "basis", "tables"]))
+        if empty == "document":
+            doc = {}
+        elif empty == "basis":
+            doc["basis"] = []
+        else:
+            for t in TABLES[kind]:
+                del doc[t]
+    else:
+        key = draw(st.sampled_from(list(doc)))
+        depth = draw(st.sampled_from([1, 2, 100000]))
+        text = json.dumps(dict(doc, **{key: "NESTED"}))
+        return kind, text.replace('"NESTED"', "[" * depth + json.dumps(doc[key]) + "]" * depth)
+    return kind, json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_documents())
+def test_malformed_documents_exit_two(kind_and_text):
+    kind, text = kind_and_text
+    with tempfile.TemporaryDirectory() as workdir:
+        algebra = write_json(Path(workdir, "r2.json"), R2_DOC)
+        path = Path(workdir, "doc.json")
+        path.write_text(text)
+        argv = (["check", str(path)] if kind == "algebra" else
+                ["homology", algebra, "--coefficients", f"{kind}:{path}"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.entrypoint(argv)
+    assert code == 2, (text[:200], out.getvalue())
+    assert err.getvalue().startswith("error: "), err.getvalue()
+    assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 @pytest.mark.parametrize("kind, doc", [

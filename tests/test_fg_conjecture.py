@@ -26,8 +26,8 @@ def test_subcomplex_closes_on_corpus():
 
 
 def test_subcomplex_dims_match_graded_components():
-    cx = fg_subcomplex(CORPUS["abelian2"], 4)
-    assert cx.dims == (1, 2, 3, 2, 3)
+    cx = fg_subcomplex(CORPUS["abelian2"], 5)
+    assert cx.dims == (1, 2, 3, 2, 3, 6)
     # abelian bracket: zero boundary, so homology is the whole span
     assert cx.betti() == (1, 2, 3, 2, 3)
 
@@ -150,10 +150,12 @@ def test_weight_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
         fg_weight_complex(fl, w)
     assert len(seen) == top
     for w, (spans, blocks, boundaries) in enumerate(seen, start=1):
-        assert blocks == [(n, w) for n in range(1, w + 1)]
-        for n in range(w + 1):
+        # the top block (w + 1, w) is empty: no word of w + 1 letters has weight w
+        assert blocks == [(n, w) for n in range(1, w + 2)]
+        for n in range(w + 2):
             assert spans.words(n, w) == oracle_block_words(d, n, w), (w, n)
-        assert len(boundaries) == w - 1
+        assert spans.words(w + 1, w) == []
+        assert len(boundaries) == w
         for n, (entries, den) in enumerate(boundaries, start=2):
             got = {key: Fraction(v, den) for key, v in entries.items()}
             assert got == oracle_weight_boundary(spans.words(n, w), spans.words(n - 1, w)), (w, n)

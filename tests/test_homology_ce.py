@@ -95,7 +95,7 @@ def test_enveloping_builders_reject_two_sided_coefficients():
 
 def test_classical_heisenberg_betti():
     h = LIE_CORPUS["heis3"]
-    cx = classical_ce(h, None, 3)
+    cx = classical_ce(h, None, 4)
     assert cx.betti() == (1, 2, 2, 1)
 
 

@@ -304,6 +304,56 @@ def test_cochain_is_transpose_of_dual_chain(name):
             assert d.entries == chain.diffs[k].transpose().entries, (label, k)
 
 
+def family_builders(g):
+    """(label, n -> complex stored up to degree n) for every complex family
+    over g with every coefficient kind; the classical families run over the
+    maximal Lie quotient."""
+    qdata = lie_quotient(g)
+    modules = [(maker.__name__, maker(qdata))
+               for maker in (quotient_adjoint_module, character_module)]
+    modules = [(label, mod) for label, mod in modules if mod is not None]
+    kinds = [(f"trivial{dim}", trivial_coefficients(dim)) for dim in (1, 2)]
+    kinds += [(f"lie {label}", lie_coefficients(mod)) for label, mod in modules]
+    reps = [(f"rep {r}", rep_coefficients(rep)) for r, rep in representations_for(g).items()]
+    for label, c in kinds + reps:
+        yield f"loday {label}", lambda n, c=c: loday_complex(g, c, n)
+        yield f"loday_cochain {label}", lambda n, c=c: loday_cochain_complex(g, c, n)
+    for label, c in kinds:
+        yield f"ce {label}", lambda n, c=c: ce_chain(g, c, n)
+        yield f"ce_cochain {label}", lambda n, c=c: ce_cochain(g, c, n)
+    for label, mod in [("trivial", None), *modules]:
+        yield f"classical {label}", lambda n, mod=mod: classical_ce(qdata.quotient, mod, n)
+        yield (f"classical_cochain {label}",
+               lambda n, mod=mod: classical_ce_cochain(qdata.quotient, mod, n))
+    yield "fg", lambda n: fg_subcomplex(g, n)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_complex_reports_only_its_complete_degrees(name):
+    # stored up to degree n, a complex reports degrees 0..n-1, each as
+    # it reads with the complex stored one degree higher
+    n = 3
+    for label, build in family_builders(CORPUS[name]):
+        cx, higher = build(n), build(n + 1)
+        assert cx.degree_range() == tuple(range(n)), label
+        assert len(cx.betti()) == n, label
+        assert cx.betti() == higher.betti()[:n], label
+        with pytest.raises(ValueError):
+            cx.homology(n)
+
+
+def test_heis3_top_stored_degree_is_not_reported():
+    # the true H_3 of heis3 is 10; degree 3 without its incoming map would read 24
+    g = CORPUS["heis3"]
+    for build in (loday_complex, loday_cochain_complex):
+        cx = build(g, trivial_coefficients(), 3)
+        assert cx.betti() == (1, 2, 5)
+        assert build(g, trivial_coefficients(), 4).betti() == (1, 2, 5, 10)
+        for query in (cx.homology, cx.cycle_space, cx.boundary_space):
+            with pytest.raises(ValueError):
+                query(3)
+
+
 def test_mis_shaped_complex_raises_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         ChainComplex(0, (1, 2), (Matrix.zeros(2, 1),))

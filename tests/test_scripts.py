@@ -37,11 +37,12 @@ def test_script_reaches_its_verdict(argv, verdict):
     assert verdict in proc.stdout.splitlines()[-1]
 
 
-# the digests recorded before the structure tables became sparse integer
-# matrices: a change of storage must leave every computed value as it was
+# the digests recorded when complexes stopped reporting their top stored
+# degree; they equal the earlier digests with that degree left out of
+# every complex's Betti numbers and spaces
 PINNED_DIGESTS = {
-    2: "4d3db45160b4d44de15a4bd28ea82098b1b3a6b12d05c40c793c05bd3fd14603",
-    3: "6892a9f1f1131c2a85e64a2fd289b3a308ac9dd40df6090f7ead58a5754b157a",
+    2: "3e2dcd957f48d03895cf2dba6b147fa4bfcb4f8d7fd26e151982de3d62dbe541",
+    3: "9ab1d541501bf4175f67e277f73cfa14f8d1b87a206922e39186e09e4a8b0257",
 }
 
 
@@ -51,6 +52,18 @@ def test_result_digest_is_pinned(max_degree):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
     assert proc.stdout.strip() == PINNED_DIGESTS[max_degree]
+
+
+# the CLI's output on the job matrix of scripts/cli_digest.py, recorded when
+# the complexes stopped reporting their top stored degree, at which the
+# output did not move
+CLI_DIGEST = "00e5f8402935eb92b94c5485a7b0383042ef02e4406d68d908f4dcfeed913cab"
+
+
+def test_cli_digest_is_pinned():
+    proc = run_script("cli_digest.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == CLI_DIGEST + "\n"
 
 
 def test_ladder_writes_one_rung(tmp_path):
