@@ -50,7 +50,6 @@ from leibhom.leibcore import (
     QuotientData,
     Representation,
     adjoint_lie_module,
-    lie_quotient,
     symmetrization,
 )
 
@@ -140,15 +139,14 @@ def results(n: int):
         (f"random{s}", random_algebra(random.Random(s))) for s in RANDOM_SEEDS]
     algebras.append(("heis3 rescaled", rescaled_heis3()))
     for gname, g in algebras:
-        qdata = lie_quotient(g)
+        qdata = g.quotient_data
         yield gname, g
         yield f"{gname} lie_quotient", qdata
-        envelope = minimal_envelope(g, qdata)
-        yield f"{gname} minimal_envelope", envelope
+        yield f"{gname} minimal_envelope", minimal_envelope(g)
         yield f"{gname} fg_subcomplex", fg_subcomplex(g, n + 1)
         for rname, rep in representations_for(g).items():
             yield f"{gname} {rname} symmetrization", symmetrization(rep)
-            yield f"{gname} {rname} minimal_module", minimal_module(g, rep, qdata, envelope)
+            yield f"{gname} {rname} minimal_module", minimal_module(g, rep)
         for cname, coeffs in coefficient_kinds(g, qdata):
             label = f"{gname} {cname}"
             yield f"{label} loday", loday_complex(g, coeffs, n)

@@ -49,12 +49,10 @@ from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
     LieModule,
-    QuotientData,
     Representation,
     check_leibniz,
     check_lie_module,
     check_representation,
-    lie_quotient,
     opposite,
     opposite_representation,
     tensor3,
@@ -286,28 +284,25 @@ def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
     return rep
 
 
-def parse_lie_module(path: str, g: LeibnizAlgebra, qdata: QuotientData | None = None,
-                     inputs: dict | None = None) -> LieModule:
-    """Module file over the maximal Lie quotient, qdata when the caller has
-    built it already; actors are named by the quotient basis (the
-    `quotient` command prints those names).  inputs["module"] records the
-    file's hash when inputs is given."""
+def parse_lie_module(path: str, g: LeibnizAlgebra, inputs: dict | None = None) -> LieModule:
+    """Module file over the maximal Lie quotient of g; actors are named by
+    the quotient basis (the `quotient` command prints those names).
+    inputs["module"] records the file's hash when inputs is given."""
     doc = _load_json(path, inputs, "module")
     index = _name_index(doc.get("basis"), path)
     names = list(doc["basis"])
-    if qdata is None:
-        qdata = lie_quotient(g)
-    qindex = {s: a for a, s in enumerate(qdata.quotient.basis_names)}
+    h = g.quotient_data.quotient
+    qindex = {s: a for a, s in enumerate(h.basis_names)}
     d = len(names)
     if "action" not in doc:
         raise ParseError(f"{path}: module file has no \"action\"")
     _check_keys(doc, path, "a Lie-module", ("basis", "action"))
     table = _sparse_table(doc["action"], qindex, index, index, f"{path} action")
-    action = tensor3(qdata.quotient.dim, d, d,
+    action = tensor3(h.dim, d, d,
                      {(a, j, k): c for (a, j), val in table.items()
                       for k, c in val.items()})
     mod = LieModule(d, action)
-    bad = check_lie_module(qdata.quotient, mod)
+    bad = check_lie_module(h, mod)
     if bad:
         raise AxiomError(f"{path}: Lie-module identity fails at {_first_few(bad)}", bad)
     return mod
@@ -319,8 +314,7 @@ def _coefficients(selector: str, g: LeibnizAlgebra, inputs: dict,
     if selector == "trivial":
         return trivial_coefficients()
     if selector.startswith("lie:"):
-        qdata = lie_quotient(g)
-        return lie_coefficients(parse_lie_module(selector[4:], g, qdata, inputs), qdata)
+        return lie_coefficients(parse_lie_module(selector[4:], g, inputs))
     if selector.startswith("rep:"):
         return rep_coefficients(parse_representation(selector[4:], g, was_right, inputs))
     raise ParseError(f"--coefficients must be trivial, lie:<file> or rep:<file>, "
@@ -378,7 +372,7 @@ def _load_main_algebra(args, report: dict) -> tuple[LeibnizAlgebra, bool]:
 
 def _cmd_check(args, report):
     g, was_right = _load_main_algebra(args, report)
-    qdata = lie_quotient(g)
+    qdata = g.quotient_data
     report["tables"]["dimensions"] = {
         "g": g.dim, "g_ann": qdata.ann.dim, "g_Lie": qdata.quotient.dim}
     report["verdicts"]["valid"] = True
@@ -389,7 +383,7 @@ def _cmd_check(args, report):
 
 def _cmd_quotient(args, report):
     g, was_right = _load_main_algebra(args, report)
-    qdata = lie_quotient(g)
+    qdata = g.quotient_data
     q = qdata.quotient
     brackets = algebra_echo(q)["brackets"]
     report["tables"]["quotient"] = {"basis": list(q.basis_names), "brackets": brackets}

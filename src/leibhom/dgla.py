@@ -36,12 +36,10 @@ from .exactla import (
 from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
-    QuotientData,
     Representation,
     _polarized,
     _violations,
     check_representation,
-    lie_quotient,
     symmetrization,
 )
 
@@ -177,7 +175,7 @@ def leib(L: DGLieAlgebra) -> tuple[LeibnizAlgebra, CategoryReport]:
     return g, CategoryReport(surjective, image == kernel_basis(d1))
 
 
-def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None) -> DGLieAlgebra:
+def minimal_envelope(g: LeibnizAlgebra) -> DGLieAlgebra:
     """Three-step DGLA  ann -> g -> g_Lie  with derived bracket equal to g's.
 
     Degree 0 is the maximal Lie quotient, degree 2 the span of squares,
@@ -185,8 +183,7 @@ def minimal_envelope(g: LeibnizAlgebra, qdata: QuotientData | None = None) -> DG
     the symmetrized original bracket read in square-span coordinates, so
     [x,x] = 2*[x,x]^ there.
     """
-    if qdata is None:
-        qdata = lie_quotient(g)
+    qdata = g.quotient_data
     n, r = g.dim, qdata.quotient.dim
     ann = qdata.ann
     s = ann.dim
@@ -262,8 +259,8 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
     if not report.member:
         raise NotInCategory(
             f"surjective={report.surjective} kernel_matches={report.kernel_matches}")
-    qdata = lie_quotient(g)
-    M = minimal_envelope(g, qdata)
+    qdata = g.quotient_data
+    M = minimal_envelope(g)
     n, m0 = L.dim(1), L.dim(0)
 
     d1 = L.differential(1)
@@ -360,9 +357,7 @@ def as_module(L: DGLieAlgebra) -> DGModule:
     return DGModule(L, dict(L.degree_dims), dict(L.brackets), dict(L.differentials), dict(L.labels))
 
 
-def minimal_module(g: LeibnizAlgebra, rep: Representation,
-                   qdata: QuotientData | None = None,
-                   envelope: DGLieAlgebra | None = None) -> DGModule:
+def minimal_module(g: LeibnizAlgebra, rep: Representation) -> DGModule:
     """Three-step DG module  anti -> m -> m_symm  over the minimal envelope.
 
     Degree 1 is the span of the symmetrized action vectors [x,m]+[m,x],
@@ -373,10 +368,7 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
     bad = check_representation(g, rep)
     if bad:
         raise IllDefinedAction(f"not a two-sided module: {bad[:3]}")
-    if qdata is None:
-        qdata = lie_quotient(g)
-    if envelope is None:
-        envelope = minimal_envelope(g, qdata)
+    qdata = g.quotient_data
     n, d = g.dim, rep.dim
     r, s = qdata.quotient.dim, qdata.ann.dim
     anti, u_dim, qmat = symmetrization(rep)
@@ -407,7 +399,7 @@ def minimal_module(g: LeibnizAlgebra, rep: Representation,
     anti_names = tuple(f"{rep.basis_names[p]}^" for p in anti.pivots)
     symm_names = tuple(f"{rep.basis_names[c]}~" for c in anti.complement)
     return DGModule(
-        algebra=envelope,
+        algebra=minimal_envelope(g),
         degree_dims={1: t, 0: d, -1: u_dim},
         actions={(0, 0): a00, (0, 1): a01, (0, -1): a0m1,
                  (1, -1): a1m1, (1, 0): a10, (2, -1): a2m1},

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from .exactla import Subspace, add_into
 
@@ -190,6 +191,11 @@ class FreeLeibnizTruncation:
         if weight < 1 or weight > self.max_weight:
             return []
         return list(itertools.product(range(self.num_generators), repeat=weight))
+
+    @cached_property
+    def spans(self) -> CommutatorSpans:
+        """The commutator spans of the blocks over these words, built once."""
+        return CommutatorSpans(self.words)
 
     def bracket_words(self, a: tuple[int, ...], b: tuple[int, ...]) -> Element:
         if len(a) + len(b) > self.max_weight:

@@ -77,10 +77,8 @@ from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
     LieModule,
-    QuotientData,
     Representation,
     lie_module_lift,
-    lie_quotient,
 )
 from .pbw import PBWAlgebra, Poly, Word
 
@@ -249,11 +247,12 @@ def _require_left(g: LeibnizAlgebra) -> None:
         raise ValueError("chain complexes expect the left convention; use opposite() first")
 
 
-def _check_over_quotient(mod: LieModule, qdata: QuotientData) -> None:
-    if mod.action.cols != qdata.quotient.dim * mod.dim:
+def _check_over_quotient(mod: LieModule, g: LeibnizAlgebra) -> None:
+    r = g.quotient_data.quotient.dim
+    if mod.action.cols != r * mod.dim:
         raise ValueError(
             f"module is over a {mod.action.cols // mod.dim}-dim Lie algebra, but the "
-            f"maximal Lie quotient has dimension {qdata.quotient.dim}")
+            f"maximal Lie quotient has dimension {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +266,11 @@ class TrivialCoefficients:
 
 @dataclass(frozen=True)
 class LieModuleCoefficients:
-    """Module over the maximal Lie quotient, acting through the projection:
-    [x,m] = pr(x).m and [m,x] = -pr(x).m.  quotient is lie_quotient(g) of
-    the algebra g the complexes are built over, when the caller has built
-    it already."""
+    """Module over the maximal Lie quotient of the algebra g the complexes
+    are built over, acting through g.quotient_data's projection:
+    [x,m] = pr(x).m and [m,x] = -pr(x).m."""
 
     module: LieModule
-    quotient: QuotientData | None = None
 
 
 @dataclass(frozen=True)
@@ -290,21 +287,12 @@ def trivial_coefficients(dim: int = 1) -> TrivialCoefficients:
     return TrivialCoefficients(dim)
 
 
-def lie_coefficients(module: LieModule, quotient: QuotientData | None = None
-                     ) -> LieModuleCoefficients:
-    return LieModuleCoefficients(module, quotient)
+def lie_coefficients(module: LieModule) -> LieModuleCoefficients:
+    return LieModuleCoefficients(module)
 
 
 def rep_coefficients(rep: Representation) -> RepresentationCoefficients:
     return RepresentationCoefficients(rep)
-
-
-def _quotient(g: LeibnizAlgebra, coefficients: Coefficients) -> QuotientData:
-    """The maximal Lie quotient of g: the one Lie-module coefficients carry,
-    else built."""
-    if isinstance(coefficients, LieModuleCoefficients) and coefficients.quotient is not None:
-        return coefficients.quotient
-    return lie_quotient(g)
 
 
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
@@ -318,9 +306,8 @@ def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
     if isinstance(coefficients, TrivialCoefficients):
         return coefficients.dim, []
     if isinstance(coefficients, LieModuleCoefficients):
-        qdata = _quotient(g, coefficients)
-        _check_over_quotient(coefficients.module, qdata)
-        rep = lie_module_lift(g, qdata, coefficients.module)
+        _check_over_quotient(coefficients.module, g)
+        rep = lie_module_lift(g, g.quotient_data, coefficients.module)
         rule = "plain" if raising else "right"
     elif isinstance(coefficients, RepresentationCoefficients):
         rep = coefficients.rep
@@ -422,7 +409,6 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
 @dataclass
 class CEData:
     g: LeibnizAlgebra
-    qdata: QuotientData
     envelope: DGLieAlgebra
     pbw: PBWAlgebra
     m_dim: int
@@ -434,15 +420,14 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
     if isinstance(coefficients, RepresentationCoefficients):
         raise UnsupportedCoefficients(
             "enveloping-algebra complexes take trivial or Lie-module coefficients")
-    qdata = _quotient(g, coefficients)
-    envelope = minimal_envelope(g, qdata)
+    envelope = minimal_envelope(g)
     if isinstance(coefficients, TrivialCoefficients):
         m_dim, action = coefficients.dim, None
     else:
         mod = coefficients.module
-        _check_over_quotient(mod, qdata)
+        _check_over_quotient(mod, g)
         m_dim, action = mod.dim, mod.action
-    return CEData(g, qdata, envelope, PBWAlgebra(envelope), m_dim, action)
+    return CEData(g, envelope, PBWAlgebra(envelope), m_dim, action)
 
 
 def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
@@ -645,8 +630,6 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     differentials.
     """
     data = _ce_setup(g, coefficients)
-    if isinstance(coefficients, LieModuleCoefficients):
-        coefficients = lie_coefficients(coefficients.module, data.qdata)
     lod = _loday(g, coefficients, n_max, False)
     ce = _ce_complex(data, data.action, n_max, raising=False)
     lodco = _loday(g, coefficients, n_max, True)
@@ -750,17 +733,14 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
                                _product_boundaries(g, n_max), 0)
 
 
-def fg_weight_complex(fl: FreeLeibnizTruncation, w: int,
-                      spans: CommutatorSpans | None = None) -> ChainComplex:
+def fg_weight_complex(fl: FreeLeibnizTruncation, w: int) -> ChainComplex:
     """Weight-w block of the graded-commutator subcomplex over the free
     algebra, reporting degrees 1..w.  The block is finite: no tensor
     degree above w carries weight w, so it stores the zero block (w+1, w)
-    as its top degree.  spans, built on fl.words, may be shared between
-    weights."""
+    as its top degree.  The weights of one fl share fl.spans."""
     if w < 1 or w > fl.max_weight:
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
-    if spans is None:
-        spans = CommutatorSpans(fl.words)
+    spans = fl.spans
     boundaries = ((_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), fl.bracket_words), 1)
                   for n in range(2, w + 2))
     return _commutator_complex(spans, [(n, w) for n in range(1, w + 2)], boundaries, 1)
@@ -806,10 +786,9 @@ def conjecture_check(num_generators: int, max_weight: int | None = None) -> Conj
     if max_weight is None:
         max_weight = DEFAULT_WEIGHT_BUDGET.get(num_generators, FALLBACK_WEIGHT_BUDGET)
     fl = FreeLeibnizTruncation(num_generators, max_weight)
-    spans = CommutatorSpans(fl.words)
     verdicts = []
     for w in range(1, max_weight + 1):
-        cplx = fg_weight_complex(fl, w, spans)
+        cplx = fg_weight_complex(fl, w)
         betti = cplx.betti()
         verdicts.append(WeightVerdict(
             weight=w,

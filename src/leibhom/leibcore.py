@@ -21,6 +21,7 @@ nonzero columns are the basis tuples where it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .exactla import (
@@ -78,6 +79,11 @@ class LeibnizAlgebra:
         n = len(names)
         entries = {(i, j, k): c for (i, j), val in brackets.items() for k, c in val.items()}
         return LeibnizAlgebra(n, tuple(names), tensor3(n, n, n, entries), convention)
+
+    @cached_property
+    def quotient_data(self) -> "QuotientData":
+        """lie_quotient(self), built once per algebra."""
+        return lie_quotient(self)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from leibhom import homology
-from leibhom.freealg import FreeLeibnizTruncation, witt_dim
+from leibhom.freealg import CommutatorSpans, FreeLeibnizTruncation, witt_dim
 from leibhom.homology import (
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
@@ -79,6 +79,18 @@ def test_weight_outside_truncation_rejected():
     fl = FreeLeibnizTruncation(2, 2)
     with pytest.raises(ValueError):
         fg_weight_complex(fl, 3)
+
+
+def test_conjecture_check_builds_one_set_of_spans(monkeypatch):
+    real_init, built = CommutatorSpans.__init__, []
+
+    def counting(self, letters):
+        built.append(letters)
+        real_init(self, letters)
+
+    monkeypatch.setattr(CommutatorSpans, "__init__", counting)
+    assert conjecture_check(2, 5).verdict == "PASS"
+    assert len(built) == 1
 
 
 def test_report_failures_empty_on_pass():
