@@ -118,15 +118,25 @@ class AxiomError(Exception):
 
 
 def _load_json(path: str, inputs: dict | None, key: str) -> dict:
-    """The JSON object in path, read once; when inputs is given,
-    inputs[key] records the path and the sha256 of the bytes parsed."""
+    """The JSON object in path, read once, with no key repeated in any of
+    its objects; when inputs is given, inputs[key] records the path and
+    the sha256 of the bytes parsed."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ParseError(f"{path}: repeated key {json.dumps(repeated)}")
+        return obj
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # bytes that are not UTF-8, an integer of too many digits
@@ -156,6 +166,10 @@ def _name_index(names, where: str) -> dict:
     for i, s in enumerate(names):
         if s in index:
             raise ParseError(f"{where}: duplicate basis name {s!r}")
+        try:
+            s.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{where}: basis name {s!r} does not encode as UTF-8") from None
         index[s] = i
     return index
 

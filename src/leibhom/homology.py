@@ -608,6 +608,9 @@ def _induced_map(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> M
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The four complexes' homology and the induced maps' ranks in the
+    degrees reported; a verdict is None when its degree is not reported."""
+
     degrees: tuple[int, ...]
     loday_homology: tuple[int, ...]
     ce_homology: tuple[int, ...]
@@ -615,8 +618,8 @@ class ComparisonReport:
     ce_cohomology: tuple[int, ...]
     chain_map_ranks: tuple[int, ...]
     cochain_map_ranks: tuple[int, ...]
-    h0_iso: bool
-    h1_iso: bool
+    h0_iso: bool | None
+    h1_iso: bool | None
     hl2_to_h2_surjective: bool | None
     h2_to_hl2_injective: bool | None
 
@@ -655,16 +658,13 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     chain_ranks = tuple(_induced_map(lod, ce, P[k], k).rank() for k in degrees)
     cochain_ranks = tuple(_induced_map(ceco, lodco, Q[k], k).rank() for k in degrees)
 
-    def iso(k: int) -> bool:
+    def iso(k: int) -> bool | None:
+        if k not in degrees:
+            return None
         return (lod_b[k] == ce_b[k] == chain_ranks[k]
                 and ceco_b[k] == lodco_b[k] == cochain_ranks[k])
 
-    h2_surj = None
-    h2_inj = None
-    if n_max >= 3:
-        h2_surj = chain_ranks[2] == ce_b[2]
-        h2_inj = cochain_ranks[2] == ceco_b[2]
-
+    h2 = 2 in degrees
     report = ComparisonReport(
         degrees=degrees,
         loday_homology=lod_b,
@@ -674,9 +674,9 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
         chain_map_ranks=chain_ranks,
         cochain_map_ranks=cochain_ranks,
         h0_iso=iso(0),
-        h1_iso=iso(1) if n_max >= 2 else False,
-        hl2_to_h2_surjective=h2_surj,
-        h2_to_hl2_injective=h2_inj,
+        h1_iso=iso(1),
+        hl2_to_h2_surjective=chain_ranks[2] == ce_b[2] if h2 else None,
+        h2_to_hl2_injective=cochain_ranks[2] == ceco_b[2] if h2 else None,
     )
     return tuple(P), tuple(Q), report
 

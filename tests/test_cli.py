@@ -450,7 +450,8 @@ def malformed_documents(draw):
     table = draw(st.sampled_from(TABLES[kind]))
     entry = draw(st.sampled_from(doc[table]))
     family = draw(st.sampled_from(["top-level type", "entry", "field", "rational",
-                                   "unknown name", "duplicate", "empty", "nested"]))
+                                   "unknown name", "duplicate", "empty", "nested",
+                                   "repeated key", "unencodable name"]))
     if family == "top-level type":
         key = draw(st.sampled_from(list(doc)))
         doc[key] = draw(WRONG_TOP[key])
@@ -484,6 +485,22 @@ def malformed_documents(draw):
         else:
             for t in TABLES[kind]:
                 del doc[t]
+    elif family == "repeated key":
+        # json.dumps writes no repeated key, so the pair is spliced into the text
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(list(doc)))
+            text = json.dumps(doc)
+            return kind, "{" + f"{json.dumps(key)}: {json.dumps(doc[key])}, " + text[1:]
+        name = draw(st.sampled_from(sorted(entry["value"])))
+        value = json.dumps(entry["value"])
+        entry["value"] = "REPEATED"
+        pair = f"{json.dumps(name)}: {json.dumps(draw(st.sampled_from(['0', '1'])))}, "
+        return kind, json.dumps(doc).replace('"REPEATED"', "{" + pair + value[1:])
+    elif family == "unencodable name":
+        # a lone surrogate: json.dumps writes it as an escape that json.loads reads back
+        name = draw(st.text("ab", max_size=1)) + draw(st.characters(min_codepoint=0xD800,
+                                                                    max_codepoint=0xDFFF))
+        doc["basis"].insert(draw(st.integers(0, len(doc["basis"]))), name)
     else:
         key = draw(st.sampled_from(list(doc)))
         depth = draw(st.sampled_from([1, 2, 100000]))
@@ -570,6 +587,21 @@ def test_compare_command(a2_path, tmp_path, capsys):
     assert report["verdicts"]["h1_iso"] is True
     out = capsys.readouterr().out
     assert "h0_iso: pass" in out
+
+
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_compare_omits_verdicts_below_their_degree(tmp_path, capsys, max_degree):
+    path = write_json(tmp_path / "ab1.json", {
+        "name": "abelian1", "convention": "left", "basis": ["a"], "brackets": []})
+    out_path = tmp_path / "r.json"
+    assert cli.entrypoint(["compare", path, "--max-degree", str(max_degree),
+                           "--json", str(out_path)]) == 0
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    assert verdicts["h0_iso"] is (True if max_degree else None)
+    for key in ("h1_iso", "hl2_to_h2_surjective", "h2_to_hl2_injective"):
+        assert verdicts[key] is None
+    out = capsys.readouterr().out
+    assert "h1_iso" not in out and ("h0_iso: pass" in out) == bool(max_degree)
 
 
 def test_fg_command(tmp_path):

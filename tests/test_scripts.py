@@ -29,8 +29,9 @@ def run_script(*argv):
 @pytest.mark.parametrize("argv, verdict", [
     (("pin_chain_rule.py",), "verdict: rules pinned"),
     (("run_comparison_suite.py",), "all comparison verdicts hold"),
+    (("run_comparison_suite.py", "1"), "all comparison verdicts hold"),
     (("run_free_conjecture.py", "1", "4"), "verdict: PASS"),
-], ids=["pin_chain_rule", "comparison_suite", "free_conjecture"])
+], ids=["pin_chain_rule", "comparison_suite", "comparison_suite_degree_1", "free_conjecture"])
 def test_script_reaches_its_verdict(argv, verdict):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
