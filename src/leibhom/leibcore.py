@@ -81,7 +81,7 @@ class LeibnizAlgebra:
         return LeibnizAlgebra(n, tuple(names), tensor3(n, n, n, entries), convention)
 
     @cached_property
-    def quotient_data(self) -> "QuotientData":
+    def quotient_data(self) -> QuotientData:
         """lie_quotient(self), built once per algebra."""
         return lie_quotient(self)
 
