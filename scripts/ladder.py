@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNGS = {
     "leibhom check heis3": ("cli", "check"),
     "leibhom homology --max-degree 3 heis3": ("cli", "homology", "--max-degree", "3"),
+    "leibhom compare --max-degree 7 heis3": ("cli", "compare", "--max-degree", "7"),
     "heis3 <= 6": ("heis3_betti", 6),
     "heis3 <= 7": ("heis3_betti", 7),
     "heis3 <= 8": ("heis3_betti", 8),

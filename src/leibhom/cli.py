@@ -108,10 +108,6 @@ class ParseError(Exception):
 class AxiomError(Exception):
     """Input parses but violates the declared axioms."""
 
-    def __init__(self, message: str, violations=()):
-        super().__init__(message)
-        self.violations = tuple(violations)
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -248,8 +244,7 @@ def parse_algebra(path: str, inputs: dict | None = None
     bad = check_leibniz(g)
     if bad:
         listed = [f"({names[i]}, {names[j]}, {names[k]})" for i, j, k in bad]
-        raise AxiomError(
-            f"{path}: {convention} Leibniz identity fails at {_first_few(listed)}", bad)
+        raise AxiomError(f"{path}: {convention} Leibniz identity fails at {_first_few(listed)}")
     notices = []
     if convention == "right":
         g = opposite(g)
@@ -294,7 +289,7 @@ def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
         rep = opposite_representation(g, rep)
     bad = check_representation(g, rep)
     if bad:
-        raise AxiomError(f"{path}: representation identities fail at {_first_few(bad)}", bad)
+        raise AxiomError(f"{path}: representation identities fail at {_first_few(bad)}")
     return rep
 
 
@@ -318,7 +313,7 @@ def parse_lie_module(path: str, g: LeibnizAlgebra, inputs: dict | None = None) -
     mod = LieModule(d, action)
     bad = check_lie_module(h, mod)
     if bad:
-        raise AxiomError(f"{path}: Lie-module identity fails at {_first_few(bad)}", bad)
+        raise AxiomError(f"{path}: Lie-module identity fails at {_first_few(bad)}")
     return mod
 
 

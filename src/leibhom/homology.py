@@ -64,12 +64,12 @@ from .exactla import (
     Subspace,
     _kron,
     _lincomb,
+    _matrix,
     _swap,
     add_into,
     column_span,
     kernel_basis,
-    quotient_projection,
-    quotient_section,
+    rank,
     restrict_map,
 )
 from .freealg import CommutatorSpans, FreeLeibnizTruncation, witt_dim
@@ -209,12 +209,15 @@ class ChainComplex:
 def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
     """ChainComplex in degrees 0..len(dims)-1 from (entries, den) for each
     boundary C_n -> C_{n-1}, n = 1, 2, ...: its sparse entries, each
-    divided by den.
+    divided by den.  dims is empty only for a negative n_max, which is
+    refused.
 
     raising=True gives the dual cochain complex: the keys of every entry
     map are swapped, which transposes C_n -> C_{n-1} into the coboundary
     C^{n-1} -> C^n.
     """
+    if not dims:
+        raise ValueError("n_max must be nonnegative")
     diffs = []
     for n, (entries, den) in enumerate(boundaries, start=1):
         rows, cols = dims[n - 1], dims[n]
@@ -380,8 +383,6 @@ def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: b
     chain complex of the dual module; rule replaces the pinned two-sided
     chain or cochain rule."""
     m_dim, actions = _slot_actions(g, coefficients, raising, rule)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
     return _complex(dims, _product_boundaries(g, n_max, m_dim, actions), raising)
 
@@ -408,14 +409,19 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
 
 @dataclass
 class CEData:
+    """The normal monomials mons[n] of degrees 0..n_max and the boundary
+    terms[n][i] of mons[n][i], listed once for every complex and map
+    built from them (see _monomial_complex)."""
+
     g: LeibnizAlgebra
-    envelope: DGLieAlgebra
     pbw: PBWAlgebra
     m_dim: int
     action: Matrix | None  # table of the degree-0 letters acting on m; None = zero action
+    mons: list[list[Word]]
+    terms: list[list[list]]
 
 
-def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
+def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEData:
     _require_left(g)
     if isinstance(coefficients, RepresentationCoefficients):
         raise UnsupportedCoefficients(
@@ -427,7 +433,16 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients) -> CEData:
         mod = coefficients.module
         _check_over_quotient(mod, g)
         m_dim, action = mod.dim, mod.action
-    return CEData(g, envelope, PBWAlgebra(envelope), m_dim, action)
+    pbw = PBWAlgebra(envelope)
+    images = {deg: [[((deg - 1, a), c) for a, c in col]
+                    for col in envelope.differential(deg).transpose().sparse_rows]
+              for deg in (1, 2)}
+    mons = [_ce_monomials(envelope, n) for n in range(n_max + 1)]
+    # a leading degree-0 letter acts on the coefficient as m.xi = -xi.m
+    terms = [[[(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
+               for w2, c in pbw.normal_form(_derive_word(images, w)).items()]
+              for w in ws] for ws in mons]
+    return CEData(g, pbw, m_dim, action, mons, terms)
 
 
 def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
@@ -457,20 +472,21 @@ def _derive_word(images: dict[int, list], word: Word) -> Poly:
     return out
 
 
-def _monomial_complex(mons: list[list], terms, action: Matrix | None, m: int,
+def _monomial_complex(mons: list[list], terms: list[list[list]], action: Matrix | None, m: int,
                       raising: bool) -> ChainComplex:
-    """m (x) span(mons[n]) in degrees 0..len(mons)-1.  terms(w) lists the
-    boundary of the monomial w as (letter, target, c) terms: c target when
-    letter is None, else c target with the letter acting on the coefficient
-    through the table action (None for the zero action, which drops them)."""
+    """m (x) span(mons[n]) in degrees 0..len(mons)-1.  terms[n][i] lists the
+    boundary of the monomial mons[n][i] as (letter, target, c) terms: c target
+    when letter is None, else c target with the letter acting on the
+    coefficient through the table action (None for the zero action, which
+    drops them)."""
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     acts = None if action is None else action.transpose().sparse_rows
 
     def boundary(n: int) -> dict[tuple[int, int], Fraction]:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
-        for widx, w in enumerate(mons[n]):
-            for letter, target, c in terms(w):
+        for widx, wterms in enumerate(terms[n]):
+            for letter, target, c in wterms:
                 r = index[n - 1][target]
                 if letter is None:
                     for u in range(m):
@@ -485,24 +501,6 @@ def _monomial_complex(mons: list[list], terms, action: Matrix | None, m: int,
     return _complex(dims, ((boundary(n), 1) for n in range(1, len(mons))), raising)
 
 
-def _ce_complex(data: CEData, action: Matrix | None, n_max: int,
-                raising: bool) -> ChainComplex:
-    """m (x) (normal monomials of degree n) in degrees 0..n_max; action is
-    the table of the degree-0 letters acting on m, None for the zero
-    action."""
-    pbw = data.pbw
-    images = {deg: [[((deg - 1, a), c) for a, c in col]
-                    for col in data.envelope.differential(deg).transpose().sparse_rows]
-              for deg in (1, 2)}
-
-    def terms(w: Word) -> list:
-        return [(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
-                for w2, c in pbw.normal_form(_derive_word(images, w)).items()]
-
-    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
-    return _monomial_complex(mons, terms, action, data.m_dim, raising)
-
-
 def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
     """Chain complex m (x) (normal monomials of degree n) in degrees 0..n_max.
 
@@ -510,15 +508,16 @@ def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Chain
     normalizes, and folds a leading degree-0 letter onto the coefficient
     as m.xi = -xi.m (dropped entirely for trivial coefficients).
     """
-    data = _ce_setup(g, coefficients)
-    return _ce_complex(data, data.action, n_max, raising=False)
+    data = _ce_setup(g, coefficients, n_max)
+    return _monomial_complex(data.mons, data.terms, data.action, data.m_dim, raising=False)
 
 
 def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
     """Cochain complex Hom(normal monomials, m): the transposed chain
     complex of the contragredient module."""
-    data = _ce_setup(g, coefficients)
-    return _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
+    data = _ce_setup(g, coefficients, n_max)
+    return _monomial_complex(data.mons, data.terms, _contragredient(data.action, data.m_dim),
+                             data.m_dim, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,8 @@ def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                         yield None, word, sign * c * wsign
 
     mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
-    return _monomial_complex(mons, terms, action, m, raising)
+    return _monomial_complex(mons, [[list(terms(xs)) for xs in ws] for ws in mons], action, m,
+                             raising)
 
 
 def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
@@ -579,31 +579,32 @@ def classical_ce_cochain(h: LieAlgebra, module: LieModule | None, n_max: int,
 # comparison: projection from the tensor-module complex onto the small one
 
 
-def _projection_blocks(data: CEData, n_max: int) -> list[Matrix]:
+def _projection_blocks(data: CEData) -> list[Matrix]:
     """p_n: g^{(x)n} -> span of normal degree-n monomials, by normalizing
     the product of degree-1 letters.  Identity in degrees 0 and 1."""
     base = data.g.dim
-    mons = [_ce_monomials(data.envelope, n) for n in range(n_max + 1)]
-    index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     out = []
-    for n in range(n_max + 1):
+    for n, ws in enumerate(data.mons):
+        index = {w: i for i, w in enumerate(ws)}
         entries: dict[tuple[int, int], Fraction] = {}
         for widx, word in enumerate(itertools.product(range(base), repeat=n)):
             poly = {tuple((1, i) for i in word): Fraction(1)}
             for w2, c in data.pbw.normal_form(poly).items():
-                add_into(entries, (index[n][w2], widx), c)
-        out.append(Matrix.from_entries(len(mons[n]), base ** n, entries))
+                add_into(entries, (index[w2], widx), c)
+        out.append(Matrix.from_entries(len(ws), base ** n, entries))
     return out
 
 
-def _induced_map(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> Matrix:
-    """Map on homology at degree k induced by a chain map component f_k."""
-    K, I = src.cycle_space(k), src.boundary_space(k)
-    K2, I2 = dst.cycle_space(k), dst.boundary_space(k)
-    # boundaries are cycles (the d o d gate), so these coordinates exist
-    IK = column_span(K.column_coords(I.basis))
-    IK2 = column_span(K2.column_coords(I2.basis))
-    return quotient_projection(IK2) @ restrict_map(f_k, K, K2) @ quotient_section(IK)
+def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> int:
+    """Rank of the map on homology at degree k induced by a chain map
+    component f_k: dim(f_k(Z_k) + B'_k) - dim B'_k, where Z_k are the
+    cycles of src and B'_k the boundaries of dst (f_k(B_k) lies in B'_k)."""
+    cols = (f_k @ src.cycle_space(k).basis).transpose().int_rows
+    _, in_map = dst.boundary_pair(k)
+    if in_map is None:
+        return rank(_matrix(len(cols), f_k.rows, cols))
+    cols += in_map.transpose().int_rows
+    return rank(_matrix(len(cols), f_k.rows, cols)) - in_map.rank()
 
 
 @dataclass(frozen=True)
@@ -632,14 +633,14 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     Raises NotAChainMap when either family fails to commute with the
     differentials.
     """
-    data = _ce_setup(g, coefficients)
-    lod = _loday(g, coefficients, n_max, False)
-    ce = _ce_complex(data, data.action, n_max, raising=False)
-    lodco = _loday(g, coefficients, n_max, True)
-    ceco = _ce_complex(data, _contragredient(data.action, data.m_dim), n_max, raising=True)
-    blocks = _projection_blocks(data, n_max)
+    data = _ce_setup(g, coefficients, n_max)
     m = data.m_dim
-    P = [_kron(Matrix.identity(m), b) for b in blocks]
+    lod = _loday(g, coefficients, n_max, False)
+    ce = _monomial_complex(data.mons, data.terms, data.action, m, raising=False)
+    lodco = _loday(g, coefficients, n_max, True)
+    ceco = _monomial_complex(data.mons, data.terms, _contragredient(data.action, m), m,
+                             raising=True)
+    P = [_kron(Matrix.identity(m), b) for b in _projection_blocks(data)]
     Q = [p.transpose() for p in P]
 
     for n in range(1, n_max + 1):
@@ -655,8 +656,8 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 
     degrees = lod.degree_range()
     lod_b, ce_b, lodco_b, ceco_b = lod.betti(), ce.betti(), lodco.betti(), ceco.betti()
-    chain_ranks = tuple(_induced_map(lod, ce, P[k], k).rank() for k in degrees)
-    cochain_ranks = tuple(_induced_map(ceco, lodco, Q[k], k).rank() for k in degrees)
+    chain_ranks = tuple(_induced_rank(lod, ce, P[k], k) for k in degrees)
+    cochain_ranks = tuple(_induced_rank(ceco, lodco, Q[k], k) for k in degrees)
 
     def iso(k: int) -> bool | None:
         if k not in degrees:
@@ -727,6 +728,8 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     the span, which does not happen for genuine Leibniz brackets.
     """
     _require_left(g)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     # with every letter of weight 1 the blocks (n, n) are in product order
     spans = CommutatorSpans(lambda v: range(g.dim) if v == 1 else ())
     return _commutator_complex(spans, [(n, n) for n in range(n_max + 1)],

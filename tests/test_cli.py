@@ -564,6 +564,42 @@ def test_rep_file_follows_algebra_convention(tmp_path):
     assert b1 == b2
 
 
+# adjoint module of the quotient that `leibhom quotient` prints for both
+# r2 files, [x~, y~] = y~, and the same module read off R2_RIGHT_DOC's own
+# bracket [y, x] = y, which is not a module over the printed quotient
+R2_QUOTIENT_ADJ_DOC = {
+    "basis": ["u", "v"],
+    "action": [{"left": "x~", "right": "v", "value": {"v": "1"}},
+               {"left": "y~", "right": "u", "value": {"v": "-1"}}],
+}
+R2_RIGHT_BRACKET_ADJ_DOC = {
+    "basis": ["u", "v"],
+    "action": [{"left": "y~", "right": "u", "value": {"v": "1"}},
+               {"left": "x~", "right": "v", "value": {"v": "-1"}}],
+}
+
+
+def test_lie_file_is_read_over_the_printed_quotient(tmp_path, capsys):
+    """A lie: file goes with the converted quotient, not the right-convention
+    file's own bracket."""
+    left_alg = write_json(tmp_path / "l.json", R2_DOC)
+    right_alg = write_json(tmp_path / "r.json", R2_RIGHT_DOC)
+    mod = write_json(tmp_path / "m.json", R2_QUOTIENT_ADJ_DOC)
+    bettis = []
+    for alg in (left_alg, right_alg):
+        out = tmp_path / "o.json"
+        assert cli.entrypoint(["homology", alg, "--max-degree", "2", "--coefficients",
+                               f"lie:{mod}", "--json", str(out), "--quiet"]) == 0
+        bettis.append(json.loads(out.read_text())["tables"]["betti"])
+    assert bettis[0] == bettis[1] == {"0": 1, "1": 1, "2": 1}
+    own = write_json(tmp_path / "own.json", R2_RIGHT_BRACKET_ADJ_DOC)
+    capsys.readouterr()
+    assert cli.entrypoint(["homology", right_alg, "--max-degree", "2", "--coefficients",
+                           f"lie:{own}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {own}: Lie-module identity fails at (0, 1, 0), (1, 0, 0)\n")
+
+
 @pytest.mark.parametrize("command", ["compare", "ce-homology", "ce-cohomology"])
 @pytest.mark.parametrize("doc, message", [
     (R2_ADJ_DOC, "enveloping-algebra complexes take trivial or Lie-module coefficients"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibhom import homology
 from leibhom.dgla import minimal_envelope
 from leibhom.homology import (
     ce_chain,
@@ -11,10 +12,18 @@ from leibhom.homology import (
     classical_ce,
     classical_ce_cochain,
     lie_coefficients,
+    loday_cochain_complex,
+    loday_complex,
     rep_coefficients,
     trivial_coefficients,
 )
-from leibhom.leibcore import adjoint_representation, lie_quotient
+from leibhom.leibcore import (
+    LeibnizAlgebra,
+    LieAlgebra,
+    LieModule,
+    adjoint_representation,
+    lie_quotient,
+)
 
 from conftest import (
     CORPUS,
@@ -167,3 +176,58 @@ def test_projection_builds_the_lie_quotient_once(monkeypatch):
     for _ in range(2):
         ce_projection(g, coeffs, 3)
     assert len(calls) == 1
+
+
+def test_projection_derives_each_monomial_once(monkeypatch):
+    # the chain and cochain complexes share the boundary terms of every
+    # normal monomial; A2 has 9 of them in degrees 0..4
+    calls = []
+
+    def counting(images, word):
+        calls.append(word)
+        return derive(images, word)
+
+    derive = homology._derive_word
+    monkeypatch.setattr(homology, "_derive_word", counting)
+    ce_projection(CORPUS["A2"], trivial_coefficients(), 4)
+    assert len(calls) == len(set(calls)) <= 9
+
+
+# sl2 has an exact answer at every degree: HL_n(sl2, k) = 0 for n >= 1
+# (Ntolo; Pirashvili, Ann. Inst. Fourier 44, 1994) and classical homology
+# (1, 0, 0, 1).  It stays out of conftest.CORPUS, whose every algebra the
+# pinned result digests hash.
+SL2_BRACKETS = {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2}, (0, 2): {0: -2},
+                (2, 1): {1: -2}, (1, 2): {1: 2}}
+
+
+def test_sl2_known_answers_with_trivial_coefficients():
+    g = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    h = LieAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    for build in (loday_complex, loday_cochain_complex):
+        assert build(g, trivial_coefficients(), 6).betti() == (1, 0, 0, 0, 0, 0)
+    for build in (classical_ce, classical_ce_cochain):
+        assert build(h, None, 4).betti() == (1, 0, 0, 1)
+    _, _, rep = ce_projection(g, trivial_coefficients(), 4)
+    assert rep.ce_homology == rep.ce_cohomology == (1, 0, 0, 1)
+    assert rep.loday_homology == rep.loday_cohomology == (1, 0, 0, 0)
+    # H_3 of the small complex is nonzero, and the induced maps are zero there
+    assert rep.chain_map_ranks == rep.cochain_map_ranks == (1, 0, 0, 0)
+    assert rep.h0_iso and rep.h1_iso
+    assert rep.hl2_to_h2_surjective and rep.h2_to_hl2_injective
+
+
+def test_sl2_known_answers_with_adjoint_coefficients():
+    g = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    h = LieAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    coeffs = lie_coefficients(quotient_adjoint_module(g.quotient_data))
+    for build in (loday_complex, loday_cochain_complex):
+        assert build(g, coeffs, 6).betti() == (0,) * 6
+    for build in (classical_ce, classical_ce_cochain):
+        assert build(h, LieModule(3, h.structure), 4).betti() == (0,) * 4
+    _, _, rep = ce_projection(g, coeffs, 4)
+    assert rep.loday_homology == rep.ce_homology == (0,) * 4
+    assert rep.loday_cohomology == rep.ce_cohomology == (0,) * 4
+    assert rep.chain_map_ranks == rep.cochain_map_ranks == (0,) * 4
+    assert rep.h0_iso and rep.h1_iso
+    assert rep.hl2_to_h2_surjective and rep.h2_to_hl2_injective

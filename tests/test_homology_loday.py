@@ -14,6 +14,7 @@ from leibhom.homology import (
     DifferentialSquareNonzero,
     ce_chain,
     ce_cochain,
+    ce_projection,
     classical_ce,
     classical_ce_cochain,
     fg_subcomplex,
@@ -352,6 +353,24 @@ def test_heis3_top_stored_degree_is_not_reported():
         for query in (cx.homology, cx.cycle_space, cx.boundary_space):
             with pytest.raises(ValueError):
                 query(3)
+
+
+NEGATIVE_N_MAX = {
+    "loday_complex": lambda g: loday_complex(g, trivial_coefficients(), -1),
+    "loday_cochain_complex": lambda g: loday_cochain_complex(g, trivial_coefficients(), -1),
+    "ce_chain": lambda g: ce_chain(g, trivial_coefficients(), -1),
+    "ce_cochain": lambda g: ce_cochain(g, trivial_coefficients(), -1),
+    "classical_ce": lambda g: classical_ce(g.quotient_data.quotient, None, -1),
+    "classical_ce_cochain": lambda g: classical_ce_cochain(g.quotient_data.quotient, None, -1),
+    "fg_subcomplex": lambda g: fg_subcomplex(g, -1),
+    "ce_projection": lambda g: ce_projection(g, trivial_coefficients(), -1),
+}
+
+
+@pytest.mark.parametrize("builder", list(NEGATIVE_N_MAX))
+def test_every_builder_refuses_a_negative_n_max(builder):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        NEGATIVE_N_MAX[builder](CORPUS["heis3"])
 
 
 def test_mis_shaped_complex_raises_shape_mismatch():
