@@ -1,12 +1,17 @@
 """Run the workload ladder of ROADMAP.md and write BENCH_<label>.json.
 
-Each rung is one call run in a fresh interpreter on this checkout's
-src/, so no rung inherits caches or memory from another.  The child
+Each run of a rung is one call in a fresh interpreter on this checkout's
+src/, so no run inherits caches or memory from another.  The child
 reports the wall time of the call (perf_counter around it, import
 excluded), its own peak RSS (ru_maxrss, import included) and the result:
-the Betti numbers of a heis3 rung, the per-weight verdict of a
+the Betti numbers of a heis3 or sl2 rung, the per-weight verdict of a
 conjecture rung, the exit code, tables and verdicts of a CLI rung.  Two
 trees that compute the same numbers write the same "result" fields.
+
+The selected rungs run in ROUNDS round-robin rounds, so a drift of the
+host spreads over every rung.  A rung keeps the wall times of its runs
+in "wall_samples"; "wall_s" is their median and "peak_rss_mb" the
+largest peak.  The runs of a rung must agree on the result.
 The metadata also records "src_lines", the line count of
 src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 
@@ -23,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,10 +41,12 @@ RUNGS = {
     "leibhom check heis3": ("cli", "check"),
     "leibhom homology --max-degree 3 heis3": ("cli", "homology", "--max-degree", "3"),
     "leibhom compare --max-degree 7 heis3": ("cli", "compare", "--max-degree", "7"),
-    "heis3 <= 6": ("heis3_betti", 6),
-    "heis3 <= 7": ("heis3_betti", 7),
-    "heis3 <= 8": ("heis3_betti", 8),
-    "heis3 <= 9": ("heis3_betti", 9),
+    "heis3 <= 6": ("betti", "heis3", 6),
+    "heis3 <= 7": ("betti", "heis3", 7),
+    "heis3 <= 8": ("betti", "heis3", 8),
+    "heis3 <= 9": ("betti", "heis3", 9),
+    "sl2 <= 7": ("betti", "sl2", 7),
+    "sl2 <= 8": ("betti", "sl2", 8),
     "conjecture_check(1, 12)": ("conjecture", 1, 12),
     "conjecture_check(1, 14)": ("conjecture", 1, 14),
     "conjecture_check(2, 6)": ("conjecture", 2, 6),
@@ -48,6 +56,7 @@ RUNGS = {
     "conjecture_check(3, 5)": ("conjecture", 3, 5),
     "conjecture_check(3, 6)": ("conjecture", 3, 6),
 }
+ROUNDS = 3
 
 HEIS3_DOC = {"basis": ["p", "q", "z"], "convention": "left", "brackets": [
     {"left": "p", "right": "q", "value": {"z": "1"}},
@@ -59,11 +68,17 @@ from leibhom.cli import entrypoint
 from leibhom.homology import conjecture_check, loday_complex, trivial_coefficients
 from leibhom.leibcore import LeibnizAlgebra
 
-def heis3_betti(n):
+ALGEBRAS = {
+    "heis3": (["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}}),
+    # [e,f] = h, [h,e] = 2e, [h,f] = -2f: H_n = 0 for every n >= 1
+    "sl2": (["e", "f", "h"], {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2},
+                              (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}),
+}
+
+def betti(name, n):
     # what `leibhom homology --max-degree n` runs
-    n = int(n)
-    g = LeibnizAlgebra.from_brackets(["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}})
-    return list(loday_complex(g, trivial_coefficients(), n + 1).betti())
+    g = LeibnizAlgebra.from_brackets(*ALGEBRAS[name])
+    return list(loday_complex(g, trivial_coefficients(), int(n) + 1).betti())
 
 def conjecture(d, w):
     rep = conjecture_check(int(d), int(w))
@@ -79,7 +94,7 @@ def cli(*argv):
         return {"exit": code, "tables": report["tables"], "verdicts": report["verdicts"]}
     return result
 
-call = {"heis3_betti": heis3_betti, "conjecture": conjecture, "cli": cli}[sys.argv[1]]
+call = {"betti": betti, "conjecture": conjecture, "cli": cli}[sys.argv[1]]
 t0 = time.perf_counter()
 result = call(*sys.argv[2:])
 wall = time.perf_counter() - t0
@@ -106,13 +121,24 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args()
     names = [n for n in RUNGS if args.rung is None or n in args.rung]
-    rungs = []
+    runs = {name: [] for name in names}
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "heis3.json").write_text(json.dumps(HEIS3_DOC))
-        for name in names:
-            got = run_rung(workdir, *RUNGS[name])
-            print(f"{name:<38} {got['wall_s']:8.4f} s {got['peak_rss_mb']:8.1f} MB", flush=True)
-            rungs.append({"name": name, **got})
+        for r in range(1, ROUNDS + 1):
+            for name in names:
+                got = run_rung(workdir, *RUNGS[name])
+                print(f"{r}/{ROUNDS} {name:<38} {got['wall_s']:8.4f} s "
+                      f"{got['peak_rss_mb']:8.1f} MB", flush=True)
+                runs[name].append(got)
+    rungs = []
+    for name, got in runs.items():
+        if any(g["result"] != got[0]["result"] for g in got):
+            raise SystemExit(f"{name}: the runs disagree on the result")
+        samples = [g["wall_s"] for g in got]
+        rungs.append({"name": name, "wall_s": statistics.median(samples),
+                      "wall_samples": samples,
+                      "peak_rss_mb": max(g["peak_rss_mb"] for g in got),
+                      "result": got[0]["result"]})
     meta = {"label": args.label, "python": platform.python_version(),
             "machine": platform.machine(), "cpus": os.cpu_count(),
             "src_lines": sum(p.read_bytes().count(b"\n")

@@ -24,10 +24,8 @@ from leibhom.homology import (
     DifferentialSquareNonzero,
     REP_CHAIN_RULE,
     REP_COCHAIN_RULE,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
 )
 from leibhom.leibcore import (
     LeibnizAlgebra,
@@ -82,13 +80,13 @@ def modules(name, g):
     if r:
         mod = LieModule(r, qdata.quotient.structure)
         if not check_lie_module(qdata.quotient, mod):
-            yield "lift-adq", lie_module_lift(g, qdata, mod)
+            yield "lift-adq", lie_module_lift(g, mod)
     if name == "r2":
         # the character a.m = m, b.m = 0 on the 1-dim module
         act = tensor3(2, 1, 1, {(0, 0, 0): Fraction(1)})
         mod = LieModule(1, act)
         assert not check_lie_module(qdata.quotient, mod)
-        yield "lift-char", lie_module_lift(g, qdata, mod)
+        yield "lift-char", lie_module_lift(g, mod)
 
 
 def d_square_holds(build, *args, **kwargs):
@@ -109,12 +107,11 @@ def main():
         qdata = lie_quotient(g)
         for mname, rep in modules(gname, g):
             tag = f"{gname}/{mname}"
-            coeffs = rep_coefficients(rep)
             for rule in CHAIN_RULES:
-                if not d_square_holds(loday_complex, g, coeffs, n_max, _rep_rule=rule):
+                if not d_square_holds(loday_complex, g, rep, n_max, _rep_rule=rule):
                     chain_fail[rule].append(tag)
             for rule in COCHAIN_RULES:
-                if not d_square_holds(loday_cochain_complex, g, coeffs, n_max,
+                if not d_square_holds(loday_cochain_complex, g, rep, n_max,
                                       _rep_rule=rule):
                     cochain_fail[rule].append(tag)
 
@@ -124,10 +121,10 @@ def main():
             mod = LieModule(r, qdata.quotient.structure)
             if check_lie_module(qdata.quotient, mod):
                 continue
-            lift = rep_coefficients(lie_module_lift(g, qdata, mod))
+            lift = lie_module_lift(g, mod)
             for side, build, rule in (("chain", loday_complex, "right"),
                                       ("cochain", loday_cochain_complex, REP_COCHAIN_RULE)):
-                one = build(g, lie_coefficients(mod), n_max)
+                one = build(g, mod, n_max)
                 two = build(g, lift, n_max, _rep_rule=rule)
                 if one.diffs != two.diffs:
                     lift_mismatch.append(f"{gname} ({side})")

@@ -29,7 +29,6 @@ from leibhom.dgla import DGLieAlgebra, DGModule, minimal_envelope, minimal_modul
 from leibhom.exactla import Matrix, Subspace
 from leibhom.homology import (
     ChainComplex,
-    RepresentationCoefficients,
     ce_chain,
     ce_cochain,
     ce_projection,
@@ -37,10 +36,8 @@ from leibhom.homology import (
     classical_ce_cochain,
     conjecture_check,
     fg_subcomplex,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
     trivial_coefficients,
 )
 from leibhom.leibcore import (
@@ -126,11 +123,11 @@ def coefficient_kinds(g, qdata):
     yield "trivial1", trivial_coefficients()
     yield "trivial2", trivial_coefficients(2)
     for name, rep in representations_for(g).items():
-        yield f"rep:{name}", rep_coefficients(rep)
+        yield f"rep:{name}", rep
     for name, mod in (("adjoint", quotient_adjoint_module(qdata)),
                       ("character", character_module(qdata))):
         if mod is not None:
-            yield f"lie:{name}", lie_coefficients(mod)
+            yield f"lie:{name}", mod
 
 
 def results(n: int):
@@ -151,14 +148,15 @@ def results(n: int):
             label = f"{gname} {cname}"
             yield f"{label} loday", loday_complex(g, coeffs, n)
             yield f"{label} loday_cochain", loday_cochain_complex(g, coeffs, n)
-            if not isinstance(coeffs, RepresentationCoefficients):
+            if not isinstance(coeffs, Representation):
                 yield f"{label} ce", ce_chain(g, coeffs, n)
                 yield f"{label} ce_cochain", ce_cochain(g, coeffs, n)
                 yield f"{label} ce_projection", ce_projection(g, coeffs, n)
     for hname, h in LIE_CORPUS.items():
-        for mname, mod in (("trivial", None), ("adjoint", adjoint_lie_module(h))):
-            yield f"{hname} {mname} classical", classical_ce(h, mod, n)
-            yield f"{hname} {mname} classical_cochain", classical_ce_cochain(h, mod, n)
+        for mname, coeffs in (("trivial", trivial_coefficients()),
+                              ("adjoint", adjoint_lie_module(h))):
+            yield f"{hname} {mname} classical", classical_ce(h, coeffs, n)
+            yield f"{hname} {mname} classical_cochain", classical_ce_cochain(h, coeffs, n)
     for d, w in ((1, 6), (2, 5), (3, 3)):
         yield f"conjecture {d} {w}", conjecture_check(d, w)
 

@@ -10,7 +10,7 @@ Run:  python3 scripts/run_comparison_suite.py [N]
 import sys
 from fractions import Fraction
 
-from leibhom.homology import ce_projection, lie_coefficients, trivial_coefficients
+from leibhom.homology import ce_projection, trivial_coefficients
 from leibhom.leibcore import (
     LeibnizAlgebra,
     LieModule,
@@ -37,13 +37,13 @@ def coefficient_systems(g):
     if r:
         mod = LieModule(r, qdata.quotient.structure)
         if not check_lie_module(qdata.quotient, mod):
-            yield "ad(g_Lie)", lie_coefficients(mod)
+            yield "ad(g_Lie)", mod
     # a rank-1 character when the quotient has one: first generator acts as 1
     if r:
         act = tensor3(r, 1, 1, {(0, 0, 0): Fraction(1)})
         mod = LieModule(1, act)
         if not check_lie_module(qdata.quotient, mod):
-            yield "character", lie_coefficients(mod)
+            yield "character", mod
 
 
 def main():

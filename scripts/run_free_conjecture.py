@@ -11,7 +11,7 @@ Run:  python3 scripts/run_free_conjecture.py [d [W]]
 import sys
 import time
 
-from leibhom.homology import DEFAULT_WEIGHT_BUDGET, conjecture_check
+from leibhom.homology import conjecture_check, weight_budget
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     rep = conjecture_check(d, w)
     dt = time.perf_counter() - t0
     print(f"free algebra on {d} generator(s), weights 1..{rep.max_weight} "
-          f"(budget {DEFAULT_WEIGHT_BUDGET.get(d, 'fallback')})")
+          f"(budget {weight_budget(d)})")
     print(f"{'weight':>6} {'h1':>4} {'expected':>8} {'higher':>20} ok")
     for v in rep.weights:
         print(f"{v.weight:>6} {v.h1:>4} {v.expected_h1:>8} "

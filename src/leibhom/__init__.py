@@ -76,9 +76,7 @@ from .homology import (
     ComparisonReport,
     ConjectureReport,
     DifferentialSquareNonzero,
-    LieModuleCoefficients,
     NotAChainMap,
-    RepresentationCoefficients,
     TrivialCoefficients,
     UnsupportedCoefficients,
     ce_chain,
@@ -89,10 +87,8 @@ from .homology import (
     conjecture_check,
     fg_subcomplex,
     fg_weight_complex,
-    lie_coefficients,
     loday_complex,
     loday_cochain_complex,
-    rep_coefficients,
     trivial_coefficients,
 )
 

@@ -28,8 +28,6 @@ from .dgla import IllDefinedAction, NotInCategory
 from .exactla import NotInvariant, ShapeMismatch, format_scalar, parse_scalar
 from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
-    DEFAULT_WEIGHT_BUDGET,
-    FALLBACK_WEIGHT_BUDGET,
     DifferentialSquareNonzero,
     NotAChainMap,
     UnsupportedCoefficients,
@@ -38,11 +36,10 @@ from .homology import (
     ce_projection,
     conjecture_check,
     fg_subcomplex,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
     trivial_coefficients,
+    weight_budget,
 )
 from .leibcore import (
     IllDefinedQuotient,
@@ -323,9 +320,9 @@ def _coefficients(selector: str, g: LeibnizAlgebra, inputs: dict,
     if selector == "trivial":
         return trivial_coefficients()
     if selector.startswith("lie:"):
-        return lie_coefficients(parse_lie_module(selector[4:], g, inputs))
+        return parse_lie_module(selector[4:], g, inputs)
     if selector.startswith("rep:"):
-        return rep_coefficients(parse_representation(selector[4:], g, was_right, inputs))
+        return parse_representation(selector[4:], g, was_right, inputs)
     raise ParseError(f"--coefficients must be trivial, lie:<file> or rep:<file>, "
                      f"got {selector!r}")
 
@@ -471,7 +468,7 @@ def _cmd_free_conjecture(args, report):
         raise ParseError("free-conjecture requires --generators")
     if d not in (1, 2, 3):
         raise ParseError("--generators must be 1, 2 or 3")
-    budget = DEFAULT_WEIGHT_BUDGET.get(d, FALLBACK_WEIGHT_BUDGET)
+    budget = weight_budget(d)
     w = args.max_weight if args.max_weight is not None else budget
     if w < 1:
         raise ParseError("--max-weight must be at least 1")

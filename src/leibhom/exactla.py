@@ -226,9 +226,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(row for _, row in self.int_rows)
 
-    def entries_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {(i, j): a for i, srow in enumerate(self.sparse_rows) for j, a in srow}
-
     def rank(self) -> int:
         """rank(self), computed once per matrix."""
         return self._rank

@@ -250,52 +250,46 @@ def _require_left(g: LeibnizAlgebra) -> None:
         raise ValueError("chain complexes expect the left convention; use opposite() first")
 
 
-def _check_over_quotient(mod: LieModule, g: LeibnizAlgebra) -> None:
-    r = g.quotient_data.quotient.dim
-    if mod.action.cols != r * mod.dim:
-        raise ValueError(
-            f"module is over a {mod.action.cols // mod.dim}-dim Lie algebra, but the "
-            f"maximal Lie quotient has dimension {r}")
-
-
 # ---------------------------------------------------------------------------
-# coefficient systems for the tensor-module complexes
+# coefficient systems
 
 
 @dataclass(frozen=True)
 class TrivialCoefficients:
     dim: int = 1
 
-
-@dataclass(frozen=True)
-class LieModuleCoefficients:
-    """Module over the maximal Lie quotient of the algebra g the complexes
-    are built over, acting through g.quotient_data's projection:
-    [x,m] = pr(x).m and [m,x] = -pr(x).m."""
-
-    module: LieModule
+    def __post_init__(self):
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise ValueError(f"coefficient dimension must be a positive int, got {self.dim!r}")
 
 
-@dataclass(frozen=True)
-class RepresentationCoefficients:
-    rep: Representation
-
-
-Coefficients = TrivialCoefficients | LieModuleCoefficients | RepresentationCoefficients
+# a LieModule acts on the Lie algebra itself in the classical complexes and
+# through the maximal Lie quotient of g in the others: [x,m] = pr(x).m
+Coefficients = TrivialCoefficients | LieModule | Representation
 
 
 def trivial_coefficients(dim: int = 1) -> TrivialCoefficients:
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"coefficient dimension must be a positive int, got {dim!r}")
     return TrivialCoefficients(dim)
 
 
-def lie_coefficients(module: LieModule) -> LieModuleCoefficients:
-    return LieModuleCoefficients(module)
-
-
-def rep_coefficients(rep: Representation) -> RepresentationCoefficients:
-    return RepresentationCoefficients(rep)
+def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
+                ) -> tuple[int, Matrix | None]:
+    """(m_dim, the action table, None for trivial coefficients) of trivial
+    or Lie-module coefficients over the Lie algebra over, or over the
+    maximal Lie quotient of a Leibniz algebra, which only a module reads."""
+    if isinstance(coefficients, TrivialCoefficients):
+        return coefficients.dim, None
+    if isinstance(coefficients, Representation):
+        raise UnsupportedCoefficients(
+            "enveloping-algebra complexes take trivial or Lie-module coefficients")
+    if not isinstance(coefficients, LieModule):
+        raise TypeError(f"unknown coefficient system {coefficients!r}")
+    r = (over if isinstance(over, LieAlgebra) else over.quotient_data.quotient).dim
+    d, action = coefficients.dim, coefficients.action
+    if (action.rows, action.cols) != (d, r * d):
+        raise ValueError(f"a {d}-dim module over a {r}-dim Lie algebra needs a {d} x {r * d} "
+                         f"action table, got {action.rows} x {action.cols}")
+    return d, action
 
 
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
@@ -306,19 +300,17 @@ def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
     and "plain" cochain rules; rule replaces the pinned two-sided one.
     For raising=True the cochain rule's action on the value is block
     transposed into the chain action of the dual module."""
-    if isinstance(coefficients, TrivialCoefficients):
-        return coefficients.dim, []
-    if isinstance(coefficients, LieModuleCoefficients):
-        _check_over_quotient(coefficients.module, g)
-        rep = lie_module_lift(g, g.quotient_data, coefficients.module)
-        rule = "plain" if raising else "right"
-    elif isinstance(coefficients, RepresentationCoefficients):
-        rep = coefficients.rep
+    if isinstance(coefficients, Representation):
+        rep = coefficients
         if rep.left_action.cols != g.dim * rep.dim or rep.right_action.cols != rep.dim * g.dim:
             raise ValueError("representation tables do not match the algebra dimension")
         rule = rule or (REP_COCHAIN_RULE if raising else REP_CHAIN_RULE)
     else:
-        raise TypeError(f"unknown coefficient system {coefficients!r}")
+        m_dim, action = _lie_action(g, coefficients)
+        if action is None:
+            return m_dim, []
+        rep = lie_module_lift(g, coefficients)
+        rule = "plain" if raising else "right"
     # p [x,m] + q [m,x] at column x*m_dim + u
     right = rep.right_action @ _swap(g.dim, rep.dim)
     tables = [_lincomb((p, rep.left_action), (q, right))
@@ -423,16 +415,8 @@ class CEData:
 
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEData:
     _require_left(g)
-    if isinstance(coefficients, RepresentationCoefficients):
-        raise UnsupportedCoefficients(
-            "enveloping-algebra complexes take trivial or Lie-module coefficients")
+    m_dim, action = _lie_action(g, coefficients)
     envelope = minimal_envelope(g)
-    if isinstance(coefficients, TrivialCoefficients):
-        m_dim, action = coefficients.dim, None
-    else:
-        mod = coefficients.module
-        _check_over_quotient(mod, g)
-        m_dim, action = mod.dim, mod.action
     pbw = PBWAlgebra(envelope)
     images = {deg: [[((deg - 1, a), c) for a, c in col]
                     for col in envelope.differential(deg).transpose().sparse_rows]
@@ -556,23 +540,18 @@ def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                              raising)
 
 
-def classical_ce(h: LieAlgebra, module: LieModule | None, n_max: int,
-                 m_dim: int | None = None) -> ChainComplex:
-    """Exterior-power chain complex of a Lie algebra; module=None means
-    trivial coefficients of dimension m_dim (default 1)."""
-    if module is None:
-        return _classical_complex(h, None, m_dim or 1, n_max, raising=False)
-    return _classical_complex(h, module.action, module.dim, n_max, raising=False)
+def classical_ce(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
+    """Exterior-power chain complex of a Lie algebra with trivial
+    coefficients or coefficients in an h-module."""
+    m_dim, action = _lie_action(h, coefficients)
+    return _classical_complex(h, action, m_dim, n_max, raising=False)
 
 
-def classical_ce_cochain(h: LieAlgebra, module: LieModule | None, n_max: int,
-                         m_dim: int | None = None) -> ChainComplex:
+def classical_ce_cochain(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
     """Exterior-power cochain complex: the transposed chain complex of the
     contragredient module."""
-    if module is None:
-        return _classical_complex(h, None, m_dim or 1, n_max, raising=True)
-    return _classical_complex(h, _contragredient(module.action, module.dim), module.dim, n_max,
-                              raising=True)
+    m_dim, action = _lie_action(h, coefficients)
+    return _classical_complex(h, _contragredient(action, m_dim), m_dim, n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +732,11 @@ DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}
 FALLBACK_WEIGHT_BUDGET = 6
 
 
+def weight_budget(num_generators: int) -> int:
+    """The largest weight conjecture_check runs by default on that many generators."""
+    return DEFAULT_WEIGHT_BUDGET.get(num_generators, FALLBACK_WEIGHT_BUDGET)
+
+
 @dataclass(frozen=True)
 class WeightVerdict:
     weight: int
@@ -787,7 +771,7 @@ def conjecture_check(num_generators: int, max_weight: int | None = None) -> Conj
     A failing weight is reported, not raised; the verdict string flags it.
     """
     if max_weight is None:
-        max_weight = DEFAULT_WEIGHT_BUDGET.get(num_generators, FALLBACK_WEIGHT_BUDGET)
+        max_weight = weight_budget(num_generators)
     fl = FreeLeibnizTruncation(num_generators, max_weight)
     verdicts = []
     for w in range(1, max_weight + 1):

@@ -265,13 +265,13 @@ def adjoint_lie_module(h: LieAlgebra) -> LieModule:
     return LieModule(h.dim, h.structure)
 
 
-def lie_module_lift(g: LeibnizAlgebra, qdata: QuotientData, mod: LieModule) -> Representation:
-    """Representation of g induced by a module over its Lie quotient.
+def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
+    """Representation of g induced by a module over g.quotient_data.
 
     [x, m] = pr(x).m and [m, x] = -pr(x).m, which satisfies all three
     compatibility identities.
     """
     d = mod.dim
-    left = mod.action @ _kron(qdata.projection, Matrix.identity(d))
+    left = mod.action @ _kron(g.quotient_data.projection, Matrix.identity(d))
     right = _lincomb((-1, left @ _swap(d, g.dim)))
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)

@@ -9,8 +9,7 @@ increasing and no odd-degree letter repeats adjacently.  Rewriting uses
 
 both of which strictly decrease (length, inversion count), so the
 worklist terminates; the result is independent of which violation is
-rewritten first, which the rewriter exposes for property testing via the
-strategy argument.
+rewritten first (the rewriter takes the leftmost).
 """
 
 from __future__ import annotations
@@ -55,11 +54,9 @@ class PBWAlgebra:
             return {}
         return {(p + q, k): c for k, c in columns[i * self.algebra.dim(q) + j]}
 
-    def _violation(self, word: Word, strategy: str) -> int | None:
-        positions = range(len(word) - 1)
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for t in positions:
+    def _violation(self, word: Word) -> int | None:
+        """The position of the leftmost pair that breaks normality, or None."""
+        for t in range(len(word) - 1):
             a, b = word[t], word[t + 1]
             if a > b:
                 return t
@@ -67,16 +64,14 @@ class PBWAlgebra:
                 return t
         return None
 
-    def normal_form(self, poly: Poly, strategy: str = "leftmost") -> Poly:
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def normal_form(self, poly: Poly) -> Poly:
         pending: Poly = {}
         for w, c in poly.items():
             add_into(pending, w, c)
         done: Poly = {}
         while pending:
             word, coeff = pending.popitem()
-            pos = self._violation(word, strategy)
+            pos = self._violation(word)
             if pos is None:
                 add_into(done, word, coeff)
                 continue
@@ -91,6 +86,3 @@ class PBWAlgebra:
                 for l, c in self.bracket_letters(a, b).items():
                     add_into(pending, prefix + (l,) + suffix, coeff * c)
         return done
-
-    def is_normal(self, word: Word) -> bool:
-        return self._violation(word, "leftmost") is None

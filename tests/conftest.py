@@ -29,6 +29,11 @@ def dense(t, a, b):
     return tuple(tuple(cols[i * b + j] for j in range(b)) for i in range(a))
 
 
+def entries_dict(m):
+    """The nonzero entries of a Matrix as {(row, col): Fraction}."""
+    return {(i, j): a for i, srow in enumerate(m.sparse_rows) for j, a in srow}
+
+
 def bilinear(t, u, v):
     """The bilinear map with dense tensor t at the vectors (u, v), the
     way the library evaluated one before its tensors became tables."""
@@ -190,10 +195,10 @@ def representations_for(g: LeibnizAlgebra) -> dict[str, Representation]:
     qdata = lie_quotient(g)
     adq = quotient_adjoint_module(qdata)
     if adq is not None:
-        out["lift-adq"] = lie_module_lift(g, qdata, adq)
+        out["lift-adq"] = lie_module_lift(g, adq)
     ch = character_module(qdata)
     if ch is not None:
-        out["lift-char"] = lie_module_lift(g, qdata, ch)
+        out["lift-char"] = lie_module_lift(g, ch)
     for name, rep in out.items():
         assert not check_representation(g, rep), (name, g.basis_names)
     return out

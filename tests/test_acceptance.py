@@ -35,10 +35,8 @@ from leibhom.homology import (
     classical_ce_cochain,
     conjecture_check,
     fg_subcomplex,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
     trivial_coefficients,
 )
 from leibhom.leibcore import (
@@ -57,6 +55,7 @@ from conftest import (
     CORPUS,
     LIE_CORPUS,
     character_module,
+    entries_dict,
     quotient_adjoint_module,
     random_algebra,
     representations_for,
@@ -165,7 +164,7 @@ def test_criterion_1_axiom_suites_and_mutants():
     mdiffs = dict(mod.differentials)
     d0 = mdiffs[0]
     mdiffs[0] = Matrix.from_entries(d0.rows, d0.cols,
-                                    {k: 2 * v for k, v in d0.entries_dict().items()})
+                                    {k: 2 * v for k, v in entries_dict(d0).items()})
     mutants.append(("dg module: rescaled differential",
                     lambda: check_dg_module(DGModule(
                         mod.algebra, mod.degree_dims, mod.actions, mdiffs,
@@ -191,7 +190,7 @@ def test_criterion_2_differentials_square_to_zero():
     pairs = 0
     for g in CORPUS.values():
         qdata, mods = _lie_systems(g)
-        systems = [trivial_coefficients()] + [lie_coefficients(m) for m in mods]
+        systems = [trivial_coefficients(), *mods]
         for coeffs in systems:
             checked += _dd_zero(loday_complex(g, coeffs, 4))
             checked += _dd_zero(loday_cochain_complex(g, coeffs, 4))
@@ -201,12 +200,11 @@ def test_criterion_2_differentials_square_to_zero():
         for mod in mods:
             checked += _dd_zero(classical_ce(qdata.quotient, mod, 4))
             checked += _dd_zero(classical_ce_cochain(qdata.quotient, mod, 4))
-        checked += _dd_zero(classical_ce(qdata.quotient, None, 4))
+        checked += _dd_zero(classical_ce(qdata.quotient, trivial_coefficients(), 4))
         checked += _dd_zero(fg_subcomplex(g, 4))
         for rep in representations_for(g).values():
-            checked += _dd_zero(loday_complex(g, rep_coefficients(rep), 3))
-            checked += _dd_zero(
-                loday_cochain_complex(g, rep_coefficients(rep), 3))
+            checked += _dd_zero(loday_complex(g, rep, 3))
+            checked += _dd_zero(loday_cochain_complex(g, rep, 3))
             pairs += 1
     rng = random.Random(20260816)
     random_pairs = 0
@@ -217,8 +215,8 @@ def test_criterion_2_differentials_square_to_zero():
         checked += _dd_zero(ce_cochain(g, trivial_coefficients(), 4))
         checked += _dd_zero(fg_subcomplex(g, 4))
         rep = adjoint_representation(g)
-        checked += _dd_zero(loday_complex(g, rep_coefficients(rep), 3))
-        checked += _dd_zero(loday_cochain_complex(g, rep_coefficients(rep), 3))
+        checked += _dd_zero(loday_complex(g, rep, 3))
+        checked += _dd_zero(loday_cochain_complex(g, rep, 3))
         random_pairs += 2
     _pass(2, f"{pairs} corpus and {random_pairs} randomized "
              f"algebra/coefficient pairs, {checked} exact products")
@@ -238,11 +236,11 @@ def test_criterion_3_small_complex_matches_classical():
     for g in fleet:
         qdata, mods = _lie_systems(g)
         small = ce_chain(g, trivial_coefficients(), 4)
-        big = classical_ce(qdata.quotient, None, 4)
+        big = classical_ce(qdata.quotient, trivial_coefficients(), 4)
         assert small.betti()[:4] == big.betti()[:4]
         compared += 1
         for mod in mods[:1]:
-            small_m = ce_chain(g, lie_coefficients(mod), 4)
+            small_m = ce_chain(g, mod, 4)
             big_m = classical_ce(qdata.quotient, mod, 4)
             assert small_m.betti()[:4] == big_m.betti()[:4]
             compared += 1
@@ -278,18 +276,18 @@ def test_criterion_5_action_rule_on_lifts_and_witnesses():
     for name, g in CORPUS.items():
         qdata, mods = _lie_systems(g)
         for mod in mods:
-            lift = lie_module_lift(g, qdata, mod)
-            two = loday_cochain_complex(g, rep_coefficients(lift), 4)
-            one = loday_cochain_complex(g, lie_coefficients(mod), 4)
+            lift = lie_module_lift(g, mod)
+            two = loday_cochain_complex(g, lift, 4)
+            one = loday_cochain_complex(g, mod, 4)
             assert two.dims == one.dims, name
             for a, b in zip(two.diffs, one.diffs):
                 assert a.entries == b.entries, name
             collapsed += 1
     hemi = CORPUS["hemi2"]
-    adj = rep_coefficients(adjoint_representation(hemi))
+    adj = adjoint_representation(hemi)
     loday_complex(hemi, adj, 4, _rep_rule="corrected")
     loday_cochain_complex(hemi, adj, 4, _rep_rule="corrected")
-    a2adj = rep_coefficients(adjoint_representation(CORPUS["A2"]))
+    a2adj = adjoint_representation(CORPUS["A2"])
     loday_complex(CORPUS["A2"], a2adj, 4, _rep_rule="corrected")
     for bad_rule in ("right", "naive"):
         with pytest.raises(DifferentialSquareNonzero):
@@ -307,7 +305,7 @@ def test_criterion_6_projection_comparison():
     verdicts = 0
     for name, g in CORPUS.items():
         qdata, mods = _lie_systems(g)
-        systems = [trivial_coefficients()] + [lie_coefficients(m) for m in mods]
+        systems = [trivial_coefficients(), *mods]
         for coeffs in systems:
             _, _, rep = ce_projection(g, coeffs, 3)
             assert rep.h0_iso, name

@@ -37,6 +37,7 @@ from conftest import (
     LIE_CORPUS,
     bilinear,
     dense,
+    entries_dict,
     random_algebra,
     representations_for,
     rescaled_heis3,
@@ -560,7 +561,7 @@ def dg_modules():
     mod = minimal_module(CORPUS["A2"], adjoint_representation(CORPUS["A2"]))
     mdiffs = dict(mod.differentials)
     d0 = mdiffs[0]
-    mdiffs[0] = Matrix.from_entries(d0.rows, d0.cols, {k: 2 * v for k, v in d0.entries_dict().items()})
+    mdiffs[0] = Matrix.from_entries(d0.rows, d0.cols, {k: 2 * v for k, v in entries_dict(d0).items()})
     yield "rescaled differential", DGModule(mod.algebra, mod.degree_dims, mod.actions, mdiffs,
                                             mod.labels)
     macts = dict(mod.actions)

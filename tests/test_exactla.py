@@ -30,7 +30,6 @@ from leibhom.homology import (
     conjecture_check,
     fg_subcomplex,
     loday_complex,
-    lie_coefficients,
     trivial_coefficients,
 )
 
@@ -627,6 +626,6 @@ def test_library_subspace_maps_match_oracles(monkeypatch):
         fg_subcomplex(g, 4)
         ce_projection(g, trivial_coefficients(), 4)
     heis3 = CORPUS["heis3"]
-    ce_projection(heis3, lie_coefficients(quotient_adjoint_module(lie_quotient(heis3))), 3)
+    ce_projection(heis3, quotient_adjoint_module(lie_quotient(heis3)), 3)
     conjecture_check(2, 4)
     assert calls["restrict"] > 0 and calls["induced"] > 0

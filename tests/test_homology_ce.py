@@ -11,10 +11,8 @@ from leibhom.homology import (
     ce_projection,
     classical_ce,
     classical_ce_cochain,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
     trivial_coefficients,
 )
 from leibhom.leibcore import (
@@ -30,6 +28,7 @@ from conftest import (
     LIE_CORPUS,
     character_module,
     conjugate,
+    entries_dict,
     make_corpus,
     quotient_adjoint_module,
     unimodular,
@@ -47,11 +46,11 @@ def test_a2_small_complex_frozen_differentials():
     d1, d2, d3, d4 = cx.diffs
     assert d1.is_zero()
     # degree-2 basis [xy, y^]: only the hat generator maps down, to y
-    assert d2.entries_dict() == {(1, 1): Fraction(1)}
+    assert entries_dict(d2) == {(1, 1): Fraction(1)}
     # degree-3 basis [x y^, y y^]: x y^ -> -xy
-    assert d3.entries_dict() == {(0, 0): Fraction(-1)}
+    assert entries_dict(d3) == {(0, 0): Fraction(-1)}
     # degree-4 basis [x y y^, y^ y^]: the doubled hat maps to 2 y y^
-    assert d4.entries_dict() == {(1, 1): Fraction(2)}
+    assert entries_dict(d4) == {(1, 1): Fraction(2)}
 
 
 def test_a2_small_cochain_betti():
@@ -63,12 +62,12 @@ def test_small_complex_equals_classical_for_lie_input():
     for name, h in LIE_CORPUS.items():
         g = h.as_leibniz()
         small = ce_chain(g, trivial_coefficients(), 4)
-        classical = classical_ce(h, None, 4)
+        classical = classical_ce(h, trivial_coefficients(), 4)
         assert small.dims == classical.dims, name
         for a, b in zip(small.diffs, classical.diffs):
             assert a.entries == b.entries, name
         smallco = ce_cochain(g, trivial_coefficients(), 4)
-        classicalco = classical_ce_cochain(h, None, 4)
+        classicalco = classical_ce_cochain(h, trivial_coefficients(), 4)
         assert smallco.dims == classicalco.dims, name
         for a, b in zip(smallco.diffs, classicalco.diffs):
             assert a.entries == b.entries, name
@@ -84,19 +83,19 @@ def test_small_complex_betti_equals_classical_of_quotient():
     for g in cases:
         qdata = lie_quotient(g)
         small = ce_chain(g, trivial_coefficients(), 4)
-        classical = classical_ce(qdata.quotient, None, 4)
+        classical = classical_ce(qdata.quotient, trivial_coefficients(), 4)
         assert small.betti()[:4] == classical.betti()[:4]
         mod = quotient_adjoint_module(qdata) or character_module(qdata)
         if mod is None:
             continue
-        small_m = ce_chain(g, lie_coefficients(mod), 4)
+        small_m = ce_chain(g, mod, 4)
         classical_m = classical_ce(qdata.quotient, mod, 4)
         assert small_m.betti()[:4] == classical_m.betti()[:4]
 
 
 def test_enveloping_builders_reject_two_sided_coefficients():
     g = CORPUS["A2"]
-    coeffs = rep_coefficients(adjoint_representation(g))
+    coeffs = adjoint_representation(g)
     with pytest.raises(ValueError):
         ce_chain(g, coeffs, 3)
     with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ def test_enveloping_builders_reject_two_sided_coefficients():
 
 def test_classical_heisenberg_betti():
     h = LIE_CORPUS["heis3"]
-    cx = classical_ce(h, None, 4)
+    cx = classical_ce(h, trivial_coefficients(), 4)
     assert cx.betti() == (1, 2, 2, 1)
 
 
@@ -128,10 +127,10 @@ def test_projection_verdicts_across_corpus():
         systems = [trivial_coefficients()]
         mod = quotient_adjoint_module(qdata)
         if mod is not None:
-            systems.append(lie_coefficients(mod))
+            systems.append(mod)
         ch = character_module(qdata)
         if ch is not None:
-            systems.append(lie_coefficients(ch))
+            systems.append(ch)
         for coeffs in systems:
             _, _, rep = ce_projection(g, coeffs, 3)
             assert rep.h0_iso, (name, coeffs)
@@ -149,7 +148,7 @@ def test_projection_shallow_run_leaves_degree_two_verdicts_open():
 
 def test_projection_builds_the_envelope_once(monkeypatch):
     g = CORPUS["heis3"]
-    coeffs = lie_coefficients(quotient_adjoint_module(lie_quotient(g)))
+    coeffs = quotient_adjoint_module(lie_quotient(g))
     calls = []
 
     def counting(*args, **kwargs):
@@ -165,7 +164,7 @@ def test_projection_builds_the_envelope_once(monkeypatch):
 def test_projection_builds_the_lie_quotient_once(monkeypatch):
     # a fresh algebra: the shared corpus object may hold its quotient already
     g = make_corpus()["heis3"]
-    coeffs = lie_coefficients(quotient_adjoint_module(lie_quotient(g)))
+    coeffs = quotient_adjoint_module(lie_quotient(g))
     calls = []
 
     def counting(*args, **kwargs):
@@ -176,6 +175,21 @@ def test_projection_builds_the_lie_quotient_once(monkeypatch):
     for _ in range(2):
         ce_projection(g, coeffs, 3)
     assert len(calls) == 1
+
+
+def test_trivial_coefficients_never_build_the_lie_quotient(monkeypatch):
+    g = make_corpus()["heis3"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lie_quotient(*args, **kwargs)
+
+    monkeypatch.setattr("leibhom.leibcore.lie_quotient", counting)
+    loday_complex(g, trivial_coefficients(), 3)
+    loday_cochain_complex(g, trivial_coefficients(), 3)
+    classical_ce(g, trivial_coefficients(), 3)
+    assert calls == []
 
 
 def test_projection_derives_each_monomial_once(monkeypatch):
@@ -207,7 +221,7 @@ def test_sl2_known_answers_with_trivial_coefficients():
     for build in (loday_complex, loday_cochain_complex):
         assert build(g, trivial_coefficients(), 6).betti() == (1, 0, 0, 0, 0, 0)
     for build in (classical_ce, classical_ce_cochain):
-        assert build(h, None, 4).betti() == (1, 0, 0, 1)
+        assert build(h, trivial_coefficients(), 4).betti() == (1, 0, 0, 1)
     _, _, rep = ce_projection(g, trivial_coefficients(), 4)
     assert rep.ce_homology == rep.ce_cohomology == (1, 0, 0, 1)
     assert rep.loday_homology == rep.loday_cohomology == (1, 0, 0, 0)
@@ -220,7 +234,7 @@ def test_sl2_known_answers_with_trivial_coefficients():
 def test_sl2_known_answers_with_adjoint_coefficients():
     g = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
     h = LieAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
-    coeffs = lie_coefficients(quotient_adjoint_module(g.quotient_data))
+    coeffs = quotient_adjoint_module(g.quotient_data)
     for build in (loday_complex, loday_cochain_complex):
         assert build(g, coeffs, 6).betti() == (0,) * 6
     for build in (classical_ce, classical_ce_cochain):

@@ -12,21 +12,21 @@ from leibhom.exactla import Matrix, ShapeMismatch, Subspace, add_into, restrict_
 from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
+    TrivialCoefficients,
     ce_chain,
     ce_cochain,
     ce_projection,
     classical_ce,
     classical_ce_cochain,
     fg_subcomplex,
-    lie_coefficients,
     loday_cochain_complex,
     loday_complex,
-    rep_coefficients,
     trivial_coefficients,
 )
 from leibhom.leibcore import (
     LieModule,
     Representation,
+    adjoint_lie_module,
     adjoint_representation,
     lie_module_lift,
     lie_quotient,
@@ -35,10 +35,12 @@ from leibhom.leibcore import (
 
 from conftest import (
     CORPUS,
+    LIE_CORPUS,
     bilinear,
     character_module,
     conjugate,
     dense,
+    entries_dict,
     quotient_adjoint_module,
     random_algebra,
     representations_for,
@@ -209,9 +211,9 @@ def test_oracle_agrees_on_whole_corpus():
 def test_frozen_a2_boundary_entries():
     cx = loday_complex(CORPUS["A2"], trivial_coefficients(), 3)
     d2 = cx.diffs[1]
-    assert d2.entries_dict() == {(1, 0): Fraction(1)}
+    assert entries_dict(d2) == {(1, 0): Fraction(1)}
     d3 = cx.diffs[2]
-    assert d3.entries_dict() == {
+    assert entries_dict(d3) == {
         (1, 0): Fraction(-1),   # xxx -> -(x, y)
         (3, 1): Fraction(1),    # xxy -> (y, y)
         (3, 2): Fraction(-1),   # xyx -> -(y, y)
@@ -271,22 +273,21 @@ def dual_pairs(g, n):
         yield (f"loday trivial{dim}", loday_cochain_complex(g, triv, n),
                loday_complex(g, triv, n + 1))
         yield (f"ce trivial{dim}", ce_cochain(g, triv, n), ce_chain(g, triv, n + 1))
-        yield (f"classical trivial{dim}", classical_ce_cochain(h, None, n, dim),
-               classical_ce(h, None, n + 1, dim))
+        yield (f"classical trivial{dim}", classical_ce_cochain(h, triv, n),
+               classical_ce(h, triv, n + 1))
     for maker in (quotient_adjoint_module, character_module):
         mod = maker(qdata)
         if mod is None:
             continue
         dual = contragredient(mod)
         label = maker.__name__
-        yield (f"loday {label}", loday_cochain_complex(g, lie_coefficients(mod), n),
-               loday_complex(g, lie_coefficients(dual), n + 1))
-        yield (f"ce {label}", ce_cochain(g, lie_coefficients(mod), n),
-               ce_chain(g, lie_coefficients(dual), n + 1))
+        yield (f"loday {label}", loday_cochain_complex(g, mod, n),
+               loday_complex(g, dual, n + 1))
+        yield (f"ce {label}", ce_cochain(g, mod, n), ce_chain(g, dual, n + 1))
         yield (f"classical {label}", classical_ce_cochain(h, mod, n),
                classical_ce(h, dual, n + 1))
     for rname, rep in representations_for(g).items():
-        co, dual = rep_coefficients(rep), rep_coefficients(dual_representation(rep))
+        co, dual = rep, dual_representation(rep)
         yield (f"loday rep {rname} corrected", loday_cochain_complex(g, co, n),
                loday_complex(g, dual, n + 1))
         yield (f"loday rep {rname} plain",
@@ -314,15 +315,15 @@ def family_builders(g):
                for maker in (quotient_adjoint_module, character_module)]
     modules = [(label, mod) for label, mod in modules if mod is not None]
     kinds = [(f"trivial{dim}", trivial_coefficients(dim)) for dim in (1, 2)]
-    kinds += [(f"lie {label}", lie_coefficients(mod)) for label, mod in modules]
-    reps = [(f"rep {r}", rep_coefficients(rep)) for r, rep in representations_for(g).items()]
+    kinds += [(f"lie {label}", mod) for label, mod in modules]
+    reps = [(f"rep {r}", rep) for r, rep in representations_for(g).items()]
     for label, c in kinds + reps:
         yield f"loday {label}", lambda n, c=c: loday_complex(g, c, n)
         yield f"loday_cochain {label}", lambda n, c=c: loday_cochain_complex(g, c, n)
     for label, c in kinds:
         yield f"ce {label}", lambda n, c=c: ce_chain(g, c, n)
         yield f"ce_cochain {label}", lambda n, c=c: ce_cochain(g, c, n)
-    for label, mod in [("trivial", None), *modules]:
+    for label, mod in [("trivial", trivial_coefficients()), *modules]:
         yield f"classical {label}", lambda n, mod=mod: classical_ce(qdata.quotient, mod, n)
         yield (f"classical_cochain {label}",
                lambda n, mod=mod: classical_ce_cochain(qdata.quotient, mod, n))
@@ -355,22 +356,52 @@ def test_heis3_top_stored_degree_is_not_reported():
                 query(3)
 
 
-NEGATIVE_N_MAX = {
-    "loday_complex": lambda g: loday_complex(g, trivial_coefficients(), -1),
-    "loday_cochain_complex": lambda g: loday_cochain_complex(g, trivial_coefficients(), -1),
-    "ce_chain": lambda g: ce_chain(g, trivial_coefficients(), -1),
-    "ce_cochain": lambda g: ce_cochain(g, trivial_coefficients(), -1),
-    "classical_ce": lambda g: classical_ce(g.quotient_data.quotient, None, -1),
-    "classical_ce_cochain": lambda g: classical_ce_cochain(g.quotient_data.quotient, None, -1),
-    "fg_subcomplex": lambda g: fg_subcomplex(g, -1),
-    "ce_projection": lambda g: ce_projection(g, trivial_coefficients(), -1),
+# the builders that take coefficients, as (g, coefficients, n_max) -> complex;
+# the classical ones run over the maximal Lie quotient of g
+COEFFICIENT_BUILDERS = {
+    "loday_complex": loday_complex,
+    "loday_cochain_complex": loday_cochain_complex,
+    "ce_chain": ce_chain,
+    "ce_cochain": ce_cochain,
+    "classical_ce": lambda g, c, n: classical_ce(g.quotient_data.quotient, c, n),
+    "classical_ce_cochain": lambda g, c, n: classical_ce_cochain(g.quotient_data.quotient, c, n),
+    "ce_projection": ce_projection,
 }
+
+NEGATIVE_N_MAX = {name: lambda g, build=build: build(g, trivial_coefficients(), -1)
+                  for name, build in COEFFICIENT_BUILDERS.items()}
+NEGATIVE_N_MAX["fg_subcomplex"] = lambda g: fg_subcomplex(g, -1)
 
 
 @pytest.mark.parametrize("builder", list(NEGATIVE_N_MAX))
 def test_every_builder_refuses_a_negative_n_max(builder):
     with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
         NEGATIVE_N_MAX[builder](CORPUS["heis3"])
+
+
+# coefficients that no builder over A2, whose Lie quotient is 1-dim, takes;
+# its own two-sided modules only the tensor-module builders take
+BAD_COEFFICIENTS = {
+    "trivial0": lambda g: TrivialCoefficients(0),
+    "trivial-1": lambda g: TrivialCoefficients(-1),
+    "lie module over heis3": lambda g: adjoint_lie_module(LIE_CORPUS["heis3"]),
+    "representation of heis3": lambda g: adjoint_representation(CORPUS["heis3"]),
+    "representation": adjoint_representation,
+}
+
+
+@pytest.mark.parametrize("builder, coefficients", [
+    (b, c) for b in COEFFICIENT_BUILDERS for c in BAD_COEFFICIENTS
+    if c != "representation" or not b.startswith("loday")])
+def test_every_builder_refuses_bad_coefficients_before_building(monkeypatch, builder,
+                                                                coefficients):
+    def built(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(homology, "_complex", built)
+    g = CORPUS["A2"]
+    with pytest.raises(ValueError):
+        COEFFICIENT_BUILDERS[builder](g, BAD_COEFFICIENTS[coefficients](g), 3)
 
 
 def test_mis_shaped_complex_raises_shape_mismatch():
@@ -394,8 +425,8 @@ def test_lie_coefficient_complexes_build_on_corpus():
             mod = maker(qdata)
             if mod is None:
                 continue
-            loday_complex(g, lie_coefficients(mod), 4)
-            loday_cochain_complex(g, lie_coefficients(mod), 4)
+            loday_complex(g, mod, 4)
+            loday_cochain_complex(g, mod, 4)
 
 
 # --- the action-rule landscape for genuinely two-sided coefficients
@@ -407,14 +438,14 @@ A2_ADJ = (CORPUS["A2"], adjoint_representation(CORPUS["A2"]))
 @pytest.mark.parametrize("rule", ["corrected", "left"])
 def test_chain_rules_that_square_to_zero(rule):
     g, rep = HEMI_ADJ
-    loday_complex(g, rep_coefficients(rep), 4, _rep_rule=rule)
+    loday_complex(g, rep, 4, _rep_rule=rule)
 
 
 @pytest.mark.parametrize("rule", ["right", "naive"])
 def test_chain_rules_that_fail(rule):
     g, rep = HEMI_ADJ
     with pytest.raises(DifferentialSquareNonzero):
-        loday_complex(g, rep_coefficients(rep), 4, _rep_rule=rule)
+        loday_complex(g, rep, 4, _rep_rule=rule)
 
 
 @pytest.mark.parametrize("rule", ["corrected", "left", "right", "naive"])
@@ -423,19 +454,19 @@ def test_all_chain_rules_pass_on_a2_adjoint(rule):
     # span of y, which all four candidate actions kill, so this witness
     # cannot separate the rules
     g, rep = A2_ADJ
-    loday_complex(g, rep_coefficients(rep), 4, _rep_rule=rule)
+    loday_complex(g, rep, 4, _rep_rule=rule)
 
 
 @pytest.mark.parametrize("rule", ["corrected", "plain"])
 def test_cochain_rules_that_square_to_zero(rule):
     g, rep = HEMI_ADJ
-    loday_cochain_complex(g, rep_coefficients(rep), 4, _rep_rule=rule)
+    loday_cochain_complex(g, rep, 4, _rep_rule=rule)
 
 
 def test_naive_cochain_rule_fails():
     g, rep = HEMI_ADJ
     with pytest.raises(DifferentialSquareNonzero):
-        loday_cochain_complex(g, rep_coefficients(rep), 4, _rep_rule="naive")
+        loday_cochain_complex(g, rep, 4, _rep_rule="naive")
 
 
 @pytest.mark.parametrize("build", [loday_complex, loday_cochain_complex])
@@ -443,7 +474,7 @@ def test_unknown_rule_is_an_internal_fault(build):
     # a KeyError, not the ValueError the CLI reports as bad input
     g, rep = HEMI_ADJ
     with pytest.raises(KeyError):
-        build(g, rep_coefficients(rep), 4, _rep_rule="bogus")
+        build(g, rep, 4, _rep_rule="bogus")
 
 
 def test_lifted_cochain_collapses_to_one_sided_branch():
@@ -453,9 +484,9 @@ def test_lifted_cochain_collapses_to_one_sided_branch():
             mod = maker(qdata)
             if mod is None:
                 continue
-            lift = lie_module_lift(g, qdata, mod)
-            two = loday_cochain_complex(g, rep_coefficients(lift), 4)
-            one = loday_cochain_complex(g, lie_coefficients(mod), 4)
+            lift = lie_module_lift(g, mod)
+            two = loday_cochain_complex(g, lift, 4)
+            one = loday_cochain_complex(g, mod, 4)
             assert two.dims == one.dims, name
             for a, b in zip(two.diffs, one.diffs):
                 assert a.entries == b.entries, name
@@ -475,11 +506,11 @@ def test_lie_module_is_its_lift_under_right_and_plain_rules(name):
         mod = maker(qdata)
         if mod is None:
             continue
-        lift = rep_coefficients(lie_module_lift(g, qdata, mod))
-        one = loday_complex(g, lie_coefficients(mod), 4)
+        lift = lie_module_lift(g, mod)
+        one = loday_complex(g, mod, 4)
         two = loday_complex(g, lift, 4, _rep_rule="right")
         assert one.diffs == two.diffs, (name, maker.__name__)
-        one = loday_cochain_complex(g, lie_coefficients(mod), 4)
+        one = loday_cochain_complex(g, mod, 4)
         two = loday_cochain_complex(g, lift, 4, _rep_rule="plain")
         assert one.diffs == two.diffs, (name, maker.__name__)
 
@@ -487,8 +518,8 @@ def test_lie_module_is_its_lift_under_right_and_plain_rules(name):
 def test_rep_complexes_build_for_corpus_representations():
     for name, g in CORPUS.items():
         for rname, rep in representations_for(g).items():
-            loday_complex(g, rep_coefficients(rep), 3)
-            loday_cochain_complex(g, rep_coefficients(rep), 3)
+            loday_complex(g, rep, 3)
+            loday_cochain_complex(g, rep, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -511,8 +542,8 @@ def test_builders_never_raise_on_valid_input(seed):
     base = rng.choice(list(CORPUS.values()))
     p, pinv = unimodular(rng, base.dim)
     g = conjugate(base, p, pinv)
-    loday_complex(g, rep_coefficients(adjoint_representation(g)), 3)
-    loday_cochain_complex(g, rep_coefficients(adjoint_representation(g)), 3)
+    loday_complex(g, adjoint_representation(g), 3)
+    loday_cochain_complex(g, adjoint_representation(g), 3)
 
 
 def test_betti_ranks_each_differential_once(monkeypatch):
@@ -605,11 +636,11 @@ def oracle_coefficient_cases(g):
         L = [[bilinear(action, projection[x], units[u]) for u in range(mod.dim)]
              for x in range(g.dim)]
         R = [[_vneg(L[x][u]) for x in range(g.dim)] for u in range(mod.dim)]
-        yield f"lie:{maker.__name__}", lie_coefficients(mod), mod.dim, L, R, False
+        yield f"lie:{maker.__name__}", mod, mod.dim, L, R, False
     for rname, rep in representations_for(g).items():
         L = dense(rep.left_action, g.dim, rep.dim)
         R = dense(rep.right_action, rep.dim, g.dim)
-        yield f"rep:{rname}", rep_coefficients(rep), rep.dim, L, R, True
+        yield f"rep:{rname}", rep, rep.dim, L, R, True
 
 
 def oracle_chain_actions(L, R, rule, two_sided):

@@ -155,9 +155,8 @@ def test_symmetrization_of_adjoint_is_squares_span():
 
 def test_symmetrization_of_lift_is_zero():
     g = CORPUS["A2"]
-    q = lie_quotient(g)
     mod = LieModule(1, tensor3(1, 1, 1, {}))
-    rep = lie_module_lift(g, q, mod)
+    rep = lie_module_lift(g, mod)
     anti, qdim, _ = symmetrization(rep)
     assert anti.dim == 0
     assert qdim == 1
@@ -174,7 +173,7 @@ def test_lift_actions_are_opposite():
     g = CORPUS["r2"]
     q = lie_quotient(g)
     mod = adjoint_lie_module(q.quotient)
-    rep = lie_module_lift(g, q, mod)
+    rep = lie_module_lift(g, mod)
     left = dense(rep.left_action, g.dim, rep.dim)
     right = dense(rep.right_action, rep.dim, g.dim)
     for i in range(g.dim):

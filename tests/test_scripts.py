@@ -8,6 +8,7 @@ the rule landscape.
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,12 @@ def test_script_reaches_its_verdict(argv, verdict):
     proc = run_script(*argv)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert verdict in proc.stdout.splitlines()[-1]
+
+
+def test_free_conjecture_script_names_its_budget():
+    proc = run_script("run_free_conjecture.py", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0].endswith("(budget 6)")
 
 
 # the digests recorded when complexes stopped reporting their top stored
@@ -78,6 +85,8 @@ def test_ladder_writes_one_rung(tmp_path):
     [rung] = doc["rungs"]
     assert rung["name"] == "heis3 <= 6"
     assert rung["result"] == [1, 2, 5, 10, 22, 47, 101]
+    assert len(rung["wall_samples"]) == 3
+    assert rung["wall_s"] == statistics.median(rung["wall_samples"])
     assert rung["wall_s"] >= 0 and rung["peak_rss_mb"] > 0
 
 
