@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
-from .exactla import NotInvariant, ShapeMismatch, format_scalar, parse_scalar
+from .exactla import Matrix, NotInvariant, ShapeMismatch, format_scalar, parse_scalar
 from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
     DifferentialSquareNonzero,
@@ -52,7 +52,6 @@ from .leibcore import (
     check_representation,
     opposite,
     opposite_representation,
-    tensor3,
 )
 
 FORMAT_VERSION = 1
@@ -167,40 +166,37 @@ def _name_index(names, where: str) -> dict:
     return index
 
 
-def _entry_triple(entry, left_index, right_index, value_index, where: str):
-    """Decode one sparse table entry into (i, j, {k: Fraction})."""
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: entries must be objects")
-    for key in ("left", "right", "value"):
-        if key not in entry:
-            raise ParseError(f"{where}: entry missing {key!r}")
-    ln, rn, val = entry["left"], entry["right"], entry["value"]
-    if not isinstance(ln, str) or ln not in left_index:
-        raise ParseError(f"{where}: unknown name {ln!r}")
-    if not isinstance(rn, str) or rn not in right_index:
-        raise ParseError(f"{where}: unknown name {rn!r}")
-    if not isinstance(val, dict):
-        raise ParseError(f"{where}: \"value\" must be an object")
-    out = {}
-    for kn, raw in val.items():
-        if kn not in value_index:
-            raise ParseError(f"{where}: unknown name {kn!r} in value")
-        c = _scalar(raw, where)
-        if c:
-            out[value_index[kn]] = c
-    return left_index[ln], right_index[rn], out
-
-
-def _sparse_table(entries, left_index, right_index, value_index, where: str) -> dict:
+def _table(entries, left_index, right_index, value_index, where: str) -> Matrix:
+    """The table of a list of sparse entries: column i*b + j holds the
+    value of the entry (left i, right j), b = len(right_index)."""
     if not isinstance(entries, list):
         raise ParseError(f"{where}: must be a list of entries")
-    table = {}
+    b = len(right_index)
+    cells, seen = {}, set()
     for entry in entries:
-        i, j, val = _entry_triple(entry, left_index, right_index, value_index, where)
-        if (i, j) in table:
-            raise ParseError(f"{where}: duplicate entry for ({entry['left']}, {entry['right']})")
-        table[(i, j)] = val
-    return table
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: entries must be objects")
+        for key in ("left", "right", "value"):
+            if key not in entry:
+                raise ParseError(f"{where}: entry missing {key!r}")
+        ln, rn, val = entry["left"], entry["right"], entry["value"]
+        if not isinstance(ln, str) or ln not in left_index:
+            raise ParseError(f"{where}: unknown name {ln!r}")
+        if not isinstance(rn, str) or rn not in right_index:
+            raise ParseError(f"{where}: unknown name {rn!r}")
+        if not isinstance(val, dict):
+            raise ParseError(f"{where}: \"value\" must be an object")
+        col = left_index[ln] * b + right_index[rn]
+        for kn, raw in val.items():
+            if kn not in value_index:
+                raise ParseError(f"{where}: unknown name {kn!r} in value")
+            c = _scalar(raw, where)
+            if c:
+                cells[value_index[kn], col] = c
+        if col in seen:
+            raise ParseError(f"{where}: duplicate entry for ({ln}, {rn})")
+        seen.add(col)
+    return Matrix.from_entries(len(value_index), len(left_index) * b, cells)
 
 
 def _check_keys(doc: dict, path: str, kind: str, allowed: tuple[str, ...]) -> None:
@@ -227,7 +223,7 @@ def parse_algebra(path: str, inputs: dict | None = None
     when inputs is given."""
     doc = _load_json(path, inputs, "algebra")
     index = _name_index(doc.get("basis"), path)
-    names = list(doc["basis"])
+    names = tuple(doc["basis"])
     convention = doc.get("convention")
     if convention not in ("left", "right"):
         raise ParseError(f"{path}: \"convention\" must be \"left\" or \"right\"")
@@ -236,8 +232,8 @@ def parse_algebra(path: str, inputs: dict | None = None
     if "brackets" not in doc:
         raise ParseError(f"{path}: algebra file has no \"brackets\"")
     _check_keys(doc, path, "an algebra", ("name", "convention", "basis", "brackets"))
-    table = _sparse_table(doc["brackets"], index, index, index, f"{path} brackets")
-    g = LeibnizAlgebra.from_brackets(names, table, convention=convention)
+    table = _table(doc["brackets"], index, index, index, f"{path} brackets")
+    g = LeibnizAlgebra(len(names), names, table, convention)
     bad = check_leibniz(g)
     if bad:
         listed = [f"({names[i]}, {names[j]}, {names[k]})" for i, j, k in bad]
@@ -267,21 +263,14 @@ def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
     file's hash when inputs is given."""
     doc = _load_json(path, inputs, "module")
     index = _name_index(doc.get("basis"), path)
-    names = list(doc["basis"])
+    names = tuple(doc["basis"])
     gindex = {s: i for i, s in enumerate(g.basis_names)}
-    d = len(names)
     if "left_action" not in doc and "right_action" not in doc:
         raise ParseError(f"{path}: module file has neither \"left_action\" nor \"right_action\"")
     _check_keys(doc, path, "a two-sided module", ("basis", "left_action", "right_action"))
-    left_tab = _sparse_table(doc.get("left_action", []), gindex, index, index,
-                             f"{path} left_action")
-    right_tab = _sparse_table(doc.get("right_action", []), index, gindex, index,
-                              f"{path} right_action")
-    left = tensor3(g.dim, d, d, {(i, j, k): c for (i, j), val in left_tab.items()
-                                 for k, c in val.items()})
-    right = tensor3(d, g.dim, d, {(j, i, k): c for (j, i), val in right_tab.items()
-                                  for k, c in val.items()})
-    rep = Representation(d, tuple(names), left, right)
+    left = _table(doc.get("left_action", []), gindex, index, index, f"{path} left_action")
+    right = _table(doc.get("right_action", []), index, gindex, index, f"{path} right_action")
+    rep = Representation(len(names), names, left, right)
     if was_right:
         rep = opposite_representation(g, rep)
     bad = check_representation(g, rep)
@@ -296,18 +285,12 @@ def parse_lie_module(path: str, g: LeibnizAlgebra, inputs: dict | None = None) -
     inputs["module"] records the file's hash when inputs is given."""
     doc = _load_json(path, inputs, "module")
     index = _name_index(doc.get("basis"), path)
-    names = list(doc["basis"])
     h = g.quotient_data.quotient
     qindex = {s: a for a, s in enumerate(h.basis_names)}
-    d = len(names)
     if "action" not in doc:
         raise ParseError(f"{path}: module file has no \"action\"")
     _check_keys(doc, path, "a Lie-module", ("basis", "action"))
-    table = _sparse_table(doc["action"], qindex, index, index, f"{path} action")
-    action = tensor3(h.dim, d, d,
-                     {(a, j, k): c for (a, j), val in table.items()
-                      for k, c in val.items()})
-    mod = LieModule(d, action)
+    mod = LieModule(len(index), _table(doc["action"], qindex, index, index, f"{path} action"))
     bad = check_lie_module(h, mod)
     if bad:
         raise AxiomError(f"{path}: Lie-module identity fails at {_first_few(bad)}")

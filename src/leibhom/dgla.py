@@ -52,13 +52,9 @@ class IllDefinedAction(Exception):
     """A would-be module action does not preserve the required subquotients."""
 
 
-@dataclass
-class DGLieAlgebra:
-    name: str
-    degree_dims: dict[int, int]
-    brackets: dict[tuple[int, int], Matrix]  # (p, q): the table of L_p x L_q -> L_{p+q}
-    differentials: dict[int, Matrix]
-    labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
+class _Graded:
+    """The graded accessors of a DG object with degree_dims and
+    differentials (of degree -1, zero where none is stored)."""
 
     def dim(self, p: int) -> int:
         return self.degree_dims.get(p, 0)
@@ -66,16 +62,25 @@ class DGLieAlgebra:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(p for p, d in self.degree_dims.items() if d > 0))
 
-    def bracket(self, p: int, q: int) -> Matrix:
-        """The table of L_p x L_q -> L_{p+q}, zero where none is stored."""
-        t = self.brackets.get((p, q))
-        return Matrix.zeros(self.dim(p + q), self.dim(p) * self.dim(q)) if t is None else t
-
     def differential(self, p: int) -> Matrix:
         m = self.differentials.get(p)
         if m is None:
             m = Matrix.zeros(self.dim(p - 1), self.dim(p))
         return m
+
+
+@dataclass
+class DGLieAlgebra(_Graded):
+    name: str
+    degree_dims: dict[int, int]
+    brackets: dict[tuple[int, int], Matrix]  # (p, q): the table of L_p x L_q -> L_{p+q}
+    differentials: dict[int, Matrix]
+    labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
+
+    def bracket(self, p: int, q: int) -> Matrix:
+        """The table of L_p x L_q -> L_{p+q}, zero where none is stored."""
+        t = self.brackets.get((p, q))
+        return Matrix.zeros(self.dim(p + q), self.dim(p) * self.dim(q)) if t is None else t
 
 
 def _coords_in(sub: Subspace, m: Matrix, exc: type[Exception], msg) -> Matrix:
@@ -116,24 +121,8 @@ def check_dgla(L: DGLieAlgebra) -> tuple[tuple, ...]:
                 defect = _lincomb(((-1) ** (p * r), xyz), ((-1) ** (q * p), yzx), ((-1) ** (r * q), zxy))
                 bad += [("jacobi", p, q, r, i, j, k) for i, j, k in _violations(defect, tp, tq, tr)]
 
-    for p in degs:
-        for q in degs:
-            if L.dim(p + q) == 0 or L.dim(p + q - 1) == 0:
-                continue
-            tp, tq = L.dim(p), L.dim(q)
-            # d[x,y] - [dx,y] - (-1)^p [x,dy]
-            defect = _lincomb(
-                (1, L.differential(p + q) @ L.bracket(p, q)),
-                (-1, L.bracket(p - 1, q) @ _kron(L.differential(p), Matrix.identity(tq))),
-                (-((-1) ** p), L.bracket(p, q - 1) @ _kron(Matrix.identity(tp), L.differential(q))))
-            bad += [("leibniz_rule", p, q, i, j) for i, j in _violations(defect, tp, tq)]
-
-    for p in degs:
-        if L.dim(p - 1) and L.dim(p - 2):
-            comp = L.differential(p - 1) @ L.differential(p)
-            if not comp.is_zero():
-                bad.append(("d_squared", p))
-
+    # L acting on itself: the module's Leibniz rule and d o d = 0 are L's own
+    bad += _differential_violations(as_module(L), "leibniz_rule")
     return tuple(bad)
 
 
@@ -282,7 +271,7 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
 
 
 @dataclass
-class DGModule:
+class DGModule(_Graded):
     """Graded module over a DGLA, differential of degree -1, possibly in
     negative degrees.  actions[(p, q)] is the table of L_p x M_q -> M_{p+q}."""
 
@@ -292,22 +281,10 @@ class DGModule:
     differentials: dict[int, Matrix]
     labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
-    def dim(self, q: int) -> int:
-        return self.degree_dims.get(q, 0)
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(q for q, d in self.degree_dims.items() if d > 0))
-
     def action(self, p: int, q: int) -> Matrix:
         """The table of L_p x M_q -> M_{p+q}, zero where none is stored."""
         t = self.actions.get((p, q))
         return Matrix.zeros(self.dim(p + q), self.algebra.dim(p) * self.dim(q)) if t is None else t
-
-    def differential(self, q: int) -> Matrix:
-        m = self.differentials.get(q)
-        if m is None:
-            m = Matrix.zeros(self.dim(q - 1), self.dim(q))
-        return m
 
 
 def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
@@ -332,8 +309,16 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
                 bad += [("module_jacobi", p, q, s, i, j, a)
                         for i, j, a in _violations(defect, np_, nq, ns)]
 
-    for p in adegs:
-        for s in mdegs:
+    return tuple(bad) + _differential_violations(mod, "module_leibniz")
+
+
+def _differential_violations(mod: DGModule, tag: str) -> tuple[tuple, ...]:
+    """Violations of d(x.m) = (dx).m + (-1)^p x.(dm), tagged tag, then
+    of d o d = 0."""
+    bad = []
+    L = mod.algebra
+    for p in L.degrees():
+        for s in mod.degrees():
             if mod.dim(p + s) == 0 or mod.dim(p + s - 1) == 0:
                 continue
             np_, ns = L.dim(p), mod.dim(s)
@@ -342,9 +327,9 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
                 (1, mod.differential(p + s) @ mod.action(p, s)),
                 (-1, mod.action(p - 1, s) @ _kron(L.differential(p), Matrix.identity(ns))),
                 (-((-1) ** p), mod.action(p, s - 1) @ _kron(Matrix.identity(np_), mod.differential(s))))
-            bad += [("module_leibniz", p, s, i, a) for i, a in _violations(defect, np_, ns)]
+            bad += [(tag, p, s, i, a) for i, a in _violations(defect, np_, ns)]
 
-    for q in mdegs:
+    for q in mod.degrees():
         if mod.dim(q - 1) and mod.dim(q - 2):
             if not (mod.differential(q - 1) @ mod.differential(q)).is_zero():
                 bad.append(("d_squared", q))

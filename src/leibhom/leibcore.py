@@ -101,19 +101,21 @@ class LieAlgebra:
         return LieAlgebra(g.dim, g.basis_names, g.structure)
 
 
+def _module_defect(t: Matrix, act: Matrix, n: int, d: int) -> Matrix:
+    """The table of [x,y].m - x.(y.m) + y.(x.m) on g (x) g (x) m, for the
+    bracket table t of an n-dim g acting on a d-dim m by act: the left
+    module identity, and for act = t the left Leibniz identity."""
+    x_ym = act @ _kron(Matrix.identity(n), act)
+    return _lincomb((1, act @ _kron(t, Matrix.identity(d))), (-1, x_ym),
+                    (1, x_ym @ _kron(_swap(n, n), Matrix.identity(d))))
+
+
 def check_leibniz(g: LeibnizAlgebra) -> tuple[tuple[int, int, int], ...]:
     """All basis triples (i, j, k) violating the Leibniz identity of g's convention."""
-    n, t = g.dim, g.structure
-    eye = Matrix.identity(n)
-    outer = t @ _kron(t, eye)  # [[x,y],z]
-    inner = t @ _kron(eye, t)  # [x,[y,z]]
-    if g.convention == "left":
-        # [[x,y],z] - [x,[y,z]] + [y,[x,z]]
-        defect = _lincomb((1, outer), (-1, inner), (1, inner @ _kron(_swap(n, n), eye)))
-    else:
-        # [x,[y,z]] - [[x,y],z] + [[x,z],y]
-        defect = _lincomb((1, inner), (-1, outer), (1, outer @ _kron(eye, _swap(n, n))))
-    return tuple(_violations(defect, n, n, n))
+    # the right identity of g at (i, j, k) is the left identity of opposite(g) at (k, j, i)
+    h = g if g.convention == "left" else opposite(g)
+    bad = _violations(_module_defect(h.structure, h.structure, h.dim, h.dim), h.dim, h.dim, h.dim)
+    return tuple(bad) if h is g else tuple(sorted((k, j, i) for i, j, k in bad))
 
 
 def check_lie(h: LieAlgebra) -> tuple[tuple, ...]:
@@ -214,15 +216,13 @@ def check_representation(g: LeibnizAlgebra, m: Representation) -> tuple[tuple, .
     xy = _swap(d, n * n)         # m (x) x (x) y -> x (x) y (x) m
     m_xy = right @ _kron(mi, t)          # [m,[x,y]]
     x_my = left @ _kron(gi, right) @ mx  # [x,[m,y]]
-    x_ym = left @ _kron(gi, left) @ xy   # [x,[y,m]]
     defects = {
         # [[m,x],y] = [m,[x,y]] - [x,[m,y]]
         "mxy": _lincomb((1, right @ _kron(right, gi)), (-1, m_xy), (1, x_my)),
         # [[x,m],y] = [x,[m,y]] - [m,[x,y]]
         "xmy": _lincomb((1, right @ _kron(left, gi) @ mx), (-1, x_my), (1, m_xy)),
         # [[x,y],m] = [x,[y,m]] - [y,[x,m]]
-        "xym": _lincomb((1, left @ _kron(t, mi) @ xy), (-1, x_ym),
-                        (1, left @ _kron(gi, left) @ _kron(_swap(n, n), mi) @ xy)),
+        "xym": _module_defect(t, left, n, d) @ xy,
     }
     bad = [(tag, a, i, j) for tag, defect in defects.items() for a, i, j in _violations(defect, d, n, n)]
     # by triple, and per triple in the order above: the sort is stable
@@ -254,11 +254,8 @@ class LieModule:
 
 def check_lie_module(h: LieAlgebra, mod: LieModule) -> tuple[tuple, ...]:
     """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails."""
-    n, d, act = h.dim, mod.dim, mod.action
-    x_ym = act @ _kron(Matrix.identity(n), act)
-    defect = _lincomb((1, act @ _kron(h.structure, Matrix.identity(d))), (-1, x_ym),
-                      (1, x_ym @ _kron(_swap(n, n), Matrix.identity(d))))
-    return tuple(_violations(defect, n, n, d))
+    return tuple(_violations(_module_defect(h.structure, mod.action, h.dim, mod.dim),
+                             h.dim, h.dim, mod.dim))
 
 
 def adjoint_lie_module(h: LieAlgebra) -> LieModule:
