@@ -4,7 +4,8 @@ Each run of a rung is one call in a fresh interpreter on this checkout's
 src/, so no run inherits caches or memory from another.  The child
 reports the wall time of the call (perf_counter around it, import
 excluded), its own peak RSS (ru_maxrss, import included) and the result:
-the Betti numbers of a heis3 or sl2 rung, the per-weight verdict of a
+the Betti numbers of a heis3 or sl2 rung (a "dense" rung takes the
+algebra in a basis that mixes every coordinate), the per-weight verdict of a
 conjecture rung, the exit code, tables and verdicts of a CLI rung.  Two
 trees that compute the same numbers write the same "result" fields.
 
@@ -47,6 +48,8 @@ RUNGS = {
     "heis3 <= 9": ("betti", "heis3", 9),
     "sl2 <= 7": ("betti", "sl2", 7),
     "sl2 <= 8": ("betti", "sl2", 8),
+    "heis3 dense <= 7": ("betti", "heis3 dense", 7),
+    "sl2 dense <= 6": ("betti", "sl2 dense", 6),
     "conjecture_check(1, 12)": ("conjecture", 1, 12),
     "conjecture_check(1, 14)": ("conjecture", 1, 14),
     "conjecture_check(2, 6)": ("conjecture", 2, 6),
@@ -74,6 +77,30 @@ ALGEBRAS = {
     "sl2": (["e", "f", "h"], {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2},
                               (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}),
 }
+
+# the "dense" rungs: heis3 and sl2 in the basis f_i = sum_a P[a][i] e_a,
+# P in SL_3(Z) (dense_basis(3) of benchmark/gen.py, written out so that the
+# ladder does not import the benchmark): integer constants that mix every
+# coordinate, and the same Betti numbers
+P = [[6, -3, 2], [-3, 2, -1], [2, -1, 1]]
+P_INV = [[1, 1, -1], [1, 2, 0], [-1, 0, 3]]
+
+def in_dense_basis(names, brackets):
+    out = {}
+    for i in range(3):
+        for j in range(3):
+            # [f_i, f_j] in the basis e, then in the basis f
+            v = [0, 0, 0]
+            for (a, b), val in brackets.items():
+                for k, c in val.items():
+                    v[k] += P[a][i] * P[b][j] * c
+            w = {l: x for l in range(3) if (x := sum(P_INV[l][k] * v[k] for k in range(3)))}
+            if w:
+                out[(i, j)] = w
+    return names, out
+
+for name in ("heis3", "sl2"):
+    ALGEBRAS[name + " dense"] = in_dense_basis(*ALGEBRAS[name])
 
 def betti(name, n):
     # what `leibhom homology --max-degree n` runs

@@ -276,8 +276,13 @@ def _denominators(int_rows: Sequence[IntRow]) -> list[int] | None:
 
 
 def _rational(x) -> int | Fraction:
-    """x itself if it is an int or a Fraction, else Fraction(x)."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+    """x itself if it is an int or a Fraction, else Fraction(x); a float,
+    whose binary value is rarely the number meant, raises TypeError."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"exact scalars only: got the float {x!r}")
+    return Fraction(x)
 
 
 def _nonzero(values: Sequence[Fraction]) -> SparseRow:
@@ -505,7 +510,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One solution of a x = b (free variables set to 0), or None."""
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
-    aug = [_row(srow + ((a.cols, Fraction(x)),)) for srow, x in zip(a.sparse_rows, b)]
+    aug = [_row(srow + ((a.cols, _rational(x)),)) for srow, x in zip(a.sparse_rows, b)]
     red = _echelon(aug, a.cols + 1, reduce=True)
     if a.cols in red:
         return None

@@ -5,8 +5,8 @@ Four families live here:
 * the tensor-module complex  m (x) g^{(x)n}  and its cochain version,
 * the small complexes built from the enveloping DGLA of g (degree-wise
   spanned by normal monomials in the degree >= 1 letters),
-* the classical exterior-power complexes of a Lie algebra, used as the
-  comparison target and as an oracle,
+* the classical exterior-power complexes of a Lie algebra, an entry point
+  and an oracle (ce_projection compares with the small complexes above),
 * the subcomplex spanned by left-normed graded commutators, including
   its weight-graded blocks over a truncated free algebra.
 
@@ -78,6 +78,7 @@ from .leibcore import (
     LieAlgebra,
     LieModule,
     Representation,
+    _check_width,
     lie_module_lift,
 )
 from .pbw import PBWAlgebra, Poly, Word
@@ -284,12 +285,9 @@ def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
             "enveloping-algebra complexes take trivial or Lie-module coefficients")
     if not isinstance(coefficients, LieModule):
         raise TypeError(f"unknown coefficient system {coefficients!r}")
-    r = (over if isinstance(over, LieAlgebra) else over.quotient_data.quotient).dim
-    d, action = coefficients.dim, coefficients.action
-    if (action.rows, action.cols) != (d, r * d):
-        raise ValueError(f"a {d}-dim module over a {r}-dim Lie algebra needs a {d} x {r * d} "
-                         f"action table, got {action.rows} x {action.cols}")
-    return d, action
+    h = over if isinstance(over, LieAlgebra) else over.quotient_data.quotient
+    _check_width(coefficients, h.dim)
+    return coefficients.dim, coefficients.action
 
 
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
@@ -505,7 +503,7 @@ def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Cha
 
 
 # ---------------------------------------------------------------------------
-# classical exterior-power complexes of a Lie algebra (oracle + target)
+# classical exterior-power complexes of a Lie algebra (entry point + oracle)
 
 
 def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

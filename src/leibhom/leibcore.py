@@ -252,8 +252,17 @@ class LieModule:
     action: Matrix
 
 
+def _check_width(mod: LieModule, r: int) -> None:
+    """Raise ValueError unless mod's action table is that of an r-dim Lie algebra."""
+    d, action = mod.dim, mod.action
+    if (action.rows, action.cols) != (d, r * d):
+        raise ValueError(f"a {d}-dim module over a {r}-dim Lie algebra needs a {d} x {r * d} "
+                         f"action table, got {action.rows} x {action.cols}")
+
+
 def check_lie_module(h: LieAlgebra, mod: LieModule) -> tuple[tuple, ...]:
     """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails."""
+    _check_width(mod, h.dim)
     return tuple(_violations(_module_defect(h.structure, mod.action, h.dim, mod.dim),
                              h.dim, h.dim, mod.dim))
 
@@ -268,7 +277,8 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
     [x, m] = pr(x).m and [m, x] = -pr(x).m, which satisfies all three
     compatibility identities.
     """
-    d = mod.dim
-    left = mod.action @ _kron(g.quotient_data.projection, Matrix.identity(d))
+    d, qdata = mod.dim, g.quotient_data
+    _check_width(mod, qdata.quotient.dim)
+    left = mod.action @ _kron(qdata.projection, Matrix.identity(d))
     right = _lincomb((-1, left @ _swap(d, g.dim)))
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)

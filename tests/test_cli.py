@@ -472,9 +472,13 @@ def malformed_documents(draw):
     elif family == "unknown name":
         entry["value"][draw(UNKNOWN_NAMES)] = "1"
     elif family == "duplicate":
-        if draw(st.booleans()):
+        repeated = draw(st.sampled_from(["basis name", "entry", "zero entry"]))
+        if repeated == "basis name":
             doc["basis"].append(draw(st.sampled_from(doc["basis"])))
         else:
+            if repeated == "zero entry":
+                # a repeat must be found by its pair, not by a value it stored
+                entry["value"] = {}
             doc[table].append(copy.deepcopy(entry))
     elif family == "empty":
         empty = draw(st.sampled_from(["document", "basis", "tables"]))

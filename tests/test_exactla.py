@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,7 +22,7 @@ from leibhom.exactla import (
     solve,
 )
 from leibhom import homology
-from leibhom.leibcore import lie_quotient
+from leibhom.leibcore import LeibnizAlgebra, lie_quotient
 from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
@@ -223,6 +224,26 @@ def matrices(draw, max_n=4):
 @given(matrices())
 def test_rank_nullity(m):
     assert m.rank() + kernel_basis(m).dim == m.cols
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(1, 1, [[(0, 0.5)]]),
+    lambda: Matrix.from_entries(1, 1, {(0, 0): 0.5}),
+    lambda: Matrix.from_rows([[0.5]]),
+    lambda: LeibnizAlgebra.from_brackets(["x", "y"], {(0, 0): {1: 0.1}}),
+    lambda: solve(Matrix.identity(1), [0.5]),
+], ids=["init", "from_entries", "from_rows", "from_brackets", "solve"])
+def test_floats_are_refused(build):
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        build()
+
+
+def test_exact_scalars_convert_exactly():
+    row = (1, Fraction(1, 2), "3/4", Decimal("0.1"))
+    want = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 10))
+    assert Matrix.from_rows([row]).entries == (want,)
+    assert solve(Matrix.identity(4), row) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -190,6 +190,19 @@ def test_check_lie_module_detects_wrong_action():
     assert check_lie_module(h, LieModule(1, act)) != ()
 
 
+@pytest.mark.parametrize("call, r", [
+    (lambda mod: lie_module_lift(CORPUS["A2"], mod), 1),  # A2's Lie quotient is 1-dim
+    (lambda mod: check_lie_module(LIE_CORPUS["r2"], mod), 2),
+], ids=["lie_module_lift", "check_lie_module"])
+def test_wrong_width_lie_module_is_named(call, r):
+    # heis3's adjoint module: 3-dim, with a 3 x 9 action table
+    message = (f"a 3-dim module over a {r}-dim Lie algebra needs a 3 x {3 * r} "
+               "action table, got 3 x 9")
+    with pytest.raises(ValueError) as exc:
+        call(adjoint_lie_module(LIE_CORPUS["heis3"]))
+    assert str(exc.value) == message
+
+
 def test_quotient_action_descends():
     # the Lie quotient acts on g itself through the projection:
     # for A2 the class of x sends x to [x,x] = y
