@@ -1,9 +1,11 @@
 """Run the workload ladder of ROADMAP.md and write BENCH_<label>.json.
 
 Each run of a rung is one call in a fresh interpreter on this checkout's
-src/, so no run inherits caches or memory from another.  The child
-reports the wall time of the call (perf_counter around it, import
-excluded), its own peak RSS (ru_maxrss, import included) and the result:
+src/, so no run inherits caches or memory from another.  The child runs
+with PYTHONDONTWRITEBYTECODE=1, as the benchmark's workers do, so every
+run compiles the package.  It reports the time of its leibhom imports,
+the wall time of the call (perf_counter around it, import excluded), its
+own peak RSS (ru_maxrss, import included) and the result:
 the Betti numbers of a heis3 or sl2 rung (a "dense" rung takes the
 algebra in a basis that mixes every coordinate), the per-weight verdict of a
 conjecture rung, the exit code, tables and verdicts of a CLI rung.  Two
@@ -11,8 +13,8 @@ trees that compute the same numbers write the same "result" fields.
 
 The selected rungs run in ROUNDS round-robin rounds, so a drift of the
 host spreads over every rung.  A rung keeps the wall times of its runs
-in "wall_samples"; "wall_s" is their median and "peak_rss_mb" the
-largest peak.  The runs of a rung must agree on the result.
+in "wall_samples" and the import times in "import_samples"; "wall_s" and
+"import_s" are their medians and "peak_rss_mb" the largest peak.  The runs of a rung must agree on the result.
 The metadata also records "src_lines", the line count of
 src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 
@@ -67,9 +69,11 @@ HEIS3_DOC = {"basis": ["p", "q", "z"], "convention": "left", "brackets": [
 
 CHILD = """
 import json, resource, sys, time
+t0 = time.perf_counter()
 from leibhom.cli import entrypoint
 from leibhom.homology import conjecture_check, loday_complex, trivial_coefficients
 from leibhom.leibcore import LeibnizAlgebra
+import_s = time.perf_counter() - t0
 
 ALGEBRAS = {
     "heis3": (["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}}),
@@ -128,13 +132,14 @@ wall = time.perf_counter() - t0
 if callable(result):
     result = result()
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(rss_mb, 1),
-                  "result": result}))
+print(json.dumps({"wall_s": round(wall, 4), "import_s": round(import_s, 4),
+                  "peak_rss_mb": round(rss_mb, 1), "result": result}))
 """
 
 
 def run_rung(workdir: str, func: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0",
+               PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, func, *map(str, args)], cwd=workdir,
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -155,15 +160,17 @@ def main() -> int:
             for name in names:
                 got = run_rung(workdir, *RUNGS[name])
                 print(f"{r}/{ROUNDS} {name:<38} {got['wall_s']:8.4f} s "
-                      f"{got['peak_rss_mb']:8.1f} MB", flush=True)
+                      f"{got['peak_rss_mb']:8.1f} MB  import {got['import_s']:.4f} s", flush=True)
                 runs[name].append(got)
     rungs = []
     for name, got in runs.items():
         if any(g["result"] != got[0]["result"] for g in got):
             raise SystemExit(f"{name}: the runs disagree on the result")
         samples = [g["wall_s"] for g in got]
+        imports = [g["import_s"] for g in got]
         rungs.append({"name": name, "wall_s": statistics.median(samples),
-                      "wall_samples": samples,
+                      "wall_samples": samples, "import_s": statistics.median(imports),
+                      "import_samples": imports,
                       "peak_rss_mb": max(g["peak_rss_mb"] for g in got),
                       "result": got[0]["result"]})
     meta = {"label": args.label, "python": platform.python_version(),

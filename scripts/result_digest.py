@@ -18,7 +18,6 @@ The corpus comes from tests/conftest.py, which imports pytest.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import random
 import sys
@@ -89,7 +88,8 @@ def dense_tables(obj) -> dict:
 
 
 def feed(h, obj) -> None:
-    """Hash obj by value, recursing through containers and dataclasses."""
+    """Hash obj by value, recursing through containers and the fields of
+    the package's classes, which each lists in order in __match_args__."""
     if isinstance(obj, Matrix):
         feed(h, ("Matrix", obj.rows, obj.cols, obj.entries))
     elif isinstance(obj, Subspace):
@@ -98,11 +98,11 @@ def feed(h, obj) -> None:
         degrees = obj.degree_range()
         feed(h, ("ChainComplex", obj.offset, obj.dims, obj.raising, obj.diffs, obj.betti(),
                  [obj.cycle_space(k) for k in degrees], [obj.boundary_space(k) for k in degrees]))
-    elif dataclasses.is_dataclass(obj):
+    elif hasattr(type(obj), "__match_args__"):
         tables = dense_tables(obj)
         feed(h, (type(obj).__name__,
-                 [(f.name, tables[f.name] if f.name in tables else getattr(obj, f.name))
-                  for f in dataclasses.fields(obj)]))
+                 [(name, tables[name] if name in tables else getattr(obj, name))
+                  for name in type(obj).__match_args__]))
     elif isinstance(obj, dict):
         feed(h, ("dict", sorted(obj.items(), key=lambda kv: repr(kv[0]))))
     elif isinstance(obj, (tuple, list)):

@@ -20,14 +20,14 @@ is the Matrix of L_p x L_q -> L_{p+q}, column i*dim(q) + j holding
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactla import (
     Matrix,
     Subspace,
+    _Frozen,
     _kron,
     _lincomb,
     _matrix,
+    _Record,
     _swap,
     kernel_basis,
     quotient_section,
@@ -52,7 +52,7 @@ class IllDefinedAction(Exception):
     """A would-be module action does not preserve the required subquotients."""
 
 
-class _Graded:
+class _Graded(_Record):
     """The graded accessors of a DG object with degree_dims and
     differentials (of degree -1, zero where none is stored)."""
 
@@ -69,13 +69,20 @@ class _Graded:
         return m
 
 
-@dataclass
 class DGLieAlgebra(_Graded):
-    name: str
-    degree_dims: dict[int, int]
-    brackets: dict[tuple[int, int], Matrix]  # (p, q): the table of L_p x L_q -> L_{p+q}
-    differentials: dict[int, Matrix]
-    labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    """brackets[(p, q)] is the table of L_p x L_q -> L_{p+q}; labels
+    defaults to a new empty dict."""
+
+    __match_args__ = ("name", "degree_dims", "brackets", "differentials", "labels")
+
+    def __init__(self, name: str, degree_dims: dict[int, int],
+                 brackets: dict[tuple[int, int], Matrix], differentials: dict[int, Matrix],
+                 labels: dict[int, tuple[str, ...]] | None = None):
+        self.name = name
+        self.degree_dims = degree_dims
+        self.brackets = brackets
+        self.differentials = differentials
+        self.labels = {} if labels is None else labels
 
     def bracket(self, p: int, q: int) -> Matrix:
         """The table of L_p x L_q -> L_{p+q}, zero where none is stored."""
@@ -138,10 +145,11 @@ def cone(h: LieAlgebra) -> DGLieAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class CategoryReport:
-    surjective: bool
-    kernel_matches: bool
+class CategoryReport(_Frozen):
+    __match_args__ = ("surjective", "kernel_matches")
+
+    def __init__(self, surjective: bool, kernel_matches: bool):
+        self.__dict__.update(surjective=surjective, kernel_matches=kernel_matches)
 
     @property
     def member(self) -> bool:
@@ -194,11 +202,14 @@ def minimal_envelope(g: LeibnizAlgebra) -> DGLieAlgebra:
     )
 
 
-@dataclass
-class DGLAMorphism:
-    source: DGLieAlgebra
-    target: DGLieAlgebra
-    components: dict[int, Matrix]
+class DGLAMorphism(_Record):
+    __match_args__ = ("source", "target", "components")
+
+    def __init__(self, source: DGLieAlgebra, target: DGLieAlgebra,
+                 components: dict[int, Matrix]):
+        self.source = source
+        self.target = target
+        self.components = components
 
     def component(self, p: int) -> Matrix:
         m = self.components.get(p)
@@ -270,16 +281,21 @@ def minimal_counit(L: DGLieAlgebra) -> tuple[DGLAMorphism, DGLieAlgebra]:
     return f, M
 
 
-@dataclass
 class DGModule(_Graded):
     """Graded module over a DGLA, differential of degree -1, possibly in
-    negative degrees.  actions[(p, q)] is the table of L_p x M_q -> M_{p+q}."""
+    negative degrees.  actions[(p, q)] is the table of L_p x M_q -> M_{p+q};
+    labels defaults to a new empty dict."""
 
-    algebra: DGLieAlgebra
-    degree_dims: dict[int, int]
-    actions: dict[tuple[int, int], Matrix]
-    differentials: dict[int, Matrix]
-    labels: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    __match_args__ = ("algebra", "degree_dims", "actions", "differentials", "labels")
+
+    def __init__(self, algebra: DGLieAlgebra, degree_dims: dict[int, int],
+                 actions: dict[tuple[int, int], Matrix], differentials: dict[int, Matrix],
+                 labels: dict[int, tuple[str, ...]] | None = None):
+        self.algebra = algebra
+        self.degree_dims = degree_dims
+        self.actions = actions
+        self.differentials = differentials
+        self.labels = {} if labels is None else labels
 
     def action(self, p: int, q: int) -> Matrix:
         """The table of L_p x M_q -> M_{p+q}, zero where none is stored."""

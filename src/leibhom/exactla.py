@@ -28,11 +28,10 @@ and building one twice gives the same value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 SparseRow = tuple[tuple[int, Fraction], ...]
@@ -82,8 +81,33 @@ def add_into(acc: dict, key, value) -> None:
         acc.pop(key, None)
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class _Record:
+    """Base of the package's value classes, whose __init__ is written
+    out, so that importing the package generates and compiles no code.
+    A subclass lists its fields in __match_args__, which its repr and
+    pattern matching read."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record whose fields are set once, through __dict__, by __init__;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    The cached_property views still fill in, since they write __dict__
+    directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class Matrix(_Frozen):
     """rows x cols rational matrix stored as canonical integer rows.
 
     int_rows[i] = (den, ((col, num), ...)) lists the nonzero entries
@@ -93,9 +117,7 @@ class Matrix:
     value) pairs of every row, values any rationals.
     """
 
-    rows: int
-    cols: int
-    int_rows: tuple[IntRow, ...]
+    __match_args__ = ("rows", "cols", "int_rows")
 
     def __init__(self, rows: int, cols: int,
                  sparse_rows: Sequence[Sequence[tuple[int, object]]]):
@@ -113,6 +135,14 @@ class Matrix:
             pairs.sort()
             out.append(_int_row(pairs))
         self.__dict__.update(rows=rows, cols=cols, int_rows=tuple(out))
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.int_rows) == (other.rows, other.cols, other.int_rows)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.int_rows))
 
     @cached_property
     def sparse_rows(self) -> tuple[SparseRow, ...]:
@@ -311,9 +341,11 @@ def _int_row(pairs: Sequence[tuple[int, int | Fraction]], den: int = 1) -> IntRo
     return _canon(den * d, [(j, x.numerator * (d // x.denominator)) for j, x in pairs])
 
 
-def _row(pairs: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
-    """The (col, value) pairs as a primitive integer row without zeros."""
-    return _primitive(dict(_int_row([(j, x) for j, x in pairs if x])[1]))
+def _row(pairs: Iterable[tuple[int, object]]) -> dict[int, int]:
+    """The (col, value) pairs, values any exact rationals (read through
+    _rational), as a primitive integer row without zeros."""
+    exact = [(j, x if type(x) is int else _rational(x)) for j, x in pairs]
+    return _primitive(dict(_int_row([p for p in exact if p[1]])[1]))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -383,8 +415,7 @@ def rank(m: Matrix) -> int:
     return len(_echelon([_primitive(dict(row)) for _, row in m.int_rows], m.cols))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """A subspace of k^ambient_dim with a reduced column echelon basis.
 
     The reduced basis is canonical: two Subspace values are equal iff they
@@ -392,9 +423,19 @@ class Subspace:
     rows, so coordinates of a member vector can be read off directly.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple[int, ...]
+    __match_args__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis, pivots=pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return ((self.ambient_dim, self.basis, self.pivots)
+                == (other.ambient_dim, other.basis, other.pivots))
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis, self.pivots))
 
     @property
     def dim(self) -> int:
@@ -429,8 +470,9 @@ class Subspace:
 
     @staticmethod
     def from_sparse_columns(ambient_dim: int,
-                            columns: Iterable[Sequence[tuple[int, Fraction]]]) -> "Subspace":
-        """The span of vectors given by their nonzero (index, value) pairs."""
+                            columns: Iterable[Sequence[tuple[int, object]]]) -> "Subspace":
+        """The span of vectors given by their nonzero (index, value) pairs,
+        values any exact rationals, as Matrix takes them."""
         rows = []
         for c in columns:
             if c and not all(0 <= i < ambient_dim for i, _ in c):
@@ -510,7 +552,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """One solution of a x = b (free variables set to 0), or None."""
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
-    aug = [_row(srow + ((a.cols, _rational(x)),)) for srow, x in zip(a.sparse_rows, b)]
+    aug = [_row(srow + ((a.cols, x),)) for srow, x in zip(a.sparse_rows, b)]
     red = _echelon(aug, a.cols + 1, reduce=True)
     if a.cols in red:
         return None

@@ -53,7 +53,6 @@ right' = R^T + L^T.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -62,9 +61,11 @@ from .exactla import (
     Matrix,
     ShapeMismatch,
     Subspace,
+    _Frozen,
     _kron,
     _lincomb,
     _matrix,
+    _Record,
     _swap,
     add_into,
     column_span,
@@ -131,8 +132,7 @@ COCHAIN_RULES = {
 REP_COCHAIN_RULE = "corrected"
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Frozen):
     """dims[i] is the dimension in degree offset+i.  For raising=False
     diffs[i] maps degree offset+i+1 to offset+i; for raising=True it maps
     offset+i to offset+i+1.
@@ -141,12 +141,15 @@ class ChainComplex:
     stored: stored up to degree N, the complex reports degrees
     offset..N-1, and asking for any other degree raises ValueError."""
 
-    offset: int
-    dims: tuple[int, ...]
-    diffs: tuple[Matrix, ...]
-    raising: bool = False
+    __match_args__ = ("offset", "dims", "diffs", "raising")
+
+    def __init__(self, offset: int, dims: tuple[int, ...], diffs: tuple[Matrix, ...],
+                 raising: bool = False):
+        self.__dict__.update(offset=offset, dims=dims, diffs=diffs, raising=raising)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The shape checks and the d o d = 0 gate."""
         if len(self.diffs) != max(len(self.dims) - 1, 0):
             raise ShapeMismatch("expected one differential per adjacent pair of degrees")
         for i, d in enumerate(self.diffs):
@@ -255,9 +258,12 @@ def _require_left(g: LeibnizAlgebra) -> None:
 # coefficient systems
 
 
-@dataclass(frozen=True)
-class TrivialCoefficients:
-    dim: int = 1
+class TrivialCoefficients(_Frozen):
+    __match_args__ = ("dim",)
+
+    def __init__(self, dim: int = 1):
+        self.__dict__["dim"] = dim
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -397,18 +403,22 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
 # complexes from the enveloping DGLA
 
 
-@dataclass
-class CEData:
+class CEData(_Record):
     """The normal monomials mons[n] of degrees 0..n_max and the boundary
     terms[n][i] of mons[n][i], listed once for every complex and map
-    built from them (see _monomial_complex)."""
+    built from them (see _monomial_complex).  action is the table of the
+    degree-0 letters acting on m, None for the zero action."""
 
-    g: LeibnizAlgebra
-    pbw: PBWAlgebra
-    m_dim: int
-    action: Matrix | None  # table of the degree-0 letters acting on m; None = zero action
-    mons: list[list[Word]]
-    terms: list[list[list]]
+    __match_args__ = ("g", "pbw", "m_dim", "action", "mons", "terms")
+
+    def __init__(self, g: LeibnizAlgebra, pbw: PBWAlgebra, m_dim: int, action: Matrix | None,
+                 mons: list[list[Word]], terms: list[list[list]]):
+        self.g = g
+        self.pbw = pbw
+        self.m_dim = m_dim
+        self.action = action
+        self.mons = mons
+        self.terms = terms
 
 
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEData:
@@ -584,22 +594,25 @@ def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> 
     return rank(_matrix(len(cols), f_k.rows, cols)) - in_map.rank()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Frozen):
     """The four complexes' homology and the induced maps' ranks in the
     degrees reported; a verdict is None when its degree is not reported."""
 
-    degrees: tuple[int, ...]
-    loday_homology: tuple[int, ...]
-    ce_homology: tuple[int, ...]
-    loday_cohomology: tuple[int, ...]
-    ce_cohomology: tuple[int, ...]
-    chain_map_ranks: tuple[int, ...]
-    cochain_map_ranks: tuple[int, ...]
-    h0_iso: bool | None
-    h1_iso: bool | None
-    hl2_to_h2_surjective: bool | None
-    h2_to_hl2_injective: bool | None
+    __match_args__ = ("degrees", "loday_homology", "ce_homology", "loday_cohomology",
+                      "ce_cohomology", "chain_map_ranks", "cochain_map_ranks", "h0_iso",
+                      "h1_iso", "hl2_to_h2_surjective", "h2_to_hl2_injective")
+
+    def __init__(self, degrees: tuple[int, ...], loday_homology: tuple[int, ...],
+                 ce_homology: tuple[int, ...], loday_cohomology: tuple[int, ...],
+                 ce_cohomology: tuple[int, ...], chain_map_ranks: tuple[int, ...],
+                 cochain_map_ranks: tuple[int, ...], h0_iso: bool | None, h1_iso: bool | None,
+                 hl2_to_h2_surjective: bool | None, h2_to_hl2_injective: bool | None):
+        self.__dict__.update(
+            degrees=degrees, loday_homology=loday_homology, ce_homology=ce_homology,
+            loday_cohomology=loday_cohomology, ce_cohomology=ce_cohomology,
+            chain_map_ranks=chain_map_ranks, cochain_map_ranks=cochain_map_ranks,
+            h0_iso=h0_iso, h1_iso=h1_iso, hl2_to_h2_surjective=hl2_to_h2_surjective,
+            h2_to_hl2_injective=h2_to_hl2_injective)
 
 
 def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
@@ -735,23 +748,24 @@ def weight_budget(num_generators: int) -> int:
     return DEFAULT_WEIGHT_BUDGET.get(num_generators, FALLBACK_WEIGHT_BUDGET)
 
 
-@dataclass(frozen=True)
-class WeightVerdict:
-    weight: int
-    h1: int
-    expected_h1: int
-    higher: tuple[int, ...]
+class WeightVerdict(_Frozen):
+    __match_args__ = ("weight", "h1", "expected_h1", "higher")
+
+    def __init__(self, weight: int, h1: int, expected_h1: int, higher: tuple[int, ...]):
+        self.__dict__.update(weight=weight, h1=h1, expected_h1=expected_h1, higher=higher)
 
     @property
     def ok(self) -> bool:
         return self.h1 == self.expected_h1 and all(h == 0 for h in self.higher)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    num_generators: int
-    max_weight: int
-    weights: tuple[WeightVerdict, ...]
+class ConjectureReport(_Frozen):
+    __match_args__ = ("num_generators", "max_weight", "weights")
+
+    def __init__(self, num_generators: int, max_weight: int,
+                 weights: tuple[WeightVerdict, ...]):
+        self.__dict__.update(num_generators=num_generators, max_weight=max_weight,
+                             weights=weights)
 
     @property
     def failures(self) -> tuple[WeightVerdict, ...]:

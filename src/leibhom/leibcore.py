@@ -20,13 +20,13 @@ nonzero columns are the basis tuples where it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .exactla import (
     Matrix,
     Subspace,
+    _Frozen,
     _kron,
     _lincomb,
     _swap,
@@ -60,12 +60,16 @@ def _violations(defect: Matrix, *dims: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class LeibnizAlgebra:
-    dim: int
-    basis_names: tuple[str, ...]
-    structure: Matrix  # the table of the bracket: column i*dim + j holds [e_i, e_j]
-    convention: str = "left"
+class LeibnizAlgebra(_Frozen):
+    """structure is the table of the bracket: column i*dim + j holds [e_i, e_j]."""
+
+    __match_args__ = ("dim", "basis_names", "structure", "convention")
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...], structure: Matrix,
+                 convention: str = "left"):
+        self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure,
+                             convention=convention)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.basis_names) != self.dim:
@@ -86,11 +90,11 @@ class LeibnizAlgebra:
         return lie_quotient(self)
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    dim: int
-    basis_names: tuple[str, ...]
-    structure: Matrix
+class LieAlgebra(_Frozen):
+    __match_args__ = ("dim", "basis_names", "structure")
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...], structure: Matrix):
+        self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure)
 
     def as_leibniz(self, convention: str = "left") -> LeibnizAlgebra:
         return LeibnizAlgebra(self.dim, self.basis_names, self.structure, convention)
@@ -144,14 +148,18 @@ def kernel_ideal(g: LeibnizAlgebra) -> Subspace:
     return column_span(_polarized(g))
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    quotient: LieAlgebra
-    projection: Matrix   # g -> g_Lie
-    action_on_g: Matrix  # table of g_Lie x g -> g, the left action through the projection
-    ann: Subspace
-    section: Matrix      # g_Lie -> g, canonical coordinate lift
-    complement: tuple[int, ...]
+class QuotientData(_Frozen):
+    """The maximal Lie quotient with the projection g -> g_Lie, the table
+    of g_Lie x g -> g (the left action through the projection), the
+    square span ann, the canonical coordinate lift g_Lie -> g and the
+    coordinates it keeps."""
+
+    __match_args__ = ("quotient", "projection", "action_on_g", "ann", "section", "complement")
+
+    def __init__(self, quotient: LieAlgebra, projection: Matrix, action_on_g: Matrix,
+                 ann: Subspace, section: Matrix, complement: tuple[int, ...]):
+        self.__dict__.update(quotient=quotient, projection=projection, action_on_g=action_on_g,
+                             ann=ann, section=section, complement=complement)
 
 
 def lie_quotient(g: LeibnizAlgebra) -> QuotientData:
@@ -185,14 +193,18 @@ def lie_quotient(g: LeibnizAlgebra) -> QuotientData:
     return QuotientData(quotient, proj, action, ann, sect, comp)
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Two-sided module over a Leibniz algebra: actions [x,m] and [m,x]."""
+class Representation(_Frozen):
+    """Two-sided module over a Leibniz algebra: actions [x,m] and [m,x].
+    left_action is the table of g x m -> m (column i*dim + j holds
+    [e_i, f_j]), right_action that of m x g -> m (column j*g.dim + i
+    holds [f_j, e_i])."""
 
-    dim: int
-    basis_names: tuple[str, ...]
-    left_action: Matrix   # table of g x m -> m: column i*dim + j holds [e_i, f_j]
-    right_action: Matrix  # table of m x g -> m: column j*g.dim + i holds [f_j, e_i]
+    __match_args__ = ("dim", "basis_names", "left_action", "right_action")
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...], left_action: Matrix,
+                 right_action: Matrix):
+        self.__dict__.update(dim=dim, basis_names=basis_names, left_action=left_action,
+                             right_action=right_action)
 
 
 def trivial_representation(g: LeibnizAlgebra, dim: int = 1, names: Sequence[str] | None = None) -> Representation:
@@ -243,13 +255,14 @@ def symmetrization(m: Representation) -> tuple[Subspace, int, Matrix]:
     return anti, m.dim - anti.dim, quotient_projection(anti)
 
 
-@dataclass(frozen=True)
-class LieModule:
+class LieModule(_Frozen):
     """Left module over a Lie algebra h: action is the table of h x m -> m,
     column a*dim + j holding e_a . f_j."""
 
-    dim: int
-    action: Matrix
+    __match_args__ = ("dim", "action")
+
+    def __init__(self, dim: int, action: Matrix):
+        self.__dict__.update(dim=dim, action=action)
 
 
 def _check_width(mod: LieModule, r: int) -> None:

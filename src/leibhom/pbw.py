@@ -14,12 +14,11 @@ rewritten first (the rewriter takes the leftmost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .dgla import DGLieAlgebra
-from .exactla import add_into
+from .exactla import _Record, add_into
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -28,9 +27,11 @@ Poly = dict[Word, Fraction]
 HALF = Fraction(1, 2)
 
 
-@dataclass
-class PBWAlgebra:
-    algebra: DGLieAlgebra
+class PBWAlgebra(_Record):
+    __match_args__ = ("algebra",)
+
+    def __init__(self, algebra: DGLieAlgebra):
+        self.algebra = algebra
 
     def letters(self) -> list[Letter]:
         out = []

@@ -888,3 +888,26 @@ def test_plain_job_never_imports_argparse(a2_path, tmp_path):
         "0": 1, "1": 1, "2": 1, "3": 1}
     done = _run_entrypoint(["--help"], tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (0, PINS["help"]["out"], "")
+
+
+def _import_cli_bare(code: str) -> subprocess.CompletedProcess:
+    """Run `import leibhom.cli`, then code, in `python -S` with src/ alone on
+    the path, so that site preloads nothing the package does not import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-S", "-c", "import leibhom.cli\n" + code],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    done = _import_cli_bare(
+        "import sys\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    src = [line for path in Path(cli.__file__).parent.glob("*.py")
+           for line in path.read_text().splitlines()]
+    assert not any("dataclass" in line for line in src)
+
+
+def test_cli_import_freezes_its_objects():
+    done = _import_cli_bare("import gc\nprint(gc.get_freeze_count() > 0)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")

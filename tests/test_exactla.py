@@ -232,7 +232,10 @@ def test_rank_nullity(m):
     lambda: Matrix.from_rows([[0.5]]),
     lambda: LeibnizAlgebra.from_brackets(["x", "y"], {(0, 0): {1: 0.1}}),
     lambda: solve(Matrix.identity(1), [0.5]),
-], ids=["init", "from_entries", "from_rows", "from_brackets", "solve"])
+    lambda: Subspace.from_sparse_columns(2, [[(0, 1), (1, 0.5)]]),
+    lambda: Subspace.from_sparse_columns(1, [[(0, 0.0)]]),
+], ids=["init", "from_entries", "from_rows", "from_brackets", "solve", "from_sparse_columns",
+        "from_sparse_columns_zero"])
 def test_floats_are_refused(build):
     # 0.1 would be stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="float"):
@@ -244,6 +247,11 @@ def test_exact_scalars_convert_exactly():
     want = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 10))
     assert Matrix.from_rows([row]).entries == (want,)
     assert solve(Matrix.identity(4), row) == want
+    span = Subspace.from_sparse_columns(4, [list(enumerate(row))])
+    assert span == Subspace.from_sparse_columns(4, [list(enumerate(want))])
+    # a zero written any exact way is dropped, not stored
+    assert (Subspace.from_sparse_columns(2, [[(0, "0"), (1, Decimal("0.5"))]])
+            == Subspace.from_sparse_columns(2, [[(1, 1)]]))
 
 
 @settings(max_examples=60, deadline=None)

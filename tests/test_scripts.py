@@ -88,6 +88,9 @@ def test_ladder_writes_one_rung(tmp_path):
     assert len(rung["wall_samples"]) == 3
     assert rung["wall_s"] == statistics.median(rung["wall_samples"])
     assert rung["wall_s"] >= 0 and rung["peak_rss_mb"] > 0
+    assert len(rung["import_samples"]) == 3
+    assert rung["import_s"] == statistics.median(rung["import_samples"])
+    assert rung["import_s"] > 0
 
 
 def test_ladder_runs_a_cli_rung(tmp_path):
