@@ -15,8 +15,8 @@ fraction-free elimination (structured Gaussian elimination,
 LaMacchia-Odlyzko 1990): rows are integer maps divided by their content,
 pivots go in column order with the shortest row first, and an optional
 back-substitution gives the reduced echelon form that canonical bases
-are read from.  A matrix remembers its rank, so a differential
-shared by two homology degrees is reduced once.  Nothing here rounds, so
+are read from.  A matrix remembers its rank; rank also hands back the
+pivot columns, which ChainComplex.ranks reads.  Nothing here rounds, so
 a homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
@@ -199,7 +199,7 @@ class Matrix(_Frozen):
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
-        data = [tuple(map(_rational, row)) for row in rows]
+        data = [tuple(row) for row in rows]
         ncols = len(data[0]) if data else 0
         for row in data:
             if len(row) != ncols:
@@ -316,8 +316,9 @@ def _rational(x) -> int | Fraction:
 
 
 def _nonzero(values: Sequence[Fraction]) -> SparseRow:
-    """The nonzero (index, value) pairs of a dense vector."""
-    return tuple((j, x) for j, x in enumerate(values) if x)
+    """The nonzero (index, value) pairs of a dense vector, each value read
+    through _rational first, so a float zero is refused, not dropped."""
+    return tuple((j, x) for j, x in enumerate(map(_rational, values)) if x)
 
 
 def _canon(den: int, pairs: Sequence[tuple[int, int]]) -> IntRow:
@@ -410,9 +411,14 @@ def _echelon(rows: Iterable[dict[int, int]], ncols: int, last: bool = False,
     return pivots
 
 
-def rank(m: Matrix) -> int:
-    """Rank by sparse fraction-free elimination (_echelon), forward only."""
-    return len(_echelon([_primitive(dict(row)) for _, row in m.int_rows], m.cols))
+def rank(m: Matrix, pivots: list[int] | None = None) -> int:
+    """Rank by sparse fraction-free elimination (_echelon), forward only;
+    the pivot columns, in _echelon's order, are appended to pivots if a
+    list is given."""
+    red = _echelon([_primitive(dict(row)) for _, row in m.int_rows], m.cols)
+    if pivots is not None:
+        pivots.extend(red)
+    return len(red)
 
 
 class Subspace(_Frozen):

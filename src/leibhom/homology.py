@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .dgla import DGLieAlgebra, minimal_envelope
@@ -180,12 +181,26 @@ class ChainComplex(_Frozen):
                              f"degrees {self.degree_range()}")
         return (self.diffs[i - 1] if i else None), self.diffs[i]
 
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """rank diffs[i] for every i, bottom-up.  The pivot columns P of
+        the map below are independent columns of it, so no nonzero vector
+        on P is a cycle: dropping the rows P keeps the rank of the next map,
+        whose image lies in the cycles, and leaves only the rows that do
+        not reduce to zero.  A raising complex sweeps the transposes, which
+        form a chain complex of the same ranks."""
+        out, pinned = [], set()
+        for d in (d.transpose() for d in self.diffs) if self.raising else self.diffs:
+            kept = tuple(row for i, row in enumerate(d.int_rows) if i not in pinned)
+            pivots: list[int] = []
+            out.append(rank(_matrix(len(kept), d.cols, kept), pivots))
+            pinned = set(pivots)
+        return tuple(out)
+
     def homology(self, k: int) -> int:
-        below, above = self._adjacent(k)
-        h = self.dims[k - self.offset] - above.rank()
-        if below is not None:
-            h -= below.rank()
-        return h
+        self._adjacent(k)
+        i = k - self.offset
+        return self.dims[i] - self.ranks[i] - (self.ranks[i - 1] if i else 0)
 
     def betti(self) -> tuple[int, ...]:
         return tuple(self.homology(k) for k in self.degree_range())
@@ -591,7 +606,8 @@ def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> 
     if in_map is None:
         return rank(_matrix(len(cols), f_k.rows, cols))
     cols += in_map.transpose().int_rows
-    return rank(_matrix(len(cols), f_k.rows, cols)) - in_map.rank()
+    # the map into degree k is diffs[i] lowering, diffs[i - 1] raising
+    return rank(_matrix(len(cols), f_k.rows, cols)) - dst.ranks[k - dst.offset - dst.raising]
 
 
 class ComparisonReport(_Frozen):

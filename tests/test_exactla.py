@@ -234,8 +234,10 @@ def test_rank_nullity(m):
     lambda: solve(Matrix.identity(1), [0.5]),
     lambda: Subspace.from_sparse_columns(2, [[(0, 1), (1, 0.5)]]),
     lambda: Subspace.from_sparse_columns(1, [[(0, 0.0)]]),
+    lambda: Subspace.from_spanning_columns(2, [[0.0, 1]]),
+    lambda: Subspace.full(2).coords([0.0, 1]),
 ], ids=["init", "from_entries", "from_rows", "from_brackets", "solve", "from_sparse_columns",
-        "from_sparse_columns_zero"])
+        "from_sparse_columns_zero", "from_spanning_columns_zero", "coords_zero"])
 def test_floats_are_refused(build):
     # 0.1 would be stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError, match="float"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leibhom import exactla, homology
 from leibhom.exactla import Matrix, ShapeMismatch, Subspace, add_into, restrict_map
+from leibhom.freealg import FreeLeibnizTruncation
 from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
@@ -19,6 +20,7 @@ from leibhom.homology import (
     classical_ce,
     classical_ce_cochain,
     fg_subcomplex,
+    fg_weight_complex,
     loday_cochain_complex,
     loday_complex,
     trivial_coefficients,
@@ -550,15 +552,87 @@ def test_betti_ranks_each_differential_once(monkeypatch):
     real = exactla.rank
     calls = []
 
-    def counting(m):
+    def counting(m, pivots=None):
         calls.append(m)
-        return real(m)
+        return real(m, pivots)
 
+    # the sweep calls rank by the name homology imported
     monkeypatch.setattr(exactla, "rank", counting)
+    monkeypatch.setattr(homology, "rank", counting)
     cx = loday_complex(CORPUS["heis3"], trivial_coefficients(), 5)
-    assert cx.betti() == cx.betti()
+    first = cx.betti()
     assert len(calls) == len(cx.diffs)
-    assert {id(m) for m in calls} == {id(d) for d in cx.diffs}
+    assert cx.betti() == first and len(calls) == len(cx.diffs)
+    # each differential is ranked without the rows the map below pinned
+    for i, (m, d) in enumerate(zip(calls, cx.diffs)):
+        assert m.cols == d.cols
+        assert m.rows == d.rows - (cx.ranks[i - 1] if i else 0)
+
+
+def _swept_ranks_hold(cx):
+    assert cx.ranks == tuple(exactla.rank(d) for d in cx.diffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(list(CORPUS)),
+       st.sampled_from(["trivial", "lie", "rep"]), st.booleans(), st.integers(2, 4))
+def test_swept_ranks_equal_per_matrix_ranks(seed, name, kind, raising, n_max):
+    g = CORPUS[name]
+    n_max = min(n_max, 6 - g.dim)
+    if seed % 2:
+        g = conjugate(g, *unimodular(random.Random(seed), g.dim))
+    if kind == "trivial":
+        coefficients = trivial_coefficients(1 + seed % 2)
+    elif kind == "lie":
+        qdata = lie_quotient(g)
+        coefficients = (quotient_adjoint_module(qdata) or character_module(qdata)
+                        or trivial_coefficients())
+    else:
+        reps = representations_for(g)
+        coefficients = reps[sorted(reps)[seed % len(reps)]]
+    build = loday_cochain_complex if raising else loday_complex
+    _swept_ranks_hold(build(g, coefficients, n_max))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(list(CORPUS)), st.integers(0, 4))
+def test_swept_ranks_on_commutator_subcomplexes(seed, name, n_max):
+    g = CORPUS[name]
+    if seed % 2:
+        g = conjugate(g, *unimodular(random.Random(seed), g.dim))
+    _swept_ranks_hold(fg_subcomplex(g, n_max))
+
+
+@pytest.mark.parametrize("d, w", [(1, 4), (2, 1), (2, 4), (3, 3)])
+def test_swept_ranks_on_weight_complexes(d, w):
+    cx = fg_weight_complex(FreeLeibnizTruncation(d, w), w)
+    assert cx.offset == 1
+    _swept_ranks_hold(cx)
+
+
+@pytest.mark.parametrize("raising", [False, True])
+def test_swept_ranks_edge_cases(raising):
+    g = CORPUS["heis3"]
+    build = loday_cochain_complex if raising else loday_complex
+    assert build(g, trivial_coefficients(), 0).ranks == ()
+    assert build(g, trivial_coefficients(), 1).ranks == (0,)
+    assert build(CORPUS["abelian3"], trivial_coefficients(), 3).ranks == (0, 0, 0)
+    lie = adjoint_lie_module(lie_quotient(g).quotient)
+    for n_max in (0, 1):
+        _swept_ranks_hold(build(g, lie, n_max))
+
+    def shaped(m):
+        return m.transpose() if raising else m
+
+    # a zero-dimensional degree between two zero maps
+    cx = ChainComplex(0, (2, 0, 2), (shaped(Matrix.zeros(2, 0)), shaped(Matrix.zeros(0, 2))),
+                      raising=raising)
+    assert cx.ranks == (0, 0) and cx.betti() == (2, 0)
+    # offset 2: the map below pins the row the map above would share
+    below, above = shaped(Matrix.from_rows([[1, 1]])), shaped(Matrix.from_rows([[1], [-1]]))
+    cx = ChainComplex(2, (1, 2, 1), (below, above), raising=raising)
+    assert cx.ranks == (1, 1) and cx.betti() == (0, 0)
+    _swept_ranks_hold(cx)
 
 
 # --- the tensor-module boundary entry for entry: the per-word builder of
