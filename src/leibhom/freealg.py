@@ -1,11 +1,12 @@
 """Free Leibniz algebras as truncated tensor modules, plus the graded-Lie
 spans inside tensor powers and the necklace dimension count.
 
-CommutatorSpans spans block (n, w), the tensor words of n letters of
-total weight w, by the graded commutators [c, y] of the basis of block
-(n - 1, w - v) with the letters y of weight v.  Its letters are the basis
-of g, all of weight 1, for the commutator subcomplex of an algebra, and
-the words of a truncated free algebra for the weight blocks.
+CommutatorSpans spans block (n, c), the tensor words of n letters of
+total grade c, by the graded commutators [e, y] of the basis of block
+(n - 1, c - v) with the letters y of grade v.  Its letters are the basis
+of g, all of weight (1,), for the commutator subcomplex of an algebra,
+and the words of a truncated free algebra, graded by weight (w,) for the
+weight blocks or by letter content for the blocks conjecture_check runs.
 
 A word (i1, ..., iw) stands for the left-normed bracket
 [[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra;
@@ -23,6 +24,7 @@ are integers, so elements and spans are computed over ints.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -48,9 +50,7 @@ class RightIdentityError(ArithmeticError):
 
 
 def scale_element(elem: Element, c: int | Fraction) -> Element:
-    if not c:
-        return {}
-    return {w: c * v for w, v in elem.items()}
+    return {w: c * v for w, v in elem.items()} if c else {}
 
 
 def add_elements(u: Element, v: Element) -> Element:
@@ -68,8 +68,7 @@ def graded_commutator(u: Element, v: Element) -> Element:
     """
     if not u or not v:
         return {}
-    p = len(next(iter(u)))
-    q = len(next(iter(v)))
+    p, q = len(next(iter(u))), len(next(iter(v)))
     sign = -1 if p * q % 2 else 1
     out: Element = {}
     for wu, cu in u.items():
@@ -84,8 +83,7 @@ def graded_commutator(u: Element, v: Element) -> Element:
 
 
 def _mobius(n: int) -> int:
-    val = 1
-    p = 2
+    val, p = 1, 2
     while p * p <= n:
         if n % p == 0:
             n //= p
@@ -93,77 +91,99 @@ def _mobius(n: int) -> int:
                 return 0
             val = -val
         p += 1
-    if n > 1:
-        val = -val
-    return val
-
-
-def _divisors(n: int) -> list[int]:
-    out = [e for e in range(1, n + 1) if n % e == 0]
-    return out
+    return -val if n > 1 else val
 
 
 def witt_dim(d: int, w: int) -> int:
     """Dimension of the weight-w component of the free Lie algebra on d
     generators: (1/w) * sum over e | w of mobius(e) d^(w/e)."""
-    total = sum(_mobius(e) * d ** (w // e) for e in _divisors(w))
+    if w < 1 or d < 0:
+        raise ValueError(f"witt_dim needs a weight w >= 1 and d >= 0 generators, got d={d}, w={w}")
+    total = sum(_mobius(e) * d ** (w // e) for e in range(1, w + 1) if w % e == 0)
     if total % w:
         raise NecklaceCountError(f"necklace sum {total} for d={d} is not divisible by w={w}")
     return total // w
 
 
-class CommutatorSpans:
-    """Memoized spans of left-normed graded commutators, by block (n, w).
+def content_orbits(d: int, w: int) -> list[tuple[tuple[int, ...], int]]:
+    """The letter contents of weight w on d generators, one per S_d orbit:
+    (the non-increasing content, the size of its orbit), in decreasing order."""
+    return [(c, math.factorial(d) // math.prod(math.factorial(c.count(x)) for x in set(c)))
+            for c in itertools.combinations_with_replacement(range(w, -1, -1), d) if sum(c) == w]
 
-    letters(v) lists the letters of weight v, each of tensor degree 1.
-    words(n, w) orders a block by the weight of its first letter, then by
-    letters(v), then recursively: itertools.product order when every
-    letter has weight 1.
+
+def _splits(c: tuple[int, ...], n: int):
+    """(v, c - v) for the nonzero v <= c that leave weight for n - 1 more
+    letters, in itertools.product order."""
+    for v in itertools.product(*(range(x + 1) for x in c)):
+        if 0 < sum(v) <= sum(c) - n + 1:
+            yield v, tuple(a - b for a, b in zip(c, v))
+
+
+class CommutatorSpans:
+    """Memoized spans of left-normed graded commutators, by block (n, c).
+
+    A grade is a weight (w,), or a letter content (the count of each
+    generator) of letters that are words in generators.  letters(v) lists
+    the letters of grade v, each of tensor degree 1.  words(n, c) orders a
+    block by the grade v of its first letter in itertools.product order,
+    then by letters(v), then recursively: product order for weight-1 letters.
+
+    Renaming the generators carries the blocks of a content onto those of
+    its permutations and commutes with the graded commutator, so elements,
+    which the recursion reads, eliminates only a non-increasing content:
+    those of any other are its sorted representative's, renamed.
     """
 
     def __init__(self, letters):
         self.letters = letters
-        self._words: dict[tuple[int, int], list[tuple]] = {}
-        self._spans: dict[tuple[int, int], tuple[Subspace, list[Element]]] = {}
+        self._words: dict[tuple, list[tuple]] = {}
+        self._spans: dict[tuple, Subspace] = {}
+        self._elements: dict[tuple, list[Element]] = {}
 
-    def words(self, n: int, w: int) -> list[tuple]:
-        key = (n, w)
+    def words(self, n: int, c: tuple[int, ...]) -> list[tuple]:
+        key = (n, c)
         if key not in self._words:
             if n == 0:
-                out = [()] if w == 0 else []
+                self._words[key] = [()] if not any(c) else []
             else:
-                out = [(y,) + rest for v in range(1, w - n + 2) for y in self.letters(v)
-                       for rest in self.words(n - 1, w - v)]
-            self._words[key] = out
+                self._words[key] = [(y,) + rest for v, below in _splits(c, n)
+                                    for y in self.letters(v) for rest in self.words(n - 1, below)]
         return self._words[key]
 
-    def span(self, n: int, w: int) -> Subspace:
-        """The commutator span inside k^len(words(n, w))."""
-        return self._span(n, w)[0]
-
-    def _span(self, n: int, w: int) -> tuple[Subspace, list[Element]]:
-        """The span of block (n, w) and primitive integer vectors spanning
-        it, as elements: the basis columns times their denominators."""
-        key = (n, w)
-        if key in self._spans:
-            return self._spans[key]
-        words = self.words(n, w)
-        if n <= 1:
-            sub = Subspace.full(len(words))
-            elems = [{t: 1} for t in words]
-        else:
+    def span(self, n: int, c: tuple[int, ...]) -> Subspace:
+        """The commutator span inside k^len(words(n, c)), eliminated directly."""
+        key = (n, c)
+        if key not in self._spans:
+            words = self.words(n, c)
             index = {t: i for i, t in enumerate(words)}
-            spanning = []
-            for v in range(1, w - n + 2):
-                for c in self._span(n - 1, w - v)[1]:
-                    for y in self.letters(v):
-                        br = graded_commutator(c, {(y,): 1})
-                        if br:
-                            spanning.append([(index[t], x) for t, x in br.items()])
-            sub = Subspace.from_sparse_columns(len(words), spanning)
-            elems = [{words[i]: x for i, x in col} for _, col in sub.columns]
-        self._spans[key] = (sub, elems)
+            if n > 1:
+                spanning = [graded_commutator(e, {(y,): 1}) for v, below in _splits(c, n)
+                            for e in self.elements(n - 1, below) for y in self.letters(v)]
+            else:
+                spanning = self.elements(n, c)
+            self._spans[key] = Subspace.from_sparse_columns(
+                len(words), [[(index[t], x) for t, x in br.items()] for br in spanning if br])
         return self._spans[key]
+
+    def elements(self, n: int, c: tuple[int, ...]) -> list[Element]:
+        """Primitive integer vectors spanning block (n, c), as elements: the
+        basis columns of its span times their denominators."""
+        key = (n, c)
+        if key not in self._elements:
+            rep = tuple(sorted(c, reverse=True))
+            if n <= 1:
+                out = [{t: 1} for t in self.words(n, c)]
+            elif rep != c:
+                # generator i of the representative is the i-th of c by count
+                name = sorted(range(len(c)), key=lambda i: -c[i])
+                out = [{tuple(tuple(name[g] for g in y) for y in t): x for t, x in e.items()}
+                       for e in self.elements(n, rep)]
+            else:
+                words = self.words(n, c)
+                out = [{words[i]: x for i, x in col} for _, col in self.span(n, c).columns]
+            self._elements[key] = out
+        return self._elements[key]
 
 
 def free_graded_lie_component(d: int, n: int) -> Subspace:
@@ -171,7 +191,7 @@ def free_graded_lie_component(d: int, n: int) -> Subspace:
     inside the n-th tensor power."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return CommutatorSpans(lambda v: range(d) if v == 1 else ()).span(n, n)
+    return CommutatorSpans(lambda v: range(d) if v == (1,) else ()).span(n, (n,))
 
 
 class FreeLeibnizTruncation:
@@ -184,6 +204,7 @@ class FreeLeibnizTruncation:
         self.num_generators = num_generators
         self.max_weight = max_weight
         self._memo: dict[tuple[tuple, tuple], Element] = {}
+        self._letters: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         if max_weight >= 3:
             self._sanity_check()
 
@@ -192,10 +213,21 @@ class FreeLeibnizTruncation:
             return []
         return list(itertools.product(range(self.num_generators), repeat=weight))
 
+    def letters(self, grade: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The words of weight w for the grade (w,), or of letter content
+        grade; the words of a weight are grouped by content once."""
+        if grade not in self._letters:
+            w = sum(grade)
+            words = self._letters[(w,)] = self.words(w)
+            for t in words if self.num_generators > 1 else ():
+                c = tuple(map(t.count, range(self.num_generators)))
+                self._letters.setdefault(c, []).append(t)
+        return self._letters.setdefault(grade, [])
+
     @cached_property
     def spans(self) -> CommutatorSpans:
         """The commutator spans of the blocks over these words, built once."""
-        return CommutatorSpans(self.words)
+        return CommutatorSpans(self.letters)
 
     def bracket_words(self, a: tuple[int, ...], b: tuple[int, ...]) -> Element:
         if len(a) + len(b) > self.max_weight:
@@ -211,8 +243,7 @@ class FreeLeibnizTruncation:
         # [a, [head, v]] = [[a, head], v] - [[a, v], head]
         t1 = self.bracket(self.bracket_words(a, head), {last: 1})
         t2 = self.bracket(self.bracket_words(a, last), {head: 1})
-        out = add_elements(t1, scale_element(t2, -1))
-        self._memo[key] = out
+        out = self._memo[key] = add_elements(t1, scale_element(t2, -1))
         return out
 
     def bracket(self, u: Element, v: Element) -> Element:
@@ -230,17 +261,10 @@ class FreeLeibnizTruncation:
     def _sanity_check(self) -> None:
         # right identity on all generator triples; cheap and catches any
         # slip in the unfolding recursion before it contaminates a run
-        for i in range(self.num_generators):
-            a = {(i,): 1}
-            for j in range(self.num_generators):
-                b = {(j,): 1}
-                for k in range(self.num_generators):
-                    c = {(k,): 1}
-                    lhs = self.bracket(a, self.bracket(b, c))
-                    rhs = add_elements(
-                        self.bracket(self.bracket(a, b), c),
-                        scale_element(self.bracket(self.bracket(a, c), b), -1),
-                    )
-                    if lhs != rhs:
-                        raise RightIdentityError(
-                            f"right identity fails on generators {i},{j},{k}")
+        for i, j, k in itertools.product(range(self.num_generators), repeat=3):
+            a, b, c = {(i,): 1}, {(j,): 1}, {(k,): 1}
+            lhs = self.bracket(a, self.bracket(b, c))
+            rhs = add_elements(self.bracket(self.bracket(a, b), c),
+                               scale_element(self.bracket(self.bracket(a, c), b), -1))
+            if lhs != rhs:
+                raise RightIdentityError(f"right identity fails on generators {i},{j},{k}")

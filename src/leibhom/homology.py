@@ -8,7 +8,7 @@ Four families live here:
 * the classical exterior-power complexes of a Lie algebra, an entry point
   and an oracle (ce_projection compares with the small complexes above),
 * the subcomplex spanned by left-normed graded commutators, including
-  its weight-graded blocks over a truncated free algebra.
+  its blocks by weight and by letter content over a truncated free algebra.
 
 All boundary maps are exact integer/rational matrices and every complex
 is gated on d o d = 0 at construction.
@@ -22,11 +22,12 @@ take a source to its prefix (index // d), with [x_n, x_i] written into
 slot i by an index shift or the action a_n on the coefficient.  The sums
 run over ints scaled by D, the lcm of the denominators of the structure
 constants and the actions, and reach the matrix as ints over D.
-The free-algebra weight blocks order their words by weight, not by
-product order, and keep the per-word _tensor_boundary with the
-free-algebra bracket, whose constants are ints.  The commutator
-subcomplexes restrict these boundaries to the spans of
-freealg.CommutatorSpans.
+The free-algebra blocks, keyed (n, c) by a weight or a letter content,
+order their words by the grades of the letters, not by product order,
+and keep the per-word _tensor_boundary with the free-algebra bracket,
+whose constants are ints.  The commutator subcomplexes restrict these
+boundaries to the spans of freealg.CommutatorSpans.  conjecture_check
+builds one content block per S_d orbit and counts it orbit-size times.
 
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
 
@@ -74,7 +75,7 @@ from .exactla import (
     rank,
     restrict_map,
 )
-from .freealg import CommutatorSpans, FreeLeibnizTruncation, witt_dim
+from .freealg import CommutatorSpans, FreeLeibnizTruncation, content_orbits, witt_dim
 from .leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
@@ -711,16 +712,16 @@ def _tensor_boundary(words: list[tuple], targets: list[tuple],
     return {key: v for key, v in acc.items() if v}
 
 
-def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, int]], boundaries,
+def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, tuple]], boundaries,
                         offset: int) -> ChainComplex:
     """Restriction of the ambient boundaries, one (entries, den) per
     adjacent pair of blocks on the words of spans, to the commutator spans
-    of the blocks (n, w), one block per degree from offset up."""
-    subs = [spans.span(n, w) for n, w in blocks]
+    of the blocks (n, c), one block per degree from offset up."""
+    subs = [spans.span(n, c) for n, c in blocks]
     diffs = []
-    for (n, w), below, src, dst, (entries, den) in zip(blocks[1:], blocks, subs[1:], subs,
+    for (n, c), below, src, dst, (entries, den) in zip(blocks[1:], blocks, subs[1:], subs,
                                                       boundaries):
-        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, w)), entries,
+        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, c)), entries,
                                       den=den)
         diffs.append(restrict_map(ambient, src, dst))
     return ChainComplex(offset, tuple(s.dim for s in subs), tuple(diffs), raising=False)
@@ -736,23 +737,28 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     _require_left(g)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    # with every letter of weight 1 the blocks (n, n) are in product order
-    spans = CommutatorSpans(lambda v: range(g.dim) if v == 1 else ())
-    return _commutator_complex(spans, [(n, n) for n in range(n_max + 1)],
+    # with every letter of weight 1 the blocks (n, (n,)) are in product order
+    spans = CommutatorSpans(lambda v: range(g.dim) if v == (1,) else ())
+    return _commutator_complex(spans, [(n, (n,)) for n in range(n_max + 1)],
                                _product_boundaries(g, n_max), 0)
 
 
+def _free_block_complex(fl: FreeLeibnizTruncation, c: tuple[int, ...]) -> ChainComplex:
+    """Block c, a weight (w,) or a letter content of weight w, of the free
+    graded-commutator subcomplex, reporting degrees 1..w: it stores the
+    zero block (w+1, c) on top, as no word of w+1 letters has weight w."""
+    spans, w = fl.spans, sum(c)
+    boundaries = ((_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl.bracket_words), 1)
+                  for n in range(2, w + 2))
+    return _commutator_complex(spans, [(n, c) for n in range(1, w + 2)], boundaries, 1)
+
+
 def fg_weight_complex(fl: FreeLeibnizTruncation, w: int) -> ChainComplex:
-    """Weight-w block of the graded-commutator subcomplex over the free
-    algebra, reporting degrees 1..w.  The block is finite: no tensor
-    degree above w carries weight w, so it stores the zero block (w+1, w)
-    as its top degree.  The weights of one fl share fl.spans."""
+    """The weight-w block of the free graded-commutator subcomplex, unsplit
+    by letter content, reporting degrees 1..w; the blocks of one fl share fl.spans."""
     if w < 1 or w > fl.max_weight:
         raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
-    spans = fl.spans
-    boundaries = ((_tensor_boundary(spans.words(n, w), spans.words(n - 1, w), fl.bracket_words), 1)
-                  for n in range(2, w + 2))
-    return _commutator_complex(spans, [(n, w) for n in range(1, w + 2)], boundaries, 1)
+    return _free_block_complex(fl, (w,))
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}
@@ -803,12 +809,11 @@ def conjecture_check(num_generators: int, max_weight: int | None = None) -> Conj
     fl = FreeLeibnizTruncation(num_generators, max_weight)
     verdicts = []
     for w in range(1, max_weight + 1):
-        cplx = fg_weight_complex(fl, w)
-        betti = cplx.betti()
-        verdicts.append(WeightVerdict(
-            weight=w,
-            h1=betti[0],
-            expected_h1=witt_dim(num_generators, w),
-            higher=tuple(betti[1:]),
-        ))
+        # the weight block is the sum of its content blocks, and renaming
+        # the generators carries a content block onto the rest of its orbit
+        blocks = [(size, _free_block_complex(fl, c).betti())
+                  for c, size in content_orbits(num_generators, w)]
+        betti = [sum(size * b[k] for size, b in blocks) for k in range(w)]
+        verdicts.append(WeightVerdict(w, betti[0], witt_dim(num_generators, w),
+                                      tuple(betti[1:])))
     return ConjectureReport(num_generators, max_weight, tuple(verdicts))

@@ -1,11 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from leibhom import homology
-from leibhom.freealg import CommutatorSpans, FreeLeibnizTruncation, witt_dim
+from leibhom.exactla import Subspace
+from leibhom.freealg import CommutatorSpans, FreeLeibnizTruncation, content_orbits, witt_dim
 from leibhom.homology import (
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
@@ -163,11 +165,190 @@ def test_weight_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
     assert len(seen) == top
     for w, (spans, blocks, boundaries) in enumerate(seen, start=1):
         # the top block (w + 1, w) is empty: no word of w + 1 letters has weight w
-        assert blocks == [(n, w) for n in range(1, w + 2)]
+        assert blocks == [(n, (w,)) for n in range(1, w + 2)]
         for n in range(w + 2):
-            assert spans.words(n, w) == oracle_block_words(d, n, w), (w, n)
-        assert spans.words(w + 1, w) == []
+            assert spans.words(n, (w,)) == oracle_block_words(d, n, w), (w, n)
+        assert spans.words(w + 1, (w,)) == []
         assert len(boundaries) == w
         for n, (entries, den) in enumerate(boundaries, start=2):
             got = {key: Fraction(v, den) for key, v in entries.items()}
-            assert got == oracle_weight_boundary(spans.words(n, w), spans.words(n - 1, w)), (w, n)
+            want = oracle_weight_boundary(spans.words(n, (w,)), spans.words(n - 1, (w,)))
+            assert got == want, (w, n)
+
+
+# --- the split by letter content: each weight block is the sum of its
+# --- content blocks, and renaming the generators permutes those
+
+
+def content(word, d):
+    """The letter content of a block word: the count of each generator."""
+    return tuple(sum(letter.count(i) for letter in word) for i in range(d))
+
+
+def all_contents(d, w):
+    return [c for c in itertools.product(range(w + 1), repeat=d) if sum(c) == w]
+
+
+@pytest.mark.parametrize("d, top", [(1, 5), (2, 5), (3, 5), (4, 3)])
+def test_content_blocks_times_orbits_sum_to_weight_block(d, top):
+    fl = FreeLeibnizTruncation(d, top)
+    for w in range(1, top + 1):
+        orbits = content_orbits(d, w)
+        reps = [c for c, _ in orbits]
+        assert reps == sorted({tuple(sorted(c, reverse=True)) for c in all_contents(d, w)},
+                              reverse=True)
+        for c, size in orbits:
+            assert size == len(set(itertools.permutations(c))), c
+        whole = fg_weight_complex(fl, w)
+        dims, betti = [0] * (w + 1), [0] * w
+        for c, size in orbits:
+            block = homology._free_block_complex(fl, c)
+            dims = [x + size * y for x, y in zip(dims, block.dims)]
+            betti = [x + size * y for x, y in zip(betti, block.betti())]
+        assert tuple(dims) == whole.dims, w
+        assert tuple(betti) == whole.betti(), w
+
+
+def oracle_content_span(d, n, c, words):
+    """Span of the left-normed graded commutators [[y1, y2], ..., yn] of
+    letters y, each a word on d generators of tensor degree 1, of total
+    content c, as vectors over words: [u, y] = u(x)y - (-1)^{deg u} y(x)u."""
+    vectors = []
+    for seq in oracle_block_words(d, n, sum(c)):
+        if content(seq, d) != c:
+            continue
+        elem = {seq[:1]: Fraction(1)}
+        for length, y in enumerate(seq[1:], start=1):
+            out = {}
+            for t, x in elem.items():
+                out[t + (y,)] = out.get(t + (y,), 0) + x
+                out[(y,) + t] = out.get((y,) + t, 0) - (-1) ** length * x
+            elem = out
+        vectors.append([elem.get(t, 0) for t in words])
+    return Subspace.from_spanning_columns(len(words), vectors)
+
+
+@pytest.mark.parametrize("d, top", [(2, 5), (3, 4)])
+def test_permuted_contents_rename_their_representative(d, top):
+    fl = FreeLeibnizTruncation(d, top)
+    spans = fl.spans
+    for w in range(1, top + 1):
+        for rep, size in content_orbits(d, w):
+            want = homology._free_block_complex(fl, rep).betti()
+            perms = set(itertools.permutations(rep))
+            assert len(perms) == size
+            for c in perms:
+                # on spans eliminated for c itself
+                assert homology._free_block_complex(fl, c).betti() == want, c
+                for n in range(1, w + 1):
+                    words = spans.words(n, c)
+                    index = {t: i for i, t in enumerate(words)}
+                    renamed = Subspace.from_sparse_columns(
+                        len(words), [[(index[t], x) for t, x in e.items()]
+                                     for e in spans.elements(n, c)])
+                    direct = spans.span(n, c)
+                    assert renamed == direct == oracle_content_span(d, n, c, words), (c, n)
+
+
+def test_conjecture_check_eliminates_sorted_contents_only(monkeypatch):
+    real_span, grades = CommutatorSpans.span, set()
+
+    def recording(self, n, c):
+        grades.add(c)
+        return real_span(self, n, c)
+
+    monkeypatch.setattr(CommutatorSpans, "span", recording)
+    assert conjecture_check(3, 5).verdict == "PASS"
+    assert grades and all(list(c) == sorted(c, reverse=True) for c in grades)
+    assert {c for c in grades if sum(c) == 5} == {c for c, _ in content_orbits(3, 5)}
+
+
+@pytest.mark.parametrize("d, top", [(2, 5), (3, 4)])
+def test_content_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
+    seen = []
+    real = homology._commutator_complex
+
+    def record(spans, blocks, boundaries, offset):
+        boundaries = list(boundaries)
+        seen.append((spans, blocks, boundaries))
+        return real(spans, blocks, boundaries, offset)
+
+    monkeypatch.setattr(homology, "_commutator_complex", record)
+    fl = FreeLeibnizTruncation(d, top)
+    for w in range(1, top + 1):
+        for c in all_contents(d, w):
+            seen.clear()
+            homology._free_block_complex(fl, c)
+            [(spans, blocks, boundaries)] = seen
+            assert blocks == [(n, c) for n in range(1, w + 2)]
+            for n in range(w + 2):
+                words = spans.words(n, c)
+                assert len(set(words)) == len(words)
+                assert set(words) == {t for t in oracle_block_words(d, n, w)
+                                      if content(t, d) == c}, (c, n)
+            for n, (entries, den) in enumerate(boundaries, start=2):
+                src, dst = spans.words(n, c), spans.words(n - 1, c)
+                got = {(dst[r], src[k]): Fraction(v, den) for (r, k), v in entries.items()}
+                # the oracle on the whole weight block, read on this content
+                words, targets = oracle_block_words(d, n, w), oracle_block_words(d, n - 1, w)
+                want = {(targets[r], words[k]): v
+                        for (r, k), v in oracle_weight_boundary(words, targets).items()
+                        if content(words[k], d) == c}
+                assert got == want, (c, n)
+
+
+# --- the multigraded Witt formula: the number of Lyndon words of content c
+# --- (Reutenauer, Free Lie Algebras, Oxford 1993)
+
+
+def mobius(n):
+    """The Moebius function, by trial division."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def multigraded_witt(c):
+    """(1/w) sum over e | gcd(c) of mobius(e) (w/e)! / prod_i (c_i/e)!"""
+    w, g = sum(c), math.gcd(*c)
+    total = 0
+    for e in range(1, g + 1):
+        if g % e == 0:
+            multinomial = math.factorial(w // e)
+            for x in c:
+                multinomial //= math.factorial(x // e)
+            total += mobius(e) * multinomial
+    assert total % w == 0
+    return total // w
+
+
+def lyndon_count(c):
+    """Words of content c strictly smaller than all their proper rotations."""
+    d, w = len(c), sum(c)
+    return sum(1 for t in itertools.product(range(d), repeat=w)
+               if tuple(map(t.count, range(d))) == c
+               and all(t < t[k:] + t[:k] for k in range(1, w)))
+
+
+def test_multigraded_witt_counts_lyndon_words():
+    for d, top in [(1, 6), (2, 7), (3, 5)]:
+        for w in range(1, top + 1):
+            assert sum(multigraded_witt(c) for c in all_contents(d, w)) == witt_dim(d, w)
+            for c in all_contents(d, w):
+                assert multigraded_witt(c) == lyndon_count(c), c
+
+
+@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 6)])
+def test_content_block_h1_is_its_lyndon_count(d, top):
+    fl = FreeLeibnizTruncation(d, top)
+    for w in range(1, top + 1):
+        for c, _ in content_orbits(d, w):
+            betti = homology._free_block_complex(fl, c).betti()
+            assert betti[0] == multigraded_witt(c), c
+            assert all(h == 0 for h in betti[1:]), c

@@ -174,3 +174,10 @@ def test_weight_overflow():
 def test_generator_bracket_appends():
     fl = FreeLeibnizTruncation(2, 3)
     assert fl.bracket_words((0, 1), (1,)) == {(0, 1, 1): Fraction(1)}
+
+
+def test_witt_dim_refuses_weight_below_one_and_negative_generators():
+    for d, w in [(2, 0), (2, -1), (-1, 2), (-3, 1)]:
+        with pytest.raises(ValueError, match="witt_dim needs"):
+            witt_dim(d, w)
+    assert [witt_dim(0, w) for w in range(1, 5)] == [0, 0, 0, 0]
