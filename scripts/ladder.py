@@ -21,7 +21,9 @@ src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 --quiet and --json, on a heis3 algebra file the script writes to a
 temporary directory: what a shell invocation pays after the import,
-argument parser and axiom checks included.
+argument parser and axiom checks included.  The lie: rung reads the
+adjoint module of heis3's Lie quotient, written beside it, whose nonzero
+action keeps compare on its full cochain path.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
 Rungs run in the order listed below; --rung picks some of them.
@@ -44,6 +46,8 @@ RUNGS = {
     "leibhom check heis3": ("cli", "check"),
     "leibhom homology --max-degree 3 heis3": ("cli", "homology", "--max-degree", "3"),
     "leibhom compare --max-degree 7 heis3": ("cli", "compare", "--max-degree", "7"),
+    "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3":
+        ("cli", "compare", "--max-degree", "5", "--coefficients", "lie:adjoint.json"),
     "heis3 <= 6": ("betti", "heis3", 6),
     "heis3 <= 7": ("betti", "heis3", 7),
     "heis3 <= 8": ("betti", "heis3", 8),
@@ -67,6 +71,10 @@ ROUNDS = 3
 HEIS3_DOC = {"basis": ["p", "q", "z"], "convention": "left", "brackets": [
     {"left": "p", "right": "q", "value": {"z": "1"}},
     {"left": "q", "right": "p", "value": {"z": "-1"}}]}
+# the adjoint module of heis3's Lie quotient, heis3 itself with basis p~, q~, z~
+ADJOINT_DOC = {"basis": ["p", "q", "z"], "action": [
+    {"left": "p~", "right": "q", "value": {"z": "1"}},
+    {"left": "q~", "right": "p", "value": {"z": "-1"}}]}
 
 CHILD = """
 import json, resource, sys, time
@@ -118,7 +126,8 @@ def conjecture(d, w):
             "higher": [list(v.higher) for v in rep.weights]}
 
 def cli(*argv):
-    # heis3.json is in the working directory; the report is read after timing
+    # heis3.json and adjoint.json are in the working directory; the report
+    # is read after timing
     code = entrypoint([*argv, "heis3.json", "--quiet", "--json", "report.json"])
     def result():
         with open("report.json") as fh:
@@ -157,6 +166,7 @@ def main() -> int:
     runs = {name: [] for name in names}
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "heis3.json").write_text(json.dumps(HEIS3_DOC))
+        Path(workdir, "adjoint.json").write_text(json.dumps(ADJOINT_DOC))
         for r in range(1, ROUNDS + 1):
             for name in names:
                 got = run_rung(workdir, *RUNGS[name])

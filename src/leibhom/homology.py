@@ -297,9 +297,9 @@ def trivial_coefficients(dim: int = 1) -> TrivialCoefficients:
 
 def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
                 ) -> tuple[int, Matrix | None]:
-    """(m_dim, the action table, None for trivial coefficients) of trivial
-    or Lie-module coefficients over the Lie algebra over, or over the
-    maximal Lie quotient of a Leibniz algebra, which only a module reads."""
+    """(m_dim, the action table, None for trivial coefficients or a zero action)
+    of trivial or Lie-module coefficients over the Lie algebra over, or over
+    the maximal Lie quotient of a Leibniz algebra, which only a module reads."""
     if isinstance(coefficients, TrivialCoefficients):
         return coefficients.dim, None
     if isinstance(coefficients, Representation):
@@ -309,15 +309,16 @@ def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
         raise TypeError(f"unknown coefficient system {coefficients!r}")
     h = over if isinstance(over, LieAlgebra) else over.quotient_data.quotient
     _check_width(coefficients, h.dim)
-    return coefficients.dim, coefficients.action
+    return coefficients.dim, None if coefficients.action.is_zero() else coefficients.action
 
 
 def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
                   rule: str | None = None):
     """(m_dim, [first, later]) for the boundary builder, the tables of the
     chain actions g x m -> m of the j = 1 and j >= 2 slots; no tables for
-    trivial coefficients.  A Lie module acts as its lift under the "right" chain
-    and "plain" cochain rules; rule replaces the pinned two-sided one.
+    trivial coefficients or a zero action.  A Lie module acts as its lift
+    under the "right" chain and "plain" cochain rules; rule replaces the
+    pinned two-sided one.
     For raising=True the cochain rule's action on the value is block
     transposed into the chain action of the dual module."""
     if isinstance(coefficients, Representation):
@@ -583,18 +584,29 @@ def classical_ce_cochain(h: LieAlgebra, coefficients: Coefficients, n_max: int) 
 
 
 def _projection_blocks(data: CEData) -> list[Matrix]:
-    """p_n: g^{(x)n} -> span of normal degree-n monomials, by normalizing
-    the product of degree-1 letters.  Identity in degrees 0 and 1."""
-    base = data.g.dim
-    out = []
-    for n, ws in enumerate(data.mons):
-        index = {w: i for i, w in enumerate(ws)}
+    """p_n: g^{(x)n} -> span of normal degree-n monomials, the normal form of
+    the product of degree-1 letters.  nf is linear and the relations ideal
+    two-sided, so nf(w x) = nf(nf(w) x) gives p_n = M_n (p_{n-1} (x) id), with
+    nf(mons[n-1][i] x) in column i*d + x of M_n: word w x has index w*d + x."""
+    d = data.g.dim
+    out = [Matrix.identity(1)]
+    for n in range(1, len(data.mons)):
+        index = {w: i for i, w in enumerate(data.mons[n])}
         entries: dict[tuple[int, int], Fraction] = {}
-        for widx, word in enumerate(itertools.product(range(base), repeat=n)):
-            poly = {tuple((1, i) for i in word): Fraction(1)}
-            for w2, c in data.pbw.normal_form(poly).items():
-                add_into(entries, (index[w2], widx), c)
-        out.append(Matrix.from_entries(len(ws), base ** n, entries))
+        for i, w in enumerate(data.mons[n - 1]):
+            for x in range(d):
+                for w2, c in data.pbw.normal_form({w + ((1, x),): Fraction(1)}).items():
+                    entries[(index[w2], i * d + x)] = c
+        step = Matrix.from_entries(len(index), len(data.mons[n - 1]) * d, entries)
+        out.append(step @ _kron(out[-1], Matrix.identity(d)))
+    return out
+
+
+def _transposed(cx: ChainComplex) -> ChainComplex:
+    """The raising complex of the transposed maps of a chain complex, gated
+    on d o d = 0 as any, with the ranks of cx."""
+    out = ChainComplex(cx.offset, cx.dims, tuple(d.transpose() for d in cx.diffs), raising=True)
+    out.__dict__["ranks"] = cx.ranks
     return out
 
 
@@ -638,15 +650,15 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
     the dual cochain maps, and the homology comparison up to n_max - 1.
 
     Raises NotAChainMap when either family fails to commute with the
-    differentials.
+    differentials.  A nonzero action has its cochain family built and checked.
+    Under a zero action the dual module is the module: the cochain complexes
+    are the transposed chain complexes, the cochain identity at n is the
+    transpose of the chain identity at n + 1, and the induced ranks agree.
     """
     data = _ce_setup(g, coefficients, n_max)
     m = data.m_dim
     lod = _loday(g, coefficients, n_max, False)
     ce = _monomial_complex(data.mons, data.terms, data.action, m, raising=False)
-    lodco = _loday(g, coefficients, n_max, True)
-    ceco = _monomial_complex(data.mons, data.terms, _contragredient(data.action, m), m,
-                             raising=True)
     P = [_kron(Matrix.identity(m), b) for b in _projection_blocks(data)]
     Q = [p.transpose() for p in P]
 
@@ -655,16 +667,22 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
         rhs = ce.diffs[n - 1] @ P[n]
         if lhs != rhs:
             raise NotAChainMap(f"projection fails to commute with the boundary at degree {n}")
-    for n in range(0, n_max):
-        lhs = lodco.diffs[n] @ Q[n]
-        rhs = Q[n + 1] @ ceco.diffs[n]
-        if lhs != rhs:
-            raise NotAChainMap(f"pullback fails to commute with the coboundary at degree {n}")
-
     degrees = lod.degree_range()
-    lod_b, ce_b, lodco_b, ceco_b = lod.betti(), ce.betti(), lodco.betti(), ceco.betti()
     chain_ranks = tuple(_induced_rank(lod, ce, P[k], k) for k in degrees)
-    cochain_ranks = tuple(_induced_rank(ceco, lodco, Q[k], k) for k in degrees)
+    if data.action is None:
+        lodco, ceco, cochain_ranks = _transposed(lod), _transposed(ce), chain_ranks
+    else:
+        lodco = _loday(g, coefficients, n_max, True)
+        ceco = _monomial_complex(data.mons, data.terms, _contragredient(data.action, m), m,
+                                 raising=True)
+        for n in range(0, n_max):
+            lhs = lodco.diffs[n] @ Q[n]
+            rhs = Q[n + 1] @ ceco.diffs[n]
+            if lhs != rhs:
+                raise NotAChainMap(f"pullback fails to commute with the coboundary at degree {n}")
+        cochain_ranks = tuple(_induced_rank(ceco, lodco, Q[k], k) for k in degrees)
+
+    lod_b, ce_b, lodco_b, ceco_b = lod.betti(), ce.betti(), lodco.betti(), ceco.betti()
 
     def iso(k: int) -> bool | None:
         if k not in degrees:

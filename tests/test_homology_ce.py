@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 
 from leibhom import homology
 from leibhom.dgla import minimal_envelope
+from leibhom.exactla import Matrix, _kron, _lincomb
 from leibhom.homology import (
+    ChainComplex,
+    NotAChainMap,
     ce_chain,
     ce_cochain,
     ce_projection,
@@ -245,3 +249,137 @@ def test_sl2_known_answers_with_adjoint_coefficients():
     assert rep.chain_map_ranks == rep.cochain_map_ranks == (0,) * 4
     assert rep.h0_iso and rep.h1_iso
     assert rep.hl2_to_h2_surjective and rep.h2_to_hl2_injective
+
+
+# ---------------------------------------------------------------------------
+# the projection by the last-letter recursion, and the cochain half of a
+# zero action read from the chain half
+
+
+def per_word_projection_blocks(data):
+    """p_n by normalizing each of the d^n words of g^{(x)n} on its own: the
+    projection as ce_projection built it before the last-letter recursion,
+    kept as its oracle."""
+    base = data.g.dim
+    out = []
+    for n, ws in enumerate(data.mons):
+        index = {w: i for i, w in enumerate(ws)}
+        entries = {}
+        for widx, word in enumerate(itertools.product(range(base), repeat=n)):
+            poly = {tuple((1, i) for i in word): Fraction(1)}
+            for w2, c in data.pbw.normal_form(poly).items():
+                key = (index[w2], widx)
+                entries[key] = entries.get(key, 0) + c
+        out.append(Matrix.from_entries(len(ws), base ** n, entries))
+    return out
+
+
+def zero_module(g, m):
+    """The m-dim module on which the maximal Lie quotient of g acts by 0."""
+    return LieModule(m, Matrix.zeros(m, g.quotient_data.quotient.dim * m))
+
+
+def test_recursive_projection_matches_per_word_normal_forms():
+    sl2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    for name, g in [*CORPUS.items(), ("sl2", sl2)]:
+        data = homology._ce_setup(g, trivial_coefficients(), 5)
+        got = homology._projection_blocks(data)
+        want = per_word_projection_blocks(data)
+        # Matrix equality compares the shapes and the canonical int_rows
+        assert got == want, name
+    # a nonzero action projects through the same blocks, one per module basis vector
+    for g in (CORPUS["heis3"], sl2):
+        coeffs = quotient_adjoint_module(g.quotient_data)
+        P, _, _ = ce_projection(g, coeffs, 4)
+        want = per_word_projection_blocks(homology._ce_setup(g, coeffs, 4))
+        assert list(P) == [_kron(Matrix.identity(coeffs.dim), b) for b in want]
+
+
+def test_zero_lie_module_builds_the_trivial_complexes(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("a zero action needs no lift")
+
+    monkeypatch.setattr(homology, "lie_module_lift", no_lift)
+    for name, g in CORPUS.items():
+        for m in (1, 2):
+            zero, trivial = zero_module(g, m), trivial_coefficients(m)
+            for build in (loday_complex, loday_cochain_complex, ce_chain, ce_cochain):
+                assert build(g, zero, 3).diffs == build(g, trivial, 3).diffs, (name, m, build)
+    for name, h in LIE_CORPUS.items():
+        zero = LieModule(2, Matrix.zeros(2, 2 * h.dim))
+        for build in (classical_ce, classical_ce_cochain):
+            assert build(h, zero, 3).diffs == build(h, trivial_coefficients(2), 3).diffs, name
+    g = CORPUS["heis3"]
+    missized = LieModule(1, Matrix.zeros(1, 2))
+    for build in (loday_complex, loday_cochain_complex, ce_chain, ce_cochain, ce_projection):
+        with pytest.raises(ValueError, match="action table"):
+            build(g, missized, 2)
+
+
+def test_zero_action_cochain_half_is_the_transposed_chain_half():
+    for name, g in CORPUS.items():
+        r = g.quotient_data.quotient.dim
+        for coeffs in (trivial_coefficients(1), trivial_coefficients(2), zero_module(g, r)):
+            data = homology._ce_setup(g, coeffs, 4)
+            m = data.m_dim
+            lod = homology._loday(g, coeffs, 4, False)
+            ce = homology._monomial_complex(data.mons, data.terms, data.action, m, raising=False)
+            lodco = homology._loday(g, coeffs, 4, True)
+            ceco = homology._monomial_complex(data.mons, data.terms,
+                                              homology._contragredient(data.action, m), m,
+                                              raising=True)
+            for shared, built in ((homology._transposed(lod), lodco),
+                                  (homology._transposed(ce), ceco)):
+                assert shared.raising and shared.dims == built.dims
+                assert shared.diffs == built.diffs, (name, coeffs)
+                assert shared.ranks == built.ranks, (name, coeffs)
+            _, Q, rep = ce_projection(g, coeffs, 4)
+            # the cochain identity ce_projection reads from the chain one
+            for n in range(4):
+                assert lodco.diffs[n] @ Q[n] == Q[n + 1] @ ceco.diffs[n], (name, coeffs, n)
+            assert rep.loday_cohomology == lodco.betti()
+            assert rep.ce_cohomology == ceco.betti()
+            assert rep.cochain_map_ranks == tuple(
+                homology._induced_rank(ceco, lodco, Q[k], k) for k in rep.degrees), (name, coeffs)
+
+
+def test_projection_builds_the_cochain_half_only_for_a_nonzero_action(monkeypatch):
+    calls = []
+    loday = homology._loday
+
+    def counting(g, coeffs, n_max, raising, rule=None):
+        calls.append(raising)
+        return loday(g, coeffs, n_max, raising, rule)
+
+    monkeypatch.setattr(homology, "_loday", counting)
+    g = CORPUS["heis3"]
+    for coeffs, built in ((trivial_coefficients(), [False]), (zero_module(g, 3), [False]),
+                          (quotient_adjoint_module(g.quotient_data), [False, True])):
+        calls.clear()
+        ce_projection(g, coeffs, 3)
+        assert calls == built, coeffs
+
+
+def test_projection_raises_on_a_failed_chain_identity(monkeypatch):
+    g = CORPUS["heis3"]
+    adjoint = quotient_adjoint_module(g.quotient_data)
+    blocks, monomial = homology._projection_blocks, homology._monomial_complex
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_projection_blocks",
+                      lambda data: [_lincomb((2, b)) if n == 2 else b
+                                    for n, b in enumerate(blocks(data))])
+        for coeffs in (trivial_coefficients(), adjoint):
+            with pytest.raises(NotAChainMap, match="projection fails"):
+                ce_projection(g, coeffs, 3)
+
+    def negated_cochains(mons, terms, action, m, raising):
+        cx = monomial(mons, terms, action, m, raising)
+        if not raising:
+            return cx
+        return ChainComplex(cx.offset, cx.dims, tuple(_lincomb((-1, d)) for d in cx.diffs),
+                            raising=True)
+
+    # a built cochain family is checked on its own
+    monkeypatch.setattr(homology, "_monomial_complex", negated_cochains)
+    with pytest.raises(NotAChainMap, match="pullback fails"):
+        ce_projection(g, adjoint, 3)

@@ -94,12 +94,24 @@ def test_ladder_writes_one_rung(tmp_path):
 
 
 def test_ladder_runs_a_cli_rung(tmp_path):
-    name = "leibhom homology --max-degree 3 heis3"
-    proc = run_script("ladder.py", "--label", "smoke", "--rung", name, "--out", str(tmp_path))
+    names = ["leibhom homology --max-degree 3 heis3",
+             "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3"]
+    proc = run_script("ladder.py", "--label", "smoke", "--rung", names[0], "--rung", names[1],
+                      "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    [rung] = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
-    assert rung["name"] == name
-    assert rung["result"]["exit"] == 0
-    assert rung["result"]["tables"]["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10}
-    assert rung["result"]["verdicts"] == {}
-    assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
+    homology, compare = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert [homology["name"], compare["name"]] == names
+    assert homology["result"]["exit"] == compare["result"]["exit"] == 0
+    assert homology["result"]["tables"]["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10}
+    assert homology["result"]["verdicts"] == {}
+    # the adjoint module acts, so the cochain half differs from the chain half
+    assert compare["result"]["tables"] == {
+        "degrees": [0, 1, 2, 3, 4],
+        "tensor_homology": [2, 5, 10, 22, 47], "ce_homology": [2, 5, 4, 1, 0],
+        "tensor_cohomology": [1, 4, 8, 17, 37], "ce_cohomology": [1, 4, 5, 2, 0],
+        "chain_map_ranks": [2, 5, 4, 1, 0], "cochain_map_ranks": [1, 4, 5, 2, 0]}
+    assert compare["result"]["verdicts"] == {
+        "chain_map": True, "h0_iso": True, "h1_iso": True, "hl2_to_h2_surjective": True,
+        "h2_to_hl2_injective": True}
+    for rung in (homology, compare):
+        assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
