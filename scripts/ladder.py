@@ -23,7 +23,7 @@ A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 temporary directory: what a shell invocation pays after the import,
 argument parser and axiom checks included.  The lie: rung reads the
 adjoint module of heis3's Lie quotient, written beside it, whose nonzero
-action keeps compare on its full cochain path.
+action makes compare run its chain half a second time, on the dual module.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
 Rungs run in the order listed below; --rung picks some of them.

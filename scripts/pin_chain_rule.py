@@ -3,16 +3,19 @@
 Scans every candidate rule for the tensor-module boundary and coboundary
 over a corpus of algebras and modules, recording where the composite of
 adjacent differentials fails to vanish.  The rules are the builder's own
-tables, CHAIN_RULES and COCHAIN_RULES.  Also checks that the two-sided
-branch with lifted (anti-symmetric) coefficients reproduces the one-sided
-branch matrix-for-matrix, the chain side under the "right" rule and the
-cochain side under the pinned one, which is what justifies treating the
+table, CHAIN_RULES; a coboundary is the transposed boundary of the dual
+module, so its column runs the same rules on the dual.  Checks that every
+dual module is a representation, and that the two-sided branch with
+lifted (anti-symmetric) coefficients reproduces the one-sided branch
+matrix-for-matrix, the chain side under the "right" rule and the cochain
+side under the pinned one, which is what justifies treating the
 one-sided code path as a special case.
 
 Run:  python3 scripts/pin_chain_rule.py [N_max]
 
-Exits nonzero if the pinned canonical rules ("corrected" on both sides)
-fail anywhere, or if a rule expected to fail passes everywhere.
+Exits nonzero if the pinned canonical rule ("corrected") fails anywhere,
+if a dual module fails the representation identities, or if a rule
+expected to fail passes everywhere.
 """
 
 import sys
@@ -20,10 +23,9 @@ from fractions import Fraction
 
 from leibhom.homology import (
     CHAIN_RULES,
-    COCHAIN_RULES,
     DifferentialSquareNonzero,
     REP_CHAIN_RULE,
-    REP_COCHAIN_RULE,
+    _dual,
     loday_cochain_complex,
     loday_complex,
 )
@@ -100,19 +102,19 @@ def d_square_holds(build, *args, **kwargs):
 def main():
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     chain_fail = {rule: [] for rule in CHAIN_RULES}
-    cochain_fail = {rule: [] for rule in COCHAIN_RULES}
-    lift_mismatch = []
+    cochain_fail = {rule: [] for rule in CHAIN_RULES}
+    lift_mismatch, bad_duals = [], []
 
     for gname, g in algebras():
         qdata = lie_quotient(g)
         for mname, rep in modules(gname, g):
             tag = f"{gname}/{mname}"
+            if check_representation(g, _dual(g, rep)):
+                bad_duals.append(tag)
             for rule in CHAIN_RULES:
                 if not d_square_holds(loday_complex, g, rep, n_max, _rep_rule=rule):
                     chain_fail[rule].append(tag)
-            for rule in COCHAIN_RULES:
-                if not d_square_holds(loday_cochain_complex, g, rep, n_max,
-                                      _rep_rule=rule):
+                if not d_square_holds(loday_cochain_complex, g, rep, n_max, _rep_rule=rule):
                     cochain_fail[rule].append(tag)
 
         # lifted coefficients: two-sided branch vs one-sided branch
@@ -123,7 +125,7 @@ def main():
                 continue
             lift = lie_module_lift(g, mod)
             for side, build, rule in (("chain", loday_complex, "right"),
-                                      ("cochain", loday_cochain_complex, REP_COCHAIN_RULE)):
+                                      ("cochain", loday_cochain_complex, REP_CHAIN_RULE)):
                 one = build(g, mod, n_max)
                 two = build(g, lift, n_max, _rep_rule=rule)
                 if one.diffs != two.diffs:
@@ -134,7 +136,7 @@ def main():
         bad = chain_fail[rule]
         mark = "pass everywhere" if not bad else f"FAILS on {', '.join(bad)}"
         print(f"  chain   {rule:10s} {mark}")
-    for rule in COCHAIN_RULES:
+    for rule in CHAIN_RULES:
         bad = cochain_fail[rule]
         mark = "pass everywhere" if not bad else f"FAILS on {', '.join(bad)}"
         print(f"  cochain {rule:10s} {mark}")
@@ -142,10 +144,14 @@ def main():
         print(f"  lifted-coefficient mismatch: {lift_mismatch}")
     else:
         print("  lifted coefficients: two-sided chain (right) and cochain "
-              f"({REP_COCHAIN_RULE}) == one-sided, matrix for matrix")
+              f"({REP_CHAIN_RULE}) == one-sided, matrix for matrix")
+    if bad_duals:
+        print(f"  dual module not a representation: {', '.join(bad_duals)}")
+    else:
+        print("  every dual module is a representation")
 
-    ok = True
-    if chain_fail[REP_CHAIN_RULE] or cochain_fail[REP_COCHAIN_RULE]:
+    ok = not bad_duals
+    if chain_fail[REP_CHAIN_RULE] or cochain_fail[REP_CHAIN_RULE]:
         print("PINNED RULE FAILS THE GATE")
         ok = False
     if not chain_fail["right"]:

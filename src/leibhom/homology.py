@@ -43,12 +43,12 @@ below and scripts/pin_chain_rule.py for the gate that pinned this.
 
 Cochain complexes are not built separately.  Hom(C_n, m) is the dual of
 the chain complex with coefficients in the dual module m*, so every
-cochain complex is the transposed chain complex of m*: one boundary
-builder per family, called with the contragredient action a.f = -f o a
-(Loday-Pirashvili 1993, Math. Ann. 296).  For two-sided coefficients the
-pinned cochain rule acts on the value f(...) and is read backwards into
-the chain action of m*; under the corrected rules m* has left' = -L^T and
-right' = R^T + L^T.
+cochain complex is the transposed chain complex of _dual(g, m), built by
+its family's one boundary builder under the one rule table.  A Lie module
+acts on its dual by a.f = -f o a; the two-sided dual has left' = -L^T and
+right' = R^T + L^T, with ^T swapping the two module slots (Loday-Pirashvili
+1993, Math. Ann. 296).  Trivial coefficients and a zero action are their
+own duals.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ class UnsupportedCoefficients(ValueError):
 # the 2-dim algebra [e1,e2] = e2; "corrected" and "left" pass on the
 # whole randomized corpus, and "corrected" is the one whose first slot
 # degenerates to zero exactly on anti-symmetric (lifted) coefficients.
+# A cochain complex applies the rule to the dual module m*; on the value
+# f(...) "corrected" then acts by -[f,x] in the first slot and [x,f] in
+# the later ones, and "left" by [x,f] in every slot.
 CHAIN_RULES = {
     "corrected": ((-1, -1), (-1, 0)),
     "left": ((-1, 0), (-1, 0)),
@@ -118,20 +121,6 @@ CHAIN_RULES = {
     "naive": ((1, 1), (0, 1)),
 }
 REP_CHAIN_RULE = "corrected"
-
-# Cochain rules, acting on the value f(...):
-#   corrected  first = -[f,x],            later = [x,f]    (canonical)
-#   plain      first = later = [x,f]
-#   naive      first = [x,f] + [f,x],     later = [x,f]
-# "naive" fails d o d = 0 on the same adjoint witness; "corrected" and
-# "plain" agree on lifted coefficients (there -[f,x] = [x,f]), which is
-# what makes the two-sided branch collapse onto the one-sided one.
-COCHAIN_RULES = {
-    "corrected": ((0, -1), (1, 0)),
-    "plain": ((1, 0), (1, 0)),
-    "naive": ((1, 1), (1, 0)),
-}
-REP_COCHAIN_RULE = "corrected"
 
 
 class ChainComplex(_Frozen):
@@ -213,6 +202,11 @@ class ChainComplex(_Frozen):
             return above, below
         return below, above
 
+    def boundary_rank(self, k: int) -> int:
+        """dim B_k, the rank of the map into degree k, 0 if there is none."""
+        _, in_map = self.boundary_pair(k)
+        return 0 if in_map is None else self.ranks[k - self.offset - self.raising]
+
     def cycle_space(self, k: int) -> Subspace:
         out_map, _ = self.boundary_pair(k)
         if out_map is None:
@@ -258,11 +252,6 @@ def _block_transpose(t: Matrix, m: int, sign: int = 1) -> Matrix:
         for u, x in col:
             entries[(u2, a * m + u)] = sign * x
     return Matrix.from_entries(m, t.cols, entries)
-
-
-def _contragredient(action: Matrix | None, m: int) -> Matrix | None:
-    """The dual module's action a.f = -f o a, a block transpose."""
-    return None if action is None else _block_transpose(action, m, -1)
 
 
 def _require_left(g: LeibnizAlgebra) -> None:
@@ -312,31 +301,44 @@ def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
     return coefficients.dim, None if coefficients.action.is_zero() else coefficients.action
 
 
-def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, raising: bool,
-                  rule: str | None = None):
+def _rep_tables(g: LeibnizAlgebra, rep: Representation) -> tuple[Matrix, Matrix]:
+    """The tables of [x,m] and [m,x], both laid out as g x m -> m: column
+    x*m_dim + u holds [e_x, f_u] and [f_u, e_x]."""
+    if rep.left_action.cols != g.dim * rep.dim or rep.right_action.cols != rep.dim * g.dim:
+        raise ValueError("representation tables do not match the algebra dimension")
+    return rep.left_action, rep.right_action @ _swap(g.dim, rep.dim)
+
+
+def _dual(g: LeibnizAlgebra | LieAlgebra, coefficients: Coefficients) -> Coefficients:
+    """The dual module m*, whose chain complex is the transposed cochain
+    complex of m: the same object for trivial coefficients and a zero
+    action, the contragredient a.f = -f o a of a Lie module, and for a
+    representation left' = -L^T, right' = R^T + L^T (block transposes)."""
+    if isinstance(coefficients, Representation):
+        m = coefficients.dim
+        left, right = _rep_tables(g, coefficients)
+        return Representation(m, coefficients.basis_names, _block_transpose(left, m, -1),
+                              _block_transpose(_lincomb((1, right), (1, left)), m)
+                              @ _swap(m, g.dim))
+    m, action = _lie_action(g, coefficients)
+    return coefficients if action is None else LieModule(m, _block_transpose(action, m, -1))
+
+
+def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, rule: str | None = None):
     """(m_dim, [first, later]) for the boundary builder, the tables of the
     chain actions g x m -> m of the j = 1 and j >= 2 slots; no tables for
     trivial coefficients or a zero action.  A Lie module acts as its lift
-    under the "right" chain and "plain" cochain rules; rule replaces the
-    pinned two-sided one.
-    For raising=True the cochain rule's action on the value is block
-    transposed into the chain action of the dual module."""
+    under the "right" rule; rule replaces the pinned two-sided one."""
     if isinstance(coefficients, Representation):
-        rep = coefficients
-        if rep.left_action.cols != g.dim * rep.dim or rep.right_action.cols != rep.dim * g.dim:
-            raise ValueError("representation tables do not match the algebra dimension")
-        rule = rule or (REP_COCHAIN_RULE if raising else REP_CHAIN_RULE)
+        m_dim, rule = coefficients.dim, rule or REP_CHAIN_RULE
     else:
         m_dim, action = _lie_action(g, coefficients)
         if action is None:
             return m_dim, []
-        rep = lie_module_lift(g, coefficients)
-        rule = "plain" if raising else "right"
+        coefficients, rule = lie_module_lift(g, coefficients), "right"
+    left, right = _rep_tables(g, coefficients)
     # p [x,m] + q [m,x] at column x*m_dim + u
-    right = rep.right_action @ _swap(g.dim, rep.dim)
-    tables = [_lincomb((p, rep.left_action), (q, right))
-              for p, q in (COCHAIN_RULES if raising else CHAIN_RULES)[rule]]
-    return rep.dim, [_block_transpose(t, rep.dim) for t in tables] if raising else tables
+    return m_dim, [_lincomb((p, left), (q, right)) for p, q in CHAIN_RULES[rule]]
 
 
 def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=()):
@@ -394,8 +396,8 @@ def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: b
            rule: str | None = None) -> ChainComplex:
     """The tensor-module chain complex, or for raising=True the transposed
     chain complex of the dual module; rule replaces the pinned two-sided
-    chain or cochain rule."""
-    m_dim, actions = _slot_actions(g, coefficients, raising, rule)
+    chain rule, on the dual module for raising=True."""
+    m_dim, actions = _slot_actions(g, _dual(g, coefficients) if raising else coefficients, rule)
     dims = [m_dim * g.dim ** n for n in range(n_max + 1)]
     return _complex(dims, _product_boundaries(g, n_max, m_dim, actions), raising)
 
@@ -411,7 +413,8 @@ def loday_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
 def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int,
                           _rep_rule: str | None = None) -> ChainComplex:
     """Cochain complex Hom(g^{(x)n}, m) in degrees 0..n_max: the transposed
-    chain complex of the dual module."""
+    chain complex of the dual module _dual(g, m), built under the chain
+    rule _rep_rule (a CHAIN_RULES name) for two-sided coefficients."""
     _require_left(g)
     return _loday(g, coefficients, n_max, True, _rep_rule)
 
@@ -423,24 +426,23 @@ def loday_cochain_complex(g: LeibnizAlgebra, coefficients: Coefficients, n_max: 
 class CEData(_Record):
     """The normal monomials mons[n] of degrees 0..n_max and the boundary
     terms[n][i] of mons[n][i], listed once for every complex and map
-    built from them (see _monomial_complex).  action is the table of the
-    degree-0 letters acting on m, None for the zero action."""
+    built from them (see _monomial_complex), for an m_dim-dim coefficient
+    module and any action on it."""
 
-    __match_args__ = ("g", "pbw", "m_dim", "action", "mons", "terms")
+    __match_args__ = ("g", "pbw", "m_dim", "mons", "terms")
 
-    def __init__(self, g: LeibnizAlgebra, pbw: PBWAlgebra, m_dim: int, action: Matrix | None,
-                 mons: list[list[Word]], terms: list[list[list]]):
+    def __init__(self, g: LeibnizAlgebra, pbw: PBWAlgebra, m_dim: int, mons: list[list[Word]],
+                 terms: list[list[list]]):
         self.g = g
         self.pbw = pbw
         self.m_dim = m_dim
-        self.action = action
         self.mons = mons
         self.terms = terms
 
 
 def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEData:
     _require_left(g)
-    m_dim, action = _lie_action(g, coefficients)
+    m_dim, _ = _lie_action(g, coefficients)
     envelope = minimal_envelope(g)
     pbw = PBWAlgebra(envelope)
     images = {deg: [[((deg - 1, a), c) for a, c in col]
@@ -451,7 +453,7 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEDa
     terms = [[[(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
                for w2, c in pbw.normal_form(_derive_word(images, w)).items()]
               for w in ws] for ws in mons]
-    return CEData(g, pbw, m_dim, action, mons, terms)
+    return CEData(g, pbw, m_dim, mons, terms)
 
 
 def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
@@ -518,15 +520,16 @@ def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Chain
     as m.xi = -xi.m (dropped entirely for trivial coefficients).
     """
     data = _ce_setup(g, coefficients, n_max)
-    return _monomial_complex(data.mons, data.terms, data.action, data.m_dim, raising=False)
+    _, action = _lie_action(g, coefficients)
+    return _monomial_complex(data.mons, data.terms, action, data.m_dim, raising=False)
 
 
 def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
     """Cochain complex Hom(normal monomials, m): the transposed chain
     complex of the contragredient module."""
     data = _ce_setup(g, coefficients, n_max)
-    return _monomial_complex(data.mons, data.terms, _contragredient(data.action, data.m_dim),
-                             data.m_dim, raising=True)
+    _, action = _lie_action(g, _dual(g, coefficients))
+    return _monomial_complex(data.mons, data.terms, action, data.m_dim, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +578,9 @@ def classical_ce(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> Chain
 def classical_ce_cochain(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
     """Exterior-power cochain complex: the transposed chain complex of the
     contragredient module."""
-    m_dim, action = _lie_action(h, coefficients)
-    return _classical_complex(h, _contragredient(action, m_dim), m_dim, n_max, raising=True)
+    m_dim, _ = _lie_action(h, coefficients)
+    _, action = _lie_action(h, _dual(h, coefficients))
+    return _classical_complex(h, action, m_dim, n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +606,6 @@ def _projection_blocks(data: CEData) -> list[Matrix]:
     return out
 
 
-def _transposed(cx: ChainComplex) -> ChainComplex:
-    """The raising complex of the transposed maps of a chain complex, gated
-    on d o d = 0 as any, with the ranks of cx."""
-    out = ChainComplex(cx.offset, cx.dims, tuple(d.transpose() for d in cx.diffs), raising=True)
-    out.__dict__["ranks"] = cx.ranks
-    return out
-
-
 def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> int:
     """Rank of the map on homology at degree k induced by a chain map
     component f_k: dim(f_k(Z_k) + B'_k) - dim B'_k, where Z_k are the
@@ -619,8 +615,7 @@ def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> 
     if in_map is None:
         return rank(_matrix(len(cols), f_k.rows, cols))
     cols += in_map.transpose().int_rows
-    # the map into degree k is diffs[i] lowering, diffs[i - 1] raising
-    return rank(_matrix(len(cols), f_k.rows, cols)) - dst.ranks[k - dst.offset - dst.raising]
+    return rank(_matrix(len(cols), f_k.rows, cols)) - dst.boundary_rank(k)
 
 
 class ComparisonReport(_Frozen):
@@ -646,43 +641,33 @@ class ComparisonReport(_Frozen):
 
 def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
                   ) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...], ComparisonReport]:
-    """Chain maps from the tensor-module complex onto the small complex,
-    the dual cochain maps, and the homology comparison up to n_max - 1.
+    """Chain maps P from the tensor-module complex onto the small complex,
+    the dual cochain maps Q = P^T, and the comparison up to n_max - 1.
 
-    Raises NotAChainMap when either family fails to commute with the
-    differentials.  A nonzero action has its cochain family built and checked.
-    Under a zero action the dual module is the module: the cochain complexes
-    are the transposed chain complexes, the cochain identity at n is the
-    transpose of the chain identity at n + 1, and the induced ranks agree.
+    The cochain complexes are the transposed chain complexes of m* and P
+    does not read the action, so Q is a cochain map exactly when P is a
+    chain map with coefficients in m*, and both induce maps of one rank:
+    the cochain half is the chain half run on m*, once more unless m* = m.
+    Raises NotAChainMap when P fails to commute with either boundary.
     """
     data = _ce_setup(g, coefficients, n_max)
-    m = data.m_dim
-    lod = _loday(g, coefficients, n_max, False)
-    ce = _monomial_complex(data.mons, data.terms, data.action, m, raising=False)
-    P = [_kron(Matrix.identity(m), b) for b in _projection_blocks(data)]
-    Q = [p.transpose() for p in P]
+    P = [_kron(Matrix.identity(data.m_dim), b) for b in _projection_blocks(data)]
 
-    for n in range(1, n_max + 1):
-        lhs = P[n - 1] @ lod.diffs[n - 1]
-        rhs = ce.diffs[n - 1] @ P[n]
-        if lhs != rhs:
-            raise NotAChainMap(f"projection fails to commute with the boundary at degree {n}")
-    degrees = lod.degree_range()
-    chain_ranks = tuple(_induced_rank(lod, ce, P[k], k) for k in degrees)
-    if data.action is None:
-        lodco, ceco, cochain_ranks = _transposed(lod), _transposed(ce), chain_ranks
-    else:
-        lodco = _loday(g, coefficients, n_max, True)
-        ceco = _monomial_complex(data.mons, data.terms, _contragredient(data.action, m), m,
-                                 raising=True)
-        for n in range(0, n_max):
-            lhs = lodco.diffs[n] @ Q[n]
-            rhs = Q[n + 1] @ ceco.diffs[n]
-            if lhs != rhs:
-                raise NotAChainMap(f"pullback fails to commute with the coboundary at degree {n}")
-        cochain_ranks = tuple(_induced_rank(ceco, lodco, Q[k], k) for k in degrees)
+    def chain_half(coeffs: Coefficients):
+        """The Betti numbers of both complexes and the ranks P induces."""
+        lod = _loday(g, coeffs, n_max, False)
+        ce = _monomial_complex(data.mons, data.terms, _lie_action(g, coeffs)[1], data.m_dim,
+                               raising=False)
+        for n in range(1, n_max + 1):
+            if P[n - 1] @ lod.diffs[n - 1] != ce.diffs[n - 1] @ P[n]:
+                raise NotAChainMap(f"projection fails to commute with the boundary at degree {n}")
+        return lod.betti(), ce.betti(), tuple(_induced_rank(lod, ce, P[k], k)
+                                              for k in lod.degree_range())
 
-    lod_b, ce_b, lodco_b, ceco_b = lod.betti(), ce.betti(), lodco.betti(), ceco.betti()
+    dual = _dual(g, coefficients)
+    lod_b, ce_b, chain_ranks = homology = chain_half(coefficients)
+    lodco_b, ceco_b, cochain_ranks = homology if dual is coefficients else chain_half(dual)
+    degrees = tuple(range(len(lod_b)))
 
     def iso(k: int) -> bool | None:
         if k not in degrees:
@@ -704,7 +689,7 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
         hl2_to_h2_surjective=chain_ranks[2] == ce_b[2] if h2 else None,
         h2_to_hl2_injective=cochain_ranks[2] == ceco_b[2] if h2 else None,
     )
-    return tuple(P), tuple(Q), report
+    return tuple(P), tuple(p.transpose() for p in P), report
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,8 @@ def test_sl2_known_answers_with_adjoint_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# the projection by the last-letter recursion, and the cochain half of a
-# zero action read from the chain half
+# the projection by the last-letter recursion, and the cochain half as the
+# chain half of the dual module
 
 
 def per_word_projection_blocks(data):
@@ -316,54 +316,61 @@ def test_zero_lie_module_builds_the_trivial_complexes(monkeypatch):
             build(g, missized, 2)
 
 
-def test_zero_action_cochain_half_is_the_transposed_chain_half():
+def compare_cases():
+    """(label, g, coefficients) for the compare differential tests: trivial
+    and zero-action coefficients over the corpus, and the nonzero adjoint
+    Lie modules of heis3 and sl2."""
     for name, g in CORPUS.items():
-        r = g.quotient_data.quotient.dim
-        for coeffs in (trivial_coefficients(1), trivial_coefficients(2), zero_module(g, r)):
-            data = homology._ce_setup(g, coeffs, 4)
-            m = data.m_dim
-            lod = homology._loday(g, coeffs, 4, False)
-            ce = homology._monomial_complex(data.mons, data.terms, data.action, m, raising=False)
-            lodco = homology._loday(g, coeffs, 4, True)
-            ceco = homology._monomial_complex(data.mons, data.terms,
-                                              homology._contragredient(data.action, m), m,
-                                              raising=True)
-            for shared, built in ((homology._transposed(lod), lodco),
-                                  (homology._transposed(ce), ceco)):
-                assert shared.raising and shared.dims == built.dims
-                assert shared.diffs == built.diffs, (name, coeffs)
-                assert shared.ranks == built.ranks, (name, coeffs)
-            _, Q, rep = ce_projection(g, coeffs, 4)
-            # the cochain identity ce_projection reads from the chain one
-            for n in range(4):
-                assert lodco.diffs[n] @ Q[n] == Q[n + 1] @ ceco.diffs[n], (name, coeffs, n)
-            assert rep.loday_cohomology == lodco.betti()
-            assert rep.ce_cohomology == ceco.betti()
-            assert rep.cochain_map_ranks == tuple(
-                homology._induced_rank(ceco, lodco, Q[k], k) for k in rep.degrees), (name, coeffs)
+        for coeffs in (trivial_coefficients(1), trivial_coefficients(2),
+                       zero_module(g, g.quotient_data.quotient.dim)):
+            yield name, g, coeffs
+    sl2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+    for name, g in (("heis3", CORPUS["heis3"]), ("sl2", sl2)):
+        yield f"{name} adjoint", g, quotient_adjoint_module(g.quotient_data)
 
 
-def test_projection_builds_the_cochain_half_only_for_a_nonzero_action(monkeypatch):
+def test_projection_cochain_half_matches_the_public_cochain_complexes():
+    for label, g, coeffs in compare_cases():
+        n_max = 4
+        _, Q, rep = ce_projection(g, coeffs, n_max)
+        lodco, ceco = loday_cochain_complex(g, coeffs, n_max), ce_cochain(g, coeffs, n_max)
+        assert rep.loday_cohomology == lodco.betti(), (label, coeffs)
+        assert rep.ce_cohomology == ceco.betti(), (label, coeffs)
+        # Q is a cochain map on the raising complexes, and its induced ranks
+        # are the ones ce_projection reads off the chain half of the dual
+        for n in range(n_max):
+            assert lodco.diffs[n] @ Q[n] == Q[n + 1] @ ceco.diffs[n], (label, coeffs, n)
+        assert rep.cochain_map_ranks == tuple(
+            homology._induced_rank(ceco, lodco, Q[k], k) for k in rep.degrees), (label, coeffs)
+
+
+def test_projection_runs_the_chain_half_on_the_dual_only_for_a_nonzero_action(monkeypatch):
     calls = []
     loday = homology._loday
 
     def counting(g, coeffs, n_max, raising, rule=None):
-        calls.append(raising)
+        calls.append((coeffs, raising))
         return loday(g, coeffs, n_max, raising, rule)
 
     monkeypatch.setattr(homology, "_loday", counting)
     g = CORPUS["heis3"]
-    for coeffs, built in ((trivial_coefficients(), [False]), (zero_module(g, 3), [False]),
-                          (quotient_adjoint_module(g.quotient_data), [False, True])):
+    for coeffs in (trivial_coefficients(), zero_module(g, 3)):
         calls.clear()
         ce_projection(g, coeffs, 3)
-        assert calls == built, coeffs
+        assert calls == [(coeffs, False)], coeffs
+    adjoint = quotient_adjoint_module(g.quotient_data)
+    calls.clear()
+    ce_projection(g, adjoint, 3)
+    assert [raising for _, raising in calls] == [False, False]
+    assert calls[0][0] is adjoint
+    dual = calls[1][0]
+    assert dual.action == homology._dual(g, adjoint).action != adjoint.action
 
 
 def test_projection_raises_on_a_failed_chain_identity(monkeypatch):
     g = CORPUS["heis3"]
     adjoint = quotient_adjoint_module(g.quotient_data)
-    blocks, monomial = homology._projection_blocks, homology._monomial_complex
+    blocks, loday = homology._projection_blocks, homology._loday
     with monkeypatch.context() as patch:
         patch.setattr(homology, "_projection_blocks",
                       lambda data: [_lincomb((2, b)) if n == 2 else b
@@ -372,14 +379,13 @@ def test_projection_raises_on_a_failed_chain_identity(monkeypatch):
             with pytest.raises(NotAChainMap, match="projection fails"):
                 ce_projection(g, coeffs, 3)
 
-    def negated_cochains(mons, terms, action, m, raising):
-        cx = monomial(mons, terms, action, m, raising)
-        if not raising:
+    def negated_on_the_dual(g, coeffs, n_max, raising, rule=None):
+        cx = loday(g, coeffs, n_max, raising, rule)
+        if coeffs is adjoint:
             return cx
-        return ChainComplex(cx.offset, cx.dims, tuple(_lincomb((-1, d)) for d in cx.diffs),
-                            raising=True)
+        return ChainComplex(cx.offset, cx.dims, tuple(_lincomb((-1, d)) for d in cx.diffs))
 
-    # a built cochain family is checked on its own
-    monkeypatch.setattr(homology, "_monomial_complex", negated_cochains)
-    with pytest.raises(NotAChainMap, match="pullback fails"):
+    # the chain half of m holds, so the identity on m* is checked on its own
+    monkeypatch.setattr(homology, "_loday", negated_on_the_dual)
+    with pytest.raises(NotAChainMap, match="projection fails"):
         ce_projection(g, adjoint, 3)

@@ -14,6 +14,7 @@ from leibhom.homology import (
     ChainComplex,
     DifferentialSquareNonzero,
     TrivialCoefficients,
+    UnsupportedCoefficients,
     ce_chain,
     ce_cochain,
     ce_projection,
@@ -30,6 +31,8 @@ from leibhom.leibcore import (
     Representation,
     adjoint_lie_module,
     adjoint_representation,
+    check_lie_module,
+    check_representation,
     lie_module_lift,
     lie_quotient,
     tensor3,
@@ -292,9 +295,52 @@ def dual_pairs(g, n):
         co, dual = rep, dual_representation(rep)
         yield (f"loday rep {rname} corrected", loday_cochain_complex(g, co, n),
                loday_complex(g, dual, n + 1))
-        yield (f"loday rep {rname} plain",
-               loday_cochain_complex(g, co, n, _rep_rule="plain"),
+        yield (f"loday rep {rname} left",
+               loday_cochain_complex(g, co, n, _rep_rule="left"),
                loday_complex(g, dual, n + 1, _rep_rule="left"))
+
+
+DUAL_ALGEBRAS = dict(CORPUS)
+DUAL_ALGEBRAS.update({f"{name} conjugate{seed}": conjugate(g, *unimodular(random.Random(seed),
+                                                                          g.dim))
+                      for seed, (name, g) in enumerate(CORPUS.items())})
+
+
+@pytest.mark.parametrize("name", list(DUAL_ALGEBRAS))
+def test_dual_module_matches_the_oracles(name):
+    g = DUAL_ALGEBRAS[name]
+    h = g.quotient_data.quotient
+    zero = LieModule(2, Matrix.zeros(2, 2 * h.dim))
+    for label, coeffs in [*oracle_coefficient_cases(g), ("zero", zero)]:
+        dual = homology._dual(g, coeffs)
+        if isinstance(coeffs, TrivialCoefficients) or coeffs is zero:
+            assert dual is coeffs, label
+            continue
+        want, again = oracle_dual(coeffs), homology._dual(g, dual)
+        if isinstance(coeffs, Representation):
+            tables = ("left_action", "right_action")
+            assert check_representation(g, dual) == (), label
+        else:
+            tables = ("action",)
+            assert check_lie_module(h, dual) == (), label
+        for t in tables:
+            assert getattr(dual, t).entries == getattr(want, t).entries, (label, t)
+            assert getattr(again, t).entries == getattr(coeffs, t).entries, (label, t)
+
+
+def test_cochain_builders_refuse_a_representation_before_dualizing_it():
+    g = CORPUS["heis3"]
+    h = g.quotient_data.quotient
+    missized = Representation(1, ("m0",), Matrix.zeros(1, 2), Matrix.zeros(1, 2))
+    for rep in (adjoint_representation(g), missized):
+        with pytest.raises(UnsupportedCoefficients):
+            ce_cochain(g, rep, 2)
+        with pytest.raises(UnsupportedCoefficients):
+            classical_ce_cochain(h, rep, 2)
+    for build in (loday_complex, loday_cochain_complex):
+        with pytest.raises(ValueError,
+                           match="^representation tables do not match the algebra dimension$"):
+            build(g, missized, 2)
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
@@ -459,16 +505,24 @@ def test_all_chain_rules_pass_on_a2_adjoint(rule):
     loday_complex(g, rep, 4, _rep_rule=rule)
 
 
-@pytest.mark.parametrize("rule", ["corrected", "plain"])
+@pytest.mark.parametrize("rule", ["corrected", "left"])
 def test_cochain_rules_that_square_to_zero(rule):
     g, rep = HEMI_ADJ
     loday_cochain_complex(g, rep, 4, _rep_rule=rule)
 
 
 def test_naive_cochain_rule_fails():
+    # the value-side naive rule is no chain rule on the dual module, so the
+    # coboundaries are built from the oracle's cochain rule table
     g, rep = HEMI_ADJ
+    L, R = dense(rep.left_action, g.dim, rep.dim), dense(rep.right_action, rep.dim, g.dim)
+    first, later = oracle_dual_chain_actions(L, R, "naive", rep.dim, True)
+    boundaries = oracle_loday_boundaries(g, rep.dim, first, later, 4)
+    dims = [rep.dim * g.dim ** n for n in range(5)]
     with pytest.raises(DifferentialSquareNonzero):
-        loday_cochain_complex(g, rep, 4, _rep_rule="naive")
+        ChainComplex(0, tuple(dims), tuple(
+            Matrix.from_entries(dims[n + 1], dims[n], {(c, r): v for (r, c), v in e.items()})
+            for n, e in enumerate(boundaries)), raising=True)
 
 
 @pytest.mark.parametrize("build", [loday_complex, loday_cochain_complex])
@@ -499,9 +553,10 @@ LIFT_ALGEBRAS.update({f"random{s}": random_algebra(random.Random(s)) for s in ra
 
 
 @pytest.mark.parametrize("name", list(LIFT_ALGEBRAS))
-def test_lie_module_is_its_lift_under_right_and_plain_rules(name):
-    # a Lie module acts as its lift: the right-action chain rule and the
-    # plain cochain rule give the one-sided complexes matrix for matrix
+def test_lie_module_is_its_lift_under_right_and_left_rules(name):
+    # a Lie module acts as its lift: the right-action chain rule, and the
+    # left-action rule on the dual of the lift, give the one-sided
+    # complexes matrix for matrix
     g = LIFT_ALGEBRAS[name]
     qdata = lie_quotient(g)
     for maker in (quotient_adjoint_module, character_module):
@@ -513,7 +568,7 @@ def test_lie_module_is_its_lift_under_right_and_plain_rules(name):
         two = loday_complex(g, lift, 4, _rep_rule="right")
         assert one.diffs == two.diffs, (name, maker.__name__)
         one = loday_cochain_complex(g, mod, 4)
-        two = loday_cochain_complex(g, lift, 4, _rep_rule="plain")
+        two = loday_cochain_complex(g, lift, 4, _rep_rule="left")
         assert one.diffs == two.diffs, (name, maker.__name__)
 
 
@@ -686,35 +741,52 @@ ORACLE_CHAIN_RULES = {
     "naive": (lambda L, R, u, x: _vadd(R[u][x], L[x][u]), lambda L, R, u, x: R[u][x]),
 }
 
-# (first, later) actions (L, R, x, u) -> Vec on the value of a cochain
+# (first, later) actions (L, R, x, u) -> Vec on the value of a cochain:
+# "corrected" and "left" read the chain rules of those names on the dual
+# module, and "naive" is no chain rule on it
 ORACLE_COCHAIN_RULES = {
     "corrected": (lambda L, R, x, u: _vneg(R[u][x]), lambda L, R, x, u: L[x][u]),
-    "plain": (lambda L, R, x, u: L[x][u], lambda L, R, x, u: L[x][u]),
+    "left": (lambda L, R, x, u: L[x][u], lambda L, R, x, u: L[x][u]),
     "naive": (lambda L, R, x, u: _vadd(L[x][u], R[u][x]), lambda L, R, x, u: L[x][u]),
 }
 
 
 def oracle_coefficient_cases(g):
-    """(label, coefficients, m_dim, L, R, two_sided) for every coefficient
-    kind over g; L and R are None for trivial coefficients."""
+    """(label, coefficients) for every coefficient kind over g."""
     for dim in (1, 2):
-        yield f"trivial{dim}", trivial_coefficients(dim), dim, None, None, False
+        yield f"trivial{dim}", trivial_coefficients(dim)
     qdata = lie_quotient(g)
     for maker in (quotient_adjoint_module, character_module):
         mod = maker(qdata)
-        if mod is None:
-            continue
-        units = [tuple(Fraction(int(t == u)) for t in range(mod.dim)) for u in range(mod.dim)]
-        action = dense(mod.action, qdata.quotient.dim, mod.dim)
-        projection = qdata.projection.transpose().entries
-        L = [[bilinear(action, projection[x], units[u]) for u in range(mod.dim)]
-             for x in range(g.dim)]
-        R = [[_vneg(L[x][u]) for x in range(g.dim)] for u in range(mod.dim)]
-        yield f"lie:{maker.__name__}", mod, mod.dim, L, R, False
+        if mod is not None:
+            yield f"lie:{maker.__name__}", mod
     for rname, rep in representations_for(g).items():
-        L = dense(rep.left_action, g.dim, rep.dim)
-        R = dense(rep.right_action, rep.dim, g.dim)
-        yield f"rep:{rname}", rep, rep.dim, L, R, True
+        yield f"rep:{rname}", rep
+
+
+def oracle_tables(g, coeffs):
+    """(m_dim, L, R, two_sided) with L[x][u] = [e_x, f_u] and R[u][x] =
+    [f_u, e_x], a Lie module read through its lift; L and R are None for
+    trivial coefficients."""
+    if isinstance(coeffs, TrivialCoefficients):
+        return coeffs.dim, None, None, False
+    if isinstance(coeffs, Representation):
+        return (coeffs.dim, dense(coeffs.left_action, g.dim, coeffs.dim),
+                dense(coeffs.right_action, coeffs.dim, g.dim), True)
+    qdata = lie_quotient(g)
+    units = [tuple(Fraction(int(t == u)) for t in range(coeffs.dim)) for u in range(coeffs.dim)]
+    action = dense(coeffs.action, qdata.quotient.dim, coeffs.dim)
+    projection = qdata.projection.transpose().entries
+    L = [[bilinear(action, projection[x], units[u]) for u in range(coeffs.dim)]
+         for x in range(g.dim)]
+    R = [[_vneg(L[x][u]) for x in range(g.dim)] for u in range(coeffs.dim)]
+    return coeffs.dim, L, R, False
+
+
+def oracle_dual(coeffs):
+    if isinstance(coeffs, Representation):
+        return dual_representation(coeffs)
+    return coeffs if isinstance(coeffs, TrivialCoefficients) else contragredient(coeffs)
 
 
 def oracle_chain_actions(L, R, rule, two_sided):
@@ -781,19 +853,26 @@ def test_rescaled_algebra_has_denominators():
 def test_loday_boundaries_match_oracle_entry_for_entry(name, monkeypatch):
     g = BOUNDARY_ALGEBRAS[name]
     n_max = 4
-    for label, coeffs, m_dim, L, R, two_sided in oracle_coefficient_cases(g):
+    for label, coeffs in oracle_coefficient_cases(g):
+        m_dim, L, R, two_sided = oracle_tables(g, coeffs)
+        _, dual_l, dual_r, _ = oracle_tables(g, oracle_dual(coeffs))
         for rule in (ORACLE_CHAIN_RULES if two_sided else [None]):
             got = recorded_boundaries(monkeypatch, loday_complex, g, coeffs, n_max,
                                       _rep_rule=rule)
             first, later = oracle_chain_actions(L, R, rule or "corrected", two_sided)
             want = oracle_loday_boundaries(g, m_dim, first, later, n_max)
             assert got == want, (label, rule)
-        for rule in (ORACLE_COCHAIN_RULES if two_sided else [None]):
+            # the coboundaries: the same chain rule on the oracle's dual module
             got = recorded_boundaries(monkeypatch, loday_cochain_complex, g, coeffs, n_max,
                                       _rep_rule=rule)
-            first, later = oracle_dual_chain_actions(L, R, rule or "corrected", m_dim, two_sided)
+            first, later = oracle_chain_actions(dual_l, dual_r, rule or "corrected", two_sided)
             want = oracle_loday_boundaries(g, m_dim, first, later, n_max)
             assert got == want, (label, rule)
+            if rule in (None, "corrected", "left"):
+                # and as the rule of that name acting on the value of a cochain
+                first, later = oracle_dual_chain_actions(L, R, rule or "corrected", m_dim,
+                                                         two_sided)
+                assert got == oracle_loday_boundaries(g, m_dim, first, later, n_max), (label, rule)
 
 
 def test_heis3_d6_matches_oracle_boundary():
