@@ -19,11 +19,16 @@ The metadata also records "src_lines", the line count of
 src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
---quiet and --json, on a heis3 algebra file the script writes to a
-temporary directory: what a shell invocation pays after the import,
-argument parser and axiom checks included.  The lie: rung reads the
-adjoint module of heis3's Lie quotient, written beside it, whose nonzero
-action makes compare run its chain half a second time, on the dual module.
+--quiet and --json, on an algebra file the script writes to a temporary
+directory: what a shell invocation pays after the import, argument parser
+and axiom checks included.  The lie: rung reads the adjoint module of
+heis3's Lie quotient, written beside it, whose nonzero action makes
+compare run its chain half a second time, on the dual module.  The
+"dense" CLI rungs read heis3 and sl2 in the dense basis of the betti
+rungs, and the rep: rung the adjoint two-sided module of dense heis3: the
+CLI builds their complexes in the sparse basis leibcore.sparse_basis
+finds, where the dense betti rungs, which call loday_complex directly,
+keep the dense one.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
 Rungs run in the order listed below; --rung picks some of them.
@@ -43,11 +48,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name -> (function of the child, its arguments)
 RUNGS = {
-    "leibhom check heis3": ("cli", "check"),
-    "leibhom homology --max-degree 3 heis3": ("cli", "homology", "--max-degree", "3"),
-    "leibhom compare --max-degree 7 heis3": ("cli", "compare", "--max-degree", "7"),
+    "leibhom check heis3": ("cli", "check", "heis3.json"),
+    "leibhom homology --max-degree 3 heis3":
+        ("cli", "homology", "heis3.json", "--max-degree", "3"),
+    "leibhom compare --max-degree 7 heis3":
+        ("cli", "compare", "heis3.json", "--max-degree", "7"),
     "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3":
-        ("cli", "compare", "--max-degree", "5", "--coefficients", "lie:adjoint.json"),
+        ("cli", "compare", "heis3.json", "--max-degree", "5",
+         "--coefficients", "lie:adjoint.json"),
+    "leibhom homology --max-degree 7 heis3 dense":
+        ("cli", "homology", "heis3-dense.json", "--max-degree", "7"),
+    "leibhom homology --max-degree 6 sl2 dense":
+        ("cli", "homology", "sl2-dense.json", "--max-degree", "6"),
+    "leibhom homology --max-degree 5 --coefficients rep:adjoint-rep.json heis3 dense":
+        ("cli", "homology", "heis3-dense.json", "--max-degree", "5",
+         "--coefficients", "rep:adjoint-rep.json"),
     "heis3 <= 6": ("betti", "heis3", 6),
     "heis3 <= 7": ("betti", "heis3", 7),
     "heis3 <= 8": ("betti", "heis3", 8),
@@ -125,17 +140,35 @@ def conjecture(d, w):
     return {"verdict": rep.verdict, "h1": [v.h1 for v in rep.weights],
             "higher": [list(v.higher) for v in rep.weights]}
 
+def files():
+    # the files of the dense CLI rungs: the dense algebras, and the adjoint
+    # two-sided module of dense heis3 on the names m_<x>
+    def table(left, right, value, brackets):
+        return [{"left": left[i], "right": right[j],
+                 "value": {value[k]: str(c) for k, c in val.items()}}
+                for (i, j), val in brackets.items()]
+    for name in ("heis3", "sl2"):
+        names, brackets = ALGEBRAS[name + " dense"]
+        with open(name + "-dense.json", "w") as fh:
+            json.dump({"basis": names, "convention": "left",
+                       "brackets": table(names, names, names, brackets)}, fh)
+    names, brackets = ALGEBRAS["heis3 dense"]
+    mods = ["m_" + x for x in names]
+    with open("adjoint-rep.json", "w") as fh:
+        json.dump({"basis": mods, "left_action": table(names, mods, mods, brackets),
+                   "right_action": table(mods, names, mods, brackets)}, fh)
+
 def cli(*argv):
-    # heis3.json and adjoint.json are in the working directory; the report
-    # is read after timing
-    code = entrypoint([*argv, "heis3.json", "--quiet", "--json", "report.json"])
+    # the algebra and module files are in the working directory; the
+    # report is read after timing
+    code = entrypoint([*argv, "--quiet", "--json", "report.json"])
     def result():
         with open("report.json") as fh:
             report = json.load(fh)
         return {"exit": code, "tables": report["tables"], "verdicts": report["verdicts"]}
     return result
 
-call = {"betti": betti, "conjecture": conjecture, "cli": cli}[sys.argv[1]]
+call = {"betti": betti, "conjecture": conjecture, "cli": cli, "files": files}[sys.argv[1]]
 t0 = time.perf_counter()
 result = call(*sys.argv[2:])
 wall = time.perf_counter() - t0
@@ -167,6 +200,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "heis3.json").write_text(json.dumps(HEIS3_DOC))
         Path(workdir, "adjoint.json").write_text(json.dumps(ADJOINT_DOC))
+        run_rung(workdir, "files")
         for r in range(1, ROUNDS + 1):
             for name in names:
                 got = run_rung(workdir, *RUNGS[name])

@@ -36,12 +36,15 @@ from .leibcore import (
     check_lie,
     check_lie_module,
     check_representation,
+    is_isomorphism,
     kernel_ideal,
     lie_module_lift,
     lie_quotient,
     opposite,
     opposite_representation,
+    sparse_basis,
     symmetrization,
+    transport_representation,
     trivial_representation,
 )
 from .dgla import (

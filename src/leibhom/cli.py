@@ -10,6 +10,14 @@ indexed by basis names; omitted pairs are zero.  Reports are emitted as
 canonical JSON (sorted keys) with the wall-clock timing kept outside the
 verdict section, so verdicts are byte-identical across reruns.
 
+The commands that report only basis-invariant numbers (homology,
+cohomology, ce-homology, ce-cohomology, compare, fg) build their complexes
+on the algebra in the basis leibcore.sparse_basis finds, with trivial
+coefficients or the two-sided module carried along, each checked exactly
+first (_in_sparse_basis).  check, quotient, the algebra echo and lie:
+coefficients, whose file names the input's Lie quotient, keep the input
+basis.
+
 Exit codes: 0 success, 1 verdict failure, internal invariant violation or
 any other fault (which ends in a traceback), 2 malformed input.
 """
@@ -51,8 +59,11 @@ from .leibcore import (
     check_leibniz,
     check_lie_module,
     check_representation,
+    is_isomorphism,
     opposite,
     opposite_representation,
+    sparse_basis,
+    transport_representation,
 )
 
 FORMAT_VERSION = 1
@@ -90,12 +101,17 @@ COMMANDS = {
                          ("--max-weight", "max_weight", int, None, "W", None))),
 }
 
+
+class NotIsomorphic(Exception):
+    """The sparse basis of an algebra fails its exact check against the input."""
+
+
 # Exceptions that mean "the tool's own mathematics is inconsistent" rather
 # than "the user's file is bad".  They exit 1, like a failed verdict.
 INVARIANT_ERRORS = (DifferentialSquareNonzero, NotAChainMap, NotInvariant,
                     ShapeMismatch, IllDefinedQuotient, IllDefinedAction,
                     NotInCategory, NecklaceCountError, RightIdentityError,
-                    WeightOverflow)
+                    WeightOverflow, NotIsomorphic)
 
 
 class ParseError(Exception):
@@ -356,6 +372,25 @@ def _load_main_algebra(args, report: dict) -> tuple[LeibnizAlgebra, bool]:
     return g, was_right
 
 
+def _in_sparse_basis(g: LeibnizAlgebra, coeffs):
+    """g in the basis sparse_basis finds, with trivial coefficients or the
+    transported two-sided module, both checked exactly before anything is
+    built on them.  A Lie module names the basis of g's own Lie quotient,
+    so g keeps its basis for one."""
+    if isinstance(coeffs, LieModule):
+        return g, coeffs
+    h, s = sparse_basis(g)
+    if h is g:
+        return g, coeffs
+    if not is_isomorphism(s, h, g):
+        raise NotIsomorphic("the sparse basis does not carry its bracket onto the input's")
+    if isinstance(coeffs, Representation):
+        coeffs = transport_representation(coeffs, s)
+        if check_representation(h, coeffs):
+            raise NotIsomorphic("the module carried to the sparse basis is not a module")
+    return h, coeffs
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -397,7 +432,7 @@ def _cmd_quotient(args, report):
 def _betti_command(args, report, builder, label):
     g, was_right = _load_main_algebra(args, report)
     coeffs = _coefficients(args.coefficients, g, report["inputs"], was_right)
-    rows = _complex_tables(report, builder(g, coeffs, args.max_degree + 1))
+    rows = _complex_tables(report, builder(*_in_sparse_basis(g, coeffs), args.max_degree + 1))
     report["parameters"]["coefficients"] = args.coefficients
     lines = [f"{label}, coefficients {args.coefficients}:"]
     lines += [f"  degree {k}: {b}" for k, _, b in rows]
@@ -408,7 +443,7 @@ def _cmd_compare(args, report):
     g, was_right = _load_main_algebra(args, report)
     coeffs = _coefficients(args.coefficients, g, report["inputs"], was_right)
     n = args.max_degree
-    _, _, cmp = ce_projection(g, coeffs, n)
+    _, _, cmp = ce_projection(*_in_sparse_basis(g, coeffs), n)
     report["parameters"]["coefficients"] = args.coefficients
     report["parameters"]["max_degree"] = n
     report["tables"]["degrees"] = list(cmp.degrees)
@@ -439,7 +474,8 @@ def _cmd_compare(args, report):
 
 def _cmd_fg(args, report):
     g, was_right = _load_main_algebra(args, report)
-    rows = _complex_tables(report, fg_subcomplex(g, args.max_degree + 1))
+    h, _ = _in_sparse_basis(g, trivial_coefficients())
+    rows = _complex_tables(report, fg_subcomplex(h, args.max_degree + 1))
     report["verdicts"]["closed_under_boundary"] = True
     lines = ["graded-commutator subcomplex:"]
     lines += [f"  degree {k}: dim {d}, homology {b}" for k, d, b in rows]

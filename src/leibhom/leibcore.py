@@ -16,12 +16,20 @@ whose column i*b + j holds [e_i, e_j] (`tensor3` builds one).  The
 bracket of the columns of U and V is then T (U (x) V), the opposite
 bracket a column permutation, and each axiom a matrix identity whose
 nonzero columns are the basis tuples where it fails.
+
+The structure constants depend on the basis, and the cost of a complex
+follows their count: `sparse_basis` looks for an isomorphic algebra with
+fewer of them by exact elementary changes of basis, and
+`transport_representation` carries a two-sided module along.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .exactla import (
     Matrix,
@@ -33,6 +41,7 @@ from .exactla import (
     column_span,
     quotient_projection,
     quotient_section,
+    rank,
 )
 
 
@@ -295,3 +304,165 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
     left = mod.action @ _kron(qdata.projection, Matrix.identity(d))
     right = _lincomb((-1, left @ _swap(d, g.dim)))
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)
+
+
+# ---------------------------------------------------------------------------
+# a sparse basis
+
+# The most elementary moves sparse_basis takes.  Each move removes at least
+# one structure constant, so the search also ends when none is left to win.
+SPARSE_STEPS = 16
+
+
+def _moved(cells: dict, by: tuple, i: int, j: int, full: bool) -> dict:
+    """The structure constants after e_i <- e_i + c e_j as polynomials in c,
+    {(a, b, k): [p0, p1, p2, p3]}, from the int constants cells, which
+    by = _by_index(cells, n) lists by their a, b and k: with S = I + c E_ji
+    the new table is S^-1 T (S (x) S), so a constant at (a, b, k) also
+    reaches a = i if a = j, b = i if b = j, and k = j with -c if k = i.
+    Only the keys a term of degree >= 1 reaches, unless full."""
+    polys: dict = defaultdict(lambda: [0, 0, 0, 0])
+    by_a, by_b, by_k = by
+    if full:
+        for key, t in cells.items():
+            polys[key][0] += t
+    for (a, b, _), t in by_k[i]:
+        polys[a, b, j][1] -= t
+    for (_, b, k), t in by_a[j]:
+        polys[i, b, k][1] += t
+        if k == i:
+            polys[i, b, j][2] -= t
+        if b == j:
+            polys[i, i, k][2] += t
+            if k == i:
+                polys[i, i, j][3] -= t
+    for (a, _, k), t in by_b[j]:
+        polys[a, i, k][1] += t
+        if k == i:
+            polys[a, i, j][2] -= t
+    if not full:
+        # a constant term at a key comes only from the constant there
+        for key, p in polys.items():
+            p[0] = cells.get(key, 0)
+    return polys
+
+
+def _by_index(cells: dict, n: int) -> tuple:
+    """The items of cells {(a, b, k): x} listed by a, by b and by k."""
+    by = tuple([[] for _ in range(n)] for _ in range(3))
+    for item in cells.items():
+        for lists, index in zip(by, item[0]):
+            lists[index].append(item)
+    return by
+
+
+def _value(p: list[int], num: int, den: int) -> int:
+    """den^3 p(num/den) for the cubic p, coefficients from the constant up."""
+    return ((p[3] * num + p[2] * den) * num + p[1] * den * den) * num + p[0] * den ** 3
+
+
+def _best_move(cells: dict, n: int) -> tuple | None:
+    """(i, j, num, den) of the move e_i <- e_i + (num/den) e_j that leaves
+    the fewest structure constants, then has the smallest |num| + den, c
+    the root of a moved constant c^m (u + v c); None when no move leaves
+    fewer."""
+    best, by = None, _by_index(cells, n)
+    by_a, by_b, by_k = by
+    for i in range(n):
+        for j in range(n):
+            # a move changes constants only if some have a = j, b = j or
+            # k = i, and it can zero only constants at a = i, b = i or k = j
+            moving, zeroable = by_a[j] or by_b[j] or by_k[i], by_a[i] or by_b[i] or by_k[j]
+            if i == j or not (moving and zeroable):
+                continue
+            polys = _moved(cells, by, i, j, False).values()
+            # the count at a c that zeroes nothing: a zero may become nonzero
+            nnz = len(cells) + sum(1 for p in polys if not p[0] and any(p))
+            if nnz - len(polys) >= (len(cells) if best is None else best[0] + 1):
+                continue
+            vanish: dict[tuple[int, int], int] = {}
+            others = []
+            for p in polys:
+                if p[0] and p[1] and not p[2] and not p[3]:  # the usual case
+                    u, v = p[0], p[1]
+                else:
+                    terms = [d for d in range(4) if p[d]]
+                    if len(terms) != 2 or terms[1] != terms[0] + 1:
+                        if len(terms) > 1:
+                            others.append(p)
+                        continue
+                    u, v = p[terms[0]], p[terms[1]]
+                g = gcd(u, v) if v > 0 else -gcd(u, v)
+                root = (-u // g, v // g)
+                vanish[root] = vanish.get(root, 0) + 1
+            for (num, den), count in vanish.items():
+                count += sum(1 for p in others if not _value(p, num, den))
+                key = (nnz - count, abs(num) + den, i, j, num, den)
+                if key[0] < len(cells) and (best is None or key < best):
+                    best = key
+    return None if best is None else best[2:]
+
+
+def _descent(g: LeibnizAlgebra):
+    """Yield (i, j, c, cells, scale) for each move e_i <- e_i + c e_j of
+    the greedy descent on the number of nonzero structure constants of g:
+    at most SPARSE_STEPS moves, each one lowering the count.  The constants
+    are searched as the ints cells {(a, b, k): x}; [e_a, e_b] has x / scale
+    at e_k in the basis the moves so far give."""
+    n, t = g.dim, g.structure
+    scale = lcm(*[d for d, _ in t.int_rows])
+    cells = {(c // n, c % n, k): x * (scale // d)
+             for k, (d, row) in enumerate(t.int_rows) for c, x in row}
+    # a table of rank r, which is dim [g, g] in every basis, has at least r
+    # nonzero entries
+    if len(cells) <= t.rank():
+        return
+    for _ in range(SPARSE_STEPS):
+        move = _best_move(cells, n)
+        if move is None:
+            return
+        i, j, num, den = move
+        moved = {key: v for key, p in _moved(cells, _by_index(cells, n), i, j, True).items()
+                 if (v := _value(p, num, den))}
+        content = gcd(*moved.values())
+        cells = {key: v // content for key, v in moved.items()}
+        scale = Fraction(scale * den ** 3, content)
+        yield i, j, Fraction(num, den), cells, scale
+
+
+def sparse_basis(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
+    """(h, S): g in the basis f_i = sum_a S[a][i] e_a that the greedy descent
+    of _descent finds, so that S [x, y]_h = [S x, S y]_g.  h keeps the basis
+    names and the convention of g; with no move to take, h is g and S the
+    identity.  The basis-invariant numbers of h are those of g."""
+    n = g.dim
+    s = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    last = None
+    for i, j, c, *last in _descent(g):
+        for row in s:  # S <- S (I + c E_ji): column i gains c times column j
+            row[i] += c * row[j]
+    if last is None:
+        return g, Matrix.identity(n)
+    cells, scale = last
+    table = Matrix.from_entries(n, n * n, {(k, a * n + b): x * scale.denominator
+                                           for (a, b, k), x in cells.items()},
+                                den=scale.numerator)
+    return LeibnizAlgebra(n, g.basis_names, table, g.convention), Matrix.from_rows(s)
+
+
+def is_isomorphism(s: Matrix, h: LeibnizAlgebra, g: LeibnizAlgebra) -> bool:
+    """Whether s is invertible and S [x, y]_h = [S x, S y]_g, that is, s
+    carries h isomorphically onto g."""
+    n = g.dim
+    if (s.rows, s.cols, h.dim) != (n, n, n) or rank(s) < n:
+        return False
+    return s @ h.structure == g.structure @ _kron(s, s)
+
+
+def transport_representation(m: Representation, s: Matrix) -> Representation:
+    """A module over g as a module over h, for (h, s) from sparse_basis(g):
+    the same module, its actions read on the basis S e_i, so L' = L (S (x) I)
+    and R' = R (I (x) S)."""
+    eye = Matrix.identity(m.dim)
+    return Representation(m.dim, m.basis_names, m.left_action @ _kron(s, eye),
+                          m.right_action @ _kron(eye, s))

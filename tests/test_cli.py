@@ -19,6 +19,8 @@ from leibhom.exactla import Matrix
 from leibhom.freealg import FreeLeibnizTruncation, WeightOverflow
 from leibhom.homology import ChainComplex, DifferentialSquareNonzero
 
+from conftest import CORPUS, conjugate
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2))
@@ -753,6 +755,95 @@ def test_heis3_homology_to_degree_six(tmp_path):
     tables = json.loads(out_path.read_text())["tables"]
     assert tables["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10, "4": 22, "5": 47, "6": 101}
     assert tables["dims"] == {str(n): 3 ** n for n in range(7)}
+
+
+# heis3 in the basis f_i = sum_a P[a][i] e_a, P = dense_basis(3) of
+# benchmark/gen.py: every structure constant mixed in, 8 nonzero against 2
+DENSE_P = [[6, -3, 2], [-3, 2, -1], [2, -1, 1]]
+DENSE_P_INV = [[1, 1, -1], [1, 2, 0], [-1, 0, 3]]
+DENSE_HEIS3_DOC = cli.algebra_echo(conjugate(CORPUS["heis3"], DENSE_P, DENSE_P_INV,
+                                             ["a", "b", "c"]))
+
+
+def adjoint_doc(algebra_doc):
+    """The adjoint two-sided module of an algebra document, on names m_<x>."""
+    m = {s: f"m_{s}" for s in algebra_doc["basis"]}
+
+    def entry(e, left, right):
+        return {"left": left, "right": right, "value": {m[k]: v for k, v in e["value"].items()}}
+
+    entries = algebra_doc["brackets"]
+    return {"basis": list(m.values()),
+            "left_action": [entry(e, e["left"], m[e["right"]]) for e in entries],
+            "right_action": [entry(e, m[e["left"]], e["right"]) for e in entries]}
+
+
+SPARSE_COMMANDS = [
+    ("homology", "trivial"), ("homology", "rep"), ("cohomology", "trivial"),
+    ("cohomology", "rep"), ("ce-homology", "trivial"), ("ce-cohomology", "trivial"),
+    ("compare", "trivial"), ("fg", None)]
+
+
+def _sparse_argv(tmp_path, doc, command, coefficients):
+    argv = [command, write_json(tmp_path / "g.json", doc), "--max-degree", "3"]
+    if coefficients == "rep":
+        argv += ["--coefficients", "rep:" + write_json(tmp_path / "m.json", adjoint_doc(doc))]
+    return argv
+
+
+@pytest.mark.parametrize("command, coefficients", SPARSE_COMMANDS)
+def test_dense_basis_reports_match_the_canonical_basis(tmp_path, command, coefficients):
+    # the command rebuilds in a sparse basis; its report keeps the input's
+    reports = []
+    for doc in (HEIS3_DOC, DENSE_HEIS3_DOC):
+        argv = _sparse_argv(tmp_path, doc, command, coefficients)
+        assert cli.entrypoint(argv + ["--json", str(tmp_path / "r.json"), "--quiet"]) == 0
+        reports.append(json.loads((tmp_path / "r.json").read_text()))
+    canonical, dense_report = reports
+    assert dense_report["tables"] == canonical["tables"]
+    assert dense_report["verdicts"] == canonical["verdicts"]
+    assert dense_report["algebra_echo"] == cli.algebra_echo(cli.parse_algebra(
+        str(tmp_path / "g.json"))[0])
+    assert dense_report["algebra_echo"]["basis"] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("command, coefficients", SPARSE_COMMANDS)
+def test_failed_sparse_basis_check_exits_one(tmp_path, capsys, monkeypatch, command,
+                                             coefficients):
+    # a search that hands back a table the basis change does not give
+    real = cli.sparse_basis
+
+    def corrupted(g):
+        h, s = real(g)
+        table = leibcore._lincomb((2, h.structure))
+        return leibcore.LeibnizAlgebra(h.dim, h.basis_names, table, h.convention), s
+
+    monkeypatch.setattr(cli, "sparse_basis", corrupted)
+    argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, command, coefficients)
+    assert cli.entrypoint(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation (NotIsomorphic): ")
+
+
+def test_failed_module_transport_check_exits_one(tmp_path, capsys, monkeypatch):
+    real = cli.transport_representation
+
+    def corrupted(m, s):
+        # every basis vector acting on the left as the identity: x.m is s(x) m,
+        # s the sum of the coordinates, so [x,y].m = x.(y.m) - y.(x.m) = 0
+        # fails wherever s([x,y]) is not 0
+        moved, n = real(m, s), s.rows
+        left = Matrix.from_entries(m.dim, n * m.dim,
+                                   {(u, i * m.dim + u): 1 for i in range(n) for u in range(m.dim)})
+        return leibcore.Representation(m.dim, m.basis_names, left, moved.right_action)
+
+    monkeypatch.setattr(cli, "transport_representation", corrupted)
+    argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, "homology", "rep")
+    assert cli.entrypoint(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation (NotIsomorphic): ")
 
 
 # Help, version and argument errors, pinned byte for byte: stdout, stderr

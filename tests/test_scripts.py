@@ -115,3 +115,25 @@ def test_ladder_runs_a_cli_rung(tmp_path):
         "h2_to_hl2_injective": True}
     for rung in (homology, compare):
         assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
+
+
+def test_ladder_runs_the_dense_cli_rungs(tmp_path):
+    # the CLI builds these in a sparse basis; the numbers are the canonical
+    # bases' (heis3: the betti rungs above, sl2: acyclic, the rep: rung:
+    # the adjoint module of heis3)
+    names = ["leibhom homology --max-degree 7 heis3 dense",
+             "leibhom homology --max-degree 6 sl2 dense",
+             "leibhom homology --max-degree 5 --coefficients rep:adjoint-rep.json heis3 dense"]
+    argv = [arg for name in names for arg in ("--rung", name)]
+    proc = run_script("ladder.py", "--label", "smoke", *argv, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rungs = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert [rung["name"] for rung in rungs] == names
+    betti = [[1, 2, 5, 10, 22, 47, 101, 217], [1, 0, 0, 0, 0, 0, 0], [3, 4, 11, 22, 48, 103]]
+    for rung, expected, m in zip(rungs, betti, (1, 1, 3)):
+        assert rung["result"]["exit"] == 0
+        assert rung["result"]["verdicts"] == {}
+        tables = rung["result"]["tables"]
+        assert tables["betti"] == {str(k): b for k, b in enumerate(expected)}
+        assert tables["dims"] == {str(k): m * 3 ** k for k in range(len(expected))}
+        assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
