@@ -21,14 +21,15 @@ src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 --quiet and --json, on an algebra file the script writes to a temporary
 directory: what a shell invocation pays after the import, argument parser
-and axiom checks included.  The lie: rung reads the adjoint module of
-heis3's Lie quotient, written beside it, whose nonzero action makes
-compare run its chain half a second time, on the dual module.  The
+and axiom checks included.  The lie: rung on heis3 reads the adjoint
+module of heis3's Lie quotient, written beside it, whose nonzero action
+makes compare run its chain half a second time, on the dual module.  The
 "dense" CLI rungs read heis3 and sl2 in the dense basis of the betti
-rungs, and the rep: rung the adjoint two-sided module of dense heis3: the
-CLI builds their complexes in the sparse basis leibcore.sparse_basis
-finds, where the dense betti rungs, which call loday_complex directly,
-keep the dense one.
+rungs, the dense rep: rung the adjoint two-sided module of dense heis3 and
+the dense lie: rung the adjoint module of its Lie quotient: the CLI builds
+their complexes in the sparse basis leibcore.sparse_basis finds, and a
+module in the one leibcore.sparse_module_basis finds for it, where the
+dense betti rungs, which call loday_complex directly, keep the dense one.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
 Rungs run in the order listed below; --rung picks some of them.
@@ -63,6 +64,9 @@ RUNGS = {
     "leibhom homology --max-degree 5 --coefficients rep:adjoint-rep.json heis3 dense":
         ("cli", "homology", "heis3-dense.json", "--max-degree", "5",
          "--coefficients", "rep:adjoint-rep.json"),
+    "leibhom compare --max-degree 5 --coefficients lie:adjoint-lie.json heis3 dense":
+        ("cli", "compare", "heis3-dense.json", "--max-degree", "5",
+         "--coefficients", "lie:adjoint-lie.json"),
     "heis3 <= 6": ("betti", "heis3", 6),
     "heis3 <= 7": ("betti", "heis3", 7),
     "heis3 <= 8": ("betti", "heis3", 8),
@@ -141,8 +145,9 @@ def conjecture(d, w):
             "higher": [list(v.higher) for v in rep.weights]}
 
 def files():
-    # the files of the dense CLI rungs: the dense algebras, and the adjoint
-    # two-sided module of dense heis3 on the names m_<x>
+    # the files of the dense CLI rungs: the dense algebras, the adjoint
+    # two-sided module of dense heis3 on the names m_<x>, and the adjoint
+    # module of its Lie quotient, which is dense heis3 itself on x~
     def table(left, right, value, brackets):
         return [{"left": left[i], "right": right[j],
                  "value": {value[k]: str(c) for k, c in val.items()}}
@@ -157,6 +162,9 @@ def files():
     with open("adjoint-rep.json", "w") as fh:
         json.dump({"basis": mods, "left_action": table(names, mods, mods, brackets),
                    "right_action": table(mods, names, mods, brackets)}, fh)
+    with open("adjoint-lie.json", "w") as fh:
+        json.dump({"basis": mods,
+                   "action": table([x + "~" for x in names], mods, mods, brackets)}, fh)
 
 def cli(*argv):
     # the algebra and module files are in the working directory; the

@@ -19,8 +19,10 @@ nonzero columns are the basis tuples where it fails.
 
 The structure constants depend on the basis, and the cost of a complex
 follows their count: `sparse_basis` looks for an isomorphic algebra with
-fewer of them by exact elementary changes of basis, and
-`transport_representation` carries a two-sided module along.
+fewer of them by exact elementary changes of basis,
+`transport_representation` carries a two-sided module, or a module over
+the Lie quotient, along, and `sparse_module_basis` runs the same search on
+the module's basis alone.
 """
 
 from __future__ import annotations
@@ -309,8 +311,8 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
 # ---------------------------------------------------------------------------
 # a sparse basis
 
-# The most elementary moves sparse_basis takes.  Each move removes at least
-# one structure constant, so the search also ends when none is left to win.
+# The most elementary moves one search of _descent takes.  Each move removes
+# at least one constant, so the search also ends when none is left to win.
 SPARSE_STEPS = 16
 
 
@@ -361,15 +363,15 @@ def _value(p: list[int], num: int, den: int) -> int:
     return ((p[3] * num + p[2] * den) * num + p[1] * den * den) * num + p[0] * den ** 3
 
 
-def _best_move(cells: dict, n: int) -> tuple | None:
-    """(i, j, num, den) of the move e_i <- e_i + (num/den) e_j that leaves
-    the fewest structure constants, then has the smallest |num| + den, c
-    the root of a moved constant c^m (u + v c); None when no move leaves
-    fewer."""
+def _best_move(cells: dict, n: int, lo: int) -> tuple | None:
+    """(i, j, num, den) of the move e_i <- e_i + (num/den) e_j, lo <= i, j
+    < n, that leaves the fewest structure constants, then has the smallest
+    |num| + den, c the root of a moved constant c^m (u + v c); None when no
+    move leaves fewer."""
     best, by = None, _by_index(cells, n)
     by_a, by_b, by_k = by
-    for i in range(n):
-        for j in range(n):
+    for i in range(lo, n):
+        for j in range(lo, n):
             # a move changes constants only if some have a = j, b = j or
             # k = i, and it can zero only constants at a = i, b = i or k = j
             moving, zeroable = by_a[j] or by_b[j] or by_k[i], by_a[i] or by_b[i] or by_k[j]
@@ -403,22 +405,29 @@ def _best_move(cells: dict, n: int) -> tuple | None:
     return None if best is None else best[2:]
 
 
-def _descent(g: LeibnizAlgebra):
-    """Yield (i, j, c, cells, scale) for each move e_i <- e_i + c e_j of
-    the greedy descent on the number of nonzero structure constants of g:
-    at most SPARSE_STEPS moves, each one lowering the count.  The constants
-    are searched as the ints cells {(a, b, k): x}; [e_a, e_b] has x / scale
-    at e_k in the basis the moves so far give."""
-    n, t = g.dim, g.structure
-    scale = lcm(*[d for d, _ in t.int_rows])
-    cells = {(c // n, c % n, k): x * (scale // d)
-             for k, (d, row) in enumerate(t.int_rows) for c, x in row}
-    # a table of rank r, which is dim [g, g] in every basis, has at least r
-    # nonzero entries
-    if len(cells) <= t.rank():
+def _int_cells(*parts: tuple) -> tuple[dict, int]:
+    """(cells, scale): the entries of the tables as ints cells {(a, b, k): x}
+    over one scale, each entry x / scale; parts are (table, key), key(c, k)
+    the (a, b, k) of the table's entry at row k, column c."""
+    scale = lcm(*[d for t, _ in parts for d, _ in t.int_rows])
+    return {key(c, k): x * (scale // d) for t, key in parts
+            for k, (d, row) in enumerate(t.int_rows) for c, x in row}, scale
+
+
+def _descent(cells: dict, scale: int, n: int, lo: int = 0):
+    """Yield (i, j, c, cells, scale) for each move e_i <- e_i + c e_j,
+    lo <= i, j < n, of the greedy descent on the number of nonzero
+    constants of a bilinear map on k^n, given as the ints cells
+    {(a, b, k): x}, [e_a, e_b] having x / scale at e_k: at most
+    SPARSE_STEPS moves, each one lowering the count, each yield in the
+    basis the moves so far give."""
+    # a table of rank r has at least r nonzero entries, and a change of
+    # basis keeps its rank (dim [g, g] for a bracket)
+    if len(cells) <= rank(Matrix.from_entries(
+            n, n * n, {(k, a * n + b): x for (a, b, k), x in cells.items()})):
         return
     for _ in range(SPARSE_STEPS):
-        move = _best_move(cells, n)
+        move = _best_move(cells, n, lo)
         if move is None:
             return
         i, j, num, den = move
@@ -430,27 +439,67 @@ def _descent(g: LeibnizAlgebra):
         yield i, j, Fraction(num, den), cells, scale
 
 
+def _sparse_cells(cells: dict, scale: int, n: int, lo: int = 0) -> tuple | None:
+    """(cells, scale, B) where the descent of _descent ends, B the change of
+    basis of the indices lo..n-1 it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v);
+    None when it takes no move."""
+    b = [[Fraction(int(u == v)) for v in range(n - lo)] for u in range(n - lo)]
+    last = None
+    for i, j, c, *last in _descent(cells, scale, n, lo):
+        for row in b:  # B <- B (I + c E_ji): column i gains c times column j
+            row[i - lo] += c * row[j - lo]
+    return None if last is None else (*last, Matrix.from_rows(b))
+
+
+def _read(cells: dict, scale: Fraction, rows: int, cols: int, where) -> Matrix:
+    """The rows x cols table with x / scale at where(a, b, k) for each of
+    the cells {(a, b, k): x} where gives a place, not None."""
+    return Matrix.from_entries(rows, cols, {at: x * scale.denominator for key, x in cells.items()
+                                            if (at := where(*key)) is not None},
+                               den=scale.numerator)
+
+
 def sparse_basis(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
     """(h, S): g in the basis f_i = sum_a S[a][i] e_a that the greedy descent
     of _descent finds, so that S [x, y]_h = [S x, S y]_g.  h keeps the basis
     names and the convention of g; with no move to take, h is g and S the
     identity.  The basis-invariant numbers of h are those of g."""
     n = g.dim
-    s = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
-    last = None
-    for i, j, c, *last in _descent(g):
-        for row in s:  # S <- S (I + c E_ji): column i gains c times column j
-            row[i] += c * row[j]
-    if last is None:
+    found = _sparse_cells(*_int_cells((g.structure, lambda c, k: (c // n, c % n, k))), n)
+    if found is None:
         return g, Matrix.identity(n)
-    cells, scale = last
-    table = Matrix.from_entries(n, n * n, {(k, a * n + b): x * scale.denominator
-                                           for (a, b, k), x in cells.items()},
-                                den=scale.numerator)
-    return LeibnizAlgebra(n, g.basis_names, table, g.convention), Matrix.from_rows(s)
+    cells, scale, s = found
+    table = _read(cells, scale, n, n * n, lambda a, b, k: (k, a * n + b))
+    return LeibnizAlgebra(n, g.basis_names, table, g.convention), s
 
 
-def is_isomorphism(s: Matrix, h: LeibnizAlgebra, g: LeibnizAlgebra) -> bool:
+def sparse_module_basis(m: Representation | LieModule, n: int
+                        ) -> tuple[Representation | LieModule, Matrix]:
+    """(m', T): m, a module over an n-dim algebra, in the basis
+    f'_u = sum_v T[v][u] f_v that the descent of _descent finds when it
+    moves only the module's basis, run on the actions as one bilinear map
+    on g + m, so that T L' = L (I (x) T) and T R' = R (T (x) I), or
+    T A' = A (I (x) T) for a Lie module.  With no move to take, m' is m and
+    T the identity."""
+    d, lie = m.dim, isinstance(m, LieModule)
+    parts = [(m.action if lie else m.left_action, lambda c, k: (c // d, n + c % d, n + k))]
+    if not lie:
+        parts.append((m.right_action, lambda c, k: (n + c // n, c % n, n + k)))
+    found = _sparse_cells(*_int_cells(*parts), n + d, n)
+    if found is None:
+        return m, Matrix.identity(d)
+    cells, scale, t = found
+    # a cell with a in g is an entry of [x, m], any other one of [m, x]
+    left = _read(cells, scale, d, n * d, lambda a, b, k: (k - n, a * d + b - n) if a < n else None)
+    if lie:
+        return LieModule(d, left), t
+    right = _read(cells, scale, d, d * n,
+                  lambda a, b, k: None if a < n else (k - n, (a - n) * n + b))
+    return Representation(d, m.basis_names, left, right), t
+
+
+def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra | LieAlgebra
+                   ) -> bool:
     """Whether s is invertible and S [x, y]_h = [S x, S y]_g, that is, s
     carries h isomorphically onto g."""
     n = g.dim
@@ -459,10 +508,29 @@ def is_isomorphism(s: Matrix, h: LeibnizAlgebra, g: LeibnizAlgebra) -> bool:
     return s @ h.structure == g.structure @ _kron(s, s)
 
 
-def transport_representation(m: Representation, s: Matrix) -> Representation:
-    """A module over g as a module over h, for (h, s) from sparse_basis(g):
-    the same module, its actions read on the basis S e_i, so L' = L (S (x) I)
-    and R' = R (I (x) S)."""
+def is_module_isomorphism(t: Matrix, s: Matrix, new: Representation | LieModule,
+                          old: Representation | LieModule) -> bool:
+    """Whether t is invertible and carries new, a module over h, onto old,
+    a module over g, along the isomorphism s of h onto g: T L' = L (S (x) T)
+    and T R' = R (T (x) S), or T A' = A (S (x) T) for Lie modules."""
+    d = old.dim
+    if (t.rows, t.cols, new.dim) != (d, d, d) or rank(t) < d:
+        return False
+    if isinstance(old, LieModule):
+        return t @ new.action == old.action @ _kron(s, t)
+    return (t @ new.left_action == old.left_action @ _kron(s, t)
+            and t @ new.right_action == old.right_action @ _kron(t, s))
+
+
+def transport_representation(m: Representation | LieModule, s: Matrix
+                             ) -> Representation | LieModule:
+    """A module over g as a module over h, for (h, s) from sparse_basis(g),
+    or one over g's Lie quotient as one over h's, for s the isomorphism
+    pi_g S sigma_h of the quotients: the same module, its actions read on
+    the basis S e_i, so L' = L (S (x) I), R' = R (I (x) S) and
+    A' = A (S (x) I)."""
     eye = Matrix.identity(m.dim)
+    if isinstance(m, LieModule):
+        return LieModule(m.dim, m.action @ _kron(s, eye))
     return Representation(m.dim, m.basis_names, m.left_action @ _kron(s, eye),
                           m.right_action @ _kron(eye, s))

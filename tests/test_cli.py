@@ -778,16 +778,27 @@ def adjoint_doc(algebra_doc):
             "right_action": [entry(e, m[e["left"]], e["right"]) for e in entries]}
 
 
+def lie_adjoint_doc(algebra_doc):
+    """The adjoint module of the Lie quotient of a Lie algebra document,
+    whose quotient keeps every basis vector x, named x~."""
+    m = {s: f"m_{s}" for s in algebra_doc["basis"]}
+    return {"basis": list(m.values()), "action": [
+        {"left": e["left"] + "~", "right": m[e["right"]],
+         "value": {m[k]: v for k, v in e["value"].items()}} for e in algebra_doc["brackets"]]}
+
+
 SPARSE_COMMANDS = [
-    ("homology", "trivial"), ("homology", "rep"), ("cohomology", "trivial"),
-    ("cohomology", "rep"), ("ce-homology", "trivial"), ("ce-cohomology", "trivial"),
-    ("compare", "trivial"), ("fg", None)]
+    ("homology", "trivial"), ("homology", "rep"), ("homology", "lie"), ("cohomology", "trivial"),
+    ("cohomology", "rep"), ("cohomology", "lie"), ("ce-homology", "trivial"),
+    ("ce-homology", "lie"), ("ce-cohomology", "trivial"), ("ce-cohomology", "lie"),
+    ("compare", "trivial"), ("compare", "lie"), ("fg", None)]
 
 
 def _sparse_argv(tmp_path, doc, command, coefficients):
     argv = [command, write_json(tmp_path / "g.json", doc), "--max-degree", "3"]
-    if coefficients == "rep":
-        argv += ["--coefficients", "rep:" + write_json(tmp_path / "m.json", adjoint_doc(doc))]
+    if coefficients in ("rep", "lie"):
+        module = (adjoint_doc if coefficients == "rep" else lie_adjoint_doc)(doc)
+        argv += ["--coefficients", f"{coefficients}:" + write_json(tmp_path / "m.json", module)]
     return argv
 
 
@@ -840,6 +851,28 @@ def test_failed_module_transport_check_exits_one(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "transport_representation", corrupted)
     argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, "homology", "rep")
+    assert cli.entrypoint(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation (NotIsomorphic): ")
+
+
+@pytest.mark.parametrize("coefficients", ["rep", "lie"])
+def test_zero_module_transport_exits_one(tmp_path, capsys, monkeypatch, coefficients):
+    # the zero module is a module, so only the check against the input's
+    # module can refuse it; built on, it gave other Betti numbers
+    real = cli.transport_representation
+
+    def zero(m, s):
+        moved = real(m, s)
+        if isinstance(moved, leibcore.LieModule):
+            return leibcore.LieModule(m.dim, Matrix.zeros(m.dim, moved.action.cols))
+        return leibcore.Representation(m.dim, m.basis_names,
+                                       Matrix.zeros(m.dim, moved.left_action.cols),
+                                       Matrix.zeros(m.dim, moved.right_action.cols))
+
+    monkeypatch.setattr(cli, "transport_representation", zero)
+    argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, "homology", coefficients)
     assert cli.entrypoint(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""

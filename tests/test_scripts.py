@@ -94,13 +94,17 @@ def test_ladder_writes_one_rung(tmp_path):
 
 
 def test_ladder_runs_a_cli_rung(tmp_path):
+    # the dense lie: rung, built in the sparse bases of the algebra and of
+    # the module, gives the tables of the canonical one
     names = ["leibhom homology --max-degree 3 heis3",
-             "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3"]
-    proc = run_script("ladder.py", "--label", "smoke", "--rung", names[0], "--rung", names[1],
-                      "--out", str(tmp_path))
+             "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3",
+             "leibhom compare --max-degree 5 --coefficients lie:adjoint-lie.json heis3 dense"]
+    argv = [arg for name in names for arg in ("--rung", name)]
+    proc = run_script("ladder.py", "--label", "smoke", *argv, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    homology, compare = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
-    assert [homology["name"], compare["name"]] == names
+    homology, compare, dense = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert [homology["name"], compare["name"], dense["name"]] == names
+    assert dense["result"] == compare["result"]
     assert homology["result"]["exit"] == compare["result"]["exit"] == 0
     assert homology["result"]["tables"]["betti"] == {"0": 1, "1": 2, "2": 5, "3": 10}
     assert homology["result"]["verdicts"] == {}
@@ -113,7 +117,7 @@ def test_ladder_runs_a_cli_rung(tmp_path):
     assert compare["result"]["verdicts"] == {
         "chain_map": True, "h0_iso": True, "h1_iso": True, "hl2_to_h2_surjective": True,
         "h2_to_hl2_injective": True}
-    for rung in (homology, compare):
+    for rung in (homology, compare, dense):
         assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
 
 

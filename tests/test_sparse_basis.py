@@ -1,15 +1,15 @@
-"""The sparse basis: the greedy search itself, and the basis-invariant
-numbers of every builder the CLI runs on it, with the search on and off."""
+"""The sparse basis: the greedy search itself, on an algebra and on the
+basis of a module, and the basis-invariant numbers of every builder the
+CLI runs on them, with the search on and off."""
 
 import importlib.util
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from leibhom import leibcore
-from leibhom.exactla import Matrix
+from leibhom import cli, leibcore
+from leibhom.exactla import Matrix, _kron
 from leibhom.homology import (
     ce_chain,
     ce_cochain,
@@ -21,12 +21,19 @@ from leibhom.homology import (
 )
 from leibhom.leibcore import (
     LeibnizAlgebra,
+    LieModule,
     Representation,
     _descent,
+    _int_cells,
+    adjoint_lie_module,
+    adjoint_representation,
     check_leibniz,
+    check_lie_module,
     check_representation,
     is_isomorphism,
+    is_module_isomorphism,
     sparse_basis,
+    sparse_module_basis,
     transport_representation,
 )
 
@@ -62,8 +69,33 @@ CANONICAL = dict(CORPUS, sl2=SL2, **{
     for name, spec in GEN.ALGEBRAS.items()})
 
 
+def nonzeros(*tables: Matrix) -> int:
+    return sum(len(row) for t in tables for _, row in t.int_rows)
+
+
 def nnz(g: LeibnizAlgebra) -> int:
-    return sum(len(row) for _, row in g.structure.int_rows)
+    return nonzeros(g.structure)
+
+
+def descent(g: LeibnizAlgebra):
+    """The moves of sparse_basis(g)."""
+    n = g.dim
+    return _descent(*_int_cells((g.structure, lambda c, k: (c // n, c % n, k))), n)
+
+
+def lie_modules_for(g: LeibnizAlgebra) -> dict[str, LieModule]:
+    """Modules over the Lie quotient of g: its adjoint module, when the
+    quotient is not 0, and a 2-dim one with zero action."""
+    q = g.quotient_data.quotient
+    out = {"zero": LieModule(2, Matrix.zeros(2, 2 * q.dim))}
+    if q.dim:
+        out["adjoint"] = adjoint_lie_module(q)
+    return out
+
+
+def quotient_map(g: LeibnizAlgebra, h: LeibnizAlgebra, s: Matrix) -> Matrix:
+    """pi_g S sigma_h, the isomorphism of the Lie quotients that s induces."""
+    return g.quotient_data.projection @ s @ h.quotient_data.section
 
 
 def in_dense_basis(g: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -94,13 +126,21 @@ def test_sparse_basis_is_an_isomorphism(name):
         for j in range(g.dim):
             assert s.apply(th[i][j]) == bilinear(tg, cols[i], cols[j])
     for mname, m in representations_for(g).items():
-        assert not check_representation(h, transport_representation(m, s)), mname
+        moved, t = sparse_module_basis(transport_representation(m, s), g.dim)
+        assert is_module_isomorphism(t, s, moved, m), mname
+        assert not check_representation(h, moved), mname
+    sbar, hq = quotient_map(g, h, s), h.quotient_data.quotient
+    assert is_isomorphism(sbar, hq, g.quotient_data.quotient)
+    for mname, m in lie_modules_for(g).items():
+        moved, t = sparse_module_basis(transport_representation(m, sbar), hq.dim)
+        assert is_module_isomorphism(t, sbar, moved, m), mname
+        assert not check_lie_module(hq, moved), mname
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_descent_lowers_the_count_at_every_move_within_the_budget(name):
     g = CASES[name]
-    counts = [nnz(g)] + [len(cells) for *_, cells, _ in _descent(g)]
+    counts = [nnz(g)] + [len(cells) for *_, cells, _ in descent(g)]
     assert len(counts) - 1 <= leibcore.SPARSE_STEPS
     assert all(a > b for a, b in zip(counts, counts[1:]))
     assert nnz(sparse_basis(g)[0]) == counts[-1]
@@ -108,9 +148,9 @@ def test_descent_lowers_the_count_at_every_move_within_the_budget(name):
 
 def test_descent_stops_at_the_step_budget(monkeypatch):
     g = CASES["bench-a2k dense"]
-    assert len(list(_descent(g))) == 2
+    assert len(list(descent(g))) == 2
     monkeypatch.setattr(leibcore, "SPARSE_STEPS", 1)
-    [(_, _, _, cells, _)] = _descent(g)
+    [(_, _, _, cells, _)] = descent(g)
     h, s = sparse_basis(g)
     assert nnz(h) == len(cells) < nnz(g)
     assert is_isomorphism(s, h, g)
@@ -119,7 +159,7 @@ def test_descent_stops_at_the_step_budget(monkeypatch):
 @pytest.mark.parametrize("name", list(CANONICAL))
 def test_a_canonical_basis_comes_back_unchanged(name):
     g = CANONICAL[name]
-    assert list(_descent(g)) == []
+    assert list(descent(g)) == []
     h, s = sparse_basis(g)
     assert h is g
     assert s == Matrix.identity(g.dim)
@@ -134,20 +174,69 @@ def test_dense_forms_reach_the_canonical_count(name, count):
     assert nnz(sparse_basis(g)[0]) == count
 
 
-def test_transport_reads_the_actions_on_the_new_basis():
+def test_transport_reads_the_actions_on_the_new_bases():
+    # T L' = L (S (x) T): [S e_i, T f_u] in the basis T f_v, and so on
     g = CASES["heis3 conjugate1"]
     h, s = sparse_basis(g)
     m = representations_for(g)["adjoint"]
-    moved = transport_representation(m, s)
-    cols = s.transpose().entries
+    moved, t = sparse_module_basis(transport_representation(m, s), g.dim)
+    assert t != Matrix.identity(m.dim)
+    cols, tcols = s.transpose().entries, t.transpose().entries
     left, right = dense(m.left_action, g.dim, m.dim), dense(m.right_action, m.dim, g.dim)
     new_left = dense(moved.left_action, g.dim, m.dim)
     new_right = dense(moved.right_action, m.dim, g.dim)
     for i in range(g.dim):
         for u in range(m.dim):
-            f_u = tuple(Fraction(int(v == u)) for v in range(m.dim))
-            assert new_left[i][u] == bilinear(left, cols[i], f_u)
-            assert new_right[u][i] == bilinear(right, f_u, cols[i])
+            assert t.apply(new_left[i][u]) == bilinear(left, cols[i], tcols[u])
+            assert t.apply(new_right[u][i]) == bilinear(right, tcols[u], cols[i])
+    # and T A' = A (S~ (x) T) on the adjoint module of the Lie quotient
+    sbar, r = quotient_map(g, h, s), g.quotient_data.quotient.dim
+    mod = adjoint_lie_module(g.quotient_data.quotient)
+    moved, t = sparse_module_basis(transport_representation(mod, sbar), r)
+    assert t != Matrix.identity(r)
+    cols, tcols = sbar.transpose().entries, t.transpose().entries
+    action, new_action = dense(mod.action, r, r), dense(moved.action, r, r)
+    for a in range(r):
+        for u in range(r):
+            assert t.apply(new_action[a][u]) == bilinear(action, cols[a], tcols[u])
+
+
+# the counts the module search reaches on the adjoint modules of the dense
+# forms after sparse_basis: those of the canonical bases
+@pytest.mark.parametrize("name, rep_count, lie_count", [
+    ("bench-heis3", 4, 2), ("bench-a2k", 2, 0), ("bench-fil4", 6, 0), ("bench-hemi2", 2, 0),
+    ("sl2", 12, 6)])
+def test_dense_adjoint_modules_reach_the_canonical_count(name, rep_count, lie_count):
+    g = CASES[f"{name} dense"]
+    h, s = sparse_basis(g)
+    rep = transport_representation(adjoint_representation(g), s)
+    moved = sparse_module_basis(rep, g.dim)[0]
+    assert nonzeros(moved.left_action, moved.right_action) == rep_count < nonzeros(
+        rep.left_action, rep.right_action)
+    hq = h.quotient_data.quotient
+    mod = transport_representation(adjoint_lie_module(g.quotient_data.quotient),
+                                   quotient_map(g, h, s))
+    assert nonzeros(sparse_module_basis(mod, hq.dim)[0].action) == lie_count
+
+
+def test_a_dense_module_over_a_canonical_basis_moves_alone():
+    # S is the identity and T is not: heis3's adjoint modules written in
+    # the module basis P = dense_basis(3), carried back to the canonical counts
+    g = CANONICAL["heis3"]
+    p, eye = Matrix.from_rows(GEN.dense_basis(3)), Matrix.identity(3)
+    pinv = Matrix.from_rows(GEN._inverse(GEN.dense_basis(3)))
+    rep, mod = adjoint_representation(g), adjoint_lie_module(g.quotient_data.quotient)
+    dense_rep = Representation(3, rep.basis_names, pinv @ rep.left_action @ _kron(eye, p),
+                               pinv @ rep.right_action @ _kron(p, eye))
+    dense_mod = LieModule(3, pinv @ mod.action @ _kron(eye, p))
+    for m, tables, reached in ((dense_rep, lambda m: (m.left_action, m.right_action), 4),
+                               (dense_mod, lambda m: (m.action,), 2)):
+        h, moved = cli._in_sparse_basis(g, m)
+        assert h is g and moved is not m
+        assert nonzeros(*tables(moved)) == reached < nonzeros(*tables(m))
+        for builder in (loday_complex, loday_cochain_complex):
+            off, on = builder(g, m, 3), builder(h, moved, 3)
+            assert (off.dims, off.betti()) == (on.dims, on.betti()), builder.__name__
 
 
 # --- on/off: the input basis and the sparse basis give one set of numbers
@@ -156,32 +245,31 @@ def test_the_on_off_cases_include_changed_bases():
     assert sum(sparse_basis(g)[0] is not g for g in CASES.values()) >= 15
 
 
-def _sparse_pair(g, m):
-    """g and its coefficients m carried to the sparse basis of g."""
-    h, s = sparse_basis(g)
-    return h, transport_representation(m, s) if isinstance(m, Representation) else m
-
-
 @pytest.mark.parametrize("name", list(CASES))
 def test_tensor_complexes_agree_on_and_off(name):
     g = CASES[name]
-    modules = dict(representations_for(g), trivial=trivial_coefficients())
+    modules = dict(representations_for(g), trivial=trivial_coefficients(),
+                   **{f"lie-{k}": m for k, m in lie_modules_for(g).items()})
     for mname, m in modules.items():
         n_max = 4 if m.dim == 1 else 3
         for builder in (loday_complex, loday_cochain_complex):
-            off, on = builder(g, m, n_max), builder(*_sparse_pair(g, m), n_max)
+            off, on = builder(g, m, n_max), builder(*cli._in_sparse_basis(g, m), n_max)
             assert (off.dims, off.betti()) == (on.dims, on.betti()), (mname, builder.__name__)
+
+
+def _fields(report):
+    return [getattr(report, f) for f in report.__match_args__]
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_envelope_complexes_comparison_and_fg_agree_on_and_off(name):
     g, triv = CASES[name], trivial_coefficients()
-    h, _ = _sparse_pair(g, triv)
-    for builder in (ce_chain, ce_cochain):
-        off, on = builder(g, triv, 4), builder(h, triv, 4)
-        assert (off.dims, off.betti()) == (on.dims, on.betti()), builder.__name__
+    h, _ = cli._in_sparse_basis(g, triv)
     off, on = fg_subcomplex(g, 4), fg_subcomplex(h, 4)
     assert (off.dims, off.betti()) == (on.dims, on.betti())
-    off, on = ce_projection(g, triv, 3)[2], ce_projection(h, triv, 3)[2]
-    assert [getattr(off, f) for f in off.__match_args__] == [getattr(on, f)
-                                                             for f in on.__match_args__]
+    for mname, m in dict(lie_modules_for(g), trivial=triv).items():
+        pair, n_max = cli._in_sparse_basis(g, m), 4 if m.dim == 1 else 3
+        for builder in (ce_chain, ce_cochain):
+            off, on = builder(g, m, n_max), builder(*pair, n_max)
+            assert (off.dims, off.betti()) == (on.dims, on.betti()), (mname, builder.__name__)
+        assert _fields(ce_projection(g, m, 3)[2]) == _fields(ce_projection(*pair, 3)[2]), mname
