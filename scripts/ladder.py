@@ -27,9 +27,9 @@ makes compare run its chain half a second time, on the dual module.  The
 "dense" CLI rungs read heis3 and sl2 in the dense basis of the betti
 rungs, the dense rep: rung the adjoint two-sided module of dense heis3 and
 the dense lie: rung the adjoint module of its Lie quotient: the CLI builds
-their complexes in the sparse basis leibcore.sparse_basis finds, and a
-module in the one leibcore.sparse_module_basis finds for it, where the
-dense betti rungs, which call loday_complex directly, keep the dense one.
+their complexes in the sparse bases leibcore.sparse_basis finds for the
+algebra and for its module, where the dense betti rungs, which call
+loday_complex directly, keep the dense one.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
 Rungs run in the order listed below; --rung picks some of them.

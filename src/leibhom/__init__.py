@@ -37,16 +37,13 @@ from .leibcore import (
     check_lie_module,
     check_representation,
     is_isomorphism,
-    is_module_isomorphism,
     kernel_ideal,
     lie_module_lift,
     lie_quotient,
     opposite,
     opposite_representation,
     sparse_basis,
-    sparse_module_basis,
     symmetrization,
-    transport_representation,
     trivial_representation,
 )
 from .dgla import (

@@ -13,9 +13,9 @@ verdict section, so verdicts are byte-identical across reruns.
 The commands that report only basis-invariant numbers (homology,
 cohomology, ce-homology, ce-cohomology, compare, fg) build their complexes
 on the algebra in the basis leibcore.sparse_basis finds, with a rep: or
-lie: module carried along and put in a sparse basis of its own, each
-checked exactly first (_in_sparse_basis).  check, quotient and the algebra
-echo keep the input basis.
+lie: module carried along and put in a sparse basis of its own, checked
+exactly first by leibcore.is_isomorphism (_in_sparse_basis).  check,
+quotient and the algebra echo keep the input basis.
 
 Exit codes: 0 success, 1 verdict failure, internal invariant violation or
 any other fault (which ends in a traceback), 2 malformed input.
@@ -60,12 +60,9 @@ from .leibcore import (
     check_lie_module,
     check_representation,
     is_isomorphism,
-    is_module_isomorphism,
     opposite,
     opposite_representation,
     sparse_basis,
-    sparse_module_basis,
-    transport_representation,
 )
 
 FORMAT_VERSION = 1
@@ -105,7 +102,8 @@ COMMANDS = {
 
 
 class NotIsomorphic(Exception):
-    """The sparse basis of an algebra fails its exact check against the input."""
+    """The sparse basis of an algebra or of its module fails its exact check
+    against the input."""
 
 
 # Exceptions that mean "the tool's own mathematics is inconsistent" rather
@@ -375,29 +373,16 @@ def _load_main_algebra(args, report: dict) -> tuple[LeibnizAlgebra, bool]:
 
 
 def _in_sparse_basis(g: LeibnizAlgebra, coeffs):
-    """g in the basis sparse_basis finds, with a two-sided module carried
-    along S, or a module over g's Lie quotient along the isomorphism
-    pi_g S sigma_h of the quotients that S induces, then put in the basis
-    sparse_module_basis finds for it.  Each map is checked exactly, and
-    invertible, before anything is built: S and the quotients' isomorphism
-    carry the brackets, and the new module is the input's.  What the
-    searches leave as it is needs no check."""
-    h, s = sparse_basis(g)
-    if h is not g and not is_isomorphism(s, h, g):
-        raise NotIsomorphic("the sparse basis does not carry its bracket onto the input's")
-    if isinstance(coeffs, TrivialCoefficients):
-        return h, coeffs
-    if isinstance(coeffs, LieModule):
-        hq, gq = h.quotient_data, g.quotient_data
-        s = gq.projection @ s @ hq.section
-        if h is not g and not is_isomorphism(s, hq.quotient, gq.quotient):
-            raise NotIsomorphic("the sparse basis does not carry its Lie quotient onto the "
-                                "input's")
-    carried = coeffs if h is g else transport_representation(coeffs, s)
-    moved, t = sparse_module_basis(carried, s.rows)
-    if moved is not coeffs and not is_module_isomorphism(t, s, moved, coeffs):
-        raise NotIsomorphic("the module carried to the sparse basis is not the input's")
-    return h, moved
+    """g and a rep: or lie: module in the bases sparse_basis finds, checked
+    exactly by is_isomorphism before anything is built: S and T are
+    invertible and carry the new bracket and module onto the input's.
+    What the searches leave as it is needs no check."""
+    m = None if isinstance(coeffs, TrivialCoefficients) else coeffs
+    h, s, moved, t = sparse_basis(g, m)
+    if (h is not g or moved is not m) and not is_isomorphism(s, h, g, t, moved, m):
+        raise NotIsomorphic("the sparse bases do not carry the bracket and the module onto "
+                            "the input's")
+    return h, coeffs if m is None else moved
 
 
 # ---------------------------------------------------------------------------

@@ -746,22 +746,22 @@ def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
                                _product_boundaries(g, n_max), 0)
 
 
-def _free_block_complex(fl: FreeLeibnizTruncation, c: tuple[int, ...]) -> ChainComplex:
-    """Block c, a weight (w,) or a letter content of weight w, of the free
-    graded-commutator subcomplex, reporting degrees 1..w: it stores the
-    zero block (w+1, c) on top, as no word of w+1 letters has weight w."""
-    spans, w = fl.spans, sum(c)
+def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> ChainComplex:
+    """Block c, a weight w or a letter content of weight w (the count of
+    each generator in a word), of the free graded-commutator subcomplex,
+    reporting degrees 1..w; the blocks of one fl share fl.spans.  It
+    stores the zero block (w+1, c) on top, as no word of w+1 letters has
+    weight w."""
+    grade = (c,) if isinstance(c, int) else tuple(c)
+    w = sum(grade)
+    if (not (isinstance(c, int) or len(grade) == fl.num_generators) or min(grade) < 0
+            or not 1 <= w <= fl.max_weight):
+        raise ValueError(f"{c!r} is neither a weight nor a letter content on "
+                         f"{fl.num_generators} generator(s) in the truncation 1..{fl.max_weight}")
+    c, spans = grade, fl.spans
     boundaries = ((_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl.bracket_words), 1)
                   for n in range(2, w + 2))
     return _commutator_complex(spans, [(n, c) for n in range(1, w + 2)], boundaries, 1)
-
-
-def fg_weight_complex(fl: FreeLeibnizTruncation, w: int) -> ChainComplex:
-    """The weight-w block of the free graded-commutator subcomplex, unsplit
-    by letter content, reporting degrees 1..w; the blocks of one fl share fl.spans."""
-    if w < 1 or w > fl.max_weight:
-        raise ValueError(f"weight {w} outside the truncation 1..{fl.max_weight}")
-    return _free_block_complex(fl, (w,))
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}
@@ -814,7 +814,7 @@ def conjecture_check(num_generators: int, max_weight: int | None = None) -> Conj
     for w in range(1, max_weight + 1):
         # the weight block is the sum of its content blocks, and renaming
         # the generators carries a content block onto the rest of its orbit
-        blocks = [(size, _free_block_complex(fl, c).betti())
+        blocks = [(size, fg_weight_complex(fl, c).betti())
                   for c, size in content_orbits(num_generators, w)]
         betti = [sum(size * b[k] for size, b in blocks) for k in range(w)]
         verdicts.append(WeightVerdict(w, betti[0], witt_dim(num_generators, w),

@@ -19,10 +19,9 @@ nonzero columns are the basis tuples where it fails.
 
 The structure constants depend on the basis, and the cost of a complex
 follows their count: `sparse_basis` looks for an isomorphic algebra with
-fewer of them by exact elementary changes of basis,
-`transport_representation` carries a two-sided module, or a module over
-the Lie quotient, along, and `sparse_module_basis` runs the same search on
-the module's basis alone.
+fewer of them by exact elementary changes of basis, then runs the same
+search on the basis of a module carried along, a module over the Lie
+quotient through its lift, and `is_isomorphism` checks both changes.
 """
 
 from __future__ import annotations
@@ -406,11 +405,13 @@ def _best_move(cells: dict, n: int, lo: int) -> tuple | None:
 
 
 def _int_cells(*parts: tuple) -> tuple[dict, int]:
-    """(cells, scale): the entries of the tables as ints cells {(a, b, k): x}
-    over one scale, each entry x / scale; parts are (table, key), key(c, k)
-    the (a, b, k) of the table's entry at row k, column c."""
-    scale = lcm(*[d for t, _ in parts for d, _ in t.int_rows])
-    return {key(c, k): x * (scale // d) for t, key in parts
+    """(cells, scale): the entries of the tables of parts as the int cells
+    {(a, b, k): x} of one bilinear map, each entry x / scale.  A part
+    (table, a0, b0, k0, wb) places the table of a map k^wa x k^wb -> k^rows
+    at the indices a0.., b0.. and k0..: its entry at row k, column
+    c = i*wb + j, goes to (a0 + i, b0 + j, k0 + k)."""
+    scale = lcm(*[d for t, *_ in parts for d, _ in t.int_rows])
+    return {(a0 + c // wb, b0 + c % wb, k0 + k): x * (scale // d) for t, a0, b0, k0, wb in parts
             for k, (d, row) in enumerate(t.int_rows) for c, x in row}, scale
 
 
@@ -439,98 +440,87 @@ def _descent(cells: dict, scale: int, n: int, lo: int = 0):
         yield i, j, Fraction(num, den), cells, scale
 
 
-def _sparse_cells(cells: dict, scale: int, n: int, lo: int = 0) -> tuple | None:
-    """(cells, scale, B) where the descent of _descent ends, B the change of
-    basis of the indices lo..n-1 it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v);
-    None when it takes no move."""
+def _sparse_tables(n: int, lo: int, *parts: tuple) -> tuple | None:
+    """(tables, B): the tables of parts (see _int_cells), whose ranges of a
+    do not meet, in the basis where the descent of _descent on them ends,
+    B the change of basis of the indices lo..n-1 it takes,
+    f_(lo+u) = sum_v B[v][u] e_(lo+v); None when it takes no move."""
     b = [[Fraction(int(u == v)) for v in range(n - lo)] for u in range(n - lo)]
     last = None
-    for i, j, c, *last in _descent(cells, scale, n, lo):
+    for i, j, c, *last in _descent(*_int_cells(*parts), n, lo):
         for row in b:  # B <- B (I + c E_ji): column i gains c times column j
             row[i - lo] += c * row[j - lo]
-    return None if last is None else (*last, Matrix.from_rows(b))
+    if last is None:
+        return None
+    cells, scale = last
+    return [Matrix.from_entries(t.rows, t.cols, {
+        (k - k0, (a - a0) * wb + b - b0): x * scale.denominator
+        for (a, b, k), x in cells.items() if a0 <= a < a0 + t.cols // wb}, den=scale.numerator)
+        for t, a0, b0, k0, wb in parts], Matrix.from_rows(b)
 
 
-def _read(cells: dict, scale: Fraction, rows: int, cols: int, where) -> Matrix:
-    """The rows x cols table with x / scale at where(a, b, k) for each of
-    the cells {(a, b, k): x} where gives a place, not None."""
-    return Matrix.from_entries(rows, cols, {at: x * scale.denominator for key, x in cells.items()
-                                            if (at := where(*key)) is not None},
-                               den=scale.numerator)
-
-
-def sparse_basis(g: LeibnizAlgebra) -> tuple[LeibnizAlgebra, Matrix]:
-    """(h, S): g in the basis f_i = sum_a S[a][i] e_a that the greedy descent
-    of _descent finds, so that S [x, y]_h = [S x, S y]_g.  h keeps the basis
-    names and the convention of g; with no move to take, h is g and S the
-    identity.  The basis-invariant numbers of h are those of g."""
+def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None) -> tuple:
+    """(h, S, m', T): g in the basis f_i = sum_a S[a][i] e_a that the greedy
+    descent of _descent finds, so that S [x, y]_h = [S x, S y]_g, and m, a
+    module over g, carried along S and put in the basis
+    f'_u = sum_v T[v][u] f_v that the descent finds when it moves only the
+    module's basis, run on the actions as one bilinear map on g + m, so
+    that T L' = L (S (x) T) and T R' = R (T (x) S).  A module over g's Lie
+    quotient is searched as the left action L of its lift
+    (lie_module_lift), whose right action is -L swapped, and read back on
+    h's Lie quotient, A' = L' (sigma_h (x) I).  h keeps the basis names
+    and the convention of g, m' the basis names of m.  With no move to
+    take, h is g and S the identity, and then m' is m and T the identity
+    if the module's search takes none either; without m, m' and T are
+    None.  The basis-invariant numbers of h and m' are those of g and m."""
     n = g.dim
-    found = _sparse_cells(*_int_cells((g.structure, lambda c, k: (c // n, c % n, k))), n)
-    if found is None:
-        return g, Matrix.identity(n)
-    cells, scale, s = found
-    table = _read(cells, scale, n, n * n, lambda a, b, k: (k, a * n + b))
-    return LeibnizAlgebra(n, g.basis_names, table, g.convention), s
-
-
-def sparse_module_basis(m: Representation | LieModule, n: int
-                        ) -> tuple[Representation | LieModule, Matrix]:
-    """(m', T): m, a module over an n-dim algebra, in the basis
-    f'_u = sum_v T[v][u] f_v that the descent of _descent finds when it
-    moves only the module's basis, run on the actions as one bilinear map
-    on g + m, so that T L' = L (I (x) T) and T R' = R (T (x) I), or
-    T A' = A (I (x) T) for a Lie module.  With no move to take, m' is m and
-    T the identity."""
-    d, lie = m.dim, isinstance(m, LieModule)
-    parts = [(m.action if lie else m.left_action, lambda c, k: (c // d, n + c % d, n + k))]
-    if not lie:
-        parts.append((m.right_action, lambda c, k: (n + c // n, c % n, n + k)))
-    found = _sparse_cells(*_int_cells(*parts), n + d, n)
-    if found is None:
-        return m, Matrix.identity(d)
-    cells, scale, t = found
-    # a cell with a in g is an entry of [x, m], any other one of [m, x]
-    left = _read(cells, scale, d, n * d, lambda a, b, k: (k - n, a * d + b - n) if a < n else None)
+    found = _sparse_tables(n, 0, (g.structure, 0, 0, 0, n))
+    h, s = (g, Matrix.identity(n)) if found is None else (
+        LeibnizAlgebra(n, g.basis_names, *found[0], g.convention), found[1])
+    if m is None:
+        return h, s, None, None
+    d, lie, eye = m.dim, isinstance(m, LieModule), Matrix.identity(m.dim)
+    # the actions along S, L (S (x) I) and R (I (x) S), [x, m] at the
+    # indices (x, n + m, n + value) and [m, x] at (n + m, x, n + value); a
+    # Lie module's lift has L = A (pi_g (x) I), so L (S (x) I) = A (pi_g S (x) I)
     if lie:
-        return LieModule(d, left), t
-    right = _read(cells, scale, d, d * n,
-                  lambda a, b, k: None if a < n else (k - n, (a - n) * n + b))
-    return Representation(d, m.basis_names, left, right), t
+        _check_width(m, g.quotient_data.quotient.dim)
+        parts = [(m.action @ _kron(g.quotient_data.projection @ s, eye), 0, n, n, d)]
+    else:
+        parts = [(m.left_action if h is g else m.left_action @ _kron(s, eye), 0, n, n, d),
+                 (m.right_action if h is g else m.right_action @ _kron(eye, s), n, 0, n, n)]
+    found = _sparse_tables(n + d, n, *parts)
+    if found is None and h is g:
+        return h, s, m, eye
+    tables, t = ([table for table, *_ in parts], eye) if found is None else found
+    if lie:
+        return h, s, LieModule(d, tables[0] @ _kron(h.quotient_data.section, eye)), t
+    return h, s, Representation(d, m.basis_names, *tables), t
 
 
-def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra | LieAlgebra
-                   ) -> bool:
+def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra | LieAlgebra,
+                   t: Matrix | None = None, new: Representation | LieModule | None = None,
+                   old: Representation | LieModule | None = None) -> bool:
     """Whether s is invertible and S [x, y]_h = [S x, S y]_g, that is, s
-    carries h isomorphically onto g."""
+    carries h isomorphically onto g; given t, also whether t is invertible
+    and carries new, a module over h, onto old, a module over g, along s:
+    T L' = L (S (x) T) and T R' = R (T (x) S).  Modules over the Lie
+    quotients are compared through their lifts, which also shows new to be
+    the module its lift descends to, as pi_h is onto: the right action of
+    a lift is its left one negated and swapped, so only the left ones are
+    compared, T A' (pi_h (x) I) = A (pi_g (x) I)(S (x) T) = A (pi_g S (x) T)."""
     n = g.dim
     if (s.rows, s.cols, h.dim) != (n, n, n) or rank(s) < n:
         return False
-    return s @ h.structure == g.structure @ _kron(s, s)
-
-
-def is_module_isomorphism(t: Matrix, s: Matrix, new: Representation | LieModule,
-                          old: Representation | LieModule) -> bool:
-    """Whether t is invertible and carries new, a module over h, onto old,
-    a module over g, along the isomorphism s of h onto g: T L' = L (S (x) T)
-    and T R' = R (T (x) S), or T A' = A (S (x) T) for Lie modules."""
+    if s @ h.structure != g.structure @ _kron(s, s):
+        return False
+    if t is None:
+        return True
     d = old.dim
     if (t.rows, t.cols, new.dim) != (d, d, d) or rank(t) < d:
         return False
     if isinstance(old, LieModule):
-        return t @ new.action == old.action @ _kron(s, t)
+        return (t @ new.action @ _kron(h.quotient_data.projection, Matrix.identity(d))
+                == old.action @ _kron(g.quotient_data.projection @ s, t))
     return (t @ new.left_action == old.left_action @ _kron(s, t)
             and t @ new.right_action == old.right_action @ _kron(t, s))
-
-
-def transport_representation(m: Representation | LieModule, s: Matrix
-                             ) -> Representation | LieModule:
-    """A module over g as a module over h, for (h, s) from sparse_basis(g),
-    or one over g's Lie quotient as one over h's, for s the isomorphism
-    pi_g S sigma_h of the quotients: the same module, its actions read on
-    the basis S e_i, so L' = L (S (x) I), R' = R (I (x) S) and
-    A' = A (S (x) I)."""
-    eye = Matrix.identity(m.dim)
-    if isinstance(m, LieModule):
-        return LieModule(m.dim, m.action @ _kron(s, eye))
-    return Representation(m.dim, m.basis_names, m.left_action @ _kron(s, eye),
-                          m.right_action @ _kron(eye, s))

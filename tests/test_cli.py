@@ -824,10 +824,10 @@ def test_failed_sparse_basis_check_exits_one(tmp_path, capsys, monkeypatch, comm
     # a search that hands back a table the basis change does not give
     real = cli.sparse_basis
 
-    def corrupted(g):
-        h, s = real(g)
+    def corrupted(g, m=None):
+        h, s, moved, t = real(g, m)
         table = leibcore._lincomb((2, h.structure))
-        return leibcore.LeibnizAlgebra(h.dim, h.basis_names, table, h.convention), s
+        return leibcore.LeibnizAlgebra(h.dim, h.basis_names, table, h.convention), s, moved, t
 
     monkeypatch.setattr(cli, "sparse_basis", corrupted)
     argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, command, coefficients)
@@ -838,18 +838,18 @@ def test_failed_sparse_basis_check_exits_one(tmp_path, capsys, monkeypatch, comm
 
 
 def test_failed_module_transport_check_exits_one(tmp_path, capsys, monkeypatch):
-    real = cli.transport_representation
+    real = cli.sparse_basis
 
-    def corrupted(m, s):
+    def corrupted(g, m=None):
         # every basis vector acting on the left as the identity: x.m is s(x) m,
         # s the sum of the coordinates, so [x,y].m = x.(y.m) - y.(x.m) = 0
         # fails wherever s([x,y]) is not 0
-        moved, n = real(m, s), s.rows
-        left = Matrix.from_entries(m.dim, n * m.dim,
-                                   {(u, i * m.dim + u): 1 for i in range(n) for u in range(m.dim)})
-        return leibcore.Representation(m.dim, m.basis_names, left, moved.right_action)
+        h, s, moved, t = real(g, m)
+        left = Matrix.from_entries(m.dim, g.dim * m.dim, {
+            (u, i * m.dim + u): 1 for i in range(g.dim) for u in range(m.dim)})
+        return h, s, leibcore.Representation(m.dim, m.basis_names, left, moved.right_action), t
 
-    monkeypatch.setattr(cli, "transport_representation", corrupted)
+    monkeypatch.setattr(cli, "sparse_basis", corrupted)
     argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, "homology", "rep")
     assert cli.entrypoint(argv) == 1
     out, err = capsys.readouterr()
@@ -861,22 +861,58 @@ def test_failed_module_transport_check_exits_one(tmp_path, capsys, monkeypatch):
 def test_zero_module_transport_exits_one(tmp_path, capsys, monkeypatch, coefficients):
     # the zero module is a module, so only the check against the input's
     # module can refuse it; built on, it gave other Betti numbers
-    real = cli.transport_representation
+    real = cli.sparse_basis
 
-    def zero(m, s):
-        moved = real(m, s)
+    def zero(g, m=None):
+        h, s, moved, t = real(g, m)
         if isinstance(moved, leibcore.LieModule):
-            return leibcore.LieModule(m.dim, Matrix.zeros(m.dim, moved.action.cols))
-        return leibcore.Representation(m.dim, m.basis_names,
-                                       Matrix.zeros(m.dim, moved.left_action.cols),
-                                       Matrix.zeros(m.dim, moved.right_action.cols))
+            moved = leibcore.LieModule(m.dim, Matrix.zeros(m.dim, moved.action.cols))
+        else:
+            moved = leibcore.Representation(m.dim, m.basis_names,
+                                            Matrix.zeros(m.dim, moved.left_action.cols),
+                                            Matrix.zeros(m.dim, moved.right_action.cols))
+        return h, s, moved, t
 
-    monkeypatch.setattr(cli, "transport_representation", zero)
+    monkeypatch.setattr(cli, "sparse_basis", zero)
     argv = _sparse_argv(tmp_path, DENSE_HEIS3_DOC, "homology", coefficients)
     assert cli.entrypoint(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invariant violation (NotIsomorphic): ")
+
+
+def character_doc(g):
+    """The 1-dim module over the Lie quotient of g on which the first
+    quotient basis vector acts as 1 and the others as 0."""
+    first = g.quotient_data.quotient.basis_names[0]
+    return {"basis": ["m"], "action": [{"left": first, "right": "m", "value": {"m": "1"}}]}
+
+
+# algebras with a nonzero square span, so that a lie: module's lift moves
+# along S through the projection onto the Lie quotient, in their canonical
+# bases and in the dense ones of benchmark/gen.py's dense_basis (P, P^-1)
+LIFT_ALGEBRAS = {"hemi2": ([[2, -1], [-1, 1]], [[1, 1], [1, 2]]),
+                 "A2+k": (DENSE_P, DENSE_P_INV)}
+LIE_COMMANDS = ["homology", "cohomology", "ce-homology", "ce-cohomology", "compare"]
+
+
+@pytest.mark.parametrize("command", LIE_COMMANDS)
+@pytest.mark.parametrize("name", list(LIFT_ALGEBRAS))
+def test_dense_basis_lie_character_reports_match_the_canonical_basis(tmp_path, name, command):
+    g = CORPUS[name]
+    dense_g = conjugate(g, *LIFT_ALGEBRAS[name], ["a", "b", "c"][:g.dim])
+    assert g.quotient_data.ann.dim and cli.sparse_basis(dense_g)[0] is not dense_g
+    reports = []
+    for alg in (g, dense_g):
+        module = write_json(tmp_path / "m.json", character_doc(alg))
+        argv = [command, write_json(tmp_path / "g.json", cli.algebra_echo(alg)),
+                "--max-degree", "3", "--coefficients", f"lie:{module}",
+                "--json", str(tmp_path / "r.json"), "--quiet"]
+        assert cli.entrypoint(argv) == 0
+        reports.append(json.loads((tmp_path / "r.json").read_text()))
+    canonical, dense_report = reports
+    assert dense_report["tables"] == canonical["tables"]
+    assert dense_report["verdicts"] == canonical["verdicts"]
 
 
 # Help, version and argument errors, pinned byte for byte: stdout, stderr

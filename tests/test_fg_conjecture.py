@@ -83,6 +83,13 @@ def test_weight_outside_truncation_rejected():
         fg_weight_complex(fl, 3)
 
 
+@pytest.mark.parametrize("c", [0, -1, (0, 0), (2, 1), (1, -1), (1, 0, 0), (2,), ()])
+def test_content_outside_truncation_rejected(c):
+    # weight 0 or above 2, a negative count, or not one count per generator
+    with pytest.raises(ValueError):
+        fg_weight_complex(FreeLeibnizTruncation(2, 2), c)
+
+
 def test_conjecture_check_builds_one_set_of_spans(monkeypatch):
     real_init, built = CommutatorSpans.__init__, []
 
@@ -202,7 +209,7 @@ def test_content_blocks_times_orbits_sum_to_weight_block(d, top):
         whole = fg_weight_complex(fl, w)
         dims, betti = [0] * (w + 1), [0] * w
         for c, size in orbits:
-            block = homology._free_block_complex(fl, c)
+            block = fg_weight_complex(fl, c)
             dims = [x + size * y for x, y in zip(dims, block.dims)]
             betti = [x + size * y for x, y in zip(betti, block.betti())]
         assert tuple(dims) == whole.dims, w
@@ -234,12 +241,12 @@ def test_permuted_contents_rename_their_representative(d, top):
     spans = fl.spans
     for w in range(1, top + 1):
         for rep, size in content_orbits(d, w):
-            want = homology._free_block_complex(fl, rep).betti()
+            want = fg_weight_complex(fl, rep).betti()
             perms = set(itertools.permutations(rep))
             assert len(perms) == size
             for c in perms:
                 # on spans eliminated for c itself
-                assert homology._free_block_complex(fl, c).betti() == want, c
+                assert fg_weight_complex(fl, c).betti() == want, c
                 for n in range(1, w + 1):
                     words = spans.words(n, c)
                     index = {t: i for i, t in enumerate(words)}
@@ -278,7 +285,7 @@ def test_content_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
     for w in range(1, top + 1):
         for c in all_contents(d, w):
             seen.clear()
-            homology._free_block_complex(fl, c)
+            fg_weight_complex(fl, c)
             [(spans, blocks, boundaries)] = seen
             assert blocks == [(n, c) for n in range(1, w + 2)]
             for n in range(w + 2):
@@ -349,6 +356,6 @@ def test_content_block_h1_is_its_lyndon_count(d, top):
     fl = FreeLeibnizTruncation(d, top)
     for w in range(1, top + 1):
         for c, _ in content_orbits(d, w):
-            betti = homology._free_block_complex(fl, c).betti()
+            betti = fg_weight_complex(fl, c).betti()
             assert betti[0] == multigraded_witt(c), c
             assert all(h == 0 for h in betti[1:]), c

@@ -1,6 +1,6 @@
 """The sparse basis: the greedy search itself, on an algebra and on the
-basis of a module, and the basis-invariant numbers of every builder the
-CLI runs on them, with the search on and off."""
+basis of a module, the one exact gate, and the basis-invariant numbers of
+every builder the CLI runs on them, with the search on and off."""
 
 import importlib.util
 import random
@@ -31,15 +31,14 @@ from leibhom.leibcore import (
     check_lie_module,
     check_representation,
     is_isomorphism,
-    is_module_isomorphism,
     sparse_basis,
-    sparse_module_basis,
-    transport_representation,
+    trivial_representation,
 )
 
 from conftest import (
     CORPUS,
     bilinear,
+    character_module,
     conjugate,
     dense,
     representations_for,
@@ -79,8 +78,7 @@ def nnz(g: LeibnizAlgebra) -> int:
 
 def descent(g: LeibnizAlgebra):
     """The moves of sparse_basis(g)."""
-    n = g.dim
-    return _descent(*_int_cells((g.structure, lambda c, k: (c // n, c % n, k))), n)
+    return _descent(*_int_cells((g.structure, 0, 0, 0, g.dim)), g.dim)
 
 
 def lie_modules_for(g: LeibnizAlgebra) -> dict[str, LieModule]:
@@ -116,7 +114,8 @@ CASES.update({f"{name} dense": in_dense_basis(CANONICAL[name])
 @pytest.mark.parametrize("name", list(CASES))
 def test_sparse_basis_is_an_isomorphism(name):
     g = CASES[name]
-    h, s = sparse_basis(g)
+    h, s, none, no_t = sparse_basis(g)
+    assert none is None and no_t is None
     assert is_isomorphism(s, h, g)
     assert not check_leibniz(h)
     # S [e_i, e_j]_h = [S e_i, S e_j]_g entry by entry, on dense tensors
@@ -125,16 +124,17 @@ def test_sparse_basis_is_an_isomorphism(name):
     for i in range(g.dim):
         for j in range(g.dim):
             assert s.apply(th[i][j]) == bilinear(tg, cols[i], cols[j])
-    for mname, m in representations_for(g).items():
-        moved, t = sparse_module_basis(transport_representation(m, s), g.dim)
-        assert is_module_isomorphism(t, s, moved, m), mname
-        assert not check_representation(h, moved), mname
-    sbar, hq = quotient_map(g, h, s), h.quotient_data.quotient
-    assert is_isomorphism(sbar, hq, g.quotient_data.quotient)
-    for mname, m in lie_modules_for(g).items():
-        moved, t = sparse_module_basis(transport_representation(m, sbar), hq.dim)
-        assert is_module_isomorphism(t, sbar, moved, m), mname
-        assert not check_lie_module(hq, moved), mname
+    hq = h.quotient_data.quotient
+    modules = dict(representations_for(g), **{f"lie-{k}": m for k, m in lie_modules_for(g).items()})
+    for mname, m in modules.items():
+        h_m, s_m, moved, t = sparse_basis(g, m)
+        # the module's search does not change the algebra's
+        assert (h_m.structure, s_m) == (h.structure, s), mname
+        assert is_isomorphism(s, h_m, g, t, moved, m), mname
+        if isinstance(m, LieModule):
+            assert not check_lie_module(hq, moved), mname
+        else:
+            assert not check_representation(h, moved), mname
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -151,7 +151,7 @@ def test_descent_stops_at_the_step_budget(monkeypatch):
     assert len(list(descent(g))) == 2
     monkeypatch.setattr(leibcore, "SPARSE_STEPS", 1)
     [(_, _, _, cells, _)] = descent(g)
-    h, s = sparse_basis(g)
+    h, s, _, _ = sparse_basis(g)
     assert nnz(h) == len(cells) < nnz(g)
     assert is_isomorphism(s, h, g)
 
@@ -160,9 +160,13 @@ def test_descent_stops_at_the_step_budget(monkeypatch):
 def test_a_canonical_basis_comes_back_unchanged(name):
     g = CANONICAL[name]
     assert list(descent(g)) == []
-    h, s = sparse_basis(g)
+    h, s, _, _ = sparse_basis(g)
     assert h is g
     assert s == Matrix.identity(g.dim)
+    # and a module no move sparsens comes back as it is, with the identity
+    m = trivial_representation(g, 2)
+    assert sparse_basis(g, m)[1:] == (s, m, Matrix.identity(2))
+    assert sparse_basis(g, m)[2] is m
 
 
 # the counts of the canonical bases; hemi2 reaches its count of 1 too
@@ -177,9 +181,8 @@ def test_dense_forms_reach_the_canonical_count(name, count):
 def test_transport_reads_the_actions_on_the_new_bases():
     # T L' = L (S (x) T): [S e_i, T f_u] in the basis T f_v, and so on
     g = CASES["heis3 conjugate1"]
-    h, s = sparse_basis(g)
     m = representations_for(g)["adjoint"]
-    moved, t = sparse_module_basis(transport_representation(m, s), g.dim)
+    h, s, moved, t = sparse_basis(g, m)
     assert t != Matrix.identity(m.dim)
     cols, tcols = s.transpose().entries, t.transpose().entries
     left, right = dense(m.left_action, g.dim, m.dim), dense(m.right_action, m.dim, g.dim)
@@ -189,10 +192,11 @@ def test_transport_reads_the_actions_on_the_new_bases():
         for u in range(m.dim):
             assert t.apply(new_left[i][u]) == bilinear(left, cols[i], tcols[u])
             assert t.apply(new_right[u][i]) == bilinear(right, tcols[u], cols[i])
-    # and T A' = A (S~ (x) T) on the adjoint module of the Lie quotient
-    sbar, r = quotient_map(g, h, s), g.quotient_data.quotient.dim
+    # and T A' = A (S~ (x) T) on the adjoint module of the Lie quotient,
+    # S~ the isomorphism of the quotients that S induces
     mod = adjoint_lie_module(g.quotient_data.quotient)
-    moved, t = sparse_module_basis(transport_representation(mod, sbar), r)
+    h, s, moved, t = sparse_basis(g, mod)
+    sbar, r = quotient_map(g, h, s), g.quotient_data.quotient.dim
     assert t != Matrix.identity(r)
     cols, tcols = sbar.transpose().entries, t.transpose().entries
     action, new_action = dense(mod.action, r, r), dense(moved.action, r, r)
@@ -208,15 +212,52 @@ def test_transport_reads_the_actions_on_the_new_bases():
     ("sl2", 12, 6)])
 def test_dense_adjoint_modules_reach_the_canonical_count(name, rep_count, lie_count):
     g = CASES[f"{name} dense"]
-    h, s = sparse_basis(g)
-    rep = transport_representation(adjoint_representation(g), s)
-    moved = sparse_module_basis(rep, g.dim)[0]
-    assert nonzeros(moved.left_action, moved.right_action) == rep_count < nonzeros(
-        rep.left_action, rep.right_action)
-    hq = h.quotient_data.quotient
-    mod = transport_representation(adjoint_lie_module(g.quotient_data.quotient),
-                                   quotient_map(g, h, s))
-    assert nonzeros(sparse_module_basis(mod, hq.dim)[0].action) == lie_count
+    _, s, moved, _ = sparse_basis(g, adjoint_representation(g))
+    # the adjoint module carried along S, before the module's search
+    eye = Matrix.identity(g.dim)
+    carried = (g.structure @ _kron(s, eye), g.structure @ _kron(eye, s))
+    assert nonzeros(moved.left_action, moved.right_action) == rep_count < nonzeros(*carried)
+    moved = sparse_basis(g, adjoint_lie_module(g.quotient_data.quotient))[2]
+    assert nonzeros(moved.action) == lie_count
+
+
+# a 1-dim module over an abelian Lie quotient whose lift moves along S
+# through pi_g: the algebras with a nonzero square span, and their dense forms
+CHARACTER_CASES = {name: g for base in ("A2", "hemi2", "A2+k")
+                   for name, g in ((base, CORPUS[base]),
+                                   (f"{base} dense", in_dense_basis(CORPUS[base])))}
+
+
+@pytest.mark.parametrize("name", list(CHARACTER_CASES))
+def test_character_modules_are_read_through_their_lift(name):
+    g = CHARACTER_CASES[name]
+    m = character_module(g.quotient_data)
+    assert g.quotient_data.ann.dim > 0 and nonzeros(m.action) == 1
+    h, s, moved, t = sparse_basis(g, m)
+    assert (h is g) == (not name.endswith(" dense"))
+    assert is_isomorphism(s, h, g, t, moved, m)
+    assert not check_lie_module(h.quotient_data.quotient, moved)
+    assert nonzeros(moved.action) == 1
+    pair = cli._in_sparse_basis(g, m)
+    for builder in (loday_complex, loday_cochain_complex, ce_chain, ce_cochain):
+        off, on = builder(g, m, 4), builder(*pair, 4)
+        assert (off.dims, off.betti()) == (on.dims, on.betti()), builder.__name__
+    assert _fields(ce_projection(g, m, 3)[2]) == _fields(ce_projection(*pair, 3)[2])
+
+
+def test_the_gate_refuses_a_wrong_module():
+    g = CASES["bench-hemi2 dense"]
+    m = character_module(g.quotient_data)
+    h, s, moved, t = sparse_basis(g, m)
+    assert is_isomorphism(s, h, g, t, moved, m)
+    # a doubled character, the zero one, a singular T, and S that does not
+    # carry the bracket
+    doubled = LieModule(1, leibcore._lincomb((2, moved.action)))
+    zero = LieModule(1, Matrix.zeros(1, moved.action.cols))
+    assert not is_isomorphism(s, h, g, t, doubled, m)
+    assert not is_isomorphism(s, h, g, t, zero, m)
+    assert not is_isomorphism(s, h, g, Matrix.zeros(1, 1), moved, m)
+    assert not is_isomorphism(leibcore._lincomb((2, s)), h, g, t, moved, m)
 
 
 def test_a_dense_module_over_a_canonical_basis_moves_alone():
@@ -241,6 +282,10 @@ def test_a_dense_module_over_a_canonical_basis_moves_alone():
 
 # --- on/off: the input basis and the sparse basis give one set of numbers
 
+def _fields(report):
+    return [getattr(report, f) for f in report.__match_args__]
+
+
 def test_the_on_off_cases_include_changed_bases():
     assert sum(sparse_basis(g)[0] is not g for g in CASES.values()) >= 15
 
@@ -255,10 +300,6 @@ def test_tensor_complexes_agree_on_and_off(name):
         for builder in (loday_complex, loday_cochain_complex):
             off, on = builder(g, m, n_max), builder(*cli._in_sparse_basis(g, m), n_max)
             assert (off.dims, off.betti()) == (on.dims, on.betti()), (mname, builder.__name__)
-
-
-def _fields(report):
-    return [getattr(report, f) for f in report.__match_args__]
 
 
 @pytest.mark.parametrize("name", list(CASES))
