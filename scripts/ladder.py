@@ -14,9 +14,22 @@ trees that compute the same numbers write the same "result" fields.
 The selected rungs run in ROUNDS round-robin rounds, so a drift of the
 host spreads over every rung.  A rung keeps the wall times of its runs
 in "wall_samples" and the import times in "import_samples"; "wall_s" and
-"import_s" are their medians and "peak_rss_mb" the largest peak.  The runs of a rung must agree on the result.
-The metadata also records "src_lines", the line count of
-src/leibhom/*.py (as `wc -l` counts it), which ROADMAP aim 2 tracks.
+"import_s" are their medians and "peak_rss_mb" the largest peak.  The
+runs of a rung must agree on the result.  The metadata also records
+"src_lines", the line count of src/leibhom/*.py (as `wc -l` counts it),
+which ROADMAP aim 2 tracks.
+
+--against DIR pairs this checkout with another one, such as a `git
+worktree` of the parent, whose src/ the same children import.  Each of
+2 * ROUNDS rounds runs every selected rung on both trees, one right
+after the other, this tree first in odd rounds and DIR first in even
+ones (ABBA), so a drift of the host lands on both alike.  Both files are
+written in the format above, DIR's as BENCH_<label>-against.json.  Each
+rung of this tree's file adds "against_ratio" and "against_rss_ratio",
+the medians over the rounds of its wall time and its peak RSS over DIR's
+in the same round, and "against_wins", the rounds in which it took less
+wall time.  The two trees must agree on every result; a rung on which
+they disagree makes the script exit 1 without writing.
 
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 --quiet and --json, on an algebra file the script writes to a temporary
@@ -32,6 +45,7 @@ algebra and for its module, where the dense betti rungs, which call
 loday_complex directly, keep the dense one.
 
 Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
+                                [--against CHECKOUT]
 Rungs run in the order listed below; --rung picks some of them.
 """
 
@@ -188,12 +202,28 @@ print(json.dumps({"wall_s": round(wall, 4), "import_s": round(import_s, 4),
 """
 
 
-def run_rung(workdir: str, func: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0",
+def run_rung(src: Path, workdir: str, func: str, *args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, func, *map(str, args)], cwd=workdir,
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summary(name: str, got: list[dict]) -> dict:
+    """The record of one rung on one tree from its runs."""
+    if any(g["result"] != got[0]["result"] for g in got):
+        raise SystemExit(f"{name}: the runs disagree on the result")
+    samples = [g["wall_s"] for g in got]
+    imports = [g["import_s"] for g in got]
+    return {"name": name, "wall_s": statistics.median(samples), "wall_samples": samples,
+            "import_s": statistics.median(imports), "import_samples": imports,
+            "peak_rss_mb": max(g["peak_rss_mb"] for g in got), "result": got[0]["result"]}
+
+
+def median_ratio(mine: list[dict], theirs: list[dict], key: str) -> float:
+    """The median over the rounds of mine[key] / theirs[key]."""
+    return round(statistics.median(a[key] / b[key] for a, b in zip(mine, theirs)), 4)
 
 
 def main() -> int:
@@ -202,39 +232,48 @@ def main() -> int:
     parser.add_argument("--rung", action="append", choices=list(RUNGS),
                         help="run only this rung (repeatable)")
     parser.add_argument("--out", type=Path, default=ROOT)
+    parser.add_argument("--against", type=Path,
+                        help="another checkout to run round by round beside this one")
     args = parser.parse_args()
     names = [n for n in RUNGS if args.rung is None or n in args.rung]
-    runs = {name: [] for name in names}
+    trees = [ROOT] + ([args.against.resolve()] if args.against else [])
+    rounds = ROUNDS * len(trees)
+    runs = {name: [[] for _ in trees] for name in names}
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "heis3.json").write_text(json.dumps(HEIS3_DOC))
         Path(workdir, "adjoint.json").write_text(json.dumps(ADJOINT_DOC))
-        run_rung(workdir, "files")
-        for r in range(1, ROUNDS + 1):
+        run_rung(ROOT / "src", workdir, "files")
+        for r in range(1, rounds + 1):
             for name in names:
-                got = run_rung(workdir, *RUNGS[name])
-                print(f"{r}/{ROUNDS} {name:<38} {got['wall_s']:8.4f} s "
-                      f"{got['peak_rss_mb']:8.1f} MB  import {got['import_s']:.4f} s", flush=True)
-                runs[name].append(got)
-    rungs = []
-    for name, got in runs.items():
-        if any(g["result"] != got[0]["result"] for g in got):
-            raise SystemExit(f"{name}: the runs disagree on the result")
-        samples = [g["wall_s"] for g in got]
-        imports = [g["import_s"] for g in got]
-        rungs.append({"name": name, "wall_s": statistics.median(samples),
-                      "wall_samples": samples, "import_s": statistics.median(imports),
-                      "import_samples": imports,
-                      "peak_rss_mb": max(g["peak_rss_mb"] for g in got),
-                      "result": got[0]["result"]})
-    meta = {"label": args.label, "python": platform.python_version(),
-            "machine": platform.machine(), "cpus": os.cpu_count(),
-            "src_lines": sum(p.read_bytes().count(b"\n")
-                             for p in (ROOT / "src" / "leibhom").glob("*.py"))}
-    # one rung per line, so two ladder files diff line by line
-    body = ",\n".join("  " + json.dumps(r) for r in rungs)
-    path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(meta)[:-1] + ', "rungs": [\n' + body + "\n]}\n")
-    print(f"wrote {path}")
+                for t in (range(len(trees)) if r % 2 else reversed(range(len(trees)))):
+                    got = run_rung(trees[t] / "src", workdir, *RUNGS[name])
+                    print(f"{r}/{rounds} {'AB'[t]} {name:<38} {got['wall_s']:8.4f} s "
+                          f"{got['peak_rss_mb']:8.1f} MB  import {got['import_s']:.4f} s",
+                          flush=True)
+                    runs[name][t].append(got)
+    files = [[summary(name, got[t]) for name, got in runs.items()] for t in range(len(trees))]
+    if args.against:
+        mine, theirs = files
+        disagree = [a["name"] for a, b in zip(mine, theirs) if a["result"] != b["result"]]
+        if disagree:
+            raise SystemExit(f"the trees disagree on the result of {', '.join(disagree)}")
+        for rung, (a, b) in zip(mine, runs.values()):
+            rung["against_ratio"] = median_ratio(a, b, "wall_s")
+            rung["against_rss_ratio"] = median_ratio(a, b, "peak_rss_mb")
+            rung["against_wins"] = sum(x["wall_s"] < y["wall_s"] for x, y in zip(a, b))
+    labels = [args.label, f"{args.label}-against"]
+    for t, tree in enumerate(trees):
+        meta = {"label": labels[t], "python": platform.python_version(),
+                "machine": platform.machine(), "cpus": os.cpu_count(),
+                "src_lines": sum(p.read_bytes().count(b"\n")
+                                 for p in (tree / "src" / "leibhom").glob("*.py"))}
+        if args.against:
+            meta["paired_with"] = labels[1 - t]
+        # one rung per line, so two ladder files diff line by line
+        body = ",\n".join("  " + json.dumps(r) for r in files[t])
+        path = args.out / f"BENCH_{labels[t]}.json"
+        path.write_text(json.dumps(meta)[:-1] + ', "rungs": [\n' + body + "\n]}\n")
+        print(f"wrote {path}")
     return 0
 
 

@@ -16,16 +16,19 @@ is gated on d o d = 0 at construction.
 The tensor-module complex and fg_subcomplex share one boundary builder,
 _product_boundaries.  In itertools.product order a word's index is its
 base-d number, so d_n is built from d_{n-1}: the terms of the slots
-j < n are d_{n-1} (x) id, re-keyed as (R, C) -> (R d + x, C d + x) for
-each last letter x, and only the terms of the last slot are new.  Those
-take a source to its prefix (index // d), with [x_n, x_i] written into
-slot i by an index shift or the action a_n on the coefficient.  The sums
-run over ints scaled by D, the lcm of the denominators of the structure
-constants and the actions, and reach the matrix as ints over D.
+j < n are d_{n-1} (x) id, whose row r d + x is row r of d_{n-1} with
+each column c moved to c d + x, and only the terms of the last slot are
+new.  Those take a source to its prefix (index // d), with [x_n, x_i]
+written into slot i by an index shift or the action a_n on the
+coefficient.  The sums run over ints scaled by D, the lcm of the
+denominators of the structure constants and the actions, one dict per
+row, and the builder writes the canonical rows of the matrix itself:
+zero sums dropped, columns sorted, each row over D reduced by _canon.
 The free-algebra blocks, keyed (n, c) by a weight or a letter content,
 order their words by the grades of the letters, not by product order,
 and keep the per-word _tensor_boundary with the free-algebra bracket,
-whose constants are ints.  The commutator subcomplexes restrict these
+whose constants are ints; it writes one row per target word, whose
+columns arrive in order.  The commutator subcomplexes restrict these
 boundaries to the spans of freealg.CommutatorSpans.  conjecture_check
 builds one content block per S_d orbit and counts it orbit-size times.
 
@@ -67,6 +70,7 @@ from .exactla import (
     _kron,
     _lincomb,
     _matrix,
+    _canon,
     _Record,
     _swap,
     add_into,
@@ -221,25 +225,15 @@ class ChainComplex(_Frozen):
 
 
 def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
-    """ChainComplex in degrees 0..len(dims)-1 from (entries, den) for each
-    boundary C_n -> C_{n-1}, n = 1, 2, ...: its sparse entries, each
-    divided by den.  dims is empty only for a negative n_max, which is
-    refused.
-
-    raising=True gives the dual cochain complex: the keys of every entry
-    map are swapped, which transposes C_n -> C_{n-1} into the coboundary
-    C^{n-1} -> C^n.
-    """
+    """ChainComplex in degrees 0..len(dims)-1 from the boundaries
+    C_n -> C_{n-1}, n = 1, 2, ...  dims is empty only for a negative
+    n_max, which is refused.  raising=True gives the dual cochain complex:
+    every boundary is transposed into the coboundary C^{n-1} -> C^n."""
     if not dims:
         raise ValueError("n_max must be nonnegative")
-    diffs = []
-    for n, (entries, den) in enumerate(boundaries, start=1):
-        rows, cols = dims[n - 1], dims[n]
-        if raising:
-            rows, cols = cols, rows
-            entries = {(c, r): v for (r, c), v in entries.items()}
-        diffs.append(Matrix.from_entries(rows, cols, entries, den=den))
-    return ChainComplex(0, tuple(dims), tuple(diffs), raising=raising)
+    if raising:
+        boundaries = (d.transpose() for d in boundaries)
+    return ChainComplex(0, tuple(dims), tuple(boundaries), raising=raising)
 
 
 def _block_transpose(t: Matrix, m: int, sign: int = 1) -> Matrix:
@@ -342,11 +336,10 @@ def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, rule: str | Non
 
 
 def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=()):
-    """(int entries, D) of d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for
-    n = 1..n_max, the entries over D, on words in itertools.product order
-    with module block u at u d^n, by the last-letter recursion of the
-    module docstring.  actions is [first, later] from _slot_actions, or
-    empty."""
+    """The matrices d_n: m (x) g^{(x)n} -> m (x) g^{(x)n-1} for
+    n = 1..n_max, on words in itertools.product order with module block u
+    at u d^n, by the last-letter recursion of the module docstring.
+    actions is [first, later] from _slot_actions, or empty."""
     d = g.dim
     columns = [t.transpose().int_rows for t in (g.structure, *actions)]
     den = lcm(*(cd for cols in columns for cd, _ in cols))
@@ -360,12 +353,14 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=(
     # column x*m_dim + u
     brackets = [(a, b, terms) for b, a, terms in scaled(columns[0], d)]
     actions = [scaled(cols, m_dim) for cols in columns[1:]]
-    prev: dict[tuple[int, int], int] = {}
+    # the rows of d_{n-1}, their nonzero (col, int over den) pairs sorted
+    prev: list[list[tuple[int, int]]] = []
     for n in range(1, n_max + 1):
         rows, cols = d ** (n - 1), d ** n
         sign = -1 if n % 2 else 1
         # the slots j < n: d_{n-1} (x) id, one copy per last letter x
-        acc = {(r * d + x, c * d + x): v for (r, c), v in prev.items() for x in range(d)}
+        acc = ([{c * d + x: v for c, v in row} for row in prev for x in range(d)] if n > 1
+               else [{} for _ in range(m_dim)])
         # slot j = n: [x_n, x_i] into slot i of the prefix, then a_n(m)
         for i in range(1, n):
             place = d ** (n - 1 - i)
@@ -378,18 +373,18 @@ def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=(
                         for p in range(start, start + place):
                             col = c0 + p * d
                             for delta, v in shifted:
-                                key = (r0 + p + delta, col)
-                                acc[key] = acc.get(key, 0) + v
+                                row = acc[r0 + p + delta]
+                                row[col] = row.get(col, 0) + v
         if actions:
             for x, u, vec in actions[n > 1]:
                 c0 = u * cols + x
                 for u2, c in vec:
                     r0, v = u2 * rows, -sign * c
                     for p in range(rows):
-                        key = (r0 + p, c0 + p * d)
-                        acc[key] = acc.get(key, 0) + v
-        prev = {key: v for key, v in acc.items() if v}
-        yield prev, den
+                        row, col = acc[r0 + p], c0 + p * d
+                        row[col] = row.get(col, 0) + v
+        prev = [sorted(item for item in row.items() if item[1]) for row in acc]
+        yield _matrix(m_dim * rows, m_dim * cols, tuple(_canon(den, row) for row in prev))
 
 
 def _loday(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int, raising: bool,
@@ -493,7 +488,7 @@ def _monomial_complex(mons: list[list], terms: list[list[list]], action: Matrix 
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
     acts = None if action is None else action.transpose().sparse_rows
 
-    def boundary(n: int) -> dict[tuple[int, int], Fraction]:
+    def boundary(n: int) -> Matrix:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
         entries: dict[tuple[int, int], Fraction] = {}
         for widx, wterms in enumerate(terms[n]):
@@ -506,10 +501,10 @@ def _monomial_complex(mons: list[list], terms: list[list[list]], action: Matrix 
                     for u in range(m):
                         for u2, cc in acts[letter * m + u]:
                             add_into(entries, (u2 * rows_w + r, u * cols_w + widx), c * cc)
-        return entries
+        return Matrix.from_entries(m * rows_w, m * cols_w, entries)
 
     dims = [m * len(ws) for ws in mons]
-    return _complex(dims, ((boundary(n), 1) for n in range(1, len(mons))), raising)
+    return _complex(dims, (boundary(n) for n in range(1, len(mons))), raising)
 
 
 def ce_chain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
@@ -696,13 +691,12 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
-def _tensor_boundary(words: list[tuple], targets: list[tuple],
-                     bracket) -> dict[tuple[int, int], int]:
-    """Entries of the trivial-coefficient d: T^n -> T^{n-1} from the source
-    words of T^n, all of length n, to the target words of T^{n-1};
-    bracket(a, b) maps each letter k to the int c_k of [b, a]."""
+def _tensor_boundary(words: list[tuple], targets: list[tuple], bracket) -> Matrix:
+    """The trivial-coefficient d: T^n -> T^{n-1} from the source words of
+    T^n, all of length n, to the target words of T^{n-1}; bracket(a, b)
+    maps each letter k to the int c_k of [b, a]."""
     index = {t: i for i, t in enumerate(targets)}
-    acc: dict[tuple[int, int], int] = {}
+    acc: list[dict[int, int]] = [{} for _ in targets]
     for widx, word in enumerate(words):
         for j in range(2, len(word) + 1):
             sj = -1 if j % 2 else 1
@@ -710,24 +704,22 @@ def _tensor_boundary(words: list[tuple], targets: list[tuple],
             for i in range(1, j):
                 head, tail = word[:i - 1], word[i:j - 1] + rest
                 for k, c in bracket(word[i - 1], b).items():
-                    key = (index[head + (k,) + tail], widx)
-                    acc[key] = acc.get(key, 0) + sj * c
-    return {key: v for key, v in acc.items() if v}
+                    row = acc[index[head + (k,) + tail]]
+                    row[widx] = row.get(widx, 0) + sj * c
+    # the columns of a row arrive in source-word order, so it is sorted
+    return _matrix(len(targets), len(words),
+                   tuple((1, tuple(item for item in row.items() if item[1])) for row in acc))
 
 
 def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, tuple]], boundaries,
                         offset: int) -> ChainComplex:
-    """Restriction of the ambient boundaries, one (entries, den) per
-    adjacent pair of blocks on the words of spans, to the commutator spans
-    of the blocks (n, c), one block per degree from offset up."""
+    """Restriction of the ambient boundaries, one per adjacent pair of
+    blocks on the words of spans, to the commutator spans of the blocks
+    (n, c), one block per degree from offset up."""
     subs = [spans.span(n, c) for n, c in blocks]
-    diffs = []
-    for (n, c), below, src, dst, (entries, den) in zip(blocks[1:], blocks, subs[1:], subs,
-                                                      boundaries):
-        ambient = Matrix.from_entries(len(spans.words(*below)), len(spans.words(n, c)), entries,
-                                      den=den)
-        diffs.append(restrict_map(ambient, src, dst))
-    return ChainComplex(offset, tuple(s.dim for s in subs), tuple(diffs), raising=False)
+    diffs = tuple(restrict_map(ambient, src, dst)
+                  for ambient, src, dst in zip(boundaries, subs[1:], subs))
+    return ChainComplex(offset, tuple(s.dim for s in subs), diffs, raising=False)
 
 
 def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
@@ -759,7 +751,7 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> Ch
         raise ValueError(f"{c!r} is neither a weight nor a letter content on "
                          f"{fl.num_generators} generator(s) in the truncation 1..{fl.max_weight}")
     c, spans = grade, fl.spans
-    boundaries = ((_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl.bracket_words), 1)
+    boundaries = (_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl.bracket_words)
                   for n in range(2, w + 2))
     return _commutator_complex(spans, [(n, c) for n in range(1, w + 2)], boundaries, 1)
 

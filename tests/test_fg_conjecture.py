@@ -16,7 +16,7 @@ from leibhom.homology import (
     fg_weight_complex,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, entries_dict
 
 
 def test_subcomplex_closes_on_corpus():
@@ -177,8 +177,8 @@ def test_weight_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
             assert spans.words(n, (w,)) == oracle_block_words(d, n, w), (w, n)
         assert spans.words(w + 1, (w,)) == []
         assert len(boundaries) == w
-        for n, (entries, den) in enumerate(boundaries, start=2):
-            got = {key: Fraction(v, den) for key, v in entries.items()}
+        for n, ambient in enumerate(boundaries, start=2):
+            got = entries_dict(ambient)
             want = oracle_weight_boundary(spans.words(n, (w,)), spans.words(n - 1, (w,)))
             assert got == want, (w, n)
 
@@ -293,9 +293,9 @@ def test_content_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
                 assert len(set(words)) == len(words)
                 assert set(words) == {t for t in oracle_block_words(d, n, w)
                                       if content(t, d) == c}, (c, n)
-            for n, (entries, den) in enumerate(boundaries, start=2):
+            for n, ambient in enumerate(boundaries, start=2):
                 src, dst = spans.words(n, c), spans.words(n - 1, c)
-                got = {(dst[r], src[k]): Fraction(v, den) for (r, k), v in entries.items()}
+                got = {(dst[r], src[k]): v for (r, k), v in entries_dict(ambient).items()}
                 # the oracle on the whole weight block, read on this content
                 words, targets = oracle_block_words(d, n, w), oracle_block_words(d, n - 1, w)
                 want = {(targets[r], words[k]): v

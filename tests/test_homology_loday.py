@@ -692,8 +692,8 @@ def test_swept_ranks_edge_cases(raising):
 
 # --- the tensor-module boundary entry for entry: the per-word builder of
 # --- every slot and module action, with the coefficient actions read off
-# --- the public tables rule by rule, against the entry maps _loday hands
-# --- to _complex before the d o d gate
+# --- the public tables rule by rule, against the matrices _loday hands to
+# --- _complex before the d o d gate
 
 def oracle_tensor_boundary(words, index, bracket, m_dim=1, first=None, later=None):
     """Entries of d: m (x) T^n -> m (x) T^{n-1} on the source words of T^n,
@@ -825,12 +825,13 @@ def oracle_loday_boundaries(g, m_dim, first, later, n_max):
 
 
 def recorded_boundaries(monkeypatch, build, *args, **kwargs):
-    """The entry maps a builder hands to _complex, before any gate, as
-    Fractions: each int entry over its boundary's denominator."""
+    """The boundary matrices a builder hands to _complex, before any gate
+    and before a cochain complex transposes them, each read by
+    entries_dict."""
     seen = []
 
     def record(dims, boundaries, raising):
-        seen.append([{key: Fraction(v, den) for key, v in e.items()} for e, den in boundaries])
+        seen.append([entries_dict(m) for m in boundaries])
 
     monkeypatch.setattr(homology, "_complex", record)
     build(*args, **kwargs)
@@ -873,6 +874,37 @@ def test_loday_boundaries_match_oracle_entry_for_entry(name, monkeypatch):
                 first, later = oracle_dual_chain_actions(L, R, rule or "corrected", m_dim,
                                                          two_sided)
                 assert got == oracle_loday_boundaries(g, m_dim, first, later, n_max), (label, rule)
+
+
+def built_boundaries(case):
+    """Every matrix the row-writing builders yield for case: for a name of
+    BOUNDARY_ALGEBRAS, _product_boundaries under each coefficient kind and
+    its dual and as fg_subcomplex(g, 5) calls it; for (d, top), the
+    _tensor_boundary of every content block of FreeLeibnizTruncation(d, top)."""
+    if isinstance(case, tuple):
+        fl = FreeLeibnizTruncation(*case)
+        for w in range(1, fl.max_weight + 1):
+            for c in itertools.product(range(w + 1), repeat=fl.num_generators):
+                if sum(c) == w:
+                    for n in range(2, w + 2):
+                        yield homology._tensor_boundary(fl.spans.words(n, c),
+                                                        fl.spans.words(n - 1, c), fl.bracket_words)
+        return
+    g = BOUNDARY_ALGEBRAS[case]
+    yield from homology._product_boundaries(g, 5)
+    for _, coeffs in oracle_coefficient_cases(g):
+        for c in (coeffs, homology._dual(g, coeffs)):
+            yield from homology._product_boundaries(g, 4, *homology._slot_actions(g, c))
+
+
+@pytest.mark.parametrize("case", [*BOUNDARY_ALGEBRAS, (2, 5), (3, 4)], ids=str)
+def test_builders_write_canonical_rows(case):
+    # the builders hand their rows to _matrix, which checks nothing; the
+    # public constructor sorts, drops zeros and reduces every row again
+    matrices = list(built_boundaries(case))
+    assert matrices
+    for m in matrices:
+        assert m == Matrix(m.rows, m.cols, m.sparse_rows)
 
 
 def test_heis3_d6_matches_oracle_boundary():

@@ -8,6 +8,7 @@ the rule landscape.
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -141,3 +142,43 @@ def test_ladder_runs_the_dense_cli_rungs(tmp_path):
         assert tables["betti"] == {str(k): b for k, b in enumerate(expected)}
         assert tables["dims"] == {str(k): m * 3 ** k for k in range(len(expected))}
         assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
+
+
+def copy_of_src(dest: Path) -> Path:
+    """A checkout holding a copy of this tree's src/ only, which is all a
+    ladder child imports."""
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def test_ladder_pairs_a_rung_against_a_copy(tmp_path):
+    copy = copy_of_src(tmp_path / "copy")
+    proc = run_script("ladder.py", "--label", "pair", "--rung", "heis3 <= 6",
+                      "--against", str(copy), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    mine = json.loads((tmp_path / "BENCH_pair.json").read_text())
+    theirs = json.loads((tmp_path / "BENCH_pair-against.json").read_text())
+    assert (mine["paired_with"], theirs["paired_with"]) == ("pair-against", "pair")
+    assert mine["src_lines"] == theirs["src_lines"]
+    [a], [b] = mine["rungs"], theirs["rungs"]
+    assert a["result"] == b["result"] == [1, 2, 5, 10, 22, 47, 101]
+    assert len(a["wall_samples"]) == len(b["wall_samples"]) == 6
+    ratios = [x / y for x, y in zip(a["wall_samples"], b["wall_samples"])]
+    assert a["against_ratio"] == round(statistics.median(ratios), 4)
+    assert a["against_rss_ratio"] > 0
+    assert a["against_wins"] == sum(x < y for x, y in zip(a["wall_samples"], b["wall_samples"]))
+    assert "against_ratio" not in b
+    # ABBA: this tree runs first in odd rounds, the copy in even ones
+    order = [line.split()[1] for line in proc.stdout.splitlines() if "heis3 <= 6" in line]
+    assert order == ["A", "B", "B", "A"] * 3
+
+
+def test_ladder_refuses_trees_that_disagree(tmp_path):
+    copy = copy_of_src(tmp_path / "copy")
+    homology = copy / "src" / "leibhom" / "homology.py"
+    homology.write_text(homology.read_text() + "\nChainComplex.betti = lambda self: ()\n")
+    proc = run_script("ladder.py", "--label", "pair", "--rung", "heis3 <= 6",
+                      "--against", str(copy), "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "the trees disagree on the result of heis3 <= 6" in proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
