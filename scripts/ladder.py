@@ -7,7 +7,8 @@ run compiles the package.  It reports the time of its leibhom imports,
 the wall time of the call (perf_counter around it, import excluded), its
 own peak RSS (ru_maxrss, import included) and the result:
 the Betti numbers of a heis3 or sl2 rung (a "dense" rung takes the
-algebra in a basis that mixes every coordinate), the per-weight verdict of a
+algebra in a basis that mixes every coordinate, a "cochains" rung gives
+the cohomology of the cochain complex), the per-weight verdict of a
 conjecture rung, the exit code, tables and verdicts of a CLI rung.  Two
 trees that compute the same numbers write the same "result" fields.
 
@@ -87,6 +88,8 @@ RUNGS = {
     "heis3 <= 9": ("betti", "heis3", 9),
     "sl2 <= 7": ("betti", "sl2", 7),
     "sl2 <= 8": ("betti", "sl2", 8),
+    "heis3 cochains <= 8": ("cobetti", "heis3", 8),
+    "sl2 cochains <= 7": ("cobetti", "sl2", 7),
     "heis3 dense <= 7": ("betti", "heis3 dense", 7),
     "sl2 dense <= 6": ("betti", "sl2 dense", 6),
     "conjecture_check(1, 12)": ("conjecture", 1, 12),
@@ -113,7 +116,8 @@ CHILD = """
 import json, resource, sys, time
 t0 = time.perf_counter()
 from leibhom.cli import entrypoint
-from leibhom.homology import conjecture_check, loday_complex, trivial_coefficients
+from leibhom.homology import (conjecture_check, loday_cochain_complex, loday_complex,
+                              trivial_coefficients)
 from leibhom.leibcore import LeibnizAlgebra
 import_s = time.perf_counter() - t0
 
@@ -153,6 +157,11 @@ def betti(name, n):
     g = LeibnizAlgebra.from_brackets(*ALGEBRAS[name])
     return list(loday_complex(g, trivial_coefficients(), int(n) + 1).betti())
 
+def cobetti(name, n):
+    # what `leibhom cohomology --max-degree n` runs
+    g = LeibnizAlgebra.from_brackets(*ALGEBRAS[name])
+    return list(loday_cochain_complex(g, trivial_coefficients(), int(n) + 1).betti())
+
 def conjecture(d, w):
     rep = conjecture_check(int(d), int(w))
     return {"verdict": rep.verdict, "h1": [v.h1 for v in rep.weights],
@@ -190,7 +199,8 @@ def cli(*argv):
         return {"exit": code, "tables": report["tables"], "verdicts": report["verdicts"]}
     return result
 
-call = {"betti": betti, "conjecture": conjecture, "cli": cli, "files": files}[sys.argv[1]]
+call = {"betti": betti, "cobetti": cobetti, "conjecture": conjecture, "cli": cli,
+        "files": files}[sys.argv[1]]
 t0 = time.perf_counter()
 result = call(*sys.argv[2:])
 wall = time.perf_counter() - t0

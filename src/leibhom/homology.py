@@ -47,7 +47,10 @@ below and scripts/pin_chain_rule.py for the gate that pinned this.
 Cochain complexes are not built separately.  Hom(C_n, m) is the dual of
 the chain complex with coefficients in the dual module m*, so every
 cochain complex is the transposed chain complex of _dual(g, m), built by
-its family's one boundary builder under the one rule table.  A Lie module
+its family's one boundary builder under the one rule table.  A
+ChainComplex stores the boundaries its builder wrote; a cochain complex
+is that chain complex flagged raising=True, and its coboundaries, diffs,
+are the transposed boundaries, built on first read.  A Lie module
 acts on its dual by a.f = -f o a; the two-sided dual has left' = -L^T and
 right' = R^T + L^T, with ^T swapping the two module slots (Loday-Pirashvili
 1993, Math. Ann. 296).  Trivial coefficients and a zero action are their
@@ -128,63 +131,66 @@ REP_CHAIN_RULE = "corrected"
 
 
 class ChainComplex(_Frozen):
-    """dims[i] is the dimension in degree offset+i.  For raising=False
-    diffs[i] maps degree offset+i+1 to offset+i; for raising=True it maps
-    offset+i to offset+i+1.
+    """dims[i] is the dimension in degree offset+i and boundaries[i], the
+    map its builder wrote, maps degree offset+i+1 to offset+i.  A cochain
+    complex is the chain complex it is the transpose of, flagged
+    raising=True: its coboundaries diffs[i], degree offset+i to
+    offset+i+1, are the transposed boundaries, built on first read.
 
     Homology is reported only in the degrees that have both adjacent maps
     stored: stored up to degree N, the complex reports degrees
     offset..N-1, and asking for any other degree raises ValueError."""
 
-    __match_args__ = ("offset", "dims", "diffs", "raising")
+    __match_args__ = ("offset", "dims", "boundaries", "raising")
 
-    def __init__(self, offset: int, dims: tuple[int, ...], diffs: tuple[Matrix, ...],
+    def __init__(self, offset: int, dims: tuple[int, ...], boundaries: tuple[Matrix, ...],
                  raising: bool = False):
-        self.__dict__.update(offset=offset, dims=dims, diffs=diffs, raising=raising)
+        self.__dict__.update(offset=offset, dims=dims, boundaries=boundaries, raising=raising)
         self.__post_init__()
 
     def __post_init__(self):
         """The shape checks and the d o d = 0 gate."""
-        if len(self.diffs) != max(len(self.dims) - 1, 0):
+        if len(self.boundaries) != max(len(self.dims) - 1, 0):
             raise ShapeMismatch("expected one differential per adjacent pair of degrees")
-        for i, d in enumerate(self.diffs):
-            lo, hi = self.dims[i], self.dims[i + 1]
-            want = (hi, lo) if self.raising else (lo, hi)
+        for i, d in enumerate(self.boundaries):
+            want = self.dims[i], self.dims[i + 1]
             if (d.rows, d.cols) != want:
                 raise ShapeMismatch(
                     f"differential {i} has shape {(d.rows, d.cols)}, expected {want}")
-        for i in range(len(self.diffs) - 1):
-            if self.raising:
-                comp = self.diffs[i + 1] @ self.diffs[i]
-            else:
-                comp = self.diffs[i] @ self.diffs[i + 1]
-            if not comp.is_zero():
+        for i in range(len(self.boundaries) - 1):
+            if not (self.boundaries[i] @ self.boundaries[i + 1]).is_zero():
                 raise DifferentialSquareNonzero(
                     f"composition through degree {self.offset + i + 1} is nonzero")
 
+    @cached_property
+    def diffs(self) -> tuple[Matrix, ...]:
+        """The maps of the complex in its own direction: the boundaries, or
+        for a cochain complex their transposes."""
+        if self.raising:
+            return tuple(d.transpose() for d in self.boundaries)
+        return self.boundaries
+
     def degree_range(self) -> tuple[int, ...]:
         """The degrees with both adjacent maps stored."""
-        return tuple(range(self.offset, self.offset + len(self.diffs)))
+        return tuple(range(self.offset, self.offset + len(self.boundaries)))
 
-    def _adjacent(self, k: int) -> tuple[Matrix | None, Matrix]:
-        """(the map between degrees k-1 and k, None at the lowest degree;
-        the map between k and k+1)."""
+    def _index(self, k: int) -> int:
+        """k - offset, for a degree k with both adjacent maps stored."""
         i = k - self.offset
-        if not 0 <= i < len(self.diffs):
+        if not 0 <= i < len(self.boundaries):
             raise ValueError(f"degree {k} lacks an adjacent map; the complex reports only "
                              f"degrees {self.degree_range()}")
-        return (self.diffs[i - 1] if i else None), self.diffs[i]
+        return i
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """rank diffs[i] for every i, bottom-up.  The pivot columns P of
-        the map below are independent columns of it, so no nonzero vector
+        """rank boundaries[i] for every i, bottom-up.  The pivot columns P
+        of the map below are independent columns of it, so no nonzero vector
         on P is a cycle: dropping the rows P keeps the rank of the next map,
         whose image lies in the cycles, and leaves only the rows that do
-        not reduce to zero.  A raising complex sweeps the transposes, which
-        form a chain complex of the same ranks."""
+        not reduce to zero."""
         out, pinned = [], set()
-        for d in (d.transpose() for d in self.diffs) if self.raising else self.diffs:
+        for d in self.boundaries:
             kept = tuple(row for i, row in enumerate(d.int_rows) if i not in pinned)
             pivots: list[int] = []
             out.append(rank(_matrix(len(kept), d.cols, kept), pivots))
@@ -192,47 +198,34 @@ class ChainComplex(_Frozen):
         return tuple(out)
 
     def homology(self, k: int) -> int:
-        self._adjacent(k)
-        i = k - self.offset
+        i = self._index(k)
         return self.dims[i] - self.ranks[i] - (self.ranks[i - 1] if i else 0)
 
     def betti(self) -> tuple[int, ...]:
         return tuple(self.homology(k) for k in self.degree_range())
 
-    def boundary_pair(self, k: int) -> tuple[Matrix | None, Matrix | None]:
-        """(map out of degree k, map into degree k) for homology at k."""
-        below, above = self._adjacent(k)
-        if self.raising:
-            return above, below
-        return below, above
-
-    def boundary_rank(self, k: int) -> int:
-        """dim B_k, the rank of the map into degree k, 0 if there is none."""
-        _, in_map = self.boundary_pair(k)
-        return 0 if in_map is None else self.ranks[k - self.offset - self.raising]
-
     def cycle_space(self, k: int) -> Subspace:
-        out_map, _ = self.boundary_pair(k)
-        if out_map is None:
-            return Subspace.full(self.dims[k - self.offset])
-        return kernel_basis(out_map)
+        """The kernel of the map out of degree k: boundaries[i-1] of a chain
+        complex, none at its lowest degree, diffs[i] of a cochain one."""
+        i = self._index(k)
+        j = i if self.raising else i - 1
+        return Subspace.full(self.dims[i]) if j < 0 else kernel_basis(self.diffs[j])
 
     def boundary_space(self, k: int) -> Subspace:
-        _, in_map = self.boundary_pair(k)
-        if in_map is None:
-            return Subspace.zero(self.dims[k - self.offset])
-        return column_span(in_map)
+        """The image of the map into degree k: boundaries[i] of a chain
+        complex, diffs[i-1] of a cochain one, none at its lowest degree."""
+        i = self._index(k)
+        j = i - self.raising
+        return Subspace.zero(self.dims[i]) if j < 0 else column_span(self.diffs[j])
 
 
 def _complex(dims: list[int], boundaries, raising: bool) -> ChainComplex:
     """ChainComplex in degrees 0..len(dims)-1 from the boundaries
-    C_n -> C_{n-1}, n = 1, 2, ...  dims is empty only for a negative
-    n_max, which is refused.  raising=True gives the dual cochain complex:
-    every boundary is transposed into the coboundary C^{n-1} -> C^n."""
+    C_n -> C_{n-1}, n = 1, 2, ..., stored as written; raising=True flags
+    the dual cochain complex.  dims is empty only for a negative n_max,
+    which is refused."""
     if not dims:
         raise ValueError("n_max must be nonnegative")
-    if raising:
-        boundaries = (d.transpose() for d in boundaries)
     return ChainComplex(0, tuple(dims), tuple(boundaries), raising=raising)
 
 
@@ -606,11 +599,14 @@ def _induced_rank(src: ChainComplex, dst: ChainComplex, f_k: Matrix, k: int) -> 
     component f_k: dim(f_k(Z_k) + B'_k) - dim B'_k, where Z_k are the
     cycles of src and B'_k the boundaries of dst (f_k(B_k) lies in B'_k)."""
     cols = (f_k @ src.cycle_space(k).basis).transpose().int_rows
-    _, in_map = dst.boundary_pair(k)
-    if in_map is None:
+    i = dst._index(k) - dst.raising
+    if i < 0:
         return rank(_matrix(len(cols), f_k.rows, cols))
-    cols += in_map.transpose().int_rows
-    return rank(_matrix(len(cols), f_k.rows, cols)) - dst.boundary_rank(k)
+    # the columns of the map into degree k: the rows of a cochain target's
+    # boundaries[i], the columns of a chain target's
+    d = dst.boundaries[i]
+    cols += d.int_rows if dst.raising else d.transpose().int_rows
+    return rank(_matrix(len(cols), f_k.rows, cols)) - dst.ranks[i]
 
 
 class ComparisonReport(_Frozen):
@@ -654,7 +650,7 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
         ce = _monomial_complex(data.mons, data.terms, _lie_action(g, coeffs)[1], data.m_dim,
                                raising=False)
         for n in range(1, n_max + 1):
-            if P[n - 1] @ lod.diffs[n - 1] != ce.diffs[n - 1] @ P[n]:
+            if P[n - 1] @ lod.boundaries[n - 1] != ce.boundaries[n - 1] @ P[n]:
                 raise NotAChainMap(f"projection fails to commute with the boundary at degree {n}")
         return lod.betti(), ce.betti(), tuple(_induced_rank(lod, ce, P[k], k)
                                               for k in lod.degree_range())
@@ -717,9 +713,9 @@ def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, tuple]],
     blocks on the words of spans, to the commutator spans of the blocks
     (n, c), one block per degree from offset up."""
     subs = [spans.span(n, c) for n, c in blocks]
-    diffs = tuple(restrict_map(ambient, src, dst)
-                  for ambient, src, dst in zip(boundaries, subs[1:], subs))
-    return ChainComplex(offset, tuple(s.dim for s in subs), diffs, raising=False)
+    return ChainComplex(offset, tuple(s.dim for s in subs),
+                        tuple(restrict_map(ambient, src, dst)
+                              for ambient, src, dst in zip(boundaries, subs[1:], subs)))
 
 
 def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:

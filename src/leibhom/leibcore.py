@@ -106,9 +106,6 @@ class LieAlgebra(_Frozen):
     def __init__(self, dim: int, basis_names: tuple[str, ...], structure: Matrix):
         self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure)
 
-    def as_leibniz(self, convention: str = "left") -> LeibnizAlgebra:
-        return LeibnizAlgebra(self.dim, self.basis_names, self.structure, convention)
-
     @staticmethod
     def from_brackets(names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> "LieAlgebra":
         g = LeibnizAlgebra.from_brackets(names, brackets)

@@ -33,12 +33,6 @@ class PBWAlgebra(_Record):
     def __init__(self, algebra: DGLieAlgebra):
         self.algebra = algebra
 
-    def letters(self) -> list[Letter]:
-        out = []
-        for p in self.algebra.degrees():
-            out.extend((p, i) for i in range(self.algebra.dim(p)))
-        return out
-
     def parity(self, letter: Letter) -> int:
         return letter[0] % 2
 

@@ -64,7 +64,7 @@ def test_a2_small_cochain_betti():
 
 def test_small_complex_equals_classical_for_lie_input():
     for name, h in LIE_CORPUS.items():
-        g = h.as_leibniz()
+        g = LeibnizAlgebra(h.dim, h.basis_names, h.structure)
         small = ce_chain(g, trivial_coefficients(), 4)
         classical = classical_ce(h, trivial_coefficients(), 4)
         assert small.dims == classical.dims, name
@@ -342,6 +342,29 @@ def test_projection_cochain_half_matches_the_public_cochain_complexes():
             assert lodco.diffs[n] @ Q[n] == Q[n + 1] @ ceco.diffs[n], (label, coeffs, n)
         assert rep.cochain_map_ranks == tuple(
             homology._induced_rank(ceco, lodco, Q[k], k) for k in rep.degrees), (label, coeffs)
+
+
+def test_cochain_complexes_store_boundaries_and_transpose_on_read():
+    def cochain_complexes():
+        for name, g in CORPUS.items():
+            qdata = lie_quotient(g)
+            lie = quotient_adjoint_module(qdata) or character_module(qdata)
+            for coeffs in (trivial_coefficients(), lie, adjoint_representation(g)):
+                if coeffs is not None:
+                    yield name, loday_cochain_complex(g, coeffs, 3)
+            for coeffs in (trivial_coefficients(), lie):
+                if coeffs is not None:
+                    yield name, ce_cochain(g, coeffs, 3)
+        for name, h in LIE_CORPUS.items():
+            for coeffs in (trivial_coefficients(), LieModule(h.dim, h.structure)):
+                yield name, classical_ce_cochain(h, coeffs, 3)
+
+    for name, cx in cochain_complexes():
+        assert cx.raising, name
+        cx.betti()
+        # the ranks read the stored boundaries; the coboundaries wait
+        assert "diffs" not in vars(cx), name
+        assert cx.diffs == tuple(d.transpose() for d in cx.boundaries), name
 
 
 def test_projection_runs_the_chain_half_on_the_dual_only_for_a_nonzero_action(monkeypatch):

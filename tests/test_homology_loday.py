@@ -458,7 +458,7 @@ def test_mis_shaped_complex_raises_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         ChainComplex(0, (1, 2, 1), (Matrix.zeros(1, 2),))
     with pytest.raises(ShapeMismatch):
-        ChainComplex(0, (2, 1), (Matrix.zeros(2, 1),), raising=True)
+        ChainComplex(0, (2, 1), (Matrix.zeros(1, 2),), raising=True)
 
 
 def test_a2_cochain_betti():
@@ -513,7 +513,8 @@ def test_cochain_rules_that_square_to_zero(rule):
 
 def test_naive_cochain_rule_fails():
     # the value-side naive rule is no chain rule on the dual module, so the
-    # coboundaries are built from the oracle's cochain rule table
+    # boundaries of the dual module are built from the oracle's cochain
+    # rule table
     g, rep = HEMI_ADJ
     L, R = dense(rep.left_action, g.dim, rep.dim), dense(rep.right_action, rep.dim, g.dim)
     first, later = oracle_dual_chain_actions(L, R, "naive", rep.dim, True)
@@ -521,8 +522,8 @@ def test_naive_cochain_rule_fails():
     dims = [rep.dim * g.dim ** n for n in range(5)]
     with pytest.raises(DifferentialSquareNonzero):
         ChainComplex(0, tuple(dims), tuple(
-            Matrix.from_entries(dims[n + 1], dims[n], {(c, r): v for (r, c), v in e.items()})
-            for n, e in enumerate(boundaries)), raising=True)
+            Matrix.from_entries(dims[n], dims[n + 1], e) for n, e in enumerate(boundaries)),
+            raising=True)
 
 
 @pytest.mark.parametrize("build", [loday_complex, loday_cochain_complex])
@@ -676,15 +677,11 @@ def test_swept_ranks_edge_cases(raising):
     for n_max in (0, 1):
         _swept_ranks_hold(build(g, lie, n_max))
 
-    def shaped(m):
-        return m.transpose() if raising else m
-
     # a zero-dimensional degree between two zero maps
-    cx = ChainComplex(0, (2, 0, 2), (shaped(Matrix.zeros(2, 0)), shaped(Matrix.zeros(0, 2))),
-                      raising=raising)
+    cx = ChainComplex(0, (2, 0, 2), (Matrix.zeros(2, 0), Matrix.zeros(0, 2)), raising=raising)
     assert cx.ranks == (0, 0) and cx.betti() == (2, 0)
     # offset 2: the map below pins the row the map above would share
-    below, above = shaped(Matrix.from_rows([[1, 1]])), shaped(Matrix.from_rows([[1], [-1]]))
+    below, above = Matrix.from_rows([[1, 1]]), Matrix.from_rows([[1], [-1]])
     cx = ChainComplex(2, (1, 2, 1), (below, above), raising=raising)
     assert cx.ranks == (1, 1) and cx.betti() == (0, 0)
     _swept_ranks_hold(cx)
@@ -825,9 +822,8 @@ def oracle_loday_boundaries(g, m_dim, first, later, n_max):
 
 
 def recorded_boundaries(monkeypatch, build, *args, **kwargs):
-    """The boundary matrices a builder hands to _complex, before any gate
-    and before a cochain complex transposes them, each read by
-    entries_dict."""
+    """The boundary matrices a builder hands to _complex, before any gate,
+    each read by entries_dict; a cochain complex stores them as they are."""
     seen = []
 
     def record(dims, boundaries, raising):

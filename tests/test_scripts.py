@@ -94,6 +94,15 @@ def test_ladder_writes_one_rung(tmp_path):
     assert rung["import_s"] > 0
 
 
+def test_ladder_runs_a_cochain_rung(tmp_path):
+    proc = run_script("ladder.py", "--label", "smoke", "--rung", "heis3 cochains <= 8",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    [rung] = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert rung["name"] == "heis3 cochains <= 8"
+    assert rung["result"] == [1, 2, 5, 10, 22, 47, 101, 217, 466]
+
+
 def test_ladder_runs_a_cli_rung(tmp_path):
     # the dense lie: rung, built in the sparse bases of the algebra and of
     # the module, gives the tables of the canonical one

@@ -119,7 +119,13 @@ def test_cached_views_still_fill_in():
      r"differential 0 has shape \(2, 1\), expected \(1, 2\)"),
     (lambda: ChainComplex(0, (1, 1, 1), (Matrix.identity(1), Matrix.identity(1))),
      DifferentialSquareNonzero, "composition through degree 1 is nonzero"),
-], ids=["basis_length", "convention", "trivial_dim", "diff_count", "diff_shape", "d_squared"])
+    (lambda: ChainComplex(0, (1, 2), (Matrix.zeros(2, 1),), raising=True), ShapeMismatch,
+     r"differential 0 has shape \(2, 1\), expected \(1, 2\)"),
+    (lambda: ChainComplex(0, (1, 1, 1), (Matrix.identity(1), Matrix.identity(1)),
+                          raising=True),
+     DifferentialSquareNonzero, "composition through degree 1 is nonzero"),
+], ids=["basis_length", "convention", "trivial_dim", "diff_count", "diff_shape", "d_squared",
+        "diff_shape_raising", "d_squared_raising"])
 def test_constructor_checks_keep_their_messages(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()
