@@ -26,11 +26,13 @@ worktree` of the parent, whose src/ the same children import.  Each of
 after the other, this tree first in odd rounds and DIR first in even
 ones (ABBA), so a drift of the host lands on both alike.  Both files are
 written in the format above, DIR's as BENCH_<label>-against.json.  Each
-rung of this tree's file adds "against_ratio" and "against_rss_ratio",
-the medians over the rounds of its wall time and its peak RSS over DIR's
-in the same round, and "against_wins", the rounds in which it took less
-wall time.  The two trees must agree on every result; a rung on which
-they disagree makes the script exit 1 without writing.
+rung of this tree's file adds "against_ratio", "against_import_ratio"
+and "against_rss_ratio", the medians over the rounds of its wall time,
+its import time and its peak RSS over DIR's in the same round, and
+"against_wins" and "against_import_wins", the rounds in which it took
+less wall time and less import time.  The two trees must agree on every
+result; a rung on which they disagree makes the script exit 1 without
+writing.
 
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
 --quiet and --json, on an algebra file the script writes to a temporary
@@ -268,9 +270,10 @@ def main() -> int:
         if disagree:
             raise SystemExit(f"the trees disagree on the result of {', '.join(disagree)}")
         for rung, (a, b) in zip(mine, runs.values()):
-            rung["against_ratio"] = median_ratio(a, b, "wall_s")
+            for key, tag in (("wall_s", ""), ("import_s", "import_")):
+                rung[f"against_{tag}ratio"] = median_ratio(a, b, key)
+                rung[f"against_{tag}wins"] = sum(x[key] < y[key] for x, y in zip(a, b))
             rung["against_rss_ratio"] = median_ratio(a, b, "peak_rss_mb")
-            rung["against_wins"] = sum(x["wall_s"] < y["wall_s"] for x, y in zip(a, b))
     labels = [args.label, f"{args.label}-against"]
     for t, tree in enumerate(trees):
         meta = {"label": labels[t], "python": platform.python_version(),

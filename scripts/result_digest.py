@@ -24,15 +24,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from leibhom.dgla import DGLieAlgebra, DGModule, minimal_envelope, minimal_module
+from leibhom.dgcat import DGModule, classical_ce, classical_ce_cochain, minimal_module
+from leibhom.dgla import DGLieAlgebra, minimal_envelope
 from leibhom.exactla import Matrix, Subspace
 from leibhom.homology import (
     ChainComplex,
     ce_chain,
     ce_cochain,
     ce_projection,
-    classical_ce,
-    classical_ce_cochain,
     conjecture_check,
     fg_subcomplex,
     loday_cochain_complex,

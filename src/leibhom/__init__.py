@@ -46,23 +46,7 @@ from .leibcore import (
     symmetrization,
     trivial_representation,
 )
-from .dgla import (
-    CategoryReport,
-    DGLAMorphism,
-    DGLieAlgebra,
-    DGModule,
-    IllDefinedAction,
-    NotInCategory,
-    as_module,
-    check_dg_module,
-    check_dgla,
-    check_dgla_morphism,
-    cone,
-    leib,
-    minimal_counit,
-    minimal_envelope,
-    minimal_module,
-)
+from .dgla import DGLieAlgebra, IllDefinedAction, NotInCategory, minimal_envelope
 from .freealg import (
     FreeLeibnizTruncation,
     NecklaceCountError,
@@ -84,8 +68,6 @@ from .homology import (
     ce_chain,
     ce_cochain,
     ce_projection,
-    classical_ce,
-    classical_ce_cochain,
     conjecture_check,
     fg_subcomplex,
     fg_weight_complex,
@@ -95,3 +77,25 @@ from .homology import (
 )
 
 __version__ = "0.1.0"
+
+# The library-only names, which dgcat holds: no command runs them, so the
+# package resolves them on first access (PEP 562) and `import leibhom.cli`
+# never compiles that module.
+_DGCAT = ("CategoryReport", "DGLAMorphism", "DGModule", "as_module", "check_dg_module",
+          "check_dgla", "check_dgla_morphism", "classical_ce", "classical_ce_cochain", "cone",
+          "leib", "minimal_counit", "minimal_module")
+
+# every name imported above (the submodules, which are not callable, left out)
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and callable(value)] + list(_DGCAT))
+
+
+def __getattr__(name: str):
+    if name in _DGCAT:
+        from . import dgcat
+        return getattr(dgcat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_DGCAT))

@@ -1,14 +1,15 @@
 """Chain complexes for Leibniz algebras.
 
-Four families live here:
+Three families live here:
 
 * the tensor-module complex  m (x) g^{(x)n}  and its cochain version,
 * the small complexes built from the enveloping DGLA of g (degree-wise
   spanned by normal monomials in the degree >= 1 letters),
-* the classical exterior-power complexes of a Lie algebra, an entry point
-  and an oracle (ce_projection compares with the small complexes above),
 * the subcomplex spanned by left-normed graded commutators, including
   its blocks by weight and by letter content over a truncated free algebra.
+
+The classical exterior-power complexes of a Lie algebra, which no command
+builds, are in dgcat; they share _monomial_complex with the small ones.
 
 All boundary maps are exact integer/rational matrices and every complex
 is gated on d o d = 0 at construction.
@@ -262,7 +263,7 @@ class TrivialCoefficients(_Frozen):
             raise ValueError(f"coefficient dimension must be a positive int, got {self.dim!r}")
 
 
-# a LieModule acts on the Lie algebra itself in the classical complexes and
+# a LieModule acts on the Lie algebra itself in the classical complexes (dgcat) and
 # through the maximal Lie quotient of g in the others: [x,m] = pr(x).m
 Coefficients = TrivialCoefficients | LieModule | Representation
 
@@ -518,57 +519,6 @@ def ce_cochain(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> Cha
     data = _ce_setup(g, coefficients, n_max)
     _, action = _lie_action(g, _dual(g, coefficients))
     return _monomial_complex(data.mons, data.terms, action, data.m_dim, raising=True)
-
-
-# ---------------------------------------------------------------------------
-# classical exterior-power complexes of a Lie algebra (entry point + oracle)
-
-
-def _wedge_insert(k: int, rest: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    if k in rest:
-        return None
-    pos = sum(1 for t in rest if t < k)
-    return -1 if pos % 2 else 1, rest[:pos] + (k,) + rest[pos:]
-
-
-def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
-                       raising: bool) -> ChainComplex:
-    """m (x) Lambda^n h in degrees 0..n_max; action is the table of h
-    acting on m, None for the zero action."""
-    brackets = h.structure.transpose().sparse_rows
-
-    def terms(xs: tuple[int, ...]):
-        n = len(xs)
-        for t in range(1, n + 1):
-            yield xs[t - 1], xs[:t - 1] + xs[t:], -1 if t % 2 else 1
-        for s in range(1, n + 1):
-            for t in range(s + 1, n + 1):
-                sign = -1 if (s + t) % 2 else 1
-                rest = tuple(v for idx, v in enumerate(xs) if idx not in (s - 1, t - 1))
-                for k, c in brackets[xs[s - 1] * h.dim + xs[t - 1]]:
-                    ins = _wedge_insert(k, rest)
-                    if ins is not None:
-                        wsign, word = ins
-                        yield None, word, sign * c * wsign
-
-    mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
-    return _monomial_complex(mons, [[list(terms(xs)) for xs in ws] for ws in mons], action, m,
-                             raising)
-
-
-def classical_ce(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
-    """Exterior-power chain complex of a Lie algebra with trivial
-    coefficients or coefficients in an h-module."""
-    m_dim, action = _lie_action(h, coefficients)
-    return _classical_complex(h, action, m_dim, n_max, raising=False)
-
-
-def classical_ce_cochain(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:
-    """Exterior-power cochain complex: the transposed chain complex of the
-    contragredient module."""
-    m_dim, _ = _lie_action(h, coefficients)
-    _, action = _lie_action(h, _dual(h, coefficients))
-    return _classical_complex(h, action, m_dim, n_max, raising=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,18 @@ from fractions import Fraction
 import pytest
 
 from leibhom import cli
-from leibhom.dgla import (
-    DGLieAlgebra,
+from leibhom.dgcat import (
     DGModule,
     as_module,
     check_dg_module,
     check_dgla,
+    classical_ce,
+    classical_ce_cochain,
     cone,
     leib,
-    minimal_envelope,
     minimal_module,
 )
+from leibhom.dgla import DGLieAlgebra, minimal_envelope
 from leibhom.exactla import Matrix
 from leibhom.freealg import free_graded_lie_component, witt_dim
 from leibhom.homology import (
@@ -31,8 +32,6 @@ from leibhom.homology import (
     ce_chain,
     ce_cochain,
     ce_projection,
-    classical_ce,
-    classical_ce_cochain,
     conjecture_check,
     fg_subcomplex,
     loday_cochain_complex,

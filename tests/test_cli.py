@@ -1068,6 +1068,24 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert not any("dataclass" in line for line in src)
 
 
+def test_no_command_loads_the_library_only_module(r2_path, tmp_path):
+    rep = write_json(tmp_path / "adj.json", R2_ADJ_DOC)
+    lie = write_json(tmp_path / "char.json", R2_CHAR_DOC)
+    runs = [["check", r2_path], ["quotient", r2_path], ["fg", r2_path, "--max-degree", "3"],
+            ["free-conjecture", "--generators", "2", "--max-weight", "4"]]
+    runs += [[command, r2_path, "--max-degree", "3", "--coefficients", c]
+             for command in ("homology", "cohomology", "ce-homology", "ce-cohomology", "compare")
+             for c in ("trivial", f"rep:{rep}", f"lie:{lie}")]
+    done = _import_cli_bare(
+        "import sys\n"
+        "print('leibhom.dgcat' in sys.modules)\n"
+        f"print([leibhom.cli.entrypoint(argv + ['--quiet']) for argv in {runs!r}])\n"
+        "print('leibhom.dgcat' in sys.modules)")
+    # the enveloping-algebra complexes refuse rep: coefficients with exit 2
+    codes = [0, 0, 0, 0] + [0, 0, 0] * 2 + [0, 2, 0] * 3
+    assert (done.returncode, done.stdout) == (0, f"False\n{codes}\nFalse\n")
+
+
 def test_cli_import_freezes_its_objects():
     done = _import_cli_bare("import gc\nprint(gc.get_freeze_count() > 0)")
     assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from leibhom.dgla import (
+import leibhom
+from leibhom import dgcat
+from leibhom.dgcat import (
     DGLAMorphism,
-    DGLieAlgebra,
     DGModule,
-    IllDefinedAction,
-    NotInCategory,
     as_module,
     check_dg_module,
     check_dgla,
@@ -16,9 +15,9 @@ from leibhom.dgla import (
     cone,
     leib,
     minimal_counit,
-    minimal_envelope,
     minimal_module,
 )
+from leibhom.dgla import DGLieAlgebra, IllDefinedAction, NotInCategory, minimal_envelope
 from leibhom.exactla import Matrix, ShapeMismatch, quotient_section
 from leibhom.homology import ChainComplex
 from leibhom.leibcore import (
@@ -632,3 +631,18 @@ def test_check_dg_module_refuses_a_table_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch):
         check_dg_module(DGModule(mod.algebra, mod.degree_dims, actions, mod.differentials,
                                  mod.labels))
+
+
+def test_package_resolves_the_library_only_names():
+    defined = {name for name, value in vars(dgcat).items()
+               if not name.startswith("_") and getattr(value, "__module__", "") == dgcat.__name__}
+    assert set(leibhom._DGCAT) == defined
+    for name in leibhom._DGCAT:
+        assert getattr(leibhom, name) is getattr(dgcat, name)
+        assert name in dir(leibhom) and name in leibhom.__all__
+    namespace = {}
+    exec("from leibhom import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(leibhom.__all__) <= set(dir(leibhom))
+    with pytest.raises(AttributeError, match="^module 'leibhom' has no attribute 'coned'$"):
+        leibhom.coned
+    assert getattr(leibhom, "coned", None) is None

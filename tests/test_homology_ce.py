@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from leibhom import homology
+from leibhom.dgcat import classical_ce, classical_ce_cochain
 from leibhom.dgla import minimal_envelope
 from leibhom.exactla import Matrix, _kron, _lincomb
 from leibhom.homology import (
@@ -13,8 +14,6 @@ from leibhom.homology import (
     ce_chain,
     ce_cochain,
     ce_projection,
-    classical_ce,
-    classical_ce_cochain,
     loday_cochain_complex,
     loday_complex,
     trivial_coefficients,

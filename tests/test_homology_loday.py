@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibhom import exactla, homology
+from leibhom.dgcat import classical_ce, classical_ce_cochain
 from leibhom.exactla import Matrix, ShapeMismatch, Subspace, add_into, restrict_map
 from leibhom.freealg import FreeLeibnizTruncation
 from leibhom.homology import (
@@ -18,8 +19,6 @@ from leibhom.homology import (
     ce_chain,
     ce_cochain,
     ce_projection,
-    classical_ce,
-    classical_ce_cochain,
     fg_subcomplex,
     fg_weight_complex,
     loday_cochain_complex,

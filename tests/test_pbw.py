@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibhom.dgla import cone, minimal_envelope
+from leibhom.dgcat import cone
+from leibhom.dgla import minimal_envelope
 from leibhom.pbw import PBWAlgebra
 
 from conftest import CORPUS, LIE_CORPUS

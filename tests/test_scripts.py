@@ -176,7 +176,11 @@ def test_ladder_pairs_a_rung_against_a_copy(tmp_path):
     assert a["against_ratio"] == round(statistics.median(ratios), 4)
     assert a["against_rss_ratio"] > 0
     assert a["against_wins"] == sum(x < y for x, y in zip(a["wall_samples"], b["wall_samples"]))
-    assert "against_ratio" not in b
+    imports = [x / y for x, y in zip(a["import_samples"], b["import_samples"])]
+    assert a["against_import_ratio"] == round(statistics.median(imports), 4)
+    assert a["against_import_wins"] == sum(
+        x < y for x, y in zip(a["import_samples"], b["import_samples"]))
+    assert not {"against_ratio", "against_import_ratio", "against_import_wins"} & set(b)
     # ABBA: this tree runs first in odd rounds, the copy in even ones
     order = [line.split()[1] for line in proc.stdout.splitlines() if "heis3 <= 6" in line]
     assert order == ["A", "B", "B", "A"] * 3

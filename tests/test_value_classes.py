@@ -10,14 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibhom.dgla import (
-    CategoryReport,
-    DGLAMorphism,
-    DGLieAlgebra,
-    DGModule,
-    as_module,
-    cone,
-)
+from leibhom.dgcat import CategoryReport, DGLAMorphism, DGModule, as_module, cone
+from leibhom.dgla import DGLieAlgebra
 from leibhom.exactla import Matrix, ShapeMismatch, Subspace, _matrix, column_span
 from leibhom.homology import (
     CEData,
