@@ -18,7 +18,9 @@ in "wall_samples" and the import times in "import_samples"; "wall_s" and
 "import_s" are their medians and "peak_rss_mb" the largest peak.  The
 runs of a rung must agree on the result.  The metadata also records
 "src_lines", the line count of src/leibhom/*.py (as `wc -l` counts it),
-which ROADMAP aim 2 tracks.
+which ROADMAP aim 2 tracks, and "cli_lines", the line count of the
+leibhom modules that `import leibhom.cli` loads (read from the
+sys.modules of a `python -S` child), which every CLI job compiles.
 
 --against DIR pairs this checkout with another one, such as a `git
 worktree` of the parent, whose src/ the same children import.  Each of
@@ -74,6 +76,7 @@ RUNGS = {
     "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3":
         ("cli", "compare", "heis3.json", "--max-degree", "5",
          "--coefficients", "lie:adjoint.json"),
+    "leibhom fg --max-degree 7 heis3": ("cli", "fg", "heis3.json", "--max-degree", "7"),
     "leibhom homology --max-degree 7 heis3 dense":
         ("cli", "homology", "heis3-dense.json", "--max-degree", "7"),
     "leibhom homology --max-degree 6 sl2 dense":
@@ -233,6 +236,15 @@ def summary(name: str, got: list[dict]) -> dict:
             "peak_rss_mb": max(g["peak_rss_mb"] for g in got), "result": got[0]["result"]}
 
 
+def cli_lines(src: Path) -> int:
+    """The line count of the leibhom modules `import leibhom.cli` loads."""
+    code = ("import json, sys, leibhom.cli; print(json.dumps(sorted(m.__file__ "
+            "for name, m in sys.modules.items() if name.split('.')[0] == 'leibhom')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    return sum(Path(f).read_bytes().count(b"\n") for f in json.loads(proc.stdout))
+
+
 def median_ratio(mine: list[dict], theirs: list[dict], key: str) -> float:
     """The median over the rounds of mine[key] / theirs[key]."""
     return round(statistics.median(a[key] / b[key] for a, b in zip(mine, theirs)), 4)
@@ -279,7 +291,8 @@ def main() -> int:
         meta = {"label": labels[t], "python": platform.python_version(),
                 "machine": platform.machine(), "cpus": os.cpu_count(),
                 "src_lines": sum(p.read_bytes().count(b"\n")
-                                 for p in (tree / "src" / "leibhom").glob("*.py"))}
+                                 for p in (tree / "src" / "leibhom").glob("*.py")),
+                "cli_lines": cli_lines(tree / "src")}
         if args.against:
             meta["paired_with"] = labels[1 - t]
         # one rung per line, so two ladder files diff line by line

@@ -7,6 +7,11 @@ total grade c, by the graded commutators [e, y] of the basis of block
 of g, all of weight (1,), for the commutator subcomplex of an algebra,
 and the words of a truncated free algebra, graded by weight (w,) for the
 weight blocks or by letter content for the blocks conjecture_check runs.
+The spans are integer rows over the positions of a block's words: for a
+basis column e of block (n - 1, c - v), as (index, int) pairs, and a
+letter y of grade v, the row of [e, y] = e.y - (-1)^(n-1) y.e reads two
+index maps of the block below, t -> index[t + (y,)] and t -> index[(y,) + t],
+and the rows of a block go to one exact elimination.
 
 A word (i1, ..., iw) stands for the left-normed bracket
 [[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra;
@@ -18,7 +23,7 @@ general case unfolds through the right identity
 Everything is truncated at a maximum weight; brackets that would exceed
 it raise WeightOverflow.  The free left Leibniz algebra is the opposite,
 so [u, v] on the left is bracket(v, u) here.  Its structure constants
-are integers, so elements and spans are computed over ints.
+are integers, so elements are computed over ints.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
-from .exactla import Subspace, add_into
+from .exactla import Subspace, _primitive, _span, add_into
 
 # word -> coefficient, an int for everything built here
 Element = dict[tuple, int | Fraction]
@@ -112,12 +117,13 @@ def content_orbits(d: int, w: int) -> list[tuple[tuple[int, ...], int]]:
             for c in itertools.combinations_with_replacement(range(w, -1, -1), d) if sum(c) == w]
 
 
-def _splits(c: tuple[int, ...], n: int):
+@cache
+def _splits(c: tuple[int, ...], n: int) -> tuple:
     """(v, c - v) for the nonzero v <= c that leave weight for n - 1 more
     letters, in itertools.product order."""
-    for v in itertools.product(*(range(x + 1) for x in c)):
-        if 0 < sum(v) <= sum(c) - n + 1:
-            yield v, tuple(a - b for a, b in zip(c, v))
+    return tuple((v, tuple(a - b for a, b in zip(c, v)))
+                 for v in itertools.product(*(range(x + 1) for x in c))
+                 if 0 < sum(v) <= sum(c) - n + 1)
 
 
 class CommutatorSpans:
@@ -132,14 +138,16 @@ class CommutatorSpans:
     Renaming the generators carries the blocks of a content onto those of
     its permutations and commutes with the graded commutator, so elements,
     which the recursion reads, eliminates only a non-increasing content:
-    those of any other are its sorted representative's, renamed.
+    those of any other are its sorted representative's, renamed through one
+    index map per block.
     """
 
     def __init__(self, letters):
         self.letters = letters
         self._words: dict[tuple, list[tuple]] = {}
+        self._index: dict[tuple, dict[tuple, int]] = {}
         self._spans: dict[tuple, Subspace] = {}
-        self._elements: dict[tuple, list[Element]] = {}
+        self._elements: dict[tuple, list] = {}
 
     def words(self, n: int, c: tuple[int, ...]) -> list[tuple]:
         key = (n, c)
@@ -151,37 +159,54 @@ class CommutatorSpans:
                                     for y in self.letters(v) for rest in self.words(n - 1, below)]
         return self._words[key]
 
+    def index(self, n: int, c: tuple[int, ...]) -> dict[tuple, int]:
+        """The position of each word of block (n, c) in words(n, c)."""
+        if (n, c) not in self._index:
+            self._index[n, c] = {t: i for i, t in enumerate(self.words(n, c))}
+        return self._index[n, c]
+
     def span(self, n: int, c: tuple[int, ...]) -> Subspace:
         """The commutator span inside k^len(words(n, c)), eliminated directly."""
         key = (n, c)
         if key not in self._spans:
-            words = self.words(n, c)
-            index = {t: i for i, t in enumerate(words)}
-            if n > 1:
-                spanning = [graded_commutator(e, {(y,): 1}) for v, below in _splits(c, n)
-                            for e in self.elements(n - 1, below) for y in self.letters(v)]
+            if n <= 1:
+                rows = [dict(e) for e in self.elements(n, c)]
             else:
-                spanning = self.elements(n, c)
-            self._spans[key] = Subspace.from_sparse_columns(
-                len(words), [[(index[t], x) for t, x in br.items()] for br in spanning if br])
+                index, sign, rows = self.index(n, c), -1 if n % 2 else 1, []
+                for v, below in _splits(c, n):
+                    ts = self.words(n - 1, below)
+                    maps = [([index[t + (y,)] for t in ts], [index[(y,) + t] for t in ts])
+                            for y in self.letters(v)]
+                    for e in self.elements(n - 1, below):
+                        for right, left in maps:
+                            # t -> t + (y,) and t -> (y,) + t are one-to-one
+                            row = {right[i]: x for i, x in e}
+                            for i, x in e:
+                                row[left[i]] = row.get(left[i], 0) + sign * x
+                            row = {j: x for j, x in row.items() if x}
+                            if row:
+                                rows.append(_primitive(row))
+            self._spans[key] = _span(len(self.words(n, c)), rows)
         return self._spans[key]
 
-    def elements(self, n: int, c: tuple[int, ...]) -> list[Element]:
-        """Primitive integer vectors spanning block (n, c), as elements: the
-        basis columns of its span times their denominators."""
+    def elements(self, n: int, c: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+        """Primitive integer vectors spanning block (n, c), as (index into
+        words(n, c), int) pairs: the basis columns of its span times their
+        denominators."""
         key = (n, c)
         if key not in self._elements:
             rep = tuple(sorted(c, reverse=True))
             if n <= 1:
-                out = [{t: 1} for t in self.words(n, c)]
+                out = [((i, 1),) for i in range(len(self.words(n, c)))]
             elif rep != c:
                 # generator i of the representative is the i-th of c by count
                 name = sorted(range(len(c)), key=lambda i: -c[i])
-                out = [{tuple(tuple(name[g] for g in y) for y in t): x for t, x in e.items()}
-                       for e in self.elements(n, rep)]
+                index = self.index(n, c)
+                perm = [index[tuple(tuple(name[g] for g in y) for y in t)]
+                        for t in self.words(n, rep)]
+                out = [tuple((perm[i], x) for i, x in e) for e in self.elements(n, rep)]
             else:
-                words = self.words(n, c)
-                out = [{words[i]: x for i, x in col} for _, col in self.span(n, c).columns]
+                out = [col for _, col in self.span(n, c).columns]
             self._elements[key] = out
         return self._elements[key]
 

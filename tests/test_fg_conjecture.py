@@ -7,7 +7,13 @@ import pytest
 
 from leibhom import homology
 from leibhom.exactla import Subspace
-from leibhom.freealg import CommutatorSpans, FreeLeibnizTruncation, content_orbits, witt_dim
+from leibhom.freealg import (
+    CommutatorSpans,
+    FreeLeibnizTruncation,
+    content_orbits,
+    graded_commutator,
+    witt_dim,
+)
 from leibhom.homology import (
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
@@ -249,12 +255,63 @@ def test_permuted_contents_rename_their_representative(d, top):
                 assert fg_weight_complex(fl, c).betti() == want, c
                 for n in range(1, w + 1):
                     words = spans.words(n, c)
-                    index = {t: i for i, t in enumerate(words)}
-                    renamed = Subspace.from_sparse_columns(
-                        len(words), [[(index[t], x) for t, x in e.items()]
-                                     for e in spans.elements(n, c)])
+                    renamed = Subspace.from_sparse_columns(len(words), spans.elements(n, c))
                     direct = spans.span(n, c)
                     assert renamed == direct == oracle_content_span(d, n, c, words), (c, n)
+
+
+def word_dict_span(spans, n, c, memo):
+    """Block (n, c) of spans the old way: the graded commutators of the
+    word-dict basis columns of the blocks below with each letter, built by
+    graded_commutator and eliminated by Subspace.from_sparse_columns."""
+    if (n, c) not in memo:
+        words = spans.words(n, c)
+        index = {t: i for i, t in enumerate(words)}
+        if n <= 1:
+            spanning = [{t: 1} for t in words]
+        else:
+            spanning = []
+            for v in itertools.product(*(range(x + 1) for x in c)):
+                below = tuple(a - b for a, b in zip(c, v))
+                if not 0 < sum(v) <= sum(c) - n + 1:
+                    continue
+                below_words = spans.words(n - 1, below)
+                for _, col in word_dict_span(spans, n - 1, below, memo).columns:
+                    e = {below_words[i]: x for i, x in col}
+                    spanning += [graded_commutator(e, {(y,): 1}) for y in spans.letters(v)]
+        memo[n, c] = Subspace.from_sparse_columns(
+            len(words), [[(index[t], x) for t, x in br.items()] for br in spanning if br])
+    return memo[n, c]
+
+
+def every_block():
+    for d, top in [(1, 8), (2, 6), (3, 4)]:
+        spans = FreeLeibnizTruncation(d, top).spans
+        yield spans, [(n, c) for w in range(1, top + 1) for c in all_contents(d, w)
+                      for n in range(1, w + 1)]
+    for d in (2, 3, 4):
+        yield (CommutatorSpans(lambda v, d=d: range(d) if v == (1,) else ()),
+               [(n, (n,)) for n in range(7)])
+
+
+def test_index_row_spans_match_the_word_dict_oracle():
+    checked = 0
+    for spans, blocks in every_block():
+        memo = {}
+        for n, c in blocks:
+            sub = spans.span(n, c)
+            assert sub == word_dict_span(spans, n, c, memo), (n, c)
+            elements = spans.elements(n, c)
+            assert Subspace.from_sparse_columns(sub.ambient_dim, elements) == sub, (n, c)
+            if n <= 1 or list(c) == sorted(c, reverse=True):
+                # the basis columns of the span times their denominators
+                assert elements == [col for _, col in sub.columns], (n, c)
+            else:
+                # the sorted representative's, renamed: primitive, one per basis column
+                assert len(elements) == sub.dim, (n, c)
+                assert all(math.gcd(*(x for _, x in e)) == 1 for e in elements), (n, c)
+            checked += 1
+    assert checked == 274
 
 
 def test_conjecture_check_eliminates_sorted_contents_only(monkeypatch):

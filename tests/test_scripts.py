@@ -82,7 +82,10 @@ def test_ladder_writes_one_rung(tmp_path):
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert doc["label"] == "smoke"
     sources = (ROOT / "src" / "leibhom").glob("*.py")
-    assert doc["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources)
+    lines = {p.name: len(p.read_text().splitlines()) for p in sources}
+    assert doc["src_lines"] == sum(lines.values())
+    # every module but the library-only dgcat.py is what `import leibhom.cli` compiles
+    assert doc["cli_lines"] == doc["src_lines"] - lines["dgcat.py"]
     [rung] = doc["rungs"]
     assert rung["name"] == "heis3 <= 6"
     assert rung["result"] == [1, 2, 5, 10, 22, 47, 101]
@@ -153,6 +156,16 @@ def test_ladder_runs_the_dense_cli_rungs(tmp_path):
         assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
 
 
+def test_ladder_runs_the_fg_rung(tmp_path):
+    proc = run_script("ladder.py", "--label", "smoke", "--rung", "leibhom fg --max-degree 7 heis3",
+                      "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    [rung] = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"]
+    assert rung["result"]["exit"] == 0
+    betti = [1, 3, 3, 3, 4, 9, 17, 30]
+    assert rung["result"]["tables"]["betti"] == {str(k): b for k, b in enumerate(betti)}
+
+
 def copy_of_src(dest: Path) -> Path:
     """A checkout holding a copy of this tree's src/ only, which is all a
     ladder child imports."""
@@ -168,7 +181,7 @@ def test_ladder_pairs_a_rung_against_a_copy(tmp_path):
     mine = json.loads((tmp_path / "BENCH_pair.json").read_text())
     theirs = json.loads((tmp_path / "BENCH_pair-against.json").read_text())
     assert (mine["paired_with"], theirs["paired_with"]) == ("pair-against", "pair")
-    assert mine["src_lines"] == theirs["src_lines"]
+    assert (mine["src_lines"], mine["cli_lines"]) == (theirs["src_lines"], theirs["cli_lines"])
     [a], [b] = mine["rungs"], theirs["rungs"]
     assert a["result"] == b["result"] == [1, 2, 5, 10, 22, 47, 101]
     assert len(a["wall_samples"]) == len(b["wall_samples"]) == 6
