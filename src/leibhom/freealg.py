@@ -14,11 +14,14 @@ index maps of the block below, t -> index[t + (y,)] and t -> index[(y,) + t],
 and the rows of a block go to one exact elimination.
 
 A word (i1, ..., iw) stands for the left-normed bracket
-[[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra;
-bracketing by a single generator on the right appends a letter, and the
-general case unfolds through the right identity
+[[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra,
+the tensor module with [a, y] = a (x) y for a generator y (Loday 1993,
+Enseign. Math. 39).  The right identity then gives R_[u,y] = R_y R_u -
+R_u R_y, so bracketing by a word b = (b1, ..., bq) appends the
+left-normed commutator of its letters in T(V):
 
-    [a, [b, v]] = [[a, b], v] - [[a, v], b].
+    [a, b] = a (x) lambda(b),   lambda((y,)) = y,
+    lambda(b' + (y,)) = lambda(b') (x) y - y (x) lambda(b').
 
 Everything is truncated at a maximum weight; brackets that would exceed
 it raise WeightOverflow.  The free left Leibniz algebra is the opposite,
@@ -50,19 +53,8 @@ class NecklaceCountError(ArithmeticError):
 
 class RightIdentityError(ArithmeticError):
     """The free bracket breaks the right Leibniz identity on generators:
-    an internal fault in the unfolding recursion, never a property of the
-    input."""
-
-
-def scale_element(elem: Element, c: int | Fraction) -> Element:
-    return {w: c * v for w, v in elem.items()} if c else {}
-
-
-def add_elements(u: Element, v: Element) -> Element:
-    out = dict(u)
-    for w, c in v.items():
-        add_into(out, w, c)
-    return out
+    an internal fault in the closed form a (x) lambda(b), never a property
+    of the input."""
 
 
 def graded_commutator(u: Element, v: Element) -> Element:
@@ -228,7 +220,7 @@ class FreeLeibnizTruncation:
             raise ValueError("need at least one generator and weight 1")
         self.num_generators = num_generators
         self.max_weight = max_weight
-        self._memo: dict[tuple[tuple, tuple], Element] = {}
+        self._lambdas: dict[tuple[int, ...], tuple] = {}
         self._letters: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         if max_weight >= 3:
             self._sanity_check()
@@ -258,18 +250,20 @@ class FreeLeibnizTruncation:
         if len(a) + len(b) > self.max_weight:
             raise WeightOverflow(
                 f"weight {len(a)} + {len(b)} exceeds the truncation {self.max_weight}")
-        if len(b) == 1:
-            return {a + b: 1}
-        key = (a, b)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        head, last = b[:-1], b[-1:]
-        # [a, [head, v]] = [[a, head], v] - [[a, v], head]
-        t1 = self.bracket(self.bracket_words(a, head), {last: 1})
-        t2 = self.bracket(self.bracket_words(a, last), {head: 1})
-        out = self._memo[key] = add_elements(t1, scale_element(t2, -1))
-        return out
+        return {a + t: c for t, c in self._left_normed(b)}
+
+    def _left_normed(self, b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The (t, c) int terms of lambda(b), memoized per word."""
+        if b not in self._lambdas:
+            if len(b) == 1:
+                self._lambdas[b] = ((b, 1),)
+            else:
+                y, out = b[-1:], {}
+                for t, c in self._left_normed(b[:-1]):
+                    add_into(out, t + y, c)
+                    add_into(out, y + t, -c)
+                self._lambdas[b] = tuple(out.items())
+        return self._lambdas[b]
 
     def bracket(self, u: Element, v: Element) -> Element:
         out: Element = {}
@@ -285,11 +279,12 @@ class FreeLeibnizTruncation:
 
     def _sanity_check(self) -> None:
         # right identity on all generator triples; cheap and catches any
-        # slip in the unfolding recursion before it contaminates a run
+        # slip in lambda before it contaminates a run
         for i, j, k in itertools.product(range(self.num_generators), repeat=3):
             a, b, c = {(i,): 1}, {(j,): 1}, {(k,): 1}
             lhs = self.bracket(a, self.bracket(b, c))
-            rhs = add_elements(self.bracket(self.bracket(a, b), c),
-                               scale_element(self.bracket(self.bracket(a, c), b), -1))
+            rhs = self.bracket(self.bracket(a, b), c)
+            for w, x in self.bracket(self.bracket(a, c), b).items():
+                add_into(rhs, w, -x)
             if lhs != rhs:
                 raise RightIdentityError(f"right identity fails on generators {i},{j},{k}")

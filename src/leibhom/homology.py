@@ -27,11 +27,13 @@ row, and the builder writes the canonical rows of the matrix itself:
 zero sums dropped, columns sorted, each row over D reduced by _canon.
 The free-algebra blocks, keyed (n, c) by a weight or a letter content,
 order their words by the grades of the letters, not by product order,
-and keep the per-word _tensor_boundary with the free-algebra bracket,
-whose constants are ints; it writes one row per target word, whose
-columns arrive in order.  The commutator subcomplexes restrict these
-boundaries to the spans of freealg.CommutatorSpans.  conjecture_check
-builds one content block per S_d orbit and counts it orbit-size times.
+and keep the per-word _tensor_boundary.  It reads the int terms of
+lambda(x_j) (see freealg) once per (word, j) and writes the free bracket
+[x_j, x_i] = x_i (x) lambda(x_j) into each slot i < j, one row per
+target word, whose columns arrive in order.  The commutator subcomplexes
+restrict these boundaries to the spans of freealg.CommutatorSpans.
+conjecture_check builds one content block per S_d orbit and counts it
+orbit-size times.
 
 The boundary of the tensor-module complex, written for m (x) x1 ... xn:
 
@@ -637,20 +639,21 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
-def _tensor_boundary(words: list[tuple], targets: list[tuple], bracket) -> Matrix:
+def _tensor_boundary(words: list[tuple], targets: list[tuple], left_normed) -> Matrix:
     """The trivial-coefficient d: T^n -> T^{n-1} from the source words of
-    T^n, all of length n, to the target words of T^{n-1}; bracket(a, b)
-    maps each letter k to the int c_k of [b, a]."""
+    T^n, all of length n, to the target words of T^{n-1}; left_normed(b)
+    lists the (t, c) int terms of lambda(b), so that the letter a (x) t
+    has coefficient c in the free bracket [b, a]."""
     index = {t: i for i, t in enumerate(targets)}
     acc: list[dict[int, int]] = [{} for _ in targets]
     for widx, word in enumerate(words):
         for j in range(2, len(word) + 1):
             sj = -1 if j % 2 else 1
-            b, rest = word[j - 1], word[j:]
+            terms, rest = left_normed(word[j - 1]), word[j:]
             for i in range(1, j):
-                head, tail = word[:i - 1], word[i:j - 1] + rest
-                for k, c in bracket(word[i - 1], b).items():
-                    row = acc[index[head + (k,) + tail]]
+                head, a, tail = word[:i - 1], word[i - 1], word[i:j - 1] + rest
+                for t, c in terms:
+                    row = acc[index[head + (a + t,) + tail]]
                     row[widx] = row.get(widx, 0) + sj * c
     # the columns of a row arrive in source-word order, so it is sorted
     return _matrix(len(targets), len(words),
@@ -697,7 +700,7 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> Ch
         raise ValueError(f"{c!r} is neither a weight nor a letter content on "
                          f"{fl.num_generators} generator(s) in the truncation 1..{fl.max_weight}")
     c, spans = grade, fl.spans
-    boundaries = (_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl.bracket_words)
+    boundaries = (_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl._left_normed)
                   for n in range(2, w + 2))
     return _commutator_complex(spans, [(n, c) for n in range(1, w + 2)], boundaries, 1)
 

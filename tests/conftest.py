@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibhom.exactla import add_into
 from leibhom.leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
@@ -49,6 +50,45 @@ def bilinear(t, u, v):
                         if wk:
                             out[k] += ui * vj * wk
     return tuple(out)
+
+
+def scale_element(elem, c):
+    """c times an element {word: coefficient}."""
+    return {w: c * v for w, v in elem.items()} if c else {}
+
+
+def add_elements(u, v):
+    """The sum of two elements {word: coefficient}."""
+    out = dict(u)
+    for w, c in v.items():
+        add_into(out, w, c)
+    return out
+
+
+def unfolded_bracket_words(a, b, memo):
+    """[a, b] of two words in the free right Leibniz algebra, untruncated,
+    the way the library first computed it: a generator on the right
+    appends a letter, and the general case unfolds through the right
+    identity [a, [b, v]] = [[a, b], v] - [[a, v], b], memoized in memo
+    per pair of words."""
+    if len(b) == 1:
+        return {a + b: 1}
+    if (a, b) not in memo:
+        head, last = b[:-1], b[-1:]
+        t1 = unfolded_bracket(unfolded_bracket_words(a, head, memo), {last: 1}, memo)
+        t2 = unfolded_bracket(unfolded_bracket_words(a, last, memo), {head: 1}, memo)
+        memo[a, b] = add_elements(t1, scale_element(t2, -1))
+    return memo[a, b]
+
+
+def unfolded_bracket(u, v, memo):
+    """The bilinear extension of unfolded_bracket_words to elements."""
+    out = {}
+    for wu, cu in u.items():
+        for wv, cv in v.items():
+            for w, c in unfolded_bracket_words(wu, wv, memo).items():
+                add_into(out, w, cu * cv * c)
+    return out
 
 
 def make_corpus() -> dict[str, LeibnizAlgebra]:

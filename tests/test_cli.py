@@ -715,6 +715,15 @@ def test_broken_free_bracket_maps_to_exit_one(capsys, monkeypatch):
     assert "invariant violation (RightIdentityError)" in capsys.readouterr().err
 
 
+def test_lambda_without_its_left_term_maps_to_exit_one(capsys, monkeypatch):
+    # lambda(b' + (y,)) = lambda(b') (x) y without its - y (x) lambda(b')
+    # term leaves every word b as it is; the right-identity gate of the
+    # truncation refuses that bracket before any weight runs
+    monkeypatch.setattr(FreeLeibnizTruncation, "_left_normed", lambda self, b: ((b, 1),))
+    assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
+    assert "invariant violation (RightIdentityError)" in capsys.readouterr().err
+
+
 def test_value_error_inside_a_command_propagates(a2_path, monkeypatch):
     # only the input errors exit 2; any other ValueError is a fault in the
     # tool and ends in a traceback

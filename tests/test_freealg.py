@@ -10,12 +10,12 @@ from leibhom.freealg import (
     FreeLeibnizTruncation,
     NecklaceCountError,
     WeightOverflow,
-    add_elements,
     free_graded_lie_component,
     graded_commutator,
-    scale_element,
     witt_dim,
 )
+
+from conftest import add_elements, scale_element, unfolded_bracket_words
 
 
 def lyndon_count(d: int, w: int) -> int:
@@ -169,6 +169,21 @@ def test_weight_overflow():
     fl = FreeLeibnizTruncation(2, 3)
     with pytest.raises(WeightOverflow):
         fl.bracket_words((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("d, top, pairs", [(1, 10, 45), (2, 7, 1284), (3, 5, 1278)])
+def test_closed_form_bracket_matches_the_unfolding_recursion(d, top, pairs):
+    # [a, b] = a (x) lambda(b) against the right-identity recursion, on
+    # every pair of words that the truncation brackets
+    fl, memo = FreeLeibnizTruncation(d, top), {}
+    checked = 0
+    for p in range(1, top):
+        for q in range(1, top - p + 1):
+            for a in fl.words(p):
+                for b in fl.words(q):
+                    assert fl.bracket_words(a, b) == unfolded_bracket_words(a, b, memo), (a, b)
+                    checked += 1
+    assert checked == pairs
 
 
 def test_generator_bracket_appends():

@@ -883,7 +883,7 @@ def built_boundaries(case):
                 if sum(c) == w:
                     for n in range(2, w + 2):
                         yield homology._tensor_boundary(fl.spans.words(n, c),
-                                                        fl.spans.words(n - 1, c), fl.bracket_words)
+                                                        fl.spans.words(n - 1, c), fl._left_normed)
         return
     g = BOUNDARY_ALGEBRAS[case]
     yield from homology._product_boundaries(g, 5)
