@@ -103,6 +103,7 @@ RUNGS = {
     "conjecture_check(2, 7)": ("conjecture", 2, 7),
     "conjecture_check(2, 8)": ("conjecture", 2, 8),
     "conjecture_check(2, 9)": ("conjecture", 2, 9),
+    "conjecture_check(2, 10)": ("conjecture", 2, 10),
     "conjecture_check(3, 4)": ("conjecture", 3, 4),
     "conjecture_check(3, 5)": ("conjecture", 3, 5),
     "conjecture_check(3, 6)": ("conjecture", 3, 6),

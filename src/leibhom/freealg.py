@@ -8,10 +8,11 @@ of g, all of weight (1,), for the commutator subcomplex of an algebra,
 and the words of a truncated free algebra, graded by weight (w,) for the
 weight blocks or by letter content for the blocks conjecture_check runs.
 The spans are integer rows over the positions of a block's words: for a
-basis column e of block (n - 1, c - v), as (index, int) pairs, and a
+row e of the basis of block (n - 1, c - v), as (index, int) pairs, and a
 letter y of grade v, the row of [e, y] = e.y - (-1)^(n-1) y.e reads two
 index maps of the block below, t -> index[t + (y,)] and t -> index[(y,) + t],
-and the rows of a block go to one exact elimination.
+and the rows of a block go to one forward exact elimination, whose
+triangular rows are the one basis of the block everywhere it is used.
 
 A word (i1, ..., iw) stands for the left-normed bracket
 [[...[x_{i1}, x_{i2}], ...], x_{iw}] in the free right Leibniz algebra,
@@ -36,7 +37,7 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .exactla import Subspace, _primitive, _span, add_into
+from .exactla import Subspace, _echelon, _primitive, _span, add_into
 
 # word -> coefficient, an int for everything built here
 Element = dict[tuple, int | Fraction]
@@ -138,7 +139,7 @@ class CommutatorSpans:
         self.letters = letters
         self._words: dict[tuple, list[tuple]] = {}
         self._index: dict[tuple, dict[tuple, int]] = {}
-        self._spans: dict[tuple, Subspace] = {}
+        self._bases: dict[tuple, list] = {}
         self._elements: dict[tuple, list] = {}
 
     def words(self, n: int, c: tuple[int, ...]) -> list[tuple]:
@@ -157,50 +158,52 @@ class CommutatorSpans:
             self._index[n, c] = {t: i for i, t in enumerate(self.words(n, c))}
         return self._index[n, c]
 
+    def basis(self, n: int, c: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+        """The forward echelon basis of block (n, c), eliminated directly:
+        primitive rows of column-sorted (index into words(n, c), int)
+        pairs, each led by a positive entry, the leads increasing."""
+        if n <= 1 and (n, c) not in self._bases:
+            self._bases[n, c] = [((i, 1),) for i in range(len(self.words(n, c)))]
+        if (n, c) not in self._bases:
+            index, sign, rows = self.index(n, c), -1 if n % 2 else 1, []
+            for v, below in _splits(c, n):
+                ts = self.words(n - 1, below)
+                maps = [([index[t + (y,)] for t in ts], [index[(y,) + t] for t in ts])
+                        for y in self.letters(v)]
+                for e in self.elements(n - 1, below):
+                    for right, left in maps:
+                        # t -> t + (y,) and t -> (y,) + t are one-to-one
+                        row = {right[i]: x for i, x in e}
+                        for i, x in e:
+                            row[left[i]] = row.get(left[i], 0) + sign * x
+                        row = {j: x for j, x in row.items() if x}
+                        if row:
+                            rows.append(_primitive(row))
+            self._bases[n, c] = [tuple(sorted(row.items()) if row[p] > 0 else
+                                       sorted((j, -x) for j, x in row.items()))
+                                 for p, row in _echelon(rows, len(self.words(n, c))).items()]
+        return self._bases[n, c]
+
     def span(self, n: int, c: tuple[int, ...]) -> Subspace:
-        """The commutator span inside k^len(words(n, c)), eliminated directly."""
-        key = (n, c)
-        if key not in self._spans:
-            if n <= 1:
-                rows = [dict(e) for e in self.elements(n, c)]
-            else:
-                index, sign, rows = self.index(n, c), -1 if n % 2 else 1, []
-                for v, below in _splits(c, n):
-                    ts = self.words(n - 1, below)
-                    maps = [([index[t + (y,)] for t in ts], [index[(y,) + t] for t in ts])
-                            for y in self.letters(v)]
-                    for e in self.elements(n - 1, below):
-                        for right, left in maps:
-                            # t -> t + (y,) and t -> (y,) + t are one-to-one
-                            row = {right[i]: x for i, x in e}
-                            for i, x in e:
-                                row[left[i]] = row.get(left[i], 0) + sign * x
-                            row = {j: x for j, x in row.items() if x}
-                            if row:
-                                rows.append(_primitive(row))
-            self._spans[key] = _span(len(self.words(n, c)), rows)
-        return self._spans[key]
+        """The span of basis(n, c) as a canonical Subspace, built per call."""
+        return _span(len(self.words(n, c)), [dict(row) for row in self.basis(n, c)])
 
     def elements(self, n: int, c: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-        """Primitive integer vectors spanning block (n, c), as (index into
-        words(n, c), int) pairs: the basis columns of its span times their
-        denominators."""
-        key = (n, c)
-        if key not in self._elements:
-            rep = tuple(sorted(c, reverse=True))
-            if n <= 1:
-                out = [((i, 1),) for i in range(len(self.words(n, c)))]
-            elif rep != c:
-                # generator i of the representative is the i-th of c by count
-                name = sorted(range(len(c)), key=lambda i: -c[i])
-                index = self.index(n, c)
-                perm = [index[tuple(tuple(name[g] for g in y) for y in t)]
-                        for t in self.words(n, rep)]
-                out = [tuple((perm[i], x) for i, x in e) for e in self.elements(n, rep)]
-            else:
-                out = [col for _, col in self.span(n, c).columns]
-            self._elements[key] = out
-        return self._elements[key]
+        """Primitive integer vectors spanning block (n, c), one per basis
+        row, as (index into words(n, c), int) pairs: basis(n, c) itself
+        for a non-increasing c, else the sorted representative's, renamed."""
+        rep = tuple(sorted(c, reverse=True))
+        if rep == c:
+            return self.basis(n, c)
+        if (n, c) not in self._elements:
+            # generator i of the representative is the i-th of c by count
+            name = sorted(range(len(c)), key=lambda i: -c[i])
+            index = self.index(n, c)
+            perm = [index[tuple(tuple(name[g] for g in y) for y in t)]
+                    for t in self.words(n, rep)]
+            self._elements[n, c] = [tuple((perm[i], x) for i, x in e)
+                                    for e in self.elements(n, rep)]
+        return self._elements[n, c]
 
 
 def free_graded_lie_component(d: int, n: int) -> Subspace:
@@ -209,6 +212,19 @@ def free_graded_lie_component(d: int, n: int) -> Subspace:
     if n < 1:
         raise ValueError("degree must be at least 1")
     return CommutatorSpans(lambda v: range(d) if v == (1,) else ()).span(n, (n,))
+
+
+def _letters(d: int, max_weight: int):
+    """letters(grade): the words of weight w, 1 <= w <= max_weight, on d generators
+    for the grade (w,), or of letter content grade; a closure holding no truncation."""
+
+    @cache
+    def letters(grade: tuple[int, ...]) -> list[tuple[int, ...]]:
+        w = sum(grade)
+        words = itertools.product(range(d), repeat=w) if 1 <= w <= max_weight else ()
+        return [t for t in words if len(grade) == 1 or tuple(map(t.count, range(d))) == grade]
+
+    return letters
 
 
 class FreeLeibnizTruncation:
@@ -221,25 +237,12 @@ class FreeLeibnizTruncation:
         self.num_generators = num_generators
         self.max_weight = max_weight
         self._lambdas: dict[tuple[int, ...], tuple] = {}
-        self._letters: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self.letters = _letters(num_generators, max_weight)
         if max_weight >= 3:
             self._sanity_check()
 
     def words(self, weight: int) -> list[tuple[int, ...]]:
-        if weight < 1 or weight > self.max_weight:
-            return []
-        return list(itertools.product(range(self.num_generators), repeat=weight))
-
-    def letters(self, grade: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The words of weight w for the grade (w,), or of letter content
-        grade; the words of a weight are grouped by content once."""
-        if grade not in self._letters:
-            w = sum(grade)
-            words = self._letters[(w,)] = self.words(w)
-            for t in words if self.num_generators > 1 else ():
-                c = tuple(map(t.count, range(self.num_generators)))
-                self._letters.setdefault(c, []).append(t)
-        return self._letters.setdefault(grade, [])
+        return list(self.letters((weight,)))
 
     @cached_property
     def spans(self) -> CommutatorSpans:

@@ -29,9 +29,11 @@ The free-algebra blocks, keyed (n, c) by a weight or a letter content,
 order their words by the grades of the letters, not by product order,
 and keep the per-word _tensor_boundary.  It reads the int terms of
 lambda(x_j) (see freealg) once per (word, j) and writes the free bracket
-[x_j, x_i] = x_i (x) lambda(x_j) into each slot i < j, one row per
-target word, whose columns arrive in order.  The commutator subcomplexes
-restrict these boundaries to the spans of freealg.CommutatorSpans.
+[x_j, x_i] = x_i (x) lambda(x_j) into each slot i < j, one column per
+source word.  The commutator subcomplexes restrict these boundaries to
+the forward echelon bases of freealg.CommutatorSpans.basis, each block's
+one basis as source and as target (see _restrict), a free block's taken
+in decreasing lead order.
 conjecture_check builds one content block per S_d orbit and counts it
 orbit-size times.
 
@@ -65,11 +67,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .dgla import DGLieAlgebra, minimal_envelope
 from .exactla import (
     Matrix,
+    NotInvariant,
     ShapeMismatch,
     Subspace,
     _Frozen,
@@ -83,7 +86,7 @@ from .exactla import (
     column_span,
     kernel_basis,
     rank,
-    restrict_map,
+    restrict_map,  # no caller here; the benchmark tracer reads this binding
 )
 from .freealg import CommutatorSpans, FreeLeibnizTruncation, content_orbits, witt_dim
 from .leibcore import (
@@ -640,51 +643,95 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 
 
 def _tensor_boundary(words: list[tuple], targets: list[tuple], left_normed) -> Matrix:
-    """The trivial-coefficient d: T^n -> T^{n-1} from the source words of
-    T^n, all of length n, to the target words of T^{n-1}; left_normed(b)
+    """The trivial-coefficient d: T^n -> T^{n-1}, from the source words of
+    T^n, all of length n, to the target words of T^{n-1}, as its
+    transpose: row k is d of words[k] over the targets.  left_normed(b)
     lists the (t, c) int terms of lambda(b), so that the letter a (x) t
     has coefficient c in the free bracket [b, a]."""
     index = {t: i for i, t in enumerate(targets)}
-    acc: list[dict[int, int]] = [{} for _ in targets]
-    for widx, word in enumerate(words):
+    rows = []
+    for word in words:
+        acc: dict[int, int] = {}
         for j in range(2, len(word) + 1):
             sj = -1 if j % 2 else 1
             terms, rest = left_normed(word[j - 1]), word[j:]
             for i in range(1, j):
                 head, a, tail = word[:i - 1], word[i - 1], word[i:j - 1] + rest
                 for t, c in terms:
-                    row = acc[index[head + (a + t,) + tail]]
-                    row[widx] = row.get(widx, 0) + sj * c
-    # the columns of a row arrive in source-word order, so it is sorted
-    return _matrix(len(targets), len(words),
-                   tuple((1, tuple(item for item in row.items() if item[1])) for row in acc))
+                    r = index[head + (a + t,) + tail]
+                    acc[r] = acc.get(r, 0) + sj * c
+        rows.append((1, tuple(sorted(item for item in acc.items() if item[1]))))
+    return _matrix(len(words), len(targets), tuple(rows))
 
 
-def _commutator_complex(spans: CommutatorSpans, blocks: list[tuple[int, tuple]], boundaries,
-                        offset: int) -> ChainComplex:
-    """Restriction of the ambient boundaries, one per adjacent pair of
-    blocks on the words of spans, to the commutator spans of the blocks
-    (n, c), one block per degree from offset up."""
-    subs = [spans.span(n, c) for n, c in blocks]
-    return ChainComplex(offset, tuple(s.dim for s in subs),
-                        tuple(restrict_map(ambient, src, dst)
-                              for ambient, src, dst in zip(boundaries, subs[1:], subs)))
+def _restrict(dt: Matrix, source: list, target: list) -> Matrix:
+    """The matrix of d, given by its transpose dt, between the bases source
+    and target, rows of a forward echelon form in any order of their leads:
+    v = D d b, D the lcm of the denominators of dt, is reduced by v <- a v
+    - m t against the target rows t whose leads it meets, in lead order;
+    the m over D times the a are the coordinates of the source row b, and
+    a nonzero remainder raises NotInvariant."""
+    den = lcm(*(cd for cd, _ in dt.int_rows))
+    columns = [row if cd == den else [(r, x * (den // cd)) for r, x in row]
+               for cd, row in dt.int_rows]
+    pos = {t[0][0]: i for i, t in enumerate(target)}
+    out = []
+    for b in source:
+        v: dict[int, int] = {}
+        for k, x in b:
+            for r, y in columns[k]:
+                v[r] = v.get(r, 0) + x * y
+        scale, coords, todo = den, [], sorted((r for r in v if r in pos), reverse=True)
+        while todo:
+            # the least lead met; a row with a later lead is 0 at it, so it
+            # does not come back
+            lead = todo.pop()
+            i = pos[lead]
+            t, x = target[i], v[lead]
+            if x:
+                a = t[0][1]
+                g = gcd(a, x)
+                if g != a:
+                    a //= g
+                    scale, coords = scale * a, [(j, y * a) for j, y in coords]
+                    v = {r: y * a for r, y in v.items()}
+                m, met = x // g, []
+                # the whole of t: v is left 0 at the lead
+                for r, y in t:
+                    if r not in v and r in pos:
+                        met.append(r)
+                    v[r] = v.get(r, 0) - m * y
+                if met:
+                    todo = sorted(todo + met, reverse=True)
+                coords.append((i, m))
+        if any(v.values()):
+            raise NotInvariant("d maps the source span outside the target span")
+        out.append(_canon(scale, sorted(coords)))
+    return _matrix(len(source), len(target), tuple(out)).transpose()
+
+
+def _commutator_complex(bases: list[list], transposes, offset: int) -> ChainComplex:
+    """Restriction of the transposed ambient boundaries, one per adjacent
+    pair of blocks, to the bases of the blocks, one per degree from offset up."""
+    return ChainComplex(offset, tuple(map(len, bases)),
+                        tuple(_restrict(dt, src, dst)
+                              for dt, src, dst in zip(transposes, bases[1:], bases)))
 
 
 def fg_subcomplex(g: LeibnizAlgebra, n_max: int) -> ChainComplex:
     """Restriction of the trivial-coefficient boundary to the spans of
     left-normed graded commutators inside each tensor power.
 
-    Raises NotInvariant (from the restriction) if a boundary were to leave
-    the span, which does not happen for genuine Leibniz brackets.
+    Raises NotInvariant (from _restrict) if a boundary were to leave the
+    span, which does not happen for genuine Leibniz brackets.
     """
     _require_left(g)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     # with every letter of weight 1 the blocks (n, (n,)) are in product order
     spans = CommutatorSpans(lambda v: range(g.dim) if v == (1,) else ())
-    return _commutator_complex(spans, [(n, (n,)) for n in range(n_max + 1)],
-                               _product_boundaries(g, n_max), 0)
+    return _commutator_complex([spans.basis(n, (n,)) for n in range(n_max + 1)],
+                               (d.transpose() for d in _product_boundaries(g, n_max)), 0)
 
 
 def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> ChainComplex:
@@ -702,7 +749,9 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> Ch
     c, spans = grade, fl.spans
     boundaries = (_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl._left_normed)
                   for n in range(2, w + 2))
-    return _commutator_complex(spans, [(n, c) for n in range(1, w + 2)], boundaries, 1)
+    # each basis in decreasing lead order, in which the rank sweep on the
+    # restricted maps eliminates far less than in increasing order
+    return _commutator_complex([spans.basis(n, c)[::-1] for n in range(1, w + 2)], boundaries, 1)
 
 
 DEFAULT_WEIGHT_BUDGET = {1: 14, 2: 7}

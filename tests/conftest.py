@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibhom.exactla import add_into
+from leibhom.exactla import Matrix, add_into
 from leibhom.leibcore import (
     LeibnizAlgebra,
     LieAlgebra,
@@ -33,6 +33,12 @@ def dense(t, a, b):
 def entries_dict(m):
     """The nonzero entries of a Matrix as {(row, col): Fraction}."""
     return {(i, j): a for i, srow in enumerate(m.sparse_rows) for j, a in srow}
+
+
+def basis_matrix(ambient, rows):
+    """The ambient x len(rows) Matrix whose columns are the sparse rows
+    ((index, int), ...) of a block basis."""
+    return Matrix(len(rows), ambient, rows).transpose()
 
 
 def bilinear(t, u, v):

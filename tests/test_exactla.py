@@ -34,7 +34,7 @@ from leibhom.homology import (
     trivial_coefficients,
 )
 
-from conftest import CORPUS, dense, quotient_adjoint_module, unimodular
+from conftest import CORPUS, basis_matrix, dense, quotient_adjoint_module, unimodular
 from test_homology_loday import dense_rank_oracle, oracle_boundary, oracle_rank, oracle_rref
 
 
@@ -634,15 +634,34 @@ def test_induced_map_matches_per_vector_oracle(case):
     assert _induced_rank(src, dst, f, 1) == oracle_induced_map(src, dst, f, 1).rank()
 
 
+def oracle_coords_matrix(sub, m):
+    """The oracle coordinates in sub of every column of m, as columns."""
+    cols = [oracle_coords(sub, col) for col in columns(m)]
+    assert None not in cols
+    return matrix_of(sub.dim, m.cols, [[c[r] for c in cols] for r in range(sub.dim)])
+
+
 def test_library_subspace_maps_match_oracles(monkeypatch):
     """Every restriction in fg_subcomplex and conjecture_check and every
-    induced rank in ce_projection, on the corpus, against the oracles."""
+    induced rank in ce_projection, on the corpus, against the oracles.  A
+    restriction X between the block bases, the columns of B_src and B_dst,
+    must give B_dst X = d B_src entry for entry; and with R the oracle's
+    restriction between the canonical bases of their spans and P the
+    oracle coordinates of a block basis there, R P_src = P_dst X."""
     calls = {"restrict": 0, "induced": 0}
+    real = homology._restrict
 
-    def restrict(f, source, target):
+    def restrict(dt, source, target):
         calls["restrict"] += 1
-        got = restrict_map(f, source, target)
-        assert got == oracle_restrict_map(f, source, target)
+        got = real(dt, source, target)
+        d = dt.transpose()
+        b_src, b_dst = basis_matrix(d.cols, source), basis_matrix(d.rows, target)
+        assert b_dst @ got == d @ b_src
+        s_src, s_dst = column_span(b_src), column_span(b_dst)
+        # the block bases are bases: X is the only solution of the above
+        assert (s_src.dim, s_dst.dim) == (len(source), len(target))
+        p_src, p_dst = oracle_coords_matrix(s_src, b_src), oracle_coords_matrix(s_dst, b_dst)
+        assert oracle_restrict_map(d, s_src, s_dst) @ p_src == p_dst @ got
         return got
 
     def induced(src, dst, f_k, k):
@@ -651,7 +670,7 @@ def test_library_subspace_maps_match_oracles(monkeypatch):
         assert got == oracle_induced_map(src, dst, f_k, k).rank()
         return got
 
-    monkeypatch.setattr(homology, "restrict_map", restrict)
+    monkeypatch.setattr(homology, "_restrict", restrict)
     monkeypatch.setattr(homology, "_induced_rank", induced)
     for g in CORPUS.values():
         fg_subcomplex(g, 4)

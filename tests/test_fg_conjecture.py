@@ -1,12 +1,14 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from leibhom import homology
-from leibhom.exactla import Subspace
+from leibhom import cli, homology
+from leibhom.exactla import Matrix, NotInvariant, Subspace, rank, restrict_map
 from leibhom.freealg import (
     CommutatorSpans,
     FreeLeibnizTruncation,
@@ -15,6 +17,7 @@ from leibhom.freealg import (
     witt_dim,
 )
 from leibhom.homology import (
+    ChainComplex,
     DEFAULT_WEIGHT_BUDGET,
     FALLBACK_WEIGHT_BUDGET,
     conjecture_check,
@@ -22,7 +25,8 @@ from leibhom.homology import (
     fg_weight_complex,
 )
 
-from conftest import CORPUS, entries_dict
+from conftest import CORPUS, basis_matrix, entries_dict
+from test_homology_loday import oracle_commutator_span
 
 
 def test_subcomplex_closes_on_corpus():
@@ -161,32 +165,52 @@ def oracle_block_words(d, n, w):
             for rest in oracle_block_words(d, n - 1, w - v)]
 
 
+def recording(seen):
+    """A stand-in for homology._commutator_complex that appends (the block
+    bases, the transposed ambient boundaries, the complex) to seen."""
+    real = homology._commutator_complex
+
+    def record(bases, transposes, offset):
+        transposes = list(transposes)
+        cx = real(bases, transposes, offset)
+        seen.append((bases, transposes, cx))
+        return cx
+
+    return record
+
+
+def assert_restricts(bases, transposes, cx):
+    """Each stored map X_n of cx carries the block bases: B_{n-1} X_n =
+    d_n B_n entry for entry, B_n the matrix whose columns are the rows of
+    the basis of block n and d_n the transpose the builder wrote."""
+    assert len(cx.boundaries) == len(transposes) == len(bases) - 1
+    for dst, src, dt, x in zip(bases, bases[1:], transposes, cx.boundaries):
+        assert basis_matrix(dt.cols, dst) @ x == dt.transpose() @ basis_matrix(dt.rows, src)
+
+
 @pytest.mark.parametrize("d, top", [(1, 6), (2, 5), (3, 4)])
 def test_weight_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
     seen = []
-    real = homology._commutator_complex
-
-    def record(spans, blocks, boundaries, offset):
-        boundaries = list(boundaries)
-        seen.append((spans, blocks, boundaries))
-        return real(spans, blocks, boundaries, offset)
-
-    monkeypatch.setattr(homology, "_commutator_complex", record)
+    monkeypatch.setattr(homology, "_commutator_complex", recording(seen))
     fl = FreeLeibnizTruncation(d, top)
     for w in range(1, top + 1):
         fg_weight_complex(fl, w)
     assert len(seen) == top
-    for w, (spans, blocks, boundaries) in enumerate(seen, start=1):
-        # the top block (w + 1, w) is empty: no word of w + 1 letters has weight w
-        assert blocks == [(n, (w,)) for n in range(1, w + 2)]
+    spans = fl.spans
+    for w, (bases, transposes, cx) in enumerate(seen, start=1):
+        # the block bases in decreasing lead order; the top block (w + 1, w)
+        # is empty: no word of w + 1 letters has weight w
+        assert bases == [spans.basis(n, (w,))[::-1] for n in range(1, w + 2)]
         for n in range(w + 2):
             assert spans.words(n, (w,)) == oracle_block_words(d, n, w), (w, n)
         assert spans.words(w + 1, (w,)) == []
-        assert len(boundaries) == w
-        for n, ambient in enumerate(boundaries, start=2):
-            got = entries_dict(ambient)
+        assert len(transposes) == w
+        for n, dt in enumerate(transposes, start=2):
+            # the builder writes d_n transposed: row k is d of source word k
+            got = {(r, k): v for (k, r), v in entries_dict(dt).items()}
             want = oracle_weight_boundary(spans.words(n, (w,)), spans.words(n - 1, (w,)))
             assert got == want, (w, n)
+        assert_restricts(bases, transposes, cx)
 
 
 # --- the split by letter content: each weight block is the sum of its
@@ -301,11 +325,19 @@ def test_index_row_spans_match_the_word_dict_oracle():
         for n, c in blocks:
             sub = spans.span(n, c)
             assert sub == word_dict_span(spans, n, c, memo), (n, c)
-            elements = spans.elements(n, c)
+            basis, elements = spans.basis(n, c), spans.elements(n, c)
             assert Subspace.from_sparse_columns(sub.ambient_dim, elements) == sub, (n, c)
-            if n <= 1 or list(c) == sorted(c, reverse=True):
-                # the basis columns of the span times their denominators
-                assert elements == [col for _, col in sub.columns], (n, c)
+            assert Subspace.from_sparse_columns(sub.ambient_dim, basis) == sub, (n, c)
+            # forward echelon: one primitive row per dimension, column-sorted,
+            # a positive lead first and the leads increasing
+            assert len(basis) == sub.dim, (n, c)
+            assert all(list(row) == sorted(row) and row[0][1] > 0 and all(x for _, x in row)
+                       and math.gcd(*(x for _, x in row)) == 1 for row in basis), (n, c)
+            leads = [row[0][0] for row in basis]
+            assert leads == sorted(set(leads)), (n, c)
+            if list(c) == sorted(c, reverse=True):
+                # the basis rows themselves
+                assert elements is basis, (n, c)
             else:
                 # the sorted representative's, renamed: primitive, one per basis column
                 assert len(elements) == sub.dim, (n, c)
@@ -315,13 +347,13 @@ def test_index_row_spans_match_the_word_dict_oracle():
 
 
 def test_conjecture_check_eliminates_sorted_contents_only(monkeypatch):
-    real_span, grades = CommutatorSpans.span, set()
+    real_basis, grades = CommutatorSpans.basis, set()
 
-    def recording(self, n, c):
+    def record(self, n, c):
         grades.add(c)
-        return real_span(self, n, c)
+        return real_basis(self, n, c)
 
-    monkeypatch.setattr(CommutatorSpans, "span", recording)
+    monkeypatch.setattr(CommutatorSpans, "basis", record)
     assert conjecture_check(3, 5).verdict == "PASS"
     assert grades and all(list(c) == sorted(c, reverse=True) for c in grades)
     assert {c for c in grades if sum(c) == 5} == {c for c, _ in content_orbits(3, 5)}
@@ -330,29 +362,24 @@ def test_conjecture_check_eliminates_sorted_contents_only(monkeypatch):
 @pytest.mark.parametrize("d, top", [(2, 5), (3, 4)])
 def test_content_block_boundaries_match_fraction_oracle(d, top, monkeypatch):
     seen = []
-    real = homology._commutator_complex
-
-    def record(spans, blocks, boundaries, offset):
-        boundaries = list(boundaries)
-        seen.append((spans, blocks, boundaries))
-        return real(spans, blocks, boundaries, offset)
-
-    monkeypatch.setattr(homology, "_commutator_complex", record)
+    monkeypatch.setattr(homology, "_commutator_complex", recording(seen))
     fl = FreeLeibnizTruncation(d, top)
     for w in range(1, top + 1):
         for c in all_contents(d, w):
             seen.clear()
             fg_weight_complex(fl, c)
-            [(spans, blocks, boundaries)] = seen
-            assert blocks == [(n, c) for n in range(1, w + 2)]
+            [(bases, transposes, cx)] = seen
+            spans = fl.spans
+            assert bases == [spans.basis(n, c)[::-1] for n in range(1, w + 2)]
             for n in range(w + 2):
                 words = spans.words(n, c)
                 assert len(set(words)) == len(words)
                 assert set(words) == {t for t in oracle_block_words(d, n, w)
                                       if content(t, d) == c}, (c, n)
-            for n, ambient in enumerate(boundaries, start=2):
+            assert_restricts(bases, transposes, cx)
+            for n, dt in enumerate(transposes, start=2):
                 src, dst = spans.words(n, c), spans.words(n - 1, c)
-                got = {(dst[r], src[k]): v for (r, k), v in entries_dict(ambient).items()}
+                got = {(dst[r], src[k]): v for (k, r), v in entries_dict(dt).items()}
                 # the oracle on the whole weight block, read on this content
                 words, targets = oracle_block_words(d, n, w), oracle_block_words(d, n - 1, w)
                 want = {(targets[r], words[k]): v
@@ -416,3 +443,89 @@ def test_content_block_h1_is_its_lyndon_count(d, top):
             betti = fg_weight_complex(fl, c).betti()
             assert betti[0] == multigraded_witt(c), c
             assert all(h == 0 for h in betti[1:]), c
+
+
+# --- the triangular block bases against the reduced path they replaced:
+# --- the canonical spans and exactla.restrict_map
+
+
+def reduced_complex(spans, blocks, transposes, offset):
+    """The complex of the same blocks restricted by restrict_map between
+    the canonical reduced spans of the blocks."""
+    subs = [spans.span(n, c) for n, c in blocks]
+    return ChainComplex(offset, tuple(s.dim for s in subs),
+                        tuple(restrict_map(dt.transpose(), src, dst)
+                              for dt, src, dst in zip(transposes, subs[1:], subs)))
+
+
+def test_triangular_bases_match_the_reduced_path(monkeypatch):
+    seen, cases = [], []
+    monkeypatch.setattr(homology, "_commutator_complex", recording(seen))
+    for d, top in [(1, 10), (2, 6), (3, 4)]:
+        fl = FreeLeibnizTruncation(d, top)
+        for w in range(1, top + 1):
+            for c in all_contents(d, w):
+                fg_weight_complex(fl, c)
+                cases.append((fl.spans, [(n, c) for n in range(1, w + 2)], -1,
+                              lambda n, c, words, d=d: oracle_content_span(d, n, c, words)))
+    for g in CORPUS.values():
+        fg_subcomplex(g, 5)
+        cases.append((CommutatorSpans(lambda v, d=g.dim: range(d) if v == (1,) else ()),
+                      [(n, (n,)) for n in range(6)], 1,
+                      lambda n, c, words, d=g.dim: (oracle_commutator_span(d, n) if n
+                                                    else Subspace.full(1))))
+    assert len(seen) == len(cases) == 10 + 27 + 34 + len(CORPUS)
+    maps = 0
+    for (bases, transposes, cx), (spans, blocks, order, oracle) in zip(seen, cases):
+        # the complex reads each block's one basis, a free block's in
+        # decreasing lead order
+        assert bases == [spans.basis(n, c)[::order] for n, c in blocks]
+        want = reduced_complex(spans, blocks, transposes, cx.offset)
+        assert cx.dims == want.dims and cx.betti() == want.betti(), blocks
+        assert [rank(x) for x in cx.boundaries] == [rank(x) for x in want.boundaries], blocks
+        for n, c in blocks:
+            words = spans.words(n, c)
+            spanned = Subspace.from_sparse_columns(len(words), spans.basis(n, c))
+            assert spanned == spans.span(n, c) == oracle(n, c, words), (n, c)
+        maps += len(cx.boundaries)
+    # w maps per content block of weight w: 55, 112 and 105, and 5 per algebra
+    assert maps == 55 + 112 + 105 + 5 * len(CORPUS)
+
+
+def test_a_boundary_outside_the_spans_raises_not_invariant(monkeypatch, capsys):
+    # every entry of the free tensor boundary moved to the next target
+    # word: the weight-3 blocks on two generators then leave their spans,
+    # which both restrictions refuse, and the CLI reports it as internal
+    real = homology._tensor_boundary
+
+    def moved(words, targets, left_normed):
+        dt = real(words, targets, left_normed)
+        return Matrix(dt.rows, dt.cols, [[((r + 1) % dt.cols, x) for r, x in row]
+                                         for row in dt.sparse_rows])
+
+    monkeypatch.setattr(homology, "_tensor_boundary", moved)
+    fl, c = FreeLeibnizTruncation(2, 3), (2, 1)
+    with pytest.raises(NotInvariant):
+        fg_weight_complex(fl, c)
+    with pytest.raises(NotInvariant):
+        reduced_complex(fl.spans, [(n, c) for n in range(1, 5)],
+                        [moved(fl.spans.words(n, c), fl.spans.words(n - 1, c), fl._left_normed)
+                         for n in range(2, 5)], 1)
+    assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation (NotInvariant): ")
+
+
+def test_a_truncation_is_freed_without_the_cyclic_collector():
+    # the spans of a truncation hold its letters, not the truncation, so
+    # dropping the last reference frees the memo at once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fl = FreeLeibnizTruncation(2, 4)
+        fg_weight_complex(fl, (2, 2))
+        ref = weakref.ref(fl)
+        del fl
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
