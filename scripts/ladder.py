@@ -5,7 +5,7 @@ src/, so no run inherits caches or memory from another.  The child runs
 with PYTHONDONTWRITEBYTECODE=1, as the benchmark's workers do, so every
 run compiles the package.  It reports the time of its leibhom imports,
 the wall time of the call (perf_counter around it, import excluded), its
-own peak RSS (ru_maxrss, import included) and the result:
+own peak RSS (VmHWM, import included) and the result:
 the Betti numbers of a heis3 or sl2 rung (a "dense" rung takes the
 algebra in a basis that mixes every coordinate, a "cochains" rung gives
 the cohomology of the cochain complex), the per-weight verdict of a
@@ -18,9 +18,16 @@ in "wall_samples" and the import times in "import_samples"; "wall_s" and
 "import_s" are their medians and "peak_rss_mb" the largest peak.  The
 runs of a rung must agree on the result.  The metadata also records
 "src_lines", the line count of src/leibhom/*.py (as `wc -l` counts it),
-which ROADMAP aim 2 tracks, and "cli_lines", the line count of the
-leibhom modules that `import leibhom.cli` loads (read from the
-sys.modules of a `python -S` child), which every CLI job compiles.
+which ROADMAP aim 2 tracks, "cli_lines", the line count of the leibhom
+modules that `import leibhom.cli` loads (read from the sys.modules of a
+`python -S` child), which every CLI job compiles, and "cli_rss_mb", the
+peak RSS of that child, what the import alone costs in memory.
+
+A child reads its peak RSS as VmHWM from /proc/self/status, which starts
+afresh at exec, and as ru_maxrss only where /proc is absent: Linux
+carries the high-water mark of the spawning process, here the ladder's
+own (about 15 MB), into the child's ru_maxrss, so a small child would
+read the ladder's peak instead of its own.
 
 --against DIR pairs this checkout with another one, such as a `git
 worktree` of the parent, whose src/ the same children import.  Each of
@@ -118,8 +125,19 @@ ADJOINT_DOC = {"basis": ["p", "q", "z"], "action": [
     {"left": "p~", "right": "q", "value": {"z": "1"}},
     {"left": "q~", "right": "p", "value": {"z": "-1"}}]}
 
-CHILD = """
-import json, resource, sys, time
+# the peak RSS of the process that runs it, in MB
+PEAK_RSS = """
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+CHILD = PEAK_RSS + """
+import json, sys, time
 t0 = time.perf_counter()
 from leibhom.cli import entrypoint
 from leibhom.homology import (conjecture_check, loday_cochain_complex, loday_complex,
@@ -212,9 +230,8 @@ result = call(*sys.argv[2:])
 wall = time.perf_counter() - t0
 if callable(result):
     result = result()
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"wall_s": round(wall, 4), "import_s": round(import_s, 4),
-                  "peak_rss_mb": round(rss_mb, 1), "result": result}))
+                  "peak_rss_mb": round(peak_rss_mb(), 1), "result": result}))
 """
 
 
@@ -237,13 +254,18 @@ def summary(name: str, got: list[dict]) -> dict:
             "peak_rss_mb": max(g["peak_rss_mb"] for g in got), "result": got[0]["result"]}
 
 
-def cli_lines(src: Path) -> int:
-    """The line count of the leibhom modules `import leibhom.cli` loads."""
-    code = ("import json, sys, leibhom.cli; print(json.dumps(sorted(m.__file__ "
-            "for name, m in sys.modules.items() if name.split('.')[0] == 'leibhom')))")
+def cli_import(src: Path) -> dict:
+    """The line count of the leibhom modules `import leibhom.cli` loads and
+    the peak RSS of a `python -S` child that imports it."""
+    code = PEAK_RSS + (
+        "import json, sys, leibhom.cli\n"
+        "print(json.dumps([round(peak_rss_mb(), 1), sorted(m.__file__ "
+        "for name, m in sys.modules.items() if name.split('.')[0] == 'leibhom')]))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    return sum(Path(f).read_bytes().count(b"\n") for f in json.loads(proc.stdout))
+    rss_mb, files = json.loads(proc.stdout)
+    return {"cli_lines": sum(Path(f).read_bytes().count(b"\n") for f in files),
+            "cli_rss_mb": rss_mb}
 
 
 def median_ratio(mine: list[dict], theirs: list[dict], key: str) -> float:
@@ -293,7 +315,7 @@ def main() -> int:
                 "machine": platform.machine(), "cpus": os.cpu_count(),
                 "src_lines": sum(p.read_bytes().count(b"\n")
                                  for p in (tree / "src" / "leibhom").glob("*.py")),
-                "cli_lines": cli_lines(tree / "src")}
+                **cli_import(tree / "src")}
         if args.against:
             meta["paired_with"] = labels[1 - t]
         # one rung per line, so two ladder files diff line by line

@@ -24,12 +24,21 @@ any other fault (which ends in a traceback), 2 malformed input.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
+
+# hashlib loads OpenSSL's libcrypto on every start; the interpreter's
+# builtin sha256 gives the same digests for a fraction of the import
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
@@ -155,7 +164,7 @@ def _load_json(path: str, inputs: dict | None, key: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if inputs is not None:
-        inputs[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        inputs[key] = {"path": path, "sha256": sha256(data).hexdigest()}
     return doc
 
 
@@ -492,8 +501,7 @@ def _cmd_free_conjecture(args, report):
     params = {"generators": d, "max_weight": w}
     report["parameters"].update(params)
     report["inputs"]["parameters"] = {
-        "sha256": hashlib.sha256(
-            json.dumps(params, sort_keys=True).encode()).hexdigest()}
+        "sha256": sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()}
     rep = conjecture_check(d, w)
     rows = []
     for v in rep.weights:

@@ -672,6 +672,19 @@ def test_free_conjecture_end_to_end(tmp_path, capsys):
     assert all(r["ok"] for r in rows)
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["--generators", "2", "--max-weight", "3"], {"generators": 2, "max_weight": 3}),
+    (["--max-weight", "2", "--generators", "3"], {"generators": 3, "max_weight": 2}),
+])
+def test_free_conjecture_digests_its_parameters(tmp_path, argv, params):
+    out_path = tmp_path / "r.json"
+    assert cli.entrypoint(["free-conjecture", *argv, "--quiet", "--json", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["parameters"] == params
+    digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+    assert report["inputs"] == {"parameters": {"sha256": digest}}
+
+
 def test_free_conjecture_requires_generators(capsys):
     assert cli.entrypoint(["free-conjecture"]) == 2
     assert "requires --generators" in capsys.readouterr().err
@@ -1059,11 +1072,12 @@ def test_plain_job_never_imports_argparse(a2_path, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, PINS["help"]["out"], "")
 
 
-def _import_cli_bare(code: str) -> subprocess.CompletedProcess:
-    """Run `import leibhom.cli`, then code, in `python -S` with src/ alone on
-    the path, so that site preloads nothing the package does not import."""
+def _import_cli_bare(code: str, before: str = "") -> subprocess.CompletedProcess:
+    """Run before, `import leibhom.cli`, then code, in `python -S` with src/
+    alone on the path, so that site preloads nothing the package does not
+    import."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-S", "-c", "import leibhom.cli\n" + code],
+    return subprocess.run([sys.executable, "-S", "-c", before + "import leibhom.cli\n" + code],
                           env=env, capture_output=True, text=True, timeout=60)
 
 
@@ -1085,14 +1099,33 @@ def test_no_command_loads_the_library_only_module(r2_path, tmp_path):
     runs += [[command, r2_path, "--max-degree", "3", "--coefficients", c]
              for command in ("homology", "cohomology", "ce-homology", "ce-cohomology", "compare")
              for c in ("trivial", f"rep:{rep}", f"lie:{lie}")]
+    # nor hashlib, which loads OpenSSL: the digests come from the builtin sha256
+    loaded = "print(sorted({'leibhom.dgcat', 'hashlib', '_hashlib', '_blake2'} & set(sys.modules)))\n"
     done = _import_cli_bare(
-        "import sys\n"
-        "print('leibhom.dgcat' in sys.modules)\n"
-        f"print([leibhom.cli.entrypoint(argv + ['--quiet']) for argv in {runs!r}])\n"
-        "print('leibhom.dgcat' in sys.modules)")
+        "import sys\n" + loaded
+        + f"print([leibhom.cli.entrypoint(argv + ['--quiet']) for argv in {runs!r}])\n" + loaded)
     # the enveloping-algebra complexes refuse rep: coefficients with exit 2
     codes = [0, 0, 0, 0] + [0, 0, 0] * 2 + [0, 2, 0] * 3
-    assert (done.returncode, done.stdout) == (0, f"False\n{codes}\nFalse\n")
+    assert (done.returncode, done.stdout) == (0, f"[]\n{codes}\n[]\n")
+
+
+def test_hashlib_fallback_writes_the_same_reports(r2_path, tmp_path):
+    """An interpreter without the builtin sha256 digests through hashlib,
+    into the same reports; only the timing differs."""
+    runs = [["check", r2_path], ["free-conjecture", "--generators", "2", "--max-weight", "4"]]
+    reports = {}
+    for fallback in (False, True):
+        outs = [str(tmp_path / f"{fallback}-{i}.json") for i in range(len(runs))]
+        done = _import_cli_bare(
+            f"print([leibhom.cli.entrypoint(argv + ['--quiet', '--json', out])"
+            f" for argv, out in zip({runs!r}, {outs!r})])\n"
+            "print('hashlib' in sys.modules)",
+            before="import sys\n"
+            + ("sys.modules['_sha2'] = sys.modules['_sha256'] = None\n" if fallback else ""))
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"[0, 0]\n{fallback}\n", "")
+        reports[fallback] = [re.sub(r'"seconds": \S+', '"seconds": 0', Path(out).read_text())
+                             for out in outs]
+    assert reports[True] == reports[False]
 
 
 def test_cli_import_freezes_its_objects():

@@ -92,6 +92,9 @@ def test_ladder_writes_one_rung(tmp_path):
     assert len(rung["wall_samples"]) == 3
     assert rung["wall_s"] == statistics.median(rung["wall_samples"])
     assert rung["wall_s"] >= 0 and rung["peak_rss_mb"] > 0
+    # the bare import child loads neither site nor the homology run of a rung
+    assert isinstance(doc["cli_rss_mb"], float)
+    assert 0 < doc["cli_rss_mb"] <= rung["peak_rss_mb"]
     assert len(rung["import_samples"]) == 3
     assert rung["import_s"] == statistics.median(rung["import_samples"])
     assert rung["import_s"] > 0
@@ -182,6 +185,7 @@ def test_ladder_pairs_a_rung_against_a_copy(tmp_path):
     theirs = json.loads((tmp_path / "BENCH_pair-against.json").read_text())
     assert (mine["paired_with"], theirs["paired_with"]) == ("pair-against", "pair")
     assert (mine["src_lines"], mine["cli_lines"]) == (theirs["src_lines"], theirs["cli_lines"])
+    assert mine["cli_rss_mb"] > 0 and theirs["cli_rss_mb"] > 0
     [a], [b] = mine["rungs"], theirs["rungs"]
     assert a["result"] == b["result"] == [1, 2, 5, 10, 22, 47, 101]
     assert len(a["wall_samples"]) == len(b["wall_samples"]) == 6
