@@ -1,15 +1,15 @@
 """Which action rule keeps d o d = 0 with two-sided module coefficients?
 
 Scans every candidate rule for the tensor-module boundary and coboundary
-over a corpus of algebras and modules, recording where the composite of
-adjacent differentials fails to vanish.  The rules are the builder's own
-table, CHAIN_RULES; a coboundary is the transposed boundary of the dual
-module, so its column runs the same rules on the dual.  Checks that every
-dual module is a representation, and that the two-sided branch with
-lifted (anti-symmetric) coefficients reproduces the one-sided branch
-matrix-for-matrix, the chain side under the "right" rule and the cochain
-side under the pinned one, which is what justifies treating the
-one-sided code path as a special case.
+over the algebras of tests/corpus.py, each with every module it builds,
+recording where the composite of adjacent differentials fails to vanish.
+The rules are the builder's own table, CHAIN_RULES; a coboundary is the
+transposed boundary of the dual module, so its column runs the same rules
+on the dual. Checks that every dual module is a representation, and that
+the two-sided branch with lifted (anti-symmetric) coefficients reproduces
+the one-sided branch matrix-for-matrix, the chain side under the "right"
+rule and the cochain side under the pinned one, which is what justifies
+treating the one-sided code path as a special case.
 
 Run:  python3 scripts/pin_chain_rule.py [N_max]
 
@@ -19,7 +19,7 @@ expected to fail passes everywhere.
 """
 
 import sys
-from fractions import Fraction
+from pathlib import Path
 
 from leibhom.homology import (
     CHAIN_RULES,
@@ -29,66 +29,18 @@ from leibhom.homology import (
     loday_cochain_complex,
     loday_complex,
 )
-from leibhom.leibcore import (
-    LeibnizAlgebra,
-    LieModule,
-    adjoint_representation,
-    check_lie_module,
-    check_representation,
-    lie_module_lift,
-    lie_quotient,
-    tensor3,
-    trivial_representation,
-)
+from leibhom.leibcore import check_representation, lie_module_lift, lie_quotient
+
+# the corpus the test suite shares
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from corpus import CORPUS, conjugate, quotient_adjoint_module, representations_for  # noqa: E402
+
 
 def algebras():
-    yield "abelian2", LeibnizAlgebra.from_brackets(["a", "b"], {})
-    yield "A2", LeibnizAlgebra.from_brackets(["x", "y"], {(0, 0): {1: 1}})
-    yield "hemi2", LeibnizAlgebra.from_brackets(["e1", "e2"], {(0, 1): {1: 1}})
-    yield "r2", LeibnizAlgebra.from_brackets(
-        ["a", "b"], {(0, 1): {1: 1}, (1, 0): {1: -1}})
-    yield "heis3", LeibnizAlgebra.from_brackets(
-        ["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}})
-    yield "A2+k", LeibnizAlgebra.from_brackets(
-        ["x", "y", "t"], {(0, 0): {1: 1}})
+    yield from CORPUS.items()
     # a conjugated copy of hemi2: same algebra in a basis where nothing
     # is triangular, to make sure no rule passes by coordinate accident
-    p = [[1, 1], [1, 2]]  # det 1
-    pinv = [[2, -1], [-1, 1]]
-    base = LeibnizAlgebra.from_brackets(["u", "v"], {(0, 1): {1: 1}})
-    brackets = {}
-    for i in range(2):
-        for j in range(2):
-            out = [Fraction(0)] * 2
-            for a in range(2):
-                for b in range(2):
-                    vec = [row[a * 2 + b] for row in base.structure.entries]
-                    coeff = Fraction(p[a][i] * p[b][j])
-                    for k in range(2):
-                        for l in range(2):
-                            out[l] += coeff * vec[k] * pinv[l][k]
-            brackets[(i, j)] = {l: c for l, c in enumerate(out) if c}
-    yield "hemi2conj", LeibnizAlgebra.from_brackets(["u", "v"], brackets)
-
-
-def modules(name, g):
-    adj = adjoint_representation(g)
-    assert not check_representation(g, adj)
-    yield "adjoint", adj
-    yield "trivial", trivial_representation(g, 1)
-    qdata = lie_quotient(g)
-    r = qdata.quotient.dim
-    # lifted one-sided modules: the quotient acting on itself
-    if r:
-        mod = LieModule(r, qdata.quotient.structure)
-        if not check_lie_module(qdata.quotient, mod):
-            yield "lift-adq", lie_module_lift(g, mod)
-    if name == "r2":
-        # the character a.m = m, b.m = 0 on the 1-dim module
-        act = tensor3(2, 1, 1, {(0, 0, 0): Fraction(1)})
-        mod = LieModule(1, act)
-        assert not check_lie_module(qdata.quotient, mod)
-        yield "lift-char", lie_module_lift(g, mod)
+    yield "hemi2conj", conjugate(CORPUS["hemi2"], [[1, 1], [1, 2]], [[2, -1], [-1, 1]], ["u", "v"])
 
 
 def d_square_holds(build, *args, **kwargs):
@@ -106,8 +58,7 @@ def main():
     lift_mismatch, bad_duals = [], []
 
     for gname, g in algebras():
-        qdata = lie_quotient(g)
-        for mname, rep in modules(gname, g):
+        for mname, rep in representations_for(g).items():
             tag = f"{gname}/{mname}"
             if check_representation(g, _dual(g, rep)):
                 bad_duals.append(tag)
@@ -118,11 +69,8 @@ def main():
                     cochain_fail[rule].append(tag)
 
         # lifted coefficients: two-sided branch vs one-sided branch
-        r = qdata.quotient.dim
-        if r:
-            mod = LieModule(r, qdata.quotient.structure)
-            if check_lie_module(qdata.quotient, mod):
-                continue
+        mod = quotient_adjoint_module(lie_quotient(g))
+        if mod is not None:
             lift = lie_module_lift(g, mod)
             for side, build, rule in (("chain", loday_complex, "right"),
                                       ("cochain", loday_cochain_complex, REP_CHAIN_RULE)):

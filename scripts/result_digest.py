@@ -1,6 +1,6 @@
 """One sha256 over the values the library computes, for comparing two trees.
 
-Covers the corpus of tests/conftest.py, seeded random algebras and heis3
+Covers the corpus of tests/corpus.py, seeded random algebras and heis3
 rescaled to structure constants with denominators, each with every
 coefficient kind: the Loday chain and cochain complexes (with
 their cycle and boundary spaces in every degree they report), the enveloping-algebra
@@ -14,7 +14,6 @@ matrix or a tensor is stored never enters, so two trees that compute the
 same numbers print the same digest.
 
 Run:  PYTHONPATH=src python3 scripts/result_digest.py [--max-degree N]
-The corpus comes from tests/conftest.py, which imports pytest.
 """
 
 import argparse
@@ -48,9 +47,9 @@ from leibhom.leibcore import (
     symmetrization,
 )
 
-# the corpus and coefficient helpers are the test suite's
+# the corpus and coefficient helpers the test suite shares
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import (  # noqa: E402
+from corpus import (  # noqa: E402
     CORPUS,
     LIE_CORPUS,
     character_module,

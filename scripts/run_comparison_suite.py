@@ -1,55 +1,36 @@
 """Tensor complex vs enveloping-algebra complex across the standard corpus.
 
-Builds the degree-1-product projection for each algebra and coefficient
-system, verifies it is a chain map, and prints the induced maps' behaviour
-in low degrees.
+Builds the degree-1-product projection for each algebra of tests/corpus.py
+and coefficient system, verifies it is a chain map, and prints the induced
+maps' behaviour in low degrees.
 
 Run:  python3 scripts/run_comparison_suite.py [N]
 """
 
 import sys
-from fractions import Fraction
+from pathlib import Path
 
 from leibhom.homology import ce_projection, trivial_coefficients
-from leibhom.leibcore import (
-    LeibnizAlgebra,
-    LieModule,
-    check_lie_module,
-    lie_quotient,
-    tensor3,
-)
+from leibhom.leibcore import lie_quotient
 
-
-def corpus():
-    yield "abelian1", LeibnizAlgebra.from_brackets(["a"], {})
-    yield "abelian2", LeibnizAlgebra.from_brackets(["a", "b"], {})
-    yield "A2", LeibnizAlgebra.from_brackets(["x", "y"], {(0, 0): {1: 1}})
-    yield "r2", LeibnizAlgebra.from_brackets(
-        ["a", "b"], {(0, 1): {1: 1}, (1, 0): {1: -1}})
-    yield "heis3", LeibnizAlgebra.from_brackets(
-        ["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}})
+# the corpus the test suite shares
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from corpus import CORPUS, character_module, quotient_adjoint_module  # noqa: E402
 
 
 def coefficient_systems(g):
     yield "trivial", trivial_coefficients()
     qdata = lie_quotient(g)
-    r = qdata.quotient.dim
-    if r:
-        mod = LieModule(r, qdata.quotient.structure)
-        if not check_lie_module(qdata.quotient, mod):
-            yield "ad(g_Lie)", mod
-    # a rank-1 character when the quotient has one: first generator acts as 1
-    if r:
-        act = tensor3(r, 1, 1, {(0, 0, 0): Fraction(1)})
-        mod = LieModule(1, act)
-        if not check_lie_module(qdata.quotient, mod):
-            yield "character", mod
+    for name, mod in (("ad(g_Lie)", quotient_adjoint_module(qdata)),
+                      ("character", character_module(qdata))):
+        if mod is not None:
+            yield name, mod
 
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     bad = []
-    for gname, g in corpus():
+    for gname, g in CORPUS.items():
         for cname, coeffs in coefficient_systems(g):
             _, _, rep = ce_projection(g, coeffs, n)
             verdicts = [rep.h0_iso, rep.h1_iso,

@@ -15,8 +15,8 @@ fraction-free elimination (structured Gaussian elimination,
 LaMacchia-Odlyzko 1990): rows are integer maps divided by their content,
 pivots go in column order with the shortest row first, and an optional
 back-substitution gives the reduced echelon form that canonical bases
-are read from.  A matrix remembers its rank; rank also hands back the
-pivot columns, which ChainComplex.ranks reads.  Nothing here rounds, so
+are read from.  rank also hands back the pivot columns, which
+ChainComplex.ranks reads.  Nothing here rounds, so
 a homology dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
@@ -161,10 +161,6 @@ class Matrix(_Frozen):
             dense.append(tuple(out))
         return tuple(dense)
 
-    @cached_property
-    def _rank(self) -> int:
-        return rank(self)
-
     @staticmethod
     def from_entries(rows: int, cols: int, entries: dict[tuple[int, int], object],
                      den: int = 1) -> "Matrix":
@@ -257,8 +253,7 @@ class Matrix(_Frozen):
         return not any(row for _, row in self.int_rows)
 
     def rank(self) -> int:
-        """rank(self), computed once per matrix."""
-        return self._rank
+        return rank(self)
 
 
 def _matrix(rows: int, cols: int, int_rows: tuple[IntRow, ...]) -> Matrix:
@@ -447,11 +442,6 @@ class Subspace(_Frozen):
     def dim(self) -> int:
         return len(self.pivots)
 
-    @cached_property
-    def columns(self) -> tuple[IntRow, ...]:
-        """The basis columns as canonical integer rows; _span fills it in."""
-        return self.basis.transpose().int_rows
-
     @property
     def complement(self) -> tuple[int, ...]:
         pivset = set(self.pivots)
@@ -508,9 +498,7 @@ def _span(ambient_dim: int, rows: Iterable[dict[int, int]]) -> Subspace:
     red = _echelon(rows, ambient_dim, reduce=True)
     # the reduced rows over their pivot values are the basis columns
     columns = tuple(_canon(row[p], sorted(row.items())) for p, row in red.items())
-    sub = Subspace(ambient_dim, _matrix(len(red), ambient_dim, columns).transpose(), tuple(red))
-    sub.__dict__["columns"] = columns
-    return sub
+    return Subspace(ambient_dim, _matrix(len(red), ambient_dim, columns).transpose(), tuple(red))
 
 
 def quotient_projection(sub: Subspace) -> Matrix:

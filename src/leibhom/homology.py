@@ -260,12 +260,9 @@ class TrivialCoefficients(_Frozen):
     __match_args__ = ("dim",)
 
     def __init__(self, dim: int = 1):
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"coefficient dimension must be a positive int, got {dim!r}")
         self.__dict__["dim"] = dim
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"coefficient dimension must be a positive int, got {self.dim!r}")
 
 
 # a LieModule acts on the Lie algebra itself in the classical complexes (dgcat) and
@@ -642,13 +639,12 @@ def ce_projection(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int
 # the left-normed graded-commutator subcomplex
 
 
-def _tensor_boundary(words: list[tuple], targets: list[tuple], left_normed) -> Matrix:
+def _tensor_boundary(words: list[tuple], index: dict[tuple, int], left_normed) -> Matrix:
     """The trivial-coefficient d: T^n -> T^{n-1}, from the source words of
-    T^n, all of length n, to the target words of T^{n-1}, as its
-    transpose: row k is d of words[k] over the targets.  left_normed(b)
-    lists the (t, c) int terms of lambda(b), so that the letter a (x) t
-    has coefficient c in the free bracket [b, a]."""
-    index = {t: i for i, t in enumerate(targets)}
+    T^n, all of length n, to the target words of T^{n-1}, numbered by
+    index, as its transpose: row k is d of words[k] over the targets.
+    left_normed(b) lists the (t, c) int terms of lambda(b), so that the
+    letter a (x) t has coefficient c in the free bracket [b, a]."""
     rows = []
     for word in words:
         acc: dict[int, int] = {}
@@ -661,7 +657,7 @@ def _tensor_boundary(words: list[tuple], targets: list[tuple], left_normed) -> M
                     r = index[head + (a + t,) + tail]
                     acc[r] = acc.get(r, 0) + sj * c
         rows.append((1, tuple(sorted(item for item in acc.items() if item[1]))))
-    return _matrix(len(words), len(targets), tuple(rows))
+    return _matrix(len(words), len(index), tuple(rows))
 
 
 def _restrict(dt: Matrix, source: list, target: list) -> Matrix:
@@ -747,7 +743,7 @@ def fg_weight_complex(fl: FreeLeibnizTruncation, c: int | tuple[int, ...]) -> Ch
         raise ValueError(f"{c!r} is neither a weight nor a letter content on "
                          f"{fl.num_generators} generator(s) in the truncation 1..{fl.max_weight}")
     c, spans = grade, fl.spans
-    boundaries = (_tensor_boundary(spans.words(n, c), spans.words(n - 1, c), fl._left_normed)
+    boundaries = (_tensor_boundary(spans.words(n, c), spans.index(n - 1, c), fl._left_normed)
                   for n in range(2, w + 2))
     # each basis in decreasing lead order, in which the rank sweep on the
     # restricted maps eliminates far less than in increasing order

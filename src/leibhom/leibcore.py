@@ -77,15 +77,12 @@ class LeibnizAlgebra(_Frozen):
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], structure: Matrix,
                  convention: str = "left"):
+        if len(basis_names) != dim:
+            raise ValueError("basis_names length does not match dim")
+        if convention not in ("left", "right"):
+            raise ValueError(f"unknown convention {convention!r}")
         self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure,
                              convention=convention)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.basis_names) != self.dim:
-            raise ValueError("basis_names length does not match dim")
-        if self.convention not in ("left", "right"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @staticmethod
     def from_brackets(names: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, object]],

@@ -300,7 +300,7 @@ def word_dict_span(spans, n, c, memo):
                 if not 0 < sum(v) <= sum(c) - n + 1:
                     continue
                 below_words = spans.words(n - 1, below)
-                for _, col in word_dict_span(spans, n - 1, below, memo).columns:
+                for _, col in word_dict_span(spans, n - 1, below, memo).basis.transpose().int_rows:
                     e = {below_words[i]: x for i, x in col}
                     spanning += [graded_commutator(e, {(y,): 1}) for y in spans.letters(v)]
         memo[n, c] = Subspace.from_sparse_columns(
@@ -498,8 +498,8 @@ def test_a_boundary_outside_the_spans_raises_not_invariant(monkeypatch, capsys):
     # which both restrictions refuse, and the CLI reports it as internal
     real = homology._tensor_boundary
 
-    def moved(words, targets, left_normed):
-        dt = real(words, targets, left_normed)
+    def moved(words, index, left_normed):
+        dt = real(words, index, left_normed)
         return Matrix(dt.rows, dt.cols, [[((r + 1) % dt.cols, x) for r, x in row]
                                          for row in dt.sparse_rows])
 
@@ -509,7 +509,7 @@ def test_a_boundary_outside_the_spans_raises_not_invariant(monkeypatch, capsys):
         fg_weight_complex(fl, c)
     with pytest.raises(NotInvariant):
         reduced_complex(fl.spans, [(n, c) for n in range(1, 5)],
-                        [moved(fl.spans.words(n, c), fl.spans.words(n - 1, c), fl._left_normed)
+                        [moved(fl.spans.words(n, c), fl.spans.index(n - 1, c), fl._left_normed)
                          for n in range(2, 5)], 1)
     assert cli.entrypoint(["free-conjecture", "--generators", "2", "--max-weight", "3"]) == 1
     assert capsys.readouterr().err.startswith("invariant violation (NotInvariant): ")

@@ -29,6 +29,7 @@ from leibhom.leibcore import (
 from conftest import (
     CORPUS,
     LIE_CORPUS,
+    SL2_BRACKETS,
     character_module,
     conjugate,
     entries_dict,
@@ -212,12 +213,8 @@ def test_projection_derives_each_monomial_once(monkeypatch):
 
 # sl2 has an exact answer at every degree: HL_n(sl2, k) = 0 for n >= 1
 # (Ntolo; Pirashvili, Ann. Inst. Fourier 44, 1994) and classical homology
-# (1, 0, 0, 1).  It stays out of conftest.CORPUS, whose every algebra the
+# (1, 0, 0, 1).  It stays out of corpus.CORPUS, whose every algebra the
 # pinned result digests hash.
-SL2_BRACKETS = {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2}, (0, 2): {0: -2},
-                (2, 1): {1: -2}, (1, 2): {1: 2}}
-
-
 def test_sl2_known_answers_with_trivial_coefficients():
     g = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
     h = LieAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)

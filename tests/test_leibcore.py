@@ -52,8 +52,7 @@ def test_square_bracket_violation_located():
 
 def test_check_lie_catches_symmetric_bracket():
     # [x,x] = y is fine as Leibniz but not anti-symmetric
-    h = LieAlgebra(2, ("x", "y"),
-                   LeibnizAlgebra.from_brackets(["x", "y"], {(0, 0): {1: 1}}).structure)
+    h = LieAlgebra(2, ("x", "y"), CORPUS["A2"].structure)
     assert check_lie(h) != ()
 
 
@@ -184,7 +183,7 @@ def test_lift_actions_are_opposite():
 
 
 def test_check_lie_module_detects_wrong_action():
-    h = LieAlgebra.from_brackets(["a", "b"], {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    h = LIE_CORPUS["r2"]
     # b acting as 1 is not a character: [a,b] = b must act as a commutator
     act = tensor3(2, 1, 1, {(1, 0, 0): Fraction(1)})
     assert check_lie_module(h, LieModule(1, act)) != ()

@@ -19,12 +19,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv):
+def run_script(*argv, python=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        [sys.executable, *python, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -61,6 +61,23 @@ def test_result_digest_is_pinned(max_degree):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
     assert proc.stdout.strip() == PINNED_DIGESTS[max_degree]
+
+
+# runs the script that follows as __main__ in an interpreter where
+# `import pytest` raises, as on a machine without the test extras
+WITHOUT_PYTEST = ("-c", "import runpy, sys; sys.modules['pytest'] = None; "
+                  "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (("result_digest.py", "--max-degree", "2"), PINNED_DIGESTS[2]),
+    (("pin_chain_rule.py",), "verdict: rules pinned"),
+    (("run_comparison_suite.py",), "all comparison verdicts hold"),
+], ids=["result_digest", "pin_chain_rule", "comparison_suite"])
+def test_corpus_scripts_run_without_pytest(argv, last_line):
+    proc = run_script(*argv, python=WITHOUT_PYTEST)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == last_line
 
 
 # the CLI's output on the job matrix of scripts/cli_digest.py, recorded when

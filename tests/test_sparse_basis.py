@@ -37,6 +37,7 @@ from leibhom.leibcore import (
 
 from conftest import (
     CORPUS,
+    SL2_BRACKETS,
     bilinear,
     character_module,
     conjugate,
@@ -58,10 +59,7 @@ def _bench_gen():
 
 GEN = _bench_gen()
 
-# [e,f] = h, [h,e] = 2e, [h,f] = -2f
-SL2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], {
-    (0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2}, (0, 2): {0: -2}, (2, 1): {1: -2},
-    (1, 2): {1: 2}})
+SL2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
 
 CANONICAL = dict(CORPUS, sl2=SL2, **{
     f"bench-{name}": LeibnizAlgebra.from_brackets(spec["basis"], spec["brackets"])
