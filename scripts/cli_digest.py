@@ -31,18 +31,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmark"))
 import gen  # noqa: E402
 
-ALGEBRAS = ("heis3", "a2k", "fil4", "hemi2")
+ALGEBRAS = {name: gen.ALGEBRAS[name] for name in ("heis3", "a2k", "fil4", "hemi2")}
 MAX_DEGREE = "3"
 BETTI_COMMANDS = ("homology", "cohomology", "ce-homology", "ce-cohomology", "compare")
 FREE_CONJECTURE = ((1, 6), (2, 5), (3, 3))
 
 
-def write_documents() -> list[str]:
-    """Write every algebra in both bases to the working directory, each
-    with its lie: and rep: module files; the file stems, in order."""
+def write_documents(algebras: dict[str, dict], directory: str) -> list[str]:
+    """Write every algebra, given as a spec of benchmark/gen.py, in both
+    bases to directory as <stem>.algebra.json, each with its lie: and rep:
+    module files; the file stems, in order."""
     stems = []
-    for name in ALGEBRAS:
-        spec = gen.ALGEBRAS[name]
+    for name, spec in algebras.items():
         basis = list(spec["basis"])
         dense = gen.change_basis(spec["brackets"], gen.dense_basis(len(basis)))
         for stem, brackets in ((name, dict(spec["brackets"])), (f"{name}-dense", dense)):
@@ -50,7 +50,7 @@ def write_documents() -> list[str]:
                     "lie": gen.lie_document(spec, basis, brackets),
                     "rep": gen.rep_document(basis, brackets)}
             for kind, doc in docs.items():
-                Path(f"{stem}.{kind}.json").write_text(json.dumps(doc, sort_keys=True))
+                Path(directory, f"{stem}.{kind}.json").write_text(json.dumps(doc, sort_keys=True))
             stems.append(stem)
     return stems
 
@@ -89,7 +89,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         try:
-            for argv in jobs(write_documents()):
+            for argv in jobs(write_documents(ALGEBRAS, workdir)):
                 h.update(json.dumps(run_job(argv), sort_keys=True).encode() + b"\n")
         finally:
             os.chdir(cwd)

@@ -4,7 +4,8 @@ Each run of a rung is one call in a fresh interpreter on this checkout's
 src/, so no run inherits caches or memory from another.  The child runs
 with PYTHONDONTWRITEBYTECODE=1, as the benchmark's workers do, so every
 run compiles the package.  It reports the time of its leibhom imports,
-the wall time of the call (perf_counter around it, import excluded), its
+the wall time of the call (perf_counter around it; the import, and the
+parse of the algebra file a betti or cochains rung reads, excluded), its
 own peak RSS (VmHWM, import included) and the result:
 the Betti numbers of a heis3 or sl2 rung (a "dense" rung takes the
 algebra in a basis that mixes every coordinate, a "cochains" rung gives
@@ -26,7 +27,8 @@ peak RSS of that child, what the import alone costs in memory.
 A child reads its peak RSS as VmHWM from /proc/self/status, which starts
 afresh at exec, and as ru_maxrss only where /proc is absent: Linux
 carries the high-water mark of the spawning process, here the ladder's
-own (about 15 MB), into the child's ru_maxrss, so a small child would
+own, which imports the package to write the input files (about 21 MB on
+Python 3.11 x86_64), into the child's ru_maxrss, so a small child would
 read the ladder's peak instead of its own.
 
 --against DIR pairs this checkout with another one, such as a `git
@@ -43,21 +45,24 @@ less wall time and less import time.  The two trees must agree on every
 result; a rung on which they disagree makes the script exit 1 without
 writing.
 
+Before the first round the script writes every file a rung reads to a
+temporary directory with scripts/cli_digest.write_documents: heis3 of
+benchmark/gen.py and sl2 (tests/corpus.py's SL2_BRACKETS), each in its
+canonical basis and in gen.dense_basis, with the adjoint module of its
+Lie quotient (lie:) and its adjoint two-sided module (rep:).  A betti or
+cochains rung parses its algebra file before its clock starts.
+
 A CLI rung is one `leibhom` invocation, leibhom.cli.entrypoint with
---quiet and --json, on an algebra file the script writes to a temporary
-directory: what a shell invocation pays after the import, argument parser
-and axiom checks included.  The lie: rung on heis3 reads the adjoint
-module of heis3's Lie quotient, written beside it, whose nonzero action
-makes compare run its chain half a second time, on the dual module.  The
-"dense" CLI rungs read heis3 and sl2 in the dense basis of the betti
-rungs, the dense rep: rung the adjoint two-sided module of dense heis3 and
-the dense lie: rung the adjoint module of its Lie quotient: the CLI builds
-their complexes in the sparse bases leibcore.sparse_basis finds for the
-algebra and for its module, where the dense betti rungs, which call
+--quiet and --json, on those files: what a shell invocation pays after
+the import, argument parser and axiom checks included.  The heis3 lie:
+rung's nonzero action makes compare run its chain half a second time,
+on the dual module.  The CLI builds the complexes of the "dense" CLI
+rungs in the sparse bases leibcore.sparse_basis finds for the algebra
+and for its module, where the dense betti rungs, which call
 loday_complex directly, keep the dense one.
 
-Run:  python3 scripts/ladder.py --label NAME [--rung NAME ...] [--out DIR]
-                                [--against CHECKOUT]
+Run:  PYTHONPATH=src python3 scripts/ladder.py --label NAME [--rung NAME ...]
+                                              [--out DIR] [--against CHECKOUT]
 Rungs run in the order listed below; --rung picks some of them.
 """
 
@@ -71,29 +76,33 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cli_digest import gen, write_documents
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from corpus import SL2_BRACKETS  # noqa: E402
 
 # name -> (function of the child, its arguments)
 RUNGS = {
-    "leibhom check heis3": ("cli", "check", "heis3.json"),
+    "leibhom check heis3": ("cli", "check", "heis3.algebra.json"),
     "leibhom homology --max-degree 3 heis3":
-        ("cli", "homology", "heis3.json", "--max-degree", "3"),
+        ("cli", "homology", "heis3.algebra.json", "--max-degree", "3"),
     "leibhom compare --max-degree 7 heis3":
-        ("cli", "compare", "heis3.json", "--max-degree", "7"),
+        ("cli", "compare", "heis3.algebra.json", "--max-degree", "7"),
     "leibhom compare --max-degree 5 --coefficients lie:adjoint.json heis3":
-        ("cli", "compare", "heis3.json", "--max-degree", "5",
-         "--coefficients", "lie:adjoint.json"),
-    "leibhom fg --max-degree 7 heis3": ("cli", "fg", "heis3.json", "--max-degree", "7"),
+        ("cli", "compare", "heis3.algebra.json", "--max-degree", "5",
+         "--coefficients", "lie:heis3.lie.json"),
+    "leibhom fg --max-degree 7 heis3": ("cli", "fg", "heis3.algebra.json", "--max-degree", "7"),
     "leibhom homology --max-degree 7 heis3 dense":
-        ("cli", "homology", "heis3-dense.json", "--max-degree", "7"),
+        ("cli", "homology", "heis3-dense.algebra.json", "--max-degree", "7"),
     "leibhom homology --max-degree 6 sl2 dense":
-        ("cli", "homology", "sl2-dense.json", "--max-degree", "6"),
+        ("cli", "homology", "sl2-dense.algebra.json", "--max-degree", "6"),
     "leibhom homology --max-degree 5 --coefficients rep:adjoint-rep.json heis3 dense":
-        ("cli", "homology", "heis3-dense.json", "--max-degree", "5",
-         "--coefficients", "rep:adjoint-rep.json"),
+        ("cli", "homology", "heis3-dense.algebra.json", "--max-degree", "5",
+         "--coefficients", "rep:heis3-dense.rep.json"),
     "leibhom compare --max-degree 5 --coefficients lie:adjoint-lie.json heis3 dense":
-        ("cli", "compare", "heis3-dense.json", "--max-degree", "5",
-         "--coefficients", "lie:adjoint-lie.json"),
+        ("cli", "compare", "heis3-dense.algebra.json", "--max-degree", "5",
+         "--coefficients", "lie:heis3-dense.lie.json"),
     "heis3 <= 6": ("betti", "heis3", 6),
     "heis3 <= 7": ("betti", "heis3", 7),
     "heis3 <= 8": ("betti", "heis3", 8),
@@ -102,8 +111,8 @@ RUNGS = {
     "sl2 <= 8": ("betti", "sl2", 8),
     "heis3 cochains <= 8": ("cobetti", "heis3", 8),
     "sl2 cochains <= 7": ("cobetti", "sl2", 7),
-    "heis3 dense <= 7": ("betti", "heis3 dense", 7),
-    "sl2 dense <= 6": ("betti", "sl2 dense", 6),
+    "heis3 dense <= 7": ("betti", "heis3-dense", 7),
+    "sl2 dense <= 6": ("betti", "sl2-dense", 6),
     "conjecture_check(1, 12)": ("conjecture", 1, 12),
     "conjecture_check(1, 14)": ("conjecture", 1, 14),
     "conjecture_check(2, 6)": ("conjecture", 2, 6),
@@ -117,13 +126,10 @@ RUNGS = {
 }
 ROUNDS = 3
 
-HEIS3_DOC = {"basis": ["p", "q", "z"], "convention": "left", "brackets": [
-    {"left": "p", "right": "q", "value": {"z": "1"}},
-    {"left": "q", "right": "p", "value": {"z": "-1"}}]}
-# the adjoint module of heis3's Lie quotient, heis3 itself with basis p~, q~, z~
-ADJOINT_DOC = {"basis": ["p", "q", "z"], "action": [
-    {"left": "p~", "right": "q", "value": {"z": "1"}},
-    {"left": "q~", "right": "p", "value": {"z": "-1"}}]}
+# the algebras whose files the rungs read; sl2 is a Lie algebra, its own
+# Lie quotient
+ALGEBRAS = {"heis3": gen.ALGEBRAS["heis3"],
+            "sl2": {"basis": ["e", "f", "h"], "brackets": SL2_BRACKETS, "quotient": ("self", 0)}}
 
 # the peak RSS of the process that runs it, in MB
 PEAK_RSS = """
@@ -136,97 +142,46 @@ def peak_rss_mb():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 """
 
+# every rung kind reads its input and hands back the work to time, which
+# returns the result, or for a CLI rung a function that reads it
 CHILD = PEAK_RSS + """
 import json, sys, time
 t0 = time.perf_counter()
-from leibhom.cli import entrypoint
+from leibhom.cli import entrypoint, parse_algebra
 from leibhom.homology import (conjecture_check, loday_cochain_complex, loday_complex,
                               trivial_coefficients)
-from leibhom.leibcore import LeibnizAlgebra
 import_s = time.perf_counter() - t0
 
-ALGEBRAS = {
-    "heis3": (["p", "q", "z"], {(0, 1): {2: 1}, (1, 0): {2: -1}}),
-    # [e,f] = h, [h,e] = 2e, [h,f] = -2f: H_n = 0 for every n >= 1
-    "sl2": (["e", "f", "h"], {(0, 1): {2: 1}, (1, 0): {2: -1}, (2, 0): {0: 2},
-                              (0, 2): {0: -2}, (2, 1): {1: -2}, (1, 2): {1: 2}}),
-}
-
-# the "dense" rungs: heis3 and sl2 in the basis f_i = sum_a P[a][i] e_a,
-# P in SL_3(Z) (dense_basis(3) of benchmark/gen.py, written out so that the
-# ladder does not import the benchmark): integer constants that mix every
-# coordinate, and the same Betti numbers
-P = [[6, -3, 2], [-3, 2, -1], [2, -1, 1]]
-P_INV = [[1, 1, -1], [1, 2, 0], [-1, 0, 3]]
-
-def in_dense_basis(names, brackets):
-    out = {}
-    for i in range(3):
-        for j in range(3):
-            # [f_i, f_j] in the basis e, then in the basis f
-            v = [0, 0, 0]
-            for (a, b), val in brackets.items():
-                for k, c in val.items():
-                    v[k] += P[a][i] * P[b][j] * c
-            w = {l: x for l in range(3) if (x := sum(P_INV[l][k] * v[k] for k in range(3)))}
-            if w:
-                out[(i, j)] = w
-    return names, out
-
-for name in ("heis3", "sl2"):
-    ALGEBRAS[name + " dense"] = in_dense_basis(*ALGEBRAS[name])
-
-def betti(name, n):
+def betti(stem, n, builder=loday_complex):
     # what `leibhom homology --max-degree n` runs
-    g = LeibnizAlgebra.from_brackets(*ALGEBRAS[name])
-    return list(loday_complex(g, trivial_coefficients(), int(n) + 1).betti())
+    g = parse_algebra(stem + ".algebra.json")[0]
+    return lambda: list(builder(g, trivial_coefficients(), int(n) + 1).betti())
 
-def cobetti(name, n):
+def cobetti(stem, n):
     # what `leibhom cohomology --max-degree n` runs
-    g = LeibnizAlgebra.from_brackets(*ALGEBRAS[name])
-    return list(loday_cochain_complex(g, trivial_coefficients(), int(n) + 1).betti())
+    return betti(stem, n, loday_cochain_complex)
 
 def conjecture(d, w):
-    rep = conjecture_check(int(d), int(w))
-    return {"verdict": rep.verdict, "h1": [v.h1 for v in rep.weights],
-            "higher": [list(v.higher) for v in rep.weights]}
-
-def files():
-    # the files of the dense CLI rungs: the dense algebras, the adjoint
-    # two-sided module of dense heis3 on the names m_<x>, and the adjoint
-    # module of its Lie quotient, which is dense heis3 itself on x~
-    def table(left, right, value, brackets):
-        return [{"left": left[i], "right": right[j],
-                 "value": {value[k]: str(c) for k, c in val.items()}}
-                for (i, j), val in brackets.items()]
-    for name in ("heis3", "sl2"):
-        names, brackets = ALGEBRAS[name + " dense"]
-        with open(name + "-dense.json", "w") as fh:
-            json.dump({"basis": names, "convention": "left",
-                       "brackets": table(names, names, names, brackets)}, fh)
-    names, brackets = ALGEBRAS["heis3 dense"]
-    mods = ["m_" + x for x in names]
-    with open("adjoint-rep.json", "w") as fh:
-        json.dump({"basis": mods, "left_action": table(names, mods, mods, brackets),
-                   "right_action": table(mods, names, mods, brackets)}, fh)
-    with open("adjoint-lie.json", "w") as fh:
-        json.dump({"basis": mods,
-                   "action": table([x + "~" for x in names], mods, mods, brackets)}, fh)
+    def work():
+        rep = conjecture_check(int(d), int(w))
+        return {"verdict": rep.verdict, "h1": [v.h1 for v in rep.weights],
+                "higher": [list(v.higher) for v in rep.weights]}
+    return work
 
 def cli(*argv):
-    # the algebra and module files are in the working directory; the
-    # report is read after timing
-    code = entrypoint([*argv, "--quiet", "--json", "report.json"])
-    def result():
-        with open("report.json") as fh:
-            report = json.load(fh)
-        return {"exit": code, "tables": report["tables"], "verdicts": report["verdicts"]}
-    return result
+    def work():
+        code = entrypoint([*argv, "--quiet", "--json", "report.json"])
+        def result():
+            with open("report.json") as fh:
+                report = json.load(fh)
+            return {"exit": code, "tables": report["tables"], "verdicts": report["verdicts"]}
+        return result
+    return work
 
-call = {"betti": betti, "cobetti": cobetti, "conjecture": conjecture, "cli": cli,
-        "files": files}[sys.argv[1]]
+work = {"betti": betti, "cobetti": cobetti, "conjecture": conjecture,
+        "cli": cli}[sys.argv[1]](*sys.argv[2:])
 t0 = time.perf_counter()
-result = call(*sys.argv[2:])
+result = work()
 wall = time.perf_counter() - t0
 if callable(result):
     result = result()
@@ -287,9 +242,7 @@ def main() -> int:
     rounds = ROUNDS * len(trees)
     runs = {name: [[] for _ in trees] for name in names}
     with tempfile.TemporaryDirectory() as workdir:
-        Path(workdir, "heis3.json").write_text(json.dumps(HEIS3_DOC))
-        Path(workdir, "adjoint.json").write_text(json.dumps(ADJOINT_DOC))
-        run_rung(ROOT / "src", workdir, "files")
+        write_documents(ALGEBRAS, workdir)
         for r in range(1, rounds + 1):
             for name in names:
                 for t in (range(len(trees)) if r % 2 else reversed(range(len(trees)))):

@@ -448,7 +448,6 @@ def _cmd_compare(args, report):
     n = args.max_degree
     _, _, cmp = ce_projection(*_in_sparse_basis(g, coeffs), n)
     report["parameters"]["coefficients"] = args.coefficients
-    report["parameters"]["max_degree"] = n
     report["tables"]["degrees"] = list(cmp.degrees)
     report["tables"]["tensor_homology"] = list(cmp.loday_homology)
     report["tables"]["ce_homology"] = list(cmp.ce_homology)

@@ -114,7 +114,7 @@ class Matrix(_Frozen):
     num/den of row i sorted by column, with den > 0 and gcd(den, nums) = 1;
     every constructor builds that form, which equality and hashing
     compare.  Matrix(rows, cols, sparse_rows) takes the nonzero (col,
-    value) pairs of every row, values any rationals.
+    value) pairs of every row, each column once, values any rationals.
     """
 
     __match_args__ = ("rows", "cols", "int_rows")
@@ -125,6 +125,8 @@ class Matrix(_Frozen):
             raise ShapeMismatch(f"expected {rows} rows, got {len(sparse_rows)}")
         out = []
         for srow in sparse_rows:
+            if len({j for j, _ in srow}) != len(srow):
+                raise ShapeMismatch(f"repeated column in a row of a {rows}x{cols} matrix")
             pairs = []
             for j, x in srow:
                 if not 0 <= j < cols:
@@ -468,11 +470,13 @@ class Subspace(_Frozen):
     def from_sparse_columns(ambient_dim: int,
                             columns: Iterable[Sequence[tuple[int, object]]]) -> "Subspace":
         """The span of vectors given by their nonzero (index, value) pairs,
-        values any exact rationals, as Matrix takes them."""
+        each index once, values any exact rationals, as Matrix takes them."""
         rows = []
         for c in columns:
             if c and not all(0 <= i < ambient_dim for i, _ in c):
                 raise ShapeMismatch(f"vector index outside ambient dimension {ambient_dim}")
+            if len({i for i, _ in c}) != len(c):
+                raise ShapeMismatch("repeated index in a vector")
             rows.append(_row(c))
         return _span(ambient_dim, rows)
 

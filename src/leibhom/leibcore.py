@@ -70,6 +70,13 @@ def _violations(defect: Matrix, *dims: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_structure(dim: int, structure: Matrix) -> None:
+    """Raise ValueError unless structure is the table of a bracket on k^dim."""
+    if (structure.rows, structure.cols) != (dim, dim * dim):
+        raise ValueError(f"a {dim}-dim algebra needs a {dim} x {dim * dim} structure table, "
+                         f"got {structure.rows} x {structure.cols}")
+
+
 class LeibnizAlgebra(_Frozen):
     """structure is the table of the bracket: column i*dim + j holds [e_i, e_j]."""
 
@@ -81,6 +88,7 @@ class LeibnizAlgebra(_Frozen):
             raise ValueError("basis_names length does not match dim")
         if convention not in ("left", "right"):
             raise ValueError(f"unknown convention {convention!r}")
+        _check_structure(dim, structure)
         self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure,
                              convention=convention)
 
@@ -101,6 +109,7 @@ class LieAlgebra(_Frozen):
     __match_args__ = ("dim", "basis_names", "structure")
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], structure: Matrix):
+        _check_structure(dim, structure)
         self.__dict__.update(dim=dim, basis_names=basis_names, structure=structure)
 
     @staticmethod
@@ -207,6 +216,10 @@ class Representation(_Frozen):
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], left_action: Matrix,
                  right_action: Matrix):
+        for name, table in (("left_action", left_action), ("right_action", right_action)):
+            if table.rows != dim:
+                raise ValueError(f"a {dim}-dim module needs {dim} rows in {name}, "
+                                 f"got {table.rows}")
         self.__dict__.update(dim=dim, basis_names=basis_names, left_action=left_action,
                              right_action=right_action)
 

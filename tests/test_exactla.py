@@ -199,8 +199,12 @@ def test_every_constructor_stores_canonical_sparse_rows():
     lambda: Matrix.from_entries(2, 2, {(0, 2): 1}),
     lambda: Matrix.from_rows([[1, 2], [3]]),
     lambda: Subspace.full(2).coords((1,)),
+    # a repeated index would be stored as a non-canonical row, or keep only
+    # its last value: the zero vector below would span a line
+    lambda: Matrix(1, 2, [[(0, 1), (0, 2)]]),
+    lambda: Subspace.from_sparse_columns(2, [[(0, 1), (0, -1)]]),
 ], ids=["row count", "column past the end", "negative column", "from_entries",
-        "ragged from_rows", "short coords vector"])
+        "ragged from_rows", "short coords vector", "repeated column", "repeated index"])
 def test_wrong_shape_raises(build):
     with pytest.raises(ShapeMismatch):
         build()

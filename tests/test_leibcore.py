@@ -202,6 +202,25 @@ def test_wrong_width_lie_module_is_named(call, r):
     assert str(exc.value) == message
 
 
+# a table of the wrong shape would give wrong Betti numbers, not an error
+@pytest.mark.parametrize("build, message", [
+    (lambda: LeibnizAlgebra(3, ("x", "y"), CORPUS["A2"].structure),
+     "basis_names length does not match dim"),
+    (lambda: LeibnizAlgebra(3, ("x", "y", "t"), CORPUS["A2"].structure),
+     "a 3-dim algebra needs a 3 x 9 structure table, got 2 x 4"),
+    (lambda: LieAlgebra(2, ("p", "q"), LIE_CORPUS["heis3"].structure),
+     "a 2-dim algebra needs a 2 x 4 structure table, got 3 x 9"),
+    (lambda: Representation(2, ("u", "v"), CORPUS["heis3"].structure, CORPUS["heis3"].structure),
+     "a 2-dim module needs 2 rows in left_action, got 3"),
+    (lambda: Representation(2, ("u", "v"), tensor3(3, 2, 2, {}), tensor3(2, 3, 3, {})),
+     "a 2-dim module needs 2 rows in right_action, got 3"),
+], ids=["basis names first", "leibniz", "lie", "left action", "right action"])
+def test_wrong_shape_table_is_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_quotient_action_descends():
     # the Lie quotient acts on g itself through the projection:
     # for A2 the class of x sends x to [x,x] = y
