@@ -11,7 +11,10 @@ Every job runs in this process through leibhom.cli.entrypoint, in a
 temporary working directory with relative paths, so the reports do not
 depend on where the tree lives.  The digest covers each job's argv, exit
 code, stdout, stderr and JSON report without its "timing" section: two
-trees whose CLI prints the same thing print the same digest.
+trees whose CLI prints the same thing print the same digest.  Before any
+report is hashed its bytes are checked to be json.dumps of its value with
+sort_keys=True and indent=2, plus a newline; a report that is not ends
+the run with exit 1 and names its argv.
 
 Run:  PYTHONPATH=src python3 scripts/cli_digest.py
 """
@@ -70,17 +73,25 @@ def jobs(stems: list[str]):
         yield ["free-conjecture", "--generators", str(d), "--max-weight", str(w)]
 
 
-def run_job(argv: list[str]) -> list:
-    """[argv, exit code, stdout, stderr, report without timing]."""
+def run_job(argv: list[str]) -> tuple[list, str | None]:
+    """([argv, exit code, stdout, stderr, report without timing], the text
+    of the report file, None if the job wrote none)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = entrypoint([*argv, "--json", "report.json"])
-    report = None
+    report = text = None
     if os.path.exists("report.json"):
-        report = json.loads(Path("report.json").read_text())
+        text = Path("report.json").read_text(encoding="utf-8")
+        report = json.loads(text)
         report.pop("timing", None)
         os.remove("report.json")
-    return [argv, code, out.getvalue(), err.getvalue(), report]
+    return [argv, code, out.getvalue(), err.getvalue(), report], text
+
+
+def canonical(text: str) -> str:
+    """The report text holds, written as json.dumps writes it with sorted
+    keys and a two-space indent, plus a newline."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def main() -> int:
@@ -90,7 +101,12 @@ def main() -> int:
         os.chdir(workdir)
         try:
             for argv in jobs(write_documents(ALGEBRAS, workdir)):
-                h.update(json.dumps(run_job(argv), sort_keys=True).encode() + b"\n")
+                record, text = run_job(argv)
+                if text is not None and text != canonical(text):
+                    print(f"report of {' '.join(argv)} is not in the canonical JSON form",
+                          file=sys.stderr)
+                    return 1
+                h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
         finally:
             os.chdir(cwd)
     print(h.hexdigest())

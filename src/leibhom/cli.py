@@ -27,7 +27,8 @@ import gc
 import json
 import sys
 import time
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import lcm
 from types import SimpleNamespace
 
 # hashlib loads OpenSSL's libcrypto on every start; the interpreter's
@@ -42,7 +43,7 @@ except ImportError:
 
 from . import __version__
 from .dgla import IllDefinedAction, NotInCategory
-from .exactla import Matrix, NotInvariant, ShapeMismatch, format_scalar, parse_scalar
+from .exactla import Matrix, NotInvariant, ShapeMismatch, _parse_ratio, format_scalar
 from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
     DifferentialSquareNonzero,
@@ -168,15 +169,6 @@ def _load_json(path: str, inputs: dict | None, key: str) -> dict:
     return doc
 
 
-def _scalar(raw, where: str) -> Fraction:
-    if not isinstance(raw, str):
-        raise ParseError(f"{where}: rationals must be strings, got {raw!r}")
-    try:
-        return parse_scalar(raw)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def _name_index(names, where: str) -> dict:
     if not isinstance(names, list) or not names or not all(isinstance(s, str) for s in names):
         raise ParseError(f"{where}: \"basis\" must be a nonempty list of strings")
@@ -216,13 +208,20 @@ def _table(entries, left_index, right_index, value_index, where: str) -> Matrix:
         for kn, raw in val.items():
             if kn not in value_index:
                 raise ParseError(f"{where}: unknown name {kn!r} in value")
-            c = _scalar(raw, where)
-            if c:
-                cells[value_index[kn], col] = c
+            if not isinstance(raw, str):
+                raise ParseError(f"{where}: rationals must be strings, got {raw!r}")
+            try:
+                num, den = _parse_ratio(raw)
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+            if num:
+                cells[value_index[kn], col] = num, den
         if col in seen:
             raise ParseError(f"{where}: duplicate entry for ({ln}, {rn})")
         seen.add(col)
-    return Matrix.from_entries(len(value_index), len(left_index) * b, cells)
+    den = lcm(*{d for _, d in cells.values()})
+    return Matrix.from_entries(len(value_index), len(left_index) * b,
+                               {key: num * (den // d) for key, (num, d) in cells.items()}, den)
 
 
 def _check_keys(doc: dict, path: str, kind: str, allowed: tuple[str, ...]) -> None:
@@ -276,9 +275,15 @@ def algebra_echo(g: LeibnizAlgebra | LieAlgebra) -> dict:
     """Re-emit an algebra as an input document (always left convention)."""
     names = g.basis_names
     brackets = [{"left": names[c // g.dim], "right": names[c % g.dim],
-                 "value": {names[k]: format_scalar(x) for k, x in col}}
-                for c, col in enumerate(g.structure.transpose().sparse_rows) if col]
+                 "value": {names[k]: format_scalar(x, den) for k, x in col}}
+                for c, (den, col) in enumerate(g.structure.transpose().int_rows) if col]
     return {"basis": list(names), "convention": "left", "brackets": brackets}
+
+
+def _literals(m: Matrix) -> list[list[str]]:
+    """The entries of m as rational literals, row by row."""
+    rows = [(den, dict(row)) for den, row in m.int_rows]
+    return [[format_scalar(row.get(j, 0), den) for j in range(m.cols)] for den, row in rows]
 
 
 def parse_representation(path: str, g: LeibnizAlgebra, was_right: bool = False,
@@ -352,12 +357,32 @@ def _report_skeleton(command: str, parameters: dict) -> dict:
     }
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), value nested at indent: a
+    dict, list, tuple, str, int, float, bool or None, other types TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        # encode_basestring_ascii raises TypeError for a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_report(report: dict, json_path: str | None, quiet: bool,
                 human_lines: list[str]) -> None:
     if json_path:
-        text = json.dumps(report, sort_keys=True, indent=2)
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(_json_text(report) + "\n")
     if not quiet:
         for note in report.get("notices", ()):
             print(f"note: {note}")
@@ -415,12 +440,9 @@ def _cmd_quotient(args, report):
     q = qdata.quotient
     brackets = algebra_echo(q)["brackets"]
     report["tables"]["quotient"] = {"basis": list(q.basis_names), "brackets": brackets}
-    report["tables"]["ann"] = {
-        "dim": qdata.ann.dim,
-        "basis": [[format_scalar(c) for c in col] for col in qdata.ann.basis.transpose().entries],
-    }
-    report["tables"]["projection"] = [
-        [format_scalar(c) for c in row] for row in qdata.projection.entries]
+    ann = qdata.ann
+    report["tables"]["ann"] = {"dim": ann.dim, "basis": _literals(ann.basis.transpose())}
+    report["tables"]["projection"] = _literals(qdata.projection)
     report["verdicts"]["quotient_well_defined"] = True
     lines = [f"g_Lie basis: {', '.join(q.basis_names)} (dim {q.dim}), "
              f"g_ann dim {qdata.ann.dim}"]

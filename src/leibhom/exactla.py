@@ -39,7 +39,7 @@ IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 ZERO = Fraction(0)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 class ExactLAError(Exception):
@@ -54,20 +54,27 @@ class NotInvariant(ExactLAError):
     """A linear map does not preserve the claimed subspace."""
 
 
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(num, den), den > 0 and not reduced, of a literal "p" or "p/q"."""
+    m = _SCALAR_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, den = int(m[1]), int(m[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return num, den
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a rational literal "p" or "p/q" (q > 0) into a Fraction."""
-    s = text.strip()
-    if not _SCALAR_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    return Fraction(*_parse_ratio(text))
 
 
-def format_scalar(value: Fraction) -> str:
-    """Inverse of parse_scalar; Fraction keeps denominators positive already."""
-    return str(value)
+def format_scalar(value: Fraction | int, den: int = 1) -> str:
+    """Inverse of parse_scalar: the literal of value / den in lowest terms."""
+    num, den = value.numerator, value.denominator * den
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def add_into(acc: dict, key, value) -> None:

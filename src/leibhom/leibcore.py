@@ -216,6 +216,8 @@ class Representation(_Frozen):
 
     def __init__(self, dim: int, basis_names: tuple[str, ...], left_action: Matrix,
                  right_action: Matrix):
+        if len(basis_names) != dim:
+            raise ValueError("basis_names length does not match dim")
         for name, table in (("left_action", left_action), ("right_action", right_action)):
             if table.rows != dim:
                 raise ValueError(f"a {dim}-dim module needs {dim} rows in {name}, "
@@ -430,12 +432,11 @@ def _descent(cells: dict, scale: int, n: int, lo: int = 0):
     SPARSE_STEPS moves, each one lowering the count, each yield in the
     basis the moves so far give."""
     # a table of rank r has at least r nonzero entries, and a change of
-    # basis keeps its rank (dim [g, g] for a bracket)
-    if len(cells) <= rank(Matrix.from_entries(
-            n, n * n, {(k, a * n + b): x for (a, b, k), x in cells.items()})):
-        return
+    # basis keeps its rank (dim [g, g] for a bracket): no move goes below
+    bound = rank(Matrix.from_entries(
+        n, n * n, {(k, a * n + b): x for (a, b, k), x in cells.items()}))
     for _ in range(SPARSE_STEPS):
-        move = _best_move(cells, n, lo)
+        move = None if len(cells) <= bound else _best_move(cells, n, lo)
         if move is None:
             return
         i, j, num, den = move

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibhom import cli, leibcore
-from leibhom.exactla import Matrix
+from leibhom.exactla import Matrix, parse_scalar
 from leibhom.freealg import FreeLeibnizTruncation, WeightOverflow
 from leibhom.homology import ChainComplex, DifferentialSquareNonzero
 
@@ -279,6 +280,78 @@ def test_json_report_is_deterministic(a2_path, tmp_path):
     d1, d2 = json.loads(p1.read_text()), json.loads(p2.read_text())
     d1.pop("timing"), d2.pop("timing")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def test_every_digest_report_is_written_as_json_dumps(tmp_path, monkeypatch):
+    # the reports of the whole job matrix of scripts/cli_digest.py, byte
+    # for byte, including the timing value; the 24 rep: jobs of the
+    # enveloping-algebra commands exit 2 and write none
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import cli_digest
+
+    monkeypatch.chdir(tmp_path)
+    jobs = {tuple(argv): cli_digest.run_job(argv)[1] for argv in
+            cli_digest.jobs(cli_digest.write_documents(cli_digest.ALGEBRAS, str(tmp_path)))}
+    reports = {argv: text for argv, text in jobs.items() if text is not None}
+    assert (len(jobs), len(reports)) == (147, 123)
+    for argv, text in reports.items():
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", argv
+
+
+# a basis name with a quote and non-ASCII characters, written back as
+# \uXXXX escapes and surrogate pairs in the echo and the quotient tables
+QUOTED_DOC = {"convention": "left", "basis": ["\"x\"", "é\u2028", "\U0001d53c"],
+              "brackets": [{"left": "\"x\"", "right": "é\u2028", "value": {"\U0001d53c": "-7/3"}},
+                           {"left": "é\u2028", "right": "\"x\"", "value": {"\U0001d53c": "7/3"}}]}
+
+
+def test_quoted_and_non_ascii_names_are_written_as_json_dumps(tmp_path):
+    path, out = write_json(tmp_path / "q.json", QUOTED_DOC), tmp_path / "out.json"
+    assert cli.entrypoint(["quotient", path, "--json", str(out), "--quiet"]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.isascii() and "\\u00e9\\u2028" in text and '\\"x\\"' in text
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"basis": ["\"x\"", "é", "\u2028", "\U0001d53c", "\ud800", "\\"], "é\"": "\x00\n"},
+    {"empty": [], "none": {}, "pair": ((), [{}]), "nested": [[[]]]},
+    {"ints": [0, -1, -10 ** 45, 10 ** 45 + 1], "flags": [True, False, None]},
+    {"timing": {"seconds": 0.001234}, "tiny": 1e-06, "whole": 2.0, "neg": -0.5},
+    [], {}, "", 7,
+], ids=["strings", "empty", "ints", "floats", "empty list", "empty dict", "str", "int"])
+def test_report_writer_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {"x": {1, 2}}, [Fraction(1, 2)], {"x": b"y"}, {1: "y"}, object()],
+    ids=["set", "fraction", "bytes", "int key", "object"])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("literal", ["1/2", "-3/4", "6/4", "+2", "007", "0", "-0"])
+def test_table_reads_literals_as_parse_scalar(literal):
+    index = {"x": 0, "y": 1}
+    entries = [{"left": "x", "right": "y", "value": {"x": literal, "y": "1/3"}},
+               {"left": "y", "right": "x", "value": {"x": "5/6"}}]
+    cells = {(0, 1): parse_scalar(literal), (1, 1): parse_scalar("1/3"),
+             (0, 2): parse_scalar("5/6")}
+    assert cli._table(entries, index, index, index, "t") == Matrix.from_entries(2, 4, cells)
+
+
+def test_table_names_a_zero_denominator_and_an_overlong_literal():
+    index = {"x": 0}
+    with pytest.raises(ValueError) as limit:
+        int("1" * 5000)
+    for literal, message in (("1/0", "zero denominator in rational literal: '1/0'"),
+                             ("1" * 5000, str(limit.value))):
+        entries = [{"left": "x", "right": "x", "value": {"x": literal}}]
+        with pytest.raises(cli.ParseError) as exc:
+            cli._table(entries, index, index, index, "t")
+        assert str(exc.value) == f"t: {message}"
 
 
 def test_stdout_is_deterministic(r2_path, capsys):

@@ -214,7 +214,10 @@ def test_wrong_width_lie_module_is_named(call, r):
      "a 2-dim module needs 2 rows in left_action, got 3"),
     (lambda: Representation(2, ("u", "v"), tensor3(3, 2, 2, {}), tensor3(2, 3, 3, {})),
      "a 2-dim module needs 2 rows in right_action, got 3"),
-], ids=["basis names first", "leibniz", "lie", "left action", "right action"])
+    (lambda: Representation(3, ("u",), CORPUS["heis3"].structure, CORPUS["heis3"].structure),
+     "basis_names length does not match dim"),
+], ids=["basis names first", "leibniz", "lie", "left action", "right action",
+        "module basis names"])
 def test_wrong_shape_table_is_refused(build, message):
     with pytest.raises(ValueError) as exc:
         build()

@@ -154,6 +154,18 @@ def test_descent_stops_at_the_step_budget(monkeypatch):
     assert is_isomorphism(s, h, g)
 
 
+# dense a2k and hemi2 end at the rank of their bracket table, 1, which no
+# move can go below, so no scan follows their last move
+@pytest.mark.parametrize("name", ["bench-a2k dense", "bench-hemi2 dense"])
+def test_descent_stops_scanning_at_the_rank_bound(name, monkeypatch):
+    scans = []
+    best_move = leibcore._best_move
+    monkeypatch.setattr(leibcore, "_best_move", lambda *a: scans.append(a) or best_move(*a))
+    moves = list(descent(CASES[name]))
+    assert len(moves[-1][3]) == 1
+    assert len(scans) == len(moves)
+
+
 @pytest.mark.parametrize("name", list(CANONICAL))
 def test_a_canonical_basis_comes_back_unchanged(name):
     g = CANONICAL[name]
