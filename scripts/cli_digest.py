@@ -21,6 +21,7 @@ Run:  PYTHONPATH=src python3 scripts/cli_digest.py
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -31,8 +32,11 @@ from pathlib import Path
 from leibhom.cli import entrypoint
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "benchmark"))
-import gen  # noqa: E402
+# benchmark/gen.py, loaded by its path under a private name, so that its
+# directory's modules (gen, run, layers, ...) shadow nothing of an importer
+_spec = importlib.util.spec_from_file_location("_cli_digest_gen", ROOT / "benchmark" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 ALGEBRAS = {name: gen.ALGEBRAS[name] for name in ("heis3", "a2k", "fil4", "hemi2")}
 MAX_DEGREE = "3"

@@ -42,7 +42,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .dgla import IllDefinedAction, NotInCategory
+from .dgla import IllDefinedAction
 from .exactla import Matrix, NotInvariant, ShapeMismatch, _parse_ratio, format_scalar
 from .freealg import NecklaceCountError, RightIdentityError, WeightOverflow
 from .homology import (
@@ -120,8 +120,7 @@ class NotIsomorphic(Exception):
 # than "the user's file is bad".  They exit 1, like a failed verdict.
 INVARIANT_ERRORS = (DifferentialSquareNonzero, NotAChainMap, NotInvariant,
                     ShapeMismatch, IllDefinedQuotient, IllDefinedAction,
-                    NotInCategory, NecklaceCountError, RightIdentityError,
-                    WeightOverflow, NotIsomorphic)
+                    NecklaceCountError, RightIdentityError, WeightOverflow, NotIsomorphic)
 
 
 class ParseError(Exception):

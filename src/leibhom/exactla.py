@@ -7,8 +7,8 @@ canonical, so equality and hashing compare it directly, and products,
 transposes and zero tests run on ints over the stored pairs only; the
 (column, Fraction) pairs and a dense table of the entries are views
 built on first use.  Bilinear maps are stored as matrices too (see
-leibcore): the private _kron, _swap and _lincomb build the products and
-sums their identities are made of.
+leibcore): the private _kron, _direct_sum, _swap and _lincomb build the
+products and sums their identities are made of.
 Subspace coordinates and restrictions are sparse products.  Rank,
 kernels, solving and subspace bases all come from one sparse
 fraction-free elimination (structured Gaussian elimination,
@@ -39,7 +39,7 @@ IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 ZERO = Fraction(0)
 
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_SCALAR_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 class ExactLAError(Exception):
@@ -280,9 +280,17 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
     return _matrix(a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 
-def _swap(a: int, b: int) -> Matrix:
-    """The permutation k^a (x) k^b -> k^b (x) k^a, e_i (x) e_j -> e_j (x) e_i."""
-    return _matrix(b * a, a * b, tuple((1, ((i * b + j, 1),)) for j in range(b) for i in range(a)))
+def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    """The block diagonal matrix a (+) b, b at rows a.rows.. and columns a.cols..."""
+    shifted = tuple((den, tuple((a.cols + j, x) for j, x in row)) for den, row in b.int_rows)
+    return _matrix(a.rows + b.rows, a.cols + b.cols, a.int_rows + shifted)
+
+
+def _swap(a: int, b: int, c: int = 1) -> Matrix:
+    """The permutation k^a (x) k^b (x) k^c -> k^b (x) k^a (x) k^c,
+    e_i (x) e_j (x) e_l -> e_j (x) e_i (x) e_l."""
+    return _matrix(b * a * c, a * b * c, tuple((1, (((i * b + j) * c + l, 1),))
+                                               for j in range(b) for i in range(a) for l in range(c)))
 
 
 def _lincomb(*terms: tuple[int, Matrix]) -> Matrix:

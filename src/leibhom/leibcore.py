@@ -17,11 +17,15 @@ bracket of the columns of U and V is then T (U (x) V), the opposite
 bracket a column permutation, and each axiom a matrix identity whose
 nonzero columns are the basis tuples where it fails.
 
+A module m over g is read as one table too, that of the semidirect
+product g ⋉ m (`_semidirect`), a Leibniz algebra exactly when m is a
+module over g.
+
 The structure constants depend on the basis, and the cost of a complex
 follows their count: `sparse_basis` looks for an isomorphic algebra with
 fewer of them by exact elementary changes of basis, then runs the same
-search on the basis of a module carried along, a module over the Lie
-quotient through its lift, and `is_isomorphism` checks both changes.
+search on the rows of m in g ⋉ m, carried along, and `is_isomorphism`
+checks both changes as one isomorphism of the semidirect products.
 """
 
 from __future__ import annotations
@@ -29,15 +33,19 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .exactla import (
     Matrix,
+    ShapeMismatch,
     Subspace,
+    _canon,
+    _direct_sum,
     _Frozen,
     _kron,
     _lincomb,
+    _matrix,
     _swap,
     column_span,
     quotient_projection,
@@ -124,7 +132,7 @@ def _module_defect(t: Matrix, act: Matrix, n: int, d: int) -> Matrix:
     module identity, and for act = t the left Leibniz identity."""
     x_ym = act @ _kron(Matrix.identity(n), act)
     return _lincomb((1, act @ _kron(t, Matrix.identity(d))), (-1, x_ym),
-                    (1, x_ym @ _kron(_swap(n, n), Matrix.identity(d))))
+                    (1, x_ym @ _swap(n, n, d)))
 
 
 def check_leibniz(g: LeibnizAlgebra) -> tuple[tuple[int, int, int], ...]:
@@ -238,27 +246,19 @@ def adjoint_representation(g: LeibnizAlgebra) -> Representation:
 
 
 def check_representation(g: LeibnizAlgebra, m: Representation) -> tuple[tuple, ...]:
-    """Violations of the three compatibility identities, tagged mxy/xmy/xym."""
-    n, d, t = g.dim, m.dim, g.structure
-    left, right = m.left_action, m.right_action
-    gi, mi = Matrix.identity(n), Matrix.identity(d)
-    # each identity as a map on m (x) x (x) y
-    mx = _kron(_swap(d, n), gi)  # m (x) x (x) y -> x (x) m (x) y
-    xy = _swap(d, n * n)         # m (x) x (x) y -> x (x) y (x) m
-    m_xy = right @ _kron(mi, t)          # [m,[x,y]]
-    x_my = left @ _kron(gi, right) @ mx  # [x,[m,y]]
-    defects = {
-        # [[m,x],y] = [m,[x,y]] - [x,[m,y]]
-        "mxy": _lincomb((1, right @ _kron(right, gi)), (-1, m_xy), (1, x_my)),
-        # [[x,m],y] = [x,[m,y]] - [m,[x,y]]
-        "xmy": _lincomb((1, right @ _kron(left, gi) @ mx), (-1, x_my), (1, m_xy)),
-        # [[x,y],m] = [x,[y,m]] - [y,[x,m]]
-        "xym": _module_defect(t, left, n, d) @ xy,
-    }
-    bad = [(tag, a, i, j) for tag, defect in defects.items() for a, i, j in _violations(defect, d, n, n)]
-    # by triple, and per triple in the order above: the sort is stable
-    bad.sort(key=lambda v: v[1:])
-    return tuple((tag, i, j, a) if tag == "xym" else (tag, a, i, j) for tag, a, i, j in bad)
+    """Violations of the three compatibility identities, tagged mxy/xmy/xym
+    by the slot of m: the left Leibniz identity of g ⋉ m at the triples
+    with one index in m, such as [[m,x],y] = [m,[x,y]] - [x,[m,y]]."""
+    n, w = g.dim, g.dim + m.dim
+    t = _semidirect(g, m)
+    bad = []
+    for triple in _violations(_module_defect(t, t, w, w), w, w, w):
+        slots = [k for k, v in enumerate(triple) if v >= n]
+        if len(slots) == 1:
+            i, j = (v for v in triple if v < n)
+            bad.append((triple[slots[0]] - n, i, j, ("mxy", "xmy", "xym")[slots[0]]))
+    bad.sort()  # by (m, x, y), then in the order mxy, xmy, xym
+    return tuple((tag, i, j, a) if tag == "xym" else (tag, a, i, j) for a, i, j, tag in bad)
 
 
 def opposite_representation(g: LeibnizAlgebra, m: Representation) -> Representation:
@@ -314,6 +314,51 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
     left = mod.action @ _kron(qdata.projection, Matrix.identity(d))
     right = _lincomb((-1, left @ _swap(d, g.dim)))
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)
+
+
+@lru_cache
+def _layout(n: int, d: int) -> tuple[tuple, ...]:
+    """Where the table of g ⋉ m, g at the indices 0..n-1 and m at n..,
+    holds those of [x, y], [x, u] and [u, x]: (first row, rows, the column
+    of g ⋉ m of each column) for each.  The columns increase, those of
+    [x, u] below those of [u, x]."""
+    w = n + d
+    return ((0, n, tuple(x * w + y for x in range(n) for y in range(n))),
+            (n, d, tuple(x * w + n + u for x in range(n) for u in range(d))),
+            (n, d, tuple((n + u) * w + x for u in range(d) for x in range(n))))
+
+
+def _semidirect(g: LeibnizAlgebra | LieAlgebra, m: Representation | LieModule | None) -> Matrix:
+    """The table of g ⋉ m: [x, y] from g, [x, u] and [u, x] from m and
+    [u, v] = 0, a Leibniz algebra exactly when m is a module over g
+    (Loday-Pirashvili 1993).  A LieModule enters through the left action
+    of its lift, L = A (pi_g (x) I), with no right block; no m gives g's."""
+    if m is None:
+        return g.structure
+    n, d, w = g.dim, m.dim, g.dim + m.dim
+    tables = (g.structure, *((lie_module_lift(g, m).left_action,) if isinstance(m, LieModule)
+                             else (m.left_action, m.right_action)))
+    rows: list[list] = [[] for _ in range(w)]
+    for table, (r0, _, cols) in zip(tables, _layout(n, d)):
+        if table.cols != len(cols):
+            raise ShapeMismatch(f"a {table.cols}-column table in g ⋉ m of dims {n} and {d}")
+        for k, (den, row) in enumerate(table.int_rows, r0):
+            rows[k].append((den, [(cols[c], x) for c, x in row]))
+    dens = [lcm(*[den for den, _ in parts]) for parts in rows]
+    return _matrix(w, w * w, tuple(_canon(den, [(j, x * (den // dp)) for dp, row in parts
+                                               for j, x in row]) for den, parts in zip(dens, rows)))
+
+
+def _split(table: Matrix, n: int) -> list[Matrix]:
+    """The inverse of _semidirect: the tables of [x, y], [x, u] and [u, x]
+    in that of g ⋉ m, g of dimension n."""
+    out = []
+    for r0, rows, cols in _layout(n, table.rows - n):
+        back = {c: j for j, c in enumerate(cols)}
+        out.append(_matrix(rows, len(cols), tuple(
+            _canon(den, [(back[c], x) for c, x in row if c in back])
+            for den, row in table.int_rows[r0:r0 + rows])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +458,14 @@ def _best_move(cells: dict, n: int, lo: int) -> tuple | None:
     return None if best is None else best[2:]
 
 
-def _int_cells(*parts: tuple) -> tuple[dict, int]:
-    """(cells, scale): the entries of the tables of parts as the int cells
-    {(a, b, k): x} of one bilinear map, each entry x / scale.  A part
-    (table, a0, b0, k0, wb) places the table of a map k^wa x k^wb -> k^rows
-    at the indices a0.., b0.. and k0..: its entry at row k, column
-    c = i*wb + j, goes to (a0 + i, b0 + j, k0 + k)."""
-    scale = lcm(*[d for t, *_ in parts for d, _ in t.int_rows])
-    return {(a0 + c // wb, b0 + c % wb, k0 + k): x * (scale // d) for t, a0, b0, k0, wb in parts
-            for k, (d, row) in enumerate(t.int_rows) for c, x in row}, scale
+def _int_cells(table: Matrix, lo: int = 0) -> tuple[dict, int]:
+    """(cells, scale): the entries of the rows lo.. of table, that of a
+    bilinear map on k^n, as the int cells {(a, b, k): x}, [e_a, e_b]
+    having x / scale at e_k."""
+    n, rows = table.rows, table.int_rows[lo:]
+    scale = lcm(*[den for den, _ in rows])
+    return {(c // n, c % n, k): x * (scale // den) for k, (den, row) in enumerate(rows, lo)
+            for c, x in row}, scale
 
 
 def _descent(cells: dict, scale: int, n: int, lo: int = 0):
@@ -448,87 +492,75 @@ def _descent(cells: dict, scale: int, n: int, lo: int = 0):
         yield i, j, Fraction(num, den), cells, scale
 
 
-def _sparse_tables(n: int, lo: int, *parts: tuple) -> tuple | None:
-    """(tables, B): the tables of parts (see _int_cells), whose ranges of a
-    do not meet, in the basis where the descent of _descent on them ends,
-    B the change of basis of the indices lo..n-1 it takes,
-    f_(lo+u) = sum_v B[v][u] e_(lo+v); None when it takes no move."""
+def _sparse_table(table: Matrix, lo: int = 0) -> tuple | None:
+    """(table', B): rows lo.. of table, that of a bilinear map on k^n, in
+    the basis where the descent of _descent on them ends, the rows below
+    lo kept, B the change of basis it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v);
+    None when it takes no move."""
+    n = table.rows
     b = [[Fraction(int(u == v)) for v in range(n - lo)] for u in range(n - lo)]
     last = None
-    for i, j, c, *last in _descent(*_int_cells(*parts), n, lo):
+    for i, j, c, *last in _descent(*_int_cells(table, lo), n, lo):
         for row in b:  # B <- B (I + c E_ji): column i gains c times column j
             row[i - lo] += c * row[j - lo]
     if last is None:
         return None
     cells, scale = last
-    return [Matrix.from_entries(t.rows, t.cols, {
-        (k - k0, (a - a0) * wb + b - b0): x * scale.denominator
-        for (a, b, k), x in cells.items() if a0 <= a < a0 + t.cols // wb}, den=scale.numerator)
-        for t, a0, b0, k0, wb in parts], Matrix.from_rows(b)
+    moved = Matrix.from_entries(n, n * n, {(k, a * n + b): x * scale.denominator
+                                           for (a, b, k), x in cells.items()}, den=scale.numerator)
+    return _matrix(n, n * n, table.int_rows[:lo] + moved.int_rows[lo:]), Matrix.from_rows(b)
 
 
 def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None) -> tuple:
     """(h, S, m', T): g in the basis f_i = sum_a S[a][i] e_a that the greedy
     descent of _descent finds, so that S [x, y]_h = [S x, S y]_g, and m, a
     module over g, carried along S and put in the basis
-    f'_u = sum_v T[v][u] f_v that the descent finds when it moves only the
-    module's basis, run on the actions as one bilinear map on g + m, so
-    that T L' = L (S (x) T) and T R' = R (T (x) S).  A module over g's Lie
-    quotient is searched as the left action L of its lift
-    (lie_module_lift), whose right action is -L swapped, and read back on
-    h's Lie quotient, A' = L' (sigma_h (x) I).  h keeps the basis names
-    and the convention of g, m' the basis names of m.  With no move to
-    take, h is g and S the identity, and then m' is m and T the identity
-    if the module's search takes none either; without m, m' and T are
-    None.  The basis-invariant numbers of h and m' are those of g and m."""
+    f'_u = sum_v T[v][u] f_v that the descent finds on the rows of m in
+    g ⋉ m moving only the module's basis: T L' = L (S (x) T) and
+    T R' = R (T (x) S).  A module over g's Lie quotient is read back on h's,
+    A' = L' (sigma_h (x) I).  h keeps the basis names and the convention of
+    g, m' the basis names of m.  With no move to take, h is g and S the
+    identity, and then m' is m and T the identity if the module's search
+    takes none either; without m, m' and T are None.  The basis-invariant
+    numbers of h and m' are those of g and m."""
     n = g.dim
-    found = _sparse_tables(n, 0, (g.structure, 0, 0, 0, n))
+    found = _sparse_table(g.structure)
     h, s = (g, Matrix.identity(n)) if found is None else (
-        LeibnizAlgebra(n, g.basis_names, *found[0], g.convention), found[1])
+        LeibnizAlgebra(n, g.basis_names, found[0], g.convention), found[1])
     if m is None:
         return h, s, None, None
-    d, lie, eye = m.dim, isinstance(m, LieModule), Matrix.identity(m.dim)
-    # the actions along S, L (S (x) I) and R (I (x) S), [x, m] at the
-    # indices (x, n + m, n + value) and [m, x] at (n + m, x, n + value); a
-    # Lie module's lift has L = A (pi_g (x) I), so L (S (x) I) = A (pi_g S (x) I)
-    if lie:
-        _check_width(m, g.quotient_data.quotient.dim)
-        parts = [(m.action @ _kron(g.quotient_data.projection @ s, eye), 0, n, n, d)]
-    else:
-        parts = [(m.left_action if h is g else m.left_action @ _kron(s, eye), 0, n, n, d),
-                 (m.right_action if h is g else m.right_action @ _kron(eye, s), n, 0, n, n)]
-    found = _sparse_tables(n + d, n, *parts)
+    d, eye = m.dim, Matrix.identity(m.dim)
+    # the rows of m in g ⋉ m, carried along U = S (+) I: L (S (x) I) and R (I (x) S)
+    table = _semidirect(g, m)
+    if h is not g:
+        u = _direct_sum(s, eye)
+        rows = _matrix(d, table.cols, table.int_rows[n:]) @ _kron(u, u)
+        table = _matrix(n + d, table.cols, table.int_rows[:n] + rows.int_rows)
+    found = _sparse_table(table, n)
     if found is None and h is g:
         return h, s, m, eye
-    tables, t = ([table for table, *_ in parts], eye) if found is None else found
-    if lie:
-        return h, s, LieModule(d, tables[0] @ _kron(h.quotient_data.section, eye)), t
-    return h, s, Representation(d, m.basis_names, *tables), t
+    table, t = (table, eye) if found is None else found
+    _, left, right = _split(table, n)
+    if isinstance(m, LieModule):
+        return h, s, LieModule(d, left @ _kron(h.quotient_data.section, eye)), t
+    return h, s, Representation(d, m.basis_names, left, right), t
 
 
 def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra | LieAlgebra,
                    t: Matrix | None = None, new: Representation | LieModule | None = None,
                    old: Representation | LieModule | None = None) -> bool:
-    """Whether s is invertible and S [x, y]_h = [S x, S y]_g, that is, s
-    carries h isomorphically onto g; given t, also whether t is invertible
-    and carries new, a module over h, onto old, a module over g, along s:
-    T L' = L (S (x) T) and T R' = R (T (x) S).  Modules over the Lie
-    quotients are compared through their lifts, which also shows new to be
-    the module its lift descends to, as pi_h is onto: the right action of
-    a lift is its left one negated and swapped, so only the left ones are
-    compared, T A' (pi_h (x) I) = A (pi_g (x) I)(S (x) T) = A (pi_g S (x) T)."""
+    """Whether s is invertible and S [x, y]_h = [S x, S y]_g; given t, also
+    whether t is invertible and U = S (+) T carries h ⋉ new onto g ⋉ old,
+    so T L' = L (S (x) T) and T R' = R (T (x) S).  A Lie module enters
+    through its lift, which shows new to be the module its lift descends
+    to, as pi_h is onto: T A' (pi_h (x) I) = A (pi_g S (x) T)."""
     n = g.dim
     if (s.rows, s.cols, h.dim) != (n, n, n) or rank(s) < n:
         return False
-    if s @ h.structure != g.structure @ _kron(s, s):
-        return False
     if t is None:
-        return True
-    d = old.dim
-    if (t.rows, t.cols, new.dim) != (d, d, d) or rank(t) < d:
+        new = old = None
+    elif (t.rows, t.cols, new.dim) != (old.dim,) * 3 or rank(t) < old.dim:
         return False
-    if isinstance(old, LieModule):
-        return (t @ new.action @ _kron(h.quotient_data.projection, Matrix.identity(d))
-                == old.action @ _kron(g.quotient_data.projection @ s, t))
-    return (t @ new.left_action == old.left_action @ _kron(s, t)
-            and t @ new.right_action == old.right_action @ _kron(t, s))
+    else:
+        s = _direct_sum(s, t)
+    return s @ _semidirect(h, new) == _semidirect(g, old) @ _kron(s, s)

@@ -147,6 +147,17 @@ def test_float_scalar_rejected(tmp_path, capsys):
     assert "rationals must be strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["\u0661/\u0662", "\u0663", "1/\u0662", "\uff11"])
+def test_non_ascii_digits_are_not_rational_literals(literal, tmp_path, capsys):
+    # ARABIC-INDIC ONE/TWO/THREE and FULLWIDTH ONE are decimal digits to
+    # int(), not to the literal grammar
+    doc = dict(A2_DOC, brackets=[
+        {"left": "x", "right": "x", "value": {"y": literal}}])
+    path = write_json(tmp_path / "bad.json", doc)
+    assert cli.entrypoint(["check", path]) == 2
+    assert f"not a rational literal: {literal!r}" in capsys.readouterr().err
+
+
 def test_missing_file(tmp_path, capsys):
     assert cli.entrypoint(["check", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")

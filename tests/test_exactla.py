@@ -48,7 +48,8 @@ def test_parse_scalar_accepts_rationals():
     assert parse_scalar("+1/3") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "a", "1/ 2", "0x3", "2e3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "a", "1/ 2", "0x3", "2e3", "1_0",
+                                 "\u0663", "\u0661/\u0662", "3/\u0662"])
 def test_parse_scalar_rejects_junk(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

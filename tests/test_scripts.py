@@ -92,6 +92,22 @@ def test_cli_digest_is_pinned():
     assert proc.stdout == CLI_DIGEST + "\n"
 
 
+def test_importing_cli_digest_leaves_sys_path_and_modules_alone():
+    # scripts/ladder.py and tests/test_cli.py import cli_digest; its gen is
+    # benchmark/gen.py under a private name, and benchmark/ stays off sys.path
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'scripts')!r})\n"
+            "before = list(sys.path)\n"
+            "import cli_digest\n"
+            "assert sys.path == before, sys.path\n"
+            "assert 'gen' not in sys.modules\n"
+            "assert cli_digest.gen.__file__.endswith('gen.py'), cli_digest.gen\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_ladder_writes_one_rung(tmp_path):
     proc = run_script("ladder.py", "--label", "smoke", "--rung", "heis3 <= 6",
                       "--out", str(tmp_path))

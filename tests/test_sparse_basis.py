@@ -76,7 +76,7 @@ def nnz(g: LeibnizAlgebra) -> int:
 
 def descent(g: LeibnizAlgebra):
     """The moves of sparse_basis(g)."""
-    return _descent(*_int_cells((g.structure, 0, 0, 0, g.dim)), g.dim)
+    return _descent(*_int_cells(g.structure), g.dim)
 
 
 def lie_modules_for(g: LeibnizAlgebra) -> dict[str, LieModule]:
@@ -270,24 +270,49 @@ def test_the_gate_refuses_a_wrong_module():
     assert not is_isomorphism(leibcore._lincomb((2, s)), h, g, t, moved, m)
 
 
-def test_a_dense_module_over_a_canonical_basis_moves_alone():
-    # S is the identity and T is not: heis3's adjoint modules written in
-    # the module basis P = dense_basis(3), carried back to the canonical counts
+def dense_heis3_modules() -> dict:
+    """heis3's adjoint modules, as a rep: and a lie: module, written in the
+    module basis P = dense_basis(3)."""
     g = CANONICAL["heis3"]
     p, eye = Matrix.from_rows(GEN.dense_basis(3)), Matrix.identity(3)
     pinv = Matrix.from_rows(GEN._inverse(GEN.dense_basis(3)))
     rep, mod = adjoint_representation(g), adjoint_lie_module(g.quotient_data.quotient)
-    dense_rep = Representation(3, rep.basis_names, pinv @ rep.left_action @ _kron(eye, p),
-                               pinv @ rep.right_action @ _kron(p, eye))
-    dense_mod = LieModule(3, pinv @ mod.action @ _kron(eye, p))
-    for m, tables, reached in ((dense_rep, lambda m: (m.left_action, m.right_action), 4),
-                               (dense_mod, lambda m: (m.action,), 2)):
+    return {"rep": Representation(3, rep.basis_names, pinv @ rep.left_action @ _kron(eye, p),
+                                  pinv @ rep.right_action @ _kron(p, eye)),
+            "lie": LieModule(3, pinv @ mod.action @ _kron(eye, p))}
+
+
+def test_a_dense_module_over_a_canonical_basis_moves_alone():
+    # S is the identity and T is not: the dense modules are carried back to
+    # the canonical counts
+    g, dense_mods = CANONICAL["heis3"], dense_heis3_modules()
+    for m, tables, reached in ((dense_mods["rep"], lambda m: (m.left_action, m.right_action), 4),
+                               (dense_mods["lie"], lambda m: (m.action,), 2)):
         h, moved = cli._in_sparse_basis(g, m)
         assert h is g and moved is not m
         assert nonzeros(*tables(moved)) == reached < nonzeros(*tables(m))
         for builder in (loday_complex, loday_cochain_complex):
             off, on = builder(g, m, 3), builder(h, moved, 3)
             assert (off.dims, off.betti()) == (on.dims, on.betti()), builder.__name__
+
+
+@pytest.mark.parametrize("kind", ["rep", "lie"])
+def test_the_gate_refuses_a_wrong_s_or_t_alone(kind):
+    # heis3 = span(p, q, z), [p, q] = z: S is the identity and T is not
+    g, m = CANONICAL["heis3"], dense_heis3_modules()[kind]
+    h, s, moved, t = sparse_basis(g, m)
+    assert h is g and t != Matrix.identity(3)
+    assert is_isomorphism(s, h, g, t, moved, m)
+    # only S wrong: 2S does not carry the bracket; diag(2, 1, 2) does, as
+    # an automorphism of heis3, but not the module along T
+    auto = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert not is_isomorphism(leibcore._lincomb((2, s)), h, g, t, moved, m)
+    assert is_isomorphism(auto, h, g) and not is_isomorphism(auto, h, g, t, moved, m)
+    # only T wrong: invertible but no module map, zero, and of rank 2
+    rescaled = t @ Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    rank2 = t @ Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for wrong in (rescaled, Matrix.zeros(3, 3), rank2):
+        assert not is_isomorphism(s, h, g, wrong, moved, m)
 
 
 # --- on/off: the input basis and the sparse basis give one set of numbers
