@@ -250,7 +250,7 @@ def check_dg_module(mod: DGModule) -> tuple[tuple, ...]:
                 defect = _lincomb(
                     (1, mod.action(p + q, s) @ _kron(L.bracket(p, q), Matrix.identity(ns))),
                     (-1, mod.action(p, q + s) @ _kron(Matrix.identity(np_), mod.action(q, s))),
-                    ((-1) ** (p * q), y_xm @ _swap(np_, nq, ns)))
+                    ((-1) ** (p * q), y_xm @ _kron(_swap(np_, nq), Matrix.identity(ns))))
                 bad += [("module_jacobi", p, q, s, i, j, a)
                         for i, j, a in _violations(defect, np_, nq, ns)]
 

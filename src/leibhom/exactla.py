@@ -286,11 +286,9 @@ def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
     return _matrix(a.rows + b.rows, a.cols + b.cols, a.int_rows + shifted)
 
 
-def _swap(a: int, b: int, c: int = 1) -> Matrix:
-    """The permutation k^a (x) k^b (x) k^c -> k^b (x) k^a (x) k^c,
-    e_i (x) e_j (x) e_l -> e_j (x) e_i (x) e_l."""
-    return _matrix(b * a * c, a * b * c, tuple((1, (((i * b + j) * c + l, 1),))
-                                               for j in range(b) for i in range(a) for l in range(c)))
+def _swap(a: int, b: int) -> Matrix:
+    """The permutation k^a (x) k^b -> k^b (x) k^a, e_i (x) e_j -> e_j (x) e_i."""
+    return _matrix(b * a, a * b, tuple((1, ((i * b + j, 1),)) for j in range(b) for i in range(a)))
 
 
 def _lincomb(*terms: tuple[int, Matrix]) -> Matrix:

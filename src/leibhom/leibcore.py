@@ -19,7 +19,8 @@ nonzero columns are the basis tuples where it fails.
 
 A module m over g is read as one table too, that of the semidirect
 product g ⋉ m (`_semidirect`), a Leibniz algebra exactly when m is a
-module over g.
+module over g; the Leibniz identity, of g and of g ⋉ m, is read off the
+int entries of a table (`_leibniz_violations`).
 
 The structure constants depend on the basis, and the cost of a complex
 follows their count: `sparse_basis` looks for an isomorphic algebra with
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 from .exactla import (
@@ -126,20 +127,44 @@ class LieAlgebra(_Frozen):
         return LieAlgebra(g.dim, g.basis_names, g.structure)
 
 
-def _module_defect(t: Matrix, act: Matrix, n: int, d: int) -> Matrix:
-    """The table of [x,y].m - x.(y.m) + y.(x.m) on g (x) g (x) m, for the
-    bracket table t of an n-dim g acting on a d-dim m by act: the left
-    module identity, and for act = t the left Leibniz identity."""
-    x_ym = act @ _kron(Matrix.identity(n), act)
-    return _lincomb((1, act @ _kron(t, Matrix.identity(d))), (-1, x_ym),
-                    (1, x_ym @ _swap(n, n, d)))
+def _leibniz_violations(table: Matrix, lo: int = 0) -> list[tuple[int, int, int]]:
+    """The basis triples (a, b, c) with an index at lo or above, in order,
+    where the left Leibniz identity [[a,b],c] = [a,[b,c]] - [b,[a,c]] fails
+    for the bracket of table.  It runs on the int cells: a cell [p,q] at k
+    meets the cells of first argument k in [[p,q],c] and those of second
+    argument k in [e,[p,q]] and [p,[e,q]]; the defect at (a, b, c) and e_v
+    is kept at ((a n + b) n + c) n + v."""
+    n = table.rows
+    n2, n3 = n * n, n * n * n
+    cells, _ = _int_cells(table)
+    # by k, the cells a cell at k meets: all, and those whose other index is >= lo
+    outer, inner, outer_lo, inner_lo = ([[] for _ in range(n)] for _ in range(4))
+    for (a, b, v), y in cells.items():
+        outer[a].append((b * n + v, y))
+        inner[b].append((a * n3 + v, a * n2 + v, y))
+        if b >= lo:
+            outer_lo[a].append(outer[a][-1])
+        if a >= lo:
+            inner_lo[b].append(inner[b][-1])
+    defect: dict = defaultdict(int)
+    for (p, q, k), x in cells.items():
+        low = p < lo and q < lo
+        at = p * n3 + q * n2
+        for o, y in (outer_lo if low else outer)[k]:
+            defect[at + o] += x * y
+        at2, at3 = p * n2 + q * n, p * n3 + q * n
+        for o2, o3, y in (inner_lo if low else inner)[k]:
+            y *= x
+            defect[at2 + o2] -= y
+            defect[at3 + o3] += y
+    return [(t // n2, t // n % n, t % n) for t in sorted({key // n for key, x in defect.items() if x})]
 
 
 def check_leibniz(g: LeibnizAlgebra) -> tuple[tuple[int, int, int], ...]:
     """All basis triples (i, j, k) violating the Leibniz identity of g's convention."""
     # the right identity of g at (i, j, k) is the left identity of opposite(g) at (k, j, i)
     h = g if g.convention == "left" else opposite(g)
-    bad = _violations(_module_defect(h.structure, h.structure, h.dim, h.dim), h.dim, h.dim, h.dim)
+    bad = _leibniz_violations(h.structure)
     return tuple(bad) if h is g else tuple(sorted((k, j, i) for i, j, k in bad))
 
 
@@ -248,15 +273,13 @@ def adjoint_representation(g: LeibnizAlgebra) -> Representation:
 def check_representation(g: LeibnizAlgebra, m: Representation) -> tuple[tuple, ...]:
     """Violations of the three compatibility identities, tagged mxy/xmy/xym
     by the slot of m: the left Leibniz identity of g ⋉ m at the triples
-    with one index in m, such as [[m,x],y] = [m,[x,y]] - [x,[m,y]]."""
-    n, w = g.dim, g.dim + m.dim
-    t = _semidirect(g, m)
-    bad = []
-    for triple in _violations(_module_defect(t, t, w, w), w, w, w):
-        slots = [k for k, v in enumerate(triple) if v >= n]
-        if len(slots) == 1:
-            i, j = (v for v in triple if v < n)
-            bad.append((triple[slots[0]] - n, i, j, ("mxy", "xmy", "xym")[slots[0]]))
+    with an index in m, such as [[m,x],y] = [m,[x,y]] - [x,[m,y]]; it
+    holds at those with two, as [u, v] = 0."""
+    n, bad = g.dim, []
+    for triple in _leibniz_violations(_semidirect(g.structure, m.left_action, m.right_action), n):
+        slot = [v >= n for v in triple].index(True)
+        i, j = (v for v in triple if v < n)
+        bad.append((triple[slot] - n, i, j, ("mxy", "xmy", "xym")[slot]))
     bad.sort()  # by (m, x, y), then in the order mxy, xmy, xym
     return tuple((tag, i, j, a) if tag == "xym" else (tag, a, i, j) for a, i, j, tag in bad)
 
@@ -293,14 +316,29 @@ def _check_width(mod: LieModule, r: int) -> None:
 
 
 def check_lie_module(h: LieAlgebra, mod: LieModule) -> tuple[tuple, ...]:
-    """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails."""
-    _check_width(mod, h.dim)
-    return tuple(_violations(_module_defect(h.structure, mod.action, h.dim, mod.dim),
-                             h.dim, h.dim, mod.dim))
+    """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails: the left
+    Leibniz identity of h ⋉ m at (x, y, m), the only triples with an index
+    in m where it can fail when m has no right action."""
+    n = h.dim
+    return tuple((i, j, a - n) for i, j, a in
+                 _leibniz_violations(_semidirect(h.structure, *_actions(h, mod)), n) if a >= n)
 
 
 def adjoint_lie_module(h: LieAlgebra) -> LieModule:
     return LieModule(h.dim, h.structure)
+
+
+def _actions(g: LeibnizAlgebra | LieAlgebra, m: Representation | LieModule) -> tuple[Matrix, ...]:
+    """The tables of [x, u] and, if m has one, of [u, x] for a module m over
+    g.  A LieModule over a Leibniz algebra is one over g's Lie quotient and
+    acts through it, [x, u] = pr(x).u, with no [u, x]."""
+    if isinstance(m, Representation):
+        return m.left_action, m.right_action
+    if isinstance(g, LieAlgebra):
+        _check_width(m, g.dim)
+        return (m.action,)
+    _check_width(m, g.quotient_data.quotient.dim)
+    return (m.action @ _kron(g.quotient_data.projection, Matrix.identity(m.dim)),)
 
 
 def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
@@ -309,56 +347,48 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
     [x, m] = pr(x).m and [m, x] = -pr(x).m, which satisfies all three
     compatibility identities.
     """
-    d, qdata = mod.dim, g.quotient_data
-    _check_width(mod, qdata.quotient.dim)
-    left = mod.action @ _kron(qdata.projection, Matrix.identity(d))
+    (left,), d = _actions(g, mod), mod.dim
     right = _lincomb((-1, left @ _swap(d, g.dim)))
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)
 
 
-@lru_cache
-def _layout(n: int, d: int) -> tuple[tuple, ...]:
+def _layout(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Where the table of g ⋉ m, g at the indices 0..n-1 and m at n..,
-    holds those of [x, y], [x, u] and [u, x]: (first row, rows, the column
-    of g ⋉ m of each column) for each.  The columns increase, those of
-    [x, u] below those of [u, x]."""
+    holds the columns of the tables of [x, y], [x, u] and [u, x], rows
+    0.. for the first and n.. for the others.  The columns increase,
+    those of [x, u] below those of [u, x]."""
     w = n + d
-    return ((0, n, tuple(x * w + y for x in range(n) for y in range(n))),
-            (n, d, tuple(x * w + n + u for x in range(n) for u in range(d))),
-            (n, d, tuple((n + u) * w + x for u in range(d) for x in range(n))))
+    return (tuple(x * w + y for x in range(n) for y in range(n)),
+            tuple(x * w + n + u for x in range(n) for u in range(d)),
+            tuple((n + u) * w + x for u in range(d) for x in range(n)))
 
 
-def _semidirect(g: LeibnizAlgebra | LieAlgebra, m: Representation | LieModule | None) -> Matrix:
-    """The table of g ⋉ m: [x, y] from g, [x, u] and [u, x] from m and
-    [u, v] = 0, a Leibniz algebra exactly when m is a module over g
-    (Loday-Pirashvili 1993).  A LieModule enters through the left action
-    of its lift, L = A (pi_g (x) I), with no right block; no m gives g's."""
-    if m is None:
-        return g.structure
-    n, d, w = g.dim, m.dim, g.dim + m.dim
-    tables = (g.structure, *((lie_module_lift(g, m).left_action,) if isinstance(m, LieModule)
-                             else (m.left_action, m.right_action)))
-    rows: list[list] = [[] for _ in range(w)]
-    for table, (r0, _, cols) in zip(tables, _layout(n, d)):
+def _semidirect(t: Matrix, *actions: Matrix) -> Matrix:
+    """The table of g ⋉ m from the table t of g's bracket and those of
+    [x, u] and, if given, [u, x], with [u, v] = 0: a Leibniz algebra
+    exactly when m is a module over g (Loday-Pirashvili 1993)."""
+    n, d = t.rows, actions[0].rows
+    placed = []
+    for table, cols in zip((t, *actions), _layout(n, d)):
         if table.cols != len(cols):
             raise ShapeMismatch(f"a {table.cols}-column table in g ⋉ m of dims {n} and {d}")
-        for k, (den, row) in enumerate(table.int_rows, r0):
-            rows[k].append((den, [(cols[c], x) for c, x in row]))
-    dens = [lcm(*[den for den, _ in parts]) for parts in rows]
-    return _matrix(w, w * w, tuple(_canon(den, [(j, x * (den // dp)) for dp, row in parts
-                                               for j, x in row]) for den, parts in zip(dens, rows)))
+        placed.append([(den, tuple((cols[c], x) for c, x in row)) for den, row in table.int_rows])
+    g_rows, *module = placed
+    # a row of m holds [x, u], then [u, x] over a common denominator
+    rows = module[0] if len(module) == 1 else [
+        (da, ra + rb) if da == db else
+        _canon(da * db, [(j, x * db) for j, x in ra] + [(j, x * da) for j, x in rb])
+        for (da, ra), (db, rb) in zip(*module)]
+    return _matrix(n + d, (n + d) ** 2, tuple(g_rows + rows))
 
 
 def _split(table: Matrix, n: int) -> list[Matrix]:
-    """The inverse of _semidirect: the tables of [x, y], [x, u] and [u, x]
-    in that of g ⋉ m, g of dimension n."""
-    out = []
-    for r0, rows, cols in _layout(n, table.rows - n):
-        back = {c: j for j, c in enumerate(cols)}
-        out.append(_matrix(rows, len(cols), tuple(
-            _canon(den, [(back[c], x) for c, x in row if c in back])
-            for den, row in table.int_rows[r0:r0 + rows])))
-    return out
+    """The inverse of _semidirect on the actions: the tables of [x, u] and
+    [u, x] in that of g ⋉ m, g of dimension n."""
+    backs = [{c: j for j, c in enumerate(cols)} for cols in _layout(n, table.rows - n)[1:]]
+    return [_matrix(table.rows - n, len(back), tuple(
+        _canon(den, [(back[c], x) for c, x in row if c in back]) for den, row in table.int_rows[n:]))
+        for back in backs]
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +560,17 @@ def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None)
     if m is None:
         return h, s, None, None
     d, eye = m.dim, Matrix.identity(m.dim)
-    # the rows of m in g ⋉ m, carried along U = S (+) I: L (S (x) I) and R (I (x) S)
-    table = _semidirect(g, m)
+    # the actions carried along S: L (S (x) I) and R (I (x) S)
+    acts = _actions(g, m)
     if h is not g:
-        u = _direct_sum(s, eye)
-        rows = _matrix(d, table.cols, table.int_rows[n:]) @ _kron(u, u)
-        table = _matrix(n + d, table.cols, table.int_rows[:n] + rows.int_rows)
-    found = _sparse_table(table, n)
+        acts = (acts[0] @ _kron(s, eye), *(right @ _kron(eye, s) for right in acts[1:]))
+    found = _sparse_table(_semidirect(h.structure, *acts), n)
     if found is None and h is g:
         return h, s, m, eye
-    table, t = (table, eye) if found is None else found
-    _, left, right = _split(table, n)
+    (left, *right), t = (acts, eye) if found is None else (_split(found[0], n), found[1])
     if isinstance(m, LieModule):
         return h, s, LieModule(d, left @ _kron(h.quotient_data.section, eye)), t
-    return h, s, Representation(d, m.basis_names, left, right), t
+    return h, s, Representation(d, m.basis_names, left, *right), t
 
 
 def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra | LieAlgebra,
@@ -551,16 +578,17 @@ def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra 
                    old: Representation | LieModule | None = None) -> bool:
     """Whether s is invertible and S [x, y]_h = [S x, S y]_g; given t, also
     whether t is invertible and U = S (+) T carries h ⋉ new onto g ⋉ old,
-    so T L' = L (S (x) T) and T R' = R (T (x) S).  A Lie module enters
-    through its lift, which shows new to be the module its lift descends
+    so T L' = L (S (x) T) and T R' = R (T (x) S).  A LieModule over a Lie
+    algebra enters by its table, and over a Leibniz algebra by the left
+    action of its lift, which shows new to be the module its lift descends
     to, as pi_h is onto: T A' (pi_h (x) I) = A (pi_g S (x) T)."""
     n = g.dim
     if (s.rows, s.cols, h.dim) != (n, n, n) or rank(s) < n:
         return False
     if t is None:
-        new = old = None
-    elif (t.rows, t.cols, new.dim) != (old.dim,) * 3 or rank(t) < old.dim:
+        return s @ h.structure == g.structure @ _kron(s, s)
+    if (t.rows, t.cols, new.dim) != (old.dim,) * 3 or rank(t) < old.dim:
         return False
-    else:
-        s = _direct_sum(s, t)
-    return s @ _semidirect(h, new) == _semidirect(g, old) @ _kron(s, s)
+    u = _direct_sum(s, t)
+    return (u @ _semidirect(h.structure, *_actions(h, new))
+            == _semidirect(g.structure, *_actions(g, old)) @ _kron(u, u))

@@ -315,6 +315,18 @@ def test_the_gate_refuses_a_wrong_s_or_t_alone(kind):
         assert not is_isomorphism(s, h, g, wrong, moved, m)
 
 
+
+def test_a_lie_module_over_a_lie_algebra_enters_by_its_own_action():
+    # heis3 is its own Lie quotient: over q the dense module is compared by
+    # its table, T A' = A (S (x) T), and over g through the projection
+    g, dense_mod = CANONICAL["heis3"], dense_heis3_modules()["lie"]
+    q, eye = g.quotient_data.quotient, Matrix.identity(3)
+    mod, p = adjoint_lie_module(q), Matrix.from_rows(GEN.dense_basis(3))
+    assert check_lie_module(q, dense_mod) == ()
+    for algebra in (q, g):
+        assert is_isomorphism(eye, algebra, algebra, p, dense_mod, mod)
+        assert not is_isomorphism(eye, algebra, algebra, eye, dense_mod, mod)
+
 # --- on/off: the input basis and the sparse basis give one set of numbers
 
 def _fields(report):
