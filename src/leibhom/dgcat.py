@@ -24,6 +24,7 @@ L_p x M_q -> M_{p+q}, laid out like a bracket table.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .dgla import (
     DGLieAlgebra,
@@ -353,12 +354,15 @@ def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                        raising: bool) -> ChainComplex:
     """m (x) Lambda^n h in degrees 0..n_max; action is the table of h
     acting on m, None for the zero action."""
-    brackets = h.structure.transpose().sparse_rows
+    columns = h.structure.transpose().int_rows
+    den = lcm(*(cd for cd, _ in columns))
+    brackets = [[(k, x * (den // cd)) for k, x in col] for cd, col in columns]
 
     def terms(xs: tuple[int, ...]):
+        """The boundary terms of xs, their ints over den."""
         n = len(xs)
         for t in range(1, n + 1):
-            yield xs[t - 1], xs[:t - 1] + xs[t:], -1 if t % 2 else 1
+            yield xs[t - 1], xs[:t - 1] + xs[t:], -den if t % 2 else den
         for s in range(1, n + 1):
             for t in range(s + 1, n + 1):
                 sign = -1 if (s + t) % 2 else 1
@@ -370,8 +374,8 @@ def _classical_complex(h: LieAlgebra, action: Matrix | None, m: int, n_max: int,
                         yield None, word, sign * c * wsign
 
     mons = [list(itertools.combinations(range(h.dim), n)) for n in range(n_max + 1)]
-    return _monomial_complex(mons, [[list(terms(xs)) for xs in ws] for ws in mons], action, m,
-                             raising)
+    return _monomial_complex(mons, [[(den, list(terms(xs))) for xs in ws] for ws in mons],
+                             action, m, raising)
 
 
 def classical_ce(h: LieAlgebra, coefficients: Coefficients, n_max: int) -> ChainComplex:

@@ -4,20 +4,22 @@ A matrix is stored as integer rows: row i is (den, ((col, num), ...)),
 the nonzero entries num/den in column order over one positive
 denominator that shares no factor with all the nums.  That form is
 canonical, so equality and hashing compare it directly, and products,
-transposes and zero tests run on ints over the stored pairs only; the
-(column, Fraction) pairs and a dense table of the entries are views
-built on first use.  Bilinear maps are stored as matrices too (see
-leibcore): the private _kron, _direct_sum, _swap and _lincomb build the
-products and sums their identities are made of.
-Subspace coordinates and restrictions are sparse products.  Rank,
-kernels, solving and subspace bases all come from one sparse
-fraction-free elimination (structured Gaussian elimination,
-LaMacchia-Odlyzko 1990): rows are integer maps divided by their content,
-pivots go in column order with the shortest row first, and an optional
-back-substitution gives the reduced echelon form that canonical bases
-are read from.  rank also hands back the pivot columns, which
-ChainComplex.ranks reads.  Nothing here rounds, so
-a homology dimension of 0 means 0, not "small".
+transposes and zero tests run on ints over the stored pairs only.
+Fractions appear only at the library's edge, each place that makes one
+importing fractions itself: the views built on first use (the (column,
+Fraction) pairs and the dense entries), parse_scalar, solve,
+Subspace.coords and a constructor given a value that is not an int.
+Bilinear maps are stored as matrices too (see leibcore): the private
+_kron, _direct_sum, _swap and _lincomb build the products and sums their
+identities are made of.  Subspace coordinates and restrictions are
+sparse products.  Rank, kernels, solving and subspace bases all come
+from one sparse fraction-free elimination (structured Gaussian
+elimination, LaMacchia-Odlyzko 1990): rows are integer maps divided by
+their content, pivots go in column order with the shortest row first,
+and an optional back-substitution gives the reduced echelon form that
+canonical bases are read from.  rank also hands back the pivot columns,
+which ChainComplex.ranks reads.  Nothing here rounds, so a homology
+dimension of 0 means 0, not "small".
 
 All objects are immutable; operations return new values, which makes
 everything safe to share between threads.  The cached views are pure
@@ -29,15 +31,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
-SparseRow = tuple[tuple[int, Fraction], ...]
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
-
-ZERO = Fraction(0)
 
 _SCALAR_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
@@ -67,6 +64,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse a rational literal "p" or "p/q" (q > 0) into a Fraction."""
+    from fractions import Fraction
     return Fraction(*_parse_ratio(text))
 
 
@@ -154,14 +152,16 @@ class Matrix(_Frozen):
         return hash((self.rows, self.cols, self.int_rows))
 
     @cached_property
-    def sparse_rows(self) -> tuple[SparseRow, ...]:
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """The nonzero (col, Fraction) pairs of every row, built on first use."""
+        from fractions import Fraction
         return tuple(tuple((j, Fraction(x, den)) for j, x in row) for den, row in self.int_rows)
 
     @cached_property
-    def entries(self) -> tuple[Vec, ...]:
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """Dense rows of Fractions, built on first use."""
-        zero_row = (ZERO,) * self.cols
+        from fractions import Fraction
+        zero_row = (Fraction(0),) * self.cols
         dense = []
         for den, row in self.int_rows:
             out = list(zero_row)
@@ -179,20 +179,12 @@ class Matrix(_Frozen):
         if not den:
             raise ZeroDivisionError("from_entries with den=0")
         sparse: list[list[tuple[int, object]]] = [[] for _ in range(rows)]
-        rational = False
         for (i, j), v in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if type(v) is not int:
-                v = _rational(v)
-                rational = True
-            if v:
+            if v := _rational(v):
                 sparse[i].append((j, v))
-        for row in sparse:
-            row.sort()
-        if rational:
-            return _matrix(rows, cols, tuple(_int_row(row, den) for row in sparse))
-        return _matrix(rows, cols, tuple(_canon(den, row) for row in sparse))
+        return _matrix(rows, cols, tuple(_int_row(sorted(row), den) for row in sparse))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -211,7 +203,7 @@ class Matrix(_Frozen):
                 raise ShapeMismatch(f"ragged row: expected {ncols} columns, got {len(row)}")
         return Matrix(len(data), ncols, tuple(_nonzero(row) for row in data))
 
-    def apply(self, v: Sequence[Fraction]) -> Vec:
+    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector of length {len(v)} against {self.cols} columns")
         column = Matrix.from_entries(self.cols, 1, {(j, 0): x for j, x in enumerate(v)})
@@ -318,14 +310,17 @@ def _denominators(int_rows: Sequence[IntRow]) -> list[int] | None:
 def _rational(x) -> int | Fraction:
     """x itself if it is an int or a Fraction, else Fraction(x); a float,
     whose binary value is rarely the number meant, raises TypeError."""
-    if type(x) is int or type(x) is Fraction:
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+    if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError(f"exact scalars only: got the float {x!r}")
     return Fraction(x)
 
 
-def _nonzero(values: Sequence[Fraction]) -> SparseRow:
+def _nonzero(values: Sequence) -> tuple[tuple[int, object], ...]:
     """The nonzero (index, value) pairs of a dense vector, each value read
     through _rational first, so a float zero is refused, not dropped."""
     return tuple((j, x) for j, x in enumerate(map(_rational, values)) if x)
@@ -355,8 +350,7 @@ def _int_row(pairs: Sequence[tuple[int, int | Fraction]], den: int = 1) -> IntRo
 def _row(pairs: Iterable[tuple[int, object]]) -> dict[int, int]:
     """The (col, value) pairs, values any exact rationals (read through
     _rational), as a primitive integer row without zeros."""
-    exact = [(j, x if type(x) is int else _rational(x)) for j, x in pairs]
-    return _primitive(dict(_int_row([p for p in exact if p[1]])[1]))
+    return _primitive(dict(_int_row([(j, y) for j, x in pairs if (y := _rational(x))])[1]))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -502,7 +496,7 @@ class Subspace(_Frozen):
         c = _matrix(self.dim, m.cols, tuple(m.int_rows[p] for p in self.pivots))
         return c if self.basis @ c == m else None
 
-    def coords(self, v: Sequence[Fraction]) -> Vec | None:
+    def coords(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """Coordinates of v in the echelon basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise ShapeMismatch(f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
@@ -559,15 +553,16 @@ def kernel_basis(m: Matrix) -> Subspace:
     return Subspace(m.cols, _matrix(m.cols, len(free), rows), tuple(free))
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Vec | None:
+def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of a x = b (free variables set to 0), or None."""
+    from fractions import Fraction
     if len(b) != a.rows:
         raise ShapeMismatch(f"rhs of length {len(b)} against {a.rows} rows")
     aug = [_row(srow + ((a.cols, x),)) for srow, x in zip(a.sparse_rows, b)]
     red = _echelon(aug, a.cols + 1, reduce=True)
     if a.cols in red:
         return None
-    x = [ZERO] * a.cols
+    x = [Fraction(0)] * a.cols
     for c, row in red.items():
         x[c] = Fraction(row.get(a.cols, 0), row[c])
     return tuple(x)

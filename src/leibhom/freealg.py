@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cache, cached_property
 
 from .exactla import Subspace, _echelon, _primitive, _span, add_into
 
-# word -> coefficient, an int for everything built here
-Element = dict[tuple, int | Fraction]
+# word -> int coefficient
+Element = dict[tuple, int]
 
 
 class WeightOverflow(Exception):

@@ -65,7 +65,6 @@ own duals.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -239,12 +238,9 @@ def _block_transpose(t: Matrix, m: int, sign: int = 1) -> Matrix:
     """sign times the action table t of g x m -> m with each block
     transposed: column a*m + u of the result holds row u of the columns
     a*m + u2 of t."""
-    entries = {}
-    for c, col in enumerate(t.transpose().sparse_rows):
-        a, u2 = divmod(c, m)
-        for u, x in col:
-            entries[(u2, a * m + u)] = sign * x
-    return Matrix.from_entries(m, t.cols, entries)
+    cols = tuple(_canon(den, [(c - a * m, sign * x) for c, x in row if c // m == a])
+                 for a in range(t.cols // m if m else 0) for den, row in t.int_rows)
+    return _matrix(t.cols, m, cols).transpose()
 
 
 def _require_left(g: LeibnizAlgebra) -> None:
@@ -423,7 +419,7 @@ class CEData(_Record):
     __match_args__ = ("g", "pbw", "m_dim", "mons", "terms")
 
     def __init__(self, g: LeibnizAlgebra, pbw: PBWAlgebra, m_dim: int, mons: list[list[Word]],
-                 terms: list[list[list]]):
+                 terms: list[list[tuple]]):
         self.g = g
         self.pbw = pbw
         self.m_dim = m_dim
@@ -436,14 +432,15 @@ def _ce_setup(g: LeibnizAlgebra, coefficients: Coefficients, n_max: int) -> CEDa
     m_dim, _ = _lie_action(g, coefficients)
     envelope = minimal_envelope(g)
     pbw = PBWAlgebra(envelope)
-    images = {deg: [[((deg - 1, a), c) for a, c in col]
-                    for col in envelope.differential(deg).transpose().sparse_rows]
-              for deg in (1, 2)}
+    columns = [envelope.differential(deg).transpose().int_rows for deg in (1, 2)]
+    den = lcm(*(cd for cols in columns for cd, _ in cols))
+    images = {deg: [[((deg - 1, a), x * (den // cd)) for a, x in col] for cd, col in cols]
+              for deg, cols in zip((1, 2), columns)}
     mons = [_ce_monomials(envelope, n) for n in range(n_max + 1)]
+    forms = [[pbw.normal_form(_derive_word(images, w), den) for w in ws] for ws in mons]
     # a leading degree-0 letter acts on the coefficient as m.xi = -xi.m
-    terms = [[[(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
-               for w2, c in pbw.normal_form(_derive_word(images, w)).items()]
-              for w in ws] for ws in mons]
+    terms = [[(d, [(w2[0][1], w2[1:], -c) if w2 and w2[0][0] == 0 else (None, w2, c)
+                   for w2, c in nf.items()]) for nf, d in fs] for fs in forms]
     return CEData(g, pbw, m_dim, mons, terms)
 
 
@@ -462,10 +459,10 @@ def _ce_monomials(envelope: DGLieAlgebra, n: int) -> list[Word]:
 
 def _derive_word(images: dict[int, list], word: Word) -> Poly:
     """Graded-derivation image of a normal word, before normalization;
-    images[deg][idx] lists the nonzero (letter, c) terms of the
+    images[deg][idx] lists the nonzero (letter, int c) terms of the
     differential of the letter (deg, idx)."""
     out: Poly = {}
-    sign = Fraction(1)
+    sign = 1
     for t, (deg, idx) in enumerate(word):
         for letter, c in images[deg][idx]:
             add_into(out, word[:t] + (letter,) + word[t + 1:], sign * c)
@@ -474,30 +471,34 @@ def _derive_word(images: dict[int, list], word: Word) -> Poly:
     return out
 
 
-def _monomial_complex(mons: list[list], terms: list[list[list]], action: Matrix | None, m: int,
+def _monomial_complex(mons: list[list], terms: list[list[tuple]], action: Matrix | None, m: int,
                       raising: bool) -> ChainComplex:
-    """m (x) span(mons[n]) in degrees 0..len(mons)-1.  terms[n][i] lists the
-    boundary of the monomial mons[n][i] as (letter, target, c) terms: c target
-    when letter is None, else c target with the letter acting on the
-    coefficient through the table action (None for the zero action, which
-    drops them)."""
+    """m (x) span(mons[n]) in degrees 0..len(mons)-1.  terms[n][i] = (den,
+    wterms) lists the boundary of the monomial mons[n][i] as (letter,
+    target, c) terms with int c over den: c target when letter is None,
+    else c target with the letter acting on the coefficient through the
+    table action (None for the zero action, which drops them)."""
     index = [{w: i for i, w in enumerate(ws)} for ws in mons]
-    acts = None if action is None else action.transpose().sparse_rows
+    columns = () if action is None else action.transpose().int_rows
+    act_den = lcm(*(ad for ad, _ in columns))
+    # the terms of letter l acting on f_u at (l, u), those of no letter at (None, u)
+    acts = {(c // m, c % m): [(u2, x * (act_den // ad)) for u2, x in col]
+            for c, (ad, col) in enumerate(columns)}
+    acts.update({(None, u): ((u, act_den),) for u in range(m)})
 
     def boundary(n: int) -> Matrix:
         rows_w, cols_w = len(mons[n - 1]), len(mons[n])
-        entries: dict[tuple[int, int], Fraction] = {}
-        for widx, wterms in enumerate(terms[n]):
+        den = lcm(*(d for d, _ in terms[n]))
+        acc: list[dict[int, int]] = [{} for _ in range(m * rows_w)]
+        for widx, (d, wterms) in enumerate(terms[n]):
             for letter, target, c in wterms:
-                r = index[n - 1][target]
-                if letter is None:
-                    for u in range(m):
-                        add_into(entries, (u * rows_w + r, u * cols_w + widx), c)
-                elif acts is not None:
-                    for u in range(m):
-                        for u2, cc in acts[letter * m + u]:
-                            add_into(entries, (u2 * rows_w + r, u * cols_w + widx), c * cc)
-        return Matrix.from_entries(m * rows_w, m * cols_w, entries)
+                r, c = index[n - 1][target], c * (den // d)
+                for u in range(m):
+                    for u2, x in acts.get((letter, u), ()):
+                        row, col = acc[u2 * rows_w + r], u * cols_w + widx
+                        row[col] = row.get(col, 0) + c * x
+        return _matrix(m * rows_w, m * cols_w, tuple(
+            _canon(den * act_den, sorted(item for item in row.items() if item[1])) for row in acc))
 
     dims = [m * len(ws) for ws in mons]
     return _complex(dims, (boundary(n) for n in range(1, len(mons))), raising)
@@ -536,13 +537,12 @@ def _projection_blocks(data: CEData) -> list[Matrix]:
     out = [Matrix.identity(1)]
     for n in range(1, len(data.mons)):
         index = {w: i for i, w in enumerate(data.mons[n])}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i, w in enumerate(data.mons[n - 1]):
-            for x in range(d):
-                for w2, c in data.pbw.normal_form({w + ((1, x),): Fraction(1)}).items():
-                    entries[(index[w2], i * d + x)] = c
-        step = Matrix.from_entries(len(index), len(data.mons[n - 1]) * d, entries)
-        out.append(step @ _kron(out[-1], Matrix.identity(d)))
+        forms = [data.pbw.normal_form({w + ((1, x),): 1}) for w in data.mons[n - 1]
+                 for x in range(d)]
+        # the columns of M_n, each over the denominator of its normal form
+        cols = tuple(_canon(den, sorted((index[v], c) for v, c in nf.items())) for nf, den in forms)
+        out.append(_matrix(len(cols), len(index), cols).transpose()
+                   @ _kron(out[-1], Matrix.identity(d)))
     return out
 
 

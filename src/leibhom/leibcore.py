@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -499,27 +498,28 @@ def _int_cells(table: Matrix, lo: int = 0) -> tuple[dict, int]:
 
 
 def _descent(cells: dict, scale: int, n: int, lo: int = 0):
-    """Yield (i, j, c, cells, scale) for each move e_i <- e_i + c e_j,
-    lo <= i, j < n, of the greedy descent on the number of nonzero
-    constants of a bilinear map on k^n, given as the ints cells
-    {(a, b, k): x}, [e_a, e_b] having x / scale at e_k: at most
+    """Yield (i, j, (num, den), cells, (p, q)) for each move
+    e_i <- e_i + (num/den) e_j, lo <= i, j < n, of the greedy descent on
+    the number of nonzero constants of a bilinear map on k^n, given as the
+    ints cells {(a, b, k): x}, [e_a, e_b] having x / scale at e_k: at most
     SPARSE_STEPS moves, each one lowering the count, each yield in the
-    basis the moves so far give."""
+    basis the moves so far give, [e_a, e_b] having x q / p at e_k."""
     # a table of rank r has at least r nonzero entries, and a change of
     # basis keeps its rank (dim [g, g] for a bracket): no move goes below
     bound = rank(Matrix.from_entries(
         n, n * n, {(k, a * n + b): x for (a, b, k), x in cells.items()}))
+    p, q = scale, 1
     for _ in range(SPARSE_STEPS):
         move = None if len(cells) <= bound else _best_move(cells, n, lo)
         if move is None:
             return
         i, j, num, den = move
-        moved = {key: v for key, p in _moved(cells, _by_index(cells, n), i, j, True).items()
-                 if (v := _value(p, num, den))}
+        moved = {key: v for key, p3 in _moved(cells, _by_index(cells, n), i, j, True).items()
+                 if (v := _value(p3, num, den))}
         content = gcd(*moved.values())
         cells = {key: v // content for key, v in moved.items()}
-        scale = Fraction(scale * den ** 3, content)
-        yield i, j, Fraction(num, den), cells, scale
+        p, q = p * den ** 3, q * content  # moved holds den^3 times the new constants
+        yield i, j, (num, den), cells, (p, q)
 
 
 def _sparse_table(table: Matrix, lo: int = 0) -> tuple | None:
@@ -527,18 +527,19 @@ def _sparse_table(table: Matrix, lo: int = 0) -> tuple | None:
     the basis where the descent of _descent on them ends, the rows below
     lo kept, B the change of basis it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v);
     None when it takes no move."""
-    n = table.rows
-    b = [[Fraction(int(u == v)) for v in range(n - lo)] for u in range(n - lo)]
-    last = None
-    for i, j, c, *last in _descent(*_int_cells(table, lo), n, lo):
-        for row in b:  # B <- B (I + c E_ji): column i gains c times column j
-            row[i - lo] += c * row[j - lo]
-    if last is None:
+    n, k = table.rows, table.rows - lo
+    moves = list(_descent(*_int_cells(table, lo), n, lo))
+    if not moves:
         return None
-    cells, scale = last
-    moved = Matrix.from_entries(n, n * n, {(k, a * n + b): x * scale.denominator
-                                           for (a, b, k), x in cells.items()}, den=scale.numerator)
-    return _matrix(n, n * n, table.int_rows[:lo] + moved.int_rows[lo:]), Matrix.from_rows(b)
+    basis = Matrix.identity(k)
+    for i, j, (num, den), _, _ in moves:  # B <- B (I + c E_ji)
+        step = [(1, ((r, 1),)) for r in range(k)]
+        step[j - lo] = _canon(den, sorted({j - lo: den, i - lo: num}.items()))
+        basis = basis @ _matrix(k, k, tuple(step))
+    *_, cells, (p, q) = moves[-1]
+    moved = Matrix.from_entries(n, n * n, {(c, a * n + b): x * q for (a, b, c), x in cells.items()},
+                                den=p)
+    return _matrix(n, n * n, table.int_rows[:lo] + moved.int_rows[lo:]), basis
 
 
 def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None) -> tuple:
@@ -589,6 +590,11 @@ def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra 
         return s @ h.structure == g.structure @ _kron(s, s)
     if (t.rows, t.cols, new.dim) != (old.dim,) * 3 or rank(t) < old.dim:
         return False
-    u = _direct_sum(s, t)
+    u, w = _direct_sum(s, t), n + old.dim
+    # U (x) U, but for its rows (u, v), which g ⋉ old reads none of, [u, v] being 0
+    kron = _matrix(w * w, w * w, tuple(
+        _canon(da * db, [(j * w + l, x * y) for j, x in ra for l, y in rb]) if a < n or b < n
+        else (1, ()) for a, (da, ra) in enumerate(u.int_rows)
+        for b, (db, rb) in enumerate(u.int_rows)))
     return (u @ _semidirect(h.structure, *_actions(h, new))
-            == _semidirect(g.structure, *_actions(g, old)) @ _kron(u, u))
+            == _semidirect(g.structure, *_actions(g, old)) @ kron)

@@ -9,22 +9,23 @@ increasing and no odd-degree letter repeats adjacently.  Rewriting uses
 
 both of which strictly decrease (length, inversion count), so the
 worklist terminates; the result is independent of which violation is
-rewritten first (the rewriter takes the leftmost).
+rewritten first (the rewriter takes the leftmost).  Coefficients are
+ints over one running denominator, which a bracket's denominator or the
+1/2 of an odd square raises with every coefficient, as homology._restrict
+does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .dgla import DGLieAlgebra
 from .exactla import _Record, add_into
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
-Poly = dict[Word, Fraction]
-
-HALF = Fraction(1, 2)
+Poly = dict[Word, int]
 
 
 class PBWAlgebra(_Record):
@@ -37,33 +38,28 @@ class PBWAlgebra(_Record):
         return letter[0] % 2
 
     @cached_property
-    def _bracket_columns(self) -> dict:
-        """The nonzero (k, c) terms of every column of every bracket table."""
-        return {key: t.transpose().sparse_rows for key, t in self.algebra.brackets.items()}
-
-    def bracket_letters(self, a: Letter, b: Letter) -> dict[Letter, Fraction]:
-        p, i = a
-        q, j = b
-        columns = self._bracket_columns.get((p, q))
-        if columns is None or self.algebra.dim(p + q) == 0:
-            return {}
-        return {(p + q, k): c for k, c in columns[i * self.algebra.dim(q) + j]}
+    def _brackets(self) -> dict:
+        """{(a, b): (q, g, terms)}: the rewrite of a b adds x / q times each
+        (letter, x) of terms, q doubled for an odd square, g the gcd of the xs."""
+        out = {}
+        for (p, q), t in self.algebra.brackets.items():
+            for c, (den, col) in enumerate(t.transpose().int_rows):
+                a, b = (p, c // self.algebra.dim(q)), (q, c % self.algebra.dim(q))
+                out[a, b] = (den * (2 if a == b and p % 2 else 1), gcd(*[x for _, x in col]),
+                             tuple(((p + q, k), x) for k, x in col))
+        return out
 
     def _violation(self, word: Word) -> int | None:
         """The position of the leftmost pair that breaks normality, or None."""
         for t in range(len(word) - 1):
             a, b = word[t], word[t + 1]
-            if a > b:
-                return t
-            if a == b and self.parity(a):
+            if a > b or (a == b and self.parity(a)):
                 return t
         return None
 
-    def normal_form(self, poly: Poly) -> Poly:
-        pending: Poly = {}
-        for w, c in poly.items():
-            add_into(pending, w, c)
-        done: Poly = {}
+    def normal_form(self, poly: Poly, den: int = 1) -> tuple[Poly, int]:
+        """The normal form of poly / den as (nf, D), nf / D in lowest terms."""
+        pending, done = {w: c for w, c in poly.items() if c}, {}
         while pending:
             word, coeff = pending.popitem()
             pos = self._violation(word)
@@ -72,12 +68,15 @@ class PBWAlgebra(_Record):
                 continue
             a, b = word[pos], word[pos + 1]
             prefix, suffix = word[:pos], word[pos + 2:]
-            if a == b:
-                for l, c in self.bracket_letters(a, a).items():
-                    add_into(pending, prefix + (l,) + suffix, coeff * c * HALF)
-            else:
-                sign = Fraction(-1) if (self.parity(a) and self.parity(b)) else Fraction(1)
-                add_into(pending, prefix + (b, a) + suffix, coeff * sign)
-                for l, c in self.bracket_letters(a, b).items():
-                    add_into(pending, prefix + (l,) + suffix, coeff * c)
-        return done
+            if a != b:
+                add_into(pending, prefix + (b, a) + suffix,
+                         -coeff if self.parity(a) and self.parity(b) else coeff)
+            q, g, terms = self._brackets.get((a, b), (1, 1, ()))
+            f = q // gcd(q, coeff * g)
+            if f != 1:  # the least rescaling that keeps every new term an int
+                den, coeff = den * f, coeff * f
+                pending, done = ({w: c * f for w, c in acc.items()} for acc in (pending, done))
+            for l, x in terms:
+                add_into(pending, prefix + (l,) + suffix, coeff * x // q)
+        g = gcd(den, *done.values())
+        return {w: c // g for w, c in done.items()}, den // g

@@ -30,11 +30,16 @@ from conftest import (
     CORPUS,
     LIE_CORPUS,
     SL2_BRACKETS,
+    FractionPBW,
     character_module,
     conjugate,
     entries_dict,
+    fraction_ce_boundaries,
     make_corpus,
     quotient_adjoint_module,
+    representations_for,
+    rescale,
+    rescaled_heis3,
     unimodular,
 )
 
@@ -253,17 +258,18 @@ def test_sl2_known_answers_with_adjoint_coefficients():
 
 
 def per_word_projection_blocks(data):
-    """p_n by normalizing each of the d^n words of g^{(x)n} on its own: the
-    projection as ce_projection built it before the last-letter recursion,
-    kept as its oracle."""
-    base = data.g.dim
+    """p_n by normalizing each of the d^n words of g^{(x)n} on its own with
+    the Fraction rewriter: the projection as ce_projection built it before
+    the last-letter recursion and the integer normal forms, kept as its
+    oracle."""
+    base, pbw = data.g.dim, FractionPBW(data.pbw.algebra)
     out = []
     for n, ws in enumerate(data.mons):
         index = {w: i for i, w in enumerate(ws)}
         entries = {}
         for widx, word in enumerate(itertools.product(range(base), repeat=n)):
             poly = {tuple((1, i) for i in word): Fraction(1)}
-            for w2, c in data.pbw.normal_form(poly).items():
+            for w2, c in pbw.normal_form(poly).items():
                 key = (index[w2], widx)
                 entries[key] = entries.get(key, 0) + c
         out.append(Matrix.from_entries(len(ws), base ** n, entries))
@@ -275,16 +281,53 @@ def zero_module(g, m):
     return LieModule(m, Matrix.zeros(m, g.quotient_data.quotient.dim * m))
 
 
+# the corpus, sl2, and algebras with denominators: a Lie quotient with the
+# constant 2/3 (heis3 rescaled), one whose columns have different
+# denominators (sl2 rescaled), and an odd square with 1/12 (A2 rescaled)
+SL2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
+ORACLE_ALGEBRAS = dict(CORPUS, sl2=SL2, **{
+    "heis3 rescaled": rescaled_heis3(),
+    "sl2 rescaled": rescale(SL2, (2, Fraction(1, 3), 5)),
+    "A2 rescaled": rescale(CORPUS["A2"], (Fraction(1, 2), 3)),
+    "A2+k rescaled": rescale(CORPUS["A2+k"], (3, Fraction(1, 2), 5))})
+
+
+@pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
+def test_integer_ce_boundaries_match_the_fraction_oracle(name):
+    g = ORACLE_ALGEBRAS[name]
+    coefficient_systems = [trivial_coefficients(), trivial_coefficients(2),
+                           quotient_adjoint_module(g.quotient_data),
+                           character_module(g.quotient_data)]
+    for coeffs in filter(None, coefficient_systems):
+        for build, module in ((ce_chain, coeffs), (ce_cochain, homology._dual(g, coeffs))):
+            m_dim, action = homology._lie_action(g, module)
+            want = fraction_ce_boundaries(g, action, m_dim, 4)
+            assert list(build(g, coeffs, 4).boundaries) == want, (name, build.__name__)
+
+
+def test_block_transpose_matches_the_dense_oracle():
+    for g in ORACLE_ALGEBRAS.values():
+        for rep in representations_for(g).values():
+            m, n = rep.dim, g.dim
+            t = rep.left_action
+            cols = t.transpose().entries
+            for sign in (1, -1):
+                got = homology._block_transpose(t, m, sign).transpose().entries
+                for a in range(n):
+                    for u in range(m):
+                        assert got[a * m + u] == tuple(sign * cols[a * m + u2][u]
+                                                       for u2 in range(m))
+
+
 def test_recursive_projection_matches_per_word_normal_forms():
-    sl2 = LeibnizAlgebra.from_brackets(["e", "f", "h"], SL2_BRACKETS)
-    for name, g in [*CORPUS.items(), ("sl2", sl2)]:
+    for name, g in ORACLE_ALGEBRAS.items():
         data = homology._ce_setup(g, trivial_coefficients(), 5)
         got = homology._projection_blocks(data)
         want = per_word_projection_blocks(data)
         # Matrix equality compares the shapes and the canonical int_rows
         assert got == want, name
     # a nonzero action projects through the same blocks, one per module basis vector
-    for g in (CORPUS["heis3"], sl2):
+    for g in (CORPUS["heis3"], ORACLE_ALGEBRAS["sl2"], ORACLE_ALGEBRAS["heis3 rescaled"]):
         coeffs = quotient_adjoint_module(g.quotient_data)
         P, _, _ = ce_projection(g, coeffs, 4)
         want = per_word_projection_blocks(homology._ce_setup(g, coeffs, 4))

@@ -1,5 +1,6 @@
-import random
+import itertools
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,11 @@ from leibhom.dgcat import cone
 from leibhom.dgla import minimal_envelope
 from leibhom.pbw import PBWAlgebra
 
-from conftest import CORPUS, LIE_CORPUS
+from conftest import CORPUS, LIE_CORPUS, FractionPBW, as_fractions, rescale, rescaled_heis3
+
+
+# A2 in the basis (x/2, 3y): an odd square with a denominator
+A2_RESCALED = rescale(CORPUS["A2"], (Fraction(1, 2), 3))
 
 
 class RightmostPBW(PBWAlgebra):
@@ -27,47 +32,75 @@ def test_odd_square_rewrites_to_half_bracket():
     # exactly the degree-2 hat generator
     alg = PBWAlgebra(minimal_envelope(CORPUS["A2"]))
     x = (1, 0)
-    nf = alg.normal_form({(x, x): Fraction(1)})
-    assert nf == {((2, 0),): Fraction(1)}
+    assert alg.normal_form({(x, x): 1}) == ({((2, 0),): 1}, 1)
+
+
+def test_odd_square_with_a_denominator_rescales_the_accumulator():
+    # A2 in the basis (x/2, 3y): [f0, f0] = f1/12, so the square of f0 is a
+    # twelfth of the hat generator, and every pending term is rescaled
+    alg = PBWAlgebra(minimal_envelope(A2_RESCALED))
+    x, y = (1, 0), (1, 1)
+    assert alg.normal_form({(x, x): 1}) == ({((2, 0),): 1}, 12)
+    assert alg.normal_form({(x, x): 1, (x, y): 1}) == ({((2, 0),): 1, (x, y): 12}, 12)
+    assert alg.normal_form({(x, x): 12}) == ({((2, 0),): 1}, 1)
+    assert alg.normal_form({(x, x): 12}, 5) == ({((2, 0),): 1}, 5)
 
 
 def test_odd_swap_picks_up_sign_and_bracket():
     alg = PBWAlgebra(minimal_envelope(CORPUS["A2"]))
     x, y = (1, 0), (1, 1)
-    nf = alg.normal_form({(y, x): Fraction(1)})
     # [x,y] + [y,x] = 0 here, so only the sign survives
-    assert nf == {(x, y): Fraction(-1)}
+    assert alg.normal_form({(y, x): 1}) == ({(x, y): -1}, 1)
 
 
 def test_degree_zero_letters_commute_through_brackets():
     alg = PBWAlgebra(cone(LIE_CORPUS["r2"]))
     a, b = (0, 0), (0, 1)
-    nf = alg.normal_form({(b, a): Fraction(1)})
     # ba = ab + [b,a] = ab - b  (with [a,b] = b in degree 0)
-    assert nf == {(a, b): Fraction(1), (b,): Fraction(-1)}
+    assert alg.normal_form({(b, a): 1}) == ({(a, b): 1, (b,): -1}, 1)
 
 
 def test_normal_words_are_fixed_points():
     alg = PBWAlgebra(minimal_envelope(CORPUS["A2"]))
     word = ((1, 0), (1, 1), (2, 0))
     assert alg._violation(word) is None
-    assert alg.normal_form({word: Fraction(2)}) == {word: Fraction(2)}
+    assert alg.normal_form({word: 2}) == ({word: 2}, 1)
+    assert alg.normal_form({word: 2}, 4) == ({word: 1}, 2)
 
 
 def envelopes():
-    out = []
-    for name in ("A2", "r2", "heis3", "A2+k"):
-        out.append(PBWAlgebra(minimal_envelope(CORPUS[name])))
-    out.append(PBWAlgebra(cone(LIE_CORPUS["heis3"])))
+    """The envelopes of the corpus, with odd squares (A2, A2+k), a Lie
+    quotient with non-integer constants (heis3 rescaled, [f0, f1] = 2/3 f2)
+    and an odd square with one (A2 rescaled), and a cone."""
+    out = {name: minimal_envelope(CORPUS[name]) for name in ("A2", "r2", "heis3", "A2+k")}
+    out["heis3 rescaled"] = minimal_envelope(rescaled_heis3())
+    out["A2 rescaled"] = minimal_envelope(A2_RESCALED)
+    out["cone heis3"] = cone(LIE_CORPUS["heis3"])
     return out
 
 
-ALGS = envelopes()
+ENVELOPES = envelopes()
+ALGS = [PBWAlgebra(e) for e in ENVELOPES.values()]
 
 
 def all_letters(alg):
     """The letters (degree, index) of the enveloping DGLA, degree by degree."""
     return [(p, i) for p in alg.algebra.degrees() for i in range(alg.algebra.dim(p))]
+
+
+def test_integer_normal_forms_match_the_fraction_oracle():
+    # every word of up to three letters, and over a denominator
+    for name, envelope in ENVELOPES.items():
+        alg, oracle = PBWAlgebra(envelope), FractionPBW(envelope)
+        letters = all_letters(alg)
+        for n in range(4):
+            for word in itertools.product(letters, repeat=n):
+                want = oracle.normal_form({word: Fraction(3, 2)})
+                nf, den = alg.normal_form({word: 3}, 2)
+                assert as_fractions((nf, den)) == want, (name, word)
+                assert all(isinstance(c, int) for c in nf.values())
+                # lowest terms over one denominator
+                assert den > 0 and gcd(den, *nf.values()) == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -77,11 +110,11 @@ def test_strategies_agree(data):
     letters = all_letters(alg)
     word = tuple(data.draw(st.sampled_from(letters))
                  for _ in range(data.draw(st.integers(0, 5))))
-    poly = {word: Fraction(1)}
+    poly = {word: 1}
     left = alg.normal_form(poly)
-    right = RightmostPBW(alg.algebra).normal_form(poly)
-    assert left == right
-    for w in left:
+    assert left == RightmostPBW(alg.algebra).normal_form(poly)
+    assert as_fractions(left) == FractionPBW(alg.algebra).normal_form({word: Fraction(1)})
+    for w in left[0]:
         assert alg._violation(w) is None
 
 
@@ -92,16 +125,16 @@ def test_normal_form_idempotent(data):
     letters = all_letters(alg)
     word = tuple(data.draw(st.sampled_from(letters))
                  for _ in range(data.draw(st.integers(0, 4))))
-    nf = alg.normal_form({word: Fraction(1)})
-    assert alg.normal_form(nf) == nf
+    nf, den = alg.normal_form({word: 1})
+    assert alg.normal_form(nf, den) == (nf, den)
 
 
 def test_product_linearity():
     alg = PBWAlgebra(minimal_envelope(CORPUS["A2"]))
     x, y = (1, 0), (1, 1)
-    a = alg.normal_form({(x, x): Fraction(1), (y, x): Fraction(2)})
-    b = alg.normal_form({(x, x): Fraction(1)})
-    c = alg.normal_form({(y, x): Fraction(2)})
+    a = as_fractions(alg.normal_form({(x, x): 1, (y, x): 2}))
+    b = as_fractions(alg.normal_form({(x, x): 1}))
+    c = as_fractions(alg.normal_form({(y, x): 2}))
     merged = dict(b)
     for w, cf in c.items():
         merged[w] = merged.get(w, Fraction(0)) + cf

@@ -7,14 +7,23 @@ src/.  The one exception is the interpreter's builtin sha256, which
 sys.stdlib_module_names lists as _sha256 up to Python 3.11 and as _sha2
 from 3.12: either may be imported only as an arm of a try/except
 ImportError chain whose last arm imports hashlib.
+
+Every CLI command computes on integer rows, so no command loads
+fractions, nor the decimal and numbers modules it imports.
 """
 
 import ast
+import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from leibhom.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "leibhom").glob("*.py"))
@@ -112,3 +121,62 @@ def test_sources_found():
 def test_pyproject_declares_no_runtime_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.findall(r"^dependencies\s*=.*$", text, re.M) == ["dependencies = []"]
+
+
+def _bench_gen():
+    """benchmark/gen.py, loaded by its path, for its document writers."""
+    spec = importlib.util.spec_from_file_location("_deps_gen", ROOT / "benchmark" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# each algebra in a basis where its constants are dense, those of heis3
+# over the determinant 3, so that the sparse basis moves and the
+# enveloping-algebra work reads rational constants
+CLI_BASES = {"heis3": [[1, 1, 0], [0, 2, 1], [1, 0, 1]], "fil4": None}
+
+# the enveloping-algebra commands refuse rep: coefficients as bad input
+TAKES_NO_REP = {"ce-homology", "ce-cohomology", "compare"}
+
+CHILD = """
+import json, sys
+from leibhom.cli import entrypoint
+codes = [entrypoint(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted({"fractions", "decimal", "numbers"} & set(sys.modules))]))
+"""
+
+
+def test_no_command_loads_fractions(tmp_path):
+    gen = _bench_gen()
+    jobs = {}  # argv -> the exit code it should end with
+    for alg, p in CLI_BASES.items():
+        spec = gen.ALGEBRAS[alg]
+        basis = [f"f{i}" for i in range(len(spec["basis"]))]
+        brackets = gen.change_basis(spec["brackets"], p or gen.dense_basis(len(basis)))
+        paths = {}
+        for kind, doc in (("algebra", gen.algebra_document(alg, basis, brackets)),
+                          ("lie", gen.lie_document(spec, basis, brackets)),
+                          ("rep", gen.rep_document(basis, brackets))):
+            paths[kind] = str(tmp_path / f"{alg}.{kind}.json")
+            Path(paths[kind]).write_text(json.dumps(doc), encoding="utf-8")
+        for name, (_, positional, options) in COMMANDS.items():
+            flags = {option[0] for option in options}
+            argv = (name, "--quiet") + ((paths["algebra"],) if positional else
+                                        ("--generators", "2", "--max-weight", "4"))
+            if "--max-degree" in flags:
+                argv += ("--max-degree", "2")
+            if "--coefficients" not in flags:
+                jobs[argv] = 0
+                continue
+            for kind in ("trivial", "lie", "rep"):
+                selector = kind if kind == "trivial" else f"{kind}:{paths[kind]}"
+                jobs[argv + ("--coefficients", selector)] = (
+                    2 if kind == "rep" and name in TAKES_NO_REP else 0)
+    assert {argv[0] for argv in jobs} == set(COMMANDS)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", CHILD, json.dumps(list(jobs))], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert dict(zip(jobs, codes)) == jobs
+    assert loaded == []

@@ -2,6 +2,7 @@
 basis of a module, the one exact gate, and the basis-invariant numbers of
 every builder the CLI runs on them, with the search on and off."""
 
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -107,6 +108,66 @@ CASES = dict(CORPUS, **{
 CASES["heis3 rescaled"] = rescaled_heis3()
 CASES.update({f"{name} dense": in_dense_basis(CANONICAL[name])
               for name in ("bench-heis3", "bench-a2k", "bench-fil4", "bench-hemi2", "sl2")})
+
+
+# h, S, m' and T of sparse_basis as the search gave them when it kept B
+# and the scale as Fractions, hashed (sha256 of their repr, first 16 hex
+# digits) per algebra over no module, representations_for and
+# lie_modules_for: the corpus, heis3 with denominators, and the six seed-1
+# unimodular bases of each benchmark algebra
+PINNED_RESULTS = {
+    "abelian1": "a8d1c5cf257648b7",
+    "abelian2": "8786c6323d71f004",
+    "abelian3": "ba6ebbd604dbd3f2",
+    "A2": "8ea0ee81dd99b876",
+    "r2": "634cad9b0f37a611",
+    "heis3": "69df10df8848c6fa",
+    "hemi2": "a789337226dc2e58",
+    "A2+k": "27bd6091fa9eddef",
+    "heis3 rescaled": "43e208b0fd02e36d",
+    "heis3 v0": "99c74e65d6ce0133",
+    "heis3 v1": "7dda3dd42e61e9e5",
+    "heis3 v2": "2b15cef72a734594",
+    "heis3 v3": "457fa3b419c561f8",
+    "heis3 v4": "1dc7c70adeaa22fe",
+    "heis3 v5": "3c674a73605e6f97",
+    "a2k v0": "516172702f4c76f9",
+    "a2k v1": "bfb8ccda7645e995",
+    "a2k v2": "c4a73c99f00e9b4c",
+    "a2k v3": "3b1cf53da6867e8a",
+    "a2k v4": "119d7e265226641b",
+    "a2k v5": "54c24cce76cfcbab",
+    "fil4 v0": "3aecdd1a76af6f3b",
+    "fil4 v1": "aedbc740b658e5ae",
+    "fil4 v2": "e3302e424a48ed64",
+    "fil4 v3": "584b94513936823a",
+    "fil4 v4": "2a2d52fe8831bcf5",
+    "fil4 v5": "cb33c3923a2b13d1",
+    "hemi2 v0": "331ff3d3bdaee345",
+    "hemi2 v1": "48bb9f0aa6e05695",
+    "hemi2 v2": "331ff3d3bdaee345",
+    "hemi2 v3": "48bb9f0aa6e05695",
+    "hemi2 v4": "331ff3d3bdaee345",
+    "hemi2 v5": "48bb9f0aa6e05695",
+}
+
+
+def pinned_algebras() -> dict[str, LeibnizAlgebra]:
+    out = dict(CORPUS, **{"heis3 rescaled": rescaled_heis3()})
+    for name in GEN.ALGEBRAS:
+        g = CANONICAL[f"bench-{name}"]
+        for v, p in enumerate(GEN.unimodular_bases(random.Random(1), g.dim, 6)):
+            out[f"{name} v{v}"] = conjugate(g, p, GEN._inverse(p))
+    return out
+
+
+def test_sparse_basis_gives_the_pinned_results():
+    got = {}
+    for name, g in pinned_algebras().items():
+        modules = [None, *representations_for(g).values(), *lie_modules_for(g).values()]
+        text = repr([sparse_basis(g, m) for m in modules])
+        got[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == PINNED_RESULTS
 
 
 @pytest.mark.parametrize("name", list(CASES))
