@@ -93,8 +93,8 @@ from .leibcore import (
     LieAlgebra,
     LieModule,
     Representation,
+    _actions,
     _check_width,
-    lie_module_lift,
 )
 from .pbw import PBWAlgebra, Poly, Word
 
@@ -290,9 +290,8 @@ def _lie_action(over: LieAlgebra | LeibnizAlgebra, coefficients: Coefficients
 def _rep_tables(g: LeibnizAlgebra, rep: Representation) -> tuple[Matrix, Matrix]:
     """The tables of [x,m] and [m,x], both laid out as g x m -> m: column
     x*m_dim + u holds [e_x, f_u] and [f_u, e_x]."""
-    if rep.left_action.cols != g.dim * rep.dim or rep.right_action.cols != rep.dim * g.dim:
-        raise ValueError("representation tables do not match the algebra dimension")
-    return rep.left_action, rep.right_action @ _swap(g.dim, rep.dim)
+    left, right = _actions(g, rep)
+    return left, right @ _swap(g.dim, rep.dim)
 
 
 def _dual(g: LeibnizAlgebra | LieAlgebra, coefficients: Coefficients) -> Coefficients:
@@ -314,17 +313,18 @@ def _slot_actions(g: LeibnizAlgebra, coefficients: Coefficients, rule: str | Non
     """(m_dim, [first, later]) for the boundary builder, the tables of the
     chain actions g x m -> m of the j = 1 and j >= 2 slots; no tables for
     trivial coefficients or a zero action.  A Lie module acts as its lift
-    under the "right" rule; rule replaces the pinned two-sided one."""
+    [m, x] = -pr(x).m under the "right" rule in both; rule replaces the
+    pinned two-sided one."""
     if isinstance(coefficients, Representation):
-        m_dim, rule = coefficients.dim, rule or REP_CHAIN_RULE
-    else:
-        m_dim, action = _lie_action(g, coefficients)
-        if action is None:
-            return m_dim, []
-        coefficients, rule = lie_module_lift(g, coefficients), "right"
-    left, right = _rep_tables(g, coefficients)
-    # p [x,m] + q [m,x] at column x*m_dim + u
-    return m_dim, [_lincomb((p, left), (q, right)) for p, q in CHAIN_RULES[rule]]
+        left, right = _rep_tables(g, coefficients)
+        # p [x,m] + q [m,x] at column x*m_dim + u
+        return coefficients.dim, [_lincomb((p, left), (q, right))
+                                  for p, q in CHAIN_RULES[rule or REP_CHAIN_RULE]]
+    m_dim, action = _lie_action(g, coefficients)
+    if action is None:
+        return m_dim, []
+    minus = _lincomb((-1, _actions(g, coefficients)[0]))
+    return m_dim, [minus, minus]
 
 
 def _product_boundaries(g: LeibnizAlgebra, n_max: int, m_dim: int = 1, actions=()):

@@ -14,18 +14,18 @@ Every bracket and action is stored as its table: the Matrix of the
 bilinear map k^a x k^b -> k^c from the pair space to the value space,
 whose column i*b + j holds [e_i, e_j] (`tensor3` builds one).  The
 bracket of the columns of U and V is then T (U (x) V), the opposite
-bracket a column permutation, and each axiom a matrix identity whose
-nonzero columns are the basis tuples where it fails.
+bracket a column permutation, and the Lie axioms and the descent to the
+Lie quotient matrix identities, nonzero where they fail.
 
-A module m over g is read as one table too, that of the semidirect
-product g ⋉ m (`_semidirect`), a Leibniz algebra exactly when m is a
-module over g; the Leibniz identity, of g and of g ⋉ m, is read off the
-int entries of a table (`_leibniz_violations`).
+A module m over g is read with g as the int cells {(a, b, k): x} of the
+semidirect product g ⋉ m (`_semidirect`), a Leibniz algebra exactly when
+m is a module over g (Loday-Pirashvili 1993); the Leibniz identity, of
+g and of g ⋉ m, is read off the cells (`_leibniz_violations`).
 
 The structure constants depend on the basis, and the cost of a complex
 follows their count: `sparse_basis` looks for an isomorphic algebra with
 fewer of them by exact elementary changes of basis, then runs the same
-search on the rows of m in g ⋉ m, carried along, and `is_isomorphism`
+search on the cells of g ⋉ m valued in m, carried along; `is_isomorphism`
 checks both changes as one isomorphism of the semidirect products.
 """
 
@@ -38,7 +38,6 @@ from math import gcd, lcm
 
 from .exactla import (
     Matrix,
-    ShapeMismatch,
     Subspace,
     _canon,
     _direct_sum,
@@ -126,16 +125,14 @@ class LieAlgebra(_Frozen):
         return LieAlgebra(g.dim, g.basis_names, g.structure)
 
 
-def _leibniz_violations(table: Matrix, lo: int = 0) -> list[tuple[int, int, int]]:
+def _leibniz_violations(cells: dict, n: int, lo: int = 0) -> list[tuple[int, int, int]]:
     """The basis triples (a, b, c) with an index at lo or above, in order,
     where the left Leibniz identity [[a,b],c] = [a,[b,c]] - [b,[a,c]] fails
-    for the bracket of table.  It runs on the int cells: a cell [p,q] at k
-    meets the cells of first argument k in [[p,q],c] and those of second
+    for the bracket on k^n of the int cells {(a, b, k): x}: a cell [p,q] at
+    k meets the cells of first argument k in [[p,q],c] and those of second
     argument k in [e,[p,q]] and [p,[e,q]]; the defect at (a, b, c) and e_v
     is kept at ((a n + b) n + c) n + v."""
-    n = table.rows
     n2, n3 = n * n, n * n * n
-    cells, _ = _int_cells(table)
     # by k, the cells a cell at k meets: all, and those whose other index is >= lo
     outer, inner, outer_lo, inner_lo = ([[] for _ in range(n)] for _ in range(4))
     for (a, b, v), y in cells.items():
@@ -163,7 +160,7 @@ def check_leibniz(g: LeibnizAlgebra) -> tuple[tuple[int, int, int], ...]:
     """All basis triples (i, j, k) violating the Leibniz identity of g's convention."""
     # the right identity of g at (i, j, k) is the left identity of opposite(g) at (k, j, i)
     h = g if g.convention == "left" else opposite(g)
-    bad = _leibniz_violations(h.structure)
+    bad = _leibniz_violations(_semidirect(h.structure)[0], g.dim)
     return tuple(bad) if h is g else tuple(sorted((k, j, i) for i, j, k in bad))
 
 
@@ -275,7 +272,8 @@ def check_representation(g: LeibnizAlgebra, m: Representation) -> tuple[tuple, .
     with an index in m, such as [[m,x],y] = [m,[x,y]] - [x,[m,y]]; it
     holds at those with two, as [u, v] = 0."""
     n, bad = g.dim, []
-    for triple in _leibniz_violations(_semidirect(g.structure, m.left_action, m.right_action), n):
+    cells, _ = _semidirect(g.structure, *_actions(g, m))
+    for triple in _leibniz_violations(cells, n + m.dim, n):
         slot = [v >= n for v in triple].index(True)
         i, j = (v for v in triple if v < n)
         bad.append((triple[slot] - n, i, j, ("mxy", "xmy", "xym")[slot]))
@@ -318,9 +316,8 @@ def check_lie_module(h: LieAlgebra, mod: LieModule) -> tuple[tuple, ...]:
     """Triples (i, j, a) where [x,y].m = x.(y.m) - y.(x.m) fails: the left
     Leibniz identity of h ⋉ m at (x, y, m), the only triples with an index
     in m where it can fail when m has no right action."""
-    n = h.dim
-    return tuple((i, j, a - n) for i, j, a in
-                 _leibniz_violations(_semidirect(h.structure, *_actions(h, mod)), n) if a >= n)
+    n, (cells, _) = h.dim, _semidirect(h.structure, *_actions(h, mod))
+    return tuple((i, j, a - n) for i, j, a in _leibniz_violations(cells, n + mod.dim, n) if a >= n)
 
 
 def adjoint_lie_module(h: LieAlgebra) -> LieModule:
@@ -332,6 +329,8 @@ def _actions(g: LeibnizAlgebra | LieAlgebra, m: Representation | LieModule) -> t
     g.  A LieModule over a Leibniz algebra is one over g's Lie quotient and
     acts through it, [x, u] = pr(x).u, with no [u, x]."""
     if isinstance(m, Representation):
+        if m.left_action.cols != g.dim * m.dim or m.right_action.cols != m.dim * g.dim:
+            raise ValueError("representation tables do not match the algebra dimension")
         return m.left_action, m.right_action
     if isinstance(g, LieAlgebra):
         _check_width(m, g.dim)
@@ -351,43 +350,40 @@ def lie_module_lift(g: LeibnizAlgebra, mod: LieModule) -> Representation:
     return Representation(d, tuple(f"m{i}" for i in range(d)), left, right)
 
 
-def _layout(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Where the table of g ⋉ m, g at the indices 0..n-1 and m at n..,
-    holds the columns of the tables of [x, y], [x, u] and [u, x], rows
-    0.. for the first and n.. for the others.  The columns increase,
-    those of [x, u] below those of [u, x]."""
-    w = n + d
-    return (tuple(x * w + y for x in range(n) for y in range(n)),
-            tuple(x * w + n + u for x in range(n) for u in range(d)),
-            tuple((n + u) * w + x for u in range(d) for x in range(n)))
+def _semidirect(t: Matrix, *actions: Matrix) -> tuple[dict, int]:
+    """(cells, scale) of g ⋉ m, g at the indices 0..n-1 and m at n.., from
+    the table t of g's bracket and the checked tables of [x, u] and maybe
+    [u, x], [u, v] being 0: the int cells {(a, b, k): x}, [e_a, e_b] having
+    x / scale at e_k.  With no actions, those of g alone."""
+    n, d = t.rows, actions[0].rows if actions else 0
+    tables = (t, *actions)
+    scale = lcm(*[den for table in tables for den, _ in table.int_rows])
+    # column c of a table holds [e_(a0 + c // w), e_(b0 + c % w)], row r e_(k0 + r)
+    return {(a0 + c // w, b0 + c % w, k): x * (scale // den)
+            for table, (w, a0, b0, k0) in zip(tables, ((n, 0, 0, 0), (d, 0, n, n), (n, n, 0, n)))
+            for k, (den, row) in enumerate(table.int_rows, k0) for c, x in row}, scale
 
 
-def _semidirect(t: Matrix, *actions: Matrix) -> Matrix:
-    """The table of g ⋉ m from the table t of g's bracket and those of
-    [x, u] and, if given, [u, x], with [u, v] = 0: a Leibniz algebra
-    exactly when m is a module over g (Loday-Pirashvili 1993)."""
-    n, d = t.rows, actions[0].rows
-    placed = []
-    for table, cols in zip((t, *actions), _layout(n, d)):
-        if table.cols != len(cols):
-            raise ShapeMismatch(f"a {table.cols}-column table in g ⋉ m of dims {n} and {d}")
-        placed.append([(den, tuple((cols[c], x) for c, x in row)) for den, row in table.int_rows])
-    g_rows, *module = placed
-    # a row of m holds [x, u], then [u, x] over a common denominator
-    rows = module[0] if len(module) == 1 else [
-        (da, ra + rb) if da == db else
-        _canon(da * db, [(j, x * db) for j, x in ra] + [(j, x * da) for j, x in rb])
-        for (da, ra), (db, rb) in zip(*module)]
-    return _matrix(n + d, (n + d) ** 2, tuple(g_rows + rows))
+def _split(cells: dict, den: int, n: int, d: int = 0) -> list[Matrix]:
+    """The inverse of _semidirect: the tables of [x, y], [x, u] and [u, x]
+    in the cells of g ⋉ m, x / den, g of dimension n and m of dimension d;
+    with d = 0 the first is the table of any bilinear map on k^n."""
+    rows = [[{} for _ in range(r)] for r in (n, d, d)]
+    for (a, b, k), x in cells.items():
+        if a < n and b < n:
+            rows[0][k][a * n + b] = x
+        elif a < n:
+            rows[1][k - n][a * d + b - n] = x
+        elif b < n:
+            rows[2][k - n][(a - n) * n + b] = x
+    return [_int_table(side, den, n * len(side)) for side in rows]  # n x nn, d x nd, d x dn
 
 
-def _split(table: Matrix, n: int) -> list[Matrix]:
-    """The inverse of _semidirect on the actions: the tables of [x, u] and
-    [u, x] in that of g ⋉ m, g of dimension n."""
-    backs = [{c: j for j, c in enumerate(cols)} for cols in _layout(n, table.rows - n)[1:]]
-    return [_matrix(table.rows - n, len(back), tuple(
-        _canon(den, [(back[c], x) for c, x in row if c in back]) for den, row in table.int_rows[n:]))
-        for back in backs]
+def _int_table(rows: list[dict], den: int, cols: int) -> Matrix:
+    """The Matrix whose row i holds x / den at column j for each item j: x
+    of rows[i], in canonical int rows written directly."""
+    return _matrix(len(rows), cols, tuple(
+        _canon(den, sorted(item for item in row.items() if item[1])) for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +483,6 @@ def _best_move(cells: dict, n: int, lo: int) -> tuple | None:
     return None if best is None else best[2:]
 
 
-def _int_cells(table: Matrix, lo: int = 0) -> tuple[dict, int]:
-    """(cells, scale): the entries of the rows lo.. of table, that of a
-    bilinear map on k^n, as the int cells {(a, b, k): x}, [e_a, e_b]
-    having x / scale at e_k."""
-    n, rows = table.rows, table.int_rows[lo:]
-    scale = lcm(*[den for den, _ in rows])
-    return {(c // n, c % n, k): x * (scale // den) for k, (den, row) in enumerate(rows, lo)
-            for c, x in row}, scale
-
-
 def _descent(cells: dict, scale: int, n: int, lo: int = 0):
     """Yield (i, j, (num, den), cells, (p, q)) for each move
     e_i <- e_i + (num/den) e_j, lo <= i, j < n, of the greedy descent on
@@ -506,8 +492,7 @@ def _descent(cells: dict, scale: int, n: int, lo: int = 0):
     basis the moves so far give, [e_a, e_b] having x q / p at e_k."""
     # a table of rank r has at least r nonzero entries, and a change of
     # basis keeps its rank (dim [g, g] for a bracket): no move goes below
-    bound = rank(Matrix.from_entries(
-        n, n * n, {(k, a * n + b): x for (a, b, k), x in cells.items()}))
+    bound = rank(_split(cells, 1, n)[0])
     p, q = scale, 1
     for _ in range(SPARSE_STEPS):
         move = None if len(cells) <= bound else _best_move(cells, n, lo)
@@ -522,13 +507,13 @@ def _descent(cells: dict, scale: int, n: int, lo: int = 0):
         yield i, j, (num, den), cells, (p, q)
 
 
-def _sparse_table(table: Matrix, lo: int = 0) -> tuple | None:
-    """(table', B): rows lo.. of table, that of a bilinear map on k^n, in
-    the basis where the descent of _descent on them ends, the rows below
-    lo kept, B the change of basis it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v);
-    None when it takes no move."""
-    n, k = table.rows, table.rows - lo
-    moves = list(_descent(*_int_cells(table, lo), n, lo))
+def _sparse(cells: dict, scale: int, n: int, lo: int = 0) -> tuple | None:
+    """(cells', den, B): the int cells of a bilinear map on k^n, x / scale,
+    in the basis where the descent of _descent on them ends, x / den, B
+    the change of basis it takes, f_(lo+u) = sum_v B[v][u] e_(lo+v); None
+    when it takes no move."""
+    k = n - lo
+    moves = list(_descent(cells, scale, n, lo))
     if not moves:
         return None
     basis = Matrix.identity(k)
@@ -537,17 +522,15 @@ def _sparse_table(table: Matrix, lo: int = 0) -> tuple | None:
         step[j - lo] = _canon(den, sorted({j - lo: den, i - lo: num}.items()))
         basis = basis @ _matrix(k, k, tuple(step))
     *_, cells, (p, q) = moves[-1]
-    moved = Matrix.from_entries(n, n * n, {(c, a * n + b): x * q for (a, b, c), x in cells.items()},
-                                den=p)
-    return _matrix(n, n * n, table.int_rows[:lo] + moved.int_rows[lo:]), basis
+    return {key: x * q for key, x in cells.items()}, p, basis
 
 
 def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None) -> tuple:
     """(h, S, m', T): g in the basis f_i = sum_a S[a][i] e_a that the greedy
     descent of _descent finds, so that S [x, y]_h = [S x, S y]_g, and m, a
     module over g, carried along S and put in the basis
-    f'_u = sum_v T[v][u] f_v that the descent finds on the rows of m in
-    g ⋉ m moving only the module's basis: T L' = L (S (x) T) and
+    f'_u = sum_v T[v][u] f_v that the descent finds on the cells of g ⋉ m
+    in m, moving only the module's basis: T L' = L (S (x) T) and
     T R' = R (T (x) S).  A module over g's Lie quotient is read back on h's,
     A' = L' (sigma_h (x) I).  h keeps the basis names and the convention of
     g, m' the basis names of m.  With no move to take, h is g and S the
@@ -555,9 +538,9 @@ def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None)
     takes none either; without m, m' and T are None.  The basis-invariant
     numbers of h and m' are those of g and m."""
     n = g.dim
-    found = _sparse_table(g.structure)
+    found = _sparse(*_semidirect(g.structure), n)
     h, s = (g, Matrix.identity(n)) if found is None else (
-        LeibnizAlgebra(n, g.basis_names, found[0], g.convention), found[1])
+        LeibnizAlgebra(n, g.basis_names, _split(*found[:2], n)[0], g.convention), found[2])
     if m is None:
         return h, s, None, None
     d, eye = m.dim, Matrix.identity(m.dim)
@@ -565,10 +548,11 @@ def sparse_basis(g: LeibnizAlgebra, m: Representation | LieModule | None = None)
     acts = _actions(g, m)
     if h is not g:
         acts = (acts[0] @ _kron(s, eye), *(right @ _kron(eye, s) for right in acts[1:]))
-    found = _sparse_table(_semidirect(h.structure, *acts), n)
+    cells, scale = _semidirect(h.structure, *acts)
+    found = _sparse({key: x for key, x in cells.items() if key[2] >= n}, scale, n + d, n)
     if found is None and h is g:
         return h, s, m, eye
-    (left, *right), t = (acts, eye) if found is None else (_split(found[0], n), found[1])
+    (left, *right), t = (acts, eye) if found is None else (_split(*found[:2], n, d)[1:], found[2])
     if isinstance(m, LieModule):
         return h, s, LieModule(d, left @ _kron(h.quotient_data.section, eye)), t
     return h, s, Representation(d, m.basis_names, left, *right), t
@@ -591,10 +575,15 @@ def is_isomorphism(s: Matrix, h: LeibnizAlgebra | LieAlgebra, g: LeibnizAlgebra 
     if (t.rows, t.cols, new.dim) != (old.dim,) * 3 or rank(t) < old.dim:
         return False
     u, w = _direct_sum(s, t), n + old.dim
-    # U (x) U, but for its rows (u, v), which g ⋉ old reads none of, [u, v] being 0
-    kron = _matrix(w * w, w * w, tuple(
-        _canon(da * db, [(j * w + l, x * y) for j, x in ra for l, y in rb]) if a < n or b < n
-        else (1, ()) for a, (da, ra) in enumerate(u.int_rows)
-        for b, (db, rb) in enumerate(u.int_rows)))
-    return (u @ _semidirect(h.structure, *_actions(h, new))
-            == _semidirect(g.structure, *_actions(g, old)) @ kron)
+    # [U x, U y] from the cells of g ⋉ old, over den dd^2, dd the lcm of U's denominators
+    cells, den = _semidirect(g.structure, *_actions(g, old))
+    dd = lcm(*[da for da, _ in u.int_rows])
+    rows = [[(i, x * (dd // da)) for i, x in row] for da, row in u.int_rows]
+    moved = [defaultdict(int) for _ in range(w)]
+    for (a, b, k), x in cells.items():
+        for i, y in rows[a]:
+            xy, iw, row = x * y, i * w, moved[k]
+            for j, z in rows[b]:
+                row[iw + j] += xy * z
+    return (u @ _split(*_semidirect(h.structure, *_actions(h, new)), w)[0]
+            == _int_table(moved, den * dd * dd, w * w))

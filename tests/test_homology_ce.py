@@ -338,7 +338,7 @@ def test_zero_lie_module_builds_the_trivial_complexes(monkeypatch):
     def no_lift(*args):
         raise AssertionError("a zero action needs no lift")
 
-    monkeypatch.setattr(homology, "lie_module_lift", no_lift)
+    monkeypatch.setattr(homology, "_actions", no_lift)
     for name, g in CORPUS.items():
         for m in (1, 2):
             zero, trivial = zero_module(g, m), trivial_coefficients(m)

@@ -5,23 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibhom.exactla import Matrix
 from leibhom.leibcore import (
     IllDefinedQuotient,
     LeibnizAlgebra,
     LieAlgebra,
     LieModule,
     Representation,
+    _actions,
+    _semidirect,
+    _split,
     adjoint_lie_module,
     adjoint_representation,
     check_leibniz,
     check_lie,
     check_lie_module,
     check_representation,
+    is_isomorphism,
     kernel_ideal,
     lie_module_lift,
     lie_quotient,
     opposite,
     opposite_representation,
+    sparse_basis,
     symmetrization,
     tensor3,
     trivial_representation,
@@ -33,8 +39,10 @@ from conftest import (
     bilinear,
     conjugate,
     dense,
+    quotient_adjoint_module,
     random_algebra,
     representations_for,
+    rescaled_heis3,
     unimodular,
 )
 
@@ -440,3 +448,31 @@ def test_check_lie_module_matches_dense_oracle(data):
         action = data.draw(tensors(n, d, d, mod0.action))
     mod = LieModule(d, action)
     assert check_lie_module(h, mod) == oracle_check_lie_module(h, mod)
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "heis3 rescaled"])
+def test_semidirect_cells_give_back_the_tables(name):
+    # the blocks of g ⋉ m are placed in one place and read back in another
+    g = rescaled_heis3() if name == "heis3 rescaled" else CORPUS[name]
+    n, t = g.dim, g.structure
+    assert _split(*_semidirect(t), n) == [t, Matrix.zeros(0, 0), Matrix.zeros(0, 0)]
+    for rname, rep in representations_for(g).items():
+        tables = [t, rep.left_action, rep.right_action]
+        assert _split(*_semidirect(*tables), n, rep.dim) == tables, rname
+    # a Lie module has a one-sided table: no [u, x]
+    mod = quotient_adjoint_module(g.quotient_data)
+    if mod is not None:
+        (left,) = _actions(g, mod)
+        want = [t, left, Matrix.zeros(mod.dim, mod.dim * n)]
+        assert _split(*_semidirect(t, left), n, mod.dim) == want
+
+
+def test_missized_representation_is_bad_input_everywhere():
+    g, eye = CORPUS["heis3"], Matrix.identity
+    missized = Representation(1, ("m0",), Matrix.zeros(1, 2), Matrix.zeros(1, 2))
+    for call in (lambda: check_representation(g, missized),
+                 lambda: sparse_basis(g, missized),
+                 lambda: is_isomorphism(eye(3), g, g, eye(1), missized, missized)):
+        with pytest.raises(ValueError,
+                           match="^representation tables do not match the algebra dimension$"):
+            call()

@@ -25,7 +25,7 @@ from leibhom.leibcore import (
     LieModule,
     Representation,
     _descent,
-    _int_cells,
+    _semidirect,
     adjoint_lie_module,
     adjoint_representation,
     check_leibniz,
@@ -77,7 +77,7 @@ def nnz(g: LeibnizAlgebra) -> int:
 
 def descent(g: LeibnizAlgebra):
     """The moves of sparse_basis(g)."""
-    return _descent(*_int_cells(g.structure), g.dim)
+    return _descent(*_semidirect(g.structure), g.dim)
 
 
 def lie_modules_for(g: LeibnizAlgebra) -> dict[str, LieModule]:
